@@ -29,7 +29,7 @@
 
 use stardust_bench::json::Json;
 use stardust_bench::{commas, header, Args};
-use stardust_fabric::{ExecMode, FabricConfig, FabricEngine, ShardedFabricEngine};
+use stardust_fabric::{FabricConfig, FabricEngine, ShardedFabricEngine};
 use stardust_sim::units::gbps;
 use stardust_sim::{DetRng, SimDuration, SimTime};
 use stardust_topo::builders::{two_tier, TwoTierParams};
@@ -168,7 +168,7 @@ fn host_cores() -> usize {
 /// Write the measured samples as a `BENCH_fig2.json`-style document:
 /// events/s per scale point plus enough context to compare runs.
 /// `extra` appends further top-level sections (the smoke path adds the
-/// sharded ev/s-per-core sweep and the window-widening measurement).
+/// sharded ev/s-per-core sweep).
 fn write_json(path: &str, mode: &str, sim_us: u64, samples: &[Sample], extra: Vec<(String, Json)>) {
     let mut fields = vec![
         ("bench".into(), Json::str("fig2_fabric_scale")),
@@ -251,62 +251,6 @@ fn sharded_sweep_json(
         ("num_fa".into(), Json::num(num_fa as f64)),
         ("seq_events_per_sec".into(), Json::Num(seq_eps)),
         ("points".into(), Json::Arr(points)),
-    ])
-}
-
-/// Measure how much the per-pair lookahead matrix widens windows on a
-/// zoo topology: run the same workload on the zoo dragonfly at 4 shards
-/// with matrix windows and with the scalar (min-bound) baseline, and
-/// report the synchronization-round counts. The stats must agree
-/// bit-for-bit — the matrix only changes *when* shards synchronize,
-/// never what they compute.
-fn window_widening_json(seed: u64) -> Json {
-    use stardust_topo::{DragonflyParams, TopologyBuilder};
-    let built = DragonflyParams::zoo().build_fabric();
-    let run = |scalar: bool| {
-        let mut e: ShardedFabricEngine = ShardedFabricEngine::with_plan(
-            built.topo.clone(),
-            bench_cfg(seed),
-            built.plan.clone(),
-            4,
-        );
-        e.set_exec_mode(ExecMode::Inline);
-        e.set_scalar_windows(scalar);
-        for src in 0..20u32 {
-            e.add_message(
-                src,
-                (src + 7) % 20,
-                0,
-                0,
-                20_000,
-                SimTime::from_nanos(src as u64 * 131),
-            );
-        }
-        e.run_until(SimTime::from_millis(1));
-        (e.windows_executed(), e.stats())
-    };
-    let (matrix_w, matrix_stats) = run(false);
-    let (scalar_w, scalar_stats) = run(true);
-    assert_eq!(
-        matrix_stats, scalar_stats,
-        "window policy changed results — determinism bug"
-    );
-    println!(
-        "window widening (dragonfly zoo, 4 shards, 1 ms): \
-         {scalar_w} scalar rounds vs {matrix_w} matrix rounds \
-         ({:.2}x fewer barriers)",
-        scalar_w as f64 / matrix_w as f64
-    );
-    Json::Obj(vec![
-        ("topology".into(), Json::str("dragonfly_zoo")),
-        ("shards".into(), Json::num(4.0)),
-        ("sim_ms".into(), Json::num(1.0)),
-        ("matrix_windows".into(), Json::num(matrix_w as f64)),
-        ("scalar_windows".into(), Json::num(scalar_w as f64)),
-        (
-            "barrier_reduction".into(),
-            Json::Num(scalar_w as f64 / matrix_w as f64),
-        ),
     ])
 }
 
@@ -422,17 +366,14 @@ fn main() {
             commas(floor as u64)
         );
         if let Some(path) = args.get_str("json") {
-            // The sharded ev/s-per-core curve and the barrier-count
-            // comparison ride on the smoke artifact: both are cheap at
-            // this size and give CI a per-commit trajectory for the
-            // parallel runtime, not just the sequential core.
-            let extras = vec![
-                (
-                    "sharded_points".into(),
-                    sharded_sweep_json(sim_us, seed, &s, &seq_stats),
-                ),
-                ("window_widening".into(), window_widening_json(seed)),
-            ];
+            // The sharded ev/s-per-core curve rides on the smoke
+            // artifact: it is cheap at this size and gives CI a
+            // per-commit trajectory for the parallel runtime, not just
+            // the sequential core.
+            let extras = vec![(
+                "sharded_points".into(),
+                sharded_sweep_json(sim_us, seed, &s, &seq_stats),
+            )];
             // Two larger sizes give the artifact a real scale trajectory;
             // the hard floor still gates only the 64-FA point above.
             let mut samples = vec![s];

@@ -8,7 +8,7 @@
 //! cannot drift.
 
 use crate::spec::{
-    Checks, CompleteScope, CoreChoice, EngineSpec, ExperimentSpec, StatsMode, TopoKind, TopoSpec,
+    Checks, CompleteScope, EngineSpec, ExperimentSpec, StatsMode, TopoKind, TopoSpec,
     DEFAULT_ADMIT_WINDOW_US,
 };
 use stardust_sim::{SimDuration, SimTime};
@@ -24,9 +24,7 @@ fn transports(protos: &[Protocol]) -> Vec<EngineSpec> {
 }
 
 fn with_fabric(mut engines: Vec<EngineSpec>) -> Vec<EngineSpec> {
-    engines.push(EngineSpec::Fabric {
-        core: CoreChoice::Calendar,
-    });
+    engines.push(EngineSpec::Fabric);
     engines
 }
 
@@ -251,15 +249,7 @@ pub fn failure_churn(factor: u32, ms: u64, seed: u64, shards: u32) -> Experiment
         name: "failure-churn-web-mix".into(),
         horizon_us: ms * 1_000,
         seeds: vec![seed],
-        engines: vec![
-            EngineSpec::Fabric {
-                core: CoreChoice::Calendar,
-            },
-            EngineSpec::Sharded {
-                shards,
-                core: CoreChoice::Calendar,
-            },
-        ],
+        engines: vec![EngineSpec::Fabric, EngineSpec::Sharded { shards }],
         topology: TopoSpec {
             kind: TopoKind::TwoTier,
             two_tier_factor: factor,
@@ -331,15 +321,7 @@ pub fn service(
         name: "service-diurnal-mix".into(),
         horizon_us: ms * 1_000,
         seeds: vec![seed],
-        engines: vec![
-            EngineSpec::Fabric {
-                core: CoreChoice::Calendar,
-            },
-            EngineSpec::Sharded {
-                shards,
-                core: CoreChoice::Calendar,
-            },
-        ],
+        engines: vec![EngineSpec::Fabric, EngineSpec::Sharded { shards }],
         topology: TopoSpec {
             kind: TopoKind::TwoTier,
             two_tier_factor: factor,
@@ -378,30 +360,19 @@ pub fn service(
 }
 
 /// A topology-zoo CI gate: the fig10a-style permutation on a zoo fabric,
-/// driven by the sequential engine on both event cores plus 2- and
-/// 4-way sharding, gated on completion, losslessness and sharded
-/// bit-identity. The route-plan layer is what makes the same spec
-/// machinery run unmodified on Clos and non-Clos fabrics alike.
+/// driven by the sequential engine plus 2- and 4-way sharding, gated on
+/// completion, losslessness and sharded bit-identity. The route-plan
+/// layer is what makes the same spec machinery run unmodified on Clos
+/// and non-Clos fabrics alike.
 pub fn zoo(name: &str, kind: TopoKind) -> ExperimentSpec {
     ExperimentSpec {
         name: name.into(),
         horizon_us: 50_000,
         seeds: vec![42],
         engines: vec![
-            EngineSpec::Fabric {
-                core: CoreChoice::Calendar,
-            },
-            EngineSpec::Fabric {
-                core: CoreChoice::Heap,
-            },
-            EngineSpec::Sharded {
-                shards: 2,
-                core: CoreChoice::Calendar,
-            },
-            EngineSpec::Sharded {
-                shards: 4,
-                core: CoreChoice::Calendar,
-            },
+            EngineSpec::Fabric,
+            EngineSpec::Sharded { shards: 2 },
+            EngineSpec::Sharded { shards: 4 },
         ],
         topology: TopoSpec {
             kind,

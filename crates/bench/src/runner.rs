@@ -16,10 +16,10 @@ use crate::fig10::{
     fabric_config, goodputs_gbps, print_fct_summary, print_fct_table, transport_sim,
 };
 use crate::json::Json;
-use crate::spec::{CompleteScope, CoreChoice, EngineSpec, ExperimentSpec, StatsMode};
+use crate::spec::{CompleteScope, EngineSpec, ExperimentSpec, StatsMode};
 use stardust_fabric::shard::ExecMode;
-use stardust_fabric::{FabricEngine, ShardedFabricEngine};
-use stardust_sim::{CalendarCore, CoreKind, FlowStats, HeapCore, SimDuration};
+use stardust_fabric::{FabricEngine, FabricStats, ShardedFabricEngine};
+use stardust_sim::{FlowStats, SimDuration};
 use stardust_transport::Protocol;
 use stardust_workload::{Scenario, TransportFlowEngine};
 use std::time::Instant;
@@ -252,115 +252,70 @@ fn dur_us(d: Option<SimDuration>) -> Option<f64> {
     d.map(|d| d.as_secs_f64() * 1e6)
 }
 
+/// [`drive`] under a stopwatch (engine construction stays untimed).
+fn timed_drive<E: stardust_workload::FlowEngine>(
+    scenario: &Scenario,
+    spec: &ExperimentSpec,
+    e: &mut E,
+) -> (FlowStats, usize, f64) {
+    let t0 = Instant::now();
+    let (flows, applied) = drive(scenario, spec, e);
+    (flows, applied, t0.elapsed().as_secs_f64())
+}
+
 fn run_one(spec: &ExperimentSpec, scenario: &Scenario, engine: EngineSpec, seed: u64) -> RunRecord {
+    // `fabric` carries a fabric-family run's stats and event count.
+    let record = |(flows, failures_applied, wall_s): (FlowStats, usize, f64),
+                  fabric: Option<(&FabricStats, u64)>| RunRecord {
+        engine,
+        label: engine.label(),
+        seed,
+        flows,
+        cells_dropped: fabric.map(|(s, _)| s.cells_dropped.get()),
+        packets_discarded: fabric.map(|(s, _)| s.packets_discarded.get()),
+        events: fabric.map(|(_, events)| events),
+        failures_applied,
+        loss_window_us: fabric.and_then(|(s, _)| dur_us(s.loss_window())),
+        convergence_us: fabric.and_then(|(s, _)| dur_us(s.convergence_time())),
+        wall_s,
+    };
     match engine {
-        EngineSpec::Fabric { core } => match core {
-            CoreChoice::Calendar => run_fabric_seq::<CalendarCore>(spec, scenario, engine, seed),
-            CoreChoice::Heap => run_fabric_seq::<HeapCore>(spec, scenario, engine, seed),
-        },
-        EngineSpec::Sharded { core, .. } => match core {
-            CoreChoice::Calendar => {
-                run_fabric_sharded::<CalendarCore>(spec, scenario, engine, seed)
+        EngineSpec::Fabric => {
+            let built = spec.topology.build_fabric(seed);
+            let mut e: FabricEngine =
+                FabricEngine::with_plan(built.topo, spec_fabric_config(spec, seed), built.plan);
+            let run = timed_drive(scenario, spec, &mut e);
+            record(run, Some((e.stats(), e.events_executed())))
+        }
+        EngineSpec::Sharded { shards } => {
+            let built = spec.topology.build_fabric(seed);
+            let mut e: ShardedFabricEngine = ShardedFabricEngine::with_plan(
+                built.topo,
+                spec_fabric_config(spec, seed),
+                built.plan,
+                shards,
+            );
+            // Thread policy (results are identical at any setting): an
+            // explicit spec/CLI `threads` wins — `1` runs inline on the
+            // calling thread, more multiplexes the shards round-robin.
+            // Otherwise, on hosts with fewer cores than shards, OS
+            // threads only add barrier context switches; the inline mode
+            // is bit-identical (pinned by the conformance suite) and fast.
+            let cores = std::thread::available_parallelism().map_or(1, |n| n.get()) as u32;
+            match spec.threads {
+                Some(1) => e.set_exec_mode(ExecMode::Inline),
+                Some(t) => e.set_threads(t),
+                None if cores < shards => e.set_exec_mode(ExecMode::Inline),
+                None => {}
             }
-            CoreChoice::Heap => run_fabric_sharded::<HeapCore>(spec, scenario, engine, seed),
-        },
+            let run = timed_drive(scenario, spec, &mut e);
+            record(run, Some((&e.stats(), e.events_executed())))
+        }
         EngineSpec::Transport { proto } => {
             let sim = transport_sim(spec.topology.kary_k, seed);
             let mut e = TransportFlowEngine::new(sim, proto);
-            let t0 = Instant::now();
-            let (flows, applied) = drive(scenario, spec, &mut e);
-            RunRecord {
-                engine,
-                label: engine.label(),
-                seed,
-                flows,
-                cells_dropped: None,
-                packets_discarded: None,
-                events: None,
-                failures_applied: applied,
-                loss_window_us: None,
-                convergence_us: None,
-                wall_s: t0.elapsed().as_secs_f64(),
-            }
+            record(timed_drive(scenario, spec, &mut e), None)
         }
-    }
-}
-
-fn run_fabric_seq<K: CoreKind>(
-    spec: &ExperimentSpec,
-    scenario: &Scenario,
-    engine: EngineSpec,
-    seed: u64,
-) -> RunRecord {
-    let built = spec.topology.build_fabric(seed);
-    let mut e =
-        FabricEngine::<K>::with_plan(built.topo, spec_fabric_config(spec, seed), built.plan);
-    let t0 = Instant::now();
-    let (flows, applied) = drive(scenario, spec, &mut e);
-    let wall_s = t0.elapsed().as_secs_f64();
-    RunRecord {
-        engine,
-        label: engine.label(),
-        seed,
-        flows,
-        cells_dropped: Some(e.stats().cells_dropped.get()),
-        packets_discarded: Some(e.stats().packets_discarded.get()),
-        events: Some(e.events_executed()),
-        failures_applied: applied,
-        loss_window_us: dur_us(e.stats().loss_window()),
-        convergence_us: dur_us(e.stats().convergence_time()),
-        wall_s,
-    }
-}
-
-fn run_fabric_sharded<K: CoreKind>(
-    spec: &ExperimentSpec,
-    scenario: &Scenario,
-    engine: EngineSpec,
-    seed: u64,
-) -> RunRecord
-where
-    FabricEngine<K>: Send,
-{
-    let EngineSpec::Sharded { shards, .. } = engine else {
-        unreachable!("caller matched Sharded")
-    };
-    let built = spec.topology.build_fabric(seed);
-    let mut e = ShardedFabricEngine::<K>::with_plan(
-        built.topo,
-        spec_fabric_config(spec, seed),
-        built.plan,
-        shards,
-    );
-    // Thread policy (results are identical at any setting): an explicit
-    // spec/CLI `threads` wins — `1` runs inline on the calling thread,
-    // more multiplexes the shards round-robin. Otherwise, on hosts with
-    // fewer cores than shards, OS threads only add barrier context
-    // switches; the inline mode is bit-identical (pinned by the
-    // conformance suite) and fast.
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get()) as u32;
-    match spec.threads {
-        Some(1) => e.set_exec_mode(ExecMode::Inline),
-        Some(t) => e.set_threads(t),
-        None if cores < shards => e.set_exec_mode(ExecMode::Inline),
-        None => {}
-    }
-    let t0 = Instant::now();
-    let (flows, applied) = drive(scenario, spec, &mut e);
-    let wall_s = t0.elapsed().as_secs_f64();
-    let stats = e.stats();
-    RunRecord {
-        engine,
-        label: engine.label(),
-        seed,
-        flows,
-        cells_dropped: Some(stats.cells_dropped.get()),
-        packets_discarded: Some(stats.packets_discarded.get()),
-        events: Some(e.events_executed()),
-        failures_applied: applied,
-        loss_window_us: dur_us(stats.loss_window()),
-        convergence_us: dur_us(stats.convergence_time()),
-        wall_s,
     }
 }
 
@@ -525,9 +480,7 @@ mod tests {
                 EngineSpec::Transport {
                     proto: Protocol::Stardust,
                 },
-                EngineSpec::Fabric {
-                    core: CoreChoice::Calendar,
-                },
+                EngineSpec::Fabric,
             ],
             topology: crate::spec::TopoSpec {
                 kind: crate::spec::TopoKind::TwoTier,
@@ -638,13 +591,8 @@ mod tests {
         let mut spec = tiny_spec();
         spec.stats = StatsMode::Sketch;
         spec.engines = vec![
-            EngineSpec::Fabric {
-                core: CoreChoice::Calendar,
-            },
-            EngineSpec::Sharded {
-                shards: 2,
-                core: CoreChoice::Calendar,
-            },
+            EngineSpec::Fabric,
+            EngineSpec::Sharded { shards: 2 },
             EngineSpec::Transport {
                 proto: Protocol::Stardust,
             },
@@ -682,15 +630,7 @@ mod tests {
     #[test]
     fn sharded_identical_check_compares_engines() {
         let mut spec = tiny_spec();
-        spec.engines = vec![
-            EngineSpec::Fabric {
-                core: CoreChoice::Calendar,
-            },
-            EngineSpec::Sharded {
-                shards: 2,
-                core: CoreChoice::Calendar,
-            },
-        ];
+        spec.engines = vec![EngineSpec::Fabric, EngineSpec::Sharded { shards: 2 }];
         spec.checks = Checks {
             sharded_identical: true,
             ..Checks::default()

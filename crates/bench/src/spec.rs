@@ -3,8 +3,8 @@
 //!
 //! An [`ExperimentSpec`] names everything one experiment needs:
 //! topology preset + scale, the engines to drive (sequential fabric,
-//! sharded fabric with a shard count and event core, or a fat-tree
-//! transport protocol), the workload [`ScenarioKind`], a
+//! sharded fabric with a shard count, or a fat-tree transport
+//! protocol), the workload [`ScenarioKind`], a
 //! [`FailureSchedule`] of timed link fail/restore events, the horizon,
 //! the seeds, and the pass/fail [`Checks`] CI gates on. The
 //! [`runner`](crate::runner) expands it into the run matrix
@@ -79,48 +79,18 @@ fn bad<T>(msg: impl Into<String>) -> Result<T, SpecError> {
     Err(SpecError(msg.into()))
 }
 
-/// Which event core a fabric engine runs on (see `stardust-sim`'s
-/// `CalendarCore` / `HeapCore`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CoreChoice {
-    /// The bucketed calendar queue (the default, faster core).
-    #[default]
-    Calendar,
-    /// The binary-heap core (kept for differential testing).
-    Heap,
-}
-
-impl CoreChoice {
-    fn parse(s: &str) -> Result<Self, SpecError> {
-        match s {
-            "calendar" => Ok(CoreChoice::Calendar),
-            "heap" => Ok(CoreChoice::Heap),
-            other => bad(format!("unknown event core {other:?} (calendar | heap)")),
-        }
-    }
-
-    fn as_str(self) -> &'static str {
-        match self {
-            CoreChoice::Calendar => "calendar",
-            CoreChoice::Heap => "heap",
-        }
-    }
-}
+/// The whole engine grammar of a spec's `engines` list.
+const ENGINE_GRAMMAR: &str = "fabric | sharded:N | transport:proto";
 
 /// One engine of a spec's run matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineSpec {
     /// The sequential cell-accurate fabric engine.
-    Fabric {
-        /// Event core to run on.
-        core: CoreChoice,
-    },
+    Fabric,
     /// The sharded fabric engine (bit-identical to sequential).
     Sharded {
         /// Shard (thread) count, ≥ 1.
         shards: u32,
-        /// Event core to run on.
-        core: CoreChoice,
     },
     /// The §6.3 fat-tree transport simulator under one protocol.
     Transport {
@@ -130,54 +100,29 @@ pub enum EngineSpec {
 }
 
 impl EngineSpec {
-    /// Parse the spec-file syntax: `fabric[:core]`, `sharded:N[:core]`,
+    /// Parse the spec-file syntax: `fabric`, `sharded:N`,
     /// `transport:PROTO`.
     pub fn parse(s: &str) -> Result<Self, SpecError> {
-        let mut parts = s.split(':');
-        let kind = parts.next().unwrap_or_default();
-        let rest: Vec<&str> = parts.collect();
-        match (kind, rest.as_slice()) {
-            ("fabric", []) => Ok(EngineSpec::Fabric {
-                core: CoreChoice::default(),
-            }),
-            ("fabric", [core]) => Ok(EngineSpec::Fabric {
-                core: CoreChoice::parse(core)?,
-            }),
-            ("sharded", [n]) | ("sharded", [n, _]) => {
-                let shards: u32 = n
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| SpecError(format!("bad shard count in {s:?}")))?;
-                let core = match rest.as_slice() {
-                    [_, core] => CoreChoice::parse(core)?,
-                    _ => CoreChoice::default(),
-                };
-                Ok(EngineSpec::Sharded { shards, core })
-            }
-            ("transport", [proto]) => Ok(EngineSpec::Transport {
+        match s.split_once(':') {
+            None if s == "fabric" => Ok(EngineSpec::Fabric),
+            Some(("sharded", n)) => n
+                .parse()
+                .ok()
+                .filter(|&shards: &u32| shards >= 1)
+                .map(|shards| EngineSpec::Sharded { shards })
+                .ok_or_else(|| SpecError(format!("bad shard count in {s:?} ({ENGINE_GRAMMAR})"))),
+            Some(("transport", proto)) => Ok(EngineSpec::Transport {
                 proto: parse_proto(proto)?,
             }),
-            _ => bad(format!(
-                "unknown engine {s:?} (fabric[:core] | sharded:N[:core] | transport:proto)"
-            )),
+            _ => bad(format!("unknown engine {s:?} ({ENGINE_GRAMMAR})")),
         }
     }
 
     /// The spec-file syntax this parses back from.
     pub fn to_spec_string(self) -> String {
         match self {
-            EngineSpec::Fabric {
-                core: CoreChoice::Calendar,
-            } => "fabric".into(),
-            EngineSpec::Fabric { core } => format!("fabric:{}", core.as_str()),
-            EngineSpec::Sharded {
-                shards,
-                core: CoreChoice::Calendar,
-            } => format!("sharded:{shards}"),
-            EngineSpec::Sharded { shards, core } => {
-                format!("sharded:{shards}:{}", core.as_str())
-            }
+            EngineSpec::Fabric => "fabric".into(),
+            EngineSpec::Sharded { shards } => format!("sharded:{shards}"),
             EngineSpec::Transport { proto } => {
                 format!("transport:{}", proto.label().to_ascii_lowercase())
             }
@@ -187,18 +132,9 @@ impl EngineSpec {
     /// Column label in printed and JSON output.
     pub fn label(self) -> String {
         match self {
-            EngineSpec::Fabric {
-                core: CoreChoice::Calendar,
-            } => crate::fig10::FABRIC_LABEL.to_string(),
-            EngineSpec::Fabric { core } => {
-                format!("{}:{}", crate::fig10::FABRIC_LABEL, core.as_str())
-            }
-            EngineSpec::Sharded { shards, core } => {
-                let base = format!("{}/{shards}sh", crate::fig10::FABRIC_LABEL);
-                match core {
-                    CoreChoice::Calendar => base,
-                    CoreChoice::Heap => format!("{base}:heap"),
-                }
+            EngineSpec::Fabric => crate::fig10::FABRIC_LABEL.to_string(),
+            EngineSpec::Sharded { shards } => {
+                format!("{}/{shards}sh", crate::fig10::FABRIC_LABEL)
             }
             EngineSpec::Transport { proto } => proto.label().to_string(),
         }
@@ -378,7 +314,7 @@ impl TopoSpec {
         }
         let opt = |key: &str, default: u32| -> Result<u32, SpecError> {
             match t.get(key) {
-                Some(_) => get_u64(t, "topology", key).map(|n| n as u32),
+                Some(_) => get_u32(t, "topology", key),
                 None => Ok(default),
             }
         };
@@ -454,11 +390,32 @@ impl TopoSpec {
         };
         let spec = TopoSpec {
             kind,
-            two_tier_factor: get_u64(t, "topology", "two_tier_factor")? as u32,
-            kary_k: get_u64(t, "topology", "kary_k")? as u32,
+            two_tier_factor: get_u32(t, "topology", "two_tier_factor")?,
+            kary_k: get_u32(t, "topology", "kary_k")?,
         };
         if spec.two_tier_factor == 0 || spec.kary_k == 0 {
             return bad("[topology] factors must be positive");
+        }
+        let p = stardust_topo::TwoTierParams::paper_6_2();
+        let populations = [
+            p.num_fa,
+            p.fa_uplinks,
+            p.t1_count,
+            p.t1_down,
+            p.t1_up,
+            p.t2_count,
+            p.t2_down,
+        ];
+        if kind == TopoKind::TwoTier
+            && populations
+                .iter()
+                .any(|n| !n.is_multiple_of(spec.two_tier_factor))
+        {
+            return bad(format!(
+                "[topology] two_tier_factor {} does not divide the paper populations \
+                 {populations:?}",
+                spec.two_tier_factor
+            ));
         }
         Ok(spec)
     }
@@ -783,7 +740,7 @@ impl ExperimentSpec {
             return bad("[experiment] reach_us must be positive (omit it for static tables)");
         }
         let threads = match exp.get("threads") {
-            Some(_) => Some(get_u64(exp, "experiment", "threads")? as u32),
+            Some(_) => Some(get_u32(exp, "experiment", "threads")?),
             None => None,
         };
         if threads == Some(0) {
@@ -822,9 +779,11 @@ impl ExperimentSpec {
     /// need per-flow records are rejected in sketch mode, the failure
     /// schedule's per-link state machine must be coherent (no
     /// double-fail / restore-of-up typos), convergence gates need the
-    /// reach protocol enabled, and the scenario must fit the population
-    /// of **every** engine it will run on (surfacing what used to be a
-    /// silent incast backend clamp).
+    /// reach protocol enabled, a transport engine needs a buildable
+    /// fat-tree arity, a sharded engine at least one Fabric Adapter per
+    /// shard, and the scenario must fit the population of **every**
+    /// engine it will run on (surfacing what used to be a silent incast
+    /// backend clamp).
     pub fn validate(&self) -> Result<(), SpecError> {
         if self.stats == StatsMode::Sketch && self.checks.min_goodput_gbps.is_some() {
             return bad("checks.min_goodput_gbps needs per-flow records, which \
@@ -837,14 +796,27 @@ impl ExperimentSpec {
         }
         let scenario = self.scenario_for(self.seeds.first().copied().unwrap_or(0));
         for &engine in &self.engines {
+            let name = engine.to_spec_string();
             let n_nodes = if engine.is_fabric() {
                 self.topology.fabric_endpoints()
             } else {
-                crate::fig10::kary_hosts(self.topology.kary_k)
+                let k = self.topology.kary_k;
+                if k < 2 || !k.is_multiple_of(2) {
+                    return bad(format!(
+                        "engine {name:?}: [topology] kary_k must be even and ≥ 2 \
+                         (a k-ary fat-tree has k/2 switches per pod tier), got {k}"
+                    ));
+                }
+                crate::fig10::kary_hosts(k)
             };
+            if matches!(engine, EngineSpec::Sharded { shards } if shards as usize > n_nodes) {
+                return bad(format!(
+                    "engine {name:?}: more shards than the fabric's {n_nodes} Fabric Adapters"
+                ));
+            }
             scenario
                 .validate_for(n_nodes)
-                .map_err(|e| SpecError(format!("engine {:?}: {e}", engine.to_spec_string())))?;
+                .map_err(|e| SpecError(format!("engine {name:?}: {e}")))?;
         }
         Ok(())
     }
@@ -970,6 +942,11 @@ fn get_u64(t: &Table, section: &str, key: &str) -> Result<u64, SpecError> {
         .filter(|&n| n >= 0)
         .map(|n| n as u64)
         .ok_or_else(|| SpecError(format!("[{section}] needs a non-negative integer {key:?}")))
+}
+
+fn get_u32(t: &Table, section: &str, key: &str) -> Result<u32, SpecError> {
+    u32::try_from(get_u64(t, section, key)?)
+        .map_err(|_| SpecError(format!("[{section}] {key:?} must fit in 32 bits")))
 }
 
 fn get_f64(t: &Table, section: &str, key: &str) -> Result<f64, SpecError> {
@@ -1130,16 +1107,11 @@ fn parse_failures(doc: &Table) -> Result<FailureSchedule, SpecError> {
                     return bad("[[failure]] entries must be tables");
                 };
                 let at = SimTime::from_micros(get_u64(t, "failure", "at_us")?);
-                let link = LinkId(get_u64(t, "failure", "link")? as u32);
+                let link = LinkId(get_u32(t, "failure", "link")?);
                 schedule = match get_str(t, "failure", "action")? {
                     "fail" => schedule.fail_at(at, link),
                     "restore" => schedule.restore_at(at, link),
-                    "degrade" => {
-                        let ppm = get_u64(t, "failure", "ppm")?;
-                        let ppm = u32::try_from(ppm)
-                            .map_err(|_| SpecError("[[failure]] ppm must fit in u32".into()))?;
-                        schedule.degrade_at(at, link, ppm)
-                    }
+                    "degrade" => schedule.degrade_at(at, link, get_u32(t, "failure", "ppm")?),
                     other => {
                         return bad(format!(
                             "unknown failure action {other:?} (fail | restore | degrade)"
@@ -1233,7 +1205,7 @@ mod tests {
 name = "unit-spec"
 horizon_us = 50000
 seeds = [42, 7]
-engines = ["transport:dctcp", "transport:stardust", "fabric", "sharded:2", "fabric:heap"]
+engines = ["transport:dctcp", "transport:stardust", "fabric", "sharded:2"]
 reach_us = 10
 
 [topology]
@@ -1284,20 +1256,9 @@ ppm = 0
         assert_eq!(spec.name, "unit-spec");
         assert_eq!(spec.horizon(), SimTime::from_millis(50));
         assert_eq!(spec.seeds, vec![42, 7]);
-        assert_eq!(spec.engines.len(), 5);
-        assert_eq!(
-            spec.engines[3],
-            EngineSpec::Sharded {
-                shards: 2,
-                core: CoreChoice::Calendar
-            }
-        );
-        assert_eq!(
-            spec.engines[4],
-            EngineSpec::Fabric {
-                core: CoreChoice::Heap
-            }
-        );
+        assert_eq!(spec.engines.len(), 4);
+        assert_eq!(spec.engines[2], EngineSpec::Fabric);
+        assert_eq!(spec.engines[3], EngineSpec::Sharded { shards: 2 });
         assert!(matches!(
             spec.scenario,
             ScenarioKind::Mix { n_flows: 50, .. }
@@ -1346,9 +1307,7 @@ ppm = 0
     fn engine_strings_round_trip() {
         for s in [
             "fabric",
-            "fabric:heap",
             "sharded:2",
-            "sharded:4:heap",
             "transport:tcp",
             "transport:dctcp",
             "transport:mptcp",
@@ -1367,6 +1326,11 @@ ppm = 0
             "transport:udp",
         ] {
             assert!(EngineSpec::parse(bad).is_err(), "{bad:?} should not parse");
+        }
+        // The event core is not part of the grammar.
+        for core in ["fabric:heap", "fabric:calendar", "sharded:2:heap"] {
+            let e = EngineSpec::parse(core).expect_err(core);
+            assert!(e.to_string().contains(ENGINE_GRAMMAR), "{core:?}: {e}");
         }
     }
 
@@ -1560,7 +1524,7 @@ ppm = 0
     #[test]
     fn bad_topology_parameters_get_actionable_errors() {
         let base = "two_tier_factor = 16\nkary_k = 4\n";
-        for (body, needle) in [
+        let zoo = [
             ("kind = \"hypercube\"", "unknown topology kind"),
             ("kind = \"dragonfly\"\ndragonfly_a = 0", "must all be ≥ 1"),
             ("kind = \"space_shuffle\"\nss_switches = 2", "must be ≥ 3"),
@@ -1569,33 +1533,57 @@ ppm = 0
                 "kind = \"expander\"\nexp_switches = 4\nexp_degree = 4",
                 "below exp_switches",
             ),
-        ] {
-            let e = topo_spec(&format!("{base}{body}")).expect_err(body);
+            ("kind = \"dragonfly\"\ndragonfly_a = 4294967300", "32 bits"),
+        ]
+        .map(|(body, needle)| (format!("{base}{body}"), needle));
+        // The builder would panic on a non-dividing factor, and a factor
+        // past u32 used to wrap (4294967297 ran as factor 1).
+        let factors = [
+            ("two_tier_factor = 3\nkary_k = 4", "does not divide"),
+            ("two_tier_factor = 4294967297\nkary_k = 4", "32 bits"),
+        ]
+        .map(|(body, needle)| (body.to_string(), needle));
+        for (body, needle) in zoo.into_iter().chain(factors) {
+            let e = topo_spec(&body).expect_err(&body);
             assert!(e.to_string().contains(needle), "{body}: {e}");
         }
     }
 
     #[test]
     fn rejects_bad_specs() {
-        for (mutation, needle) in [
-            ("name = \"\"", "non-empty"),
-            ("horizon_us = 0", "positive"),
-            ("engines = []", "non-empty"),
-            ("seeds = [-1]", "non-negative"),
+        const MIX: &str = "kind = \"mix\"\ndist = \"web\"\nflows = 50\nnode_gap_us = 800";
+        for (from, to, needle) in [
+            ("name = \"unit-spec\"", "name = \"\"", "non-empty"),
+            ("horizon_us = 50000", "horizon_us = 0", "positive"),
+            (
+                "[\"transport:dctcp\", \"transport:stardust\", \"fabric\", \"sharded:2\"]",
+                "[]",
+                "non-empty",
+            ),
+            ("seeds = [42, 7]", "seeds = [-1]", "non-negative"),
+            // Inputs that used to panic the runner or wrap silently.
+            ("\"sharded:2\"", "\"fabric:heap\"", ENGINE_GRAMMAR),
+            (
+                "\"sharded:2\"",
+                "\"sharded:17\"",
+                "more shards than the fabric's 16",
+            ),
+            ("kary_k = 4", "kary_k = 3", "kary_k must be even"),
+            ("link = 5", "link = 4294967296", "32 bits"),
+            (
+                MIX,
+                "kind = \"permutation\"\nflow_bytes = 0",
+                "flow_bytes must be positive",
+            ),
+            (
+                MIX,
+                "kind = \"incast\"\nbackends = 3\nresponse_bytes = 0",
+                "response_bytes must be positive",
+            ),
         ] {
-            let text = FULL
-                .replace("name = \"unit-spec\"", mutation)
-                .replace("horizon_us = 50000", mutation)
-                .replace(
-                    "engines = [\"transport:dctcp\", \"transport:stardust\", \"fabric\", \"sharded:2\", \"fabric:heap\"]",
-                    mutation,
-                )
-                .replace("seeds = [42, 7]", mutation);
-            // Each replace() collapses several keys onto `mutation`; any
-            // resulting document must fail to validate (duplicate keys or
-            // the targeted validation error).
-            let e = ExperimentSpec::parse(&text).expect_err(needle);
-            assert!(!e.to_string().is_empty());
+            assert!(FULL.contains(from), "stale mutation target {from:?}");
+            let e = ExperimentSpec::parse(&FULL.replace(from, to)).expect_err(to);
+            assert!(e.to_string().contains(needle), "{to}: {e}");
         }
         assert!(ExperimentSpec::parse("[experiment]\nname = \"x\"\n").is_err());
     }

@@ -110,7 +110,7 @@ fn fig10_presets_bit_identical_to_direct_engine_calls() {
         assert_eq!(outcome.runs.len(), spec.engines.len());
         for run in &outcome.runs {
             let golden = match run.engine {
-                EngineSpec::Fabric { .. } => direct_fabric(&spec, run.seed),
+                EngineSpec::Fabric => direct_fabric(&spec, run.seed),
                 EngineSpec::Transport { proto } => direct_transport(&spec, proto, run.seed),
                 EngineSpec::Sharded { .. } => continue,
             };

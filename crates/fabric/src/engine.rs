@@ -537,10 +537,11 @@ impl FabricStats {
 
 /// The Stardust fabric simulator. See the module docs for the data flow.
 ///
-/// Generic over the event-core kind `K` so the same engine can run on the
-/// production calendar queue ([`CalendarCore`], the default) or the
-/// reference binary heap ([`stardust_sim::HeapCore`]); the determinism
-/// suite asserts the two produce bit-identical [`FabricStats`].
+/// Every spec, preset, CLI flag and figure binary runs the calendar
+/// queue ([`CalendarCore`], the default). The event-core kind `K` is a
+/// test seam: the determinism suites substitute the reference binary
+/// heap and assert bit-identical [`FabricStats`], and
+/// `stardust_bench::corebench` substitutes a recording queue.
 pub struct FabricEngine<K: CoreKind = CalendarCore> {
     cfg: FabricConfig,
     topo: Topology,
@@ -597,10 +598,6 @@ pub struct FabricEngine<K: CoreKind = CalendarCore> {
     /// the spray and reach paths (avoids per-call allocation).
     scratch: Vec<u32>,
 }
-
-/// A [`FabricEngine`] on the reference binary-heap event core, used by
-/// the old-vs-new determinism regression and the core benchmarks.
-pub type HeapCoreFabricEngine = FabricEngine<stardust_sim::HeapCore>;
 
 impl FabricEngine {
     /// Build an engine on the default calendar-queue event core. See

@@ -46,7 +46,7 @@ mod zoo_tests;
 
 pub use cell::{Burst, BurstId, Cell, Packet, PacketId};
 pub use config::FabricConfig;
-pub use engine::{EligibilitySnapshot, FabricEngine, FabricStats, HeapCoreFabricEngine};
+pub use engine::{EligibilitySnapshot, FabricEngine, FabricStats};
 pub use partition::Partition;
 pub use shard::{ExecMode, ShardedFabricEngine};
 pub use voq::VoqKey;

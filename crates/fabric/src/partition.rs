@@ -60,8 +60,6 @@ pub struct ShardView {
     pub num_shards: u32,
     /// NodeId → owning shard (shared with the partition).
     pub shard_of_node: Arc<Vec<u32>>,
-    /// The partition's scalar lookahead (smallest matrix entry).
-    pub lookahead: SimDuration,
     /// The partition's per-pair bounds (shared with the partition).
     pub matrix: Arc<LookaheadMatrix>,
 }
@@ -243,7 +241,6 @@ impl Partition {
             shard,
             num_shards: self.num_shards,
             shard_of_node: self.shard_of_node.clone(),
-            lookahead: self.lookahead,
             matrix: self.matrix.clone(),
         }
     }

@@ -38,9 +38,7 @@
 use crate::config::FabricConfig;
 use crate::engine::{FabricEngine, FabricStats, OutItem};
 use crate::partition::Partition;
-use stardust_sim::{
-    CalendarCore, CoreKind, LookaheadMatrix, Mailboxes, ShardClock, SimDuration, SimTime,
-};
+use stardust_sim::{CalendarCore, CoreKind, Mailboxes, ShardClock, SimDuration, SimTime};
 use stardust_topo::{LinkId, Topology};
 
 /// How the shards execute (results are identical either way — the
@@ -63,6 +61,8 @@ pub enum ExecMode {
 /// routed to the owning shard (or fanned out, where state is replicated),
 /// and [`ShardedFabricEngine::stats`] folds the per-shard measurements in
 /// shard order into the same [`FabricStats`] a sequential run records.
+/// `K` is the same test seam as on [`FabricEngine`]: production paths
+/// run the default calendar core.
 pub struct ShardedFabricEngine<K: CoreKind = CalendarCore> {
     shards: Vec<FabricEngine<K>>,
     part: Partition,
@@ -73,9 +73,6 @@ pub struct ShardedFabricEngine<K: CoreKind = CalendarCore> {
     /// one per shard. Thread `t` drives shards `{i : i mod T == t}`
     /// round-robin inside every window.
     threads: Option<u32>,
-    /// Collapse the lookahead matrix to its smallest bound (the scalar
-    /// baseline) — a measurement knob, results are identical.
-    scalar_windows: bool,
     /// Synchronization rounds executed across all `run_until` calls.
     windows: u64,
     now: SimTime,
@@ -112,10 +109,6 @@ where
         num_shards: u32,
     ) -> Self {
         let part = Partition::with_groups(&topo, &plan.groups, num_shards, cfg.ctrl_latency);
-        assert!(
-            part.lookahead < cfg.reassembly_timeout,
-            "lookahead must stay below the reassembly timeout"
-        );
         // Cross-shard burst-record handoffs are delayed by their pair's
         // closed bound; a bound at or past the reassembly timeout would
         // deliver the record after its own cleanup deadline.
@@ -144,7 +137,6 @@ where
             shard_of_fa,
             mode: ExecMode::Threads,
             threads: None,
-            scalar_windows: false,
             windows: 0,
             now: SimTime::ZERO,
         }
@@ -175,15 +167,6 @@ where
         }
     }
 
-    /// Window by the scalar lookahead (the matrix's smallest bound)
-    /// instead of the per-pair matrix — the pre-matrix baseline, kept as
-    /// a measurement knob so benchmarks can report how much the matrix
-    /// cuts barrier frequency. Results are bit-identical either way;
-    /// only [`ShardedFabricEngine::windows_executed`] moves.
-    pub fn set_scalar_windows(&mut self, scalar: bool) {
-        self.scalar_windows = scalar;
-    }
-
     /// Synchronization rounds (windows, = barrier pairs) executed so far
     /// across all `run_until` calls — the conservative-sync overhead
     /// metric the lookahead matrix exists to shrink. Zero for
@@ -200,11 +183,6 @@ where
     /// The partition in force.
     pub fn partition(&self) -> &Partition {
         &self.part
-    }
-
-    /// The conservative-synchronization window width.
-    pub fn lookahead(&self) -> SimDuration {
-        self.part.lookahead
     }
 
     /// Number of Fabric Adapters.
@@ -367,12 +345,7 @@ where
             return;
         }
         let threads = self.num_threads() as usize;
-        let matrix = if self.scalar_windows {
-            LookaheadMatrix::uniform(self.shards.len(), self.part.lookahead)
-        } else {
-            (*self.part.matrix).clone()
-        };
-        let clock = ShardClock::with_matrix(matrix, threads);
+        let clock = ShardClock::with_matrix(self.part.matrix.clone(), threads);
         let mail: Mailboxes<OutItem> = Mailboxes::new(self.shards.len());
         // Distribute the shards round-robin over the driving threads.
         // One thread is the degenerate case: every shard in one group,

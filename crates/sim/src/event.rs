@@ -20,10 +20,11 @@
 //!   produce identical pop orders) and as the baseline of the old-vs-new
 //!   micro-benchmarks.
 //!
-//! The shared surface is the [`EventCore`] trait; engines that want to run
-//! on either implementation (for A/B determinism tests) are generic over a
-//! [`CoreKind`], which maps a marker type ([`CalendarCore`], [`HeapCore`])
-//! to its queue type.
+//! The shared surface is the [`EventCore`] trait; engines are generic over
+//! a [`CoreKind`], which maps a marker type ([`CalendarCore`], [`HeapCore`])
+//! to its queue type. Every production path runs [`CalendarCore`]; the
+//! parameter is the seam through which tests substitute the reference heap
+//! or a recording queue.
 
 use crate::time::SimTime;
 use std::cmp::{Ordering, Reverse};
@@ -151,10 +152,10 @@ pub trait EventCore<E> {
 
 /// Maps a core marker type to its queue implementation for any payload.
 ///
-/// Engines take `K: CoreKind` and store a `K::Queue<Ev>`; picking
-/// [`CalendarCore`] or [`HeapCore`] swaps the entire event core without
-/// touching engine logic — which is exactly what the old-vs-new
-/// determinism regression does.
+/// Engines take `K: CoreKind` and store a `K::Queue<Ev>`; a test that
+/// picks [`HeapCore`] (or its own marker) swaps the entire event core
+/// without touching engine logic — which is exactly what the
+/// heap-vs-calendar determinism regression does.
 pub trait CoreKind {
     /// The calendar implementation this core provides.
     type Queue<E>: EventCore<E>;

@@ -11,8 +11,13 @@
 //! * [`EventQueue`] — a deterministic bucketed calendar queue (timing wheel
 //!   with a sorted overflow level). Ties in time are broken by insertion
 //!   sequence number so runs are bit-reproducible. [`HeapEventQueue`] keeps
-//!   the original binary-heap core as an ordering oracle and benchmark
-//!   baseline, and engines can be generic over the two via [`CoreKind`].
+//!   the original binary-heap core as the tests' ordering oracle; engines
+//!   are generic over a [`CoreKind`] so tests can substitute it (or a
+//!   recording queue) — no spec, preset, flag or figure binary selects it.
+//! * [`shard`] — conservative synchronization for sharded runs: the
+//!   per-pair [`LookaheadMatrix`], the [`ShardClock`] barrier protocol and
+//!   the lock-free [`Mailboxes`] grid, one window rule and one
+//!   publish/take call each.
 //! * [`LinkProfile`] / [`LinkClock`] — serialization + propagation modelling
 //!   for point-to-point serial links (the paper's non-bundled links).
 //! * [`rng`] — seeded, stream-split deterministic random number generation.

@@ -19,14 +19,12 @@
 //!   uniform special case; on topologies where non-adjacent shards only
 //!   interact through intermediaries, the per-pair bounds are strictly
 //!   wider and so are the windows they admit.
-//! * [`ShardClock`] — the barrier protocol. The legacy scalar mode
-//!   ([`ShardClock::next_window`]) agrees on one global window per round;
-//!   the matrix mode ([`ShardClock::report`] / [`ShardClock::sync`] /
-//!   [`ShardClock::window_for`]) advances **each shard** to the bound its
-//!   actual constrainers admit, so two shards that only interact through
-//!   a third stop throttling each other. Both modes compute window
-//!   bounds as a pure function of the reported event times, so every
-//!   thread derives them identically.
+//! * [`ShardClock`] — the barrier protocol ([`ShardClock::report`] /
+//!   [`ShardClock::sync`] / [`ShardClock::window_for`]): each round
+//!   advances **each shard** to the bound its actual constrainers admit,
+//!   so two shards that only interact through a third do not throttle
+//!   each other. Window bounds are a pure function of the reported event
+//!   times, so every thread derives them identically.
 //! * [`Mailboxes`] — an `S × S` grid of cross-shard channels with a
 //!   **deterministic drain order**: a receiver always takes its inboxes
 //!   in sender-shard order, and each inbox preserves its sender's push
@@ -45,7 +43,7 @@
 
 use crate::time::{SimDuration, SimTime};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Barrier;
+use std::sync::{Arc, Barrier};
 
 /// Pads (and aligns) a hot atomic to its own cache line so the producer
 /// and consumer cursors of a ring never false-share.
@@ -193,9 +191,7 @@ impl LookaheadMatrix {
     /// condition, identical for every `dst`).
     ///
     /// This is the matrix generalization of [`window_end`]; with a
-    /// uniform matrix the two formulas agree exactly, which is what
-    /// keeps scalar-windowed and matrix-windowed drivers bit-identical
-    /// on uniform topologies.
+    /// uniform matrix the two formulas agree exactly.
     pub fn window_over(
         &self,
         nexts: impl Iterator<Item = u64>,
@@ -233,59 +229,33 @@ impl LookaheadMatrix {
 
 /// Barrier-synchronized window agreement for shard-driving threads.
 ///
-/// Two protocols share the barrier:
+/// `threads` may be smaller than the shard count, with each thread
+/// driving several shards round-robin. Per window each thread
+/// [`ShardClock::report`]s every owned shard's earliest event time,
+/// crosses [`ShardClock::sync`], then either observes
+/// [`ShardClock::done`] (identical for every thread) or reads each owned
+/// shard's **own** window from [`ShardClock::window_for`] — the per-pair
+/// bound, so only a shard's actual constrainers narrow its window.
+/// Publish, cross [`ShardClock::finish_window`], deliver, repeat.
 ///
-/// **Scalar (legacy)** — one thread per shard; per window, each thread
-/// calls [`ShardClock::next_window`] with the timestamp of its earliest
-/// pending event (or `None`); every thread receives the same answer:
-/// `Some(window_end)` — execute every event at or before `window_end` —
-/// or `None` — no shard has work at or before the horizon, stop. After
-/// executing and publishing its outgoing events the thread calls
-/// [`ShardClock::finish_window`]; mailbox deliveries happen after that
-/// barrier and before the next `next_window` call.
-///
-/// **Matrix** — built with [`ShardClock::with_matrix`]; `threads` may be
-/// smaller than the shard count, with each thread driving several shards
-/// round-robin. Per window each thread [`ShardClock::report`]s every
-/// owned shard's earliest event time, crosses [`ShardClock::sync`], then
-/// either observes [`ShardClock::done`] (identical for every thread) or
-/// reads each owned shard's **own** window from
-/// [`ShardClock::window_for`] — the per-pair bound, so only a shard's
-/// actual constrainers narrow its window. Publish, cross
-/// [`ShardClock::finish_window`], deliver, repeat.
-///
-/// Race-freedom of the shared state needs no locks in either mode: the
-/// scalar mode double-buffers its min registers across rounds, and the
-/// matrix mode's per-shard slots are written by exactly one thread per
-/// round, with the two barriers separating every round's writes from the
-/// next round's reads.
+/// Race-freedom of the shared state needs no locks: each per-shard slot
+/// is written by exactly one thread per round, with the two barriers
+/// separating every round's writes from the next round's reads.
 #[derive(Debug)]
 pub struct ShardClock {
     barrier: Barrier,
-    mins: [AtomicU64; 2],
-    lookahead: SimDuration,
-    /// Per-shard reported next-event times (matrix protocol).
+    /// Per-shard reported next-event times.
     slots: Vec<Pad<AtomicU64>>,
-    matrix: LookaheadMatrix,
+    matrix: Arc<LookaheadMatrix>,
 }
 
 impl ShardClock {
-    /// A scalar clock for `shards` participating threads with the given
-    /// lookahead (must be positive — a zero lookahead means zero-latency
-    /// cross-shard interactions exist and conservative windows are
-    /// unsound).
-    pub fn new(shards: usize, lookahead: SimDuration) -> Self {
-        Self::with_matrix(LookaheadMatrix::uniform(shards, lookahead), shards)
-    }
-
-    /// A matrix clock for `threads` participating threads (1 ≤ `threads`
-    /// ≤ shards) over the given per-pair bounds.
-    pub fn with_matrix(matrix: LookaheadMatrix, threads: usize) -> Self {
+    /// A clock for `threads` participating threads (1 ≤ `threads` ≤
+    /// shards) over the given per-pair bounds.
+    pub fn with_matrix(matrix: Arc<LookaheadMatrix>, threads: usize) -> Self {
         assert!((1..=matrix.shards()).contains(&threads));
         ShardClock {
             barrier: Barrier::new(threads),
-            mins: [AtomicU64::new(u64::MAX), AtomicU64::new(u64::MAX)],
-            lookahead: matrix.min_bound().unwrap_or(SimDuration::MAX),
             slots: (0..matrix.shards())
                 .map(|_| Pad(AtomicU64::new(u64::MAX)))
                 .collect(),
@@ -293,55 +263,17 @@ impl ShardClock {
         }
     }
 
-    /// The scalar lookahead this clock windows by in legacy mode (the
-    /// matrix's smallest bound).
-    pub fn lookahead(&self) -> SimDuration {
-        self.lookahead
-    }
-
-    /// The per-pair bounds in force.
-    pub fn matrix(&self) -> &LookaheadMatrix {
-        &self.matrix
-    }
-
-    /// Agree on window `round` (scalar protocol). `local_next` is this
-    /// shard's earliest pending event time (`None` when idle). Returns
-    /// the window end (inclusive — execute every event `≤` it, clamped
-    /// to `horizon`), or `None` when no shard has an event at or before
-    /// `horizon`.
-    ///
-    /// Every thread must call this with the same `round` and `horizon`
-    /// sequence; all threads return the same value for a given round.
-    pub fn next_window(
-        &self,
-        round: u64,
-        local_next: Option<SimTime>,
-        horizon: SimTime,
-    ) -> Option<SimTime> {
-        let slot = (round % 2) as usize;
-        let t = local_next.map_or(u64::MAX, |t| t.as_ps());
-        self.mins[slot].fetch_min(t, Ordering::AcqRel);
-        self.barrier.wait();
-        let next = self.mins[slot].load(Ordering::Acquire);
-        // Reset the *other* register for the following round. Every
-        // thread stores the same value, and no thread can be past
-        // `finish_window` (the second barrier) yet, so nothing races.
-        self.mins[1 - slot].store(u64::MAX, Ordering::Release);
-        let next = (next != u64::MAX).then_some(SimTime(next));
-        window_end(next, horizon, self.lookahead)
-    }
-
     /// Report shard `shard`'s earliest pending event time ahead of
-    /// [`ShardClock::sync`] (matrix protocol). A thread driving several
-    /// shards reports each of them.
+    /// [`ShardClock::sync`]. A thread driving several shards reports each
+    /// of them.
     pub fn report(&self, shard: usize, next: Option<SimTime>) {
         self.slots[shard]
             .0
             .store(next.map_or(u64::MAX, |t| t.as_ps()), Ordering::Release);
     }
 
-    /// The first barrier of the matrix protocol: cross after reporting
-    /// every owned shard, before reading [`ShardClock::done`] /
+    /// The first barrier of a round: cross after reporting every owned
+    /// shard, before reading [`ShardClock::done`] /
     /// [`ShardClock::window_for`].
     pub fn sync(&self) {
         self.barrier.wait();
@@ -373,25 +305,22 @@ impl ShardClock {
         )
     }
 
-    /// The end-of-window barrier (both protocols): cross after
-    /// publishing this window's outgoing events and before collecting
-    /// the inbound ones.
+    /// The end-of-window barrier: cross after publishing this window's
+    /// outgoing events and before collecting the inbound ones.
     pub fn finish_window(&self) {
         self.barrier.wait();
     }
 }
 
-/// The conservative window bound the scalar execution styles share:
-/// given the globally earliest pending event `next`, the end (inclusive)
-/// of the lookahead window starting there, clamped to `horizon` — or
-/// `None` when nothing is pending at or before the horizon.
+/// The scalar reference formula: given the globally earliest pending
+/// event `next`, the end (inclusive) of the one-lookahead window starting
+/// there, clamped to `horizon` — or `None` when nothing is pending at or
+/// before the horizon.
 ///
-/// [`ShardClock::next_window`] computes its agreed bound through this,
-/// and single-threaded (inline) scalar drivers must use it too: the
-/// bit-identity of threaded and inline execution rests on both deriving
-/// window bounds from the one formula. Matrix-windowed drivers use
-/// [`LookaheadMatrix::window_over`], which reduces to this formula on a
-/// uniform matrix.
+/// No driver windows by this: it is the independent statement of the
+/// classic bound that [`LookaheadMatrix::window_over`] must reduce to on
+/// a uniform matrix and may never undercut on any matrix — the property
+/// suite compares the two.
 pub fn window_end(
     next: Option<SimTime>,
     horizon: SimTime,
@@ -637,12 +566,6 @@ impl<T> Mailboxes<T> {
         }
     }
 
-    /// [`Mailboxes::publish_from`] taking ownership of the batches (the
-    /// allocation-per-window convenience form).
-    pub fn publish(&self, src: usize, mut per_dst: Vec<Vec<T>>) {
-        self.publish_from(src, &mut per_dst);
-    }
-
     /// Drain everything addressed to `dst` into `out[src]` per source
     /// shard (ascending source order is the deterministic drain order;
     /// items append behind anything already in the buffers). Caller
@@ -652,14 +575,6 @@ impl<T> Mailboxes<T> {
         for (src, buf) in out.iter_mut().enumerate() {
             self.rings[src * self.shards + dst].drain_into(buf);
         }
-    }
-
-    /// [`Mailboxes::take_to_into`] into fresh `Vec`s (the
-    /// allocation-per-window convenience form).
-    pub fn take_to(&self, dst: usize) -> Vec<Vec<T>> {
-        let mut out: Vec<Vec<T>> = (0..self.shards).map(|_| Vec::new()).collect();
-        self.take_to_into(dst, &mut out);
-        out
     }
 
     /// True when every channel is empty (diagnostics / test invariant).
@@ -674,17 +589,22 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
     use std::sync::Mutex;
 
+    /// Everything queued for `dst`, per source shard.
+    fn take<T>(m: &Mailboxes<T>, dst: usize) -> Vec<Vec<T>> {
+        let mut out: Vec<Vec<T>> = (0..m.shards()).map(|_| Vec::new()).collect();
+        m.take_to_into(dst, &mut out);
+        out
+    }
+
     #[test]
     fn mailboxes_drain_in_sender_order_with_fifo() {
         let m: Mailboxes<u32> = Mailboxes::new(3);
-        m.publish(2, vec![vec![20, 21], vec![], vec![]]);
-        m.publish(0, vec![vec![1, 2], vec![3], vec![]]);
+        m.publish_from(2, &mut [vec![20, 21], vec![], vec![]]);
+        m.publish_from(0, &mut [vec![1, 2], vec![3], vec![]]);
         // A second publish from the same sender appends.
-        m.publish(0, vec![vec![4], vec![], vec![]]);
-        let to0 = m.take_to(0);
-        assert_eq!(to0, vec![vec![1, 2, 4], vec![], vec![20, 21]]);
-        let to1 = m.take_to(1);
-        assert_eq!(to1, vec![vec![3], vec![], vec![]]);
+        m.publish_from(0, &mut [vec![4], vec![], vec![]]);
+        assert_eq!(take(&m, 0), vec![vec![1, 2, 4], vec![], vec![20, 21]]);
+        assert_eq!(take(&m, 1), vec![vec![3], vec![], vec![]]);
         assert!(m.is_empty());
     }
 
@@ -693,16 +613,14 @@ mod tests {
         // Capacity 4: a 10-item batch splits 4 into the ring + 6 into
         // the spill; a follow-up batch lands entirely behind them.
         let m: Mailboxes<u32> = Mailboxes::with_ring_capacity(2, 4);
-        let first: Vec<u32> = (0..10).collect();
-        m.publish(0, vec![vec![], first]);
-        m.publish(0, vec![vec![], vec![10, 11]]);
+        m.publish_from(0, &mut [vec![], (0..10).collect()]);
+        m.publish_from(0, &mut [vec![], vec![10, 11]]);
         assert!(!m.is_empty());
-        let got = m.take_to(1);
-        assert_eq!(got[0], (0..12).collect::<Vec<u32>>());
+        assert_eq!(take(&m, 1)[0], (0..12).collect::<Vec<u32>>());
         assert!(m.is_empty());
         // The drained ring is reusable and stays FIFO.
-        m.publish(0, vec![vec![], vec![99, 100]]);
-        assert_eq!(m.take_to(1)[0], vec![99, 100]);
+        m.publish_from(0, &mut [vec![], vec![99, 100]]);
+        assert_eq!(take(&m, 1)[0], vec![99, 100]);
     }
 
     #[test]
@@ -728,13 +646,14 @@ mod tests {
         // Simulate a second in-flight publisher by claiming the producer
         // side directly.
         let _held = Claim::enter(&m.rings[1].producer, "publish");
-        m.publish(0, vec![vec![], vec![7]]);
+        m.publish_from(0, &mut [vec![], vec![7]]);
     }
 
     #[test]
     fn shard_clock_agrees_on_windows_across_threads() {
         let shards = 4;
-        let clock = ShardClock::new(shards, SimDuration::from_nanos(100));
+        let uniform = LookaheadMatrix::uniform(shards, SimDuration::from_nanos(100));
+        let clock = ShardClock::with_matrix(Arc::new(uniform), shards);
         let mismatches = AtomicUsize::new(0);
         // Each shard has events at i·1µs; every thread must see the same
         // window sequence: min over shards, stepped by windows.
@@ -743,23 +662,21 @@ mod tests {
                 let clock = &clock;
                 let mismatches = &mismatches;
                 scope.spawn(move || {
-                    let mut expected = Vec::new();
-                    for t in [i as u64, 10 + i as u64] {
-                        expected.push(SimTime::from_micros(t));
-                    }
-                    let mut pending: Vec<SimTime> = expected;
+                    let mut pending: Vec<SimTime> = [i as u64, 10 + i as u64]
+                        .iter()
+                        .map(|&t| SimTime::from_micros(t))
+                        .collect();
                     let horizon = SimTime::from_millis(1);
-                    let mut round = 0u64;
                     let mut got = Vec::new();
                     loop {
-                        let next = pending.first().copied();
-                        let Some(wend) = clock.next_window(round, next, horizon) else {
+                        clock.report(i, pending.first().copied());
+                        clock.sync();
+                        let Some(wend) = clock.window_for(i, horizon) else {
                             break;
                         };
                         got.push(wend);
                         pending.retain(|&t| t > wend);
                         clock.finish_window();
-                        round += 1;
                     }
                     // Windows: min = 0µs (shard 0), then 1µs … 3µs, then
                     // 10µs … 13µs — every shard must have recorded the
@@ -782,20 +699,17 @@ mod tests {
 
     #[test]
     fn window_end_clamps_to_horizon() {
-        let clock = ShardClock::new(1, SimDuration::from_micros(1));
+        let la = SimDuration::from_micros(1);
         let h = SimTime::from_nanos(500);
-        let w = clock.next_window(0, Some(SimTime::from_nanos(100)), h);
-        assert_eq!(w, Some(h));
-        clock.finish_window();
+        assert_eq!(window_end(Some(SimTime::from_nanos(100)), h, la), Some(h));
         // Next event past the horizon: no window.
-        let w = clock.next_window(1, Some(SimTime::from_nanos(600)), h);
-        assert_eq!(w, None);
+        assert_eq!(window_end(Some(SimTime::from_nanos(600)), h, la), None);
     }
 
     #[test]
     #[should_panic(expected = "positive lookahead")]
     fn zero_lookahead_rejected() {
-        let _ = ShardClock::new(2, SimDuration::ZERO);
+        let _ = LookaheadMatrix::uniform(2, SimDuration::ZERO);
     }
 
     #[test]
@@ -874,7 +788,7 @@ mod tests {
             ns(500), ns(500), None,    ns(100),
             ns(500), ns(500), ns(100), None,
         ];
-        let matrix = LookaheadMatrix::from_direct(4, &direct);
+        let matrix = Arc::new(LookaheadMatrix::from_direct(4, &direct));
         let horizon = SimTime::from_micros(40);
         // Static event lists: shard s has events at s·3µs and 20+s µs.
         let events = |s: usize| {

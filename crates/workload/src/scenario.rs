@@ -297,8 +297,9 @@ impl Scenario {
     /// Check the scenario against an engine population. Unlike the
     /// silent clamp [`Scenario::flows`] historically applied (and keeps,
     /// for direct API use), this surfaces an impossible spec — e.g. an
-    /// incast asking for more backends than the network has nodes — as
-    /// an error the experiment pipeline can report.
+    /// incast asking for more backends than the network has nodes, or a
+    /// flow size of zero bytes (engines reject empty flows) — as an error
+    /// the experiment pipeline can report.
     pub fn validate_for(&self, n_nodes: usize) -> Result<(), String> {
         let check_incast = |what: &str, backends: usize| {
             if backends > n_nodes.saturating_sub(1) {
@@ -313,6 +314,16 @@ impl Scenario {
             }
         };
         match &self.kind {
+            ScenarioKind::Permutation { flow_bytes: 0 } => Err(format!(
+                "scenario '{}': flow_bytes must be positive",
+                self.name
+            )),
+            ScenarioKind::Incast {
+                response_bytes: 0, ..
+            } => Err(format!(
+                "scenario '{}': response_bytes must be positive",
+                self.name
+            )),
             ScenarioKind::Incast { backends, .. } => check_incast("incast", *backends),
             ScenarioKind::Service {
                 incast_backends, ..

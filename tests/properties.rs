@@ -203,12 +203,21 @@ fn event_queue_sorted() {
 }
 
 /// The calendar queue is a drop-in ordering match for the binary heap:
-/// any random interleaving of schedules and pops (spanning the merge,
-/// wheel and overflow levels, including same-timestamp clusters and
-/// batched drains) produces the identical `(time, seq, payload)` trace
-/// on both cores.
+/// any random interleaving of the operations an engine drives — plain
+/// and keyed schedules (keys from a small range, so they collide inside
+/// one timestamp), single pops, `pop_until` loops, batched drains,
+/// `advance_clock` and `clear`, spanning the merge, wheel and overflow
+/// levels — produces the identical `(time, key, seq, payload)` trace on
+/// both cores, with `peek_time`/`now`/`len` equal after every step.
 #[test]
 fn calendar_queue_is_drop_in_for_heap() {
+    type Ev = stardust::sim::ScheduledEvent<u64>;
+    fn assert_same(a: &Ev, b: &Ev) {
+        assert_eq!(
+            (a.at, a.key, a.seq, a.payload),
+            (b.at, b.key, b.seq, b.payload)
+        );
+    }
     for_each_case("calendar_queue_is_drop_in_for_heap", |rng| {
         let mut cal: EventQueue<u64> = EventQueue::new();
         let mut heap: HeapEventQueue<u64> = HeapEventQueue::new();
@@ -218,40 +227,65 @@ fn calendar_queue_is_drop_in_for_heap() {
         let mut heap_batch = Vec::new();
         for _ in 0..ops {
             let r = rng.unit();
-            if r < 0.55 || cal.is_empty() {
+            if r < 0.5 || cal.is_empty() {
                 // Schedule 1–4 events; cluster some at the same instant
-                // to exercise FIFO tie-breaking.
+                // to exercise FIFO and key tie-breaking.
                 let magnitude = 1u64 << (10 + rng.index(30) as u32);
                 let base = cal.now() + SimDuration::from_ps(gen_u64(rng, 0, magnitude));
+                let keyed = rng.index(2) == 0;
                 for _ in 0..1 + rng.index(4) {
-                    cal.schedule(base, payload);
-                    heap.schedule(base, payload);
+                    if keyed {
+                        let key = rng.below(4);
+                        cal.schedule_keyed(base, key, payload);
+                        heap.schedule_keyed(base, key, payload);
+                    } else {
+                        cal.schedule(base, payload);
+                        heap.schedule(base, payload);
+                    }
                     payload += 1;
                 }
-            } else if r < 0.85 {
+            } else if r < 0.7 {
                 let a = cal.pop().expect("non-empty");
                 let b = heap.pop().expect("mirrored queue non-empty");
-                assert_eq!((a.at, a.seq, a.payload), (b.at, b.seq, b.payload));
-                assert_eq!(cal.now(), heap.now());
-                assert_eq!(cal.len(), heap.len());
-            } else {
+                assert_same(&a, &b);
+            } else if r < 0.8 {
+                // The engine's `run_until` shape: pop while due.
+                let horizon = cal.now() + SimDuration::from_ps(gen_u64(rng, 0, 1 << 20));
+                loop {
+                    match (cal.pop_until(horizon), heap.pop_until(horizon)) {
+                        (None, None) => break,
+                        (Some(a), Some(b)) => assert_same(&a, &b),
+                        _ => panic!("pop_until diverged at {horizon:?}"),
+                    }
+                }
+            } else if r < 0.9 {
                 // Batched same-timestamp drain up to a random horizon.
                 let horizon = cal.now() + SimDuration::from_ps(gen_u64(rng, 0, 1 << 32));
                 let nc = cal.pop_batch_until(horizon, &mut cal_batch);
                 let nh = heap.pop_batch_until(horizon, &mut heap_batch);
                 assert_eq!(nc, nh, "batch sizes diverged");
                 for (a, b) in cal_batch.iter().zip(&heap_batch) {
-                    assert_eq!((a.at, a.seq, a.payload), (b.at, b.seq, b.payload));
+                    assert_same(a, b);
                 }
+            } else if r < 0.98 {
+                // Commit a horizon no pending event precedes.
+                let to = cal.now() + SimDuration::from_ps(gen_u64(rng, 0, 1 << 24));
+                let to = cal.peek_time().map_or(to, |t| to.min(t));
+                cal.advance_clock(to);
+                heap.advance_clock(to);
+            } else {
+                cal.clear();
+                heap.clear();
             }
+            assert_eq!(cal.peek_time(), heap.peek_time());
+            assert_eq!(cal.now(), heap.now());
+            assert_eq!(cal.len(), heap.len());
         }
         // Drain fully: the tails must match element for element.
         loop {
             match (cal.pop(), heap.pop()) {
                 (None, None) => break,
-                (Some(a), Some(b)) => {
-                    assert_eq!((a.at, a.seq, a.payload), (b.at, b.seq, b.payload));
-                }
+                (Some(a), Some(b)) => assert_same(&a, &b),
                 _ => panic!("queues drained at different lengths"),
             }
         }
@@ -607,9 +641,13 @@ fn sharded_fabric_matches_sequential_under_link_failures() {
 /// bound must hold (nothing is ever delivered at or before the window it
 /// was sent in), and the per-shard processing traces must be identical
 /// between the threaded run (S OS threads) and the inline run (one
-/// thread) — drain order independent of thread interleaving.
+/// thread) — drain order independent of thread interleaving. The
+/// threaded side windows by the uniform matrix clock, the inline side by
+/// the scalar `window_end` formula, so equal traces also pin the clock
+/// protocol to the scalar formula on uniform bounds.
 #[test]
 fn mailbox_barrier_never_early_and_interleaving_free() {
+    use stardust::sim::LookaheadMatrix;
     for_each_case("mailbox_barrier_property", |rng| {
         let shards = 2 + rng.index(5); // 2..=6
         let lookahead = SimDuration::from_nanos(50 + rng.below(400));
@@ -647,7 +685,8 @@ fn mailbox_barrier_never_early_and_interleaving_free() {
 
         let run = |threaded: bool| -> (Vec<Trace>, bool) {
             use std::collections::BinaryHeap;
-            let clock = ShardClock::new(shards, lookahead);
+            let uniform = LookaheadMatrix::uniform(shards, lookahead);
+            let clock = ShardClock::with_matrix(std::sync::Arc::new(uniform), shards);
             let mail: Mailboxes<Item> = Mailboxes::new(shards);
             let horizon = SimTime::from_millis(100);
             // Per-shard state: pending min-heap, trace, early-delivery flag.
@@ -676,8 +715,10 @@ fn mailbox_barrier_never_early_and_interleaving_free() {
                 }
                 out
             };
-            let deliver = |st: &mut Shard, wend: SimTime, batches: Vec<Vec<Item>>| {
-                for b in batches {
+            let deliver = |s: usize, st: &mut Shard, wend: SimTime| {
+                let mut inbox: Vec<Vec<Item>> = (0..shards).map(|_| Vec::new()).collect();
+                mail.take_to_into(s, &mut inbox);
+                for b in inbox {
                     for it in b {
                         // The conservative bound: nothing arrives inside
                         // (at or before) the window it was sent in.
@@ -692,16 +733,15 @@ fn mailbox_barrier_never_early_and_interleaving_free() {
                 std::thread::scope(|scope| {
                     for (s, st) in states.iter_mut().enumerate() {
                         let (clock, mail) = (&clock, &mail);
-                        scope.spawn(move || {
-                            let mut round = 0u64;
-                            while let Some(wend) = clock.next_window(round, window_of(st), horizon)
-                            {
-                                let out = exec_window(s, st, wend);
-                                mail.publish(s, out);
-                                clock.finish_window();
-                                deliver(st, wend, mail.take_to(s));
-                                round += 1;
-                            }
+                        scope.spawn(move || loop {
+                            clock.report(s, window_of(st));
+                            clock.sync();
+                            let Some(wend) = clock.window_for(s, horizon) else {
+                                break;
+                            };
+                            mail.publish_from(s, &mut exec_window(s, st, wend));
+                            clock.finish_window();
+                            deliver(s, st, wend);
                         });
                     }
                 });
@@ -712,11 +752,10 @@ fn mailbox_barrier_never_early_and_interleaving_free() {
                         break;
                     };
                     for (s, st) in states.iter_mut().enumerate() {
-                        let out = exec_window(s, st, wend);
-                        mail.publish(s, out);
+                        mail.publish_from(s, &mut exec_window(s, st, wend));
                     }
                     for (s, st) in states.iter_mut().enumerate() {
-                        deliver(st, wend, mail.take_to(s));
+                        deliver(s, st, wend);
                     }
                 }
             }
@@ -823,7 +862,7 @@ fn matrix_clock_relay_is_safe_and_thread_invariant() {
                 }
             }
         }
-        let matrix = LookaheadMatrix::from_direct(shards, &direct);
+        let matrix = std::sync::Arc::new(LookaheadMatrix::from_direct(shards, &direct));
 
         type Item = (u64, u32, u8);
         type Trace = Vec<(u64, u32)>;
