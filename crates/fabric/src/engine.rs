@@ -2132,16 +2132,13 @@ impl<K: CoreKind> FabricEngine<K> {
     }
 
     fn on_burst_timeout(&mut self, _now: SimTime, burst: BurstId) {
-        if let Some(b) = self.bursts.get(&burst.0) {
+        if let Some(b) = self.bursts.remove(&burst.0) {
             if !b.complete() {
-                let b = self.bursts.remove(&burst.0).unwrap();
                 self.stats.packets_discarded.add(b.packets.len() as u64);
                 // Discarded message packets leave their flow unfinished
                 // forever (there is no retransmission — that is the
                 // experiment's point); nothing else to clean up, since
                 // flow membership rides in the packets themselves.
-            } else {
-                self.bursts.remove(&burst.0);
             }
         }
     }

@@ -12,13 +12,18 @@
 use crate::cell::{Burst, BurstId, Cell, Packet};
 use stardust_sim::SimTime;
 
-/// Result of packing one burst: the burst record plus per-cell wire sizes.
+/// Result of packing one burst: the burst record plus its cells' wire
+/// sizes. Every cell is a full cell on the wire except possibly the last,
+/// so two numbers describe them all.
 #[derive(Debug)]
 pub struct PackedBurst {
     /// The burst record (packets, cell count, timestamps).
     pub burst: Burst,
-    /// Wire bytes of each cell (header + payload share).
-    pub cell_sizes: Vec<u16>,
+    /// Wire bytes of every cell but the last.
+    cell_bytes: u16,
+    /// Wire bytes of the last cell (header + payload share; `cell_bytes`
+    /// when the burst has no short tail).
+    tail_bytes: u16,
 }
 
 /// Pack `packets` (one credit grant from a single VOQ) into cells of at
@@ -40,27 +45,22 @@ pub fn pack_burst(
     let payload_per_cell = (cell_bytes - header_bytes) as u64;
     let total: u64 = packets.iter().map(|p| p.bytes as u64).sum();
 
-    let mut cell_sizes = Vec::new();
-    if packed {
+    let (n_cells, tail_bytes) = if packed {
         // One byte stream: ceil(total / payload) cells, only the tail short.
         let full = total / payload_per_cell;
-        let tail = total % payload_per_cell;
-        for _ in 0..full {
-            cell_sizes.push(cell_bytes);
-        }
-        if tail > 0 {
-            cell_sizes.push((tail + header_bytes as u64) as u16);
+        match total % payload_per_cell {
+            0 => (full, cell_bytes),
+            tail => (full + 1, (tail + header_bytes as u64) as u16),
         }
     } else {
         // Per-packet chopping with padded tails: every cell occupies the
         // full wire size regardless of how much payload it carries.
-        for p in &packets {
-            let n = (p.bytes as u64).div_ceil(payload_per_cell);
-            for _ in 0..n {
-                cell_sizes.push(cell_bytes);
-            }
-        }
-    }
+        let n = packets
+            .iter()
+            .map(|p| (p.bytes as u64).div_ceil(payload_per_cell))
+            .sum();
+        (n, cell_bytes)
+    };
 
     let (src_fa, dst_fa, dst_port, tc) = {
         let p = &packets[0];
@@ -81,11 +81,12 @@ pub fn pack_burst(
             dst_port,
             tc,
             packets,
-            n_cells: cell_sizes.len() as u16,
+            n_cells: n_cells as u16,
             received: 0,
             packed_at: now,
         },
-        cell_sizes,
+        cell_bytes,
+        tail_bytes,
     }
 }
 
@@ -97,15 +98,29 @@ impl PackedBurst {
             dst_fa: self.burst.dst_fa,
             burst: self.burst.id,
             seq,
-            wire_bytes: self.cell_sizes[seq as usize],
+            wire_bytes: self.cell_wire_bytes(seq),
             fci: false,
             sent_at,
         }
     }
 
+    fn cell_wire_bytes(&self, seq: u16) -> u16 {
+        assert!(seq < self.burst.n_cells, "cell {seq} is past the burst");
+        if seq + 1 == self.burst.n_cells {
+            self.tail_bytes
+        } else {
+            self.cell_bytes
+        }
+    }
+
+    /// Wire bytes of each cell (header + payload share), in `seq` order.
+    pub fn cell_sizes(&self) -> impl Iterator<Item = u16> + '_ {
+        (0..self.burst.n_cells).map(|seq| self.cell_wire_bytes(seq))
+    }
+
     /// Total bytes this burst occupies on the wire.
     pub fn wire_bytes(&self) -> u64 {
-        self.cell_sizes.iter().map(|&s| s as u64).sum()
+        self.cell_sizes().map(u64::from).sum()
     }
 
     /// Packing efficiency: payload bytes ÷ wire bytes.
@@ -146,8 +161,8 @@ mod tests {
     #[test]
     fn packed_burst_has_one_short_tail_at_most() {
         let pb = pack(&[1000, 1000, 1000, 1000], true); // 4000B / 248
-        assert_eq!(pb.burst.n_cells as usize, pb.cell_sizes.len());
-        let short = pb.cell_sizes.iter().filter(|&&s| s < 256).count();
+        assert_eq!(pb.burst.n_cells as usize, pb.cell_sizes().count());
+        let short = pb.cell_sizes().filter(|&s| s < 256).count();
         assert!(short <= 1);
         // ceil(4000/248) = 17 cells.
         assert_eq!(pb.burst.n_cells, 17);
@@ -156,7 +171,7 @@ mod tests {
     #[test]
     fn packed_carries_exact_payload() {
         let pb = pack(&[999, 1, 57, 1500], true);
-        let payload: u64 = pb.cell_sizes.iter().map(|&s| (s - 8) as u64).sum();
+        let payload: u64 = pb.cell_sizes().map(|s| (s - 8) as u64).sum();
         assert_eq!(payload, 999 + 1 + 57 + 1500);
     }
 
@@ -164,7 +179,7 @@ mod tests {
     fn aligned_burst_has_no_tail() {
         // 248 × 4 bytes exactly.
         let pb = pack(&[496, 496], true);
-        assert!(pb.cell_sizes.iter().all(|&s| s == 256));
+        assert!(pb.cell_sizes().all(|s| s == 256));
         assert_eq!(pb.burst.n_cells, 4);
     }
 
@@ -185,7 +200,45 @@ mod tests {
     fn single_tiny_packet() {
         let pb = pack(&[1], true);
         assert_eq!(pb.burst.n_cells, 1);
-        assert_eq!(pb.cell_sizes[0], 9); // 1 payload + 8 header
+        assert_eq!(pb.cell_sizes().next(), Some(9)); // 1 payload + 8 header
+    }
+
+    #[test]
+    fn cell_sizes_match_the_per_cell_list() {
+        // The list `pack_burst` used to build, cell by cell.
+        fn listed(sizes: &[u32], packed: bool) -> Vec<u16> {
+            let mut cells = Vec::new();
+            if packed {
+                let total: u32 = sizes.iter().sum();
+                cells.resize((total / 248) as usize, 256);
+                match total % 248 {
+                    0 => {}
+                    tail => cells.push((tail + 8) as u16),
+                }
+            } else {
+                for &s in sizes {
+                    cells.resize(cells.len() + s.div_ceil(248) as usize, 256);
+                }
+            }
+            cells
+        }
+        let bursts: [(&[u32], bool); 5] = [
+            (&[999, 1, 57, 1500], true),  // packed, short tail
+            (&[496, 496], true),          // packed, aligned: no tail
+            (&[249, 1, 248, 700], false), // unpacked, padded tails
+            (&[1], true),                 // single tiny packet
+            (&[1], false),
+        ];
+        for (sizes, packed) in bursts {
+            let pb = pack(sizes, packed);
+            let want = listed(sizes, packed);
+            assert_eq!(pb.cell_sizes().collect::<Vec<_>>(), want);
+            assert_eq!(pb.burst.n_cells as usize, want.len());
+            assert_eq!(pb.wire_bytes(), want.iter().map(|&s| s as u64).sum::<u64>());
+            for (seq, &w) in want.iter().enumerate() {
+                assert_eq!(pb.cell(seq as u16, SimTime::ZERO).wire_bytes, w);
+            }
+        }
     }
 
     #[test]

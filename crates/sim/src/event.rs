@@ -199,7 +199,11 @@ const DEFAULT_NUM_BUCKETS: usize = 2048;
 ///    `[win_end - N, win_end)`; an event lands in bucket
 ///    `tick & (N - 1)` unsorted, O(1). A bucket is sorted only when the
 ///    wheel reaches it. A bitmap tracks occupancy so skipping empty
-///    buckets costs a few word scans.
+///    buckets costs a few word scans. An empty bucket owns no buffer:
+///    the wheel hands a bucket's buffer to `cur` when it reaches it, the
+///    buffer `cur` drained goes onto a spare stack, and a bucket takes a
+///    spare when its first event arrives — so the buffers alive number
+///    the buckets occupied at once (plus `cur`), not the wheel size.
 /// 3. **overflow** — a binary min-heap of everything at or beyond
 ///    `win_end`. When the wheel runs dry it re-bases onto the earliest
 ///    overflow event and migrates the next window's worth of events into
@@ -228,7 +232,12 @@ pub struct EventQueue<E> {
     /// strictly below `cur_horizon_tick`.
     cur: Vec<ScheduledEvent<E>>,
     /// The wheel: unsorted buckets, one per tick in the current window.
+    /// A bucket has capacity only while it holds events.
     buckets: Vec<Vec<ScheduledEvent<E>>>,
+    /// Drained (empty) bucket buffers, reused LIFO by the next bucket to
+    /// receive a first event. (Cloning an empty `Vec` copies no capacity,
+    /// so a cloned queue's spares hold no memory.)
+    spares: Vec<Vec<ScheduledEvent<E>>>,
     /// One bit per bucket: set iff the bucket is non-empty.
     occ: Vec<u64>,
     /// log2 of the bucket width in picoseconds.
@@ -267,6 +276,7 @@ impl<E> EventQueue<E> {
         EventQueue {
             cur: Vec::new(),
             buckets: (0..num_buckets).map(|_| Vec::new()).collect(),
+            spares: Vec::new(),
             occ: vec![0; num_buckets / 64],
             bucket_bits,
             cur_horizon_tick: 0,
@@ -347,12 +357,27 @@ impl<E> EventQueue<E> {
                 .partition_point(|e| (e.at, e.key, e.seq) > (at, key, seq));
             self.cur.insert(pos, ev);
         } else if tick < self.win_end_tick {
-            let slot = (tick as usize) & (self.buckets.len() - 1);
-            self.buckets[slot].push(ev);
-            self.occ[slot >> 6] |= 1u64 << (slot & 63);
+            self.push_bucket(tick, ev);
         } else {
             self.overflow.push(ev);
         }
+    }
+
+    /// Append `ev` to the wheel bucket of `tick` (which must lie inside
+    /// the window). A bucket receiving its first event takes a spare
+    /// buffer before it allocates.
+    #[inline]
+    fn push_bucket(&mut self, tick: u64, ev: ScheduledEvent<E>) {
+        let slot = (tick as usize) & (self.buckets.len() - 1);
+        let bucket = &mut self.buckets[slot];
+        if bucket.is_empty() {
+            debug_assert_eq!(bucket.capacity(), 0, "empty bucket kept a buffer");
+            if let Some(spare) = self.spares.pop() {
+                *bucket = spare;
+            }
+        }
+        bucket.push(ev);
+        self.occ[slot >> 6] |= 1u64 << (slot & 63);
     }
 
     /// Tick of the next non-empty wheel bucket at or after
@@ -395,7 +420,11 @@ impl<E> EventQueue<E> {
         loop {
             if let Some(tick) = self.next_occupied_tick() {
                 let slot = (tick as usize) & (self.buckets.len() - 1);
-                std::mem::swap(&mut self.cur, &mut self.buckets[slot]);
+                // Take, not swap: a swap would park the drained buffer in
+                // this slot until the wheel comes round again, and after
+                // one rotation every slot would own a full-size buffer.
+                let bucket = std::mem::take(&mut self.buckets[slot]);
+                self.spares.push(std::mem::replace(&mut self.cur, bucket));
                 self.occ[slot >> 6] &= !(1u64 << (slot & 63));
                 self.cur
                     .sort_unstable_by_key(|e| Reverse((e.at, e.key, e.seq)));
@@ -414,9 +443,7 @@ impl<E> EventQueue<E> {
                     break;
                 }
                 let e = self.overflow.pop().expect("peeked");
-                let slot = (t as usize) & (self.buckets.len() - 1);
-                self.buckets[slot].push(e);
-                self.occ[slot >> 6] |= 1u64 << (slot & 63);
+                self.push_bucket(t, e);
             }
         }
     }
@@ -522,7 +549,10 @@ impl<E> EventQueue<E> {
     pub fn clear(&mut self) {
         self.cur.clear();
         for b in &mut self.buckets {
-            b.clear();
+            if b.capacity() > 0 {
+                b.clear();
+                self.spares.push(std::mem::take(b));
+            }
         }
         for w in &mut self.occ {
             *w = 0;
@@ -1043,6 +1073,46 @@ mod tests {
         }
         drive(EventQueue::<u64>::new());
         drive(HeapEventQueue::<u64>::new());
+    }
+
+    /// Summed capacity of every buffer the calendar owns, in events.
+    fn footprint<E>(q: &EventQueue<E>) -> usize {
+        let held = |bufs: &[Vec<ScheduledEvent<E>>]| bufs.iter().map(Vec::capacity).sum::<usize>();
+        q.cur.capacity() + held(&q.buckets) + held(&q.spares)
+    }
+
+    #[test]
+    fn footprint_follows_pending_events_not_the_wheel() {
+        // Hold model: P events pending, each pop re-scheduled up to 48
+        // buckets ahead, marched through three full wheel rotations.
+        // Memory must track the P events in flight, not the 2048 slots the
+        // drain position has visited — also after a mid-run `clear()`.
+        // Buffers are never freed, so the footprint after a round is its
+        // peak over the round.
+        const P: u64 = 8192;
+        let mut rng = DetRng::from_label(7, "event-core-footprint");
+        let mut q: EventQueue<u32> = EventQueue::new();
+        let spread = 48u64 << DEFAULT_BUCKET_BITS;
+        let rotation = SimDuration::from_ps((DEFAULT_NUM_BUCKETS as u64) << DEFAULT_BUCKET_BITS);
+        let bound = 4 * P as usize + 1024;
+        for round in 0..2 {
+            for i in 0..P {
+                q.schedule(q.now() + SimDuration::from_ps(i * spread / P), 0);
+            }
+            let end = q.now() + rotation + rotation + rotation;
+            while q.now() < end {
+                let ev = q.pop().expect("population held");
+                q.schedule(ev.at + SimDuration::from_ps(1 + rng.below(spread)), 0);
+            }
+            assert_eq!(q.len() as u64, P);
+            let held = footprint(&q);
+            assert!(
+                held <= bound,
+                "round {round}: buffers for {held} events while {P} are pending"
+            );
+            q.clear();
+            assert!(footprint(&q) <= bound, "clear() left {}", footprint(&q));
+        }
     }
 
     #[test]

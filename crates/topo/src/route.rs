@@ -16,12 +16,13 @@
 //! distance to `d`. Strict decrease makes every candidate walk loop-free
 //! by construction, and on folded Clos it reproduces classic up/down
 //! routing exactly (down-links toward the destination's subtree beat
-//! up-links because they are strictly closer). Builders with their own
+//! up-links because they are strictly closer). It runs the BFS for 64
+//! destinations at a time on bit masks. Builders with their own
 //! geometry (Space Shuffle ring coordinates) supply a custom potential
-//! via [`RoutePlan::from_potential`].
+//! via [`RoutePlan::from_potential`], which evaluates one destination
+//! at a time.
 
 use crate::graph::{NodeId, NodeKind, Topology};
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// A compact sorted set of destination endpoint indices, stored as
@@ -108,8 +109,73 @@ pub struct RoutePlan {
 impl RoutePlan {
     /// The default plan: BFS hop count as the potential. Loop-free
     /// multipath; reproduces up/down routing on folded Clos.
+    ///
+    /// Equal to `from_potential` with BFS hop distances, computed for 64
+    /// destinations at once: bit `k` of a node's mask stands for
+    /// destination `base + k`, and one level-synchronous sweep advances
+    /// all 64 searches. Neighbors' hop counts differ by at most one, so
+    /// `m` is strictly closer than `n` exactly when the search reaches
+    /// `n` from `m` — the bits a sweep carries over `m → n` are the
+    /// destinations of direction `n → m`.
     pub fn shortest_path(topo: &Topology) -> RoutePlan {
-        Self::from_potential(topo, bfs_hops)
+        let endpoints = topo.nodes_of_kind(NodeKind::Edge);
+        let mut dir_dsts = vec![DstSet::new(); topo.num_links() * 2];
+        let nodes = topo.num_nodes();
+        // Per node: destinations within the current depth, at exactly the
+        // current depth, and at the next one.
+        let mut seen = vec![0u64; nodes];
+        let mut visit = vec![0u64; nodes];
+        let mut next = vec![0u64; nodes];
+        let mut closer = vec![0u64; dir_dsts.len()];
+        for (word, chunk) in endpoints.chunks(64).enumerate() {
+            seen.fill(0);
+            visit.fill(0);
+            for (k, &d) in chunk.iter().enumerate() {
+                seen[d.0 as usize] = 1 << k;
+                visit[d.0 as usize] = 1 << k;
+            }
+            let mut advanced = true;
+            while advanced {
+                advanced = false;
+                for m in topo.node_ids() {
+                    let at_depth = visit[m.0 as usize];
+                    if at_depth == 0 {
+                        continue;
+                    }
+                    for &l in &topo.node(m).links {
+                        let link = topo.link(l);
+                        let n_end = 1 - link.end_of(m);
+                        let n = link.end(n_end).0 as usize;
+                        // `seen` is as of this depth until the sweep ends,
+                        // so every `m` one hop closer is credited.
+                        let reached = at_depth & !seen[n];
+                        if reached != 0 {
+                            next[n] |= reached;
+                            closer[l.0 as usize * 2 + n_end as usize] |= reached;
+                            advanced = true;
+                        }
+                    }
+                }
+                for ((s, v), nx) in seen.iter_mut().zip(&mut visit).zip(&mut next) {
+                    *s |= *nx;
+                    *v = std::mem::take(nx);
+                }
+            }
+            let base = word as u32 * 64;
+            for (set, bits) in dir_dsts.iter_mut().zip(&mut closer) {
+                let mut w = std::mem::take(bits);
+                while w != 0 {
+                    set.push(base + w.trailing_zeros());
+                    w &= w - 1;
+                }
+            }
+        }
+        let groups = endpoint_groups(topo, &endpoints);
+        RoutePlan {
+            dir_dsts,
+            groups,
+            num_endpoints: endpoints.len(),
+        }
     }
 
     /// Build a plan from a custom potential. `fill(topo, dst, phi)` must
@@ -160,24 +226,6 @@ impl RoutePlan {
     /// index convention: `link * 2 + from_end`).
     pub fn dsts_of_dir(&self, dir: usize) -> &DstSet {
         &self.dir_dsts[dir]
-    }
-}
-
-/// BFS hop distances from `src` over the undirected graph.
-fn bfs_hops(topo: &Topology, src: NodeId, dist: &mut Vec<u64>) {
-    dist.clear();
-    dist.resize(topo.num_nodes(), u64::MAX);
-    dist[src.0 as usize] = 0;
-    let mut q = VecDeque::new();
-    q.push_back(src);
-    while let Some(n) = q.pop_front() {
-        let dn = dist[n.0 as usize];
-        for (_, p) in topo.neighbors(n) {
-            if dist[p.0 as usize] == u64::MAX {
-                dist[p.0 as usize] = dn + 1;
-                q.push_back(p);
-            }
-        }
     }
 }
 
@@ -300,7 +348,75 @@ pub trait TopologyBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builders::{single_tier, two_tier, SingleTierParams, TwoTierParams};
+    use crate::builders::{
+        dragonfly, expander, kary, single_tier, three_tier, two_tier, DragonflyParams,
+        ExpanderParams, KaryParams, SingleTierParams, ThreeTierParams, TwoTierParams,
+    };
+    use std::collections::VecDeque;
+
+    /// BFS hop distances from `src` over the undirected graph: the scalar
+    /// potential [`RoutePlan::shortest_path`] is checked against.
+    fn bfs_hops(topo: &Topology, src: NodeId, dist: &mut Vec<u64>) {
+        dist.clear();
+        dist.resize(topo.num_nodes(), u64::MAX);
+        dist[src.0 as usize] = 0;
+        let mut q = VecDeque::new();
+        q.push_back(src);
+        while let Some(n) = q.pop_front() {
+            let dn = dist[n.0 as usize];
+            for (_, p) in topo.neighbors(n) {
+                if dist[p.0 as usize] == u64::MAX {
+                    dist[p.0 as usize] = dn + 1;
+                    q.push_back(p);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shortest_path_equals_the_scalar_bfs_potential() {
+        // 72 endpoints leave the dragonfly's second mask word partly used;
+        // the paper-size two-tier fabric (256) fills four words exactly.
+        let df = DragonflyParams {
+            routers_per_group: 4,
+            globals_per_router: 2,
+            fas_per_router: 2,
+            ..DragonflyParams::zoo()
+        };
+        let df = dragonfly(df);
+        assert_eq!(df.fas.len(), 72);
+        // Two FA pairs, each behind its own FE, with no link between the
+        // FEs: every endpoint is unreachable from the other pair, so the
+        // first FA's uplink (direction 0) carries only its pod mate.
+        let mut split = Topology::new();
+        for _ in 0..2 {
+            let fe = split.add_node(NodeKind::Fabric, 2);
+            for _ in 0..2 {
+                let fa = split.add_node(NodeKind::Edge, 1);
+                split.add_link(fa, fe, 1);
+            }
+        }
+        assert_eq!(RoutePlan::shortest_path(&split).dir_dsts[0].expand(), [1]);
+        let graphs = [
+            ("two-tier", two_tier(TwoTierParams::paper_6_2()).topo),
+            ("three-tier", three_tier(ThreeTierParams::small()).topo),
+            (
+                "single-tier",
+                single_tier(SingleTierParams::paper_6_1()).topo,
+            ),
+            ("k-ary", kary(KaryParams::paper_6_3()).topo),
+            ("dragonfly", df.topo),
+            ("expander", expander(ExpanderParams::zoo(3)).topo),
+            ("unreachable", split),
+        ];
+        for (name, topo) in &graphs {
+            let fast = RoutePlan::shortest_path(topo);
+            let scalar = RoutePlan::from_potential(topo, bfs_hops);
+            assert_eq!(fast.num_endpoints, scalar.num_endpoints, "{name}");
+            assert_eq!(fast.groups, scalar.groups, "{name}");
+            assert_eq!(fast.dir_dsts, scalar.dir_dsts, "{name}");
+        }
+    }
 
     #[test]
     fn dstset_push_contains_expand() {

@@ -95,9 +95,9 @@ fn packing_conserves_payload() {
         let total: u64 = sizes.iter().map(|&s| s as u64).sum();
         let packets: Vec<Packet> = sizes.iter().map(|&s| pkt(s)).collect();
         let pb = pack_burst(BurstId(0), packets, 256, 8, true, SimTime::ZERO);
-        let payload: u64 = pb.cell_sizes.iter().map(|&c| (c - 8) as u64).sum();
+        let payload: u64 = pb.cell_sizes().map(|c| (c - 8) as u64).sum();
         assert_eq!(payload, total, "sizes {sizes:?}");
-        let short = pb.cell_sizes.iter().filter(|&&c| c < 256).count();
+        let short = pb.cell_sizes().filter(|&c| c < 256).count();
         assert!(short <= 1, "more than one short cell for sizes {sizes:?}");
         assert_eq!(
             pb.burst.n_cells as u64,
