@@ -13,6 +13,7 @@ use stardust_bench::{header, Args};
 use stardust_fabric::{FabricConfig, FabricEngine};
 use stardust_sim::{SimDuration, SimTime};
 use stardust_topo::builders::{two_tier, TwoTierParams};
+use std::process::ExitCode;
 
 fn engine(cfg_mut: impl FnOnce(&mut FabricConfig), util: f64, ms: u64) -> FabricEngine {
     let params = TwoTierParams::paper_scaled(16);
@@ -29,8 +30,7 @@ fn engine(cfg_mut: impl FnOnce(&mut FabricConfig), util: f64, ms: u64) -> Fabric
     e
 }
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args) -> ExitCode {
     let ms = args.get_u64("ms", 2);
     let util = args.get_f64("util", 0.9);
 
@@ -93,4 +93,5 @@ fn main() {
             s.credits_sent.get(),
         );
     }
+    ExitCode::SUCCESS
 }

@@ -10,8 +10,9 @@ use stardust_bench::{header, Args};
 use stardust_fabric::{FabricConfig, FabricEngine};
 use stardust_sim::{SimDuration, SimTime};
 use stardust_topo::builders::{two_tier, TwoTierParams};
+use std::process::ExitCode;
 
-fn run(packed: bool, pkt_bytes: u32, util: f64, ms: u64) -> (f64, f64, u64, u64) {
+fn run_point(packed: bool, pkt_bytes: u32, util: f64, ms: u64) -> (f64, f64, u64, u64) {
     let params = TwoTierParams::paper_scaled(16);
     let tt = two_tier(params);
     let mut cfg = FabricConfig::default();
@@ -32,8 +33,7 @@ fn run(packed: bool, pkt_bytes: u32, util: f64, ms: u64) -> (f64, f64, u64, u64)
     )
 }
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args) -> ExitCode {
     let ms = args.get_u64("ms", 2);
     let util = args.get_f64("util", 0.85);
     header(
@@ -45,7 +45,7 @@ fn main() {
     );
     for pkt in [64u32, 250, 257, 750, 1500, 4000] {
         for packed in [true, false] {
-            let (u, lat, cells, bytes) = run(packed, pkt, util, ms);
+            let (u, lat, cells, bytes) = run_point(packed, pkt, util, ms);
             println!(
                 "{:>9} {:>9} {:>9.1}% {:>12.2} {:>12} {:>14.2}",
                 pkt,
@@ -61,4 +61,5 @@ fn main() {
         "\n§3.4: without packing, sizes just above a cell (e.g. 257 B vs 248 B payload) \
          waste ~50% of throughput; packing keeps every size near the offered load."
     );
+    ExitCode::SUCCESS
 }

@@ -18,9 +18,7 @@ use stardust_topo::builders::{two_tier, TwoTierParams};
 use stardust_topo::LinkId;
 use std::process::ExitCode;
 
-fn main() -> ExitCode {
-    let args = Args::parse();
-
+pub fn run(args: &Args) -> ExitCode {
     header(
         "Appendix E: closed-form recovery model (Table 4 example)",
         "quantity                          value",

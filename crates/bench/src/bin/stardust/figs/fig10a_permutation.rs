@@ -5,7 +5,7 @@
 //! A thin shell over the declarative experiment pipeline: the
 //! [`presets::fig10a`] spec expands into a random derangement of finite
 //! flows (each node sends `--bytes` to its partner), the
-//! [`runner`] drives every engine from the one spec, and this binary
+//! [`runner`] drives every engine from the one spec, and this figure
 //! adds the figure-specific goodput-by-flow-rank table, the paper's
 //! x-axis. `--full` runs the 432-host k = 12 fat-tree; `--smoke` runs
 //! the small deterministic CI configuration whose hard gates live in
@@ -18,10 +18,9 @@ use stardust_bench::presets::{self, Fig10Params};
 use stardust_bench::{header, runner, Args};
 use std::process::ExitCode;
 
-fn main() -> ExitCode {
-    let args = Args::parse();
+pub fn run(args: &Args) -> ExitCode {
     let smoke = args.has("smoke");
-    let p = Fig10Params::from_args(&args, 50, 100);
+    let p = Fig10Params::from_args(args, 50, 100);
     let flow_bytes = args.get_u64("bytes", if smoke { 500_000 } else { 2_500_000 });
     let spec = presets::fig10a(p, flow_bytes);
 

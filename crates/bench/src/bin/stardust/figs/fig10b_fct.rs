@@ -21,10 +21,9 @@ use stardust_bench::{runner, Args};
 use stardust_workload::ScenarioKind;
 use std::process::ExitCode;
 
-fn main() -> ExitCode {
-    let args = Args::parse();
+pub fn run(args: &Args) -> ExitCode {
     let smoke = args.has("smoke");
-    let p = Fig10Params::from_args(&args, 100, 200);
+    let p = Fig10Params::from_args(args, 100, 200);
     let n_flows = args.get_u64("flows", if smoke { 50 } else { 200 }) as usize;
     // Per-node mean inter-arrival gap; at the Web mix's ~97 KB mean flow,
     // 800 µs offers ~1 Gbps per 10G NIC (≈10% load) on either engine.

@@ -20,10 +20,9 @@ use std::process::ExitCode;
 
 const RESPONSE_BYTES: u64 = 450_000;
 
-fn main() -> ExitCode {
-    let args = Args::parse();
+pub fn run(args: &Args) -> ExitCode {
     let smoke = args.has("smoke");
-    let p = Fig10Params::from_args(&args, 100, 400);
+    let p = Fig10Params::from_args(args, 100, 400);
 
     let n_hosts = kary_hosts(p.k);
     let n_fas = fabric_fas(p.factor);

@@ -2,14 +2,15 @@
 //! Fabric Element vs a standard Ethernet switch, plus the table-size and
 //! VOQ-memory comparisons.
 
-use stardust_bench::{commas, header};
+use stardust_bench::{commas, header, Args};
 use stardust_model::silicon::{
     fa_relative_area, fe_reachability_table_bits, fe_relative_area_per_tbps,
     fe_relative_power_per_tbps, tor_route_table_bits, voq_memory_bytes, DEVICE_A_WEIGHTS,
     FIG10D_AREA_RATIOS,
 };
+use std::process::ExitCode;
 
-fn main() {
+pub fn run(_: &Args) -> ExitCode {
     header(
         "Figure 10(d): Fabric Element (B) vs standard switch (A)",
         "component                    B/A",
@@ -69,4 +70,5 @@ fn main() {
         voq_memory_bytes(128 * 1024) / (1024 * 1024),
         fa_relative_area(0.4)
     );
+    ExitCode::SUCCESS
 }

@@ -1,10 +1,11 @@
 //! Figure 11 — cost (a) and power (b) of a Stardust DCN relative to
 //! fat-trees, from the Table 3 list prices and the Fig 10(d) ratios.
 
-use stardust_bench::{commas, header};
+use stardust_bench::{commas, header, Args};
 use stardust_model::cost::{CostConfig, FIG11A_FT, FIG11A_STARDUST, FIG11B_FT};
+use std::process::ExitCode;
 
-fn main() {
+pub fn run(_: &Args) -> ExitCode {
     let hosts_axis: Vec<u64> = vec![
         1_000, 2_000, 5_000, 10_000, 20_000, 50_000, 100_000, 200_000, 500_000, 1_000_000,
     ];
@@ -90,4 +91,5 @@ fn main() {
         "\npaper: cost of a large DCN cut toward half; power savings up to ~25% of the \
          network (and ~78% within the fabric) for networks up to ~10K nodes"
     );
+    ExitCode::SUCCESS
 }

@@ -4,11 +4,12 @@
 //! devices vs end hosts, (c) serial links vs end hosts, for the four
 //! bundle configurations, plus the Table 2 element counts.
 
-use stardust_bench::{commas, header};
+use stardust_bench::{commas, header, Args};
 use stardust_model::fattree::FatTreeParams;
 use stardust_model::scalability::FIG2_CONFIGS;
+use std::process::ExitCode;
 
-fn main() {
+pub fn run(_: &Args) -> ExitCode {
     header(
         "Figure 2(a): end hosts vs number of tiers",
         &format!(
@@ -77,4 +78,5 @@ fn main() {
             commas(p.links_per_tor(n)),
         );
     }
+    ExitCode::SUCCESS
 }

@@ -1,10 +1,11 @@
 //! Figure 3 — required parallelism in a standard switch vs a Stardust
 //! Fabric Element (12.8 Tb/s device, 256 B bus, 1 GHz data path).
 
-use stardust_bench::header;
+use stardust_bench::{header, Args};
 use stardust_model::parallelism::DeviceParams;
+use std::process::ExitCode;
 
-fn main() {
+pub fn run(_: &Args) -> ExitCode {
     let d = DeviceParams::fig3();
     header(
         "Figure 3: required parallelism vs packet size",
@@ -34,4 +35,5 @@ fn main() {
         "Improvement at 1025 B: {:.0}% (paper: 18%)",
         (d.standard_switch_parallelism(1025) / sd - 1.0) * 100.0
     );
+    ExitCode::SUCCESS
 }

@@ -19,6 +19,7 @@ use stardust_fabric::{FabricConfig, FabricEngine};
 use stardust_sim::units::gbps;
 use stardust_sim::{SimDuration, SimTime};
 use stardust_topo::{NodeKind, Topology};
+use std::process::ExitCode;
 
 /// 3 edge devices (2 ingress + 1 egress), 2 middle switches, 100G links.
 fn topo() -> Topology {
@@ -33,8 +34,7 @@ fn topo() -> Topology {
     t
 }
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args) -> ExitCode {
     let tcs = args.has("traffic-classes");
     let ms = args.get_u64("ms", 2);
     let stop = SimTime::from_millis(ms);
@@ -114,4 +114,5 @@ fn main() {
          (A's surplus 100G waits in ingress buffers / is dropped at ingress, §5.2)",
         if tcs { "0" } else { "66" }
     );
+    ExitCode::SUCCESS
 }

@@ -13,6 +13,7 @@ use stardust_fabric::{FabricConfig, FabricEngine};
 use stardust_model::md1;
 use stardust_sim::{SimDuration, SimTime};
 use stardust_topo::builders::{two_tier, TwoTierParams};
+use std::process::ExitCode;
 
 fn run_point(util: f64, scale: u32, ms: u64) -> FabricEngine {
     let params = TwoTierParams::paper_scaled(scale);
@@ -38,8 +39,7 @@ fn run_point(util: f64, scale: u32, ms: u64) -> FabricEngine {
     engine
 }
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args) -> ExitCode {
     let scale = if args.has("full") {
         1
     } else {
@@ -133,4 +133,5 @@ fn main() {
         "\npaper §6.2: \"In all runs no cells were lost with the network fabric\"; \
          oversubscribed 1.2 is throttled by FCI to ~0.9 effective."
     );
+    ExitCode::SUCCESS
 }

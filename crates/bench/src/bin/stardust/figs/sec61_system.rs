@@ -10,6 +10,7 @@ use stardust_fabric::{FabricConfig, FabricEngine};
 use stardust_sim::units::gbps;
 use stardust_sim::{SimDuration, SimTime};
 use stardust_topo::builders::{single_tier, SingleTierParams};
+use std::process::ExitCode;
 
 fn run_size(params: SingleTierParams, pkt_bytes: u32, ms: u64) -> (f64, f64, f64, f64, u64) {
     let st = single_tier(params);
@@ -35,8 +36,7 @@ fn run_size(params: SingleTierParams, pkt_bytes: u32, ms: u64) -> (f64, f64, f64
     )
 }
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args) -> ExitCode {
     let ms = args.get_u64("ms", 2);
     let params = if args.has("full") {
         SingleTierParams::paper_6_1()
@@ -71,4 +71,5 @@ fn main() {
          fabric; min latency 2.8–3.5us nearly independent of packet size, average \
          3.3–9.1us; our fabric-only latency excludes the store-and-forward host port."
     );
+    ExitCode::SUCCESS
 }

@@ -1,15 +1,17 @@
-//! `stardust` — the declarative experiment CLI.
+//! `stardust` — the experiment CLI: spec runs and the paper's figures.
 //!
-//! Expands [`ExperimentSpec`] TOML files into their engines × seeds run
-//! matrices over the generic `FlowEngine` surface, prints FCT tables,
-//! evaluates the specs' pass/fail checks, and optionally emits results
-//! as JSON for `BENCH_*.json` trajectories.
+//! `run` expands [`ExperimentSpec`] TOML files into their engines ×
+//! seeds run matrices over the generic `FlowEngine` surface, prints FCT
+//! tables, evaluates the specs' pass/fail checks, and optionally emits
+//! results as JSON. `fig` prints one table or figure of the paper's
+//! evaluation (see [`figs`]).
 //!
 //! ```text
 //! stardust run <spec.toml | dir>...  [--json out.json] [--quiet]
 //! stardust check <spec.toml | dir>...     # parse + validate only
 //! stardust preset <name>                  # print a built-in spec
 //! stardust presets                        # list built-in spec names
+//! stardust fig [<name> [flags]]           # a paper figure; alone: list them
 //! stardust lint [--root dir] [--json out.json] [--quiet]
 //! stardust mc [--smoke] [--json out.json] [--quiet] [--seed N]
 //!             [--depth N] [--max-states N]
@@ -25,11 +27,14 @@ use stardust_bench::{json::Json, presets, runner};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+mod figs;
+
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  stardust run <spec.toml | dir>... [--json out.json] [--quiet] \
          [--max-rss-mb N] [--threads N]\n  \
          stardust check <spec.toml | dir>...\n  stardust preset <name>\n  stardust presets\n  \
+         stardust fig [<name> [flags]]\n  \
          stardust lint [--root dir] [--json out.json] [--quiet]\n  \
          stardust mc [--smoke] [--json out.json] [--quiet] [--seed N] [--depth N] \
          [--max-states N]"
@@ -57,6 +62,7 @@ fn main() -> ExitCode {
         Some("run") => run(&argv[1..], false),
         Some("check") => run(&argv[1..], true),
         Some("preset") => preset(&argv[1..]),
+        Some("fig") => figs::main(&argv[1..]),
         Some("lint") => lint(&argv[1..]),
         Some("mc") => mc(&argv[1..]),
         Some("presets") => {
@@ -88,7 +94,7 @@ fn preset(args: &[String]) -> ExitCode {
 
 /// `stardust lint`: the determinism auditor (rules D1–D5) over the
 /// engine crates — same engine as the standalone `stardust-lint` binary,
-/// with `--json` emitting a `BENCH_*.json`-convention document.
+/// with `--json` emitting the findings as a document.
 fn lint(args: &[String]) -> ExitCode {
     let mut root = PathBuf::from(".");
     let mut json_out: Option<PathBuf> = None;

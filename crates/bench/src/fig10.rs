@@ -11,7 +11,7 @@
 //!
 //! The experiment driving itself lives in [`crate::runner`], which
 //! expands an [`ExperimentSpec`](crate::spec::ExperimentSpec) over the
-//! generic `FlowEngine` surface; the fig10 binaries are thin preset +
+//! generic `FlowEngine` surface; the fig10 figures are thin preset +
 //! figure-specific-printing shells over it.
 
 use crate::header;
@@ -27,7 +27,7 @@ pub const FABRIC_LABEL: &str = "SD-fabric";
 pub const PCTS: [u32; 8] = [10, 25, 50, 75, 90, 95, 99, 100];
 
 /// Fabric Adapter population of [`fabric_engine`]`(factor, _)` — one
-/// source of truth with `TwoTierParams::paper_scaled`, so the binaries'
+/// source of truth with `TwoTierParams::paper_scaled`, so the figures'
 /// printed populations and backend clamps can never drift from the
 /// topology actually built.
 pub fn fabric_fas(factor: u32) -> usize {

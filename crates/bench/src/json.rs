@@ -1,6 +1,6 @@
 //! A hand-rolled JSON emitter (the workspace builds with no crates.io
-//! access), used for machine-readable experiment and benchmark output —
-//! the `BENCH_*.json` trajectory files CI archives.
+//! access), used for the machine-readable `--json` output of `stardust
+//! run`, `lint` and `mc`.
 //!
 //! Emit-only: the pipeline writes JSON for external tooling to read;
 //! nothing in the workspace needs to parse it back.

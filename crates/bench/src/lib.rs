@@ -1,88 +1,127 @@
-//! # stardust-bench — the experiment harness
+//! # stardust-bench — the experiment pipeline
 //!
-//! One binary per table/figure of the paper (see `src/bin/`), each
-//! printing the rows/series the paper reports, plus micro-benchmarks of
-//! the core data structures (see `benches/`, built on the dependency-free
-//! [`harness`] module).
+//! The library is the declarative experiment pipeline — [`spec`],
+//! [`presets`], [`runner`] over the generic `FlowEngine` surface, with
+//! the dependency-free [`toml`] and [`json`] codecs — plus the small
+//! helpers the paper's figures share ([`fig10`], [`Args`], [`header`],
+//! [`commas`]). The one binary, `stardust`, drives it: `stardust run`
+//! executes spec files and `stardust fig <name>` prints one table or
+//! figure of the paper (the figure code lives with the binary, in
+//! `src/bin/stardust/figs/`).
 //!
-//! Every binary accepts `--scale <n>` (topology scale-down divisor where
-//! applicable), `--ms <n>` (simulated milliseconds) and `--full` (run the
-//! paper-size configuration). Defaults are sized to finish in seconds on
-//! a laptop; EXPERIMENTS.md records results from both the default and
-//! the larger settings.
+//! Figures accept `--scale <n>` (topology scale-down divisor where
+//! applicable), `--ms <n>` (simulated milliseconds) and `--full` (run
+//! the paper-size configuration) — each figure's row in the `stardust
+//! fig` table lists exactly the flags it takes. Defaults are sized to
+//! finish in seconds on a laptop; EXPERIMENTS.md records results from
+//! both the default and the larger settings.
 
 use std::collections::HashMap;
 
-pub mod corebench;
 pub mod fig10;
-pub mod harness;
 pub mod json;
 pub mod presets;
 pub mod runner;
 pub mod spec;
 pub mod toml;
 
-/// Minimal `--key value` / `--flag` argument parser (no dependency).
+/// What a figure flag takes, checked by [`Args::parse`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum FlagKind {
+    /// A bare `--flag`, no value.
+    Switch,
+    /// `--flag <integer>`, at least the given minimum.
+    Int(u64),
+    /// `--flag <number>`.
+    Num,
+    /// `--flag <text>`.
+    Text,
+}
+
+/// One accepted flag: its name (without the `--`) and what it takes.
+pub type Flag = (&'static str, FlagKind);
+
+#[derive(Debug)]
+enum Value {
+    Int(u64),
+    Num(f64),
+    Text(String),
+}
+
+/// Minimal `--key value` / `--flag` arguments (no dependency), checked
+/// against the list of flags the caller accepts.
 #[derive(Debug, Default)]
 pub struct Args {
-    kv: HashMap<String, String>,
-    flags: Vec<String>,
+    kv: HashMap<&'static str, Value>,
+    flags: Vec<&'static str>,
 }
 
 impl Args {
-    /// Parse from `std::env::args`.
-    pub fn parse() -> Self {
-        let mut kv = HashMap::new();
-        let mut flags = Vec::new();
-        let argv: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < argv.len() {
-            let a = &argv[i];
-            if let Some(name) = a.strip_prefix("--") {
-                if i + 1 < argv.len() && !argv[i + 1].starts_with("--") {
-                    kv.insert(name.to_string(), argv[i + 1].clone());
-                    i += 2;
-                } else {
-                    flags.push(name.to_string());
-                    i += 1;
-                }
-            } else {
-                i += 1;
+    /// Parse `argv` against `accepted`. A flag outside the list, a
+    /// missing or malformed value, or a stray positional argument is an
+    /// error naming what was expected — the getters below cannot fail.
+    pub fn parse(argv: &[String], accepted: &[Flag]) -> Result<Self, String> {
+        let mut args = Args::default();
+        let mut it = argv.iter();
+        while let Some(a) = it.next() {
+            let Some(&(name, kind)) = a
+                .strip_prefix("--")
+                .and_then(|n| accepted.iter().find(|(name, _)| *name == n))
+            else {
+                return Err(format!("unexpected argument {a:?}"));
+            };
+            if kind == FlagKind::Switch {
+                args.flags.push(name);
+                continue;
             }
+            let v = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
+            let value = match kind {
+                FlagKind::Int(min) => v
+                    .parse()
+                    .ok()
+                    .filter(|&n| n >= min)
+                    .map(Value::Int)
+                    .ok_or_else(|| format!("--{name} expects an integer >= {min}, got {v:?}"))?,
+                FlagKind::Num => v
+                    .parse()
+                    .ok()
+                    .filter(|x: &f64| x.is_finite())
+                    .map(Value::Num)
+                    .ok_or_else(|| format!("--{name} expects a number, got {v:?}"))?,
+                _ => Value::Text(v.clone()),
+            };
+            args.kv.insert(name, value);
         }
-        Args { kv, flags }
+        Ok(args)
     }
 
     /// A `--key value` as u64, with default.
     pub fn get_u64(&self, key: &str, default: u64) -> u64 {
-        self.kv
-            .get(key)
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("--{key} expects an integer"))
-            })
-            .unwrap_or(default)
+        match self.kv.get(key) {
+            Some(&Value::Int(n)) => n,
+            _ => default,
+        }
     }
 
     /// A `--key value` as f64, with default.
     pub fn get_f64(&self, key: &str, default: f64) -> f64 {
-        self.kv
-            .get(key)
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("--{key} expects a number"))
-            })
-            .unwrap_or(default)
+        match self.kv.get(key) {
+            Some(&Value::Num(x)) => x,
+            _ => default,
+        }
     }
 
     /// A `--key value` as a string, if present.
     pub fn get_str(&self, key: &str) -> Option<&str> {
-        self.kv.get(key).map(String::as_str)
+        match self.kv.get(key) {
+            Some(Value::Text(s)) => Some(s),
+            _ => None,
+        }
     }
 
     /// Presence of a bare `--flag`.
     pub fn has(&self, flag: &str) -> bool {
-        self.flags.iter().any(|f| f == flag)
+        self.flags.contains(&flag)
     }
 }
 

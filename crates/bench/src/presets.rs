@@ -1,7 +1,7 @@
 //! Built-in [`ExperimentSpec`] presets — the fig10 a–c figures, the
 //! Appendix-E failure churn, and the CI smoke set.
 //!
-//! The fig binaries build their specs here (their `--k/--factor/--ms`
+//! The fig10 figures build their specs here (their `--k/--factor/--ms`
 //! flags just parameterize the preset), the `stardust` CLI prints them
 //! (`stardust preset <name>`), and `specs/ci_smoke/` holds the CI set
 //! rendered to disk — a test pins the files to these functions so they
@@ -56,7 +56,7 @@ impl Fig10Params {
         }
     }
 
-    /// Resolve the fig10 binaries' shared flags: `--smoke` (CI config at
+    /// Resolve the fig10 figures' shared flags: `--smoke` (CI config at
     /// `smoke_ms`), `--full` (paper scale), else `--k`/`--ms`/`--seed`
     /// with the figure's `default_ms`.
     pub fn from_args(args: &crate::Args, smoke_ms: u64, default_ms: u64) -> Self {
@@ -193,7 +193,7 @@ pub fn fig10b(p: Fig10Params, n_flows: usize, gap_us: u64, hadoop: bool) -> Expe
 
 /// Fig 10(c): `backends`-to-1 incast of 450 KB responses; first/last
 /// FCT measures performance and fairness. One spec per backend count —
-/// the binaries sweep by calling this repeatedly.
+/// the figure sweeps by calling this repeatedly.
 pub fn fig10c(p: Fig10Params, backends: usize, response_bytes: u64) -> ExperimentSpec {
     let protos: &[Protocol] = if p.smoke {
         &[Protocol::Dctcp, Protocol::Stardust]

@@ -166,8 +166,8 @@ impl Outcome {
 }
 
 /// Print any failed checks and convert them to a process exit code;
-/// on success, print `success_note` (e.g. a binary's "smoke OK" line)
-/// if one is given. The shared epilogue of the fig binaries.
+/// on success, print `success_note` (e.g. a figure's "smoke OK" line)
+/// if one is given. The shared epilogue of the fig10 figures.
 pub fn finish(check_failures: &[String], success_note: Option<&str>) -> std::process::ExitCode {
     for f in check_failures {
         eprintln!("CHECK FAILED: {f}");

@@ -1,0 +1,112 @@
+//! `stardust fig` from the outside: the figure table, the model-only
+//! figures' paper-pinned values, one simulated figure at its smallest
+//! setting, and the usage errors (exit 2, never a panic).
+
+use std::process::{Command, Output};
+
+fn fig(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_stardust"))
+        .arg("fig")
+        .args(args)
+        .output()
+        .expect("stardust binary runs")
+}
+
+fn stdout(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+#[test]
+fn fig_alone_lists_every_figure() {
+    let out = fig(&[]);
+    assert!(out.status.success());
+    let listing = stdout(&out);
+    for name in [
+        "fig2_scalability",
+        "fig3_parallelism",
+        "fig7_push_vs_pull",
+        "fig8_packing",
+        "fig9_queueing",
+        "fig10a_permutation",
+        "fig10b_fct",
+        "fig10c_incast",
+        "fig10d_area",
+        "fig11_cost_power",
+        "sec61_system",
+        "ablation_packing",
+        "ablation_credit_spray",
+        "appendix_e_resilience",
+        "fabric_scale",
+    ] {
+        assert!(
+            listing.lines().any(|l| l.starts_with(name)),
+            "{name} missing from:\n{listing}"
+        );
+    }
+}
+
+#[test]
+fn model_figures_print_their_paper_values() {
+    // Each pin is a value the paper states (or, for fig 2, the 1M-host
+    // Stardust row `tests/golden_model.rs` locks).
+    for (name, pins) in [
+        ("fig2_scalability", &["48,438", "4,000,000"][..]),
+        ("fig3_parallelism", &["(paper: 19.047)", "(paper: 41%)"]),
+        ("fig8_packing", &["85.0% of line rate (15% below Stardust)"]),
+        ("fig10d_area", &["(paper: 66.6%)", "(paper: 64.8%)"]),
+        ("fig11_cost_power", &["112,120,888", "cut toward half"]),
+    ] {
+        let out = fig(&[name]);
+        assert!(out.status.success(), "{name} failed");
+        let text = stdout(&out);
+        for pin in pins {
+            assert!(text.contains(pin), "{name}: {pin:?} missing from:\n{text}");
+        }
+    }
+}
+
+#[test]
+fn simulated_figure_runs_at_its_smallest_setting() {
+    // Fig 7 is the cheapest simulated figure (5 nodes, 3 CBR flows, two
+    // engines): ~1 s in the debug profile at 1 ms.
+    let out = fig(&["fig7_push_vs_pull", "--ms", "1"]);
+    assert!(out.status.success());
+    let text = stdout(&out);
+    let stardust = text
+        .lines()
+        .find(|l| l.starts_with("Stardust (pull)"))
+        .unwrap_or_else(|| panic!("no Stardust row in:\n{text}"));
+    let cols: Vec<&str> = stardust.split_whitespace().collect();
+    assert_eq!(cols[cols.len() - 2..], ["0", "lossless"], "{stardust}");
+}
+
+#[test]
+fn bad_fig_input_is_a_usage_error_not_a_panic() {
+    for (args, names) in [
+        // An unknown figure names the figures.
+        (&["fig9"][..], "fig9_queueing"),
+        // An unknown flag, a non-number, an out-of-range count and a
+        // missing value each name the flags the figure accepts.
+        (
+            &["fig9_queueing", "--smok"],
+            "[--full] [--scale N] [--ms N]",
+        ),
+        (&["fig9_queueing", "--ms", "x"], "--ms expects an integer"),
+        (
+            &["fabric_scale", "--shards", "0"],
+            "--shards expects an integer >= 1",
+        ),
+        (&["ablation_packing", "--util"], "--util needs a value"),
+        (
+            &["fig3_parallelism", "--full"],
+            "usage: stardust fig fig3_parallelism",
+        ),
+    ] {
+        let out = fig(args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains(names), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a figure");
+    }
+}

@@ -537,11 +537,11 @@ impl FabricStats {
 
 /// The Stardust fabric simulator. See the module docs for the data flow.
 ///
-/// Every spec, preset, CLI flag and figure binary runs the calendar
+/// Every spec, preset, CLI flag and figure runs the calendar
 /// queue ([`CalendarCore`], the default). The event-core kind `K` is a
 /// test seam: the determinism suites substitute the reference binary
 /// heap and assert bit-identical [`FabricStats`], and
-/// `stardust_bench::corebench` substitutes a recording queue.
+/// `tests/determinism.rs` substitutes a recording queue.
 pub struct FabricEngine<K: CoreKind = CalendarCore> {
     cfg: FabricConfig,
     topo: Topology,

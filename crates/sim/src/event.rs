@@ -17,8 +17,7 @@
 //!   of the O(log n) of a global heap.
 //! * [`HeapEventQueue`] — the reference calendar: a plain binary min-heap.
 //!   It is kept for differential tests (the property suite asserts the two
-//!   produce identical pop orders) and as the baseline of the old-vs-new
-//!   micro-benchmarks.
+//!   produce identical pop orders).
 //!
 //! The shared surface is the [`EventCore`] trait; engines are generic over
 //! a [`CoreKind`], which maps a marker type ([`CalendarCore`], [`HeapCore`])
@@ -608,9 +607,8 @@ impl<E> EventCore<E> for EventQueue<E> {
 /// `(time, sequence)`.
 ///
 /// This is the event core the workspace originally ran on. It is retained
-/// as the ordering oracle for the calendar queue (see the property suite)
-/// and as the baseline of the old-vs-new event-core micro-benchmarks; new
-/// code should use [`EventQueue`].
+/// as the ordering oracle for the calendar queue (see the property suite);
+/// new code should use [`EventQueue`].
 #[derive(Debug, Clone)]
 pub struct HeapEventQueue<E> {
     heap: BinaryHeap<ScheduledEvent<E>>,

@@ -9,13 +9,17 @@
 //! the paper's evaluation (and every future perf refactor here) relies on.
 
 use stardust::fabric::{FabricConfig, FabricEngine, FabricStats};
-use stardust::sim::{CalendarCore, CoreKind, DetRng, HeapCore, SimTime};
+use stardust::sim::{
+    CalendarCore, CoreKind, DetRng, EventCore, EventQueue, HeapCore, HeapEventQueue,
+    ScheduledEvent, SimTime,
+};
 use stardust::topo::builders::{two_tier, TwoTierParams};
 use stardust::workload::permutation;
+use std::cell::RefCell;
 
-/// Run the §6.2 two-tier permutation scenario at 1/16 scale on the
-/// event core `K`.
-fn permutation_run_on<K: CoreKind>(seed: u64) -> FabricEngine<K> {
+/// The §6.2 two-tier permutation scenario at 1/16 scale on the event
+/// core `K`, built and injected but not yet run.
+fn permutation_engine<K: CoreKind>(seed: u64) -> FabricEngine<K> {
     let params = TwoTierParams::paper_scaled(16);
     let tt = two_tier(params);
     let cfg = FabricConfig {
@@ -48,6 +52,12 @@ fn permutation_run_on<K: CoreKind>(seed: u64) -> FabricEngine<K> {
             );
         }
     }
+    e
+}
+
+/// Run [`permutation_engine`] for one simulated millisecond.
+fn permutation_run_on<K: CoreKind>(seed: u64) -> FabricEngine<K> {
+    let mut e = permutation_engine::<K>(seed);
     e.run_until(SimTime::from_millis(1));
     e
 }
@@ -87,6 +97,145 @@ fn heap_and_calendar_cores_bit_identical() {
     assert_eq!(heap.events_executed(), cal.events_executed());
     assert_eq!(heap.now(), cal.now());
     assert!(heap.stats().packets_delivered.get() > 0);
+}
+
+/// One recorded queue operation. Times are absolute picoseconds.
+#[derive(Debug, Clone, Copy)]
+enum TraceOp {
+    /// `schedule(at, _)`.
+    Schedule(u64),
+    /// One `pop` (batched drains are recorded as consecutive pops).
+    Pop,
+}
+
+thread_local! {
+    static TRACE: RefCell<Vec<TraceOp>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A [`CoreKind`] that records every queue operation to a thread-local
+/// trace while delegating to the production calendar queue: running the
+/// permutation scenario on a `FabricEngine<RecordingCore>` captures the
+/// genuine sequence of event times and drain patterns the engine
+/// generates, so the cores are compared under the *real* §6.2 workload
+/// and not a synthetic hold model.
+#[derive(Debug, Clone, Copy, Default)]
+struct RecordingCore;
+
+impl CoreKind for RecordingCore {
+    type Queue<E> = RecordingQueue<E>;
+}
+
+/// The queue behind [`RecordingCore`].
+#[derive(Debug)]
+struct RecordingQueue<E> {
+    inner: EventQueue<E>,
+}
+
+impl<E> EventCore<E> for RecordingQueue<E> {
+    fn new() -> Self {
+        RecordingQueue {
+            inner: EventQueue::new(),
+        }
+    }
+    fn now(&self) -> SimTime {
+        self.inner.now()
+    }
+    fn len(&self) -> usize {
+        self.inner.len()
+    }
+    fn events_executed(&self) -> u64 {
+        self.inner.events_executed()
+    }
+    fn schedule(&mut self, at: SimTime, payload: E) {
+        TRACE.with(|t| t.borrow_mut().push(TraceOp::Schedule(at.as_ps())));
+        self.inner.schedule(at, payload);
+    }
+    fn schedule_keyed(&mut self, at: SimTime, key: u64, payload: E) {
+        // The replay cares about times and drain patterns, not keys.
+        TRACE.with(|t| t.borrow_mut().push(TraceOp::Schedule(at.as_ps())));
+        self.inner.schedule_keyed(at, key, payload);
+    }
+    fn peek_time(&self) -> Option<SimTime> {
+        self.inner.peek_time()
+    }
+    fn visit_pending(&self, f: &mut dyn FnMut(SimTime, u64, &E)) {
+        // Inspection only — not a queue operation, so nothing is traced.
+        self.inner.visit_pending(f);
+    }
+    fn pop(&mut self) -> Option<ScheduledEvent<E>> {
+        let ev = self.inner.pop();
+        if ev.is_some() {
+            TRACE.with(|t| t.borrow_mut().push(TraceOp::Pop));
+        }
+        ev
+    }
+    fn pop_until(&mut self, horizon: SimTime) -> Option<ScheduledEvent<E>> {
+        let ev = self.inner.pop_until(horizon);
+        if ev.is_some() {
+            TRACE.with(|t| t.borrow_mut().push(TraceOp::Pop));
+        }
+        ev
+    }
+    fn pop_batch_until(&mut self, horizon: SimTime, out: &mut Vec<ScheduledEvent<E>>) -> usize {
+        let n = self.inner.pop_batch_until(horizon, out);
+        if n > 0 {
+            TRACE.with(|t| {
+                let mut t = t.borrow_mut();
+                t.extend(std::iter::repeat_n(TraceOp::Pop, n));
+            });
+        }
+        n
+    }
+    fn advance_clock(&mut self, to: SimTime) {
+        self.inner.advance_clock(to);
+    }
+    fn clear(&mut self) {
+        self.inner.clear();
+    }
+}
+
+/// Record the queue-operation trace of the saturated permutation
+/// scenario over `sim_micros` of simulated time.
+fn record_sec62_trace(sim_micros: u64) -> Vec<TraceOp> {
+    TRACE.with(|t| t.borrow_mut().clear());
+    let mut e = permutation_engine::<RecordingCore>(0xDC_FA_B0_05);
+    e.saturate_all_to_all(750, 16 * 1024);
+    e.run_until(SimTime::from_micros(sim_micros));
+    TRACE.with(|t| std::mem::take(&mut *t.borrow_mut()))
+}
+
+/// Replay a recorded trace against a fresh queue of core kind `Q`,
+/// returning a checksum of the popped sequence numbers (any ordering
+/// divergence shows up as a checksum mismatch between cores). Payloads
+/// are unit-sized, so the cores differ in their ordering machinery alone.
+fn replay<Q: EventCore<u32>>(trace: &[TraceOp]) -> u64 {
+    let mut q = Q::new();
+    let mut payload = 0u32;
+    let mut acc = 0u64;
+    for &op in trace {
+        match op {
+            TraceOp::Schedule(ps) => {
+                q.schedule(SimTime(ps), payload);
+                payload = payload.wrapping_add(1);
+            }
+            TraceOp::Pop => {
+                let ev = q.pop().expect("trace pops a scheduled event");
+                acc = acc
+                    .wrapping_mul(0x100_0000_01b3)
+                    .wrapping_add(ev.seq ^ ev.payload as u64);
+            }
+        }
+    }
+    acc
+}
+
+#[test]
+fn recorded_trace_replays_identically_on_both_cores() {
+    let trace = record_sec62_trace(20);
+    assert!(trace.len() > 1_000, "trace too small: {}", trace.len());
+    let heap = replay::<HeapEventQueue<u32>>(&trace);
+    let cal = replay::<EventQueue<u32>>(&trace);
+    assert_eq!(heap, cal, "replay checksums diverged between cores");
 }
 
 /// The Fig 10(b) Web mix on the cell fabric, via the shared `Scenario`
