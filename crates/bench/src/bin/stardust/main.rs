@@ -12,7 +12,6 @@
 //! stardust preset <name>                  # print a built-in spec
 //! stardust presets                        # list built-in spec names
 //! stardust fig [<name> [flags]]           # a paper figure; alone: list them
-//! stardust lint [--root dir] [--json out.json] [--quiet]
 //! stardust mc [--smoke] [--json out.json] [--quiet] [--seed N]
 //!             [--depth N] [--max-states N]
 //! ```
@@ -35,7 +34,6 @@ fn usage() -> ExitCode {
          [--max-rss-mb N] [--threads N]\n  \
          stardust check <spec.toml | dir>...\n  stardust preset <name>\n  stardust presets\n  \
          stardust fig [<name> [flags]]\n  \
-         stardust lint [--root dir] [--json out.json] [--quiet]\n  \
          stardust mc [--smoke] [--json out.json] [--quiet] [--seed N] [--depth N] \
          [--max-states N]"
     );
@@ -63,7 +61,6 @@ fn main() -> ExitCode {
         Some("check") => run(&argv[1..], true),
         Some("preset") => preset(&argv[1..]),
         Some("fig") => figs::main(&argv[1..]),
-        Some("lint") => lint(&argv[1..]),
         Some("mc") => mc(&argv[1..]),
         Some("presets") => {
             for name in presets::names() {
@@ -89,105 +86,6 @@ fn preset(args: &[String]) -> ExitCode {
             );
             ExitCode::FAILURE
         }
-    }
-}
-
-/// `stardust lint`: the determinism auditor (rules D1–D5) over the
-/// engine crates — same engine as the standalone `stardust-lint` binary,
-/// with `--json` emitting the findings as a document.
-fn lint(args: &[String]) -> ExitCode {
-    let mut root = PathBuf::from(".");
-    let mut json_out: Option<PathBuf> = None;
-    let mut quiet = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--root" => {
-                let Some(dir) = args.get(i + 1) else {
-                    return usage();
-                };
-                root = PathBuf::from(dir);
-                i += 2;
-            }
-            "--json" => {
-                let Some(out) = args.get(i + 1) else {
-                    return usage();
-                };
-                json_out = Some(PathBuf::from(out));
-                i += 2;
-            }
-            "--quiet" => {
-                quiet = true;
-                i += 1;
-            }
-            _ => return usage(),
-        }
-    }
-
-    let report = match stardust_lint::lint_workspace(&root) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("stardust: lint: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    for d in &report.diagnostics {
-        println!("{}", d.render());
-    }
-    if !quiet {
-        if report.clean() {
-            println!(
-                "stardust lint: clean ({} files scanned)",
-                report.files_scanned
-            );
-        } else {
-            eprintln!(
-                "stardust lint: {} finding(s) in {} scanned files",
-                report.diagnostics.len(),
-                report.files_scanned
-            );
-        }
-    }
-
-    if let Some(out) = json_out {
-        let doc = Json::Obj(vec![
-            ("tool".into(), Json::str("stardust-lint")),
-            ("root".into(), Json::str(root.display().to_string())),
-            (
-                "files_scanned".into(),
-                Json::num(report.files_scanned as f64),
-            ),
-            (
-                "findings".into(),
-                Json::Arr(
-                    report
-                        .diagnostics
-                        .iter()
-                        .map(|d| {
-                            Json::Obj(vec![
-                                ("file".into(), Json::str(d.file.display().to_string())),
-                                ("line".into(), Json::num(f64::from(d.line))),
-                                ("rule".into(), Json::str(d.rule.id())),
-                                ("name".into(), Json::str(d.rule.name())),
-                                ("message".into(), Json::str(d.message.clone())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("clean".into(), Json::Bool(report.clean())),
-        ]);
-        if let Err(e) = std::fs::write(&out, doc.render() + "\n") {
-            eprintln!("stardust: writing {}: {e}", out.display());
-            return ExitCode::FAILURE;
-        }
-    }
-
-    if report.clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
     }
 }
 

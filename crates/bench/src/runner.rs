@@ -9,7 +9,7 @@
 //! with the applied-event count kept for reporting).
 //! The runner owns the concrete engine construction (the spec's topology
 //! presets), collects the engine-agnostic [`FlowStats`] plus the fabric
-//! drop/discard counters, evaluates the spec's [`Checks`], and renders
+//! drop/discard counters, evaluates the spec's [`Checks`](crate::spec::Checks), and renders
 //! results as text tables or machine-readable JSON.
 
 use crate::fig10::{

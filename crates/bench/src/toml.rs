@@ -16,7 +16,7 @@
 //! Out of scope (rejected, never silently misread): multi-line strings
 //! and arrays, literal/quoted keys, inline tables, and dates.
 //!
-//! [`format`] renders a document back to text such that
+//! [`format()`] renders a document back to text such that
 //! `parse(format(parse(s))) == parse(s)` — the round-trip the spec tests
 //! pin down. Tables format with scalar keys first, then sub-tables,
 //! keys in sorted order.

@@ -1,0 +1,948 @@
+//! Unit tests of the fabric engine (`engine::tests`).
+
+use super::*;
+use crate::shard::ShardedFabricEngine;
+use stardust_sim::FlowStats;
+use stardust_topo::builders::{
+    single_tier, three_tier, two_tier, SingleTierParams, ThreeTierParams, TwoTierParams,
+};
+
+fn small_engine(cfg: FabricConfig) -> FabricEngine {
+    let tt = two_tier(TwoTierParams::paper_scaled(16));
+    FabricEngine::new(tt.topo, cfg)
+}
+
+fn cfg_small() -> FabricConfig {
+    FabricConfig {
+        host_ports: 2,
+        host_port_bps: stardust_sim::units::gbps(40),
+        ctrl_latency: SimDuration::from_micros(1),
+        ..FabricConfig::default()
+    }
+}
+
+#[test]
+fn single_packet_traverses_the_fabric() {
+    let mut e = small_engine(cfg_small());
+    e.inject(SimTime::ZERO, 0, 8, 0, 0, 1500);
+    e.run_until(SimTime::from_millis(2));
+    assert_eq!(e.stats().packets_injected.get(), 1);
+    assert_eq!(e.stats().packets_delivered.get(), 1);
+    assert_eq!(e.stats().bytes_delivered.get(), 1500);
+    assert_eq!(e.stats().packets_discarded.get(), 0);
+    assert_eq!(e.stats().cells_dropped.get(), 0);
+    // 1500B in ≤256B cells: ceil(1500/248) = 7 cells.
+    assert_eq!(e.stats().cells_sent.get(), 7);
+    assert_eq!(e.stats().cells_delivered.get(), 7);
+}
+
+#[test]
+fn packet_latency_is_physical() {
+    let mut e = small_engine(cfg_small());
+    e.inject(SimTime::ZERO, 0, 8, 0, 0, 1500);
+    e.run_until(SimTime::from_millis(2));
+    // Control round trip (request + credit = 2µs) + 4 hops of ~0.5µs
+    // propagation + serialization. Expect single-digit µs, not ms.
+    let lat = e.stats().packet_latency_ns.mean();
+    assert!(lat > 2_000.0, "latency {lat}ns too low");
+    assert!(lat < 20_000.0, "latency {lat}ns too high");
+}
+
+#[test]
+fn every_pair_communicates() {
+    let mut e = small_engine(cfg_small());
+    let n = e.num_fas() as u32;
+    for src in 0..n {
+        for dst in 0..n {
+            if src != dst {
+                e.inject(SimTime::ZERO, src, dst, 0, 0, 900);
+            }
+        }
+    }
+    e.run_until(SimTime::from_millis(5));
+    assert_eq!(e.stats().packets_delivered.get(), (n * (n - 1)) as u64);
+    assert_eq!(e.stats().cells_dropped.get(), 0);
+}
+
+#[test]
+fn deterministic_runs() {
+    let run = || {
+        let mut e = small_engine(cfg_small());
+        let n = e.num_fas() as u32;
+        for src in 0..n {
+            e.inject(SimTime::ZERO, src, (src + 1) % n, 0, 0, 4000);
+        }
+        e.run_until(SimTime::from_millis(2));
+        (
+            e.stats().packets_delivered.get(),
+            e.stats().cells_sent.get(),
+            e.stats().packet_latency_ns.mean().to_bits(),
+            e.events_executed(),
+        )
+    };
+    assert_eq!(run(), run());
+}
+
+#[test]
+fn saturation_mode_fills_the_fabric() {
+    let mut cfg = cfg_small();
+    cfg.host_port_bps = stardust_sim::units::gbps(40);
+    let mut e = small_engine(cfg);
+    e.saturate_all_to_all(750, 32 * 1024);
+    e.begin_measurement(SimTime::from_micros(200));
+    e.run_until(SimTime::from_millis(2));
+    assert!(e.stats().packets_delivered.get() > 1000);
+    assert_eq!(
+        e.stats().cells_dropped.get(),
+        0,
+        "scheduled fabric is lossless"
+    );
+    // The last-stage queue distribution collected samples.
+    assert!(e.stats().last_stage_queue.count() > 1000);
+}
+
+#[test]
+fn lossless_under_incast() {
+    // §5.4: incast accumulates in ingress VOQs, no fabric loss.
+    let cfg = cfg_small();
+    let mut e = small_engine(cfg);
+    let n = e.num_fas() as u32;
+    // Every other FA sends a 100KB burst to FA 0 port 0.
+    for src in 1..n {
+        for i in 0..100 {
+            e.inject(SimTime::from_nanos(i * 100), src, 0, 0, 0, 1000);
+        }
+    }
+    e.run_until(SimTime::from_millis(10));
+    assert_eq!(e.stats().packets_delivered.get(), ((n - 1) * 100) as u64);
+    assert_eq!(e.stats().cells_dropped.get(), 0);
+    assert_eq!(e.stats().packets_discarded.get(), 0);
+}
+
+#[test]
+fn three_tier_fabric_works_end_to_end() {
+    // §5.1: deeper fabrics are just more tiers of the same Fabric
+    // Element; the engine's up/down forwarding and the reachability
+    // seeding are tier-count agnostic.
+    let tt = three_tier(ThreeTierParams::small());
+    let mut e = FabricEngine::new(tt.topo, cfg_small());
+    let n = e.num_fas() as u32;
+    for src in 0..n {
+        for dst in 0..n {
+            if src != dst {
+                e.inject(SimTime::ZERO, src, dst, 0, 0, 1200);
+            }
+        }
+    }
+    e.run_until(SimTime::from_millis(5));
+    assert_eq!(e.stats().packets_delivered.get(), (n * (n - 1)) as u64);
+    assert_eq!(e.stats().cells_dropped.get(), 0);
+    // Cross-super-pod latency includes 6 hops of propagation.
+    assert!(e.stats().cell_latency_ns.max() > 2_000);
+}
+
+#[test]
+fn three_tier_dynamic_reach_converges_and_heals() {
+    let mut cfg = cfg_small();
+    cfg.reach_interval = Some(SimDuration::from_micros(10));
+    let tt = three_tier(ThreeTierParams::small());
+    let victim = tt.fas[0];
+    let uplink = tt.topo.up_links(victim)[0];
+    let mut e = FabricEngine::new(tt.topo, cfg);
+    e.run_until(SimTime::from_micros(200));
+    e.fail_link(uplink);
+    e.run_until(SimTime::from_micros(600));
+    assert!(!e.tx.devices.fa_reach(0).port_up(0));
+    let t0 = e.now();
+    for i in 0..60u64 {
+        e.inject(t0 + SimDuration::from_nanos(i * 700), 0, 15, 0, 0, 1500);
+    }
+    e.run_until(t0 + SimDuration::from_millis(5));
+    assert_eq!(e.stats().packets_delivered.get(), 60);
+    assert_eq!(e.stats().packets_discarded.get(), 0);
+}
+
+#[test]
+fn single_tier_system_works() {
+    let st = single_tier(SingleTierParams {
+        num_fa: 8,
+        fa_uplinks: 8,
+        fe_count: 4,
+        meters: 2,
+    });
+    let mut e = FabricEngine::new(st.topo, cfg_small());
+    for src in 0..8u32 {
+        e.inject(SimTime::ZERO, src, (src + 3) % 8, 0, 0, 9000);
+    }
+    e.run_until(SimTime::from_millis(2));
+    assert_eq!(e.stats().packets_delivered.get(), 8);
+    assert_eq!(e.stats().cells_dropped.get(), 0);
+}
+
+#[test]
+fn static_mode_link_failure_blackholes() {
+    // Without the reachability protocol a failed link silently eats
+    // its share of cells (motivates §5.9's self-healing).
+    let mut e = small_engine(cfg_small());
+    let fa0_uplink = e.tx.devices.fa_link(0, 0);
+    e.fail_link(fa0_uplink);
+    for i in 0..50 {
+        e.inject(SimTime::from_nanos(i * 1000), 0, 8, 0, 0, 4000);
+    }
+    e.run_until(SimTime::from_millis(5));
+    assert!(
+        e.stats().packets_discarded.get() > 0,
+        "some bursts must time out"
+    );
+    assert!(e.stats().cells_dropped.get() > 0);
+}
+
+#[test]
+fn dynamic_reach_heals_link_failure() {
+    let mut cfg = cfg_small();
+    cfg.reach_interval = Some(SimDuration::from_micros(10));
+    cfg.reach_miss_threshold = 3;
+    let mut e = small_engine(cfg);
+    // Let the protocol breathe, then fail one of FA0's uplinks.
+    e.run_until(SimTime::from_micros(100));
+    let link = e.tx.devices.fa_link(0, 0);
+    e.fail_link(link);
+    // Wait for detection (3 missed 10µs intervals + margin).
+    e.run_until(SimTime::from_micros(300));
+    assert!(
+        !e.tx.devices.fa_reach(0).port_up(0),
+        "FA should have declared its uplink dead"
+    );
+    // Traffic now flows around the dead link with zero loss.
+    let t0 = e.now();
+    for i in 0..100u64 {
+        e.inject(t0 + SimDuration::from_nanos(i * 500), 0, 8, 0, 0, 2000);
+    }
+    e.run_until(t0 + SimDuration::from_millis(5));
+    assert_eq!(e.stats().packets_delivered.get(), 100);
+    assert_eq!(e.stats().packets_discarded.get(), 0);
+}
+
+#[test]
+fn restored_link_revives_after_good_streak() {
+    let mut cfg = cfg_small();
+    cfg.reach_interval = Some(SimDuration::from_micros(10));
+    let mut e = small_engine(cfg);
+    e.run_until(SimTime::from_micros(100));
+    let link = e.tx.devices.fa_link(0, 0);
+    e.fail_link(link);
+    e.run_until(SimTime::from_micros(300));
+    assert!(!e.tx.devices.fa_reach(0).port_up(0));
+    e.restore_link(link);
+    e.run_until(SimTime::from_micros(600));
+    assert!(
+        e.tx.devices.fa_reach(0).port_up(0),
+        "link should be re-admitted"
+    );
+}
+
+#[test]
+fn traffic_classes_strict_priority_delivery() {
+    // Low-TC (high priority) traffic completes ahead of high-TC when
+    // both compete for the same egress port.
+    let mut e = small_engine(cfg_small());
+    for i in 0..200u64 {
+        e.inject(SimTime::from_nanos(i), 1, 0, 0, 1, 1500); // low prio
+        e.inject(SimTime::from_nanos(i), 2, 0, 0, 0, 1500); // high prio
+    }
+    e.run_until(SimTime::from_millis(20));
+    assert_eq!(e.stats().packets_delivered.get(), 400);
+    assert_eq!(e.stats().cells_dropped.get(), 0);
+}
+
+#[test]
+fn fabric_utilization_accounting() {
+    // 2 ports × 40G host side vs 2 uplinks × 50G fabric: util ≈
+    // 80/96.9 ≈ 0.83 of payload capacity when saturated.
+    let mut e = small_engine(cfg_small());
+    e.saturate_all_to_all(750, 16 * 1024);
+    e.run_until(SimTime::from_millis(2));
+    let u = e.fabric_utilization(SimDuration::from_millis(2));
+    assert!(u > 0.75 && u < 0.90, "utilization {u}");
+}
+
+#[test]
+fn host_flow_control_avoids_ingress_drops() {
+    // §5.4: "Even if the packet buffers are not sufficient, the source
+    // Fabric Adapter can avoid packet loss by sending flow control
+    // messages back to the host."
+    let run = |fc: bool| {
+        let mut cfg = cfg_small();
+        cfg.voq_max_bytes = Some(16 * 1024);
+        cfg.host_fc = fc.then_some((12 * 1024, 8 * 1024));
+        let mut e = small_engine(cfg);
+        for src in 1..8u32 {
+            e.add_cbr_flow(
+                src,
+                0,
+                0,
+                0,
+                stardust_sim::units::gbps(40),
+                1500,
+                SimTime::ZERO,
+                SimTime::from_millis(2),
+            );
+        }
+        e.run_until(SimTime::from_millis(4));
+        (
+            e.stats().ingress_drops.get(),
+            e.stats().host_fc_pauses.get(),
+        )
+    };
+    let (drops_nofc, pauses_nofc) = run(false);
+    let (drops_fc, pauses_fc) = run(true);
+    assert!(drops_nofc > 0, "without FC the VOQ cap must drop");
+    assert_eq!(pauses_nofc, 0);
+    assert_eq!(drops_fc, 0, "with FC nothing is dropped at ingress");
+    assert!(pauses_fc > 0, "FC must actually have paused the sources");
+}
+
+#[test]
+fn voq_cap_drops_persistent_oversubscription() {
+    // §3.1: long-term oversubscription drops at the Fabric Adapter.
+    let mut cfg = cfg_small();
+    cfg.voq_max_bytes = Some(16 * 1024);
+    let mut e = small_engine(cfg);
+    // Offer far more toward one port than it can drain.
+    for src in 1..8u32 {
+        e.add_cbr_flow(
+            src,
+            0,
+            0,
+            0,
+            stardust_sim::units::gbps(40),
+            1500,
+            SimTime::ZERO,
+            SimTime::from_millis(2),
+        );
+    }
+    e.run_until(SimTime::from_millis(4));
+    let s = e.stats();
+    assert!(s.ingress_drops.get() > 0, "VOQ cap must drop");
+    assert_eq!(s.cells_dropped.get(), 0, "the fabric itself stays lossless");
+    // Every VOQ stayed within its cap.
+    assert!(s.max_voq_bytes <= 16 * 1024);
+}
+
+#[test]
+fn low_latency_tc_skips_the_credit_round_trip() {
+    // §5.6: "a low latency VOQ starts transmitting immediately."
+    let fct_of = |ll: Option<u8>| {
+        let mut cfg = cfg_small();
+        cfg.low_latency_tc = ll;
+        let mut e = small_engine(cfg);
+        e.inject(SimTime::ZERO, 0, 8, 0, ll.unwrap_or(0), 256);
+        e.run_until(SimTime::from_millis(1));
+        assert_eq!(e.stats().packets_delivered.get(), 1);
+        e.stats().packet_latency_ns.mean()
+    };
+    let normal = fct_of(None);
+    let low_lat = fct_of(Some(0));
+    // The credit round trip is 2 × 1µs of control latency; the LL path
+    // saves it.
+    assert!(
+        low_lat < normal - 1_500.0,
+        "low-latency {low_lat}ns vs normal {normal}ns"
+    );
+}
+
+#[test]
+fn link_errors_lose_cells_and_protocol_excludes_the_link() {
+    let mut cfg = cfg_small();
+    cfg.reach_interval = Some(SimDuration::from_micros(10));
+    cfg.reach_miss_threshold = 3;
+    let mut e = small_engine(cfg);
+    e.run_until(SimTime::from_micros(50));
+    let victim = e.tx.devices.fa_link(0, 0);
+    // 60% cell loss: reachability messages miss 3 in a row with
+    // probability 0.216 per window — the link is declared faulty
+    // within a few hundred µs.
+    e.set_link_error_rate(victim, 0.6);
+    e.run_until(SimTime::from_millis(2));
+    assert!(
+        !e.tx.devices.fa_reach(0).port_up(0),
+        "noisy link must be excluded"
+    );
+    // Traffic now flows cleanly around it.
+    let t0 = e.now();
+    for i in 0..100u64 {
+        e.inject(t0 + SimDuration::from_nanos(i * 500), 0, 8, 0, 0, 2000);
+    }
+    e.run_until(t0 + SimDuration::from_millis(5));
+    assert_eq!(e.stats().packets_delivered.get(), 100);
+    assert_eq!(e.stats().packets_discarded.get(), 0);
+    // Repairing the link (error rate back to zero) re-admits it after
+    // the good-streak threshold.
+    e.set_link_error_rate(victim, 0.0);
+    let t1 = e.now();
+    e.run_until(t1 + SimDuration::from_millis(1));
+    assert!(
+        e.tx.devices.fa_reach(0).port_up(0),
+        "repaired link must revive"
+    );
+}
+
+#[test]
+fn wrr_policy_shares_port_bandwidth() {
+    use crate::config::SchedPolicy;
+    let mut cfg = cfg_small();
+    cfg.sched_policy = SchedPolicy::Wrr(vec![3, 1]);
+    let mut e = small_engine(cfg);
+    // Two saturating flows of different classes into one port.
+    let stop = SimTime::from_millis(4);
+    e.add_cbr_flow(
+        1,
+        0,
+        0,
+        0,
+        stardust_sim::units::gbps(40),
+        1500,
+        SimTime::ZERO,
+        stop,
+    );
+    e.add_cbr_flow(
+        2,
+        0,
+        0,
+        1,
+        stardust_sim::units::gbps(40),
+        1500,
+        SimTime::ZERO,
+        stop,
+    );
+    e.run_until(SimTime::from_millis(4));
+    let a = e.stats().delivered_per_fa[0];
+    assert!(a > 0);
+    // Class split ≈ 3:1 at the shared port: check via packet latency
+    // proxy — class 1 backlog grows (its VOQ got 1/4 of the port).
+    // Direct check: delivered bytes per source FA.
+    let d1 = e.stats().delivered_per_port[0][0];
+    assert!(d1 > 0);
+    // With Strict instead, class 1 would be fully starved; WRR must
+    // deliver a substantial share to both. Compare against strict run:
+    let mut cfg2 = cfg_small();
+    cfg2.sched_policy = SchedPolicy::Strict;
+    let mut e2 = small_engine(cfg2);
+    e2.add_cbr_flow(
+        1,
+        0,
+        0,
+        0,
+        stardust_sim::units::gbps(40),
+        1500,
+        SimTime::ZERO,
+        stop,
+    );
+    e2.add_cbr_flow(
+        2,
+        0,
+        0,
+        1,
+        stardust_sim::units::gbps(40),
+        1500,
+        SimTime::ZERO,
+        stop,
+    );
+    e2.run_until(SimTime::from_millis(4));
+    // Low class delivered strictly more under WRR than under strict.
+    // (Both runs share seeds and arrival patterns.)
+    let low_wrr = e.stats().packets_delivered.get();
+    let low_strict = e2.stats().packets_delivered.get();
+    assert!(
+        low_wrr >= low_strict,
+        "wrr {low_wrr} vs strict {low_strict}"
+    );
+}
+
+#[test]
+fn gradual_growth_partially_populated_fabric() {
+    // §5.1: "it is not necessary to populate the entire fabric from
+    // the start ... adding Fabric Elements over time within a live
+    // network." Model: start with half the spine links disabled,
+    // verify lossless operation at reduced capacity, then enable them
+    // live and verify capacity rises.
+    let mut cfg = cfg_small();
+    cfg.reach_interval = Some(SimDuration::from_micros(10));
+    let tt = two_tier(TwoTierParams::paper_scaled(16));
+    // Spine links occupy the tail of the link list: FA uplinks come
+    // first (num_fa × t), then t1↔t2.
+    let first_spine_link = 16 * 2;
+    let spine_links: Vec<u32> = (first_spine_link..tt.topo.num_links() as u32).collect();
+    let mut e = FabricEngine::new(tt.topo, cfg);
+    // Disable half the spine (every other link).
+    for &l in spine_links.iter().step_by(2) {
+        e.fail_link(stardust_topo::LinkId(l));
+    }
+    e.run_until(SimTime::from_micros(500)); // protocol converges
+    let stop1 = SimTime::from_millis(3);
+    for src in 0..8u32 {
+        e.add_cbr_flow(
+            src,
+            src + 8,
+            0,
+            0,
+            stardust_sim::units::gbps(30),
+            1500,
+            e.now(),
+            stop1,
+        );
+    }
+    e.run_until(stop1 + SimDuration::from_millis(1));
+    let delivered_half = e.stats().packets_delivered.get();
+    let discarded_half = e.stats().packets_discarded.get();
+    assert!(delivered_half > 0);
+    assert_eq!(
+        discarded_half, 0,
+        "partially populated fabric is still lossless"
+    );
+
+    // "Install" the missing Fabric Elements live.
+    for &l in spine_links.iter().step_by(2) {
+        e.restore_link(stardust_topo::LinkId(l));
+    }
+    e.run_until(e.now() + SimDuration::from_micros(500));
+    let t2 = e.now();
+    let stop2 = t2 + SimDuration::from_millis(3);
+    for src in 0..8u32 {
+        e.add_cbr_flow(
+            src,
+            src + 8,
+            0,
+            0,
+            stardust_sim::units::gbps(30),
+            1500,
+            t2,
+            stop2,
+        );
+    }
+    e.run_until(stop2 + SimDuration::from_millis(1));
+    assert_eq!(e.stats().packets_discarded.get(), 0);
+    assert!(e.stats().packets_delivered.get() > delivered_half);
+}
+
+#[test]
+#[should_panic(expected = "self-destined")]
+fn self_traffic_rejected() {
+    let mut e = small_engine(cfg_small());
+    e.inject(SimTime::ZERO, 0, 0, 0, 0, 100);
+}
+
+/// One out-of-range endpoint value on one of the three ingress calls:
+/// the call itself must panic, naming the value — on the sequential
+/// engine and through a 2-shard engine alike, where the alternative is an
+/// index panic on a worker thread mid-run.
+macro_rules! rejects_bad_endpoint {
+    ($seq:ident, $sharded:ident, $expected:literal, |$e:ident| $call:expr) => {
+        #[test]
+        #[should_panic(expected = $expected)]
+        fn $seq() {
+            let mut $e = small_engine(cfg_small());
+            $call;
+        }
+
+        #[test]
+        #[should_panic(expected = $expected)]
+        fn $sharded() {
+            let tt = two_tier(TwoTierParams::paper_scaled(16));
+            let mut $e = ShardedFabricEngine::new(tt.topo, cfg_small(), 2);
+            $call;
+        }
+    };
+}
+
+// `cfg_small` on the 16-FA fabric: FAs 0..16, host ports 0..2, classes 0..2.
+rejects_bad_endpoint!(
+    inject_rejects_src_fa_out_of_range,
+    sharded_inject_rejects_src_fa_out_of_range,
+    "src_fa 16 out of range",
+    |e| e.inject(SimTime::ZERO, 16, 0, 0, 0, 100)
+);
+rejects_bad_endpoint!(
+    inject_rejects_dst_port_out_of_range,
+    sharded_inject_rejects_dst_port_out_of_range,
+    "dst_port 2 out of range",
+    |e| e.inject(SimTime::ZERO, 0, 8, 2, 0, 100)
+);
+rejects_bad_endpoint!(
+    inject_rejects_tc_out_of_range,
+    sharded_inject_rejects_tc_out_of_range,
+    "tc 2 out of range",
+    |e| e.inject(SimTime::ZERO, 0, 8, 0, 2, 100)
+);
+rejects_bad_endpoint!(
+    cbr_flow_rejects_src_fa_out_of_range,
+    sharded_cbr_flow_rejects_src_fa_out_of_range,
+    "src_fa 16 out of range",
+    |e| e.add_cbr_flow(16, 0, 0, 0, 1_000_000, 1500, SimTime::ZERO, SimTime::MAX)
+);
+rejects_bad_endpoint!(
+    cbr_flow_rejects_dst_port_out_of_range,
+    sharded_cbr_flow_rejects_dst_port_out_of_range,
+    "dst_port 2 out of range",
+    |e| e.add_cbr_flow(0, 8, 2, 0, 1_000_000, 1500, SimTime::ZERO, SimTime::MAX)
+);
+rejects_bad_endpoint!(
+    cbr_flow_rejects_tc_out_of_range,
+    sharded_cbr_flow_rejects_tc_out_of_range,
+    "tc 2 out of range",
+    |e| e.add_cbr_flow(0, 8, 0, 2, 1_000_000, 1500, SimTime::ZERO, SimTime::MAX)
+);
+rejects_bad_endpoint!(
+    message_rejects_src_fa_out_of_range,
+    sharded_message_rejects_src_fa_out_of_range,
+    "src_fa 16 out of range",
+    |e| e.add_message(16, 0, 0, 0, 1000, SimTime::ZERO)
+);
+rejects_bad_endpoint!(
+    message_rejects_dst_port_out_of_range,
+    sharded_message_rejects_dst_port_out_of_range,
+    "dst_port 2 out of range",
+    |e| e.add_message(0, 8, 2, 0, 1000, SimTime::ZERO)
+);
+rejects_bad_endpoint!(
+    message_rejects_tc_out_of_range,
+    sharded_message_rejects_tc_out_of_range,
+    "tc 2 out of range",
+    |e| e.add_message(0, 8, 0, 2, 1000, SimTime::ZERO)
+);
+
+#[test]
+fn run_for_advances_by_full_duration() {
+    // Regression: `pop_until` used to leave `now` at the last popped
+    // event, so back-to-back `run_for(d)` calls advanced by less than
+    // `d` each. The horizon must now be committed to the clock.
+    let mut e = small_engine(cfg_small());
+    e.inject(SimTime::ZERO, 0, 8, 0, 0, 1500);
+    e.run_for(SimDuration::from_micros(100));
+    assert_eq!(e.now(), SimTime::from_micros(100));
+    e.run_for(SimDuration::from_micros(100));
+    assert_eq!(e.now(), SimTime::from_micros(200));
+    // And an idle engine still advances.
+    e.run_for(SimDuration::from_micros(50));
+    assert_eq!(e.now(), SimTime::from_micros(250));
+    assert_eq!(e.stats().packets_delivered.get(), 1);
+}
+
+#[test]
+fn fabric_utilization_degenerate_inputs_are_zero() {
+    // Zero-length window on a live engine: 0.0, not a division by 0.
+    let mut e = small_engine(cfg_small());
+    e.inject(SimTime::ZERO, 0, 8, 0, 0, 1500);
+    e.run_until(SimTime::from_millis(1));
+    assert!(e.stats().bytes_delivered.get() > 0);
+    assert_eq!(e.fabric_utilization(SimDuration::ZERO), 0.0);
+    // Zero-FA topology edge, via the factored-out math (the engine
+    // constructor refuses FA-less topologies).
+    let w = SimDuration::from_millis(1);
+    assert_eq!(
+        payload_utilization(0, 4, 50_000_000_000, 0.97, 1_000, w),
+        0.0
+    );
+    assert_eq!(
+        payload_utilization(4, 0, 50_000_000_000, 0.97, 1_000, w),
+        0.0
+    );
+    // Sanity: the live path still reports a positive fraction.
+    assert!(e.fabric_utilization(SimDuration::from_millis(1)) > 0.0);
+}
+
+#[test]
+fn heap_core_engine_matches_calendar_core() {
+    // The event core must be behavior-invisible: the same workload on
+    // the reference heap core and on the calendar core produces
+    // bit-identical measurements (the full §6.2 version of this check
+    // lives in tests/determinism.rs).
+    fn run<K: stardust_sim::CoreKind>() -> FabricStats {
+        let tt = two_tier(TwoTierParams::paper_scaled(16));
+        let mut e = FabricEngine::<K>::with_core(tt.topo, cfg_small());
+        let n = e.num_fas() as u32;
+        for src in 0..n {
+            e.inject(SimTime::ZERO, src, (src + 5) % n, 0, 0, 4000);
+            e.inject(
+                SimTime::from_nanos(src as u64 * 97),
+                src,
+                (src + 1) % n,
+                1,
+                1,
+                700,
+            );
+        }
+        e.run_until(SimTime::from_millis(2));
+        std::mem::replace(&mut e.ctx.stats, FabricStats::new(0, 0, false))
+    }
+    let heap = run::<stardust_sim::HeapCore>();
+    let cal = run::<stardust_sim::CalendarCore>();
+    assert_eq!(heap, cal, "event cores diverged");
+    assert!(heap.packets_delivered.get() > 0);
+}
+
+#[test]
+fn message_flow_completes_and_records_fct() {
+    let mut e = small_engine(cfg_small());
+    let id = e.add_message(0, 8, 0, 0, 100_000, SimTime::ZERO);
+    e.run_until(SimTime::from_millis(5));
+    let flows = &e.stats().flows;
+    assert_eq!(flows.len(), 1);
+    assert_eq!(flows.completed(), 1);
+    let rec = flows.records()[id as usize];
+    assert_eq!((rec.src, rec.dst, rec.bytes), (0, 8, 100_000));
+    let fct = rec.fct().expect("finished");
+    // Credit round trip (2 × 1µs control latency) bounds it below;
+    // 100 KB at 40G host egress is 20µs of serialization alone.
+    assert!(fct > SimDuration::from_micros(20), "fct {fct}");
+    assert!(fct < SimDuration::from_millis(2), "fct {fct}");
+    // The message was segmented at the MTU: ceil(100000/1500) packets.
+    assert_eq!(e.stats().packets_injected.get(), 67);
+    assert_eq!(e.stats().packets_delivered.get(), 67);
+    assert_eq!(e.stats().bytes_delivered.get(), 100_000);
+    assert_eq!(e.stats().cells_dropped.get(), 0);
+    // Completion accounting fully drained.
+    assert_eq!(e.msg_remaining_of(id), 0);
+}
+
+#[test]
+fn bounded_flows_match_the_exact_table_sketched() {
+    // The same message workload in bounded (sketch) mode must produce
+    // exactly the stats the table-mode run collapses to via
+    // `FlowStats::sketched()` — every sketch-book operation commutes,
+    // so even though the two modes record finishes in different
+    // bookkeeping, the end state is bit-identical.
+    let offer = |e: &mut FabricEngine| {
+        let n = e.num_fas() as u32;
+        for src in 0..n {
+            e.add_message(
+                src,
+                (src + 3) % n,
+                0,
+                0,
+                30_000 + src as u64 * 500,
+                SimTime::from_nanos(src as u64 * 113),
+            );
+        }
+        e.run_until(SimTime::from_millis(10));
+    };
+    let mut table = small_engine(cfg_small());
+    offer(&mut table);
+    let mut cfg = cfg_small();
+    cfg.bounded_flows = true;
+    let mut bounded = small_engine(cfg);
+    offer(&mut bounded);
+    let b = &bounded.stats().flows;
+    assert!(b.is_sketched());
+    assert!(
+        b.records().is_empty(),
+        "bounded mode keeps no per-flow rows"
+    );
+    assert_eq!(*b, table.stats().flows.sketched());
+    assert_eq!(b.completed(), b.len());
+    // In-flight state fully reclaimed once every flow finished.
+    // (`None` would mean the table book: bounded_flows must stream.)
+    assert_eq!(bounded.ingress.pending_messages(), Some(0));
+    assert_eq!(bounded.tx.egress.active_messages(), Some(0));
+}
+
+#[test]
+fn message_incast_completes_fairly_without_fabric_loss() {
+    // §5.4 on the cell fabric: N-to-1 messages are absorbed in ingress
+    // VOQs and drained by the egress credit scheduler round-robin, so
+    // first ≈ last FCT and nothing is dropped inside the fabric.
+    let mut e = small_engine(cfg_small());
+    let n = e.num_fas() as u32;
+    for src in 1..n {
+        e.add_message(src, 0, 0, 0, 150_000, SimTime::ZERO);
+    }
+    e.run_until(SimTime::from_millis(10));
+    let flows = &e.stats().flows;
+    assert_eq!(flows.completed(), (n - 1) as usize);
+    assert_eq!(e.stats().cells_dropped.get(), 0);
+    assert_eq!(e.stats().packets_discarded.get(), 0);
+    let first = flows.fct_quantile(0.0).unwrap().as_secs_f64();
+    let last = flows.fct_quantile(1.0).unwrap().as_secs_f64();
+    assert!(last / first < 1.5, "first {first} last {last}");
+}
+
+#[test]
+fn message_flows_are_deterministic() {
+    let run = || {
+        let mut e = small_engine(cfg_small());
+        let n = e.num_fas() as u32;
+        for src in 0..n {
+            e.add_message(
+                src,
+                (src + 3) % n,
+                0,
+                0,
+                40_000 + src as u64 * 1000,
+                SimTime::from_nanos(src as u64 * 77),
+            );
+        }
+        e.run_until(SimTime::from_millis(10));
+        std::mem::replace(&mut e.ctx.stats.flows, FlowStats::new())
+    };
+    let a = run();
+    let b = run();
+    assert_eq!(a, b, "same-seed message runs diverged");
+    assert_eq!(a.completed(), a.len());
+}
+
+#[test]
+fn discarded_message_packets_leave_the_flow_unfinished() {
+    // Static-mode link failure blackholes a share of every burst, so
+    // reassembly timeouts discard the packets: the flow must stay
+    // unfinished (there is no retransmission) with undelivered bytes
+    // still outstanding in its completion accounting.
+    let mut e = small_engine(cfg_small());
+    e.fail_link(e.tx.devices.fa_link(0, 0));
+    let id = e.add_message(0, 8, 0, 0, 60_000, SimTime::ZERO);
+    e.run_until(SimTime::from_millis(10));
+    assert!(
+        e.stats().packets_discarded.get() > 0,
+        "bursts must time out"
+    );
+    assert!(e.stats().flows.records()[id as usize].fct().is_none());
+    assert!(e.msg_remaining_of(id) > 0, "bytes must stay undelivered");
+}
+
+#[test]
+fn low_latency_message_skips_the_credit_round_trip() {
+    let fct_of = |ll: Option<u8>| {
+        let mut cfg = cfg_small();
+        cfg.low_latency_tc = ll;
+        let mut e = small_engine(cfg);
+        let id = e.add_message(0, 8, 0, ll.unwrap_or(0), 1_200, SimTime::ZERO);
+        e.run_until(SimTime::from_millis(1));
+        e.stats().flows.records()[id as usize]
+            .fct()
+            .expect("finished")
+    };
+    let normal = fct_of(None);
+    let low_lat = fct_of(Some(0));
+    assert!(
+        low_lat + SimDuration::from_nanos(1_500) < normal,
+        "low-latency {low_lat} vs normal {normal}"
+    );
+}
+
+#[test]
+fn failed_link_direction_receives_zero_cells() {
+    // Regression for the reach → sprayer plumbing: once the protocol
+    // excludes a dead uplink, the spray permutation must shrink to the
+    // eligible set — the dead direction sees **zero** new cells (they
+    // would be counted in cells_dropped at push time otherwise).
+    let mut cfg = cfg_small();
+    cfg.reach_interval = Some(SimDuration::from_micros(10));
+    cfg.reach_miss_threshold = 3;
+    let mut e = small_engine(cfg);
+    e.run_until(SimTime::from_micros(100));
+    let link = e.tx.devices.fa_link(0, 0);
+    let from_end = e.topo.link(link).end_of(e.tx.devices.fa_node(0));
+    e.fail_link(link);
+    e.run_until(SimTime::from_micros(300));
+    assert!(
+        !e.tx.devices.fa_reach(0).port_up(0),
+        "uplink must be excluded"
+    );
+    let dropped_before = e.stats().cells_dropped.get();
+    let t0 = e.now();
+    for i in 0..200u64 {
+        e.inject(t0 + SimDuration::from_nanos(i * 500), 0, 8, 0, 0, 2000);
+    }
+    e.run_until(t0 + SimDuration::from_millis(5));
+    assert_eq!(e.stats().packets_delivered.get(), 200);
+    assert_eq!(
+        e.stats().cells_dropped.get(),
+        dropped_before,
+        "cells were still routed at the failed direction"
+    );
+    assert_eq!(e.dir_depth(link, from_end), 0);
+    // The cached sprayer rebuilt against the shrunken eligible set.
+    let sprayer = e.tx.devices.fa_sprayer(0, 8);
+    assert_eq!(sprayer.width(), e.tx.devices.fa_uplinks() - 1);
+    assert!(!sprayer.links().contains(&0), "dead port 0 still eligible");
+}
+
+#[test]
+fn link_admin_ops_are_idempotent_noops() {
+    let mut cfg = cfg_small();
+    cfg.reach_interval = Some(SimDuration::from_micros(10));
+    let mut e = small_engine(cfg);
+    e.run_until(SimTime::from_micros(50));
+    let link = e.tx.devices.fa_link(0, 0);
+    assert!(e.link_up(link));
+    // Restoring a never-failed link is a no-op: nothing is stamped.
+    e.restore_link(link);
+    assert_eq!(e.stats().last_link_event_ps, 0);
+    e.fail_link(link);
+    assert!(!e.link_up(link));
+    let stamp = e.stats().last_link_event_ps;
+    assert_eq!(stamp, e.now().as_ps());
+    let dropped = e.stats().cells_dropped.get();
+    // Failing an already-failed link changes nothing further, even
+    // after time passes.
+    e.run_for(SimDuration::from_micros(10));
+    e.fail_link(link);
+    assert_eq!(e.stats().last_link_event_ps, stamp);
+    assert_eq!(e.stats().cells_dropped.get(), dropped);
+    e.restore_link(link);
+    assert!(e.link_up(link));
+    assert!(e.stats().last_link_event_ps > stamp);
+}
+
+#[test]
+fn churn_metrics_bracket_loss_and_convergence() {
+    let mut cfg = cfg_small();
+    cfg.reach_interval = Some(SimDuration::from_micros(10));
+    cfg.reach_miss_threshold = 3;
+    let mut e = small_engine(cfg);
+    e.run_until(SimTime::from_micros(200));
+    assert!(
+        e.stats().loss_window().is_none(),
+        "a pristine run records no loss window"
+    );
+    let link = e.tx.devices.fa_link(0, 0);
+    e.fail_link(link);
+    let t0 = e.now();
+    for i in 0..50u64 {
+        e.inject(t0 + SimDuration::from_nanos(i * 500), 0, 8, 0, 0, 2000);
+    }
+    e.run_until(SimTime::from_millis(2));
+    e.restore_link(link);
+    e.run_until(SimTime::from_millis(4));
+    let s = e.stats();
+    let w = s
+        .loss_window()
+        .expect("spraying at a not-yet-excluded dead link loses cells");
+    assert!(s.first_loss_ps >= t0.as_ps(), "no loss before the failure");
+    // Losses stop once the protocol excludes the dead direction:
+    // 3 missed 10µs intervals plus margin.
+    assert!(
+        w <= SimDuration::from_micros(100),
+        "loss window {w} outlived the exclusion bound"
+    );
+    // Re-admission after restore needs the good streak (3 adverts at
+    // 10µs), so the last table change trails the restore by a couple
+    // of intervals — never more than a handful.
+    let conv = s.convergence_time().expect("tables change after restore");
+    assert!(
+        conv >= SimDuration::from_micros(10) && conv <= SimDuration::from_micros(100),
+        "convergence time {conv} outside the revive-streak bound"
+    );
+}
+
+#[test]
+fn ev_stays_small() {
+    // The dispatch path moves events through bucket sorts and batch
+    // drains; the slab/boxing layout keeps them to ≤ 24 bytes (3
+    // words). This is a budget, not an exact pin, so a legitimate new
+    // variant has headroom before the assert trips.
+    assert!(
+        std::mem::size_of::<Ev>() <= 24,
+        "Ev grew to {} bytes — keep large payloads out-of-line",
+        std::mem::size_of::<Ev>()
+    );
+}

@@ -23,7 +23,11 @@
 //!   updates, automatic table repair.
 //! * [`engine`] — the discrete-event network engine tying Fabric Adapters
 //!   and Fabric Elements together over a `stardust-topo` topology, with
-//!   the measurement hooks behind Figure 9 and §6.
+//!   the measurement hooks behind Figure 9 and §6. It is a dispatch shell
+//!   over four private layers, each owning its state and its event
+//!   kinds: `wire` (link directions and the cells on them), `device` (the
+//!   reach-table-plus-spray half shared by every FA and FE), `ingress`
+//!   and `egress` (the source and destination halves of an FA).
 //!
 //! The crate deliberately contains no Ethernet/push-fabric code — that
 //! baseline lives in `stardust-baseline` so the two architectures can be
@@ -31,7 +35,11 @@
 
 pub mod cell;
 pub mod config;
+mod device;
+mod egress;
 pub mod engine;
+mod ev;
+mod ingress;
 pub mod packing;
 pub mod partition;
 pub mod reach;
@@ -40,7 +48,9 @@ pub mod shard;
 #[cfg(test)]
 mod shard_tests;
 pub mod spray;
+mod stats;
 pub mod voq;
+mod wire;
 #[cfg(test)]
 mod zoo_tests;
 

@@ -161,15 +161,9 @@ impl ReachTable {
     }
 
     /// Union of the advertised sets over a subset of ports (what this
-    /// device advertises onward).
-    pub fn union_over(&self, ports: impl Iterator<Item = usize>) -> Vec<u32> {
-        let mut acc = Vec::new();
-        self.union_over_into(ports, &mut acc);
-        acc
-    }
-
-    /// [`Self::union_over`] into a caller-owned buffer (same rationale as
-    /// [`Self::eligible_into`]: called per device per reach tick).
+    /// device advertises onward), into a caller-owned buffer (same
+    /// rationale as [`Self::eligible_into`]: called per device per reach
+    /// tick).
     pub fn union_over_into(&self, ports: impl Iterator<Item = usize>, out: &mut Vec<u32>) {
         out.clear();
         for i in ports {
@@ -191,16 +185,6 @@ impl ReachTable {
     /// model checker's canonical hash).
     pub fn ports(&self) -> &[PortReach] {
         &self.ports
-    }
-
-    /// Number of ports tracked.
-    pub fn len(&self) -> usize {
-        self.ports.len()
-    }
-
-    /// True if no ports are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.ports.is_empty()
     }
 }
 
@@ -271,7 +255,9 @@ mod tests {
         t.on_advert(1, &[3], SimTime::from_micros(50), 3);
         t.on_advert(2, &[4], SimTime::from_micros(1), 3);
         t.expire(SimTime::from_micros(25)); // port 2 dies
-        assert_eq!(t.union_over(0..3), vec![1, 2, 3]);
+        let mut union = Vec::new();
+        t.union_over_into(0..3, &mut union);
+        assert_eq!(union, vec![1, 2, 3]);
     }
 
     #[test]

@@ -68,33 +68,8 @@ pub struct PortScheduler {
 
 impl PortScheduler {
     /// Build a scheduler for a port of `port_bps` with the given credit
-    /// size and speedup; FCI parameters as in
+    /// size, speedup and cross-class policy; FCI parameters as in
     /// [`crate::config::FabricConfig`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        port_bps: u64,
-        credit_bytes: u64,
-        speedup: f64,
-        num_tcs: u8,
-        fci_decrease: f64,
-        fci_recover: f64,
-        fci_min: f64,
-        fci_hold: SimDuration,
-    ) -> Self {
-        Self::with_policy(
-            port_bps,
-            credit_bytes,
-            speedup,
-            num_tcs,
-            fci_decrease,
-            fci_recover,
-            fci_min,
-            fci_hold,
-            SchedPolicy::Strict,
-        )
-    }
-
-    /// As [`PortScheduler::new`] with an explicit cross-class policy.
     #[allow(clippy::too_many_arguments)]
     pub fn with_policy(
         port_bps: u64,
@@ -131,11 +106,6 @@ impl PortScheduler {
             wrr_tc: 0,
             policy,
         }
-    }
-
-    /// The credit size this scheduler grants.
-    pub fn credit_bytes(&self) -> u64 {
-        self.credit_bytes
     }
 
     /// Register `bytes` of demand from a VOQ (a request control message).
@@ -261,11 +231,6 @@ impl PortScheduler {
     pub fn throttle(&self) -> f64 {
         self.throttle
     }
-
-    /// Number of distinct VOQs with pending demand.
-    pub fn active_voqs(&self) -> usize {
-        self.pending.len()
-    }
 }
 
 #[cfg(test)]
@@ -273,7 +238,7 @@ mod tests {
     use super::*;
 
     fn sched(num_tcs: u8) -> PortScheduler {
-        PortScheduler::new(
+        PortScheduler::with_policy(
             50_000_000_000,
             4096,
             0.03,
@@ -282,6 +247,7 @@ mod tests {
             0.002,
             0.5,
             SimDuration::from_micros(2),
+            SchedPolicy::Strict,
         )
     }
 

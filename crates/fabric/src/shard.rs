@@ -13,7 +13,7 @@
 //!    beyond the receiver's window (the per-pair lookahead bound),
 //! 2. mailboxes drain in sender-shard order with per-sender FIFO, and
 //! 3. every engine event is scheduled under a canonical **content key**
-//!    (see `engine::key_of`), so simultaneous events dispatch in the same
+//!    (`key_of` in `ev.rs`), so simultaneous events dispatch in the same
 //!    order no matter which calendar they entered first,
 //!
 //! the simulation is a pure function of `(topology, config, workload,
@@ -36,7 +36,8 @@
 //! the full determinism argument.
 
 use crate::config::FabricConfig;
-use crate::engine::{FabricEngine, FabricStats, OutItem};
+use crate::engine::{FabricEngine, FabricStats};
+use crate::ev::OutItem;
 use crate::partition::Partition;
 use stardust_sim::{CalendarCore, CoreKind, Mailboxes, ShardClock, SimDuration, SimTime};
 use stardust_topo::{LinkId, Topology};
@@ -245,6 +246,7 @@ where
         tc: u8,
         bytes: u32,
     ) {
+        self.shards[0].check_endpoint(src_fa, dst_fa, dst_port, tc);
         let s = self.shard_of_fa[src_fa as usize] as usize;
         self.shards[s].inject(at, src_fa, dst_fa, dst_port, tc, bytes);
     }
@@ -262,6 +264,7 @@ where
         start: SimTime,
         stop: SimTime,
     ) {
+        self.shards[0].check_endpoint(src_fa, dst_fa, dst_port, tc);
         let s = self.shard_of_fa[src_fa as usize] as usize;
         self.shards[s].add_cbr_flow(
             src_fa, dst_fa, dst_port, tc, rate_bps, pkt_bytes, start, stop,

@@ -60,15 +60,11 @@ impl Sprayer {
         self.perm.len()
     }
 
-    /// Replace the eligible set (reachability change / link failure).
-    /// Restarts the rotation — the paper's tables are rebuilt on failures.
-    pub fn set_links(&mut self, links: Vec<u32>) {
-        self.set_links_from(&links);
-    }
-
-    /// [`Self::set_links`] from a borrowed slice, reusing the permutation
-    /// buffer's capacity (the engine rebuilds spray sets from a shared
-    /// scratch buffer on every reachability generation bump).
+    /// Replace the eligible set (reachability change / link failure),
+    /// reusing the permutation buffer's capacity (the engine rebuilds
+    /// spray sets from a shared scratch buffer on every reachability
+    /// generation bump). Restarts the rotation — the paper's tables are
+    /// rebuilt on failures.
     pub fn set_links_from(&mut self, links: &[u32]) {
         assert!(!links.is_empty(), "sprayer needs at least one link");
         self.perm.clear();
@@ -139,7 +135,7 @@ mod tests {
     #[test]
     fn set_links_replaces_eligible_set() {
         let mut s = Sprayer::new((0..4).collect(), 4, rng());
-        s.set_links(vec![7, 9]);
+        s.set_links_from(&[7, 9]);
         assert_eq!(s.width(), 2);
         let mut seen: Vec<u32> = (0..2).map(|_| s.next()).collect();
         seen.sort_unstable();

@@ -25,6 +25,17 @@ pub struct VoqKey {
     pub tc: u8,
 }
 
+impl VoqKey {
+    /// The VOQ `pkt` queues in at its source Fabric Adapter.
+    pub(crate) fn of(pkt: &Packet) -> Self {
+        VoqKey {
+            dst_fa: pkt.dst_fa,
+            dst_port: pkt.dst_port,
+            tc: pkt.tc,
+        }
+    }
+}
+
 /// One virtual output queue.
 #[derive(Debug, Clone, Default)]
 pub struct Voq {

@@ -1,8 +1,6 @@
 //! `stardust-lint` — static determinism auditor for the workspace.
 //!
 //! Exit codes: `0` clean, `1` findings, `2` usage or I/O error.
-//! (The `stardust lint` CLI subcommand wraps this same library and adds
-//! `--json` output in the bench emitter's conventions.)
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -60,8 +58,7 @@ fn main() -> ExitCode {
     };
 
     if json {
-        // Tiny hand-rolled emitter: this binary must not depend on the
-        // bench crate (bench depends on this crate for the subcommand).
+        // Tiny hand-rolled emitter: the lint crate depends on nothing.
         let findings: Vec<String> = report
             .diagnostics
             .iter()

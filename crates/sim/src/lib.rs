@@ -18,8 +18,8 @@
 //!   per-pair [`LookaheadMatrix`], the [`ShardClock`] barrier protocol and
 //!   the lock-free [`Mailboxes`] grid, one window rule and one
 //!   publish/take call each.
-//! * [`LinkProfile`] / [`LinkClock`] — serialization + propagation modelling
-//!   for point-to-point serial links (the paper's non-bundled links).
+//! * [`link`] — the fiber propagation rule of thumb for the paper's
+//!   non-bundled point-to-point serial links ([`link::fiber_delay`]).
 //! * [`rng`] — seeded, stream-split deterministic random number generation.
 //! * [`stats`] — histograms, counters and online moments used to build the
 //!   distributions reported in the paper's Figure 9 and Section 6.
@@ -41,7 +41,6 @@ pub mod units;
 pub use event::{
     CalendarCore, CoreKind, EventCore, EventQueue, HeapCore, HeapEventQueue, ScheduledEvent,
 };
-pub use link::{LinkClock, LinkProfile};
 pub use rng::DetRng;
 pub use shard::{window_end, LookaheadMatrix, Mailboxes, ShardClock};
 pub use stats::{

@@ -2,182 +2,27 @@
 //!
 //! Stardust's fabric uses *independent* serial links rather than bundles
 //! (§2.2) — each link is a single serialization resource with a fixed
-//! propagation delay. [`LinkProfile`] captures the static parameters;
-//! [`LinkClock`] tracks when the transmitter is next free, which is how the
-//! engines model store-and-forward output queues without simulating
-//! individual symbols.
+//! propagation delay. The engines model the serializer themselves (an
+//! in-service slot plus a `TxDone` event per link direction); what they
+//! share is the fiber rule of thumb below and
+//! [`crate::units::serialization_time`].
 
-use crate::time::{SimDuration, SimTime};
-use crate::units::{serialization_time, BitsPerSec};
-
-/// Static parameters of a serial link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LinkProfile {
-    /// Line rate in bits per second (e.g. 50 Gb/s fabric links).
-    pub rate: BitsPerSec,
-    /// One-way propagation delay. The paper uses 100 m fiber = 500 ns
-    /// (§5.6: "every 100m of fiber translates to a half microsecond").
-    pub propagation: SimDuration,
-}
+use crate::time::SimDuration;
 
 /// Propagation delay of `meters` of fiber at ~2/3 c (5 ns/m), matching the
-/// paper's 100 m = 0.5 µs rule of thumb.
+/// paper's 100 m = 0.5 µs rule of thumb (§5.6: "every 100m of fiber
+/// translates to a half microsecond").
 pub fn fiber_delay(meters: u64) -> SimDuration {
     SimDuration::from_nanos(5 * meters)
-}
-
-impl LinkProfile {
-    /// A link with the given rate and propagation delay.
-    pub fn new(rate: BitsPerSec, propagation: SimDuration) -> Self {
-        LinkProfile { rate, propagation }
-    }
-
-    /// A link with the given rate and `meters` of fiber.
-    pub fn with_fiber(rate: BitsPerSec, meters: u64) -> Self {
-        LinkProfile {
-            rate,
-            propagation: fiber_delay(meters),
-        }
-    }
-
-    /// Time to clock `bytes` onto the wire.
-    pub fn serialize(&self, bytes: u64) -> SimDuration {
-        serialization_time(bytes, self.rate)
-    }
-
-    /// Store-and-forward delivery latency for a frame of `bytes`:
-    /// serialization plus propagation.
-    pub fn delivery(&self, bytes: u64) -> SimDuration {
-        self.serialize(bytes) + self.propagation
-    }
-}
-
-/// Transmitter occupancy tracker for one link.
-///
-/// `depart(now, bytes)` answers: if a frame of `bytes` is handed to the
-/// transmitter at `now`, when does its last bit leave, and it advances the
-/// busy horizon accordingly. Queueing *policy* (who gets to transmit next,
-/// drops, FCI marking) lives in the engines; this type only enforces the
-/// serialization constraint.
-#[derive(Debug, Clone, Copy)]
-pub struct LinkClock {
-    profile: LinkProfile,
-    /// Time at which the transmitter finishes its current backlog.
-    free_at: SimTime,
-}
-
-impl LinkClock {
-    /// New idle transmitter.
-    pub fn new(profile: LinkProfile) -> Self {
-        LinkClock {
-            profile,
-            free_at: SimTime::ZERO,
-        }
-    }
-
-    /// The static link parameters.
-    pub fn profile(&self) -> LinkProfile {
-        self.profile
-    }
-
-    /// When the transmitter next becomes idle.
-    pub fn free_at(&self) -> SimTime {
-        self.free_at
-    }
-
-    /// Is the transmitter idle at `now`?
-    pub fn is_idle(&self, now: SimTime) -> bool {
-        self.free_at <= now
-    }
-
-    /// Current backlog (how long until the transmitter drains), zero if idle.
-    pub fn backlog(&self, now: SimTime) -> SimDuration {
-        self.free_at.saturating_since(now)
-    }
-
-    /// Enqueue a frame of `bytes` at time `now`; returns the time the last
-    /// bit has been serialized (start of propagation).
-    pub fn depart(&mut self, now: SimTime, bytes: u64) -> SimTime {
-        let start = if self.free_at > now {
-            self.free_at
-        } else {
-            now
-        };
-        let done = start + self.profile.serialize(bytes);
-        self.free_at = done;
-        done
-    }
-
-    /// Enqueue a frame and return its full arrival time at the far end
-    /// (serialization completion + propagation).
-    pub fn deliver(&mut self, now: SimTime, bytes: u64) -> SimTime {
-        self.depart(now, bytes) + self.profile.propagation
-    }
-
-    /// Forget any backlog (used when a link is torn down / reset).
-    pub fn reset(&mut self) {
-        self.free_at = SimTime::ZERO;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::units::gbps;
-
-    fn link50() -> LinkProfile {
-        LinkProfile::with_fiber(gbps(50), 100)
-    }
 
     #[test]
     fn fiber_rule_of_thumb() {
         assert_eq!(fiber_delay(100).as_nanos_f64(), 500.0);
         assert_eq!(fiber_delay(10).as_nanos_f64(), 50.0);
-    }
-
-    #[test]
-    fn idle_link_serializes_immediately() {
-        let mut c = LinkClock::new(link50());
-        let t0 = SimTime::from_nanos(100);
-        let done = c.depart(t0, 256);
-        assert_eq!(done.since(t0).as_ps(), 40_960);
-        assert!(!c.is_idle(t0));
-        assert!(c.is_idle(done));
-    }
-
-    #[test]
-    fn busy_link_queues_back_to_back() {
-        let mut c = LinkClock::new(link50());
-        let t0 = SimTime::from_nanos(0);
-        let d1 = c.depart(t0, 256);
-        let d2 = c.depart(t0, 256);
-        // Second cell starts exactly when the first finishes.
-        assert_eq!(d2.since(d1).as_ps(), 40_960);
-        assert_eq!(c.backlog(t0).as_ps(), 2 * 40_960);
-    }
-
-    #[test]
-    fn delivery_adds_propagation() {
-        let mut c = LinkClock::new(link50());
-        let arr = c.deliver(SimTime::ZERO, 256);
-        assert_eq!(arr.as_ps(), 40_960 + 500_000);
-    }
-
-    #[test]
-    fn gap_between_frames_leaves_idle_time() {
-        let mut c = LinkClock::new(link50());
-        c.depart(SimTime::ZERO, 256);
-        // Arrive long after the link drained: departs immediately.
-        let late = SimTime::from_micros(10);
-        let done = c.depart(late, 256);
-        assert_eq!(done.since(late).as_ps(), 40_960);
-    }
-
-    #[test]
-    fn reset_clears_backlog() {
-        let mut c = LinkClock::new(link50());
-        c.depart(SimTime::ZERO, 1_000_000);
-        c.reset();
-        assert!(c.is_idle(SimTime::ZERO));
     }
 }

@@ -516,7 +516,7 @@ use ring::Ring;
 /// capacity is reused window after window); receivers take their inboxes
 /// after the window barrier ([`Mailboxes::take_to_into`] — appends into
 /// caller buffers), always in sender-shard order with per-sender FIFO
-/// preserved. Each ordered pair is a lock-free SPSC [`Ring`]; the
+/// preserved. Each ordered pair is a lock-free SPSC `Ring`; the
 /// barrier protocol already guarantees a pair's producer and consumer
 /// phases never overlap, and the SPSC protocol is safe even if they did.
 ///

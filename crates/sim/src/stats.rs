@@ -209,10 +209,10 @@ const SKETCH_NBINS: usize = (SKETCH_SUB as usize) * (64 - SKETCH_SUB_BITS as usi
 
 /// A fixed-size, mergeable quantile sketch over `u64` samples
 /// (picosecond durations in practice), in the HDR-histogram style:
-/// log-spaced decades, each split into [`SKETCH_SUB`] linear sub-bins.
+/// log-spaced decades, each split into `SKETCH_SUB` linear sub-bins.
 ///
 /// Properties the sharded engines rely on:
-/// - **Bounded memory**: always exactly [`SKETCH_NBINS`] `u64` bins
+/// - **Bounded memory**: always exactly `SKETCH_NBINS` `u64` bins
 ///   (~30 KB), independent of sample count — the bounded-memory
 ///   [`FlowStats`] mode stores one of these instead of a per-flow table.
 /// - **Deterministic & commutative merge**: [`QuantileSketch::merge`] is

@@ -2,7 +2,7 @@
 //! zoo" rivals (dragonfly, Space Shuffle, random regular expander) used
 //! to test the divide-and-conquer claim on structurally different
 //! fabrics. Every `*Params` type implements
-//! [`TopologyBuilder`](crate::route::TopologyBuilder).
+//! [`TopologyBuilder`].
 
 use crate::graph::{NodeId, NodeKind, Topology};
 use crate::route::{Built, RoutePlan, TopologyBuilder};
