@@ -67,6 +67,16 @@ fn ci_smoke_spec_files_match_presets() {
         let reparsed = ExperimentSpec::parse(&parsed.to_text()).unwrap();
         assert_eq!(reparsed, parsed, "{stem}.toml did not round-trip");
     }
+    // The paper-scale `*_default` presets, rendered under `specs/paper/`.
+    for name in presets::names().into_iter().skip(presets.len()) {
+        let path = dir.join(format!("../paper/{name}.toml"));
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{name}.toml: {e}"));
+        assert_eq!(
+            ExperimentSpec::parse(&text).as_ref(),
+            Ok(&presets::by_name(name).expect(name)),
+            "specs/paper/{name}.toml drifted from its preset"
+        );
+    }
 }
 
 /// The pre-refactor fabric driving style: build the engine, offer the
