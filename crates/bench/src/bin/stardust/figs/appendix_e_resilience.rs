@@ -3,14 +3,14 @@
 //! self-healing protocol, and failure churn against a finite-flow FCT
 //! workload driven from a declarative experiment spec.
 //!
-//! The churn section is the [`presets::failure_churn`] spec: a Web mix
-//! on the cell fabric with one FA-0 uplink failing mid-run and
-//! recovering later, expanded by the [`runner`] over the sequential
-//! **and** the sharded engine — whose outputs must stay bit-identical
-//! through the churn (the spec's `sharded_identical` gate).
+//! The churn section is the `failure_churn` preset under this figure's
+//! flags: a Web mix on the cell fabric through a fail/restore/gray-link
+//! storm, expanded by the [`runner`] over the sequential **and** the
+//! sharded engine — whose outputs must stay bit-identical through the
+//! churn (the spec's `sharded_identical` gate).
 
-use stardust_bench::presets;
-use stardust_bench::{header, runner, Args};
+use stardust_bench::spec::EngineSpec;
+use stardust_bench::{header, presets, runner, Args};
 use stardust_fabric::{FabricConfig, FabricEngine};
 use stardust_model::resilience::ResilienceParams;
 use stardust_sim::{SimDuration, SimTime};
@@ -19,6 +19,17 @@ use stardust_topo::LinkId;
 use std::process::ExitCode;
 
 pub fn run(args: &Args) -> ExitCode {
+    let scale = args.get_u64("scale", 16) as u32;
+    let mut churn = presets::by_name("failure_churn").expect("built in");
+    presets::rescale(&mut churn, args.get_u64("churn-ms", 20) * 1_000);
+    churn.seeds = vec![args.get_u64("seed", 42)];
+    churn.topology.two_tier_factor = scale;
+    let shards = args.get_u64("shards", 2) as u32;
+    churn.engines = vec![EngineSpec::Fabric, EngineSpec::Sharded { shards }];
+    if let Some(code) = super::usage_error(&churn) {
+        return code;
+    }
+
     header(
         "Appendix E: closed-form recovery model (Table 4 example)",
         "quantity                          value",
@@ -76,7 +87,6 @@ pub fn run(args: &Args) -> ExitCode {
     // closed-form recovery time above. This is a polling measurement
     // (watch the discard counter between 10 µs windows), so it drives
     // the engine directly rather than through a failure schedule.
-    let scale = args.get_u64("scale", 16) as u32;
     let interval_us = args.get_u64("interval-us", 10);
     let th = args.get_u64("threshold", 3) as u32;
     let tt = two_tier(TwoTierParams::paper_scaled(scale));
@@ -150,12 +160,6 @@ pub fn run(args: &Args) -> ExitCode {
     );
 
     // --- Failure churn vs a finite-flow FCT workload (spec-driven) ---
-    let churn = presets::failure_churn(
-        scale,
-        args.get_u64("churn-ms", 20),
-        args.get_u64("seed", 42),
-        args.get_u64("shards", 2) as u32,
-    );
     println!(
         "\nfailure-churn spec `{}`: {} link events against {} engines — \
          Appendix-E churn vs finite-flow FCTs, sequential and sharded alike",

@@ -2,36 +2,43 @@
 //! side by side on the §6.3 fat-tree transports **and** the cell-accurate
 //! Stardust fabric.
 //!
-//! A thin shell over the declarative experiment pipeline: the
-//! [`presets::fig10a`] spec expands into a random derangement of finite
-//! flows (each node sends `--bytes` to its partner), the
-//! [`runner`] drives every engine from the one spec, and this figure
-//! adds the figure-specific goodput-by-flow-rank table, the paper's
-//! x-axis. `--full` runs the 432-host k = 12 fat-tree; `--smoke` runs
-//! the small deterministic CI configuration whose hard gates live in
-//! the spec's `[checks]` (completion, losslessness, goodput floor).
+//! A thin shell over the declarative experiment pipeline: the `fig10a`
+//! preset (`fig10a_default` without `--smoke`) expands into a random
+//! derangement of finite flows (each node sends `--bytes` to its
+//! partner), the [`runner`] drives every engine from the one spec, and
+//! this figure adds the figure-specific goodput-by-flow-rank table, the
+//! paper's x-axis. `--full` runs the 432-host k = 12 fat-tree; `--smoke`
+//! runs the small deterministic CI configuration whose hard gates live
+//! in the spec's `[checks]` (completion, losslessness, goodput floor).
 
 use stardust_bench::fig10::{
     fabric_fas, goodputs_gbps, kary_hosts, print_fct_summary, print_unfinished_notes, PCTS,
 };
-use stardust_bench::presets::{self, Fig10Params};
-use stardust_bench::{header, runner, Args};
+use stardust_bench::{header, presets, runner, Args};
+use stardust_workload::ScenarioKind;
 use std::process::ExitCode;
 
 pub fn run(args: &Args) -> ExitCode {
     let smoke = args.has("smoke");
-    let p = Fig10Params::from_args(args, 50, 100);
-    let flow_bytes = args.get_u64("bytes", if smoke { 500_000 } else { 2_500_000 });
-    let spec = presets::fig10a(p, flow_bytes);
+    let mut spec = presets::fig10(args, "fig10a", "fig10a_default");
+    let ScenarioKind::Permutation { flow_bytes } = &mut spec.scenario else {
+        unreachable!("fig10a presets are permutations")
+    };
+    *flow_bytes = args.get_u64("bytes", *flow_bytes);
+    let flow_bytes = *flow_bytes;
+    if let Some(code) = super::usage_error(&spec) {
+        return code;
+    }
 
+    let topo = spec.topology;
     println!(
         "permutation of {flow_bytes} B flows: k = {} fat-tree ({} hosts, 10G NICs) vs \
          1/{}-scale Stardust fabric ({} FAs, 1×10G port each), {} ms horizon",
-        p.k,
-        kary_hosts(p.k),
-        p.factor,
-        fabric_fas(p.factor),
-        p.ms
+        topo.kary_k,
+        kary_hosts(topo.kary_k),
+        topo.two_tier_factor,
+        fabric_fas(topo.two_tier_factor),
+        spec.horizon_us / 1_000
     );
 
     let outcome = runner::run_spec(&spec);

@@ -4,28 +4,30 @@
 //!
 //! A frontend fans out work to N backends which all answer with a 450 KB
 //! response; the figure reports the first and last flow completion time —
-//! "a measure both of performance and fairness". The sweep is one
-//! [`presets::fig10c`] spec per backend count, each expanded by the
-//! [`runner`] over every engine. DCQCN is omitted, as in the paper (its
-//! artifact lacked the incast configuration). The backend sweep is
-//! clamped to each network's own population minus the frontend.
-//! `--smoke` runs the small deterministic sweep whose hard gates
-//! (completion, losslessness, last/first fairness bound) live in each
-//! spec's `[checks]`.
+//! "a measure both of performance and fairness". The sweep is the
+//! `fig10c_05` preset (`fig10c_default` without `--smoke`) with one
+//! backend count per step, each expanded by the [`runner`] over every
+//! engine. DCQCN is omitted, as in the paper (its artifact lacked the
+//! incast configuration). The backend sweep is clamped to each network's
+//! own population minus the frontend. `--smoke` runs the small
+//! deterministic sweep whose hard gates (completion, losslessness,
+//! last/first fairness bound) live in each spec's `[checks]`.
 
 use stardust_bench::fig10::{fabric_fas, kary_hosts};
-use stardust_bench::presets::{self, Fig10Params};
-use stardust_bench::{header, runner, Args};
+use stardust_bench::spec::ExperimentSpec;
+use stardust_bench::{header, presets, runner, Args};
+use stardust_workload::ScenarioKind;
 use std::process::ExitCode;
 
 const RESPONSE_BYTES: u64 = 450_000;
 
 pub fn run(args: &Args) -> ExitCode {
     let smoke = args.has("smoke");
-    let p = Fig10Params::from_args(args, 100, 400);
+    let base = presets::fig10(args, "fig10c_05", "fig10c_default");
+    let topo = base.topology;
 
-    let n_hosts = kary_hosts(p.k);
-    let n_fas = fabric_fas(p.factor);
+    let n_hosts = kary_hosts(topo.kary_k);
+    let n_fas = fabric_fas(topo.two_tier_factor);
     let max_backends = n_hosts.min(n_fas) - 1;
     let steps: Vec<usize> = if smoke {
         vec![5, 10, 15]
@@ -42,17 +44,25 @@ pub fn run(args: &Args) -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
-
-    // One probe spec names the engine columns for the header.
-    let engine_labels: Vec<String> = presets::fig10c(p, steps[0], RESPONSE_BYTES)
-        .engines
+    let specs: Vec<ExperimentSpec> = steps
         .iter()
-        .map(|e| e.label())
+        .map(|&backends| ExperimentSpec {
+            scenario: ScenarioKind::Incast {
+                backends,
+                response_bytes: RESPONSE_BYTES,
+            },
+            ..base.clone()
+        })
         .collect();
+    if let Some(code) = specs.iter().find_map(super::usage_error) {
+        return code;
+    }
+
+    let engine_labels: Vec<String> = base.engines.iter().map(|e| e.label()).collect();
     println!(
         "{RESPONSE_BYTES} B responses to one frontend: k = {} fat-tree ({n_hosts} hosts) \
          vs 1/{}-scale Stardust fabric ({n_fas} FAs); ideal last-FCT = N × 450KB / 10G",
-        p.k, p.factor
+        topo.kary_k, topo.two_tier_factor
     );
     header(
         "Figure 10(c): incast completion time [ms] (first / last per engine)",
@@ -67,9 +77,8 @@ pub fn run(args: &Args) -> ExitCode {
         ),
     );
     let mut failures = Vec::new();
-    for &b in &steps {
-        let spec = presets::fig10c(p, b, RESPONSE_BYTES);
-        let outcome = runner::run_spec(&spec);
+    for (&b, spec) in steps.iter().zip(&specs) {
+        let outcome = runner::run_spec(spec);
         print!("{b:>9}");
         for run in &outcome.runs {
             let fs = &run.flows;

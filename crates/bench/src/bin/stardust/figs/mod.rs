@@ -6,6 +6,7 @@
 //! the row before the figure runs, so a mistyped flag or value is a
 //! usage error (exit 2) and never a multi-minute default run or a panic.
 
+use stardust_bench::spec::ExperimentSpec;
 use stardust_bench::FlagKind::{Int, Num, Switch, Text};
 use stardust_bench::{Args, Flag};
 use std::process::ExitCode;
@@ -159,6 +160,17 @@ const FIGURES: &[Figure] = &[
         run: fabric_scale::run,
     },
 ];
+
+/// What the spec-driven figures call once their flags are laid over a
+/// preset: a value the spec rules reject (odd `--k`, more `--shards`
+/// than Fabric Adapters, a `--scale` that does not divide the paper
+/// populations) is a usage error — the spec error on stderr, exit 2,
+/// before anything prints or a builder asserts.
+fn usage_error(spec: &ExperimentSpec) -> Option<ExitCode> {
+    let e = spec.validate().err()?;
+    eprintln!("stardust fig: {e}");
+    Some(ExitCode::from(2))
+}
 
 /// A row's flags as a usage string: `[--full] [--ms N] …`.
 fn flag_usage(flags: &[Flag]) -> String {

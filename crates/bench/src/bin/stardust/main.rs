@@ -22,7 +22,8 @@
 //! per-figure smoke steps (`stardust run specs/ci_smoke`).
 
 use stardust_bench::spec::ExperimentSpec;
-use stardust_bench::{json::Json, presets, runner};
+use stardust_bench::FlagKind::{Int, Switch, Text};
+use stardust_bench::{json::Json, presets, runner, Args, Flag};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -38,6 +39,15 @@ fn usage() -> ExitCode {
          [--max-states N]"
     );
     ExitCode::FAILURE
+}
+
+/// A subcommand's parsed arguments, or which one was bad and why above
+/// the usage text.
+fn or_usage(cmd: &str, parsed: Result<Args, String>) -> Result<Args, ExitCode> {
+    parsed.map_err(|e| {
+        eprintln!("stardust {cmd}: {e}");
+        usage()
+    })
 }
 
 /// Peak resident-set size of this process in MB, from Linux's
@@ -74,16 +84,14 @@ fn main() -> ExitCode {
 
 fn preset(args: &[String]) -> ExitCode {
     let [name] = args else { return usage() };
-    match presets::by_name(name) {
-        Some(spec) => {
-            print!("{}", spec.to_text());
+    match presets::text(name) {
+        Some(text) => {
+            print!("{text}");
             ExitCode::SUCCESS
         }
         None => {
-            eprintln!(
-                "unknown preset {name:?}; available: {}",
-                presets::names().join(", ")
-            );
+            let names: Vec<&str> = presets::names().collect();
+            eprintln!("unknown preset {name:?}; available: {}", names.join(", "));
             ExitCode::FAILURE
         }
     }
@@ -99,57 +107,24 @@ fn mc(args: &[String]) -> ExitCode {
     use stardust_mc::{clos4, mc_config, Mc, McConfig};
     use stardust_topo::{DragonflyParams, TopologyBuilder};
 
-    let mut smoke = false;
-    let mut json_out: Option<PathBuf> = None;
-    let mut quiet = false;
-    let mut seed = 11u64;
-    let mut depth: Option<usize> = None;
-    let mut max_states: Option<usize> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let num = |j: usize| args.get(j).and_then(|s| s.parse::<u64>().ok());
-        match args[i].as_str() {
-            "--smoke" => {
-                smoke = true;
-                i += 1;
-            }
-            "--quiet" => {
-                quiet = true;
-                i += 1;
-            }
-            "--json" => {
-                let Some(out) = args.get(i + 1) else {
-                    return usage();
-                };
-                json_out = Some(PathBuf::from(out));
-                i += 2;
-            }
-            "--seed" => {
-                let Some(n) = num(i + 1) else { return usage() };
-                seed = n;
-                i += 2;
-            }
-            "--depth" => {
-                let Some(n) = num(i + 1) else { return usage() };
-                depth = Some(n as usize);
-                i += 2;
-            }
-            "--max-states" => {
-                let Some(n) = num(i + 1) else { return usage() };
-                max_states = Some(n as usize);
-                i += 2;
-            }
-            _ => return usage(),
-        }
-    }
+    const FLAGS: &[Flag] = &[
+        ("smoke", Switch),
+        ("quiet", Switch),
+        ("json", Text),
+        ("seed", Int(0)),
+        ("depth", Int(0)),
+        ("max-states", Int(0)),
+    ];
+    let args = match or_usage("mc", Args::parse(args, FLAGS)) {
+        Ok(a) => a,
+        Err(code) => return code,
+    };
+    let (smoke, quiet) = (args.has("smoke"), args.has("quiet"));
+    let seed = args.get_u64("seed", 11);
 
     let bound = |mut c: McConfig| {
-        if let Some(d) = depth {
-            c.max_depth = d;
-        }
-        if let Some(m) = max_states {
-            c.max_states = m;
-        }
+        c.max_depth = args.get_u64("depth", c.max_depth as u64) as usize;
+        c.max_states = args.get_u64("max-states", c.max_states as u64) as usize;
         c
     };
     let clos_cfg = bound(if smoke {
@@ -206,7 +181,7 @@ fn mc(args: &[String]) -> ExitCode {
         }
     }
 
-    if let Some(out) = json_out {
+    if let Some(out) = args.get_str("json").map(Path::new) {
         let doc = Json::Obj(vec![
             ("tool".into(), Json::str("stardust-mc")),
             ("seed".into(), Json::num(seed as f64)),
@@ -246,7 +221,7 @@ fn mc(args: &[String]) -> ExitCode {
             ),
             ("pass".into(), Json::Bool(pass)),
         ]);
-        if let Err(e) = std::fs::write(&out, doc.render() + "\n") {
+        if let Err(e) = std::fs::write(out, doc.render() + "\n") {
             eprintln!("stardust: writing {}: {e}", out.display());
             return ExitCode::FAILURE;
         }
@@ -292,50 +267,22 @@ fn load(path: &Path) -> Result<ExperimentSpec, String> {
 }
 
 fn run(args: &[String], check_only: bool) -> ExitCode {
-    let mut paths = Vec::new();
-    let mut json_out: Option<PathBuf> = None;
-    let mut quiet = false;
-    let mut max_rss_mb: Option<u64> = None;
-    let mut threads: Option<u32> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--json" => {
-                let Some(out) = args.get(i + 1) else {
-                    return usage();
-                };
-                json_out = Some(PathBuf::from(out));
-                i += 2;
-            }
-            "--max-rss-mb" => {
-                let Some(cap) = args.get(i + 1).and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                max_rss_mb = Some(cap);
-                i += 2;
-            }
-            "--threads" => {
-                let Some(t) = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&t| t > 0)
-                else {
-                    return usage();
-                };
-                threads = Some(t);
-                i += 2;
-            }
-            "--quiet" => {
-                quiet = true;
-                i += 1;
-            }
-            flag if flag.starts_with("--") => return usage(),
-            path => {
-                paths.push(PathBuf::from(path));
-                i += 1;
-            }
-        }
-    }
+    const FLAGS: &[Flag] = &[
+        ("json", Text),
+        ("quiet", Switch),
+        ("max-rss-mb", Int(1)),
+        ("threads", Int(1)),
+    ];
+    let cmd = if check_only { "check" } else { "run" };
+    let args = match or_usage(cmd, Args::parse_with_paths(args, FLAGS)) {
+        Ok(a) => a,
+        Err(code) => return code,
+    };
+    let quiet = args.has("quiet");
+    let threads = args
+        .get_int("threads")
+        .map(|t| u32::try_from(t).unwrap_or(u32::MAX));
+    let paths: Vec<PathBuf> = args.paths().iter().map(PathBuf::from).collect();
     let files = match collect_specs(&paths) {
         Ok(f) => f,
         Err(e) => {
@@ -399,7 +346,7 @@ fn run(args: &[String], check_only: bool) -> ExitCode {
         outcomes.push((file.clone(), outcome));
     }
 
-    if let Some(out) = json_out {
+    if let Some(out) = args.get_str("json").map(Path::new) {
         let doc = Json::Arr(
             outcomes
                 .iter()
@@ -415,7 +362,7 @@ fn run(args: &[String], check_only: bool) -> ExitCode {
                 })
                 .collect(),
         );
-        if let Err(e) = std::fs::write(&out, doc.render() + "\n") {
+        if let Err(e) = std::fs::write(out, doc.render() + "\n") {
             eprintln!("stardust: writing {}: {e}", out.display());
             return ExitCode::FAILURE;
         }
@@ -431,7 +378,7 @@ fn run(args: &[String], check_only: bool) -> ExitCode {
     // The memory gate covers the whole invocation: VmHWM is the
     // process-wide high-water mark, so running a directory of specs
     // under one cap bounds every run in it.
-    if let Some(cap) = max_rss_mb {
+    if let Some(cap) = args.get_int("max-rss-mb") {
         match peak_rss_mb() {
             Some(peak) => {
                 if !quiet {

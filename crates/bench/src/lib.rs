@@ -54,6 +54,7 @@ enum Value {
 pub struct Args {
     kv: HashMap<&'static str, Value>,
     flags: Vec<&'static str>,
+    paths: Vec<String>,
 }
 
 impl Args {
@@ -61,13 +62,26 @@ impl Args {
     /// missing or malformed value, or a stray positional argument is an
     /// error naming what was expected — the getters below cannot fail.
     pub fn parse(argv: &[String], accepted: &[Flag]) -> Result<Self, String> {
+        let args = Self::parse_with_paths(argv, accepted)?;
+        match args.paths.first() {
+            Some(a) => Err(format!("unexpected argument {a:?}")),
+            None => Ok(args),
+        }
+    }
+
+    /// As [`Args::parse`], for a command that also takes positional
+    /// arguments (`stardust run`'s spec paths): every argument that is
+    /// not a `--flag` or a flag's value is kept, in order, for
+    /// [`Args::paths`].
+    pub fn parse_with_paths(argv: &[String], accepted: &[Flag]) -> Result<Self, String> {
         let mut args = Args::default();
         let mut it = argv.iter();
         while let Some(a) = it.next() {
-            let Some(&(name, kind)) = a
-                .strip_prefix("--")
-                .and_then(|n| accepted.iter().find(|(name, _)| *name == n))
-            else {
+            let Some(flag) = a.strip_prefix("--") else {
+                args.paths.push(a.clone());
+                continue;
+            };
+            let Some(&(name, kind)) = accepted.iter().find(|(name, _)| *name == flag) else {
                 return Err(format!("unexpected argument {a:?}"));
             };
             if kind == FlagKind::Switch {
@@ -95,12 +109,22 @@ impl Args {
         Ok(args)
     }
 
+    /// The positional arguments [`Args::parse_with_paths`] kept.
+    pub fn paths(&self) -> &[String] {
+        &self.paths
+    }
+
+    /// A `--key value` as u64, if present.
+    pub fn get_int(&self, key: &str) -> Option<u64> {
+        match self.kv.get(key) {
+            Some(&Value::Int(n)) => Some(n),
+            _ => None,
+        }
+    }
+
     /// A `--key value` as u64, with default.
     pub fn get_u64(&self, key: &str, default: u64) -> u64 {
-        match self.kv.get(key) {
-            Some(&Value::Int(n)) => n,
-            _ => default,
-        }
+        self.get_int(key).unwrap_or(default)
     }
 
     /// A `--key value` as f64, with default.

@@ -11,9 +11,13 @@
 //! (engines × seeds) over the generic
 //! [`FlowEngine`](stardust_workload::FlowEngine) surface.
 //!
-//! Specs parse from the TOML subset of [`crate::toml`] (see `specs/` at
-//! the repo root) and format back losslessly — `parse ∘ format ∘ parse`
-//! is pinned by tests. The shape:
+//! Specs parse from the TOML subset of [`crate::toml`]; the files under
+//! `specs/` at the repo root are the built-in [`presets`](crate::presets).
+//! Parsing only reads: a section or key the format does not have is an
+//! error, and every range and cross-field rule lives in
+//! [`ExperimentSpec::validate`], which `parse` calls last. Nothing
+//! renders a spec back to text, so this block is the format's reference
+//! (a test parses it):
 //!
 //! ```toml
 //! [experiment]
@@ -54,7 +58,7 @@ use crate::toml::{self, Table, Value};
 use stardust_sim::{SimDuration, SimTime};
 use stardust_topo::LinkId;
 use stardust_transport::Protocol;
-use stardust_workload::{FailureSchedule, FlowSizeDist, LinkAction, ScenarioKind};
+use stardust_workload::{FailureSchedule, FlowSizeDist, ScenarioKind};
 use std::fmt;
 
 /// A spec-layer error (parse or validation), with context.
@@ -181,13 +185,6 @@ impl StatsMode {
             other => bad(format!("unknown stats mode {other:?} (table | sketch)")),
         }
     }
-
-    fn as_str(self) -> &'static str {
-        match self {
-            StatsMode::Table => "table",
-            StatsMode::Sketch => "sketch",
-        }
-    }
 }
 
 /// Which fabric the fabric-family engines run — the route-plan layer
@@ -235,23 +232,9 @@ pub enum TopoKind {
     },
 }
 
-impl TopoKind {
-    /// The `[topology] kind` string this renders to / parses from.
-    pub fn as_spec_str(self) -> &'static str {
-        match self {
-            TopoKind::TwoTier => "two_tier",
-            TopoKind::ThreeTier => "three_tier",
-            TopoKind::SingleTier => "single_tier",
-            TopoKind::Dragonfly { .. } => "dragonfly",
-            TopoKind::SpaceShuffle { .. } => "space_shuffle",
-            TopoKind::Expander { .. } => "expander",
-        }
-    }
-}
-
 /// Every key `[topology]` accepts, with the kind (if any) that key
-/// belongs to. One table drives unknown-key errors, wrong-kind errors
-/// and rendering, so they cannot drift apart.
+/// belongs to. One table drives unknown-key and wrong-kind errors, so
+/// they cannot drift apart.
 const TOPOLOGY_KEYS: [(&str, Option<&str>); 12] = [
     ("kind", None),
     ("two_tier_factor", None),
@@ -283,19 +266,11 @@ pub struct TopoSpec {
 }
 
 impl TopoSpec {
-    /// Parse the `[topology]` section. Unknown keys, kind/parameter
-    /// mismatches and out-of-range parameters each get a distinct,
-    /// actionable error.
+    /// Parse the `[topology]` section. Unknown keys and kind/parameter
+    /// mismatches each get a distinct, actionable error; parameter
+    /// ranges are [`ExperimentSpec::validate`]'s.
     pub fn from_table(t: &Table) -> Result<Self, SpecError> {
-        for key in t.keys() {
-            if !TOPOLOGY_KEYS.iter().any(|(k, _)| k == key) {
-                let expected: Vec<&str> = TOPOLOGY_KEYS.iter().map(|(k, _)| *k).collect();
-                return bad(format!(
-                    "unknown [topology] key {key:?} (expected one of: {})",
-                    expected.join(", ")
-                ));
-            }
-        }
+        known_keys(t, "[topology] key", &TOPOLOGY_KEYS.map(|(key, _)| key))?;
         let kind_name = match t.get("kind") {
             Some(v) => v
                 .as_str()
@@ -322,42 +297,64 @@ impl TopoSpec {
             "two_tier" => TopoKind::TwoTier,
             "three_tier" => TopoKind::ThreeTier,
             "single_tier" => TopoKind::SingleTier,
-            "dragonfly" => {
-                let k = TopoKind::Dragonfly {
-                    a: opt("dragonfly_a", 4)?,
-                    h: opt("dragonfly_h", 1)?,
-                    p: opt("dragonfly_p", 1)?,
-                };
-                let TopoKind::Dragonfly { a, h, p } = k else {
-                    unreachable!()
-                };
+            "dragonfly" => TopoKind::Dragonfly {
+                a: opt("dragonfly_a", 4)?,
+                h: opt("dragonfly_h", 1)?,
+                p: opt("dragonfly_p", 1)?,
+            },
+            "space_shuffle" => TopoKind::SpaceShuffle {
+                switches: opt("ss_switches", 16)?,
+                spaces: opt("ss_spaces", 3)?,
+                fas_per_switch: opt("ss_fas_per_switch", 1)?,
+            },
+            "expander" => TopoKind::Expander {
+                switches: opt("exp_switches", 16)?,
+                degree: opt("exp_degree", 4)?,
+                fas_per_switch: opt("exp_fas_per_switch", 1)?,
+            },
+            other => {
+                return bad(format!(
+                    "unknown topology kind {other:?} (two_tier | three_tier | \
+                     single_tier | dragonfly | space_shuffle | expander)"
+                ))
+            }
+        };
+        Ok(TopoSpec {
+            kind,
+            two_tier_factor: get_u32(t, "topology", "two_tier_factor")?,
+            kary_k: get_u32(t, "topology", "kary_k")?,
+        })
+    }
+
+    /// The parameter ranges the builders assert: a spec outside them is
+    /// an error here, never a builder panic.
+    fn validate(&self) -> Result<(), SpecError> {
+        match self.kind {
+            TopoKind::TwoTier | TopoKind::ThreeTier | TopoKind::SingleTier => {}
+            TopoKind::Dragonfly { a, h, p } => {
                 if a == 0 || h == 0 || p == 0 {
                     return bad(
                         "[topology] dragonfly_a, dragonfly_h and dragonfly_p must all be ≥ 1",
                     );
                 }
-                k
             }
-            "space_shuffle" => {
-                let switches = opt("ss_switches", 16)?;
-                let spaces = opt("ss_spaces", 3)?;
-                let fas_per_switch = opt("ss_fas_per_switch", 1)?;
+            TopoKind::SpaceShuffle {
+                switches,
+                spaces,
+                fas_per_switch,
+            } => {
                 if switches < 3 {
                     return bad("[topology] ss_switches must be ≥ 3 (a ring needs a triangle)");
                 }
                 if spaces == 0 || fas_per_switch == 0 {
                     return bad("[topology] ss_spaces and ss_fas_per_switch must be ≥ 1");
                 }
-                TopoKind::SpaceShuffle {
-                    switches,
-                    spaces,
-                    fas_per_switch,
-                }
             }
-            "expander" => {
-                let switches = opt("exp_switches", 16)?;
-                let degree = opt("exp_degree", 4)?;
-                let fas_per_switch = opt("exp_fas_per_switch", 1)?;
+            TopoKind::Expander {
+                switches,
+                degree,
+                fas_per_switch,
+            } => {
                 if switches < 3 {
                     return bad("[topology] exp_switches must be ≥ 3");
                 }
@@ -375,25 +372,9 @@ impl TopoSpec {
                 if fas_per_switch == 0 {
                     return bad("[topology] exp_fas_per_switch must be ≥ 1");
                 }
-                TopoKind::Expander {
-                    switches,
-                    degree,
-                    fas_per_switch,
-                }
             }
-            other => {
-                return bad(format!(
-                    "unknown topology kind {other:?} (two_tier | three_tier | \
-                     single_tier | dragonfly | space_shuffle | expander)"
-                ))
-            }
-        };
-        let spec = TopoSpec {
-            kind,
-            two_tier_factor: get_u32(t, "topology", "two_tier_factor")?,
-            kary_k: get_u32(t, "topology", "kary_k")?,
-        };
-        if spec.two_tier_factor == 0 || spec.kary_k == 0 {
+        }
+        if self.two_tier_factor == 0 || self.kary_k == 0 {
             return bad("[topology] factors must be positive");
         }
         let p = stardust_topo::TwoTierParams::paper_6_2();
@@ -406,65 +387,18 @@ impl TopoSpec {
             p.t2_count,
             p.t2_down,
         ];
-        if kind == TopoKind::TwoTier
+        if self.kind == TopoKind::TwoTier
             && populations
                 .iter()
-                .any(|n| !n.is_multiple_of(spec.two_tier_factor))
+                .any(|n| !n.is_multiple_of(self.two_tier_factor))
         {
             return bad(format!(
                 "[topology] two_tier_factor {} does not divide the paper populations \
                  {populations:?}",
-                spec.two_tier_factor
+                self.two_tier_factor
             ));
         }
-        Ok(spec)
-    }
-
-    /// Render back to a `[topology]` table (defaulted kind omitted, so
-    /// pre-zoo spec files round-trip unchanged).
-    pub fn to_table(&self) -> Table {
-        let mut t = Table::new();
-        if self.kind != TopoKind::default() {
-            t.insert("kind".into(), Value::Str(self.kind.as_spec_str().into()));
-        }
-        t.insert(
-            "two_tier_factor".into(),
-            Value::Int(self.two_tier_factor as i64),
-        );
-        t.insert("kary_k".into(), Value::Int(self.kary_k as i64));
-        match self.kind {
-            TopoKind::TwoTier | TopoKind::ThreeTier | TopoKind::SingleTier => {}
-            TopoKind::Dragonfly { a, h, p } => {
-                t.insert("dragonfly_a".into(), Value::Int(a as i64));
-                t.insert("dragonfly_h".into(), Value::Int(h as i64));
-                t.insert("dragonfly_p".into(), Value::Int(p as i64));
-            }
-            TopoKind::SpaceShuffle {
-                switches,
-                spaces,
-                fas_per_switch,
-            } => {
-                t.insert("ss_switches".into(), Value::Int(switches as i64));
-                t.insert("ss_spaces".into(), Value::Int(spaces as i64));
-                t.insert(
-                    "ss_fas_per_switch".into(),
-                    Value::Int(fas_per_switch as i64),
-                );
-            }
-            TopoKind::Expander {
-                switches,
-                degree,
-                fas_per_switch,
-            } => {
-                t.insert("exp_switches".into(), Value::Int(switches as i64));
-                t.insert("exp_degree".into(), Value::Int(degree as i64));
-                t.insert(
-                    "exp_fas_per_switch".into(),
-                    Value::Int(fas_per_switch as i64),
-                );
-            }
-        }
-        t
+        Ok(())
     }
 
     /// Fabric Adapter population of [`Self::build_fabric`] — one source
@@ -558,15 +492,6 @@ impl CompleteScope {
             other => bad(format!(
                 "unknown complete scope {other:?} (none | fabric | stardust | all)"
             )),
-        }
-    }
-
-    fn as_str(self) -> &'static str {
-        match self {
-            CompleteScope::None => "none",
-            CompleteScope::Fabric => "fabric",
-            CompleteScope::Stardust => "stardust",
-            CompleteScope::All => "all",
         }
     }
 }
@@ -677,17 +602,13 @@ impl ExperimentSpec {
         Self::from_table(&toml::parse(text)?)
     }
 
-    /// Parse a spec from an already-parsed TOML document.
+    /// Parse a spec from an already-parsed TOML document. A section or
+    /// key the format does not have is an error naming it — a typo must
+    /// not run with its gate silently off.
     pub fn from_table(doc: &Table) -> Result<Self, SpecError> {
+        known_keys(doc, "section", &SECTIONS)?;
         let exp = get_table(doc, "experiment")?;
-        let name = get_str(exp, "experiment", "name")?.to_string();
-        if name.is_empty() {
-            return bad("[experiment] name must be non-empty");
-        }
-        let horizon_us = get_u64(exp, "experiment", "horizon_us")?;
-        if horizon_us == 0 {
-            return bad("[experiment] horizon_us must be positive");
-        }
+        known_keys(exp, "[experiment] key", &EXPERIMENT_KEYS)?;
         let seeds = match exp.get("seeds") {
             Some(Value::Array(items)) => items
                 .iter()
@@ -701,9 +622,6 @@ impl ExperimentSpec {
             Some(_) => return bad("[experiment] seeds must be an array of integers"),
             None => vec![42],
         };
-        if seeds.is_empty() {
-            return bad("[experiment] seeds must be non-empty");
-        }
         let engines = match exp.get("engines") {
             Some(Value::Array(items)) => items
                 .iter()
@@ -715,9 +633,6 @@ impl ExperimentSpec {
                 .collect::<Result<Vec<_>, _>>()?,
             _ => return bad("[experiment] engines must be an array of engine strings"),
         };
-        if engines.is_empty() {
-            return bad("[experiment] engines must be non-empty");
-        }
         let stats = match exp.get("stats") {
             Some(v) => StatsMode::parse(
                 v.as_str()
@@ -725,66 +640,95 @@ impl ExperimentSpec {
             )?,
             None => StatsMode::default(),
         };
-        let admit_window_us = match exp.get("admit_window_us") {
-            Some(_) => get_u64(exp, "experiment", "admit_window_us")?,
-            None => DEFAULT_ADMIT_WINDOW_US,
-        };
-        if admit_window_us == 0 {
-            return bad("[experiment] admit_window_us must be positive");
-        }
-        let reach_us = match exp.get("reach_us") {
-            Some(_) => Some(get_u64(exp, "experiment", "reach_us")?),
-            None => None,
-        };
-        if reach_us == Some(0) {
-            return bad("[experiment] reach_us must be positive (omit it for static tables)");
-        }
-        let threads = match exp.get("threads") {
-            Some(_) => Some(get_u32(exp, "experiment", "threads")?),
-            None => None,
-        };
-        if threads == Some(0) {
-            return bad("[experiment] threads must be positive (omit it for one per shard)");
-        }
-
-        let topology = TopoSpec::from_table(get_table(doc, "topology")?)?;
-
-        let scenario = parse_scenario(get_table(doc, "scenario")?)?;
-        let failures = parse_failures(doc)?;
-        let checks = match doc.get("checks") {
-            Some(Value::Table(t)) => parse_checks(t)?,
-            Some(_) => return bad("[checks] must be a table"),
-            None => Checks::default(),
-        };
-
+        let opt_u64 = |key: &str| exp.get(key).map(|_| get_u64(exp, "experiment", key));
         let spec = ExperimentSpec {
-            name,
-            horizon_us,
+            name: get_str(exp, "experiment", "name")?.to_string(),
+            horizon_us: get_u64(exp, "experiment", "horizon_us")?,
             seeds,
             engines,
-            topology,
-            scenario,
-            failures,
+            topology: TopoSpec::from_table(get_table(doc, "topology")?)?,
+            scenario: parse_scenario(get_table(doc, "scenario")?)?,
+            failures: parse_failures(doc)?,
             stats,
-            admit_window_us,
-            reach_us,
-            threads,
-            checks,
+            admit_window_us: opt_u64("admit_window_us")
+                .transpose()?
+                .unwrap_or(DEFAULT_ADMIT_WINDOW_US),
+            reach_us: opt_u64("reach_us").transpose()?,
+            threads: exp
+                .get("threads")
+                .map(|_| get_u32(exp, "experiment", "threads"))
+                .transpose()?,
+            checks: match doc.get("checks") {
+                Some(Value::Table(t)) => parse_checks(t)?,
+                Some(_) => return bad("[checks] must be a table"),
+                None => Checks::default(),
+            },
         };
         spec.validate()?;
         Ok(spec)
     }
 
-    /// Cross-field validation a flat parse cannot catch: checks that
-    /// need per-flow records are rejected in sketch mode, the failure
-    /// schedule's per-link state machine must be coherent (no
-    /// double-fail / restore-of-up typos), convergence gates need the
-    /// reach protocol enabled, a transport engine needs a buildable
-    /// fat-tree arity, a sharded engine at least one Fabric Adapter per
-    /// shard, and the scenario must fit the population of **every**
-    /// engine it will run on (surfacing what used to be a silent incast
-    /// backend clamp).
+    /// Everything a spec must satisfy beyond being well-typed — called
+    /// by [`Self::parse`], and again by whoever edits a parsed spec (the
+    /// figures laying flags over a preset). Field ranges first: names
+    /// and lists non-empty, durations and thread counts positive, the
+    /// topology parameters inside what the builders accept. Then the
+    /// cross-field rules: checks that need per-flow records are
+    /// rejected in sketch mode, the failure schedule's per-link state
+    /// machine must be coherent (no double-fail / restore-of-up typos),
+    /// convergence gates need the reach protocol enabled, a transport
+    /// engine needs a buildable fat-tree arity, a sharded engine at
+    /// least one Fabric Adapter per shard, and the scenario must fit
+    /// the population of **every** engine it will run on (surfacing
+    /// what used to be a silent incast backend clamp).
     pub fn validate(&self) -> Result<(), SpecError> {
+        if self.name.is_empty() {
+            return bad("[experiment] name must be non-empty");
+        }
+        if self.horizon_us == 0 {
+            return bad("[experiment] horizon_us must be positive");
+        }
+        if self.seeds.is_empty() {
+            return bad("[experiment] seeds must be non-empty");
+        }
+        if self.engines.is_empty() {
+            return bad("[experiment] engines must be non-empty");
+        }
+        if self.admit_window_us == 0 {
+            return bad("[experiment] admit_window_us must be positive");
+        }
+        if self.reach_us == Some(0) {
+            return bad("[experiment] reach_us must be positive (omit it for static tables)");
+        }
+        if self.threads == Some(0) {
+            return bad("[experiment] threads must be positive (omit it for one per shard)");
+        }
+        self.topology.validate()?;
+        if let ScenarioKind::Service {
+            hadoop_share,
+            diurnal_min,
+            diurnal_period,
+            shuffle_period,
+            incast_period,
+            ..
+        } = &self.scenario
+        {
+            if !(0.0..=1.0).contains(hadoop_share) {
+                return bad("[scenario] hadoop_share must be within [0, 1]");
+            }
+            if !(*diurnal_min > 0.0 && *diurnal_min <= 1.0) {
+                return bad("[scenario] diurnal_min must be within (0, 1]");
+            }
+            for (key, period) in [
+                ("diurnal_period_us", diurnal_period),
+                ("shuffle_period_us", shuffle_period),
+                ("incast_period_us", incast_period),
+            ] {
+                if *period == SimDuration::ZERO {
+                    return bad(format!("[scenario] {key} must be positive"));
+                }
+            }
+        }
         if self.stats == StatsMode::Sketch && self.checks.min_goodput_gbps.is_some() {
             return bad("checks.min_goodput_gbps needs per-flow records, which \
                  stats = \"sketch\" does not keep");
@@ -794,7 +738,7 @@ impl ExperimentSpec {
             return bad("checks.max_convergence_us needs the reach protocol \
                  ([experiment] reach_us) — static tables never reconverge");
         }
-        let scenario = self.scenario_for(self.seeds.first().copied().unwrap_or(0));
+        let scenario = self.scenario_for(self.seeds[0]);
         for &engine in &self.engines {
             let name = engine.to_spec_string();
             let n_nodes = if engine.is_fabric() {
@@ -821,97 +765,6 @@ impl ExperimentSpec {
         Ok(())
     }
 
-    /// Render back to a TOML document; `parse(format(to_table()))`
-    /// reproduces the spec exactly (pinned by round-trip tests).
-    ///
-    /// # Panics
-    /// If the scenario uses a flow-size distribution other than the
-    /// built-in `web` / `hadoop` ones (nothing a parsed spec can hold).
-    pub fn to_table(&self) -> Table {
-        let mut exp = Table::new();
-        exp.insert("name".into(), Value::Str(self.name.clone()));
-        exp.insert("horizon_us".into(), Value::Int(self.horizon_us as i64));
-        exp.insert(
-            "seeds".into(),
-            Value::Array(self.seeds.iter().map(|&s| Value::Int(s as i64)).collect()),
-        );
-        exp.insert(
-            "engines".into(),
-            Value::Array(
-                self.engines
-                    .iter()
-                    .map(|e| Value::Str(e.to_spec_string()))
-                    .collect(),
-            ),
-        );
-        if self.stats != StatsMode::default() {
-            exp.insert("stats".into(), Value::Str(self.stats.as_str().into()));
-        }
-        if self.admit_window_us != DEFAULT_ADMIT_WINDOW_US {
-            exp.insert(
-                "admit_window_us".into(),
-                Value::Int(self.admit_window_us as i64),
-            );
-        }
-        if let Some(us) = self.reach_us {
-            exp.insert("reach_us".into(), Value::Int(us as i64));
-        }
-        if let Some(t) = self.threads {
-            exp.insert("threads".into(), Value::Int(t as i64));
-        }
-
-        let mut doc = Table::new();
-        doc.insert("experiment".into(), Value::Table(exp));
-        doc.insert("topology".into(), Value::Table(self.topology.to_table()));
-        doc.insert(
-            "scenario".into(),
-            Value::Table(scenario_table(&self.scenario)),
-        );
-        if !self.failures.is_empty() {
-            doc.insert(
-                "failure".into(),
-                Value::Array(
-                    self.failures
-                        .events()
-                        .iter()
-                        .map(|ev| {
-                            let mut t = Table::new();
-                            t.insert(
-                                "at_us".into(),
-                                Value::Int((ev.at.as_ps() / stardust_sim::time::PS_PER_US) as i64),
-                            );
-                            t.insert("link".into(), Value::Int(ev.link.0 as i64));
-                            t.insert(
-                                "action".into(),
-                                Value::Str(
-                                    match ev.action {
-                                        LinkAction::Fail => "fail",
-                                        LinkAction::Restore => "restore",
-                                        LinkAction::Degrade { .. } => "degrade",
-                                    }
-                                    .into(),
-                                ),
-                            );
-                            if let LinkAction::Degrade { ppm } = ev.action {
-                                t.insert("ppm".into(), Value::Int(i64::from(ppm)));
-                            }
-                            Value::Table(t)
-                        })
-                        .collect(),
-                ),
-            );
-        }
-        if !self.checks.is_empty() {
-            doc.insert("checks".into(), Value::Table(checks_table(&self.checks)));
-        }
-        doc
-    }
-
-    /// Render to TOML text.
-    pub fn to_text(&self) -> String {
-        toml::format(&self.to_table())
-    }
-
     /// The scenario this spec runs under `seed`.
     pub fn scenario_for(&self, seed: u64) -> stardust_workload::Scenario {
         stardust_workload::Scenario {
@@ -919,6 +772,33 @@ impl ExperimentSpec {
             seed,
             kind: self.scenario.clone(),
         }
+    }
+}
+
+/// The sections of a spec document (`failure` is the `[[failure]]` array).
+const SECTIONS: [&str; 5] = ["experiment", "topology", "scenario", "checks", "failure"];
+
+/// Every key `[experiment]` accepts.
+const EXPERIMENT_KEYS: [&str; 8] = [
+    "name",
+    "horizon_us",
+    "seeds",
+    "engines",
+    "stats",
+    "admit_window_us",
+    "reach_us",
+    "threads",
+];
+
+/// Reject the first key of `t` outside `accepted`, naming it and what is
+/// accepted (`what` reads like `"[topology] key"`).
+fn known_keys(t: &Table, what: &str, accepted: &[&str]) -> Result<(), SpecError> {
+    match t.keys().find(|key| !accepted.contains(&key.as_str())) {
+        Some(key) => bad(format!(
+            "unknown {what} {key:?} (expected one of: {})",
+            accepted.join(", ")
+        )),
+        None => Ok(()),
     }
 }
 
@@ -964,137 +844,66 @@ fn parse_dist(s: &str) -> Result<FlowSizeDist, SpecError> {
     }
 }
 
-fn dist_name(d: &FlowSizeDist) -> &'static str {
-    if *d == FlowSizeDist::fb_web() {
-        "web"
-    } else if *d == FlowSizeDist::fb_hadoop() {
-        "hadoop"
-    } else {
-        panic!("only the built-in web/hadoop dists are spec-serializable")
-    }
-}
-
 fn parse_scenario(t: &Table) -> Result<ScenarioKind, SpecError> {
-    match get_str(t, "scenario", "kind")? {
-        "permutation" => Ok(ScenarioKind::Permutation {
-            flow_bytes: get_u64(t, "scenario", "flow_bytes")?,
-        }),
-        "incast" => Ok(ScenarioKind::Incast {
-            backends: get_u64(t, "scenario", "backends")? as usize,
-            response_bytes: get_u64(t, "scenario", "response_bytes")?,
-        }),
-        "mix" => Ok(ScenarioKind::Mix {
+    let kind = get_str(t, "scenario", "kind")?;
+    let keys: &[&str] = match kind {
+        "permutation" => &["kind", "flow_bytes"],
+        "incast" => &["kind", "backends", "response_bytes"],
+        "mix" => &["kind", "dist", "flows", "node_gap_us"],
+        "shuffle" => &["kind", "bytes_per_pair", "node_gap_us"],
+        "service" => &[
+            "kind",
+            "flows",
+            "node_gap_us",
+            "hadoop_share",
+            "diurnal_period_us",
+            "diurnal_min",
+            "shuffle_bytes",
+            "shuffle_period_us",
+            "incast_backends",
+            "incast_bytes",
+            "incast_period_us",
+        ],
+        other => {
+            return bad(format!(
+                "unknown scenario kind {other:?} (permutation | incast | mix | shuffle | service)"
+            ))
+        }
+    };
+    known_keys(t, &format!("[scenario] kind = {kind:?} key"), keys)?;
+    let int = |key| get_u64(t, "scenario", key);
+    let us = |key| int(key).map(SimDuration::from_micros);
+    Ok(match kind {
+        "permutation" => ScenarioKind::Permutation {
+            flow_bytes: int("flow_bytes")?,
+        },
+        "incast" => ScenarioKind::Incast {
+            backends: int("backends")? as usize,
+            response_bytes: int("response_bytes")?,
+        },
+        "mix" => ScenarioKind::Mix {
             dist: parse_dist(get_str(t, "scenario", "dist")?)?,
-            n_flows: get_u64(t, "scenario", "flows")? as usize,
-            node_gap: SimDuration::from_micros(get_u64(t, "scenario", "node_gap_us")?),
-        }),
-        "shuffle" => Ok(ScenarioKind::Shuffle {
-            bytes_per_pair: get_u64(t, "scenario", "bytes_per_pair")?,
-            node_gap: SimDuration::from_micros(get_u64(t, "scenario", "node_gap_us")?),
-        }),
-        "service" => {
-            let us = |key| get_u64(t, "scenario", key).map(SimDuration::from_micros);
-            let hadoop_share = get_f64(t, "scenario", "hadoop_share")?;
-            if !(0.0..=1.0).contains(&hadoop_share) {
-                return bad("[scenario] hadoop_share must be within [0, 1]");
-            }
-            let diurnal_min = get_f64(t, "scenario", "diurnal_min")?;
-            if !(diurnal_min > 0.0 && diurnal_min <= 1.0) {
-                return bad("[scenario] diurnal_min must be within (0, 1]");
-            }
-            for key in ["diurnal_period_us", "shuffle_period_us", "incast_period_us"] {
-                if get_u64(t, "scenario", key)? == 0 {
-                    return bad(format!("[scenario] {key} must be positive"));
-                }
-            }
-            Ok(ScenarioKind::Service {
-                n_flows: get_u64(t, "scenario", "flows")? as usize,
-                node_gap: us("node_gap_us")?,
-                hadoop_share,
-                diurnal_period: us("diurnal_period_us")?,
-                diurnal_min,
-                shuffle_bytes: get_u64(t, "scenario", "shuffle_bytes")?,
-                shuffle_period: us("shuffle_period_us")?,
-                incast_backends: get_u64(t, "scenario", "incast_backends")? as usize,
-                incast_bytes: get_u64(t, "scenario", "incast_bytes")?,
-                incast_period: us("incast_period_us")?,
-            })
-        }
-        other => bad(format!(
-            "unknown scenario kind {other:?} (permutation | incast | mix | shuffle | service)"
-        )),
-    }
-}
-
-fn scenario_table(kind: &ScenarioKind) -> Table {
-    let mut t = Table::new();
-    match kind {
-        ScenarioKind::Permutation { flow_bytes } => {
-            t.insert("kind".into(), Value::Str("permutation".into()));
-            t.insert("flow_bytes".into(), Value::Int(*flow_bytes as i64));
-        }
-        ScenarioKind::Incast {
-            backends,
-            response_bytes,
-        } => {
-            t.insert("kind".into(), Value::Str("incast".into()));
-            t.insert("backends".into(), Value::Int(*backends as i64));
-            t.insert("response_bytes".into(), Value::Int(*response_bytes as i64));
-        }
-        ScenarioKind::Mix {
-            dist,
-            n_flows,
-            node_gap,
-        } => {
-            t.insert("kind".into(), Value::Str("mix".into()));
-            t.insert("dist".into(), Value::Str(dist_name(dist).into()));
-            t.insert("flows".into(), Value::Int(*n_flows as i64));
-            t.insert(
-                "node_gap_us".into(),
-                Value::Int((node_gap.0 / stardust_sim::time::PS_PER_US) as i64),
-            );
-        }
-        ScenarioKind::Shuffle {
-            bytes_per_pair,
-            node_gap,
-        } => {
-            t.insert("kind".into(), Value::Str("shuffle".into()));
-            t.insert("bytes_per_pair".into(), Value::Int(*bytes_per_pair as i64));
-            t.insert(
-                "node_gap_us".into(),
-                Value::Int((node_gap.0 / stardust_sim::time::PS_PER_US) as i64),
-            );
-        }
-        ScenarioKind::Service {
-            n_flows,
-            node_gap,
-            hadoop_share,
-            diurnal_period,
-            diurnal_min,
-            shuffle_bytes,
-            shuffle_period,
-            incast_backends,
-            incast_bytes,
-            incast_period,
-        } => {
-            let us = |d: &SimDuration| Value::Int((d.0 / stardust_sim::time::PS_PER_US) as i64);
-            t.insert("kind".into(), Value::Str("service".into()));
-            t.insert("flows".into(), Value::Int(*n_flows as i64));
-            t.insert("node_gap_us".into(), us(node_gap));
-            t.insert("hadoop_share".into(), Value::Float(*hadoop_share));
-            t.insert("diurnal_period_us".into(), us(diurnal_period));
-            t.insert("diurnal_min".into(), Value::Float(*diurnal_min));
-            t.insert("shuffle_bytes".into(), Value::Int(*shuffle_bytes as i64));
-            t.insert("shuffle_period_us".into(), us(shuffle_period));
-            t.insert(
-                "incast_backends".into(),
-                Value::Int(*incast_backends as i64),
-            );
-            t.insert("incast_bytes".into(), Value::Int(*incast_bytes as i64));
-            t.insert("incast_period_us".into(), us(incast_period));
-        }
-    }
-    t
+            n_flows: int("flows")? as usize,
+            node_gap: us("node_gap_us")?,
+        },
+        "shuffle" => ScenarioKind::Shuffle {
+            bytes_per_pair: int("bytes_per_pair")?,
+            node_gap: us("node_gap_us")?,
+        },
+        // "service": the key-list match above returned on any other kind.
+        _ => ScenarioKind::Service {
+            n_flows: int("flows")? as usize,
+            node_gap: us("node_gap_us")?,
+            hadoop_share: get_f64(t, "scenario", "hadoop_share")?,
+            diurnal_period: us("diurnal_period_us")?,
+            diurnal_min: get_f64(t, "scenario", "diurnal_min")?,
+            shuffle_bytes: int("shuffle_bytes")?,
+            shuffle_period: us("shuffle_period_us")?,
+            incast_backends: int("incast_backends")? as usize,
+            incast_bytes: int("incast_bytes")?,
+            incast_period: us("incast_period_us")?,
+        },
+    })
 }
 
 fn parse_failures(doc: &Table) -> Result<FailureSchedule, SpecError> {
@@ -1106,9 +915,15 @@ fn parse_failures(doc: &Table) -> Result<FailureSchedule, SpecError> {
                 let Some(t) = item.as_table() else {
                     return bad("[[failure]] entries must be tables");
                 };
+                let action = get_str(t, "failure", "action")?;
+                let keys: &[&str] = match action {
+                    "degrade" => &["at_us", "link", "action", "ppm"],
+                    _ => &["at_us", "link", "action"],
+                };
+                known_keys(t, &format!("[[failure]] action = {action:?} key"), keys)?;
                 let at = SimTime::from_micros(get_u64(t, "failure", "at_us")?);
                 let link = LinkId(get_u32(t, "failure", "link")?);
-                schedule = match get_str(t, "failure", "action")? {
+                schedule = match action {
                     "fail" => schedule.fail_at(at, link),
                     "restore" => schedule.restore_at(at, link),
                     "degrade" => schedule.degrade_at(at, link, get_u32(t, "failure", "ppm")?),
@@ -1161,44 +976,10 @@ fn check_f64(key: &str, v: &Value) -> Result<f64, SpecError> {
         .ok_or_else(|| SpecError(format!("checks.{key} must be a positive number")))
 }
 
-fn checks_table(c: &Checks) -> Table {
-    let mut t = Table::new();
-    if c.complete != CompleteScope::None {
-        t.insert("complete".into(), Value::Str(c.complete.as_str().into()));
-    }
-    if c.some_complete {
-        t.insert("some_complete".into(), Value::Bool(true));
-    }
-    if c.zero_drops {
-        t.insert("zero_drops".into(), Value::Bool(true));
-    }
-    if c.sharded_identical {
-        t.insert("sharded_identical".into(), Value::Bool(true));
-    }
-    if let Some(x) = c.fct_p99_ms_max {
-        t.insert("fct_p99_ms_max".into(), Value::Float(x));
-    }
-    if let Some(x) = c.fct_median_ms_max {
-        t.insert("fct_median_ms_max".into(), Value::Float(x));
-    }
-    if let Some(x) = c.min_goodput_gbps {
-        t.insert("min_goodput_gbps".into(), Value::Float(x));
-    }
-    if let Some(x) = c.last_first_ratio_max {
-        t.insert("last_first_ratio_max".into(), Value::Float(x));
-    }
-    if let Some(x) = c.max_loss_window_us {
-        t.insert("max_loss_window_us".into(), Value::Float(x));
-    }
-    if let Some(x) = c.max_convergence_us {
-        t.insert("max_convergence_us".into(), Value::Float(x));
-    }
-    t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stardust_workload::LinkAction;
 
     const FULL: &str = r#"
 [experiment]
@@ -1294,16 +1075,6 @@ ppm = 0
     }
 
     #[test]
-    fn round_trips_through_format() {
-        let spec = ExperimentSpec::parse(FULL).unwrap();
-        let text = spec.to_text();
-        let again = ExperimentSpec::parse(&text).expect("formatted spec re-parses");
-        assert_eq!(spec, again, "round trip changed the spec:\n{text}");
-        // Formatting is a fixpoint.
-        assert_eq!(text, again.to_text());
-    }
-
-    #[test]
     fn engine_strings_round_trip() {
         for s in [
             "fabric",
@@ -1336,36 +1107,54 @@ ppm = 0
 
     #[test]
     fn scenario_kinds_round_trip() {
-        for kind in [
-            ScenarioKind::Permutation { flow_bytes: 1000 },
-            ScenarioKind::Incast {
-                backends: 10,
-                response_bytes: 450_000,
-            },
-            ScenarioKind::Mix {
-                dist: FlowSizeDist::fb_hadoop(),
-                n_flows: 9,
-                node_gap: SimDuration::from_micros(123),
-            },
-            ScenarioKind::Shuffle {
-                bytes_per_pair: 4096,
-                node_gap: SimDuration::from_micros(55),
-            },
-            ScenarioKind::Service {
-                n_flows: 100_000,
-                node_gap: SimDuration::from_micros(200),
-                hadoop_share: 0.25,
-                diurnal_period: SimDuration::from_millis(5),
-                diurnal_min: 0.5,
-                shuffle_bytes: 40_000,
-                shuffle_period: SimDuration::from_micros(300),
-                incast_backends: 6,
-                incast_bytes: 40_000,
-                incast_period: SimDuration::from_micros(900),
-            },
+        for (text, kind) in [
+            (
+                "kind = \"permutation\"\nflow_bytes = 1000",
+                ScenarioKind::Permutation { flow_bytes: 1000 },
+            ),
+            (
+                "kind = \"incast\"\nbackends = 10\nresponse_bytes = 450000",
+                ScenarioKind::Incast {
+                    backends: 10,
+                    response_bytes: 450_000,
+                },
+            ),
+            (
+                "kind = \"mix\"\ndist = \"hadoop\"\nflows = 9\nnode_gap_us = 123",
+                ScenarioKind::Mix {
+                    dist: FlowSizeDist::fb_hadoop(),
+                    n_flows: 9,
+                    node_gap: SimDuration::from_micros(123),
+                },
+            ),
+            (
+                "kind = \"shuffle\"\nbytes_per_pair = 4096\nnode_gap_us = 55",
+                ScenarioKind::Shuffle {
+                    bytes_per_pair: 4096,
+                    node_gap: SimDuration::from_micros(55),
+                },
+            ),
+            (
+                "kind = \"service\"\nflows = 100000\nnode_gap_us = 200\nhadoop_share = 0.25\n\
+                 diurnal_period_us = 5000\ndiurnal_min = 0.5\nshuffle_bytes = 40000\n\
+                 shuffle_period_us = 300\nincast_backends = 6\nincast_bytes = 40000\n\
+                 incast_period_us = 900",
+                ScenarioKind::Service {
+                    n_flows: 100_000,
+                    node_gap: SimDuration::from_micros(200),
+                    hadoop_share: 0.25,
+                    diurnal_period: SimDuration::from_millis(5),
+                    diurnal_min: 0.5,
+                    shuffle_bytes: 40_000,
+                    shuffle_period: SimDuration::from_micros(300),
+                    incast_backends: 6,
+                    incast_bytes: 40_000,
+                    incast_period: SimDuration::from_micros(900),
+                },
+            ),
         ] {
-            let t = scenario_table(&kind);
-            assert_eq!(parse_scenario(&t).unwrap(), kind);
+            let t = toml::parse(text).expect(text);
+            assert_eq!(parse_scenario(&t).unwrap(), kind, "{text}");
         }
     }
 
@@ -1375,18 +1164,11 @@ ppm = 0
         let spec = ExperimentSpec::parse(&text).expect("sketch spec parses");
         assert_eq!(spec.stats, StatsMode::Sketch);
         assert_eq!(spec.admit_window_us, DEFAULT_ADMIT_WINDOW_US);
-        let again = ExperimentSpec::parse(&spec.to_text()).unwrap();
-        assert_eq!(spec, again);
 
-        let mut spec = spec;
-        spec.admit_window_us = 250;
-        let again = ExperimentSpec::parse(&spec.to_text()).unwrap();
-        assert_eq!(again.admit_window_us, 250);
-
-        // The default mode stays omitted from the rendered form.
-        let table_spec = ExperimentSpec::parse(FULL).unwrap();
-        assert!(!table_spec.to_text().contains("stats"));
-        assert!(!table_spec.to_text().contains("admit_window_us"));
+        let text = text.replace("stats = \"sketch\"", "admit_window_us = 250");
+        let spec = ExperimentSpec::parse(&text).expect("windowed spec parses");
+        assert_eq!(spec.stats, StatsMode::Table);
+        assert_eq!(spec.admit_window_us, 250);
     }
 
     #[test]
@@ -1394,13 +1176,7 @@ ppm = 0
         let text = FULL.replace("seeds = [42, 7]", "seeds = [42, 7]\nthreads = 2");
         let spec = ExperimentSpec::parse(&text).expect("threads spec parses");
         assert_eq!(spec.threads, Some(2));
-        let again = ExperimentSpec::parse(&spec.to_text()).unwrap();
-        assert_eq!(spec, again);
-
-        // Default stays omitted from the rendered form.
-        let default_spec = ExperimentSpec::parse(FULL).unwrap();
-        assert_eq!(default_spec.threads, None);
-        assert!(!default_spec.to_text().contains("threads"));
+        assert_eq!(ExperimentSpec::parse(FULL).unwrap().threads, None);
 
         let zero = FULL.replace("seeds = [42, 7]", "seeds = [42, 7]\nthreads = 0");
         let e = ExperimentSpec::parse(&zero).expect_err("zero threads rejected");
@@ -1475,19 +1251,10 @@ ppm = 0
                 topo_spec(&format!("{base}{body}")).unwrap_or_else(|e| panic!("{body}: {e}"));
             assert_eq!(spec.topology.kind, kind, "{body}");
             assert_eq!(spec.topology.fabric_endpoints(), endpoints, "{body}");
-            let again = ExperimentSpec::parse(&spec.to_text()).expect("round trip parses");
-            assert_eq!(spec, again, "{body} round trip");
             // The built fabric matches the declared population.
             let built = spec.topology.build_fabric(42);
             assert_eq!(built.plan.num_endpoints, endpoints, "{body} build");
         }
-    }
-
-    #[test]
-    fn default_kind_stays_omitted_from_rendered_form() {
-        let spec = ExperimentSpec::parse(FULL).unwrap();
-        assert_eq!(spec.topology.kind, TopoKind::TwoTier);
-        assert!(!spec.to_text().contains("kind = \"two_tier\""));
     }
 
     #[test]
@@ -1580,12 +1347,57 @@ ppm = 0
                 "kind = \"incast\"\nbackends = 3\nresponse_bytes = 0",
                 "response_bytes must be positive",
             ),
+            // Typos that used to run with the gate silently off.
+            ("[checks]", "[check]", "unknown section \"check\""),
+            (
+                "reach_us = 10",
+                "reach_uss = 10",
+                "unknown [experiment] key \"reach_uss\"",
+            ),
+            (
+                "seeds = [42, 7]",
+                "sedes = [42, 7]",
+                "unknown [experiment] key \"sedes\"",
+            ),
+            (
+                MIX,
+                "kind = \"permutation\"\nflow_byte = 1000",
+                "key \"flow_byte\" (expected one of: kind, flow_bytes)",
+            ),
+            (
+                "ppm = 40000",
+                "pmm = 40000",
+                "key \"pmm\" (expected one of: at_us, link, action, ppm)",
+            ),
+            (
+                "action = \"restore\"",
+                "action = \"restore\"\nppm = 0",
+                "key \"ppm\" (expected one of: at_us, link, action)",
+            ),
         ] {
             assert!(FULL.contains(from), "stale mutation target {from:?}");
             let e = ExperimentSpec::parse(&FULL.replace(from, to)).expect_err(to);
             assert!(e.to_string().contains(needle), "{to}: {e}");
         }
         assert!(ExperimentSpec::parse("[experiment]\nname = \"x\"\n").is_err());
+    }
+
+    #[test]
+    fn module_doc_example_parses() {
+        // With no formatter, the ```toml block in this file's header is
+        // the format's reference: it must be a spec `parse` accepts.
+        let example: String = include_str!("spec.rs")
+            .lines()
+            .skip_while(|l| *l != "//! ```toml")
+            .skip(1)
+            .take_while(|l| *l != "//! ```")
+            .map(|l| l.trim_start_matches("//!").to_string() + "\n")
+            .collect();
+        let spec = ExperimentSpec::parse(&example).unwrap_or_else(|e| panic!("{e}:\n{example}"));
+        assert_eq!(spec.name, "fig10b-web-mix");
+        assert_eq!(spec.reach_us, Some(10));
+        assert_eq!(spec.failures.events().len(), 1);
+        assert_eq!(spec.checks.max_convergence_us, Some(200.0));
     }
 
     #[test]

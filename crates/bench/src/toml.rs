@@ -1,4 +1,4 @@
-//! A tiny self-contained TOML-subset parser and formatter.
+//! A tiny self-contained TOML-subset parser.
 //!
 //! The workspace builds with no crates.io access (see DESIGN.md), so the
 //! experiment-spec files under `specs/` are parsed by this module instead
@@ -16,10 +16,8 @@
 //! Out of scope (rejected, never silently misread): multi-line strings
 //! and arrays, literal/quoted keys, inline tables, and dates.
 //!
-//! [`format()`] renders a document back to text such that
-//! `parse(format(parse(s))) == parse(s)` — the round-trip the spec tests
-//! pin down. Tables format with scalar keys first, then sub-tables,
-//! keys in sorted order.
+//! There is no formatter: spec files are written by hand (comments and
+//! all) and only ever read.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -334,104 +332,6 @@ fn parse_number(s: &str, lineno: usize) -> Result<(Value, &str), TomlError> {
     }
 }
 
-/// Render a document: scalar/array keys first, then `[tables]` and
-/// `[[arrays-of-tables]]`, depth-first, keys in sorted (BTreeMap) order.
-pub fn format(doc: &Table) -> String {
-    let mut out = String::new();
-    format_table(doc, &mut Vec::new(), &mut out);
-    out
-}
-
-fn format_table(t: &Table, path: &mut Vec<String>, out: &mut String) {
-    for (k, v) in t {
-        match v {
-            Value::Table(_) => {}
-            Value::Array(items)
-                if items.iter().all(|i| matches!(i, Value::Table(_))) && !items.is_empty() => {}
-            _ => {
-                out.push_str(k);
-                out.push_str(" = ");
-                format_value(v, out);
-                out.push('\n');
-            }
-        }
-    }
-    for (k, v) in t {
-        match v {
-            Value::Table(sub) => {
-                path.push(k.clone());
-                if !out.is_empty() {
-                    out.push('\n');
-                }
-                out.push('[');
-                out.push_str(&path.join("."));
-                out.push_str("]\n");
-                format_table(sub, path, out);
-                path.pop();
-            }
-            Value::Array(items)
-                if items.iter().all(|i| matches!(i, Value::Table(_))) && !items.is_empty() =>
-            {
-                path.push(k.clone());
-                for item in items {
-                    let Value::Table(sub) = item else {
-                        unreachable!()
-                    };
-                    if !out.is_empty() {
-                        out.push('\n');
-                    }
-                    out.push_str("[[");
-                    out.push_str(&path.join("."));
-                    out.push_str("]]\n");
-                    format_table(sub, path, out);
-                }
-                path.pop();
-            }
-            _ => {}
-        }
-    }
-}
-
-fn format_value(v: &Value, out: &mut String) {
-    match v {
-        Value::Str(s) => {
-            out.push('"');
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\t' => out.push_str("\\t"),
-                    '\r' => out.push_str("\\r"),
-                    _ => out.push(c),
-                }
-            }
-            out.push('"');
-        }
-        Value::Int(n) => out.push_str(&n.to_string()),
-        Value::Float(f) => {
-            let s = format!("{f}");
-            out.push_str(&s);
-            // Keep floats parsing back as floats.
-            if !s.contains('.') && !s.contains('e') && !s.contains("inf") && !s.contains("NaN") {
-                out.push_str(".0");
-            }
-        }
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Array(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                format_value(item, out);
-            }
-            out.push(']');
-        }
-        Value::Table(_) => unreachable!("nested tables render as [headers]"),
-    }
-}
-
 /// Typed accessors used by the spec layer, with path-aware messages.
 impl Value {
     /// The value as a string slice, if it is one.
@@ -463,14 +363,6 @@ impl Value {
     pub fn as_bool(&self) -> Option<bool> {
         match self {
             Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The value as an array slice, if it is one.
-    pub fn as_array(&self) -> Option<&[Value]> {
-        match self {
-            Value::Array(v) => Some(v),
             _ => None,
         }
     }
@@ -526,13 +418,18 @@ action = "restore"
             Value::Array(vec![Value::Int(1), Value::Int(2), Value::Int(3)])
         );
         assert_eq!(
-            doc["labels"].as_array().unwrap()[1],
-            Value::Str("b # not a comment".into())
+            doc["labels"],
+            Value::Array(vec![
+                Value::Str("a".into()),
+                Value::Str("b # not a comment".into())
+            ])
         );
         let scn = doc["scenario"].as_table().unwrap();
         assert_eq!(scn["kind"], Value::Str("mix".into()));
         assert_eq!(scn["nested"].as_table().unwrap()["deep"], Value::Int(-7));
-        let failures = doc["failure"].as_array().unwrap();
+        let Value::Array(failures) = &doc["failure"] else {
+            panic!("[[failure]] parses as an array");
+        };
         assert_eq!(failures.len(), 2);
         assert_eq!(
             failures[1].as_table().unwrap()["action"],
@@ -548,47 +445,6 @@ action = "restore"
             doc["s"],
             Value::Str("quote \" slash \\ nl \n tab \t".into())
         );
-        let again = parse(&format(&doc)).unwrap();
-        assert_eq!(doc, again);
-    }
-
-    #[test]
-    fn format_then_parse_is_identity() {
-        let doc = parse(
-            r#"
-x = 1
-y = 2.0
-z = [true, false]
-s = "hi"
-
-[a]
-k = "v"
-
-[a.b]
-n = 3
-
-[[runs]]
-seed = 1
-
-[[runs]]
-seed = 2
-horizon = 1.25e3
-"#,
-        )
-        .unwrap();
-        let text = format(&doc);
-        let again = parse(&text).expect("formatted output must re-parse");
-        assert_eq!(doc, again, "round-trip changed the document:\n{text}");
-        // And formatting is a fixpoint after one round.
-        assert_eq!(text, format(&again));
-    }
-
-    #[test]
-    fn floats_always_format_as_floats() {
-        let doc: Table = [("f".to_string(), Value::Float(2.0))].into_iter().collect();
-        let text = format(&doc);
-        assert_eq!(text, "f = 2.0\n");
-        assert_eq!(parse(&text).unwrap()["f"], Value::Float(2.0));
     }
 
     #[test]
@@ -638,6 +494,6 @@ horizon = 1.25e3
         // …but the same sub-table name under successive array elements
         // is a fresh namespace each time (real-TOML semantics).
         let doc = parse("[[runs]]\n[runs.cfg]\na = 1\n[[runs]]\n[runs.cfg]\na = 2\n").unwrap();
-        assert_eq!(doc["runs"].as_array().unwrap().len(), 2);
+        assert!(matches!(&doc["runs"], Value::Array(runs) if runs.len() == 2));
     }
 }

@@ -1,15 +1,19 @@
-//! `stardust fig` from the outside: the figure table, the model-only
+//! `stardust` from the outside: the figure table, the model-only
 //! figures' paper-pinned values, one simulated figure at its smallest
-//! setting, and the usage errors (exit 2, never a panic).
+//! setting, the usage errors (exit 2, never a panic), and a mistyped
+//! spec failing `stardust run`.
 
 use std::process::{Command, Output};
 
-fn fig(args: &[&str]) -> Output {
+fn stardust(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_stardust"))
-        .arg("fig")
         .args(args)
         .output()
         .expect("stardust binary runs")
+}
+
+fn fig(args: &[&str]) -> Output {
+    stardust(&[&["fig"], args].concat())
 }
 
 fn stdout(out: &Output) -> String {
@@ -101,6 +105,16 @@ fn bad_fig_input_is_a_usage_error_not_a_panic() {
             &["fig3_parallelism", "--full"],
             "usage: stardust fig fig3_parallelism",
         ),
+        // Well-formed values the spec rules reject, once laid over the
+        // figure's preset — these used to reach a builder's assert.
+        (
+            &["fig10a_permutation", "--k", "3"],
+            "spec error: engine \"transport:mptcp\": [topology] kary_k must be even",
+        ),
+        (
+            &["appendix_e_resilience", "--shards", "99"],
+            "spec error: engine \"sharded:99\": more shards than the fabric's 16",
+        ),
     ] {
         let out = fig(args);
         let err = String::from_utf8_lossy(&out.stderr);
@@ -109,4 +123,22 @@ fn bad_fig_input_is_a_usage_error_not_a_panic() {
         assert!(!err.contains("panicked"), "{args:?}: {err}");
         assert!(out.stdout.is_empty(), "{args:?} printed a figure");
     }
+}
+
+#[test]
+fn mistyped_spec_section_fails_the_run() {
+    // `[check]` for `[checks]` used to run with every gate off and
+    // exit 0 with "all checks passed".
+    let text = stardust(&["preset", "zoo_dragonfly"]);
+    assert!(text.status.success());
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("mistyped_section.toml");
+    std::fs::write(&path, stdout(&text).replace("[checks]", "[check]")).unwrap();
+    let out = stardust(&["run", path.to_str().unwrap()]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(
+        err.contains("spec error: unknown section \"check\""),
+        "{err}"
+    );
+    assert!(!stdout(&out).contains("all checks passed"));
 }

@@ -3,11 +3,11 @@
 //!
 //! Three pins:
 //!
-//! 1. **Spec files == presets.** The TOML files under `specs/ci_smoke/`
-//!    are the in-code presets rendered to disk; parsing them back must
-//!    reproduce the presets exactly (and survive a format → parse round
-//!    trip), so the CI entry point (`stardust run specs/ci_smoke`) and
-//!    the fig binaries can never drift apart.
+//! 1. **Spec files == presets.** A preset is a file under `specs/`
+//!    embedded by name; every file there must be a row of the preset
+//!    table (and every row a file) and must parse and validate, so the
+//!    CI entry point (`stardust run specs/ci_smoke`), `stardust preset`
+//!    and the fig binaries read the same bytes.
 //! 2. **Golden equivalence.** The fig10 a–c spec presets, expanded by
 //!    the runner over the generic `FlowEngine` surface, must produce
 //!    **bit-identical** `FlowStats` to direct `Scenario` + engine calls
@@ -18,64 +18,66 @@
 //!    fabric engine, sharded output bit-identical to sequential.
 
 use stardust_bench::fig10::{fabric_engine, transport_sim};
-use stardust_bench::presets::{self, Fig10Params};
+use stardust_bench::presets;
 use stardust_bench::runner::run_spec;
 use stardust_bench::spec::{EngineSpec, ExperimentSpec};
 use stardust_fabric::shard::ExecMode;
 use stardust_fabric::ShardedFabricEngine;
-use stardust_sim::FlowStats;
+use stardust_sim::{FlowStats, SimDuration};
 use stardust_topo::builders::{two_tier, TwoTierParams};
 use stardust_transport::Protocol;
-use stardust_workload::TransportFlowEngine;
+use stardust_workload::{FlowSizeDist, ScenarioKind, TransportFlowEngine};
 use std::path::PathBuf;
 
-fn specs_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../specs/ci_smoke")
+/// The preset called `name`, parsed — the starting point the tests
+/// below scale down by overriding fields, as the figures do with flags.
+fn preset(name: &str) -> ExperimentSpec {
+    presets::by_name(name).unwrap_or_else(|| panic!("no preset {name}"))
 }
 
 #[test]
-fn ci_smoke_spec_files_match_presets() {
-    let dir = specs_dir();
-    let mut on_disk: Vec<String> = std::fs::read_dir(&dir)
-        .expect("specs/ci_smoke exists")
-        .filter_map(|e| e.ok())
-        .map(|e| e.file_name().to_string_lossy().into_owned())
-        .filter(|n| n.ends_with(".toml"))
-        .collect();
-    on_disk.sort();
-    let presets = presets::ci_smoke();
-    let mut expected: Vec<String> = presets
-        .iter()
-        .map(|(stem, _)| format!("{stem}.toml"))
-        .collect();
-    expected.sort();
-    assert_eq!(
-        on_disk, expected,
-        "specs/ci_smoke file set drifted from presets::ci_smoke()"
-    );
-    for (stem, preset) in &presets {
-        let path = dir.join(format!("{stem}.toml"));
-        let text = std::fs::read_to_string(&path).unwrap();
-        let parsed = ExperimentSpec::parse(&text)
-            .unwrap_or_else(|e| panic!("{stem}.toml failed to parse: {e}"));
-        assert_eq!(
-            &parsed, preset,
-            "{stem}.toml drifted from its preset — regenerate with \
-             `stardust preset {stem} > specs/ci_smoke/{stem}.toml`"
-        );
-        // Round trip: parse → format → parse is the identity.
-        let reparsed = ExperimentSpec::parse(&parsed.to_text()).unwrap();
-        assert_eq!(reparsed, parsed, "{stem}.toml did not round-trip");
+fn every_spec_file_is_a_preset_and_validates() {
+    let specs = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../specs");
+    let mut on_disk = Vec::new();
+    for dir in std::fs::read_dir(&specs).expect("specs/ exists") {
+        let dir = dir.unwrap().path();
+        assert!(dir.is_dir(), "stray file {}", dir.display());
+        for file in std::fs::read_dir(&dir).unwrap() {
+            let file = file.unwrap().path();
+            assert!(
+                file.extension().is_some_and(|x| x == "toml"),
+                "stray file {}",
+                file.display()
+            );
+            let name = file.file_stem().unwrap().to_string_lossy().into_owned();
+            let text = std::fs::read_to_string(&file).unwrap();
+            assert_eq!(
+                presets::text(&name),
+                Some(text.as_str()),
+                "{} is not the `{name}` row of presets::PRESETS",
+                file.display()
+            );
+            ExperimentSpec::parse(&text)
+                .unwrap_or_else(|e| panic!("{}: {e}", file.display()))
+                .validate()
+                .unwrap_or_else(|e| panic!("{}: {e}", file.display()));
+            on_disk.push(name);
+        }
     }
-    // The paper-scale `*_default` presets, rendered under `specs/paper/`.
-    for name in presets::names().into_iter().skip(presets.len()) {
-        let path = dir.join(format!("../paper/{name}.toml"));
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{name}.toml: {e}"));
-        assert_eq!(
-            ExperimentSpec::parse(&text).as_ref(),
-            Ok(&presets::by_name(name).expect(name)),
-            "specs/paper/{name}.toml drifted from its preset"
-        );
+    // …and every row is a file (names are unique, so equal sets).
+    on_disk.sort();
+    let mut rows: Vec<&str> = presets::names().collect();
+    rows.sort();
+    assert_eq!(on_disk, rows, "a preset row has no file under specs/");
+    assert!(presets::by_name("nope").is_none());
+}
+
+/// The fig10b Web mix at `n_flows` flows and a 400 µs per-node gap.
+fn web_mix(n_flows: usize) -> ScenarioKind {
+    ScenarioKind::Mix {
+        dist: FlowSizeDist::fb_web(),
+        n_flows,
+        node_gap: SimDuration::from_micros(400),
     }
 }
 
@@ -111,11 +113,29 @@ fn fig10_presets_bit_identical_to_direct_engine_calls() {
     // Short horizons keep the debug-profile suite fast; equivalence is
     // horizon-independent, so 5–8 simulated ms pin it as well as 100.
     let specs = [
-        presets::fig10a(Fig10Params::smoke(5), 100_000),
-        presets::fig10b(Fig10Params::smoke(8), 40, 400, false),
-        presets::fig10c(Fig10Params::smoke(8), 10, 150_000),
+        ExperimentSpec {
+            horizon_us: 5_000,
+            scenario: ScenarioKind::Permutation {
+                flow_bytes: 100_000,
+            },
+            ..preset("fig10a")
+        },
+        ExperimentSpec {
+            horizon_us: 8_000,
+            scenario: web_mix(40),
+            ..preset("fig10b")
+        },
+        ExperimentSpec {
+            horizon_us: 8_000,
+            scenario: ScenarioKind::Incast {
+                backends: 10,
+                response_bytes: 150_000,
+            },
+            ..preset("fig10c_10")
+        },
     ];
     for spec in specs {
+        spec.validate().expect("scaled-down preset validates");
         let outcome = run_spec(&spec);
         assert_eq!(outcome.runs.len(), spec.engines.len());
         for run in &outcome.runs {
@@ -139,7 +159,13 @@ fn failure_schedule_spec_sharded_bit_identical_to_sequential() {
     // fabric engine flavors, bit-identical output. Smoke scale (16 FAs).
     // The preset runs the reach protocol live, so the hand-driven
     // engines below enable it at the same interval.
-    let spec = presets::failure_churn(16, 12, 7, 3);
+    let mut spec = ExperimentSpec {
+        seeds: vec![7],
+        engines: vec![EngineSpec::Fabric, EngineSpec::Sharded { shards: 3 }],
+        ..preset("failure_churn")
+    };
+    presets::rescale(&mut spec, 12_000);
+    spec.validate().expect("rescaled storm validates");
     let scn = spec.scenario_for(7);
     let mut cfg = stardust_bench::fig10::fabric_config(7);
     cfg.reach_interval = spec.reach_interval();
@@ -193,7 +219,11 @@ fn failure_schedule_spec_sharded_bit_identical_to_sequential() {
 fn transport_wrapper_reports_only_its_own_flows() {
     // Background flows added directly on the inner sim stay out of the
     // wrapper's FlowStats — the contract run_transport used to provide.
-    let spec = presets::fig10b(Fig10Params::smoke(8), 20, 400, false);
+    let spec = ExperimentSpec {
+        horizon_us: 8_000,
+        scenario: web_mix(20),
+        ..preset("fig10b")
+    };
     let scn = spec.scenario_for(42);
     let mut sim = transport_sim(spec.topology.kary_k, 42);
     sim.add_flow(
@@ -214,7 +244,18 @@ fn service_preset_streams_both_fabric_engines_bit_identically() {
     // admission, sketch accounting — and the sharded engine's merged
     // sketch book must equal the sequential one bit-for-bit (the
     // preset's own sharded_identical gate).
-    let spec = presets::service(16, 120, 8, 42, 2, 300, 2_000);
+    let mut spec = preset("service");
+    spec.horizon_us = 8_000;
+    let ScenarioKind::Service {
+        n_flows,
+        diurnal_period,
+        ..
+    } = &mut spec.scenario
+    else {
+        panic!("the service preset is a Service scenario")
+    };
+    (*n_flows, *diurnal_period) = (120, SimDuration::from_micros(2_000));
+    spec.validate().expect("scaled-down preset validates");
     let outcome = run_spec(&spec);
     assert!(
         outcome.check_failures.is_empty(),

@@ -60,12 +60,6 @@ impl FatTreeParams {
         ((2 * n as u64 - 1) * self.t * self.k.pow(n - 1)) >> (n - 1)
     }
 
-    /// Fabric switches needed *per ToR*: `(2n−1) · t / k` (as a ratio; use
-    /// [`FatTreeParams::switches_for_tors`] for integer provisioning).
-    pub fn switches_per_tor(&self, n: u32) -> f64 {
-        (2.0 * n as f64 - 1.0) * self.t as f64 / self.k as f64
-    }
-
     /// Total link bundles in a fully provisioned `n`-tier network, per the
     /// printed Table 2 (see module docs for the n = 2 vs general-formula
     /// discrepancy).

@@ -425,10 +425,6 @@ impl OnlineStats {
             self.m2 / self.n as f64
         }
     }
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
     /// Minimum sample (NaN when empty).
     pub fn min(&self) -> f64 {
         self.min
@@ -620,15 +616,6 @@ impl FlowStats {
     /// FCT histogram (nanosecond samples, 1 µs bins).
     pub fn fct_histogram_ns(&self) -> &Histogram {
         &self.fct_ns
-    }
-
-    /// The FCT sketch (picosecond samples) in sketch mode, `None` in
-    /// table mode.
-    pub fn fct_sketch_ps(&self) -> Option<&QuantileSketch> {
-        match &self.book {
-            Book::Table(_) => None,
-            Book::Sketch(sb) => Some(&sb.fct_ps),
-        }
     }
 
     /// Completed FCTs, ascending (empty in sketch mode — the individual

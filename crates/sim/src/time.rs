@@ -60,10 +60,6 @@ impl SimTime {
     pub fn as_micros_f64(self) -> f64 {
         self.0 as f64 / PS_PER_US as f64
     }
-    /// Time expressed in (fractional) milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / PS_PER_MS as f64
-    }
     /// Time expressed in (fractional) seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / PS_PER_SEC as f64

@@ -221,12 +221,6 @@ impl RoutePlan {
             num_endpoints: endpoints.len(),
         }
     }
-
-    /// The candidate destination set for a link direction (engine dir
-    /// index convention: `link * 2 + from_end`).
-    pub fn dsts_of_dir(&self, dir: usize) -> &DstSet {
-        &self.dir_dsts[dir]
-    }
 }
 
 /// Debug check: every finitely-reachable non-destination node has some

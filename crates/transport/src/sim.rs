@@ -295,11 +295,6 @@ impl TransportSim {
         &self.flows[id.0 as usize].status
     }
 
-    /// Statuses of all flows.
-    pub fn flow_statuses(&self) -> impl Iterator<Item = &FlowStatus> {
-        self.flows.iter().map(|f| &f.status)
-    }
-
     /// The engine-agnostic FCT surface over all flows: the same
     /// [`FlowStats`] record type the cell-accurate fabric engine fills,
     /// so Fig 10 experiments report both engines through one table.

@@ -243,12 +243,6 @@ impl TransportFlowEngine {
     pub fn sim(&self) -> &TransportSim {
         &self.sim
     }
-
-    /// The inner simulator, mutably (e.g. to add background flows that
-    /// stay out of [`FlowEngine::flow_stats`]).
-    pub fn sim_mut(&mut self) -> &mut TransportSim {
-        &mut self.sim
-    }
 }
 
 impl FlowEngine for TransportFlowEngine {
