@@ -45,6 +45,9 @@ pub fn run(args: &Args) -> ExitCode {
     } else {
         args.get_u64("scale", 16) as u32
     };
+    if let Some(code) = super::bad_scale("fig9_queueing", scale) {
+        return code;
+    }
     let ms = args.get_u64("ms", 3);
     let utils = [0.66, 0.8, 0.92, 0.95, 1.2];
 

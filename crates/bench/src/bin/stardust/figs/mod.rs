@@ -208,10 +208,26 @@ pub fn main(argv: &[String]) -> ExitCode {
     };
     match Args::parse(&argv[1..], fig.flags) {
         Ok(args) => (fig.run)(&args),
-        Err(e) => {
-            let usage = format!("stardust fig {name} {}", flag_usage(fig.flags));
-            eprintln!("stardust fig {name}: {e}\nusage: {}", usage.trim_end());
-            ExitCode::from(2)
-        }
+        Err(e) => bad_args(fig, &e),
     }
+}
+
+/// The usage error of figure `fig`: what was wrong, the flags the figure
+/// accepts, exit 2.
+fn bad_args(fig: &Figure, what: &str) -> ExitCode {
+    let usage = format!("stardust fig {} {}", fig.name, flag_usage(fig.flags));
+    eprintln!(
+        "stardust fig {}: {what}\nusage: {}",
+        fig.name,
+        usage.trim_end()
+    );
+    ExitCode::from(2)
+}
+
+/// A `--scale` the two-tier builder would reject is a usage error of the
+/// figure `name`, by the rule the spec layer applies to `two_tier_factor`.
+fn bad_scale(name: &str, scale: u32) -> Option<ExitCode> {
+    let e = stardust_topo::TwoTierParams::check_paper_scale(scale).err()?;
+    let fig = FIGURES.iter().find(|f| f.name == name).expect("a figure");
+    Some(bad_args(fig, &format!("--scale {e}")))
 }

@@ -377,26 +377,9 @@ impl TopoSpec {
         if self.two_tier_factor == 0 || self.kary_k == 0 {
             return bad("[topology] factors must be positive");
         }
-        let p = stardust_topo::TwoTierParams::paper_6_2();
-        let populations = [
-            p.num_fa,
-            p.fa_uplinks,
-            p.t1_count,
-            p.t1_down,
-            p.t1_up,
-            p.t2_count,
-            p.t2_down,
-        ];
-        if self.kind == TopoKind::TwoTier
-            && populations
-                .iter()
-                .any(|n| !n.is_multiple_of(self.two_tier_factor))
-        {
-            return bad(format!(
-                "[topology] two_tier_factor {} does not divide the paper populations \
-                 {populations:?}",
-                self.two_tier_factor
-            ));
+        if self.kind == TopoKind::TwoTier {
+            stardust_topo::TwoTierParams::check_paper_scale(self.two_tier_factor)
+                .map_err(|e| SpecError(format!("[topology] two_tier_factor {e}")))?;
         }
         Ok(())
     }

@@ -105,6 +105,13 @@ fn bad_fig_input_is_a_usage_error_not_a_panic() {
             &["fig3_parallelism", "--full"],
             "usage: stardust fig fig3_parallelism",
         ),
+        // A scale the two-tier builder cannot divide by used to reach its
+        // assert on the figure that builds without a spec.
+        (
+            &["fig9_queueing", "--scale", "3"],
+            "--scale 3 does not divide the paper populations [256, 32, 128, 64, 64, 64, 128]\n\
+             usage: stardust fig fig9_queueing [--full] [--scale N] [--ms N]",
+        ),
         // Well-formed values the spec rules reject, once laid over the
         // figure's preset — these used to reach a builder's assert.
         (

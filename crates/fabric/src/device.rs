@@ -16,8 +16,8 @@ use crate::ev::Ev;
 use crate::reach::{PortReach, ReachTable};
 use crate::spray::Sprayer;
 use crate::wire::Wire;
-use stardust_sim::{CoreKind, DetRng, SimDuration, SimTime};
-use stardust_topo::{NodeId, NodeKind, RoutePlan, Topology};
+use stardust_sim::{CoreKind, DetRng, IdHash, SimDuration, SimTime};
+use stardust_topo::{DstSet, NodeId, NodeKind, RoutePlan, Topology};
 use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Arc;
 
@@ -39,14 +39,85 @@ struct Device {
     /// Cached sprayers per destination FA, tagged with the reach table
     /// generation they were built against.
     // det-lint: allow(unordered-iter, per-destination cache hit by key at spray time; never iterated)
-    sprayers: HashMap<u32, (u64, Sprayer)>,
+    sprayers: HashMap<u32, (u64, Sprayer), IdHash>,
     /// The advert payload: a Fabric Adapter advertises this constant set
     /// (itself); a Fabric Element (`None`) the union of what its ports
     /// heard.
     own_advert: Option<Arc<Vec<u32>>>,
+    /// A Fabric Element's advert, memoised against the reach-table
+    /// generation it was unioned at: every change that can alter the
+    /// union (`on_advert`, `on_heard` reviving, `mark_faulty`, `expire`)
+    /// bumps the generation, so an equal generation means an equal union
+    /// and the tick re-sends this very `Arc`.
+    union_memo: Option<(u64, Arc<Vec<u32>>)>,
+    /// Per port, the `Arc` last folded into that port's `PortReach::fas`.
+    /// Past construction (`seed`) `fas` is written nowhere but under the
+    /// `on_advert` call that also fills this slot, an advert is never
+    /// mutated once sent, and the clone held here keeps the allocation
+    /// (hence the address) from being reused — so an incoming advert that
+    /// is `Arc::ptr_eq` to the slot filters to exactly `fas` and only
+    /// needs the heard-step.
+    folded: Vec<Option<Arc<Vec<u32>>>>,
     /// Salt of the device's sprayer streams; the destination FA is or-ed
     /// into the low 20 bits.
     rng_salt: u64,
+}
+
+impl Device {
+    /// What this device advertises now. `scratch` is the union buffer.
+    fn advert(&mut self, scratch: &mut Vec<u32>) -> Arc<Vec<u32>> {
+        if let Some(own) = &self.own_advert {
+            return own.clone();
+        }
+        let generation = self.reach.generation;
+        match &self.union_memo {
+            Some((g, fas)) if *g == generation => {
+                debug_assert!({
+                    self.reach.union_over_into(0..self.out_dirs.len(), scratch);
+                    *scratch == **fas
+                });
+                fas.clone()
+            }
+            _ => {
+                self.reach.union_over_into(0..self.out_dirs.len(), scratch);
+                let fas = Arc::new(scratch.clone());
+                self.union_memo = Some((generation, fas.clone()));
+                fas
+            }
+        }
+    }
+
+    /// A good advertisement arrives on `port`. The sender's full reach is
+    /// filtered down to the destinations `dset` — this direction's plan
+    /// candidates — allows: the structural replacement for Clos
+    /// up-ad/down-ad asymmetry, and the invariant that keeps dynamic
+    /// tables inside the loop-free candidate sets on every topology
+    /// shape. Returns `true` if the eligibility view changed.
+    fn on_advert(
+        &mut self,
+        port: usize,
+        fas: &Arc<Vec<u32>>,
+        dset: &DstSet,
+        now: SimTime,
+        revive: u32,
+        scratch: &mut Vec<u32>,
+    ) -> bool {
+        let filter = |out: &mut Vec<u32>| {
+            out.clear();
+            out.extend(fas.iter().copied().filter(|&x| dset.contains(x)));
+        };
+        let slot = &mut self.folded[port];
+        if slot.as_ref().is_some_and(|last| Arc::ptr_eq(last, fas)) {
+            debug_assert!({
+                filter(scratch);
+                *scratch == self.reach.ports()[port].fas
+            });
+            return self.reach.on_heard(port, now, revive);
+        }
+        filter(scratch);
+        *slot = Some(fas.clone());
+        self.reach.on_advert(port, scratch, now, revive)
+    }
 }
 
 /// Every device of the fabric: Fabric Adapters in FA-index order, then
@@ -115,8 +186,10 @@ impl Devices {
                 node: n,
                 out_dirs,
                 reach,
-                sprayers: HashMap::new(),
+                sprayers: HashMap::default(),
                 own_advert: is_fa.then(|| Arc::new(vec![i as u32])),
+                union_memo: None,
+                folded: vec![None; links.len()],
                 rng_salt: if is_fa {
                     (i as u64) << 20
                 } else {
@@ -232,14 +305,7 @@ impl Devices {
         if now.as_ps() > deadline_ago && d.reach.expire(SimTime(now.as_ps() - deadline_ago)) {
             ctx.stats.note_reach_change(now);
         }
-        let fas = match &d.own_advert {
-            Some(own) => own.clone(),
-            None => {
-                d.reach
-                    .union_over_into(0..d.out_dirs.len(), &mut self.scratch);
-                Arc::new(self.scratch.clone())
-            }
-        };
+        let fas = d.advert(&mut self.scratch);
         for &dir in &d.out_dirs {
             wire.send_advert(ctx, dir, fas.clone());
         }
@@ -254,25 +320,18 @@ impl Devices {
         ctx: &mut Ctx<impl CoreKind>,
         node: NodeId,
         port: u16,
-        fas: &[u32],
+        fas: &Arc<Vec<u32>>,
         faulty: bool,
     ) {
         let now = ctx.now();
         let d = &mut self.nodes[self.dev_of_node[node.0 as usize] as usize];
+        let port = port as usize;
         let changed = if faulty {
-            d.reach.mark_faulty(port as usize, now)
+            d.reach.mark_faulty(port, now)
         } else {
-            // Filter the sender's full reach down to the destinations
-            // this direction is a plan candidate for — the structural
-            // replacement for Clos up-ad/down-ad asymmetry, and the
-            // invariant that keeps dynamic tables inside the loop-free
-            // candidate sets on every topology shape.
-            let dset = &self.plan.dir_dsts[d.out_dirs[port as usize] as usize];
-            self.scratch.clear();
-            self.scratch
-                .extend(fas.iter().copied().filter(|&x| dset.contains(x)));
+            let dset = &self.plan.dir_dsts[d.out_dirs[port] as usize];
             let revive = ctx.cfg.reach_miss_threshold;
-            d.reach.on_advert(port as usize, &self.scratch, now, revive)
+            d.on_advert(port, fas, dset, now, revive, &mut self.scratch)
         };
         if changed {
             ctx.stats.note_reach_change(now);
@@ -299,12 +358,14 @@ impl Devices {
 
     /// See [`crate::FabricEngine::reach_snapshot`].
     pub(crate) fn reach_snapshot(&self) -> Vec<Vec<ReachPortSnapshot>> {
-        let port = |p: &PortReach| (p.up, p.good_streak, p.last_heard, p.fas.clone());
-        self.nodes
-            .iter()
-            .map(|d| d.reach.ports().iter().map(port).collect())
-            .collect()
+        self.nodes.iter().map(|d| snapshot(&d.reach)).collect()
     }
+}
+
+/// One table's ports as [`ReachPortSnapshot`]s.
+fn snapshot(t: &ReachTable) -> Vec<ReachPortSnapshot> {
+    let port = |p: &PortReach| (p.up, p.good_streak, p.last_heard, p.fas.clone());
+    t.ports().iter().map(port).collect()
 }
 
 /// Test-only windows onto one Fabric Adapter's private fabric-facing
@@ -325,5 +386,170 @@ impl Devices {
 
     pub(crate) fn fa_sprayer(&self, fa: usize, dst: u32) -> &Sprayer {
         &self.nodes[fa].sprayers[&dst].1
+    }
+
+    /// The advert `node` re-sends for as long as its table stands still.
+    pub(crate) fn standing_advert(&self, node: NodeId) -> Option<&Arc<Vec<u32>>> {
+        let d = &self.nodes[self.of_node(node)];
+        d.own_advert
+            .as_ref()
+            .or(d.union_memo.as_ref().map(|(_, fas)| fas))
+    }
+
+    /// The advert last folded into `node`'s table on `port`.
+    pub(crate) fn folded_advert(&self, node: NodeId, port: usize) -> Option<&Arc<Vec<u32>>> {
+        self.nodes[self.of_node(node)].folded[port].as_ref()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const PORTS: usize = 4;
+    const REVIVE: u32 = 3;
+
+    /// A bare Fabric Element over `PORTS` ports, tables empty.
+    fn fabric_element() -> Device {
+        Device {
+            node: NodeId(0),
+            out_dirs: (0..PORTS as u32).collect(),
+            reach: ReachTable::new(PORTS),
+            sprayers: HashMap::default(),
+            own_advert: None,
+            union_memo: None,
+            folded: vec![None; PORTS],
+            rng_salt: 0,
+        }
+    }
+
+    /// A sorted random subset of `0..16`.
+    fn subset(rng: &mut DetRng) -> Vec<u32> {
+        (0..16).filter(|_| rng.chance(0.5)).collect()
+    }
+
+    fn dst_set(members: impl IntoIterator<Item = u32>) -> DstSet {
+        let mut set = DstSet::new();
+        members.into_iter().for_each(|x| set.push(x));
+        set
+    }
+
+    /// The identity cache is invisible: a device fed adverts by `Arc` —
+    /// the same one again, an equal set in a fresh one, a different set,
+    /// interleaved with faulty marks and expiries that take ports down so
+    /// later adverts run revive streaks — holds after every step the table
+    /// and generation of a reference fed each advert's filtered content
+    /// through plain `ReachTable::on_advert`. The sender half rides
+    /// along: the advert equals the reference's fresh union, and is the
+    /// very same `Arc` as last step exactly while the generation stands.
+    #[test]
+    fn identity_cache_matches_plain_on_advert_over_random_histories() {
+        for seed in 0..24 {
+            let mut rng = DetRng::from_parts(seed, 0x1d);
+            let mut cached = fabric_element();
+            let mut reference = ReachTable::new(PORTS);
+            let dsets: Vec<DstSet> = (0..PORTS).map(|_| dst_set(subset(&mut rng))).collect();
+            let mut last_sent: Vec<Arc<Vec<u32>>> =
+                (0..PORTS).map(|_| Arc::new(Vec::new())).collect();
+            let (mut scratch, mut union) = (Vec::new(), Vec::new());
+            let mut now = SimTime::ZERO;
+            let mut standing: Option<(u64, Arc<Vec<u32>>)> = None;
+            let (mut hits, mut revivals) = (0, 0);
+            for _ in 0..600 {
+                now += SimDuration::from_micros(1 + rng.below(20));
+                let port = rng.index(PORTS);
+                let was_up = reference.port_up(port);
+                match rng.below(8) {
+                    0 => {
+                        cached.reach.mark_faulty(port, now);
+                        reference.mark_faulty(port, now);
+                    }
+                    1 => {
+                        let deadline = SimTime(now.as_ps().saturating_sub(40_000_000));
+                        cached.reach.expire(deadline);
+                        reference.expire(deadline);
+                    }
+                    kind => {
+                        let fas = match kind {
+                            2 => Arc::new(subset(&mut rng)),
+                            3 => Arc::new((*last_sent[port]).clone()),
+                            _ => last_sent[port].clone(),
+                        };
+                        let slot = &cached.folded[port];
+                        hits += u32::from(slot.as_ref().is_some_and(|l| Arc::ptr_eq(l, &fas)));
+                        let dset = &dsets[port];
+                        let filtered: Vec<u32> =
+                            fas.iter().copied().filter(|&x| dset.contains(x)).collect();
+                        let a = cached.on_advert(port, &fas, dset, now, REVIVE, &mut scratch);
+                        let b = reference.on_advert(port, &filtered, now, REVIVE);
+                        assert_eq!(a, b, "seed {seed}: changed flag");
+                        revivals += u32::from(!was_up && reference.port_up(port));
+                        last_sent[port] = fas;
+                    }
+                }
+                assert_eq!(snapshot(&cached.reach), snapshot(&reference), "seed {seed}");
+                assert_eq!(cached.reach.generation, reference.generation, "seed {seed}");
+
+                let generation = cached.reach.generation;
+                let advert = cached.advert(&mut scratch);
+                reference.union_over_into(0..PORTS, &mut union);
+                assert_eq!(*advert, union, "seed {seed}: advert is not the union");
+                if let Some((g, prev)) = &standing {
+                    assert_eq!(
+                        Arc::ptr_eq(prev, &advert),
+                        *g == generation,
+                        "seed {seed}: memo out of step with the generation"
+                    );
+                }
+                standing = Some((generation, advert));
+            }
+            assert!(
+                hits > 100 && revivals > 3,
+                "seed {seed}: {hits} hits, {revivals} revivals"
+            );
+        }
+    }
+
+    /// Sender memo, step by step: no generation bump, same `Arc`; every
+    /// kind of bump — a new set, an expiry, a revival — a fresh union.
+    #[test]
+    fn advert_is_memoised_against_the_table_generation() {
+        let mut d = fabric_element();
+        let all = dst_set(0..16);
+        let mut scratch = Vec::new();
+        let t = SimTime::from_micros;
+        let heard = |d: &mut Device, port, fas: &Arc<Vec<u32>>, at, scratch: &mut Vec<u32>| {
+            d.on_advert(port, fas, &all, at, REVIVE, scratch)
+        };
+        let (a, b) = (Arc::new(vec![1, 2]), Arc::new(vec![2, 3]));
+        heard(&mut d, 0, &a, t(1), &mut scratch);
+        heard(&mut d, 1, &b, t(1), &mut scratch);
+        let first = d.advert(&mut scratch);
+        assert_eq!(*first, [1, 2, 3]);
+
+        // Repeats, by identity or by content, leave the generation alone.
+        heard(&mut d, 0, &a, t(2), &mut scratch);
+        heard(&mut d, 1, &Arc::new(vec![2, 3]), t(2), &mut scratch);
+        assert!(Arc::ptr_eq(&first, &d.advert(&mut scratch)));
+
+        // A new set on one port.
+        assert!(heard(&mut d, 1, &Arc::new(vec![3, 4]), t(3), &mut scratch));
+        let second = d.advert(&mut scratch);
+        assert!(!Arc::ptr_eq(&first, &second));
+        assert_eq!(*second, [1, 2, 3, 4]);
+        assert!(Arc::ptr_eq(&second, &d.advert(&mut scratch)));
+
+        // Port 0 falls silent and expires; ports 2 and 3 never spoke.
+        heard(&mut d, 1, &b, t(50), &mut scratch);
+        assert!(d.reach.expire(t(40)));
+        let third = d.advert(&mut scratch);
+        assert_eq!(*third, [2, 3]);
+
+        // Its revival: two good adverts move nothing, the third does.
+        heard(&mut d, 0, &a, t(51), &mut scratch);
+        heard(&mut d, 0, &a, t(52), &mut scratch);
+        assert!(Arc::ptr_eq(&third, &d.advert(&mut scratch)));
+        assert!(heard(&mut d, 0, &a, t(53), &mut scratch));
+        assert_eq!(*d.advert(&mut scratch), [1, 2, 3]);
     }
 }

@@ -15,7 +15,7 @@ use crate::ev::Ev;
 use crate::sched::{PortScheduler, SchedVoq};
 use crate::voq::VoqKey;
 use stardust_sim::units::serialization_time;
-use stardust_sim::{CoreKind, SimTime};
+use stardust_sim::{CoreKind, IdHash, SimTime};
 use std::collections::{HashMap, VecDeque};
 
 /// Host-facing egress port state on a Fabric Adapter.
@@ -49,7 +49,7 @@ enum Awaited {
     /// clipped by a VOQ-cap drop never completes and its entry persists,
     /// matching the table mode's forever-unfinished record.)
     // det-lint: allow(unordered-iter, keyed by flow id via get/entry/remove only; never iterated)
-    Stream(HashMap<u32, StreamMsg>),
+    Stream(HashMap<u32, StreamMsg, IdHash>),
 }
 
 /// The egress layer's state.
@@ -57,7 +57,7 @@ pub(crate) struct Egress {
     /// `[fa][port]`.
     ports: Vec<Vec<PortState>>,
     // det-lint: allow(unordered-iter, reassembly book keyed by burst id via entry/remove only; never iterated)
-    bursts: HashMap<u64, Burst>,
+    bursts: HashMap<u64, Burst, IdHash>,
     awaited: Awaited,
 }
 
@@ -83,9 +83,9 @@ impl Egress {
             ports: (0..num_fas)
                 .map(|_| (0..cfg.host_ports).map(|_| port()).collect())
                 .collect(),
-            bursts: HashMap::new(),
+            bursts: HashMap::default(),
             awaited: if cfg.bounded_flows {
-                Awaited::Stream(HashMap::new())
+                Awaited::Stream(HashMap::default())
             } else {
                 Awaited::Table(Vec::new())
             },

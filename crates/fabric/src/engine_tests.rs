@@ -242,6 +242,49 @@ fn restored_link_revives_after_good_streak() {
 }
 
 #[test]
+fn advert_crossing_a_shard_mailbox_keeps_its_identity() {
+    // The identity cache hits on `Arc::ptr_eq`, so it must survive the
+    // mailbox: the advert travels by clone, never by copy. On every link
+    // direction that crosses the 2-shard cut, the `Arc` the receiving
+    // shard folded is the one the sending shard re-sends — and after
+    // twenty more adverts per direction, each of them a hit that re-ran
+    // the filter under `debug_assert!`, both still hold the same one.
+    let mut cfg = cfg_small();
+    cfg.reach_interval = Some(SimDuration::from_micros(10));
+    let tt = two_tier(TwoTierParams::paper_scaled(16));
+    let topo = tt.topo.clone();
+    let mut sh: ShardedFabricEngine = ShardedFabricEngine::new(tt.topo, cfg, 2);
+    let shard_of = sh.partition().shard_of_node.clone();
+    let crossing_adverts = |sh: &ShardedFabricEngine| -> Vec<*const Vec<u32>> {
+        let mut seen = Vec::new();
+        for l in topo.link_ids() {
+            for from_end in 0..2 {
+                let (src, dst) = (topo.link(l).end(from_end), topo.link(l).dst_of(from_end));
+                let (s, d) = (shard_of[src.0 as usize], shard_of[dst.0 as usize]);
+                if s == d {
+                    continue;
+                }
+                let port = topo.node(dst).links.iter().position(|&x| x == l).unwrap();
+                let sent = sh.shard(s as usize).tx.devices.standing_advert(src);
+                let held = sh.shard(d as usize).tx.devices.folded_advert(dst, port);
+                let (sent, held) = (sent.expect("sender ticked"), held.expect("advert heard"));
+                assert!(
+                    Arc::ptr_eq(sent, held),
+                    "{src:?} -> {dst:?}: advert was copied"
+                );
+                seen.push(Arc::as_ptr(held));
+            }
+        }
+        seen
+    };
+    sh.run_until(SimTime::from_micros(200));
+    let before = crossing_adverts(&sh);
+    assert!(!before.is_empty(), "test premise: the cut crosses links");
+    sh.run_until(SimTime::from_micros(400));
+    assert_eq!(before, crossing_adverts(&sh));
+}
+
+#[test]
 fn traffic_classes_strict_priority_delivery() {
     // Low-TC (high priority) traffic completes ahead of high-TC when
     // both compete for the same egress port.

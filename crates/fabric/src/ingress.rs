@@ -16,7 +16,7 @@ use crate::ev::Ev;
 use crate::packing::pack_burst;
 use crate::voq::{Voq, VoqKey};
 use crate::wire::Wire;
-use stardust_sim::{CoreKind, SimDuration, SimTime};
+use stardust_sim::{CoreKind, IdHash, SimDuration, SimTime};
 use std::collections::HashMap;
 
 /// The layers a packed burst leaves through: the source FA's own spray
@@ -65,7 +65,7 @@ enum Offered {
         /// across shards without any shared table.
         next_id: u32,
         // det-lint: allow(unordered-iter, keyed by flow id via get/entry/remove only; never iterated)
-        pending: HashMap<u32, MsgFlow>,
+        pending: HashMap<u32, MsgFlow, IdHash>,
     },
 }
 
@@ -82,7 +82,7 @@ struct SatState {
 #[derive(Default)]
 struct SrcFa {
     // det-lint: allow(unordered-iter, keyed access only; the scheduler walks VOQs via its own sorted SchedVoq book, never this map)
-    voqs: HashMap<VoqKey, Voq>,
+    voqs: HashMap<VoqKey, Voq, IdHash>,
     sat: Option<SatState>,
     /// Counter behind runtime-minted [`PacketId`]s (CBR ticks, message
     /// segmentation, saturation refill). Namespacing ids by source FA
@@ -141,7 +141,7 @@ impl Ingress {
             offered: if bounded_flows {
                 Offered::Stream {
                     next_id: 0,
-                    pending: HashMap::new(),
+                    pending: HashMap::default(),
                 }
             } else {
                 Offered::Table(Vec::new())

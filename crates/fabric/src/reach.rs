@@ -75,8 +75,30 @@ impl ReachTable {
         self.ports[port].fas = fas;
     }
 
-    /// Record an advertisement received on `port`. Returns `true` if the
-    /// eligibility view changed (set differs or link revived).
+    /// The step every good advertisement runs whatever set it carries:
+    /// stamp `last_heard` and, on a port declared down, count the message
+    /// toward the revive streak. Returns `true` if the port revived. A
+    /// caller that knows the set equals the port's `fas` (the device
+    /// layer's identity cache) calls this instead of [`Self::on_advert`].
+    pub fn on_heard(&mut self, port: usize, now: SimTime, revive_streak: u32) -> bool {
+        let p = &mut self.ports[port];
+        p.last_heard = now;
+        if p.up {
+            return false;
+        }
+        p.good_streak += 1;
+        if p.good_streak < revive_streak {
+            return false;
+        }
+        p.up = true;
+        self.generation += 1;
+        true
+    }
+
+    /// Record an advertisement received on `port`: [`Self::on_heard`],
+    /// then replace the port's set if `fas` differs from it. Returns
+    /// `true` if the eligibility view changed (set differs or link
+    /// revived).
     pub fn on_advert(
         &mut self,
         port: usize,
@@ -84,26 +106,16 @@ impl ReachTable {
         now: SimTime,
         revive_streak: u32,
     ) -> bool {
+        let revived = self.on_heard(port, now, revive_streak);
         let p = &mut self.ports[port];
-        p.last_heard = now;
-        let mut changed = false;
-        if !p.up {
-            p.good_streak += 1;
-            if p.good_streak >= revive_streak {
-                p.up = true;
-                changed = true;
-            }
+        if p.fas == fas {
+            return revived;
         }
-        if p.fas != fas {
-            p.fas = fas.to_vec();
-            p.fas.sort_unstable();
-            p.fas.dedup();
-            changed = true;
-        }
-        if changed {
-            self.generation += 1;
-        }
-        changed
+        p.fas = fas.to_vec();
+        p.fas.sort_unstable();
+        p.fas.dedup();
+        self.generation += 1;
+        true
     }
 
     /// A sender marked its link faulty (§5.10: "If the error rate on a

@@ -20,7 +20,7 @@
 //!   packets are drained."
 
 use crate::config::SchedPolicy;
-use stardust_sim::{SimDuration, SimTime};
+use stardust_sim::{IdHash, SimDuration, SimTime};
 use std::collections::{HashMap, VecDeque};
 
 /// A VOQ as the egress scheduler sees it: its source FA and traffic class
@@ -45,7 +45,7 @@ pub struct PortScheduler {
     /// Outstanding requested-minus-granted bytes per VOQ. A VOQ is in a
     /// ring iff its pending entry exists.
     // det-lint: allow(unordered-iter, keyed access only; grant order is driven by the rings, never by this map)
-    pending: HashMap<SchedVoq, i64>,
+    pending: HashMap<SchedVoq, i64, IdHash>,
     /// Egress-buffer backpressure (§4.1).
     paused: bool,
     /// Whether a CreditTick event is currently scheduled.
@@ -89,7 +89,7 @@ impl PortScheduler {
             credit_bytes,
             base_interval_ps,
             rings: (0..num_tcs).map(|_| VecDeque::new()).collect(),
-            pending: HashMap::new(),
+            pending: HashMap::default(),
             paused: false,
             timer_armed: false,
             throttle: 1.0,

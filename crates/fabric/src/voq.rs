@@ -228,4 +228,56 @@ mod tests {
         let mut v = Voq::new();
         assert!(v.grant(4096, 4096).is_empty());
     }
+
+    /// hashbrown picks a bucket from a hash's low bits and tags the slot
+    /// with its top seven, so [`IdHash`] must spread both ends over every
+    /// key shape the engine's keyed maps use. The bounds sit loosely
+    /// around a uniform hash, which puts 16 Ki keys in about 12.9 k of
+    /// hashbrown's 32 Ki buckets and 128 ± 11 of them under each tag.
+    #[test]
+    fn id_hash_spreads_the_engines_key_shapes() {
+        use crate::cell::BurstId;
+        use crate::sched::SchedVoq;
+        use stardust_sim::IdHash;
+        use std::hash::{BuildHasher, Hash};
+
+        fn spread<K: Hash>(what: &str, keys: impl Iterator<Item = K>) {
+            let hashes: Vec<u64> = keys.map(|k| IdHash::default().hash_one(k)).collect();
+            assert_eq!(hashes.len(), 1 << 14, "{what}");
+            let buckets = (hashes.len() * 8 / 7).next_power_of_two();
+            let mut low = vec![0u32; buckets];
+            let mut top = [0u32; 128];
+            for h in hashes {
+                low[h as usize & (buckets - 1)] += 1;
+                top[(h >> 57) as usize] += 1;
+            }
+            let used = low.iter().filter(|&&c| c > 0).count();
+            assert!(used >= (1 << 14) / 2, "{what}: {used} buckets used");
+            let deepest = low.iter().max().unwrap();
+            assert!(*deepest <= 8, "{what}: {deepest} keys in one bucket");
+            let (min, max) = (top.iter().min().unwrap(), top.iter().max().unwrap());
+            assert!(*min >= 64 && *max <= 256, "{what}: tags hold {min}..{max}");
+        }
+
+        let burst = |src_fa: u64, n: u64| BurstId(((src_fa + 1) << 40) | n).0;
+        spread(
+            "burst ids",
+            (0..64).flat_map(|fa| (0..256).map(move |n| burst(fa, n))),
+        );
+        spread("dense flow ids", 0..1u32 << 14);
+        spread(
+            "VoqKey",
+            (0..256).flat_map(|dst_fa| {
+                (0..64).map(move |i| VoqKey {
+                    dst_fa,
+                    dst_port: i / 8,
+                    tc: i % 8,
+                })
+            }),
+        );
+        spread(
+            "SchedVoq",
+            (0..2048).flat_map(|src_fa| (0..8).map(move |tc| SchedVoq { src_fa, tc })),
+        );
+    }
 }

@@ -31,6 +31,19 @@ fn d1_allowed_is_clean() {
 }
 
 #[test]
+fn d1_hasher_bad_flags_three_parameter_type_and_hasher_constructors() {
+    assert_eq!(
+        lint_fixture("d1_hasher_bad.rs"),
+        vec![("D1", 10), ("D1", 15), ("D1", 19), ("D1", 23)]
+    );
+}
+
+#[test]
+fn d1_hasher_allowed_is_clean() {
+    assert_eq!(lint_fixture("d1_hasher_allowed.rs"), vec![]);
+}
+
+#[test]
 fn d2_bad_flags_float_time_accumulation() {
     assert_eq!(lint_fixture("d2_bad.rs"), vec![("D2", 5)]);
 }

@@ -20,6 +20,8 @@
 //!   publish/take call each.
 //! * [`link`] — the fiber propagation rule of thumb for the paper's
 //!   non-bundled point-to-point serial links ([`link::fiber_delay`]).
+//! * [`hash`] — the seedless fold-multiply hasher behind the engines'
+//!   keyed-never-iterated id maps ([`IdHash`]).
 //! * [`rng`] — seeded, stream-split deterministic random number generation.
 //! * [`stats`] — histograms, counters and online moments used to build the
 //!   distributions reported in the paper's Figure 9 and Section 6.
@@ -31,6 +33,7 @@
 //! and deterministic.
 
 pub mod event;
+pub mod hash;
 pub mod link;
 pub mod rng;
 pub mod shard;
@@ -41,6 +44,7 @@ pub mod units;
 pub use event::{
     CalendarCore, CoreKind, EventCore, EventQueue, HeapCore, HeapEventQueue, ScheduledEvent,
 };
+pub use hash::IdHash;
 pub use rng::DetRng;
 pub use shard::{window_end, LookaheadMatrix, Mailboxes, ShardClock};
 pub use stats::{

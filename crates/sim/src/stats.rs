@@ -37,13 +37,25 @@ impl Histogram {
         }
     }
 
+    /// The bin sample `x` lands in. The queue-depth histograms are one
+    /// cell wide and take a sample or two per cell hop: they skip the
+    /// 64-bit divide by a runtime width.
+    #[inline]
+    fn bin_of(&self, x: u64) -> usize {
+        if self.bin_width == 1 {
+            x as usize
+        } else {
+            (x / self.bin_width) as usize
+        }
+    }
+
     /// Record one sample.
     pub fn record(&mut self, x: u64) {
         self.count += 1;
         self.sum += x as u128;
         self.min = self.min.min(x);
         self.max = self.max.max(x);
-        let idx = (x / self.bin_width) as usize;
+        let idx = self.bin_of(x);
         if idx < self.bins.len() {
             self.bins[idx] += 1;
         } else {
@@ -61,7 +73,7 @@ impl Histogram {
         self.sum += (x as u128) * (n as u128);
         self.min = self.min.min(x);
         self.max = self.max.max(x);
-        let idx = (x / self.bin_width) as usize;
+        let idx = self.bin_of(x);
         if idx < self.bins.len() {
             self.bins[idx] += n;
         } else {
@@ -821,6 +833,32 @@ mod tests {
         assert_eq!(h.max(), 10);
         assert!((h.mean() - 3.6).abs() < 1e-9);
         assert!((h.pmf(2) - 0.4).abs() < 1e-9);
+    }
+
+    #[test]
+    fn histogram_bins_by_division_at_every_width() {
+        // Width 1 takes the divide-free path, the others the divide; both
+        // must put every sample where `x / width` says, overflow included.
+        let mut rng = crate::DetRng::from_label(7, "histogram-bins");
+        for width in [1u64, 2, 100] {
+            let nbins = 64;
+            let mut one = Histogram::new(width, nbins);
+            let mut many = one.clone();
+            let (mut bins, mut overflow) = (vec![0u64; nbins], 0u64);
+            for _ in 0..10_000 {
+                let x = rng.below(width * 80);
+                let n = rng.below(4);
+                (0..n).for_each(|_| one.record(x));
+                many.record_n(x, n);
+                match bins.get_mut((x / width) as usize) {
+                    Some(b) => *b += n,
+                    None => overflow += n,
+                }
+            }
+            assert!(overflow > 0, "width {width}: overflow not exercised");
+            assert_eq!((&one.bins, one.overflow), (&bins, overflow), "{width}");
+            assert_eq!(one, many, "width {width}");
+        }
     }
 
     #[test]

@@ -54,22 +54,38 @@ impl TwoTierParams {
         }
     }
 
+    /// The rule a scale-down factor must meet, stated once for
+    /// [`Self::paper_scaled`], the spec layer's `two_tier_factor` and the
+    /// figures' `--scale`: positive, and a divisor of every population of
+    /// the paper's topology. `Err` completes "factor …" / "--scale …".
+    pub fn check_paper_scale(factor: u32) -> Result<(), String> {
+        let p = Self::paper_6_2();
+        let populations = [
+            p.num_fa,
+            p.fa_uplinks,
+            p.t1_count,
+            p.t1_down,
+            p.t1_up,
+            p.t2_count,
+            p.t2_down,
+        ];
+        if factor >= 1 && populations.iter().all(|n| n.is_multiple_of(factor)) {
+            Ok(())
+        } else {
+            Err(format!(
+                "{factor} does not divide the paper populations {populations:?}"
+            ))
+        }
+    }
+
     /// A proportionally scaled-down variant: divides every population by
     /// `factor` while keeping the structure (pods, speedup exposure)
-    /// intact. `factor` must divide the paper's populations.
+    /// intact. `factor` must pass [`Self::check_paper_scale`].
     pub fn paper_scaled(factor: u32) -> Self {
         let p = Self::paper_6_2();
-        assert!(factor >= 1);
-        assert!(
-            p.num_fa.is_multiple_of(factor)
-                && p.fa_uplinks.is_multiple_of(factor)
-                && p.t1_count.is_multiple_of(factor)
-                && p.t1_down.is_multiple_of(factor)
-                && p.t1_up.is_multiple_of(factor)
-                && p.t2_count.is_multiple_of(factor)
-                && p.t2_down.is_multiple_of(factor),
-            "factor {factor} does not divide the paper populations"
-        );
+        if let Err(e) = Self::check_paper_scale(factor) {
+            panic!("factor {e}");
+        }
         TwoTierParams {
             num_fa: p.num_fa / factor,
             fa_uplinks: p.fa_uplinks / factor,
