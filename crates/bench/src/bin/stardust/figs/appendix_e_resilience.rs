@@ -170,10 +170,10 @@ pub fn run(args: &Args) -> ExitCode {
     let outcome = runner::run_spec(&churn);
     outcome.print();
     for r in &outcome.runs {
-        if let (Some(discarded), Some(dropped)) = (r.packets_discarded, r.cells_dropped) {
+        if let Some(f) = r.fabric {
             println!(
                 "{:>12}: {} packets discarded during churn, {} cells dropped",
-                r.label, discarded, dropped
+                r.label, f.packets_discarded, f.cells_dropped
             );
         }
     }

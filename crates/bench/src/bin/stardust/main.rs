@@ -17,9 +17,10 @@
 //! ```
 //!
 //! `run` on a directory executes every `*.toml` inside (sorted by file
-//! name). The process exits non-zero if any spec fails to parse or any
-//! check fails — this is the single CI entry point that replaced the
-//! per-figure smoke steps (`stardust run specs/ci_smoke`).
+//! name). The process exits 1 if any spec fails to parse or any check
+//! fails — this is the single CI entry point that replaced the
+//! per-figure smoke steps (`stardust run specs/ci_smoke`) — and 2, with
+//! the usage text, on a command line it cannot read.
 
 use stardust_bench::spec::ExperimentSpec;
 use stardust_bench::FlagKind::{Int, Switch, Text};
@@ -38,7 +39,7 @@ fn usage() -> ExitCode {
          stardust mc [--smoke] [--json out.json] [--quiet] [--seed N] [--depth N] \
          [--max-states N]"
     );
-    ExitCode::FAILURE
+    ExitCode::from(2)
 }
 
 /// A subcommand's parsed arguments, or which one was bad and why above

@@ -36,22 +36,29 @@ pub struct RunRecord {
     pub seed: u64,
     /// The engine-agnostic FCT table of the scenario's flows.
     pub flows: FlowStats,
-    /// Cells dropped inside the fabric (fabric-family engines only).
-    pub cells_dropped: Option<u64>,
-    /// Packets discarded at ingress/routing (fabric-family only).
-    pub packets_discarded: Option<u64>,
-    /// Simulation events executed (fabric-family only).
-    pub events: Option<u64>,
+    /// What only a fabric-family engine reports (`None` on a transport).
+    pub fabric: Option<FabricSummary>,
     /// Link fail/restore events the engine applied.
     pub failures_applied: usize,
-    /// First→last lost cell span in µs (fabric-family; `None` = no loss).
-    pub loss_window_us: Option<f64>,
-    /// Last link event → last reach-table change, in µs (fabric-family
-    /// under the reach protocol; `None` = tables never moved after the
-    /// last event, or no event was injected).
-    pub convergence_us: Option<f64>,
     /// Wall-clock seconds of the run (engine construction excluded).
     pub wall_s: f64,
+}
+
+/// The fabric-only part of a [`RunRecord`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FabricSummary {
+    /// Cells dropped inside the fabric.
+    pub cells_dropped: u64,
+    /// Packets discarded at ingress/routing.
+    pub packets_discarded: u64,
+    /// Simulation events executed.
+    pub events: u64,
+    /// First→last lost cell span in µs (`None` = no loss).
+    pub loss_window_us: Option<f64>,
+    /// Last link event → last reach-table change, in µs (under the reach
+    /// protocol; `None` = tables never moved after the last event, or no
+    /// event was injected).
+    pub convergence_us: Option<f64>,
 }
 
 /// A spec's finished run matrix plus its check verdicts.
@@ -90,8 +97,11 @@ impl Outcome {
                             // One fct_quantiles call: sorts the table
                             // once (or reads the sketch in sketch mode).
                             let qs = r.flows.fct_quantiles(&[0.5, 0.99, 1.0]);
-                            let opt =
+                            // A transport run keeps the fabric keys, as nulls.
+                            let f = r.fabric;
+                            let count =
                                 |v: Option<u64>| v.map_or(Json::Null, |n| Json::num(n as f64));
+                            let us = |v: Option<f64>| v.map_or(Json::Null, Json::Num);
                             Json::Obj(vec![
                                 ("engine".into(), Json::str(r.engine.to_spec_string())),
                                 ("label".into(), Json::str(&r.label)),
@@ -102,20 +112,23 @@ impl Outcome {
                                 ("fct_ms_p50".into(), ms(qs[0])),
                                 ("fct_ms_p99".into(), ms(qs[1])),
                                 ("fct_ms_max".into(), ms(qs[2])),
-                                ("cells_dropped".into(), opt(r.cells_dropped)),
-                                ("packets_discarded".into(), opt(r.packets_discarded)),
-                                ("events".into(), opt(r.events)),
+                                ("cells_dropped".into(), count(f.map(|f| f.cells_dropped))),
+                                (
+                                    "packets_discarded".into(),
+                                    count(f.map(|f| f.packets_discarded)),
+                                ),
+                                ("events".into(), count(f.map(|f| f.events))),
                                 (
                                     "failures_applied".into(),
                                     Json::num(r.failures_applied as f64),
                                 ),
                                 (
                                     "loss_window_us".into(),
-                                    r.loss_window_us.map_or(Json::Null, Json::Num),
+                                    us(f.and_then(|f| f.loss_window_us)),
                                 ),
                                 (
                                     "convergence_us".into(),
-                                    r.convergence_us.map_or(Json::Null, Json::Num),
+                                    us(f.and_then(|f| f.convergence_us)),
                                 ),
                                 ("wall_s".into(), Json::Num(r.wall_s)),
                             ])
@@ -247,11 +260,6 @@ fn spec_fabric_config(spec: &ExperimentSpec, seed: u64) -> stardust_fabric::Fabr
     cfg
 }
 
-/// `Option<SimDuration>` → µs, for the churn-metric record fields.
-fn dur_us(d: Option<SimDuration>) -> Option<f64> {
-    d.map(|d| d.as_secs_f64() * 1e6)
-}
-
 /// [`drive`] under a stopwatch (engine construction stays untimed).
 fn timed_drive<E: stardust_workload::FlowEngine>(
     scenario: &Scenario,
@@ -266,18 +274,23 @@ fn timed_drive<E: stardust_workload::FlowEngine>(
 fn run_one(spec: &ExperimentSpec, scenario: &Scenario, engine: EngineSpec, seed: u64) -> RunRecord {
     // `fabric` carries a fabric-family run's stats and event count.
     let record = |(flows, failures_applied, wall_s): (FlowStats, usize, f64),
-                  fabric: Option<(&FabricStats, u64)>| RunRecord {
-        engine,
-        label: engine.label(),
-        seed,
-        flows,
-        cells_dropped: fabric.map(|(s, _)| s.cells_dropped.get()),
-        packets_discarded: fabric.map(|(s, _)| s.packets_discarded.get()),
-        events: fabric.map(|(_, events)| events),
-        failures_applied,
-        loss_window_us: fabric.and_then(|(s, _)| dur_us(s.loss_window())),
-        convergence_us: fabric.and_then(|(s, _)| dur_us(s.convergence_time())),
-        wall_s,
+                  fabric: Option<(&FabricStats, u64)>| {
+        let us = |d: Option<SimDuration>| d.map(|d| d.as_secs_f64() * 1e6);
+        RunRecord {
+            engine,
+            label: engine.label(),
+            seed,
+            flows,
+            fabric: fabric.map(|(s, events)| FabricSummary {
+                cells_dropped: s.cells_dropped.get(),
+                packets_discarded: s.packets_discarded.get(),
+                events,
+                loss_window_us: us(s.loss_window()),
+                convergence_us: us(s.convergence_time()),
+            }),
+            failures_applied,
+            wall_s,
+        }
     };
     match engine {
         EngineSpec::Fabric => {
@@ -347,14 +360,13 @@ fn eval_checks(spec: &ExperimentSpec, runs: &[RunRecord]) -> Vec<String> {
         if c.some_complete && done == 0 {
             fails.push(format!("{}: no flow completed", r.label));
         }
-        if !r.engine.is_fabric() {
+        let Some(fabric) = r.fabric else {
             continue;
-        }
-        if c.zero_drops && r.cells_dropped != Some(0) {
+        };
+        if c.zero_drops && fabric.cells_dropped != 0 {
             fails.push(format!(
                 "{}: {} cells dropped — the scheduled fabric must be lossless",
-                r.label,
-                r.cells_dropped.unwrap_or(0)
+                r.label, fabric.cells_dropped
             ));
         }
         // Every quantile gate reads this one call: the per-flow table is
@@ -393,7 +405,7 @@ fn eval_checks(spec: &ExperimentSpec, runs: &[RunRecord]) -> Vec<String> {
         if let Some(cap) = c.max_loss_window_us {
             // A run with no loss at all passes vacuously — the gate caps
             // how long loss persists once it starts, not whether it starts.
-            if let Some(w) = r.loss_window_us {
+            if let Some(w) = fabric.loss_window_us {
                 if w > cap {
                     fails.push(format!(
                         "{}: loss window {w:.1} µs exceeds cap {cap} µs — \
@@ -404,7 +416,7 @@ fn eval_checks(spec: &ExperimentSpec, runs: &[RunRecord]) -> Vec<String> {
             }
         }
         if let Some(cap) = c.max_convergence_us {
-            match r.convergence_us {
+            match fabric.convergence_us {
                 Some(t) if t <= cap => {}
                 Some(t) => fails.push(format!(
                     "{}: reach convergence {t:.1} µs exceeds cap {cap} µs",
@@ -449,7 +461,10 @@ fn eval_checks(spec: &ExperimentSpec, runs: &[RunRecord]) -> Vec<String> {
                 // Per-flow tables plus the drop/discard counters; event
                 // counts are excluded (the sharded engine legitimately
                 // executes extra barrier/handoff events).
-                let view = |r: &RunRecord| (r.flows.clone(), r.cells_dropped, r.packets_discarded);
+                let view = |r: &RunRecord| {
+                    let drops = r.fabric.map(|f| (f.cells_dropped, f.packets_discarded));
+                    (r.flows.clone(), drops)
+                };
                 if view(pair[0]) != view(pair[1]) {
                     fails.push(format!(
                         "seed {seed}: {} and {} diverged (FlowStats or drop/discard \
@@ -509,8 +524,10 @@ mod tests {
         assert_eq!(out.runs.len(), 2);
         assert_eq!(out.runs[0].label, "Stardust");
         assert_eq!(out.runs[1].label, crate::fig10::FABRIC_LABEL);
-        assert_eq!(out.runs[1].cells_dropped, Some(0));
-        assert!(out.runs[1].events.unwrap() > 0);
+        assert!(out.runs[0].fabric.is_none(), "transport has no fabric");
+        let fabric = out.runs[1].fabric.expect("fabric run");
+        assert_eq!(fabric.cells_dropped, 0);
+        assert!(fabric.events > 0);
         assert_eq!(out.runs[1].flows.len(), 16);
         assert!(
             out.check_failures.is_empty(),
@@ -563,11 +580,11 @@ mod tests {
         };
         let out = run_spec(&spec);
         assert!(
-            out.runs[1].convergence_us.is_some(),
+            out.runs[1].fabric.unwrap().convergence_us.is_some(),
             "the reach protocol must react to churn"
         );
         assert!(
-            out.runs[0].convergence_us.is_none(),
+            out.runs[0].fabric.is_none(),
             "transport reports no churn metrics"
         );
         assert!(out.check_failures.is_empty(), "{:?}", out.check_failures);

@@ -1,7 +1,7 @@
 //! `stardust` from the outside: the figure table, the model-only
 //! figures' paper-pinned values, one simulated figure at its smallest
-//! setting, the usage errors (exit 2, never a panic), and a mistyped
-//! spec failing `stardust run`.
+//! setting, the usage errors (exit 2, never a panic) against the failed
+//! runs (exit 1), and a mistyped spec failing `stardust run`.
 
 use std::process::{Command, Output};
 
@@ -129,6 +129,48 @@ fn bad_fig_input_is_a_usage_error_not_a_panic() {
         assert!(err.contains(names), "{args:?}: {err}");
         assert!(!err.contains("panicked"), "{args:?}: {err}");
         assert!(out.stdout.is_empty(), "{args:?} printed a figure");
+    }
+}
+
+#[test]
+fn bad_command_line_is_exit_2_and_a_failed_run_is_exit_1() {
+    // A well-formed spec whose median-FCT gate cannot pass.
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("exit_codes.toml");
+    let preset = stardust(&["preset", "zoo_dragonfly"]);
+    assert!(preset.status.success());
+    let gated = stdout(&preset).replace("[checks]", "[checks]\nfct_median_ms_max = 1e-9");
+    std::fs::write(&path, gated).unwrap();
+    let spec = path.to_str().unwrap();
+    // What the command line got wrong, above the usage text: exit 2,
+    // like `stardust fig` and `stardust-lint`.
+    for (args, names) in [
+        (&["run", spec, "--threads", "0"][..], "--threads expects"),
+        (&["run", "--bogus"], "--bogus"),
+        (&["check", spec, "--json"], "--json needs a value"),
+        (&["mc", "--depth", "x"], "--depth expects an integer"),
+        (&["preset"], "usage:"),
+        (&["bogus"], "usage:"),
+        (&[], "usage:"),
+    ] {
+        let out = stardust(args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains(names), "{args:?}: {err}");
+        assert!(err.contains("stardust run <spec.toml | dir>"), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a result");
+    }
+    // A well-formed command line whose run fails stays exit 1: an
+    // unknown preset name, a missing file, a failed `[checks]` gate.
+    for (args, names) in [
+        (&["preset", "no_such_preset"][..], "unknown preset"),
+        (&["run", "/no/such/spec.toml"], "no such file"),
+        (&["run", spec, "--quiet"], "CHECK FAILED"),
+    ] {
+        let out = stardust(args);
+        let text = stdout(&out) + &String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {text}");
+        assert!(text.contains(names), "{args:?}: {text}");
+        assert!(!text.contains("usage:"), "{args:?}: {text}");
     }
 }
 

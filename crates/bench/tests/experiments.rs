@@ -208,7 +208,7 @@ fn failure_schedule_spec_sharded_bit_identical_to_sequential() {
             run.label
         );
         assert!(
-            run.convergence_us.is_some(),
+            run.fabric.is_some_and(|f| f.convergence_us.is_some()),
             "{}: the reach protocol must reconverge after the storm",
             run.label
         );

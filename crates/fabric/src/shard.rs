@@ -6,7 +6,7 @@
 //! bounded by the partition's **lookahead matrix** (per ordered shard
 //! pair, the smallest latency any chain of cross-shard interactions can
 //! carry — see [`Partition::matrix`]), with cross-shard events exchanged
-//! through lock-free [`Mailboxes`] rings at a barrier between windows.
+//! through [`Mailboxes`] at a barrier between windows.
 //! Because
 //!
 //! 1. every cross-shard event generated inside a window is timestamped
@@ -32,8 +32,8 @@
 //! shard's window is bounded by its *actual* constrainers, not the
 //! global minimum, so tight local fibers stop throttling distant pairs.
 //!
-//! See DESIGN.md § "Parallel runtime" for the SPSC mailbox protocol and
-//! the full determinism argument.
+//! See DESIGN.md § "Parallel runtime internals" for the mailbox exchange
+//! and the full determinism argument.
 
 use crate::config::FabricConfig;
 use crate::engine::{FabricEngine, FabricStats};

@@ -16,14 +16,14 @@
 //!   recording queue) — no spec, preset, flag or figure binary selects it.
 //! * [`shard`] — conservative synchronization for sharded runs: the
 //!   per-pair [`LookaheadMatrix`], the [`ShardClock`] barrier protocol and
-//!   the lock-free [`Mailboxes`] grid, one window rule and one
+//!   the [`Mailboxes`] grid it orders, one window rule and one
 //!   publish/take call each.
 //! * [`link`] — the fiber propagation rule of thumb for the paper's
 //!   non-bundled point-to-point serial links ([`link::fiber_delay`]).
 //! * [`hash`] — the seedless fold-multiply hasher behind the engines'
 //!   keyed-never-iterated id maps ([`IdHash`]).
 //! * [`rng`] — seeded, stream-split deterministic random number generation.
-//! * [`stats`] — histograms, counters and online moments used to build the
+//! * [`stats`] — histograms, counters and flow tables used to build the
 //!   distributions reported in the paper's Figure 9 and Section 6.
 //!
 //! The design follows the event-driven state-machine style of `smoltcp`
@@ -47,7 +47,5 @@ pub use event::{
 pub use hash::IdHash;
 pub use rng::DetRng;
 pub use shard::{window_end, LookaheadMatrix, Mailboxes, ShardClock};
-pub use stats::{
-    quantile_of_sorted, Counter, FlowRecord, FlowStats, Histogram, OnlineStats, QuantileSketch,
-};
+pub use stats::{quantile_of_sorted, Counter, FlowRecord, FlowStats, Histogram, QuantileSketch};
 pub use time::{SimDuration, SimTime};

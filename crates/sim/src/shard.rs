@@ -28,10 +28,9 @@
 //! * [`Mailboxes`] — an `S × S` grid of cross-shard channels with a
 //!   **deterministic drain order**: a receiver always takes its inboxes
 //!   in sender-shard order, and each inbox preserves its sender's push
-//!   order. Each ordered pair is a fixed-capacity lock-free SPSC ring
-//!   (atomics-only publish/take, one `Release` store per batch rather
-//!   than per item); overflow spills to a mutex-guarded cold
-//!   side-channel, so correctness never depends on ring capacity.
+//!   order. Each ordered pair is one `Mutex<Vec<T>>` — one lock per
+//!   batch, never contended, because the clock's barrier already sits
+//!   between a pair's publish and its take; no capacity to size.
 //!   Together with content-keyed event scheduling
 //!   ([`crate::EventCore::schedule_keyed`]) this makes the merged event
 //!   order independent of OS thread scheduling.
@@ -42,11 +41,11 @@
 //! asserts.
 
 use crate::time::{SimDuration, SimTime};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
 
-/// Pads (and aligns) a hot atomic to its own cache line so the producer
-/// and consumer cursors of a ring never false-share.
+/// Pads (and aligns) a hot atomic to its own cache line so two shards'
+/// clock slots never false-share.
 #[derive(Debug)]
 #[repr(align(64))]
 struct Pad<T>(T);
@@ -341,174 +340,6 @@ pub fn window_end(
 // Mailboxes
 // ---------------------------------------------------------------------------
 
-/// Per-ring slot count. Each ring serves one ordered shard pair for one
-/// window at a time, so this only needs to cover a typical window's
-/// cross-shard traffic; overflow takes the (correct, slower) spill path.
-const DEFAULT_RING_CAPACITY: usize = 256;
-
-/// Panicking misuse guard for one side of a ring: each side admits one
-/// thread at a time (single producer, single consumer). The flag is
-/// uncontended in correct use, so this costs one CAS per batch.
-struct Claim<'a>(&'a AtomicBool);
-
-impl<'a> Claim<'a> {
-    fn enter(flag: &'a AtomicBool, side: &str) -> Self {
-        assert!(
-            flag.compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-                .is_ok(),
-            "concurrent {side} on one mailbox ring violates the SPSC contract"
-        );
-        Claim(flag)
-    }
-}
-
-impl Drop for Claim<'_> {
-    fn drop(&mut self) {
-        self.0.store(false, Ordering::Release);
-    }
-}
-
-mod ring {
-    //! The one `unsafe` island in the workspace: a fixed-capacity SPSC
-    //! ring needs `UnsafeCell<MaybeUninit<T>>` slots to move generic
-    //! payloads between threads without a lock, which safe Rust cannot
-    //! express. The unsafety is confined to this module, every block
-    //! carries its invariant, the `Claim` guards turn contract
-    //! violations into panics in all builds, and the nightly TSan job
-    //! exercises the protocol dynamically.
-    #![allow(unsafe_code)]
-
-    use super::{Claim, Pad};
-    use std::cell::UnsafeCell;
-    use std::mem::MaybeUninit;
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::Mutex;
-
-    /// One ordered shard pair's channel: a fixed-capacity lock-free SPSC
-    /// ring plus a mutex-guarded cold spill for overflow.
-    ///
-    /// The producer copies each batch contiguously into the ring and
-    /// publishes it with a single `Release` store of the tail cursor —
-    /// one atomic per batch, not per item, and consumers never observe a
-    /// partially written batch. The consumer mirrors it: read the
-    /// published range, then one `Release` store of the head cursor.
-    /// Cursors are monotonically increasing (wrapping) counters padded
-    /// to separate cache lines.
-    ///
-    /// FIFO across the spill: within a window the consumer never drains,
-    /// so once a batch overflows, the ring stays full and every later
-    /// item goes to the spill behind it; the consumer drains
-    /// ring-then-spill, which is exactly send order.
-    #[derive(Debug)]
-    pub(super) struct Ring<T> {
-        buf: Box<[UnsafeCell<MaybeUninit<T>>]>,
-        mask: usize,
-        /// Consumer cursor: everything below it has been taken.
-        head: Pad<AtomicU64>,
-        /// Producer cursor: everything below it is published.
-        tail: Pad<AtomicU64>,
-        pub(super) producer: AtomicBool,
-        consumer: AtomicBool,
-        /// Cold overflow; correctness never depends on ring capacity.
-        spill: Mutex<Vec<T>>,
-    }
-
-    // SAFETY: the ring hands each `T` from exactly one thread to exactly
-    // one other thread (the `Claim` guards panic on contended sides, and
-    // the cursor protocol makes published slots exclusive to the
-    // consumer and free slots exclusive to the producer), so sharing the
-    // ring across threads is sound whenever `T` itself may move between
-    // threads.
-    unsafe impl<T: Send> Send for Ring<T> {}
-    unsafe impl<T: Send> Sync for Ring<T> {}
-
-    impl<T> Ring<T> {
-        pub(super) fn new(capacity: usize) -> Self {
-            assert!(capacity.is_power_of_two());
-            Ring {
-                buf: (0..capacity)
-                    .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
-                    .collect(),
-                mask: capacity - 1,
-                head: Pad(AtomicU64::new(0)),
-                tail: Pad(AtomicU64::new(0)),
-                producer: AtomicBool::new(false),
-                consumer: AtomicBool::new(false),
-                spill: Mutex::new(Vec::new()),
-            }
-        }
-
-        /// Append `items` behind whatever is queued, draining the `Vec`
-        /// (its capacity stays with the caller for reuse). Single
-        /// producer.
-        pub(super) fn push_batch(&self, items: &mut Vec<T>) {
-            if items.is_empty() {
-                return;
-            }
-            let _claim = Claim::enter(&self.producer, "publish");
-            let tail = self.tail.0.load(Ordering::Relaxed);
-            let head = self.head.0.load(Ordering::Acquire);
-            let free = self.buf.len() - (tail.wrapping_sub(head)) as usize;
-            let take = free.min(items.len());
-            for (i, it) in items.drain(..take).enumerate() {
-                let slot = (tail.wrapping_add(i as u64)) as usize & self.mask;
-                // SAFETY: slots in [tail, head + capacity) are
-                // exclusively the producer's, and `_claim` holds the
-                // producer side.
-                unsafe { (*self.buf[slot].get()).write(it) };
-            }
-            self.tail
-                .0
-                .store(tail.wrapping_add(take as u64), Ordering::Release);
-            if !items.is_empty() {
-                // Ring full: the remainder takes the cold path (see type
-                // docs for why FIFO order survives).
-                self.spill.lock().expect("spill poisoned").append(items);
-            }
-        }
-
-        /// Move everything queued into `out`, preserving send order.
-        /// Single consumer.
-        pub(super) fn drain_into(&self, out: &mut Vec<T>) {
-            let _claim = Claim::enter(&self.consumer, "take");
-            let tail = self.tail.0.load(Ordering::Acquire);
-            let head = self.head.0.load(Ordering::Relaxed);
-            out.reserve(tail.wrapping_sub(head) as usize);
-            let mut i = head;
-            while i != tail {
-                // SAFETY: slots in [head, tail) were published by the
-                // producer's Release store and are exclusively the
-                // consumer's until the head store below.
-                out.push(unsafe { (*self.buf[i as usize & self.mask].get()).assume_init_read() });
-                i = i.wrapping_add(1);
-            }
-            self.head.0.store(tail, Ordering::Release);
-            let mut spill = self.spill.lock().expect("spill poisoned");
-            out.append(&mut spill);
-        }
-
-        pub(super) fn is_empty(&self) -> bool {
-            self.head.0.load(Ordering::Acquire) == self.tail.0.load(Ordering::Acquire)
-                && self.spill.lock().expect("spill poisoned").is_empty()
-        }
-    }
-
-    impl<T> Drop for Ring<T> {
-        fn drop(&mut self) {
-            let mut i = *self.head.0.get_mut();
-            let tail = *self.tail.0.get_mut();
-            while i != tail {
-                // SAFETY: [head, tail) holds initialized, un-taken
-                // items; we have exclusive access in drop.
-                unsafe { (*self.buf[i as usize & self.mask].get()).assume_init_drop() };
-                i = i.wrapping_add(1);
-            }
-        }
-    }
-}
-
-use ring::Ring;
-
 /// An `S × S` grid of cross-shard mailboxes with deterministic exchange.
 ///
 /// Senders publish their per-destination batches during a window
@@ -516,35 +347,31 @@ use ring::Ring;
 /// capacity is reused window after window); receivers take their inboxes
 /// after the window barrier ([`Mailboxes::take_to_into`] — appends into
 /// caller buffers), always in sender-shard order with per-sender FIFO
-/// preserved. Each ordered pair is a lock-free SPSC `Ring`; the
-/// barrier protocol already guarantees a pair's producer and consumer
-/// phases never overlap, and the SPSC protocol is safe even if they did.
-///
-/// The contract the grid enforces (panicking on violation): at any
-/// moment, at most one thread publishes for a given `src` and at most
-/// one thread takes for a given `dst`.
+/// preserved. Each ordered pair is one `Mutex<Vec<T>>`: the barrier
+/// protocol already keeps a pair's publish and take phases apart, so the
+/// lock is never contended — it is what lets safe Rust express the
+/// hand-off, not a second guard on it.
 #[derive(Debug)]
 pub struct Mailboxes<T> {
     shards: usize,
-    /// Ring `src * shards + dst`.
-    rings: Vec<Ring<T>>,
+    /// Channel `src * shards + dst`.
+    channels: Vec<Mutex<Vec<T>>>,
+}
+
+/// Enter one channel, poisoned or not: a thread that panicked inside
+/// `Vec::append` left the queue valid, and the panic worth reporting is
+/// that first one, not a "poisoned" raised here on its peers.
+fn enter<T>(channel: &Mutex<Vec<T>>) -> MutexGuard<'_, Vec<T>> {
+    channel.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl<T> Mailboxes<T> {
-    /// An empty grid for `shards` shards with the default per-pair ring
-    /// capacity.
+    /// An empty grid for `shards` shards.
     pub fn new(shards: usize) -> Self {
-        Self::with_ring_capacity(shards, DEFAULT_RING_CAPACITY)
-    }
-
-    /// An empty grid with an explicit per-pair ring capacity (a power of
-    /// two). Capacity is a performance knob only — overflow spills to
-    /// the cold side-channel and keeps FIFO order.
-    pub fn with_ring_capacity(shards: usize, capacity: usize) -> Self {
         assert!(shards >= 1);
         Mailboxes {
             shards,
-            rings: (0..shards * shards).map(|_| Ring::new(capacity)).collect(),
+            channels: (0..shards * shards).map(|_| Mutex::default()).collect(),
         }
     }
 
@@ -561,7 +388,7 @@ impl<T> Mailboxes<T> {
         assert_eq!(per_dst.len(), self.shards, "one batch per destination");
         for (dst, batch) in per_dst.iter_mut().enumerate() {
             if !batch.is_empty() {
-                self.rings[src * self.shards + dst].push_batch(batch);
+                enter(&self.channels[src * self.shards + dst]).append(batch);
             }
         }
     }
@@ -573,13 +400,13 @@ impl<T> Mailboxes<T> {
     pub fn take_to_into(&self, dst: usize, out: &mut [Vec<T>]) {
         assert_eq!(out.len(), self.shards, "one buffer per source");
         for (src, buf) in out.iter_mut().enumerate() {
-            self.rings[src * self.shards + dst].drain_into(buf);
+            buf.append(&mut enter(&self.channels[src * self.shards + dst]));
         }
     }
 
     /// True when every channel is empty (diagnostics / test invariant).
     pub fn is_empty(&self) -> bool {
-        self.rings.iter().all(Ring::is_empty)
+        self.channels.iter().all(|c| enter(c).is_empty())
     }
 }
 
@@ -587,7 +414,6 @@ impl<T> Mailboxes<T> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
-    use std::sync::Mutex;
 
     /// Everything queued for `dst`, per source shard.
     fn take<T>(m: &Mailboxes<T>, dst: usize) -> Vec<Vec<T>> {
@@ -609,18 +435,48 @@ mod tests {
     }
 
     #[test]
-    fn ring_overflow_spills_and_keeps_fifo() {
-        // Capacity 4: a 10-item batch splits 4 into the ring + 6 into
-        // the spill; a follow-up batch lands entirely behind them.
-        let m: Mailboxes<u32> = Mailboxes::with_ring_capacity(2, 4);
-        m.publish_from(0, &mut [vec![], (0..10).collect()]);
-        m.publish_from(0, &mut [vec![], vec![10, 11]]);
+    fn large_batch_then_second_publish_drains_in_send_order() {
+        // No capacity to outgrow: a batch far past any window's traffic
+        // and a follow-up from the same source come out in send order.
+        let m: Mailboxes<u32> = Mailboxes::new(2);
+        m.publish_from(0, &mut [vec![], (0..10_000).collect()]);
+        m.publish_from(0, &mut [vec![], vec![10_000, 10_001]]);
         assert!(!m.is_empty());
-        assert_eq!(take(&m, 1)[0], (0..12).collect::<Vec<u32>>());
+        assert_eq!(take(&m, 1)[0], (0..10_002).collect::<Vec<u32>>());
         assert!(m.is_empty());
-        // The drained ring is reusable and stays FIFO.
+        // The drained channel is reusable and stays FIFO.
         m.publish_from(0, &mut [vec![], vec![99, 100]]);
         assert_eq!(take(&m, 1)[0], vec![99, 100]);
+    }
+
+    #[test]
+    fn panicked_publisher_leaves_the_grid_usable() {
+        let m: Mailboxes<u32> = Mailboxes::new(2);
+        let died = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    m.publish_from(0, &mut [vec![], vec![1, 2]]);
+                    let _held = enter(&m.channels[1]);
+                    panic!("publisher dies holding channel 0 -> 1");
+                })
+                .join()
+        });
+        assert!(died.is_err());
+        assert!(m.channels[1].is_poisoned());
+        // Its peers see what it published, not a second panic.
+        assert!(!m.is_empty());
+        m.publish_from(0, &mut [vec![], vec![3]]);
+        assert_eq!(take(&m, 1), vec![vec![1, 2, 3], vec![]]);
+        assert!(m.is_empty());
+    }
+
+    #[test]
+    fn mailboxes_are_sync_for_send_payloads() {
+        // Shard threads share the grid by reference; a payload that may
+        // move between threads (`Send`, here not even `Sync`) is all the
+        // grid asks for. Checked by the compiler, not at run time.
+        fn assert_sync<M: Sync>() {}
+        assert_sync::<Mailboxes<std::cell::Cell<u8>>>();
     }
 
     #[test]
@@ -637,16 +493,6 @@ mod tests {
         m.take_to_into(1, &mut inbox);
         assert_eq!(inbox[0], vec![1, 2, 3]);
         assert!(m.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "SPSC contract")]
-    fn concurrent_publish_for_one_source_panics() {
-        let m: Mailboxes<u32> = Mailboxes::new(2);
-        // Simulate a second in-flight publisher by claiming the producer
-        // side directly.
-        let _held = Claim::enter(&m.rings[1].producer, "publish");
-        m.publish_from(0, &mut [vec![], vec![7]]);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Measurement collection: histograms, counters and online moments.
+//! Measurement collection: histograms, counters and flow tables.
 //!
 //! These are the instruments behind the paper's distribution plots —
 //! Figure 9's latency and queue-size probability distributions, and the
@@ -385,68 +385,6 @@ impl Counter {
     }
 }
 
-/// Welford online mean/variance over `f64` samples.
-#[derive(Debug, Clone, Default)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Empty accumulator.
-    pub fn new() -> Self {
-        OnlineStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Record one sample.
-    pub fn record(&mut self, x: f64) {
-        self.n += 1;
-        let d = x - self.mean;
-        self.mean += d / self.n as f64;
-        self.m2 += d * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Sample count.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-    /// Mean (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-    /// Population variance.
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-    /// Minimum sample (NaN when empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-    /// Maximum sample (NaN when empty).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-}
-
 /// One finite flow (message) in a flow-completion-time experiment: who
 /// sent how much to whom, when it started and (if it did) when its last
 /// byte left the destination.
@@ -768,56 +706,6 @@ pub fn quantile_of_sorted(sorted: &[SimDuration], q: f64) -> Option<SimDuration>
     Some(sorted[idx])
 }
 
-/// Time-weighted average of a step function (e.g. queue occupancy over
-/// time). Feed it `(time, new_value)` transitions; it integrates value×dt.
-#[derive(Debug, Clone)]
-pub struct TimeWeighted {
-    last_t: u64,
-    value: u64,
-    integral: u128,
-    peak: u64,
-}
-
-impl TimeWeighted {
-    /// Start tracking at time `t0` with initial `value`.
-    pub fn new(t0: u64, value: u64) -> Self {
-        TimeWeighted {
-            last_t: t0,
-            value,
-            integral: 0,
-            peak: value,
-        }
-    }
-
-    /// Record that the tracked quantity changed to `value` at time `t`.
-    pub fn set(&mut self, t: u64, value: u64) {
-        debug_assert!(t >= self.last_t);
-        self.integral += (self.value as u128) * ((t - self.last_t) as u128);
-        self.last_t = t;
-        self.value = value;
-        self.peak = self.peak.max(value);
-    }
-
-    /// Time-weighted mean over `[t0, t]`, closing the integral at `t`.
-    pub fn mean_until(&self, t: u64, t0: u64) -> f64 {
-        if t <= t0 {
-            return self.value as f64;
-        }
-        let closed = self.integral + (self.value as u128) * ((t - self.last_t) as u128);
-        closed as f64 / (t - t0) as f64
-    }
-
-    /// Peak value observed.
-    pub fn peak(&self) -> u64 {
-        self.peak
-    }
-
-    /// Current value.
-    pub fn current(&self) -> u64 {
-        self.value
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -969,30 +857,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), 2);
         assert_eq!(a.max(), 3);
-    }
-
-    #[test]
-    fn online_stats_matches_closed_form() {
-        let mut s = OnlineStats::new();
-        for x in 1..=9 {
-            s.record(x as f64);
-        }
-        assert_eq!(s.count(), 9);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        // Population variance of 1..9 is 60/9.
-        assert!((s.variance() - 60.0 / 9.0).abs() < 1e-9);
-        assert_eq!(s.min(), 1.0);
-        assert_eq!(s.max(), 9.0);
-    }
-
-    #[test]
-    fn time_weighted_mean() {
-        let mut tw = TimeWeighted::new(0, 0);
-        tw.set(10, 4); // value 0 for 10 units
-        tw.set(20, 0); // value 4 for 10 units
-                       // mean over [0,20] = (0*10 + 4*10)/20 = 2
-        assert!((tw.mean_until(20, 0) - 2.0).abs() < 1e-12);
-        assert_eq!(tw.peak(), 4);
     }
 
     #[test]
