@@ -9,12 +9,13 @@
 //! parallel execution bit-reproducible):
 //!
 //! * [`EventQueue`] — the production calendar: a bucketed **calendar queue**
-//!   (timing wheel with a sorted overflow level). Near-future events land in
-//!   fixed-width time buckets and are sorted lazily one bucket at a time;
-//!   far-future events wait in a binary-heap overflow level and migrate into
-//!   the wheel when it advances. Scheduling and popping are O(1) amortized
-//!   for the dense near-horizon traffic that dominates a fabric run, instead
-//!   of the O(log n) of a global heap.
+//!   (timing wheel with a heap for everything outside its window).
+//!   Near-future events land in fixed-width time buckets whose 16-byte sort
+//!   keys — not the events — are sorted lazily one bucket at a time;
+//!   far-future events wait in the heap and migrate into the wheel when it
+//!   advances. Scheduling and popping are O(1) amortized for the dense
+//!   near-horizon traffic that dominates a fabric run, instead of the
+//!   O(log n) of a global heap.
 //! * [`HeapEventQueue`] — the reference calendar: a plain binary min-heap.
 //!   It is kept for differential tests (the property suite asserts the two
 //!   produce identical pop orders).
@@ -26,7 +27,7 @@
 //! or a recording queue.
 
 use crate::time::SimTime;
-use std::cmp::{Ordering, Reverse};
+use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// An event of payload type `E` scheduled at an absolute simulated time.
@@ -120,8 +121,9 @@ pub trait EventCore<E> {
     /// Drain **every** event sharing the earliest pending timestamp into
     /// `out` (cleared first), provided that timestamp is at or before
     /// `horizon`. Returns the number of events drained (0 when nothing is
-    /// due). Events appear in `out` in deterministic FIFO (sequence)
-    /// order, and the clock advances to their shared timestamp.
+    /// due). Events appear in `out` in ascending `(key, seq)` order —
+    /// FIFO among equal keys, hence plain FIFO for unkeyed users — and
+    /// the clock advances to their shared timestamp.
     ///
     /// Engines use this to dispatch same-timestamp event groups without a
     /// peek/pop round trip per event.
@@ -183,34 +185,104 @@ const DEFAULT_BUCKET_BITS: u32 = 15;
 /// Default wheel size (must be a power of two): 2048 buckets × 32.768 ns
 /// ≈ 67 µs of near-future span. Control latencies, credit ticks and
 /// reachability intervals all land in the wheel; only long timers
-/// (reassembly timeouts, ~1 ms) take the overflow path.
+/// (reassembly timeouts, ~1 ms) wait in the heap.
 const DEFAULT_NUM_BUCKETS: usize = 2048;
+
+/// The events of one wheel tick, split so that ordering never touches a
+/// payload: `ord` is what gets sorted and searched, `val` is written once
+/// when an event arrives and read once when it pops.
+#[derive(Debug, Clone)]
+struct Bucket<E> {
+    /// One sort key per pending event:
+    /// `(at − tick start) << 96 | key << 32 | slot`. The offset fits 32
+    /// bits because a bucket holds one tick only; `slot` indexes `val`.
+    /// Comparing two keys as integers compares `(at, key, seq)`: slots
+    /// are handed out in arrival order, and among equal `(at, key)`
+    /// arrival order is `seq` order (see [`EventQueue::rebase`] for the
+    /// one place events arrive out of `seq` order).
+    ord: Vec<u128>,
+    /// `(seq, payload)` by slot; `None` once popped. Slots are not reused
+    /// until the bucket has drained.
+    val: Vec<Option<(u64, E)>>,
+}
+
+impl<E> Default for Bucket<E> {
+    fn default() -> Self {
+        Bucket {
+            ord: Vec::new(),
+            val: Vec::new(),
+        }
+    }
+}
+
+impl<E> Bucket<E> {
+    /// Store an event `off` picoseconds into this bucket's tick in a
+    /// fresh slot and return its sort key, which the caller places in
+    /// `ord`.
+    #[inline]
+    fn admit(&mut self, off: u64, key: u64, seq: u64, payload: E) -> u128 {
+        debug_assert!(off <= u64::from(u32::MAX));
+        let slot = u32::try_from(self.val.len()).expect("more than 2^32 events in one tick");
+        self.val.push(Some((seq, payload)));
+        u128::from(off) << 96 | u128::from(key) << 32 | u128::from(slot)
+    }
+
+    /// The pending events as `(offset, key, payload)`, in `ord` order.
+    fn iter(&self) -> impl Iterator<Item = (u64, u64, &E)> {
+        self.ord.iter().map(|&o| {
+            let (_, payload) = self.val[o as u32 as usize]
+                .as_ref()
+                .expect("pending slot is filled");
+            ((o >> 96) as u64, (o >> 32) as u64, payload)
+        })
+    }
+
+    /// Forget every event, keeping both buffers.
+    fn clear(&mut self) {
+        self.ord.clear();
+        self.val.clear();
+    }
+}
+
+/// Where [`EventQueue::stage`] left the next due event.
+enum Staged {
+    /// At the back of `cur`.
+    Cur,
+    /// At the head of the `outside` heap, earlier than `cur`'s tick.
+    Early,
+}
 
 /// A deterministic discrete-event calendar queue.
 ///
-/// Three levels, earliest first:
+/// Three levels:
 ///
-/// 1. **`cur`** — the bucket currently being drained, sorted by
-///    `(time, seq)` descending so the earliest event pops off the back in
-///    O(1). Newly scheduled events that fall at or before the drained
-///    bucket's horizon are merge-inserted here, preserving total order.
+/// 1. **`cur`** — the one tick being drained. Its sort keys are in
+///    descending order, so the earliest event pops off the back in O(1);
+///    an event scheduled into this tick (engines often schedule at `now`)
+///    is binary-searched in, moving 16-byte keys and no payload.
 /// 2. **the wheel** — `N` fixed-width buckets covering the ticks
-///    `[win_end - N, win_end)`; an event lands in bucket
-///    `tick & (N - 1)` unsorted, O(1). A bucket is sorted only when the
-///    wheel reaches it. A bitmap tracks occupancy so skipping empty
-///    buckets costs a few word scans. An empty bucket owns no buffer:
-///    the wheel hands a bucket's buffer to `cur` when it reaches it, the
-///    buffer `cur` drained goes onto a spare stack, and a bucket takes a
-///    spare when its first event arrives — so the buffers alive number
-///    the buckets occupied at once (plus `cur`), not the wheel size.
-/// 3. **overflow** — a binary min-heap of everything at or beyond
-///    `win_end`. When the wheel runs dry it re-bases onto the earliest
-///    overflow event and migrates the next window's worth of events into
-///    the buckets.
+///    `[cur_horizon_tick, win_end_tick)`; an event lands in bucket
+///    `tick & (N - 1)` unsorted, O(1). A bucket's keys are sorted when it
+///    becomes `cur`, and it becomes `cur` only when its earliest event is
+///    about to be popped — a horizon that stops short of it leaves it in
+///    the wheel, still accepting appends. A bitmap tracks occupancy so
+///    skipping empty buckets costs a few word scans. An empty bucket owns
+///    no buffers: the wheel hands a bucket's buffers to `cur` when it
+///    takes it, the pair `cur` drained goes onto a spare stack, and a
+///    bucket takes a spare when its first event arrives — so the buffers
+///    alive number the buckets occupied at once (plus `cur`), not the
+///    wheel size.
+/// 3. **`outside`** — a binary min-heap of everything outside the window,
+///    on either side. *Late* events (at or beyond `win_end_tick`) wait
+///    there until the wheel runs dry, re-bases onto the earliest of them
+///    and migrates the next window's worth into the buckets. *Early*
+///    events (before `cur`'s tick — possible only after an idle queue
+///    re-based onto a far event and nearer ones followed) are popped
+///    straight from the heap, ahead of `cur`.
 ///
 /// Pop order is globally `(time, key, seq)` — bit-identical to
-/// [`HeapEventQueue`] — because `(time, key, seq)` is a unique total key
-/// and every level respects it.
+/// [`HeapEventQueue`] — because that triple is a unique total key, the
+/// levels hold disjoint tick ranges, and each level respects it.
 ///
 /// ```
 /// use stardust_sim::{EventQueue, SimTime};
@@ -226,28 +298,27 @@ const DEFAULT_NUM_BUCKETS: usize = 2048;
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
-    /// The bucket being drained: sorted by `(at, seq)` **descending**
-    /// (earliest at the back). Holds every pending event whose tick is
-    /// strictly below `cur_horizon_tick`.
-    cur: Vec<ScheduledEvent<E>>,
+    /// The tick being drained, `cur_horizon_tick - 1`: `ord` sorted
+    /// **descending** (earliest at the back).
+    cur: Bucket<E>,
     /// The wheel: unsorted buckets, one per tick in the current window.
     /// A bucket has capacity only while it holds events.
-    buckets: Vec<Vec<ScheduledEvent<E>>>,
+    buckets: Vec<Bucket<E>>,
     /// Drained (empty) bucket buffers, reused LIFO by the next bucket to
     /// receive a first event. (Cloning an empty `Vec` copies no capacity,
     /// so a cloned queue's spares hold no memory.)
-    spares: Vec<Vec<ScheduledEvent<E>>>,
+    spares: Vec<Bucket<E>>,
     /// One bit per bucket: set iff the bucket is non-empty.
     occ: Vec<u64>,
     /// log2 of the bucket width in picoseconds.
     bucket_bits: u32,
-    /// Ticks strictly below this are in `cur` (or already popped).
+    /// The wheel starts at this tick; `cur` is the tick just below it.
     cur_horizon_tick: u64,
-    /// The wheel covers ticks `[win_end_tick - N, win_end_tick)`; events
-    /// at or beyond `win_end_tick` wait in `overflow`.
+    /// The wheel covers ticks `[cur_horizon_tick, win_end_tick)`.
     win_end_tick: u64,
-    /// Far-future events, min-first.
-    overflow: BinaryHeap<ScheduledEvent<E>>,
+    /// Events outside `cur` and the wheel, min-first: late ones at or
+    /// beyond `win_end_tick`, early ones below `cur_horizon_tick - 1`.
+    outside: BinaryHeap<ScheduledEvent<E>>,
     len: usize,
     next_seq: u64,
     now: SimTime,
@@ -267,20 +338,23 @@ impl<E> EventQueue<E> {
         Self::with_geometry(DEFAULT_BUCKET_BITS, DEFAULT_NUM_BUCKETS)
     }
 
-    /// Create an empty calendar with `2^bucket_bits` ps buckets and a
-    /// wheel of `num_buckets` (must be a power of two ≥ 64).
+    /// Create an empty calendar with `2^bucket_bits` ps buckets
+    /// (`bucket_bits` ≤ 32) and a wheel of `num_buckets` (must be a power
+    /// of two ≥ 64).
     pub fn with_geometry(bucket_bits: u32, num_buckets: usize) -> Self {
         assert!(num_buckets.is_power_of_two() && num_buckets >= 64);
-        assert!(bucket_bits < 40, "bucket width out of range");
+        // An event's offset into its bucket takes the top 32 bits of its
+        // sort key.
+        assert!(bucket_bits <= 32, "bucket width out of range");
         EventQueue {
-            cur: Vec::new(),
-            buckets: (0..num_buckets).map(|_| Vec::new()).collect(),
+            cur: Bucket::default(),
+            buckets: (0..num_buckets).map(|_| Bucket::default()).collect(),
             spares: Vec::new(),
             occ: vec![0; num_buckets / 64],
             bucket_bits,
             cur_horizon_tick: 0,
             win_end_tick: num_buckets as u64,
-            overflow: BinaryHeap::new(),
+            outside: BinaryHeap::new(),
             len: 0,
             next_seq: 0,
             now: SimTime::ZERO,
@@ -314,6 +388,18 @@ impl<E> EventQueue<E> {
         at.as_ps() >> self.bucket_bits
     }
 
+    /// Absolute time of the event `off` picoseconds into `tick`.
+    #[inline]
+    fn time_in(&self, tick: u64, off: u64) -> SimTime {
+        SimTime((tick << self.bucket_bits) + off)
+    }
+
+    /// Absolute time of the event behind sort key `o` of `cur`.
+    #[inline]
+    fn cur_time(&self, o: u128) -> SimTime {
+        self.time_in(self.cur_horizon_tick - 1, (o >> 96) as u64)
+    }
+
     /// Schedule `payload` to fire at absolute time `at`.
     ///
     /// Scheduling in the past is a simulator bug; this panics (in debug
@@ -335,47 +421,51 @@ impl<E> EventQueue<E> {
         let tick = self.tick_of(at);
         if self.len == 0 {
             // Re-base an idle wheel around the event so near-future
-            // events use buckets rather than churning the overflow heap.
+            // events use buckets rather than churning the heap.
             self.cur_horizon_tick = tick;
             self.win_end_tick = tick + self.buckets.len() as u64;
         }
         self.len += 1;
-        let ev = ScheduledEvent {
-            at,
-            key,
-            seq,
-            payload,
-        };
-        if tick < self.cur_horizon_tick {
-            // Belongs at or before the bucket being drained: merge into
-            // `cur`, keeping descending (at, key, seq) order. The new
-            // event has the largest seq, so among equal (at, key) it
-            // sorts latest.
-            let pos = self
-                .cur
-                .partition_point(|e| (e.at, e.key, e.seq) > (at, key, seq));
-            self.cur.insert(pos, ev);
-        } else if tick < self.win_end_tick {
-            self.push_bucket(tick, ev);
+        if tick >= self.win_end_tick || tick + 1 < self.cur_horizon_tick {
+            self.outside.push(ScheduledEvent {
+                at,
+                key,
+                seq,
+                payload,
+            });
+        } else if tick >= self.cur_horizon_tick {
+            self.push_bucket(tick, at, key, seq, payload);
         } else {
-            self.overflow.push(ev);
+            // The tick being drained: slot the key into the descending
+            // order. The new event has the largest slot, so among equal
+            // (at, key) it sorts latest.
+            let off = at.as_ps() - (tick << self.bucket_bits);
+            let cur = &mut self.cur;
+            if cur.ord.is_empty() {
+                cur.val.clear();
+            }
+            let o = cur.admit(off, key, seq, payload);
+            let pos = cur.ord.partition_point(|&x| x > o);
+            cur.ord.insert(pos, o);
         }
     }
 
-    /// Append `ev` to the wheel bucket of `tick` (which must lie inside
-    /// the window). A bucket receiving its first event takes a spare
-    /// buffer before it allocates.
+    /// Append an event to the wheel bucket of `tick` (which must lie
+    /// inside the window). A bucket receiving its first event takes a
+    /// spare pair of buffers before it allocates.
     #[inline]
-    fn push_bucket(&mut self, tick: u64, ev: ScheduledEvent<E>) {
+    fn push_bucket(&mut self, tick: u64, at: SimTime, key: u64, seq: u64, payload: E) {
         let slot = (tick as usize) & (self.buckets.len() - 1);
         let bucket = &mut self.buckets[slot];
-        if bucket.is_empty() {
-            debug_assert_eq!(bucket.capacity(), 0, "empty bucket kept a buffer");
+        if bucket.ord.is_empty() {
+            debug_assert_eq!(bucket.ord.capacity(), 0, "empty bucket kept a buffer");
             if let Some(spare) = self.spares.pop() {
                 *bucket = spare;
             }
         }
-        bucket.push(ev);
+        let off = at.as_ps() - (tick << self.bucket_bits);
+        let o = bucket.admit(off, key, seq, payload);
+        bucket.ord.push(o);
         self.occ[slot >> 6] |= 1u64 << (slot & 63);
     }
 
@@ -408,69 +498,133 @@ impl<E> EventQueue<E> {
         None
     }
 
-    /// Refill `cur` from the next non-empty bucket, re-basing the window
-    /// from the overflow level when the wheel is dry. Returns false iff
-    /// the queue is empty. `cur` must be empty on entry.
-    fn refill(&mut self) -> bool {
-        debug_assert!(self.cur.is_empty());
-        if self.len == 0 {
-            return false;
+    /// The head of `outside`, if it is an early event (one that precedes
+    /// `cur` and the whole wheel).
+    #[inline]
+    fn early_head(&self) -> Option<&ScheduledEvent<E>> {
+        self.outside
+            .peek()
+            .filter(|e| self.tick_of(e.at) < self.cur_horizon_tick.saturating_sub(1))
+    }
+
+    /// Timestamp of the earliest event in the (unsorted, non-empty) wheel
+    /// bucket of `tick`: one pass over its keys.
+    fn bucket_head(&self, tick: u64) -> SimTime {
+        let slot = (tick as usize) & (self.buckets.len() - 1);
+        let first = self.buckets[slot].ord.iter().min();
+        self.time_in(tick, (first.expect("occupied bucket") >> 96) as u64)
+    }
+
+    /// Move the window onto the earliest `outside` event and migrate the
+    /// window's worth of events into the buckets. The wheel and `cur`
+    /// must be empty, so everything pending is a late event.
+    ///
+    /// The heap yields events in `(at, key, seq)` order, not arrival
+    /// order; that still gives equal `(at, key)` ascending slots, and
+    /// every event scheduled into these buckets afterwards has a larger
+    /// `seq` than anything migrated.
+    fn rebase(&mut self) {
+        let first = self.tick_of(self.outside.peek().expect("len > 0").at);
+        self.cur_horizon_tick = first;
+        self.win_end_tick = first + self.buckets.len() as u64;
+        while let Some(e) = self.outside.peek() {
+            let tick = self.tick_of(e.at);
+            if tick >= self.win_end_tick {
+                break;
+            }
+            let e = self.outside.pop().expect("peeked");
+            self.push_bucket(tick, e.at, e.key, e.seq, e.payload);
         }
-        loop {
-            if let Some(tick) = self.next_occupied_tick() {
-                let slot = (tick as usize) & (self.buckets.len() - 1);
-                // Take, not swap: a swap would park the drained buffer in
-                // this slot until the wheel comes round again, and after
-                // one rotation every slot would own a full-size buffer.
-                let bucket = std::mem::take(&mut self.buckets[slot]);
-                self.spares.push(std::mem::replace(&mut self.cur, bucket));
-                self.occ[slot >> 6] &= !(1u64 << (slot & 63));
-                self.cur
-                    .sort_unstable_by_key(|e| Reverse((e.at, e.key, e.seq)));
-                self.cur_horizon_tick = tick + 1;
-                return true;
-            }
-            // Wheel dry: everything pending is in the overflow level.
-            debug_assert!(!self.overflow.is_empty());
-            let n = self.buckets.len() as u64;
-            let first = self.tick_of(self.overflow.peek().expect("len > 0").at);
-            self.cur_horizon_tick = first;
-            self.win_end_tick = first + n;
-            while let Some(e) = self.overflow.peek() {
-                let t = self.tick_of(e.at);
-                if t >= self.win_end_tick {
-                    break;
+    }
+
+    /// Find the earliest pending event and, if it fires at or before
+    /// `horizon`, make it poppable: from the back of `cur` or, for an
+    /// early event, from the head of `outside`. A wheel bucket is taken
+    /// (and sorted) only on that condition, so an event scheduled after a
+    /// declined horizon still finds its bucket in the wheel.
+    fn stage(&mut self, horizon: SimTime) -> Option<Staged> {
+        if let Some(e) = self.early_head() {
+            return (e.at <= horizon).then_some(Staged::Early);
+        }
+        if let Some(&o) = self.cur.ord.last() {
+            return (self.cur_time(o) <= horizon).then_some(Staged::Cur);
+        }
+        if self.len == 0 {
+            return None;
+        }
+        let tick = match self.next_occupied_tick() {
+            Some(tick) => tick,
+            None => {
+                // Wheel dry: everything pending is a late event.
+                if self.outside.peek().expect("len > 0").at > horizon {
+                    return None;
                 }
-                let e = self.overflow.pop().expect("peeked");
-                self.push_bucket(t, e);
+                self.rebase();
+                self.cur_horizon_tick
             }
+        };
+        // Whole bucket due, none of it due, or the horizon cuts it.
+        let horizon_tick = self.tick_of(horizon);
+        if horizon_tick < tick || (horizon_tick == tick && self.bucket_head(tick) > horizon) {
+            return None;
+        }
+        let slot = (tick as usize) & (self.buckets.len() - 1);
+        // Take, not swap: a swap would park the drained buffers in this
+        // slot until the wheel comes round again, and after one rotation
+        // every slot would own a full-size pair.
+        let bucket = std::mem::take(&mut self.buckets[slot]);
+        let mut drained = std::mem::replace(&mut self.cur, bucket);
+        drained.clear();
+        self.spares.push(drained);
+        self.occ[slot >> 6] &= !(1u64 << (slot & 63));
+        self.cur.ord.sort_unstable_by(|a, b| b.cmp(a));
+        self.cur_horizon_tick = tick + 1;
+        Some(Staged::Cur)
+    }
+
+    /// Pop the event [`EventQueue::stage`] left at the back of `cur`.
+    #[inline]
+    fn pop_cur(&mut self) -> ScheduledEvent<E> {
+        let o = self.cur.ord.pop().expect("staged");
+        let (seq, payload) = self.cur.val[o as u32 as usize]
+            .take()
+            .expect("pending slot is filled");
+        ScheduledEvent {
+            at: self.cur_time(o),
+            key: (o >> 32) as u64,
+            seq,
+            payload,
         }
     }
 
     /// Timestamp of the next event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        if let Some(e) = self.cur.last() {
+        if let Some(e) = self.early_head() {
             return Some(e.at);
         }
-        if self.len == 0 {
-            return None;
+        if let Some(&o) = self.cur.ord.last() {
+            return Some(self.cur_time(o));
         }
-        // Cold path (`cur` drained and not yet refilled): the earliest
-        // event is the minimum of the next occupied bucket, else the
-        // overflow head. Wheel events always precede overflow events.
-        if let Some(tick) = self.next_occupied_tick() {
-            let slot = (tick as usize) & (self.buckets.len() - 1);
-            return self.buckets[slot].iter().map(|e| e.at).min();
+        // `cur` drained and the next bucket not yet taken: wheel events
+        // always precede late ones.
+        match self.next_occupied_tick() {
+            Some(tick) => Some(self.bucket_head(tick)),
+            None => self.outside.peek().map(|e| e.at),
         }
-        self.overflow.peek().map(|e| e.at)
     }
 
     /// Remove and return the earliest event, advancing the clock to it.
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        if self.cur.is_empty() && !self.refill() {
-            return None;
-        }
-        let ev = self.cur.pop().expect("refill left cur non-empty");
+        self.pop_until(SimTime::MAX)
+    }
+
+    /// Remove and return the earliest event only if it fires at or before
+    /// `horizon`. The clock never advances past `horizon` via this method.
+    pub fn pop_until(&mut self, horizon: SimTime) -> Option<ScheduledEvent<E>> {
+        let ev = match self.stage(horizon)? {
+            Staged::Cur => self.pop_cur(),
+            Staged::Early => self.outside.pop().expect("staged"),
+        };
         debug_assert!(ev.at >= self.now, "calendar went backwards");
         self.now = ev.at;
         self.popped += 1;
@@ -478,39 +632,29 @@ impl<E> EventQueue<E> {
         Some(ev)
     }
 
-    /// Remove and return the earliest event only if it fires at or before
-    /// `horizon`. The clock never advances past `horizon` via this method.
-    pub fn pop_until(&mut self, horizon: SimTime) -> Option<ScheduledEvent<E>> {
-        if self.cur.is_empty() && !self.refill() {
-            return None;
-        }
-        if self.cur.last().expect("refilled").at <= horizon {
-            self.pop()
-        } else {
-            None
-        }
-    }
-
     /// See [`EventCore::pop_batch_until`].
     pub fn pop_batch_until(&mut self, horizon: SimTime, out: &mut Vec<ScheduledEvent<E>>) -> usize {
         out.clear();
-        if self.cur.is_empty() && !self.refill() {
-            return 0;
-        }
-        let t0 = self.cur.last().expect("refilled").at;
-        if t0 > horizon {
-            return 0;
-        }
-        // Same-tick implies same-bucket, so every event at t0 is in `cur`.
-        while let Some(e) = self.cur.last() {
-            if e.at != t0 {
-                break;
+        // Same timestamp implies same tick, hence same level: every event
+        // at the staged head's time sits next to it.
+        match self.stage(horizon) {
+            None => return 0,
+            Some(Staged::Cur) => {
+                let t0 = self.cur.ord.last().expect("staged") >> 96;
+                while self.cur.ord.last().is_some_and(|&o| o >> 96 == t0) {
+                    out.push(self.pop_cur());
+                }
             }
-            out.push(self.cur.pop().expect("peeked"));
+            Some(Staged::Early) => {
+                let t0 = self.outside.peek().expect("staged").at;
+                while self.outside.peek().is_some_and(|e| e.at == t0) {
+                    out.push(self.outside.pop().expect("peeked"));
+                }
+            }
         }
         self.len -= out.len();
         self.popped += out.len() as u64;
-        self.now = t0;
+        self.now = out[0].at;
         out.len()
     }
 
@@ -529,17 +673,19 @@ impl<E> EventQueue<E> {
     }
 
     /// See [`EventCore::visit_pending`]: `cur`, then the wheel buckets,
-    /// then the overflow heap — each in its internal storage order.
+    /// then the `outside` heap — each in its internal storage order.
     pub fn visit_pending(&self, f: &mut dyn FnMut(SimTime, u64, &E)) {
-        for e in &self.cur {
-            f(e.at, e.key, &e.payload);
-        }
-        for b in &self.buckets {
-            for e in b {
-                f(e.at, e.key, &e.payload);
+        let mask = self.buckets.len() - 1;
+        // (`cur` is empty whenever there is no tick below the wheel.)
+        let cur = (self.cur_horizon_tick.wrapping_sub(1), &self.cur);
+        let wheel = (self.cur_horizon_tick..self.win_end_tick)
+            .map(|tick| (tick, &self.buckets[tick as usize & mask]));
+        for (tick, bucket) in std::iter::once(cur).chain(wheel) {
+            for (off, key, payload) in bucket.iter() {
+                f(self.time_in(tick, off), key, payload);
             }
         }
-        for e in &self.overflow {
+        for e in &self.outside {
             f(e.at, e.key, &e.payload);
         }
     }
@@ -548,7 +694,7 @@ impl<E> EventQueue<E> {
     pub fn clear(&mut self) {
         self.cur.clear();
         for b in &mut self.buckets {
-            if b.capacity() > 0 {
+            if b.ord.capacity() > 0 {
                 b.clear();
                 self.spares.push(std::mem::take(b));
             }
@@ -556,7 +702,7 @@ impl<E> EventQueue<E> {
         for w in &mut self.occ {
             *w = 0;
         }
-        self.overflow.clear();
+        self.outside.clear();
         self.len = 0;
     }
 }
@@ -604,7 +750,7 @@ impl<E> EventCore<E> for EventQueue<E> {
 }
 
 /// The reference event calendar: a deterministic binary min-heap keyed on
-/// `(time, sequence)`.
+/// `(time, key, sequence)`.
 ///
 /// This is the event core the workspace originally ran on. It is retained
 /// as the ordering oracle for the calendar queue (see the property suite);
@@ -951,7 +1097,7 @@ mod tests {
     fn calendar_matches_heap_on_random_workload() {
         // Differential test: identical schedule/pop interleavings on both
         // cores must produce identical traces, across time scales that
-        // exercise cur-merge, wheel and overflow paths.
+        // exercise the `cur` insert, wheel and heap paths.
         let mut rng = DetRng::from_label(42, "event-core-diff");
         let mut cal: EventQueue<u64> = EventQueue::with_geometry(12, 64);
         let mut heap: HeapEventQueue<u64> = HeapEventQueue::new();
@@ -1073,10 +1219,98 @@ mod tests {
         drive(HeapEventQueue::<u64>::new());
     }
 
-    /// Summed capacity of every buffer the calendar owns, in events.
+    #[test]
+    fn a_bucket_is_taken_only_to_be_popped_from() {
+        // Two events in one 32.768 ns tick. A horizon short of the tick,
+        // and one that cuts the tick before its first event, must both
+        // leave the bucket in the wheel, where a later, earlier event
+        // still lands by append.
+        let mut q = EventQueue::new();
+        let mut out = Vec::new();
+        q.schedule(SimTime::from_nanos(10), 9);
+        q.schedule(SimTime::from_nanos(110), 1);
+        q.schedule(SimTime::from_nanos(120), 2);
+        assert_eq!(q.pop().unwrap().payload, 9);
+        assert_eq!(q.pop_batch_until(SimTime::from_nanos(90), &mut out), 0);
+        assert_eq!(q.pop_batch_until(SimTime::from_nanos(105), &mut out), 0);
+        assert!(q.pop_until(SimTime::from_nanos(105)).is_none());
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(110)));
+        assert!(q.cur.ord.is_empty(), "a declined bucket was taken");
+        q.schedule(SimTime::from_nanos(70), 0);
+        assert!(q.outside.is_empty(), "the wheel start moved past now");
+        // A horizon between the two pops the first and only the first.
+        assert_eq!(q.pop_until(SimTime::from_nanos(115)).unwrap().payload, 0);
+        assert_eq!(q.pop_until(SimTime::from_nanos(115)).unwrap().payload, 1);
+        assert!(q.pop_until(SimTime::from_nanos(115)).is_none());
+        assert_eq!(q.pop().unwrap().payload, 2);
+    }
+
+    #[test]
+    fn events_before_the_wheel_start_wait_in_the_heap() {
+        // An idle queue re-bases onto its first event. What follows at
+        // earlier ticks is outside the window on the near side: `cur`
+        // takes the tick just below the wheel, the heap everything
+        // before that, and the heap's early head pops ahead of `cur`.
+        let mut q = EventQueue::new();
+        let far = SimTime::from_millis(50);
+        let tick = SimDuration::from_ps(1 << DEFAULT_BUCKET_BITS);
+        q.schedule(far, 4);
+        q.schedule(far - tick, 3);
+        q.schedule(SimTime::from_nanos(20), 1);
+        q.schedule(far - tick - tick, 2);
+        q.schedule(SimTime::from_nanos(20), 11);
+        assert_eq!((q.cur.ord.len(), q.outside.len()), (1, 3));
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(20)));
+        let mut seen = Vec::new();
+        q.visit_pending(&mut |at, _key, p| seen.push((at, *p)));
+        seen.sort_unstable();
+        assert_eq!(seen.len(), 5);
+        assert_eq!(seen[3], (far - tick, 3));
+        let mut out = Vec::new();
+        assert_eq!(q.pop_batch_until(SimTime::from_nanos(20), &mut out), 2);
+        assert_eq!(
+            out.iter().map(|e| e.payload).collect::<Vec<_>>(),
+            vec![1, 11]
+        );
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
+        assert_eq!(order, vec![2, 3, 4]);
+    }
+
+    #[test]
+    fn far_timer_then_ascending_offer_is_not_quadratic() {
+        // A far timer armed on an idle queue, then N nearer events in
+        // ascending order (flows offered after the timer). Each of them
+        // used to be merge-inserted at the front of one sorted `cur` —
+        // 25 s at N = 200 k in release; through the heap it is 5 ms. The
+        // wall bound is loose on purpose: it separates the two growth
+        // laws, not two machines.
+        const N: u64 = 200_000;
+        let started = std::time::Instant::now();
+        let mut cal: EventQueue<u64> = EventQueue::new();
+        let mut heap: HeapEventQueue<u64> = HeapEventQueue::new();
+        cal.schedule(SimTime::from_millis(50), 0);
+        heap.schedule(SimTime::from_millis(50), 0);
+        for i in 1..=N {
+            cal.schedule(SimTime::from_nanos(10 * i), i);
+            heap.schedule(SimTime::from_nanos(10 * i), i);
+        }
+        for _ in 0..=N {
+            let (a, b) = (cal.pop().expect("N + 1"), heap.pop().expect("N + 1"));
+            assert_eq!((a.at, a.seq, a.payload), (b.at, b.seq, b.payload));
+        }
+        assert!(cal.is_empty() && heap.is_empty());
+        let wall = started.elapsed();
+        assert!(wall.as_secs() < 5, "{N} events took {wall:?}");
+    }
+
+    /// Bytes of every bucket buffer the calendar owns (`ord` and `val` of
+    /// `cur`, the wheel and the spares).
     fn footprint<E>(q: &EventQueue<E>) -> usize {
-        let held = |bufs: &[Vec<ScheduledEvent<E>>]| bufs.iter().map(Vec::capacity).sum::<usize>();
-        q.cur.capacity() + held(&q.buckets) + held(&q.spares)
+        let bytes = |b: &Bucket<E>| {
+            b.ord.capacity() * std::mem::size_of::<u128>()
+                + b.val.capacity() * std::mem::size_of::<Option<(u64, E)>>()
+        };
+        bytes(&q.cur) + q.buckets.iter().chain(&q.spares).map(bytes).sum::<usize>()
     }
 
     #[test]
@@ -1092,7 +1326,9 @@ mod tests {
         let mut q: EventQueue<u32> = EventQueue::new();
         let spread = 48u64 << DEFAULT_BUCKET_BITS;
         let rotation = SimDuration::from_ps((DEFAULT_NUM_BUCKETS as u64) << DEFAULT_BUCKET_BITS);
-        let bound = 4 * P as usize + 1024;
+        // What one pending event occupies: its key and its slot.
+        let per_event = std::mem::size_of::<u128>() + std::mem::size_of::<Option<(u64, u32)>>();
+        let bound = (4 * P as usize + 1024) * per_event;
         for round in 0..2 {
             for i in 0..P {
                 q.schedule(q.now() + SimDuration::from_ps(i * spread / P), 0);
@@ -1106,7 +1342,7 @@ mod tests {
             let held = footprint(&q);
             assert!(
                 held <= bound,
-                "round {round}: buffers for {held} events while {P} are pending"
+                "round {round}: {held} bytes of buffers while {P} events are pending"
             );
             q.clear();
             assert!(footprint(&q) <= bound, "clear() left {}", footprint(&q));

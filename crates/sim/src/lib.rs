@@ -9,8 +9,9 @@
 //!   nanoseconds are too coarse; `u64` picoseconds cover ~213 days of
 //!   simulated time, far beyond any experiment in the paper.
 //! * [`EventQueue`] — a deterministic bucketed calendar queue (timing wheel
-//!   with a sorted overflow level). Ties in time are broken by insertion
-//!   sequence number so runs are bit-reproducible. [`HeapEventQueue`] keeps
+//!   with a heap for what lies outside its window). Ties in time are broken
+//!   by an optional content key, then by insertion sequence number, so runs
+//!   are bit-reproducible. [`HeapEventQueue`] keeps
 //!   the original binary-heap core as the tests' ordering oracle; engines
 //!   are generic over a [`CoreKind`] so tests can substitute it (or a
 //!   recording queue) — no spec, preset, flag or figure binary selects it.

@@ -11,7 +11,7 @@
 use stardust::fabric::{FabricConfig, FabricEngine, FabricStats};
 use stardust::sim::{
     CalendarCore, CoreKind, DetRng, EventCore, EventQueue, HeapCore, HeapEventQueue,
-    ScheduledEvent, SimTime,
+    ScheduledEvent, SimDuration, SimTime,
 };
 use stardust::topo::builders::{two_tier, TwoTierParams};
 use stardust::workload::permutation;
@@ -102,22 +102,33 @@ fn heap_and_calendar_cores_bit_identical() {
 /// One recorded queue operation. Times are absolute picoseconds.
 #[derive(Debug, Clone, Copy)]
 enum TraceOp {
-    /// `schedule(at, _)`.
-    Schedule(u64),
-    /// One `pop` (batched drains are recorded as consecutive pops).
-    Pop,
+    /// `schedule_keyed(at, key, _)`; plain `schedule` records key 0.
+    Schedule { at: u64, key: u64 },
+    /// One `pop_until(horizon)` call (`pop` is horizon `SimTime::MAX`),
+    /// whether or not it returned an event.
+    PopUntil(u64),
+    /// One `pop_batch_until(horizon, _)` call, also when it drained
+    /// nothing: a declined horizon is an operation the calendar must
+    /// survive with its buckets intact.
+    Batch(u64),
+    /// `advance_clock(to)`.
+    Advance(u64),
 }
 
 thread_local! {
     static TRACE: RefCell<Vec<TraceOp>> = const { RefCell::new(Vec::new()) };
 }
 
+fn record(op: TraceOp) {
+    TRACE.with(|t| t.borrow_mut().push(op));
+}
+
 /// A [`CoreKind`] that records every queue operation to a thread-local
 /// trace while delegating to the production calendar queue: running the
 /// permutation scenario on a `FabricEngine<RecordingCore>` captures the
-/// genuine sequence of event times and drain patterns the engine
-/// generates, so the cores are compared under the *real* §6.2 workload
-/// and not a synthetic hold model.
+/// genuine sequence of event times, ordering keys and drain horizons the
+/// engine generates, so the cores are compared under the *real* §6.2
+/// workload and not a synthetic hold model.
 #[derive(Debug, Clone, Copy, Default)]
 struct RecordingCore;
 
@@ -147,12 +158,15 @@ impl<E> EventCore<E> for RecordingQueue<E> {
         self.inner.events_executed()
     }
     fn schedule(&mut self, at: SimTime, payload: E) {
-        TRACE.with(|t| t.borrow_mut().push(TraceOp::Schedule(at.as_ps())));
-        self.inner.schedule(at, payload);
+        self.schedule_keyed(at, 0, payload);
     }
     fn schedule_keyed(&mut self, at: SimTime, key: u64, payload: E) {
-        // The replay cares about times and drain patterns, not keys.
-        TRACE.with(|t| t.borrow_mut().push(TraceOp::Schedule(at.as_ps())));
+        // The key is what the calendar's sort compares: it is part of
+        // the trace.
+        record(TraceOp::Schedule {
+            at: at.as_ps(),
+            key,
+        });
         self.inner.schedule_keyed(at, key, payload);
     }
     fn peek_time(&self) -> Option<SimTime> {
@@ -163,30 +177,18 @@ impl<E> EventCore<E> for RecordingQueue<E> {
         self.inner.visit_pending(f);
     }
     fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        let ev = self.inner.pop();
-        if ev.is_some() {
-            TRACE.with(|t| t.borrow_mut().push(TraceOp::Pop));
-        }
-        ev
+        self.pop_until(SimTime::MAX)
     }
     fn pop_until(&mut self, horizon: SimTime) -> Option<ScheduledEvent<E>> {
-        let ev = self.inner.pop_until(horizon);
-        if ev.is_some() {
-            TRACE.with(|t| t.borrow_mut().push(TraceOp::Pop));
-        }
-        ev
+        record(TraceOp::PopUntil(horizon.as_ps()));
+        self.inner.pop_until(horizon)
     }
     fn pop_batch_until(&mut self, horizon: SimTime, out: &mut Vec<ScheduledEvent<E>>) -> usize {
-        let n = self.inner.pop_batch_until(horizon, out);
-        if n > 0 {
-            TRACE.with(|t| {
-                let mut t = t.borrow_mut();
-                t.extend(std::iter::repeat_n(TraceOp::Pop, n));
-            });
-        }
-        n
+        record(TraceOp::Batch(horizon.as_ps()));
+        self.inner.pop_batch_until(horizon, out)
     }
     fn advance_clock(&mut self, to: SimTime) {
+        record(TraceOp::Advance(to.as_ps()));
         self.inner.advance_clock(to);
     }
     fn clear(&mut self) {
@@ -195,44 +197,73 @@ impl<E> EventCore<E> for RecordingQueue<E> {
 }
 
 /// Record the queue-operation trace of the saturated permutation
-/// scenario over `sim_micros` of simulated time.
+/// scenario over `sim_micros` of simulated time, run in 777 ns slices so
+/// that the trace holds a declined horizon every slice — most of them
+/// cutting a 32.768 ns bucket part-way.
 fn record_sec62_trace(sim_micros: u64) -> Vec<TraceOp> {
     TRACE.with(|t| t.borrow_mut().clear());
     let mut e = permutation_engine::<RecordingCore>(0xDC_FA_B0_05);
     e.saturate_all_to_all(750, 16 * 1024);
-    e.run_until(SimTime::from_micros(sim_micros));
+    let end = SimTime::from_micros(sim_micros);
+    while e.now() < end {
+        e.run_until((e.now() + SimDuration::from_nanos(777)).min(end));
+    }
     TRACE.with(|t| std::mem::take(&mut *t.borrow_mut()))
 }
 
 /// Replay a recorded trace against a fresh queue of core kind `Q`,
-/// returning a checksum of the popped sequence numbers (any ordering
-/// divergence shows up as a checksum mismatch between cores). Payloads
-/// are unit-sized, so the cores differ in their ordering machinery alone.
+/// returning a checksum over every popped `(at, key, seq, payload)` and
+/// every batch size, zeros included (any ordering divergence shows up as
+/// a checksum mismatch between cores). Payloads are unit-sized, so the
+/// cores differ in their ordering machinery alone.
 fn replay<Q: EventCore<u32>>(trace: &[TraceOp]) -> u64 {
+    fn fold(acc: u64, v: u64) -> u64 {
+        (acc ^ v).wrapping_mul(0x100_0000_01b3)
+    }
+    fn fold_ev(acc: u64, ev: &ScheduledEvent<u32>) -> u64 {
+        [ev.at.as_ps(), ev.key, ev.seq, u64::from(ev.payload)]
+            .into_iter()
+            .fold(acc, fold)
+    }
     let mut q = Q::new();
     let mut payload = 0u32;
     let mut acc = 0u64;
+    let mut batch = Vec::new();
     for &op in trace {
         match op {
-            TraceOp::Schedule(ps) => {
-                q.schedule(SimTime(ps), payload);
+            TraceOp::Schedule { at, key } => {
+                q.schedule_keyed(SimTime(at), key, payload);
                 payload = payload.wrapping_add(1);
             }
-            TraceOp::Pop => {
-                let ev = q.pop().expect("trace pops a scheduled event");
-                acc = acc
-                    .wrapping_mul(0x100_0000_01b3)
-                    .wrapping_add(ev.seq ^ ev.payload as u64);
+            TraceOp::PopUntil(horizon) => {
+                acc = match q.pop_until(SimTime(horizon)) {
+                    Some(ev) => fold_ev(acc, &ev),
+                    None => fold(acc, u64::MAX),
+                };
             }
+            TraceOp::Batch(horizon) => {
+                let n = q.pop_batch_until(SimTime(horizon), &mut batch);
+                acc = batch.iter().fold(fold(acc, n as u64), fold_ev);
+            }
+            TraceOp::Advance(to) => q.advance_clock(SimTime(to)),
         }
     }
-    acc
+    fold(acc, q.len() as u64)
 }
 
 #[test]
 fn recorded_trace_replays_identically_on_both_cores() {
     let trace = record_sec62_trace(20);
     assert!(trace.len() > 1_000, "trace too small: {}", trace.len());
+    let count = |f: fn(&TraceOp) -> bool| trace.iter().filter(|op| f(op)).count();
+    assert!(
+        count(|op| matches!(op, TraceOp::Schedule { key, .. } if *key != 0)) > 100,
+        "the engine's keyed schedules are missing from the trace"
+    );
+    assert!(
+        count(|op| matches!(op, TraceOp::Advance(_))) >= 20,
+        "one committed (hence one declined) horizon per slice"
+    );
     let heap = replay::<HeapEventQueue<u32>>(&trace);
     let cal = replay::<EventQueue<u32>>(&trace);
     assert_eq!(heap, cal, "replay checksums diverged between cores");
@@ -241,7 +272,6 @@ fn recorded_trace_replays_identically_on_both_cores() {
 /// The Fig 10(b) Web mix on the cell fabric, via the shared `Scenario`
 /// spec and the finite-flow message layer.
 fn web_mix_fct_run<K: CoreKind>() -> stardust::sim::FlowStats {
-    use stardust::sim::SimDuration;
     use stardust::workload::{FlowSizeDist, Scenario, ScenarioKind};
     let scn = Scenario {
         name: "det-fct-web-mix".into(),

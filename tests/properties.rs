@@ -21,6 +21,7 @@ use stardust::sim::units::serialization_time;
 use stardust::sim::{DetRng, EventQueue, Mailboxes, ShardClock, SimDuration, SimTime};
 use stardust::topo::builders::{single_tier, SingleTierParams};
 use stardust::topo::LinkId;
+use stardust::workload::FlowEngine;
 
 /// Number of random cases per property (override with `PROPTEST_CASES`).
 fn cases() -> u64 {
@@ -206,9 +207,13 @@ fn event_queue_sorted() {
 /// any random interleaving of the operations an engine drives — plain
 /// and keyed schedules (keys from a small range, so they collide inside
 /// one timestamp), single pops, `pop_until` loops, batched drains,
-/// `advance_clock` and `clear`, spanning the merge, wheel and overflow
+/// `advance_clock` and `clear`, spanning the merge, wheel and heap
 /// levels — produces the identical `(time, key, seq, payload)` trace on
-/// both cores, with `peek_time`/`now`/`len` equal after every step.
+/// both cores, with `peek_time`/`now`/`len` equal after every step. Each
+/// case runs on the default geometry and on a 64-bucket wheel of ~1 ns
+/// ticks, where the same time deltas make the window re-base, events
+/// land before the wheel start and the heap migrate many times per case
+/// instead of once in a while.
 #[test]
 fn calendar_queue_is_drop_in_for_heap() {
     type Ev = stardust::sim::ScheduledEvent<u64>;
@@ -218,8 +223,7 @@ fn calendar_queue_is_drop_in_for_heap() {
             (b.at, b.key, b.seq, b.payload)
         );
     }
-    for_each_case("calendar_queue_is_drop_in_for_heap", |rng| {
-        let mut cal: EventQueue<u64> = EventQueue::new();
+    fn drive(mut cal: EventQueue<u64>, rng: &mut DetRng) {
         let mut heap: HeapEventQueue<u64> = HeapEventQueue::new();
         let mut payload = 0u64;
         let ops = 200 + rng.index(800);
@@ -289,6 +293,11 @@ fn calendar_queue_is_drop_in_for_heap() {
                 _ => panic!("queues drained at different lengths"),
             }
         }
+    }
+    for_each_case("calendar_queue_is_drop_in_for_heap", |rng| {
+        // The same operation stream on both geometries.
+        drive(EventQueue::new(), &mut rng.clone());
+        drive(EventQueue::with_geometry(10, 64), rng);
     });
 }
 
@@ -630,6 +639,132 @@ fn sharded_fabric_matches_sequential_under_link_failures() {
              topo = single_tier({} FAs × {} FEs), shards = {}, seed = {:#x} \
              (fail_link {}, restore {})",
             c.num_fa, c.fe_count, c.shards, c.seed, c.fail_link, c.restore
+        );
+    });
+}
+
+/// Run `build()` to `end` in one `run_until` call and again cut into
+/// slices, and require the same `view` (which includes the flow book) of
+/// both. The cuts are drawn to hit the three ways a horizon can meet the
+/// calendar: uniformly random instants (inside a 32.768 ns bucket, mid
+/// stream); exactly the timestamp of an event (a flow finish taken from
+/// the whole run's book, so the event at the cut must run and its
+/// successor must not); and just short of one — 1 ps before it and at the
+/// start of its bucket — where the calendar declines a bucket whose head
+/// lies past the horizon and must leave it intact for the next slice.
+fn assert_sliced_run_equals_whole<E: FlowEngine, V: PartialEq + std::fmt::Debug>(
+    rng: &mut DetRng,
+    build: impl Fn() -> E,
+    end: SimTime,
+    view: impl Fn(&E) -> V,
+) {
+    let mut whole = build();
+    whole.run_until(end);
+    let finishes: Vec<SimTime> = whole
+        .flow_stats()
+        .records()
+        .iter()
+        .filter_map(|r| r.finished)
+        .collect();
+    assert!(!finishes.is_empty(), "vacuous case: no flow finished");
+
+    let mut cuts: Vec<SimTime> = (0..1 + rng.index(6))
+        .map(|_| SimTime(rng.below(end.as_ps())))
+        .collect();
+    for _ in 0..1 + rng.index(4) {
+        let t = *rng.pick(&finishes);
+        cuts.push(match rng.index(3) {
+            0 => t,
+            1 => SimTime(t.as_ps() - 1),
+            _ => SimTime(t.as_ps() >> 15 << 15),
+        });
+    }
+    cuts.sort_unstable();
+    cuts.dedup();
+
+    let mut sliced = build();
+    for &cut in &cuts {
+        sliced.run_until(cut);
+    }
+    sliced.run_until(end);
+    assert_eq!(view(&whole), view(&sliced), "cuts {cuts:?}");
+}
+
+/// ROADMAP 4 (b), slicing: one `run_until(T)` equals any partition of
+/// `[0, T]` into calls, on the sequential fabric engine, the two-shard
+/// engine and the transport simulator — `FabricStats` (flow book
+/// included) and the transport flow book compare `==`.
+#[test]
+fn run_until_equals_any_partition_into_calls() {
+    use stardust::topo::builders::{kary, KaryParams};
+    use stardust::transport::{Protocol, TransportConfig, TransportSim};
+    use stardust::workload::{FlowSpec, TransportFlowEngine};
+
+    /// One flow from every node to a random other node, staggered over
+    /// the first 20 µs.
+    fn flows(rng: &mut DetRng, nodes: u32) -> Vec<FlowSpec> {
+        (0..nodes)
+            .map(|src| FlowSpec {
+                src,
+                dst: (src + 1 + rng.below(u64::from(nodes) - 1) as u32) % nodes,
+                bytes: gen_u64(rng, 2_000, 40_000),
+                start: SimTime::from_nanos(rng.below(20_000)),
+            })
+            .collect()
+    }
+    fn offered<E: FlowEngine>(mut e: E, flows: &[FlowSpec]) -> E {
+        e.offer(flows);
+        e
+    }
+
+    for_each_case("run_until_equals_any_partition_into_calls", |rng| {
+        let fabric = || {
+            single_tier(SingleTierParams {
+                num_fa: 8,
+                fa_uplinks: 4,
+                fe_count: 2,
+                meters: 20,
+            })
+            .topo
+        };
+        let cfg = FabricConfig {
+            seed: rng.next_u64(),
+            host_ports: 2,
+            host_port_bps: stardust::sim::units::gbps(40),
+            ..FabricConfig::default()
+        };
+        let fl = flows(rng, 8);
+        let end = SimTime::from_micros(300);
+        assert_sliced_run_equals_whole(
+            rng,
+            || offered(FabricEngine::new(fabric(), cfg.clone()), &fl),
+            end,
+            |e| e.stats().clone(),
+        );
+        assert_sliced_run_equals_whole(
+            rng,
+            || {
+                let mut e = ShardedFabricEngine::new(fabric(), cfg.clone(), 2);
+                e.set_exec_mode(ExecMode::Inline);
+                offered(e, &fl)
+            },
+            end,
+            |e| e.stats(),
+        );
+
+        let fl = flows(rng, 16);
+        assert_sliced_run_equals_whole(
+            rng,
+            || {
+                let ft = kary(KaryParams {
+                    k: 4,
+                    ..KaryParams::paper_6_3()
+                });
+                let sim = TransportSim::new(ft, TransportConfig::default());
+                offered(TransportFlowEngine::new(sim, Protocol::Stardust), &fl)
+            },
+            SimTime::from_millis(2),
+            |e| e.flow_stats(),
         );
     });
 }
