@@ -58,7 +58,7 @@ use crate::toml::{self, Table, Value};
 use stardust_sim::{SimDuration, SimTime};
 use stardust_topo::LinkId;
 use stardust_transport::Protocol;
-use stardust_workload::{FailureSchedule, FlowSizeDist, ScenarioKind};
+use stardust_workload::{FailureSchedule, FlowSizeDist, LinkAction, ScenarioKind};
 use std::fmt;
 
 /// A spec-layer error (parse or validation), with context.
@@ -406,6 +406,20 @@ impl TopoSpec {
         }
     }
 
+    /// Link count of [`Self::build_fabric`]`(seed)`. The two-tier count
+    /// is its builder's own, because a second build adds about half
+    /// again to the set-up of a two-tier run with a failure schedule; the
+    /// other kinds are built (the randomized ones skip duplicate ring
+    /// pairs, so their count depends on `seed`).
+    pub fn fabric_links(&self, seed: u64) -> usize {
+        match self.kind {
+            TopoKind::TwoTier => {
+                stardust_topo::TwoTierParams::paper_scaled(self.two_tier_factor).num_links()
+            }
+            _ => self.build_fabric(seed).topo.num_links(),
+        }
+    }
+
     /// Build the fabric topology plus its route plan. `seed` feeds the
     /// randomized builders (Space Shuffle rings, expander cycles), so
     /// each spec seed draws its own wiring — the deterministic builders
@@ -717,6 +731,7 @@ impl ExperimentSpec {
                  stats = \"sketch\" does not keep");
         }
         self.failures.validate().map_err(SpecError)?;
+        self.validate_failure_values()?;
         if self.checks.max_convergence_us.is_some() && self.reach_us.is_none() {
             return bad("checks.max_convergence_us needs the reach protocol \
                  ([experiment] reach_us) — static tables never reconverge");
@@ -744,6 +759,45 @@ impl ExperimentSpec {
             scenario
                 .validate_for(n_nodes)
                 .map_err(|e| SpecError(format!("engine {name:?}: {e}")))?;
+        }
+        Ok(())
+    }
+
+    /// Value ranges of the `[[failure]]` entries, each error naming its
+    /// entry: a degrade's `ppm` is at most 10^6 (a rate of 1), and when a
+    /// fabric engine runs, a `link` below the fabric's link count at
+    /// every seed.
+    fn validate_failure_values(&self) -> Result<(), SpecError> {
+        if self.failures.events().is_empty() {
+            return Ok(());
+        }
+        let links = if self.engines.iter().any(|e| e.is_fabric()) {
+            self.seeds
+                .iter()
+                .map(|&s| self.topology.fabric_links(s))
+                .min()
+        } else {
+            None
+        };
+        for ev in self.failures.events() {
+            let entry = format!(
+                "[[failure]] at_us = {}, link = {}",
+                ev.at.as_ps() / 1_000_000,
+                ev.link.0
+            );
+            if let LinkAction::Degrade { ppm } = ev.action {
+                if ppm > 1_000_000 {
+                    return bad(format!(
+                        "{entry}: ppm = {ppm} is past 1000000 (an error rate of 1)"
+                    ));
+                }
+            }
+            if let Some(links) = links.filter(|&n| ev.link.0 as usize >= n) {
+                return bad(format!(
+                    "{entry}: link {} out of range: the fabric has {links} links",
+                    ev.link.0
+                ));
+            }
         }
         Ok(())
     }
@@ -1212,6 +1266,11 @@ ppm = 0
                 40,
             ),
             (
+                "kind = \"dragonfly\"\ndragonfly_a = 3\ndragonfly_h = 2".into(),
+                TopoKind::Dragonfly { a: 3, h: 2, p: 1 },
+                21,
+            ),
+            (
                 "kind = \"space_shuffle\"".into(),
                 TopoKind::SpaceShuffle {
                     switches: 16,
@@ -1234,9 +1293,14 @@ ppm = 0
                 topo_spec(&format!("{base}{body}")).unwrap_or_else(|e| panic!("{body}: {e}"));
             assert_eq!(spec.topology.kind, kind, "{body}");
             assert_eq!(spec.topology.fabric_endpoints(), endpoints, "{body}");
-            // The built fabric matches the declared population.
+            // The built fabric matches the declared population and links.
             let built = spec.topology.build_fabric(42);
             assert_eq!(built.plan.num_endpoints, endpoints, "{body} build");
+            assert_eq!(
+                spec.topology.fabric_links(42),
+                built.topo.num_links(),
+                "{body}"
+            );
         }
     }
 
@@ -1320,6 +1384,18 @@ ppm = 0
             ),
             ("kary_k = 4", "kary_k = 3", "kary_k must be even"),
             ("link = 5", "link = 4294967296", "32 bits"),
+            // Values the engines used to panic on mid-run.
+            (
+                "link = 5",
+                "link = 99999",
+                "[[failure]] at_us = 3000, link = 99999: link 99999 out of range: \
+                 the fabric has 64 links",
+            ),
+            (
+                "ppm = 40000",
+                "ppm = 2000000",
+                "[[failure]] at_us = 3000, link = 5: ppm = 2000000 is past 1000000",
+            ),
             (
                 MIX,
                 "kind = \"permutation\"\nflow_bytes = 0",

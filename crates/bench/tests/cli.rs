@@ -191,3 +191,37 @@ fn mistyped_spec_section_fails_the_run() {
     );
     assert!(!stdout(&out).contains("all checks passed"));
 }
+
+#[test]
+fn hostile_failure_values_are_spec_errors_not_panics() {
+    // One value edited in the failure-churn preset: an error rate past 1
+    // and a link the 64-link fabric does not have. Both used to reach
+    // the engine and panic mid-run (exit 101).
+    let preset = stardust(&["preset", "failure_churn"]);
+    assert!(preset.status.success());
+    for (name, from, to, names) in [
+        (
+            "ppm.toml",
+            "ppm = 40000",
+            "ppm = 2000000",
+            "[[failure]] at_us = 4000, link = 4: ppm = 2000000 is past 1000000",
+        ),
+        (
+            "link.toml",
+            "link = 4",
+            "link = 99999",
+            "[[failure]] at_us = 4000, link = 99999: link 99999 out of range: \
+             the fabric has 64 links",
+        ),
+    ] {
+        let text = stdout(&preset);
+        assert!(text.contains(from), "stale mutation target {from:?}");
+        let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+        std::fs::write(&path, text.replace(from, to)).unwrap();
+        let out = stardust(&["run", path.to_str().unwrap()]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{to}: {err}");
+        assert!(err.contains(&format!("spec error: {names}")), "{to}: {err}");
+        assert!(!err.contains("panicked"), "{to}: {err}");
+    }
+}

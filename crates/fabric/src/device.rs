@@ -16,7 +16,7 @@ use crate::ev::Ev;
 use crate::reach::{PortReach, ReachTable};
 use crate::spray::Sprayer;
 use crate::wire::Wire;
-use stardust_sim::{CoreKind, DetRng, IdHash, SimDuration, SimTime};
+use stardust_sim::{DetRng, IdHash, SimDuration, SimTime};
 use stardust_topo::{DstSet, NodeId, NodeKind, RoutePlan, Topology};
 use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Arc;
@@ -272,7 +272,7 @@ impl Devices {
     /// tables). Ticks are staggered across nodes to avoid a synchronized
     /// wave; the offsets index over **all** nodes even in a sharded
     /// engine, so every node's phase is partition-invariant.
-    pub(crate) fn arm_reach_ticks(&self, ctx: &mut Ctx<impl CoreKind>) {
+    pub(crate) fn arm_reach_ticks(&self, ctx: &mut Ctx) {
         let Some(interval) = ctx.cfg.reach_interval else {
             return;
         };
@@ -290,12 +290,7 @@ impl Devices {
     /// against the route plan's candidate set for their direction toward
     /// the sender, so tiered up-ad/down-ad asymmetry falls out
     /// structurally instead of being encoded in the message kind.
-    pub(crate) fn on_reach_tick(
-        &mut self,
-        ctx: &mut Ctx<impl CoreKind>,
-        wire: &mut Wire,
-        node: NodeId,
-    ) {
+    pub(crate) fn on_reach_tick(&mut self, ctx: &mut Ctx, wire: &mut Wire, node: NodeId) {
         let now = ctx.now();
         let interval = ctx.cfg.reach_interval.expect("reach tick without interval");
         let th = ctx.cfg.reach_miss_threshold as u64;
@@ -317,7 +312,7 @@ impl Devices {
     /// link (§5.10).
     pub(crate) fn on_reach_msg(
         &mut self,
-        ctx: &mut Ctx<impl CoreKind>,
+        ctx: &mut Ctx,
         node: NodeId,
         port: u16,
         fas: &Arc<Vec<u32>>,

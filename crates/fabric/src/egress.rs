@@ -15,7 +15,7 @@ use crate::ev::Ev;
 use crate::sched::{PortScheduler, SchedVoq};
 use crate::voq::VoqKey;
 use stardust_sim::units::serialization_time;
-use stardust_sim::{CoreKind, IdHash, SimTime};
+use stardust_sim::{IdHash, SimTime};
 use std::collections::{HashMap, VecDeque};
 
 /// Host-facing egress port state on a Fabric Adapter.
@@ -98,7 +98,7 @@ impl Egress {
     /// (the destination's) counts each offer and keeps its countdown.
     pub(crate) fn expect_message(
         &mut self,
-        ctx: &mut Ctx<impl CoreKind>,
+        ctx: &mut Ctx,
         flow: u32,
         src_fa: u32,
         dst_fa: u32,
@@ -133,7 +133,7 @@ impl Egress {
 
     pub(crate) fn on_request(
         &mut self,
-        ctx: &mut Ctx<impl CoreKind>,
+        ctx: &mut Ctx,
         dst_fa: u32,
         port: u8,
         voq: SchedVoq,
@@ -145,7 +145,7 @@ impl Egress {
         }
     }
 
-    fn arm_credit_timer(&mut self, ctx: &mut Ctx<impl CoreKind>, fa: u32, port: u8) {
+    fn arm_credit_timer(&mut self, ctx: &mut Ctx, fa: u32, port: u8) {
         let ps = &mut self.ports[fa as usize][port as usize];
         if !ps.sched.timer_armed {
             ps.sched.timer_armed = true;
@@ -153,7 +153,7 @@ impl Egress {
         }
     }
 
-    pub(crate) fn on_credit_tick(&mut self, ctx: &mut Ctx<impl CoreKind>, fa: u32, port: u8) {
+    pub(crate) fn on_credit_tick(&mut self, ctx: &mut Ctx, fa: u32, port: u8) {
         let now = ctx.now();
         let ps = &mut self.ports[fa as usize][port as usize];
         ps.sched.recover();
@@ -188,7 +188,7 @@ impl Egress {
 
     /// Install a burst's reassembly record and arm its timeout (runs on
     /// the shard owning the destination FA).
-    pub(crate) fn open_burst(&mut self, ctx: &mut Ctx<impl CoreKind>, burst: Burst) {
+    pub(crate) fn open_burst(&mut self, ctx: &mut Ctx, burst: Burst) {
         let at = burst.packed_at + ctx.cfg.reassembly_timeout;
         ctx.sched(at, Ev::BurstTimeout { burst: burst.id });
         self.bursts.insert(burst.id.0, burst);
@@ -196,7 +196,7 @@ impl Egress {
 
     /// A cell reaches its destination Fabric Adapter: reassembly, FCI
     /// pickup, egress.
-    pub(crate) fn receive_cell(&mut self, ctx: &mut Ctx<impl CoreKind>, cell: Cell) {
+    pub(crate) fn receive_cell(&mut self, ctx: &mut Ctx, cell: Cell) {
         let now = ctx.now();
         ctx.stats.cells_delivered.inc();
         if ctx.measuring() {
@@ -221,7 +221,7 @@ impl Egress {
         }
     }
 
-    pub(crate) fn on_burst_timeout(&mut self, ctx: &mut Ctx<impl CoreKind>, burst: BurstId) {
+    pub(crate) fn on_burst_timeout(&mut self, ctx: &mut Ctx, burst: BurstId) {
         if let Some(b) = self.bursts.remove(&burst.0) {
             if !b.complete() {
                 // Discarded message packets leave their flow unfinished
@@ -235,7 +235,7 @@ impl Egress {
 
     // --- host-port playout ---
 
-    fn egress_enqueue(&mut self, ctx: &mut Ctx<impl CoreKind>, fa: u32, port: u8, pkt: Packet) {
+    fn egress_enqueue(&mut self, ctx: &mut Ctx, fa: u32, port: u8, pkt: Packet) {
         let ps = &mut self.ports[fa as usize][port as usize];
         ps.egress_bytes += pkt.bytes as u64;
         if ps.egress_bytes > ctx.stats.max_egress_bytes {
@@ -253,7 +253,7 @@ impl Egress {
         }
     }
 
-    pub(crate) fn on_port_tx_done(&mut self, ctx: &mut Ctx<impl CoreKind>, fa: u32, port: u8) {
+    pub(crate) fn on_port_tx_done(&mut self, ctx: &mut Ctx, fa: u32, port: u8) {
         let now = ctx.now();
         let ps = &mut self.ports[fa as usize][port as usize];
         let pkt = ps.tx_queue.pop_front().expect("PortTxDone without packet");

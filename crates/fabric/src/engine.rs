@@ -16,7 +16,10 @@
 //! handlers live in four layers cut along the paper's own seams — `wire`,
 //! `device`, `ingress`, `egress` — each a plain struct with private
 //! fields, handed the shared `Ctx` by `&mut` (DESIGN.md "Fabric engine
-//! layers").
+//! layers"). The calendar in `Ctx` is a concrete [`EventQueue`]; in a
+//! build with `debug_assertions` it checks every pop against the
+//! reference heap, so any debug run of the engine is also an event-core
+//! check.
 
 use crate::cell::{Cell, PacketId};
 use crate::config::FabricConfig;
@@ -29,7 +32,7 @@ use crate::sched::SchedVoq;
 use crate::voq::VoqKey;
 use crate::wire::Wire;
 use stardust_sim::units::serialization_time;
-use stardust_sim::{CalendarCore, CoreKind, EventCore, ScheduledEvent, SimDuration, SimTime};
+use stardust_sim::{EventQueue, ScheduledEvent, SimDuration, SimTime};
 use stardust_topo::{LinkId, NodeId, RoutePlan, Topology};
 use std::sync::Arc;
 
@@ -40,11 +43,11 @@ pub use crate::stats::FabricStats;
 /// one `&mut` beside its own state: the configuration, the measurements,
 /// the event calendar and — in a sharded run — the routing of events
 /// whose target lives on another shard.
-pub(crate) struct Ctx<K: CoreKind> {
+pub(crate) struct Ctx {
     pub(crate) cfg: FabricConfig,
     pub(crate) stats: FabricStats,
     measure_from: SimTime,
-    events: K::Queue<Ev>,
+    events: EventQueue<Ev>,
     /// This engine's place in a sharded run (`None` = sequential: the
     /// engine owns every node and routes nothing).
     view: Option<ShardView>,
@@ -58,7 +61,7 @@ pub(crate) struct Ctx<K: CoreKind> {
     outbox: Vec<Vec<OutItem>>,
 }
 
-impl<K: CoreKind> Ctx<K> {
+impl Ctx {
     /// Current simulated time.
     pub(crate) fn now(&self) -> SimTime {
         self.events.now()
@@ -143,15 +146,9 @@ impl<K: CoreKind> Ctx<K> {
 }
 
 /// The Stardust fabric simulator. See the module docs for the data flow.
-///
-/// Every spec, preset, CLI flag and figure runs the calendar
-/// queue ([`CalendarCore`], the default). The event-core kind `K` is a
-/// test seam: the determinism suites substitute the reference binary
-/// heap and assert bit-identical [`FabricStats`], and
-/// `tests/determinism.rs` substitutes a recording queue.
-pub struct FabricEngine<K: CoreKind = CalendarCore> {
+pub struct FabricEngine {
     topo: Topology,
-    ctx: Ctx<K>,
+    ctx: Ctx,
     ingress: Ingress,
     /// The device, wire and egress layers: what `ingress` transmits into.
     tx: TxPath,
@@ -160,20 +157,12 @@ pub struct FabricEngine<K: CoreKind = CalendarCore> {
 }
 
 impl FabricEngine {
-    /// Build an engine on the default calendar-queue event core. See
-    /// [`FabricEngine::with_core`].
-    pub fn new(topo: Topology, cfg: FabricConfig) -> Self {
-        Self::with_core(topo, cfg)
-    }
-}
-
-impl<K: CoreKind> FabricEngine<K> {
     /// Build an engine over `topo` with the default shortest-path route
     /// plan. Edge nodes become Fabric Adapters (in `topo` order), fabric
     /// nodes become Fabric Elements. Reachability tables are seeded
     /// converged; if `cfg.reach_interval` is set the protocol runs and
     /// maintains them (and failures self-heal).
-    pub fn with_core(topo: Topology, cfg: FabricConfig) -> Self {
+    pub fn new(topo: Topology, cfg: FabricConfig) -> Self {
         let plan = Arc::new(RoutePlan::shortest_path(&topo));
         Self::with_view(topo, cfg, None, plan)
     }
@@ -214,7 +203,7 @@ impl<K: CoreKind> FabricEngine<K> {
         let mut ctx = Ctx {
             stats: FabricStats::new(num_fas, cfg.host_ports as usize, cfg.bounded_flows),
             measure_from: SimTime::ZERO,
-            events: <K::Queue<Ev> as EventCore<Ev>>::new(),
+            events: EventQueue::new(),
             view,
             shard_of_fa,
             dir_dst_shard,

@@ -653,6 +653,19 @@ rejects_bad_endpoint!(
     "tc 2 out of range",
     |e| e.add_message(0, 8, 0, 2, 1000, SimTime::ZERO)
 );
+// The same rule for the link-administration calls: 64 links, rates in [0, 1].
+rejects_bad_endpoint!(
+    fail_link_rejects_link_out_of_range,
+    sharded_fail_link_rejects_link_out_of_range,
+    "link 64 out of range: the fabric has 64 links",
+    |e| e.fail_link(stardust_topo::LinkId(64))
+);
+rejects_bad_endpoint!(
+    error_rate_rejects_rate_above_one,
+    sharded_error_rate_rejects_rate_above_one,
+    "link 3 error rate 2 out of range",
+    |e| e.set_link_error_rate(stardust_topo::LinkId(3), 2.0)
+);
 
 #[test]
 fn run_for_advances_by_full_duration() {
@@ -692,36 +705,6 @@ fn fabric_utilization_degenerate_inputs_are_zero() {
     );
     // Sanity: the live path still reports a positive fraction.
     assert!(e.fabric_utilization(SimDuration::from_millis(1)) > 0.0);
-}
-
-#[test]
-fn heap_core_engine_matches_calendar_core() {
-    // The event core must be behavior-invisible: the same workload on
-    // the reference heap core and on the calendar core produces
-    // bit-identical measurements (the full §6.2 version of this check
-    // lives in tests/determinism.rs).
-    fn run<K: stardust_sim::CoreKind>() -> FabricStats {
-        let tt = two_tier(TwoTierParams::paper_scaled(16));
-        let mut e = FabricEngine::<K>::with_core(tt.topo, cfg_small());
-        let n = e.num_fas() as u32;
-        for src in 0..n {
-            e.inject(SimTime::ZERO, src, (src + 5) % n, 0, 0, 4000);
-            e.inject(
-                SimTime::from_nanos(src as u64 * 97),
-                src,
-                (src + 1) % n,
-                1,
-                1,
-                700,
-            );
-        }
-        e.run_until(SimTime::from_millis(2));
-        std::mem::replace(&mut e.ctx.stats, FabricStats::new(0, 0, false))
-    }
-    let heap = run::<stardust_sim::HeapCore>();
-    let cal = run::<stardust_sim::CalendarCore>();
-    assert_eq!(heap, cal, "event cores diverged");
-    assert!(heap.packets_delivered.get() > 0);
 }
 
 #[test]

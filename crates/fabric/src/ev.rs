@@ -72,7 +72,7 @@ const fn key(rank: u64, payload: u64) -> u64 {
 /// function of the event's **content**, never of scheduling order.
 ///
 /// This is the heart of the deterministic sharded engine: all engine
-/// events go through [`stardust_sim::EventCore::schedule_keyed`] with
+/// events go through [`stardust_sim::EventQueue::schedule_keyed`] with
 /// this key, so the dispatch order of simultaneous events is `(time,
 /// key)` in the sequential engine and in every shard alike, regardless of
 /// which order the events entered which calendar. The key is

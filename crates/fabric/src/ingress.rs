@@ -16,7 +16,7 @@ use crate::ev::Ev;
 use crate::packing::pack_burst;
 use crate::voq::{Voq, VoqKey};
 use crate::wire::Wire;
-use stardust_sim::{CoreKind, IdHash, SimDuration, SimTime};
+use stardust_sim::{IdHash, SimDuration, SimTime};
 use std::collections::HashMap;
 
 /// The layers a packed burst leaves through: the source FA's own spray
@@ -120,7 +120,7 @@ fn packet(id: PacketId, src_fa: u32, key: VoqKey, bytes: u32, flow: u32, at: Sim
 
 /// Announce `bytes` of new demand in `src_fa`'s VOQ `key` to the
 /// destination port's scheduler: one request control message.
-fn announce(ctx: &mut Ctx<impl CoreKind>, src_fa: u32, key: VoqKey, bytes: u64) {
+fn announce(ctx: &mut Ctx, src_fa: u32, key: VoqKey, bytes: u64) {
     ctx.sched(
         ctx.now() + ctx.cfg.ctrl_latency,
         Ev::CtrlRequest {
@@ -163,7 +163,7 @@ impl Ingress {
     /// See [`crate::FabricEngine::inject`].
     pub(crate) fn inject(
         &mut self,
-        ctx: &mut Ctx<impl CoreKind>,
+        ctx: &mut Ctx,
         at: SimTime,
         src_fa: u32,
         key: VoqKey,
@@ -183,12 +183,7 @@ impl Ingress {
     }
 
     /// See [`crate::FabricEngine::add_cbr_flow`].
-    pub(crate) fn add_cbr_flow(
-        &mut self,
-        ctx: &mut Ctx<impl CoreKind>,
-        flow: CbrFlow,
-        start: SimTime,
-    ) {
+    pub(crate) fn add_cbr_flow(&mut self, ctx: &mut Ctx, flow: CbrFlow, start: SimTime) {
         let id = self.flows.len() as u32;
         self.flows.push(flow);
         if ctx.owns_fa(flow.src_fa) {
@@ -200,12 +195,7 @@ impl Ingress {
     /// sharded run every shard counts every offer (ids agree without a
     /// shared table); only the source's shard starts the flow and, in
     /// stream mode, keeps the descriptor.
-    pub(crate) fn offer_message(
-        &mut self,
-        ctx: &mut Ctx<impl CoreKind>,
-        m: MsgFlow,
-        start: SimTime,
-    ) -> u32 {
+    pub(crate) fn offer_message(&mut self, ctx: &mut Ctx, m: MsgFlow, start: SimTime) -> u32 {
         let owns_src = ctx.owns_fa(m.src_fa);
         let flow = match &mut self.offered {
             Offered::Table(msgs) => {
@@ -230,7 +220,7 @@ impl Ingress {
     /// See [`crate::FabricEngine::saturate_all_to_all`].
     pub(crate) fn saturate_all_to_all(
         &mut self,
-        ctx: &mut Ctx<impl CoreKind>,
+        ctx: &mut Ctx,
         packet_bytes: u32,
         backlog_bytes: u64,
     ) {
@@ -265,12 +255,7 @@ impl Ingress {
     /// §3.1 VOQ-cap drops clip the message; a clipped message never
     /// completes (there is no transport to retransmit — that is the
     /// experiment's point).
-    pub(crate) fn on_msg_start(
-        &mut self,
-        ctx: &mut Ctx<impl CoreKind>,
-        tx: &mut TxPath,
-        flow: u32,
-    ) {
+    pub(crate) fn on_msg_start(&mut self, ctx: &mut Ctx, tx: &mut TxPath, flow: u32) {
         let now = ctx.now();
         let m = match &mut self.offered {
             Offered::Table(msgs) => msgs[flow as usize],
@@ -294,12 +279,7 @@ impl Ingress {
         }
     }
 
-    pub(crate) fn on_flow_tick(
-        &mut self,
-        ctx: &mut Ctx<impl CoreKind>,
-        tx: &mut TxPath,
-        flow: u32,
-    ) {
+    pub(crate) fn on_flow_tick(&mut self, ctx: &mut Ctx, tx: &mut TxPath, flow: u32) {
         let now = ctx.now();
         let f = self.flows[flow as usize];
         if now >= f.stop {
@@ -320,7 +300,7 @@ impl Ingress {
         ctx.sched(now + f.interval, Ev::FlowTick { flow });
     }
 
-    pub(crate) fn on_inject(&mut self, ctx: &mut Ctx<impl CoreKind>, tx: &mut TxPath, pkt: Packet) {
+    pub(crate) fn on_inject(&mut self, ctx: &mut Ctx, tx: &mut TxPath, pkt: Packet) {
         let (src_fa, key) = (pkt.src_fa, VoqKey::of(&pkt));
         if let Some(delta) = self.admit(ctx, tx, pkt) {
             announce(ctx, src_fa, key, delta);
@@ -339,7 +319,7 @@ impl Ingress {
     ///   must keep the aggregate low-latency bandwidth small, as the
     ///   paper assumes);
     /// * §3.1 — persistent oversubscription drops at the Fabric Adapter.
-    fn admit(&mut self, ctx: &mut Ctx<impl CoreKind>, tx: &mut TxPath, pkt: Packet) -> Option<u64> {
+    fn admit(&mut self, ctx: &mut Ctx, tx: &mut TxPath, pkt: Packet) -> Option<u64> {
         ctx.stats.packets_injected.inc();
         let key = VoqKey::of(&pkt);
         if Some(pkt.tc) == ctx.cfg.low_latency_tc {
@@ -360,13 +340,7 @@ impl Ingress {
 
     /// A credit grant arriving at the source FA: dequeue a burst, pack it
     /// into cells and spray them over the eligible uplinks.
-    pub(crate) fn on_credit(
-        &mut self,
-        ctx: &mut Ctx<impl CoreKind>,
-        tx: &mut TxPath,
-        src_fa: u32,
-        key: VoqKey,
-    ) {
+    pub(crate) fn on_credit(&mut self, ctx: &mut Ctx, tx: &mut TxPath, src_fa: u32, key: VoqKey) {
         let credit = ctx.cfg.credit_bytes as u64;
         let Some(voq) = self.fas[src_fa as usize].voqs.get_mut(&key) else {
             return;
@@ -384,7 +358,7 @@ impl Ingress {
     /// uplinks (shared by the credit path and the §5.6 low-latency path).
     fn transmit_burst(
         &mut self,
-        ctx: &mut Ctx<impl CoreKind>,
+        ctx: &mut Ctx,
         tx: &mut TxPath,
         src_fa: u32,
         key: VoqKey,
@@ -444,7 +418,7 @@ impl Ingress {
     /// control latency; and a message, not a direct poke, because the
     /// destination may live on another shard). A no-op on an FA that is
     /// not in saturation mode.
-    fn top_up_voq(&mut self, ctx: &mut Ctx<impl CoreKind>, src_fa: u32, key: VoqKey) {
+    fn top_up_voq(&mut self, ctx: &mut Ctx, src_fa: u32, key: VoqKey) {
         let Some(sat) = self.fas[src_fa as usize].sat else {
             return;
         };

@@ -21,7 +21,9 @@
 //! thread scheduling, and bit-identical to the sequential
 //! [`FabricEngine`]: the conformance suite asserts equal [`FabricStats`]
 //! (histograms, counters and per-flow FCT tables) for 1, 2, 4 and 8
-//! shards against the sequential engine.
+//! shards against the sequential engine. Each shard runs the one event
+//! core, [`stardust_sim::EventQueue`], which in debug builds checks its
+//! own pops against the reference heap.
 //!
 //! The lookahead is physical: the fabric's FA↔FE wire latency (and the
 //! control-plane transit time) gives the classic null-message bound of
@@ -39,7 +41,7 @@ use crate::config::FabricConfig;
 use crate::engine::{FabricEngine, FabricStats};
 use crate::ev::OutItem;
 use crate::partition::Partition;
-use stardust_sim::{CalendarCore, CoreKind, Mailboxes, ShardClock, SimDuration, SimTime};
+use stardust_sim::{Mailboxes, ShardClock, SimDuration, SimTime};
 use stardust_topo::{LinkId, Topology};
 
 /// How the shards execute (results are identical either way — the
@@ -62,10 +64,8 @@ pub enum ExecMode {
 /// routed to the owning shard (or fanned out, where state is replicated),
 /// and [`ShardedFabricEngine::stats`] folds the per-shard measurements in
 /// shard order into the same [`FabricStats`] a sequential run records.
-/// `K` is the same test seam as on [`FabricEngine`]: production paths
-/// run the default calendar core.
-pub struct ShardedFabricEngine<K: CoreKind = CalendarCore> {
-    shards: Vec<FabricEngine<K>>,
+pub struct ShardedFabricEngine {
+    shards: Vec<FabricEngine>,
     part: Partition,
     /// FA index → owning shard (routing table for workload calls).
     shard_of_fa: Vec<u32>,
@@ -80,26 +80,15 @@ pub struct ShardedFabricEngine<K: CoreKind = CalendarCore> {
 }
 
 impl ShardedFabricEngine {
-    /// Build a sharded engine on the default calendar-queue core.
+    /// Build a sharded engine over `topo` with `num_shards` shards.
+    /// Partitioning is locality-greedy (see [`Partition::new`]); every
+    /// shard holds the full topology but only simulates the nodes it owns.
     pub fn new(topo: Topology, cfg: FabricConfig, num_shards: u32) -> Self {
-        Self::with_core(topo, cfg, num_shards)
-    }
-}
-
-impl<K: CoreKind> ShardedFabricEngine<K>
-where
-    FabricEngine<K>: Send,
-{
-    /// Build a sharded engine over `topo` with `num_shards` shards on
-    /// event core `K`. Partitioning is locality-greedy (see
-    /// [`Partition::new`]); every shard holds the full topology but only
-    /// simulates the nodes it owns.
-    pub fn with_core(topo: Topology, cfg: FabricConfig, num_shards: u32) -> Self {
         let plan = std::sync::Arc::new(stardust_topo::RoutePlan::shortest_path(&topo));
         Self::with_plan(topo, cfg, plan, num_shards)
     }
 
-    /// [`Self::with_core`] with a caller-supplied route plan (builders with
+    /// [`Self::new`] with a caller-supplied route plan (builders with
     /// non-shortest-path potentials, e.g. Space Shuffle). Shard boundaries
     /// follow the plan's endpoint groups where the grouping can honor
     /// `num_shards` (see [`Partition::with_groups`]).
@@ -117,14 +106,9 @@ where
             part.matrix.max_cross_bound() < cfg.reassembly_timeout,
             "pair lookahead bound must stay below the reassembly timeout"
         );
-        let shards: Vec<FabricEngine<K>> = (0..num_shards)
+        let shards: Vec<FabricEngine> = (0..num_shards)
             .map(|s| {
-                FabricEngine::<K>::with_view(
-                    topo.clone(),
-                    cfg.clone(),
-                    Some(part.view(s)),
-                    plan.clone(),
-                )
+                FabricEngine::with_view(topo.clone(), cfg.clone(), Some(part.view(s)), plan.clone())
             })
             .collect();
         let shard_of_fa = topo
@@ -354,7 +338,7 @@ where
         // One thread is the degenerate case: every shard in one group,
         // driven on the calling thread through the *same* loop — which
         // is why inline and threaded execution agree by construction.
-        let mut groups: Vec<Vec<(usize, &mut FabricEngine<K>)>> =
+        let mut groups: Vec<Vec<(usize, &mut FabricEngine)>> =
             (0..threads).map(|_| Vec::new()).collect();
         for (i, eng) in self.shards.iter_mut().enumerate() {
             groups[i % threads].push((i, eng));
@@ -397,7 +381,7 @@ where
     }
 
     /// Immutable access to one shard's engine (tests/diagnostics).
-    pub fn shard(&self, i: usize) -> &FabricEngine<K> {
+    pub fn shard(&self, i: usize) -> &FabricEngine {
         &self.shards[i]
     }
 }
@@ -414,8 +398,8 @@ where
 /// and every delivered event is strictly beyond its receiver's executed
 /// window (the conservative guarantee), so windows only ever move
 /// forward.
-fn group_loop<K: CoreKind>(
-    group: &mut [(usize, &mut FabricEngine<K>)],
+fn group_loop(
+    group: &mut [(usize, &mut FabricEngine)],
     clock: &ShardClock,
     mail: &Mailboxes<OutItem>,
     horizon: SimTime,

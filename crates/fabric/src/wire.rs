@@ -13,7 +13,7 @@ use crate::engine::Ctx;
 use crate::ev::Ev;
 use stardust_sim::link::fiber_delay;
 use stardust_sim::units::serialization_time;
-use stardust_sim::{CoreKind, DetRng, SimDuration};
+use stardust_sim::{DetRng, SimDuration};
 use stardust_topo::{LinkId, NodeId, NodeKind, Topology};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -135,7 +135,20 @@ impl Wire {
 
     // --- link administration ---
 
-    pub(crate) fn fail_link(&mut self, ctx: &mut Ctx<impl CoreKind>, link: LinkId) {
+    /// Panic by name on a link id the fabric does not have: the call
+    /// comes from a workload, and an index panic inside a handler would
+    /// name neither the value nor the bound.
+    fn check_link(&self, link: LinkId) {
+        let links = self.dirs.len() / 2;
+        assert!(
+            (link.0 as usize) < links,
+            "link {} out of range: the fabric has {links} links",
+            link.0
+        );
+    }
+
+    pub(crate) fn fail_link(&mut self, ctx: &mut Ctx, link: LinkId) {
+        self.check_link(link);
         let now = ctx.now();
         let mut changed = false;
         for from_end in 0..2u32 {
@@ -154,7 +167,8 @@ impl Wire {
         }
     }
 
-    pub(crate) fn restore_link(&mut self, ctx: &mut Ctx<impl CoreKind>, link: LinkId) {
+    pub(crate) fn restore_link(&mut self, ctx: &mut Ctx, link: LinkId) {
+        self.check_link(link);
         let mut changed = false;
         for from_end in 0..2u32 {
             let d = &mut self.dirs[(link.0 * 2 + from_end) as usize];
@@ -166,13 +180,13 @@ impl Wire {
         }
     }
 
-    pub(crate) fn set_link_error_rate(
-        &mut self,
-        ctx: &mut Ctx<impl CoreKind>,
-        link: LinkId,
-        rate: f64,
-    ) {
-        assert!((0.0..=1.0).contains(&rate));
+    pub(crate) fn set_link_error_rate(&mut self, ctx: &mut Ctx, link: LinkId, rate: f64) {
+        self.check_link(link);
+        assert!(
+            (0.0..=1.0).contains(&rate),
+            "link {} error rate {rate} out of range: a rate is within [0, 1]",
+            link.0
+        );
         let mut changed = false;
         for from_end in 0..2u32 {
             let d = &mut self.dirs[(link.0 * 2 + from_end) as usize];
@@ -199,7 +213,7 @@ impl Wire {
 
     /// A cell is lost inside the fabric: count it, stamp the loss window,
     /// free its slot. The burst's reassembly timeout cleans up the rest.
-    fn lose(&mut self, ctx: &mut Ctx<impl CoreKind>, cell: CellRef) {
+    fn lose(&mut self, ctx: &mut Ctx, cell: CellRef) {
         ctx.stats.cells_dropped.inc();
         ctx.stats.note_loss(ctx.now());
         self.free_cells.push(cell);
@@ -207,7 +221,7 @@ impl Wire {
 
     /// Enqueue a cell on direction `dir_idx`, starting the serializer if
     /// it is idle.
-    pub(crate) fn push_cell(&mut self, ctx: &mut Ctx<impl CoreKind>, dir_idx: u32, cell: CellRef) {
+    pub(crate) fn push_cell(&mut self, ctx: &mut Ctx, dir_idx: u32, cell: CellRef) {
         let now = ctx.now();
         let d = &mut self.dirs[dir_idx as usize];
         if !d.up {
@@ -242,7 +256,7 @@ impl Wire {
         }
     }
 
-    pub(crate) fn on_tx_done(&mut self, ctx: &mut Ctx<impl CoreKind>, dir_idx: u32) {
+    pub(crate) fn on_tx_done(&mut self, ctx: &mut Ctx, dir_idx: u32) {
         let now = ctx.now();
         let d = &mut self.dirs[dir_idx as usize];
         let cell = d.in_service.take().expect("TxDone without in-service cell");
@@ -274,7 +288,7 @@ impl Wire {
     /// destination Fabric Adapter takes it for reassembly.
     pub(crate) fn on_cell_arrive(
         &mut self,
-        ctx: &mut Ctx<impl CoreKind>,
+        ctx: &mut Ctx,
         devices: &mut Devices,
         egress: &mut Egress,
         dir_idx: u32,
@@ -301,12 +315,7 @@ impl Wire {
 
     /// Put a reachability cell carrying `fas` on `dir_idx`. A failed link
     /// carries none, and the error process eats its share of the rest.
-    pub(crate) fn send_advert(
-        &mut self,
-        ctx: &mut Ctx<impl CoreKind>,
-        dir_idx: u32,
-        fas: Arc<Vec<u32>>,
-    ) {
+    pub(crate) fn send_advert(&mut self, ctx: &mut Ctx, dir_idx: u32, fas: Arc<Vec<u32>>) {
         let d = &self.dirs[dir_idx as usize];
         let err = d.error_rate;
         if !d.up || (err > 0.0 && self.err_rngs[dir_idx as usize].chance(err)) {

@@ -1,30 +1,26 @@
 //! Deterministic event calendars.
 //!
-//! Two interchangeable discrete-event calendars live here, both ordered on
-//! `(time, key, sequence)` — `key` is an optional content-derived priority
-//! ([`EventCore::schedule_keyed`], 0 for plain `schedule`) and `sequence`
-//! the monotonic insertion index — so the pop order of simultaneous events
-//! is deterministic: push order for unkeyed users, canonical content order
-//! for keyed ones (what the sharded fabric engine relies on to make
-//! parallel execution bit-reproducible):
+//! Both calendars here order on `(time, key, sequence)` — `key` is an
+//! optional content-derived priority ([`EventQueue::schedule_keyed`], 0 for
+//! plain `schedule`) and `sequence` the monotonic insertion index — so the
+//! pop order of simultaneous events is deterministic: push order for
+//! unkeyed users, canonical content order for keyed ones (what the sharded
+//! fabric engine relies on to make parallel execution bit-reproducible):
 //!
-//! * [`EventQueue`] — the production calendar: a bucketed **calendar queue**
-//!   (timing wheel with a heap for everything outside its window).
-//!   Near-future events land in fixed-width time buckets whose 16-byte sort
-//!   keys — not the events — are sorted lazily one bucket at a time;
-//!   far-future events wait in the heap and migrate into the wheel when it
-//!   advances. Scheduling and popping are O(1) amortized for the dense
-//!   near-horizon traffic that dominates a fabric run, instead of the
-//!   O(log n) of a global heap.
+//! * [`EventQueue`] — the calendar every engine runs on: a bucketed
+//!   **calendar queue** (timing wheel with a heap for everything outside
+//!   its window). Near-future events land in fixed-width time buckets
+//!   whose 16-byte sort keys — not the events — are sorted lazily one
+//!   bucket at a time; far-future events wait in the heap and migrate into
+//!   the wheel when it advances. Scheduling and popping are O(1) amortized
+//!   for the dense near-horizon traffic that dominates a fabric run,
+//!   instead of the O(log n) of a global heap.
 //! * [`HeapEventQueue`] — the reference calendar: a plain binary min-heap.
-//!   It is kept for differential tests (the property suite asserts the two
-//!   produce identical pop orders).
-//!
-//! The shared surface is the [`EventCore`] trait; engines are generic over
-//! a [`CoreKind`], which maps a marker type ([`CalendarCore`], [`HeapCore`])
-//! to its queue type. Every production path runs [`CalendarCore`]; the
-//! parameter is the seam through which tests substitute the reference heap
-//! or a recording queue.
+//!   The property suite drives both with random operation streams, and in
+//!   every build with `debug_assertions` each [`EventQueue`] carries a
+//!   payload-free one that checks every peek, pop, batch and declined
+//!   horizon — so every debug run of every engine compares the calendar
+//!   against the heap on the engine's own operation stream.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -36,7 +32,8 @@ pub struct ScheduledEvent<E> {
     /// When the event fires.
     pub at: SimTime,
     /// Content-derived priority within a timestamp (see
-    /// [`EventCore::schedule_keyed`]); plain [`EventCore::schedule`] uses 0.
+    /// [`EventQueue::schedule_keyed`]); plain [`EventQueue::schedule`]
+    /// uses 0.
     pub key: u64,
     /// Monotonic insertion index; breaks `(time, key)` ties
     /// deterministically (FIFO).
@@ -61,120 +58,6 @@ impl<E> Ord for ScheduledEvent<E> {
         // Reverse: BinaryHeap is a max-heap, we want earliest-first.
         (other.at, other.key, other.seq).cmp(&(self.at, self.key, self.seq))
     }
-}
-
-/// The operations every event calendar offers.
-///
-/// Both [`EventQueue`] (calendar queue) and [`HeapEventQueue`] (binary
-/// heap) implement this; simulation engines that want to be generic over
-/// the calendar implementation bound on it via [`CoreKind`].
-pub trait EventCore<E> {
-    /// Create an empty calendar with the clock at zero.
-    fn new() -> Self
-    where
-        Self: Sized;
-
-    /// Current simulated time: the timestamp of the most recently popped
-    /// event, or the horizon of the last [`EventCore::advance_clock`],
-    /// whichever is later (zero initially).
-    fn now(&self) -> SimTime;
-
-    /// Number of events waiting in the calendar.
-    fn len(&self) -> usize;
-
-    /// True when no events are pending.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total number of events executed (popped) so far.
-    fn events_executed(&self) -> u64;
-
-    /// Schedule `payload` to fire at absolute time `at`.
-    ///
-    /// Scheduling in the past is a simulator bug; implementations panic
-    /// (in debug and release) rather than silently reordering causality.
-    fn schedule(&mut self, at: SimTime, payload: E);
-
-    /// Schedule `payload` at `at` with a **content-derived ordering key**.
-    ///
-    /// Events sharing a timestamp pop in ascending `(key, seq)` order.
-    /// Plain [`EventCore::schedule`] is `schedule_keyed(at, 0, payload)`,
-    /// so key-free users keep pure FIFO tie-breaking. Keyed scheduling is
-    /// what makes a sharded simulation reproducible: when the key is a
-    /// pure function of the event's *content* (not of insertion order),
-    /// the pop order of simultaneous events is independent of which
-    /// execution path scheduled them first — a sequential run and a
-    /// barrier-synchronized parallel run agree on it by construction.
-    fn schedule_keyed(&mut self, at: SimTime, key: u64, payload: E);
-
-    /// Timestamp of the next event without removing it.
-    fn peek_time(&self) -> Option<SimTime>;
-
-    /// Remove and return the earliest event, advancing the clock to it.
-    fn pop(&mut self) -> Option<ScheduledEvent<E>>;
-
-    /// Remove and return the earliest event only if it fires at or before
-    /// `horizon`. The clock never advances past `horizon` via this method.
-    fn pop_until(&mut self, horizon: SimTime) -> Option<ScheduledEvent<E>>;
-
-    /// Drain **every** event sharing the earliest pending timestamp into
-    /// `out` (cleared first), provided that timestamp is at or before
-    /// `horizon`. Returns the number of events drained (0 when nothing is
-    /// due). Events appear in `out` in ascending `(key, seq)` order —
-    /// FIFO among equal keys, hence plain FIFO for unkeyed users — and
-    /// the clock advances to their shared timestamp.
-    ///
-    /// Engines use this to dispatch same-timestamp event groups without a
-    /// peek/pop round trip per event.
-    fn pop_batch_until(&mut self, horizon: SimTime, out: &mut Vec<ScheduledEvent<E>>) -> usize;
-
-    /// Advance the clock to `to` without popping anything (no-op if the
-    /// clock is already at or past `to`).
-    ///
-    /// This is how `run_until(h)` commits the horizon once every event at
-    /// or before `h` has been dispatched, so that a following `run_for(d)`
-    /// covers exactly `d` more simulated time instead of restarting from
-    /// the last popped event. Panics if an event strictly earlier than
-    /// `to` is still pending — that would rewind causality.
-    fn advance_clock(&mut self, to: SimTime);
-
-    /// Visit every pending event `(at, key, payload)` without disturbing
-    /// the calendar. The visit order is implementation-internal — **not**
-    /// time order — but deterministic for a given schedule/pop history;
-    /// callers needing a canonical view (e.g. a state hash) must collect
-    /// and sort. This is a read-only inspection hook for verification
-    /// layers; engines never dispatch through it.
-    fn visit_pending(&self, f: &mut dyn FnMut(SimTime, u64, &E));
-
-    /// Drop every pending event (the clock is retained).
-    fn clear(&mut self);
-}
-
-/// Maps a core marker type to its queue implementation for any payload.
-///
-/// Engines take `K: CoreKind` and store a `K::Queue<Ev>`; a test that
-/// picks [`HeapCore`] (or its own marker) swaps the entire event core
-/// without touching engine logic — which is exactly what the
-/// heap-vs-calendar determinism regression does.
-pub trait CoreKind {
-    /// The calendar implementation this core provides.
-    type Queue<E>: EventCore<E>;
-}
-
-/// Marker for the production calendar-queue core ([`EventQueue`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CalendarCore;
-
-/// Marker for the reference binary-heap core ([`HeapEventQueue`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct HeapCore;
-
-impl CoreKind for CalendarCore {
-    type Queue<E> = EventQueue<E>;
-}
-impl CoreKind for HeapCore {
-    type Queue<E> = HeapEventQueue<E>;
 }
 
 /// Default bucket width: 2^15 ps = 32.768 ns, about one 256 B cell
@@ -282,7 +165,14 @@ enum Staged {
 ///
 /// Pop order is globally `(time, key, seq)` — bit-identical to
 /// [`HeapEventQueue`] — because that triple is a unique total key, the
-/// levels hold disjoint tick ranges, and each level respects it.
+/// levels hold disjoint tick ranges, and each level respects it. With
+/// `debug_assertions` on, the queue checks that claim as it runs: a
+/// payload-free [`HeapEventQueue`] is fed every schedule, clock commit
+/// and clear, and each pop, batch and declined horizon must name the same
+/// `(time, key, seq)` events on both, or the pop panics with "calendar
+/// and reference heap popped different events"; each
+/// [`EventQueue::peek_time`] must equal the heap's, or it panics with
+/// "… peeked different times".
 ///
 /// ```
 /// use stardust_sim::{EventQueue, SimTime};
@@ -323,6 +213,50 @@ pub struct EventQueue<E> {
     next_seq: u64,
     now: SimTime,
     popped: u64,
+    /// The reference heap every pop is checked against.
+    #[cfg(debug_assertions)]
+    reference: Reference,
+}
+
+/// The debug-build oracle inside an [`EventQueue`]: the slow path is the
+/// reference, re-run on the same operations. Payloads stay with the
+/// calendar; only `(time, key, seq)` is compared.
+#[cfg(debug_assertions)]
+#[derive(Debug, Clone, Default)]
+struct Reference {
+    heap: HeapEventQueue<()>,
+    /// The heap's side of the last pop.
+    popped: Vec<ScheduledEvent<()>>,
+}
+
+#[cfg(debug_assertions)]
+impl Reference {
+    /// Pop the heap at `horizon` the way the calendar just did — one
+    /// event, or one timestamp when `batch` — and panic unless both
+    /// popped the same events (nothing, for a declined horizon).
+    fn check<E>(&mut self, horizon: SimTime, batch: bool, cal: &[ScheduledEvent<E>]) {
+        if batch {
+            self.heap.pop_batch_until(horizon, &mut self.popped);
+        } else {
+            self.popped.clear();
+            self.popped.extend(self.heap.pop_until(horizon));
+        }
+        fn ids<E>(evs: &[ScheduledEvent<E>]) -> impl Iterator<Item = (SimTime, u64, u64)> + '_ {
+            evs.iter().map(|e| (e.at, e.key, e.seq))
+        }
+        let heap = &self.popped;
+        let same = ids(cal).zip(ids(heap)).take_while(|(c, h)| c == h).count();
+        assert!(
+            same == cal.len() && same == heap.len(),
+            "calendar and reference heap popped different events at horizon {horizon:?}: \
+             {} and {} events, first difference at #{same}: calendar {:?}, heap {:?} \
+             (as (time, key, seq))",
+            cal.len(),
+            heap.len(),
+            ids(&cal[same..]).next(),
+            ids(&heap[same..]).next()
+        );
+    }
 }
 
 impl<E> Default for EventQueue<E> {
@@ -359,11 +293,14 @@ impl<E> EventQueue<E> {
             next_seq: 0,
             now: SimTime::ZERO,
             popped: 0,
+            #[cfg(debug_assertions)]
+            reference: Reference::default(),
         }
     }
 
     /// Current simulated time: the timestamp of the most recently popped
-    /// event or the last committed horizon (zero before the first pop).
+    /// event, or the horizon of the last [`EventQueue::advance_clock`],
+    /// whichever is later (zero initially).
     pub fn now(&self) -> SimTime {
         self.now
     }
@@ -408,14 +345,24 @@ impl<E> EventQueue<E> {
         self.schedule_keyed(at, 0, payload);
     }
 
-    /// Schedule with a content-derived same-timestamp ordering key (see
-    /// [`EventCore::schedule_keyed`]).
+    /// Schedule `payload` at `at` with a **content-derived ordering key**.
+    ///
+    /// Events sharing a timestamp pop in ascending `(key, seq)` order.
+    /// Plain [`EventQueue::schedule`] is `schedule_keyed(at, 0, payload)`,
+    /// so key-free users keep pure FIFO tie-breaking. Keyed scheduling is
+    /// what makes a sharded simulation reproducible: when the key is a
+    /// pure function of the event's *content* (not of insertion order),
+    /// the pop order of simultaneous events is independent of which
+    /// execution path scheduled them first — a sequential run and a
+    /// barrier-synchronized parallel run agree on it by construction.
     pub fn schedule_keyed(&mut self, at: SimTime, key: u64, payload: E) {
         assert!(
             at >= self.now,
             "event scheduled in the past: {at:?} < now {:?}",
             self.now
         );
+        #[cfg(debug_assertions)]
+        self.reference.heap.schedule_keyed(at, key, ());
         let seq = self.next_seq;
         self.next_seq += 1;
         let tick = self.tick_of(at);
@@ -599,6 +546,17 @@ impl<E> EventQueue<E> {
 
     /// Timestamp of the next event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
+        let at = self.peek_time_unchecked();
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            at,
+            self.reference.heap.peek_time(),
+            "calendar and reference heap peeked different times"
+        );
+        at
+    }
+
+    fn peek_time_unchecked(&self) -> Option<SimTime> {
         if let Some(e) = self.early_head() {
             return Some(e.at);
         }
@@ -621,10 +579,13 @@ impl<E> EventQueue<E> {
     /// Remove and return the earliest event only if it fires at or before
     /// `horizon`. The clock never advances past `horizon` via this method.
     pub fn pop_until(&mut self, horizon: SimTime) -> Option<ScheduledEvent<E>> {
-        let ev = match self.stage(horizon)? {
+        let ev = self.stage(horizon).map(|staged| match staged {
             Staged::Cur => self.pop_cur(),
             Staged::Early => self.outside.pop().expect("staged"),
-        };
+        });
+        #[cfg(debug_assertions)]
+        self.reference.check(horizon, false, ev.as_slice());
+        let ev = ev?;
         debug_assert!(ev.at >= self.now, "calendar went backwards");
         self.now = ev.at;
         self.popped += 1;
@@ -632,13 +593,21 @@ impl<E> EventQueue<E> {
         Some(ev)
     }
 
-    /// See [`EventCore::pop_batch_until`].
+    /// Drain **every** event sharing the earliest pending timestamp into
+    /// `out` (cleared first), provided that timestamp is at or before
+    /// `horizon`. Returns the number of events drained (0 when nothing is
+    /// due: a declined horizon). Events appear in `out` in ascending
+    /// `(key, seq)` order — FIFO among equal keys, hence plain FIFO for
+    /// unkeyed users — and the clock advances to their shared timestamp.
+    ///
+    /// Engines use this to dispatch same-timestamp event groups without a
+    /// peek/pop round trip per event.
     pub fn pop_batch_until(&mut self, horizon: SimTime, out: &mut Vec<ScheduledEvent<E>>) -> usize {
         out.clear();
         // Same timestamp implies same tick, hence same level: every event
         // at the staged head's time sits next to it.
         match self.stage(horizon) {
-            None => return 0,
+            None => {}
             Some(Staged::Cur) => {
                 let t0 = self.cur.ord.last().expect("staged") >> 96;
                 while self.cur.ord.last().is_some_and(|&o| o >> 96 == t0) {
@@ -652,14 +621,28 @@ impl<E> EventQueue<E> {
                 }
             }
         }
+        #[cfg(debug_assertions)]
+        self.reference.check(horizon, true, out);
+        if out.is_empty() {
+            return 0;
+        }
         self.len -= out.len();
         self.popped += out.len() as u64;
         self.now = out[0].at;
         out.len()
     }
 
-    /// See [`EventCore::advance_clock`].
+    /// Advance the clock to `to` without popping anything (no-op if the
+    /// clock is already at or past `to`).
+    ///
+    /// This is how `run_until(h)` commits the horizon once every event at
+    /// or before `h` has been dispatched, so that a following `run_for(d)`
+    /// covers exactly `d` more simulated time instead of restarting from
+    /// the last popped event. Panics if an event strictly earlier than
+    /// `to` is still pending — that would rewind causality.
     pub fn advance_clock(&mut self, to: SimTime) {
+        #[cfg(debug_assertions)]
+        self.reference.heap.advance_clock(to);
         if to <= self.now {
             return;
         }
@@ -672,8 +655,13 @@ impl<E> EventQueue<E> {
         self.now = to;
     }
 
-    /// See [`EventCore::visit_pending`]: `cur`, then the wheel buckets,
-    /// then the `outside` heap — each in its internal storage order.
+    /// Visit every pending event `(at, key, payload)` without disturbing
+    /// the calendar: `cur`, then the wheel buckets, then the `outside`
+    /// heap, each in its internal storage order. That order is **not**
+    /// time order, but it is deterministic for a given schedule/pop
+    /// history; callers needing a canonical view (e.g. a state hash) must
+    /// collect and sort. This is a read-only inspection hook for
+    /// verification layers; engines never dispatch through it.
     pub fn visit_pending(&self, f: &mut dyn FnMut(SimTime, u64, &E)) {
         let mask = self.buckets.len() - 1;
         // (`cur` is empty whenever there is no tick below the wheel.)
@@ -704,48 +692,8 @@ impl<E> EventQueue<E> {
         }
         self.outside.clear();
         self.len = 0;
-    }
-}
-
-impl<E> EventCore<E> for EventQueue<E> {
-    fn new() -> Self {
-        EventQueue::new()
-    }
-    fn now(&self) -> SimTime {
-        EventQueue::now(self)
-    }
-    fn len(&self) -> usize {
-        EventQueue::len(self)
-    }
-    fn events_executed(&self) -> u64 {
-        EventQueue::events_executed(self)
-    }
-    fn schedule(&mut self, at: SimTime, payload: E) {
-        EventQueue::schedule(self, at, payload);
-    }
-    fn schedule_keyed(&mut self, at: SimTime, key: u64, payload: E) {
-        EventQueue::schedule_keyed(self, at, key, payload);
-    }
-    fn peek_time(&self) -> Option<SimTime> {
-        EventQueue::peek_time(self)
-    }
-    fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        EventQueue::pop(self)
-    }
-    fn pop_until(&mut self, horizon: SimTime) -> Option<ScheduledEvent<E>> {
-        EventQueue::pop_until(self, horizon)
-    }
-    fn pop_batch_until(&mut self, horizon: SimTime, out: &mut Vec<ScheduledEvent<E>>) -> usize {
-        EventQueue::pop_batch_until(self, horizon, out)
-    }
-    fn advance_clock(&mut self, to: SimTime) {
-        EventQueue::advance_clock(self, to);
-    }
-    fn visit_pending(&self, f: &mut dyn FnMut(SimTime, u64, &E)) {
-        EventQueue::visit_pending(self, f);
-    }
-    fn clear(&mut self) {
-        EventQueue::clear(self);
+        #[cfg(debug_assertions)]
+        self.reference.heap.clear();
     }
 }
 
@@ -753,14 +701,14 @@ impl<E> EventCore<E> for EventQueue<E> {
 /// `(time, key, sequence)`.
 ///
 /// This is the event core the workspace originally ran on. It is retained
-/// as the ordering oracle for the calendar queue (see the property suite);
-/// new code should use [`EventQueue`].
+/// as the ordering oracle for the calendar queue — of the property suite,
+/// and of every [`EventQueue`] in a debug build; new code should use
+/// [`EventQueue`].
 #[derive(Debug, Clone)]
 pub struct HeapEventQueue<E> {
     heap: BinaryHeap<ScheduledEvent<E>>,
     next_seq: u64,
     now: SimTime,
-    popped: u64,
 }
 
 impl<E> Default for HeapEventQueue<E> {
@@ -776,7 +724,6 @@ impl<E> HeapEventQueue<E> {
             heap: BinaryHeap::new(),
             next_seq: 0,
             now: SimTime::ZERO,
-            popped: 0,
         }
     }
 
@@ -795,18 +742,13 @@ impl<E> HeapEventQueue<E> {
         self.heap.is_empty()
     }
 
-    /// Total number of events executed (popped) so far.
-    pub fn events_executed(&self) -> u64 {
-        self.popped
-    }
-
     /// Schedule `payload` at `at`; panics on past times (simulator bug).
     pub fn schedule(&mut self, at: SimTime, payload: E) {
         self.schedule_keyed(at, 0, payload);
     }
 
     /// Schedule with a content-derived same-timestamp ordering key (see
-    /// [`EventCore::schedule_keyed`]).
+    /// [`EventQueue::schedule_keyed`]).
     pub fn schedule_keyed(&mut self, at: SimTime, key: u64, payload: E) {
         assert!(
             at >= self.now,
@@ -833,7 +775,6 @@ impl<E> HeapEventQueue<E> {
         let ev = self.heap.pop()?;
         debug_assert!(ev.at >= self.now, "calendar went backwards");
         self.now = ev.at;
-        self.popped += 1;
         Some(ev)
     }
 
@@ -845,27 +786,20 @@ impl<E> HeapEventQueue<E> {
         }
     }
 
-    /// See [`EventCore::pop_batch_until`].
+    /// See [`EventQueue::pop_batch_until`].
     pub fn pop_batch_until(&mut self, horizon: SimTime, out: &mut Vec<ScheduledEvent<E>>) -> usize {
         out.clear();
-        let Some(t0) = self.peek_time() else {
+        let Some(t0) = self.peek_time().filter(|&t| t <= horizon) else {
             return 0;
         };
-        if t0 > horizon {
-            return 0;
-        }
-        while let Some(e) = self.heap.peek() {
-            if e.at != t0 {
-                break;
-            }
+        while self.heap.peek().is_some_and(|e| e.at == t0) {
             out.push(self.heap.pop().expect("peeked"));
         }
-        self.popped += out.len() as u64;
         self.now = t0;
         out.len()
     }
 
-    /// See [`EventCore::advance_clock`].
+    /// See [`EventQueue::advance_clock`].
     pub fn advance_clock(&mut self, to: SimTime) {
         if to <= self.now {
             return;
@@ -879,7 +813,7 @@ impl<E> HeapEventQueue<E> {
         self.now = to;
     }
 
-    /// See [`EventCore::visit_pending`]: the heap's internal array order.
+    /// See [`EventQueue::visit_pending`]: the heap's internal array order.
     pub fn visit_pending(&self, f: &mut dyn FnMut(SimTime, u64, &E)) {
         for e in &self.heap {
             f(e.at, e.key, &e.payload);
@@ -892,53 +826,24 @@ impl<E> HeapEventQueue<E> {
     }
 }
 
-impl<E> EventCore<E> for HeapEventQueue<E> {
-    fn new() -> Self {
-        HeapEventQueue::new()
-    }
-    fn now(&self) -> SimTime {
-        HeapEventQueue::now(self)
-    }
-    fn len(&self) -> usize {
-        HeapEventQueue::len(self)
-    }
-    fn events_executed(&self) -> u64 {
-        HeapEventQueue::events_executed(self)
-    }
-    fn schedule(&mut self, at: SimTime, payload: E) {
-        HeapEventQueue::schedule(self, at, payload);
-    }
-    fn schedule_keyed(&mut self, at: SimTime, key: u64, payload: E) {
-        HeapEventQueue::schedule_keyed(self, at, key, payload);
-    }
-    fn peek_time(&self) -> Option<SimTime> {
-        HeapEventQueue::peek_time(self)
-    }
-    fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        HeapEventQueue::pop(self)
-    }
-    fn pop_until(&mut self, horizon: SimTime) -> Option<ScheduledEvent<E>> {
-        HeapEventQueue::pop_until(self, horizon)
-    }
-    fn pop_batch_until(&mut self, horizon: SimTime, out: &mut Vec<ScheduledEvent<E>>) -> usize {
-        HeapEventQueue::pop_batch_until(self, horizon, out)
-    }
-    fn advance_clock(&mut self, to: SimTime) {
-        HeapEventQueue::advance_clock(self, to);
-    }
-    fn visit_pending(&self, f: &mut dyn FnMut(SimTime, u64, &E)) {
-        HeapEventQueue::visit_pending(self, f);
-    }
-    fn clear(&mut self) {
-        HeapEventQueue::clear(self);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::DetRng;
     use crate::SimDuration;
+
+    /// Run `$body` on a fresh queue bound to `$q`, once per calendar: the
+    /// two share their method names, not a trait.
+    macro_rules! on_both_cores {
+        ($q:ident: $e:ty => $body:block) => {{
+            let mut $q: EventQueue<$e> = EventQueue::new();
+            $body
+        }
+        {
+            let mut $q: HeapEventQueue<$e> = HeapEventQueue::new();
+            $body
+        }};
+    }
 
     #[test]
     fn orders_by_time() {
@@ -1133,7 +1038,7 @@ mod tests {
     fn keyed_events_order_by_key_within_a_timestamp() {
         // Insertion order 3,1,2 — pop order must follow the keys, with
         // seq breaking a key tie FIFO, on both calendars.
-        fn drive<Q: EventCore<&'static str>>(mut q: Q) {
+        on_both_cores!(q: &'static str => {
             let t = SimTime::from_nanos(10);
             q.schedule_keyed(t, 3, "c");
             q.schedule_keyed(t, 1, "a");
@@ -1142,9 +1047,7 @@ mod tests {
             q.schedule_keyed(SimTime::from_nanos(5), 9, "early");
             let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
             assert_eq!(order, vec!["early", "a", "b1", "b2", "c"]);
-        }
-        drive(EventQueue::new());
-        drive(HeapEventQueue::new());
+        });
     }
 
     #[test]
@@ -1191,7 +1094,7 @@ mod tests {
         // One event merged into `cur` (scheduled at now mid-drain), one in
         // the wheel, one in the overflow — a sorted collection must see
         // all three, on both calendars, without disturbing pop order.
-        fn drive<Q: EventCore<u64>>(mut q: Q) {
+        on_both_cores!(q: u64 => {
             let t = SimTime::from_nanos(10);
             q.schedule(t, 1);
             q.schedule(t, 2);
@@ -1214,9 +1117,39 @@ mod tests {
             // Inspection is read-only: the queue still pops everything.
             let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
             assert_eq!(order, vec![2, 3, 4, 5]);
+        });
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "calendar and reference heap popped different events")]
+    fn the_reference_heap_catches_a_misordered_calendar() {
+        // Three keyed events at one time; after the first pop the other
+        // two wait in `cur`. Swapping their sort keys makes the calendar
+        // pop the later one next, which the reference heap must refuse.
+        let mut q = EventQueue::new();
+        let t = SimTime::from_nanos(10);
+        for key in 1..=3 {
+            q.schedule_keyed(t, key, key);
         }
-        drive(EventQueue::<u64>::new());
-        drive(HeapEventQueue::<u64>::new());
+        assert_eq!(q.pop().unwrap().payload, 1);
+        q.cur.ord.swap(0, 1);
+        q.pop();
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "calendar and reference heap peeked different times")]
+    fn the_reference_heap_catches_a_misordered_peek() {
+        // As above, at three times within one tick: the swap puts the
+        // 30 ns event at the head of `cur`, where the heap's is 20 ns.
+        let mut q = EventQueue::new();
+        for ns in [10, 20, 30] {
+            q.schedule(SimTime::from_nanos(ns), ns);
+        }
+        assert_eq!(q.pop().unwrap().payload, 10);
+        q.cur.ord.swap(0, 1);
+        q.peek_time();
     }
 
     #[test]

@@ -9,12 +9,12 @@
 //!   nanoseconds are too coarse; `u64` picoseconds cover ~213 days of
 //!   simulated time, far beyond any experiment in the paper.
 //! * [`EventQueue`] — a deterministic bucketed calendar queue (timing wheel
-//!   with a heap for what lies outside its window). Ties in time are broken
-//!   by an optional content key, then by insertion sequence number, so runs
-//!   are bit-reproducible. [`HeapEventQueue`] keeps
-//!   the original binary-heap core as the tests' ordering oracle; engines
-//!   are generic over a [`CoreKind`] so tests can substitute it (or a
-//!   recording queue) — no spec, preset, flag or figure binary selects it.
+//!   with a heap for what lies outside its window), the one event core
+//!   every engine runs on. Ties in time are broken by an optional content
+//!   key, then by insertion sequence number, so runs are bit-reproducible.
+//!   [`HeapEventQueue`] keeps the original binary-heap core as the ordering
+//!   oracle: of the property suite, and of every `EventQueue` in a build
+//!   with `debug_assertions`, which checks each pop against one.
 //! * [`shard`] — conservative synchronization for sharded runs: the
 //!   per-pair [`LookaheadMatrix`], the [`ShardClock`] barrier protocol and
 //!   the [`Mailboxes`] grid it orders, one window rule and one
@@ -42,9 +42,7 @@ pub mod stats;
 pub mod time;
 pub mod units;
 
-pub use event::{
-    CalendarCore, CoreKind, EventCore, EventQueue, HeapCore, HeapEventQueue, ScheduledEvent,
-};
+pub use event::{EventQueue, HeapEventQueue, ScheduledEvent};
 pub use hash::IdHash;
 pub use rng::DetRng;
 pub use shard::{window_end, LookaheadMatrix, Mailboxes, ShardClock};

@@ -32,7 +32,7 @@
 //!   batch, never contended, because the clock's barrier already sits
 //!   between a pair's publish and its take; no capacity to size.
 //!   Together with content-keyed event scheduling
-//!   ([`crate::EventCore::schedule_keyed`]) this makes the merged event
+//!   ([`crate::EventQueue::schedule_keyed`]) this makes the merged event
 //!   order independent of OS thread scheduling.
 //!
 //! Determinism does not depend on the thread count: driving the same

@@ -136,6 +136,13 @@ impl TwoTierParams {
         assert_eq!(self.num_fa % self.pods(), 0);
         self.num_fa / self.pods()
     }
+
+    /// Links [`two_tier`] wires: every FA uplink plus every spine down
+    /// link (aggregation ports are the other end of both).
+    pub fn num_links(&self) -> usize {
+        self.num_fa as usize * self.fa_uplinks as usize
+            + self.t2_count as usize * self.t2_down as usize
+    }
 }
 
 /// The two-tier build result: topology plus the node-id ranges.
@@ -194,6 +201,7 @@ pub fn two_tier(params: TwoTierParams) -> TwoTier {
         }
     }
 
+    debug_assert_eq!(topo.num_links(), params.num_links());
     TwoTier {
         topo,
         params,
@@ -959,6 +967,7 @@ mod tests {
         assert_eq!(tt.t2.len(), 64);
         // Link count: 256×32 + 128×64 = 8192 + 8192 = 16384.
         assert_eq!(tt.topo.num_links(), 16_384);
+        assert_eq!(p.num_links(), 16_384);
         tt.topo.validate(128);
     }
 

@@ -29,7 +29,7 @@
 
 use crate::scenario::FlowSpec;
 use stardust_fabric::{FabricEngine, ShardedFabricEngine};
-use stardust_sim::{CoreKind, DetRng, FlowStats, SimDuration, SimTime};
+use stardust_sim::{DetRng, FlowStats, SimDuration, SimTime};
 use stardust_topo::LinkId;
 use stardust_transport::{FlowId, Protocol, TransportSim};
 
@@ -137,7 +137,7 @@ pub trait FlowEngine {
     }
 }
 
-impl<K: CoreKind> FlowEngine for FabricEngine<K> {
+impl FlowEngine for FabricEngine {
     fn num_nodes(&self) -> usize {
         self.num_fas()
     }
@@ -174,10 +174,7 @@ impl<K: CoreKind> FlowEngine for FabricEngine<K> {
     }
 }
 
-impl<K: CoreKind> FlowEngine for ShardedFabricEngine<K>
-where
-    FabricEngine<K>: Send,
-{
+impl FlowEngine for ShardedFabricEngine {
     fn num_nodes(&self) -> usize {
         self.num_fas()
     }

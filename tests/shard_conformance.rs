@@ -1,8 +1,8 @@
 //! Sharded-engine conformance: `ShardedFabricEngine` must be
 //! **bit-identical** to the sequential `FabricEngine` — same
 //! `FabricStats` (every counter, every histogram bin) and same per-flow
-//! `FlowStats` tables — at 1, 2, 4 and 8 shards, on both event cores, on
-//! the paper's headline workloads:
+//! `FlowStats` tables — at 1, 2, 4 and 8 shards, on the paper's headline
+//! workloads:
 //!
 //! * the §6.2 permutation scenario (the determinism suite's workload),
 //! * the Fig 10 a–c finite-flow scenarios (permutation goodput, Web-mix
@@ -16,12 +16,19 @@
 //! the in-crate smoke tests pin the threaded path to the inline one, so
 //! equality is transitive to real parallel execution.
 //!
+//! The event core is not a parameter of the engines: in a build with
+//! `debug_assertions` every calendar in these runs, sequential and per
+//! shard, checks each peek and pop against its reference heap. Only
+//! there: the release `test-shards` matrix runs the same tests for shard
+//! bit-identity alone, so a release pass says nothing about calendar
+//! against heap (the `*_calendar_core` names mark the core they run on).
+//!
 //! `STARDUST_SHARDS` (comma-separated, e.g. `2,4`) narrows the shard set
 //! — the CI `test-shards` matrix drives one count per job.
 
 use stardust::fabric::shard::ExecMode;
 use stardust::fabric::{FabricConfig, FabricEngine, FabricStats, ShardedFabricEngine};
-use stardust::sim::{CalendarCore, CoreKind, DetRng, HeapCore, SimDuration, SimTime};
+use stardust::sim::{DetRng, SimDuration, SimTime};
 use stardust::topo::builders::{two_tier, TwoTierParams};
 use stardust::workload::{permutation, FlowSizeDist, Scenario, ScenarioKind};
 
@@ -75,19 +82,16 @@ macro_rules! sec62_workload {
     }};
 }
 
-fn sec62_sequential<K: CoreKind>(seed: u64) -> FabricStats {
+fn sec62_sequential(seed: u64) -> FabricStats {
     let tt = two_tier(TwoTierParams::paper_scaled(16));
-    let mut e = FabricEngine::<K>::with_core(tt.topo, cfg(seed));
+    let mut e = FabricEngine::new(tt.topo, cfg(seed));
     sec62_workload!(e, seed);
     e.stats().clone()
 }
 
-fn sec62_sharded<K: CoreKind>(seed: u64, shards: u32, mode: ExecMode) -> FabricStats
-where
-    FabricEngine<K>: Send,
-{
+fn sec62_sharded(seed: u64, shards: u32, mode: ExecMode) -> FabricStats {
     let tt = two_tier(TwoTierParams::paper_scaled(16));
-    let mut e = ShardedFabricEngine::<K>::with_core(tt.topo, cfg(seed), shards);
+    let mut e = ShardedFabricEngine::new(tt.topo, cfg(seed), shards);
     e.set_exec_mode(mode);
     sec62_workload!(e, seed);
     e.stats()
@@ -95,24 +99,13 @@ where
 
 #[test]
 fn sec62_permutation_conformance_calendar_core() {
-    let seq = sec62_sequential::<CalendarCore>(0xDC_FA_B0_05);
+    let seq = sec62_sequential(0xDC_FA_B0_05);
     assert_eq!(seq.packets_delivered.get(), 16 * 40, "workload sanity");
     assert_eq!(seq.cells_dropped.get(), 0);
     for shards in shard_counts() {
-        let sh = sec62_sharded::<CalendarCore>(0xDC_FA_B0_05, shards, ExecMode::Inline);
-        assert_eq!(seq, sh, "{shards} shards diverged (calendar core)");
+        let sh = sec62_sharded(0xDC_FA_B0_05, shards, ExecMode::Inline);
+        assert_eq!(seq, sh, "{shards} shards diverged");
     }
-}
-
-#[test]
-fn sec62_permutation_conformance_heap_core() {
-    let seq = sec62_sequential::<HeapCore>(0xDC_FA_B0_05);
-    for shards in shard_counts() {
-        let sh = sec62_sharded::<HeapCore>(0xDC_FA_B0_05, shards, ExecMode::Inline);
-        assert_eq!(seq, sh, "{shards} shards diverged (heap core)");
-    }
-    // And the two cores agree with each other, sharded or not.
-    assert_eq!(seq, sec62_sequential::<CalendarCore>(0xDC_FA_B0_05));
 }
 
 #[test]
@@ -121,8 +114,8 @@ fn threaded_execution_matches_inline() {
     // OS-thread path (barriers, mailbox publish/take under contention)
     // to it, making the matrix's equality transitive to parallel runs.
     for shards in [2u32, 4, 8] {
-        let a = sec62_sharded::<CalendarCore>(7, shards, ExecMode::Threads);
-        let b = sec62_sharded::<CalendarCore>(7, shards, ExecMode::Inline);
+        let a = sec62_sharded(7, shards, ExecMode::Threads);
+        let b = sec62_sharded(7, shards, ExecMode::Inline);
         assert_eq!(a, b, "{shards}-shard threaded run diverged from inline");
     }
 }
@@ -167,13 +160,11 @@ fn fig10_scenarios() -> Vec<(Scenario, SimTime)> {
     ]
 }
 
-fn fig10_conformance_on<K: CoreKind>()
-where
-    FabricEngine<K>: Send,
-{
+#[test]
+fn fig10_scenarios_conformance_calendar_core() {
     for (scn, horizon) in fig10_scenarios() {
         let tt = two_tier(TwoTierParams::paper_scaled(16));
-        let mut seq_engine = FabricEngine::<K>::with_core(tt.topo, cfg(11));
+        let mut seq_engine = FabricEngine::new(tt.topo, cfg(11));
         let seq_flows = scn.run(&mut seq_engine, horizon);
         assert!(
             seq_flows.completed() > 0,
@@ -182,7 +173,7 @@ where
         );
         for shards in shard_counts() {
             let tt = two_tier(TwoTierParams::paper_scaled(16));
-            let mut sh = ShardedFabricEngine::<K>::with_core(tt.topo, cfg(11), shards);
+            let mut sh = ShardedFabricEngine::new(tt.topo, cfg(11), shards);
             sh.set_exec_mode(ExecMode::Inline);
             let sh_flows = scn.run(&mut sh, horizon);
             // Per-flow FCT tables first (sharper failure message)…
@@ -200,16 +191,6 @@ where
             );
         }
     }
-}
-
-#[test]
-fn fig10_scenarios_conformance_calendar_core() {
-    fig10_conformance_on::<CalendarCore>();
-}
-
-#[test]
-fn fig10_scenarios_conformance_heap_core() {
-    fig10_conformance_on::<HeapCore>();
 }
 
 // --- fail-link conformance ---------------------------------------------
@@ -252,17 +233,15 @@ macro_rules! fail_link_workload {
     }};
 }
 
-fn fail_link_conformance_on<K: CoreKind>()
-where
-    FabricEngine<K>: Send,
-{
+#[test]
+fn fail_link_conformance_calendar_core() {
     let mut c = cfg(3);
     c.reach_interval = Some(SimDuration::from_micros(10));
     c.reach_miss_threshold = 3;
     let tt = two_tier(TwoTierParams::paper_scaled(16));
     let fail = tt.topo.up_links(tt.fas[0])[0];
     let noisy = tt.topo.up_links(tt.fas[3])[1];
-    let mut seq = FabricEngine::<K>::with_core(tt.topo, c.clone());
+    let mut seq = FabricEngine::new(tt.topo, c.clone());
     fail_link_workload!(seq, fail, noisy);
     let seq_stats = seq.stats().clone();
     // The run must have actually hurt: cells died on the failed link or
@@ -271,7 +250,7 @@ where
     assert!(seq_stats.packets_delivered.get() > 0);
     for shards in shard_counts() {
         let tt = two_tier(TwoTierParams::paper_scaled(16));
-        let mut sh = ShardedFabricEngine::<K>::with_core(tt.topo, c.clone(), shards);
+        let mut sh = ShardedFabricEngine::new(tt.topo, c.clone(), shards);
         sh.set_exec_mode(ExecMode::Inline);
         fail_link_workload!(sh, fail, noisy);
         assert_eq!(
@@ -280,16 +259,6 @@ where
             "{shards}-shard fail-link run diverged"
         );
     }
-}
-
-#[test]
-fn fail_link_conformance_calendar_core() {
-    fail_link_conformance_on::<CalendarCore>();
-}
-
-#[test]
-fn fail_link_conformance_heap_core() {
-    fail_link_conformance_on::<HeapCore>();
 }
 
 // --- topology-zoo conformance ------------------------------------------
@@ -318,11 +287,9 @@ fn zoo_permutation_conformance_both_cores() {
             },
         };
         let horizon = SimTime::from_millis(5);
-        let mut seq = FabricEngine::<CalendarCore>::with_plan(
-            built.topo.clone(),
-            cfg(11),
-            built.plan.clone(),
-        );
+        // The calendar runs checked against its reference heap (debug
+        // builds), so one sequential run covers both cores.
+        let mut seq = FabricEngine::with_plan(built.topo.clone(), cfg(11), built.plan.clone());
         let seq_flows = scn.run(&mut seq, horizon);
         assert_eq!(
             seq_flows.completed(),
@@ -331,18 +298,8 @@ fn zoo_permutation_conformance_both_cores() {
         );
         assert_eq!(seq.stats().cells_dropped.get(), 0, "{name}: lossless");
 
-        let mut heap =
-            FabricEngine::<HeapCore>::with_plan(built.topo.clone(), cfg(11), built.plan.clone());
-        let heap_flows = scn.run(&mut heap, horizon);
-        assert_eq!(seq_flows, heap_flows, "{name}: heap-core FCTs diverged");
-        assert_eq!(
-            seq.stats(),
-            heap.stats(),
-            "{name}: heap-core stats diverged"
-        );
-
         for shards in shard_counts() {
-            let mut sh = ShardedFabricEngine::<CalendarCore>::with_plan(
+            let mut sh = ShardedFabricEngine::with_plan(
                 built.topo.clone(),
                 cfg(11),
                 built.plan.clone(),
@@ -371,11 +328,7 @@ fn zoo_fail_link_conformance() {
         c.reach_miss_threshold = 3;
         let fail = built.topo.node(built.endpoints[0]).links[0];
         let noisy = stardust::topo::LinkId(built.topo.num_links() as u32 - 1);
-        let mut seq = FabricEngine::<CalendarCore>::with_plan(
-            built.topo.clone(),
-            c.clone(),
-            built.plan.clone(),
-        );
+        let mut seq = FabricEngine::with_plan(built.topo.clone(), c.clone(), built.plan.clone());
         fail_link_workload!(seq, fail, noisy);
         let seq_stats = seq.stats().clone();
         assert!(
@@ -383,7 +336,7 @@ fn zoo_fail_link_conformance() {
             "{name}: nothing delivered"
         );
         for shards in shard_counts() {
-            let mut sh = ShardedFabricEngine::<CalendarCore>::with_plan(
+            let mut sh = ShardedFabricEngine::with_plan(
                 built.topo.clone(),
                 c.clone(),
                 built.plan.clone(),
