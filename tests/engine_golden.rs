@@ -1,24 +1,30 @@
-//! Absolute pins on the fabric engine's behaviour.
+//! Absolute pins on the behaviour of the three engines.
 //!
 //! The determinism and conformance suites compare engines to *each
-//! other* (heap vs calendar core, sharded vs sequential, run vs re-run),
-//! so a change that shifts all of them together passes. These three
-//! small runs are compared against literals instead: event, cell and
+//! other* (sharded vs sequential, run vs re-run), so a change that
+//! shifts all of them together passes. These small runs are compared
+//! against literals instead. On the fabric engine: event, cell and
 //! credit counts, the churn stamps and an FNV-1a fingerprint of the whole
-//! [`FabricStats`] record. A behaviour-preserving refactor leaves every
-//! literal untouched; a change that is *meant* to move one re-records it
-//! and says why.
+//! [`FabricStats`] record. On the push baseline: deliveries and drops of
+//! the Fig 7, Fig 12 and §5.4 incast setups. On the transport simulator:
+//! the drop/mark counters and the FCT table of every protocol on a
+//! k = 4 fat-tree permutation. A behaviour-preserving refactor leaves
+//! every literal untouched; a change that is *meant* to move one
+//! re-records it and says why.
 
-use stardust::fabric::{FabricConfig, FabricEngine, FabricStats};
+use stardust::baseline::{LoadBalance, PushConfig, PushEngine};
+use stardust::fabric::{FabricConfig, FabricEngine};
+use stardust::sim::units::gbps;
 use stardust::sim::{DetRng, SimDuration, SimTime};
-use stardust::topo::builders::{two_tier, TwoTierParams};
-use stardust::topo::{DragonflyParams, LinkId, TopologyBuilder};
+use stardust::topo::builders::{kary, two_tier, KaryParams, TwoTierParams};
+use stardust::topo::{DragonflyParams, LinkId, NodeKind, Topology, TopologyBuilder};
+use stardust::transport::{Protocol, TransportConfig, TransportSim};
 use stardust::workload::permutation;
-use std::fmt::Write;
+use std::fmt::{Debug, Write};
 
-/// FNV-1a over the `Debug` rendering of the stats: every field, without
-/// naming one.
-fn fingerprint(stats: &FabricStats) -> u64 {
+/// FNV-1a over the `Debug` rendering of a stats record: every field,
+/// without naming one.
+fn fingerprint(stats: &impl Debug) -> u64 {
     struct Fnv(u64);
     impl Write for Fnv {
         fn write_str(&mut self, s: &str) -> std::fmt::Result {
@@ -227,5 +233,245 @@ fn bounded_flows_streamed_mix() {
             convergence_ps: None,
             stats_fnv1a: 13_778_100_734_485_501_223,
         }
+    );
+}
+
+/// What each push-baseline run is pinned on.
+#[derive(Debug, PartialEq, Eq)]
+struct PushGolden {
+    packets_delivered: u64,
+    fabric_drops: u64,
+    egress_drops: u64,
+    delivered_per_port: Vec<Vec<u64>>,
+}
+
+fn push_golden_of(e: &PushEngine) -> PushGolden {
+    let s = e.stats();
+    PushGolden {
+        packets_delivered: s.packets_delivered.get(),
+        fabric_drops: s.fabric_drops.get(),
+        egress_drops: s.egress_drops.get(),
+        delivered_per_port: s.delivered_per_port.clone(),
+    }
+}
+
+/// The Figure 7 graph: 3 ToRs (2 ingress, 1 egress), 2 middle switches,
+/// one link from each ToR to each switch.
+fn fig7_topo() -> Topology {
+    let mut t = Topology::new();
+    let tors: Vec<_> = (0..3).map(|_| t.add_node(NodeKind::Edge, 1)).collect();
+    let sws: Vec<_> = (0..2).map(|_| t.add_node(NodeKind::Fabric, 2)).collect();
+    for &tor in &tors {
+        for &sw in &sws {
+            t.add_link(tor, sw, 10);
+        }
+    }
+    t
+}
+
+/// Fig 7 (`b_tc = 0`) or Fig 12 (`b_tc = 1`): A gets 200G offered at its
+/// 100G port from both ingress ToRs, B 100G from the first only.
+fn push_fig7(b_tc: u8, tor_buffer_bytes: u64) -> PushGolden {
+    let mut e = PushEngine::new(
+        fig7_topo(),
+        PushConfig {
+            link_bps: gbps(100),
+            host_port_bps: gbps(100),
+            host_ports: 2,
+            switch_buffer_bytes: 256 * 1024,
+            tor_buffer_bytes,
+            lb: LoadBalance::PacketSpray,
+            ..PushConfig::default()
+        },
+    );
+    let stop = SimTime::from_millis(2);
+    e.add_cbr_flow(0, 2, 0, 0, gbps(100), 1500, SimTime::ZERO, stop);
+    e.add_cbr_flow(0, 2, 1, b_tc, gbps(100), 1500, SimTime::ZERO, stop);
+    e.add_cbr_flow(1, 2, 0, 0, gbps(100), 1500, SimTime::ZERO, stop);
+    e.run_until(SimTime::from_millis(4));
+    push_golden_of(&e)
+}
+
+#[test]
+fn push_fig7_collateral_damage() {
+    assert_eq!(
+        push_fig7(0, 1024 * 1024),
+        PushGolden {
+            packets_delivered: 29_980,
+            fabric_drops: 16_152,
+            egress_drops: 3_869,
+            delivered_per_port: vec![vec![0, 0], vec![0, 0], vec![26_424_000, 18_546_000]],
+        }
+    );
+}
+
+#[test]
+fn push_fig12_priority_starvation() {
+    assert_eq!(
+        push_fig7(1, PushConfig::default().tor_buffer_bytes),
+        PushGolden {
+            packets_delivered: 33_841,
+            fabric_drops: 16_152,
+            egress_drops: 0,
+            delivered_per_port: vec![vec![0, 0], vec![0, 0], vec![49_995_000, 766_500]],
+        }
+    );
+}
+
+#[test]
+fn push_incast_on_two_tier() {
+    let tt = two_tier(TwoTierParams::paper_scaled(16));
+    let mut e = PushEngine::new(
+        tt.topo,
+        PushConfig {
+            link_bps: gbps(50),
+            host_port_bps: gbps(50),
+            host_ports: 2,
+            tor_buffer_bytes: 256 * 1024,
+            lb: LoadBalance::PacketSpray,
+            ..PushConfig::default()
+        },
+    );
+    let n = e.num_tors() as u32;
+    for src in 1..n {
+        for i in 0..300u64 {
+            e.inject(SimTime::from_nanos(i * 200), src, 0, 0, 0, src, 1000);
+        }
+    }
+    e.run_until(SimTime::from_millis(20));
+    let mut port_zero_only = vec![vec![0; 2]; n as usize];
+    port_zero_only[0][0] = 1_795_000;
+    assert_eq!(
+        push_golden_of(&e),
+        PushGolden {
+            packets_delivered: 1_795,
+            fabric_drops: 1_460,
+            egress_drops: 1_245,
+            delivered_per_port: port_zero_only,
+        }
+    );
+}
+
+/// What each transport run is pinned on: every `NetCounters` field and a
+/// fingerprint of the FCT table.
+#[derive(Debug, PartialEq, Eq)]
+struct TransportGolden {
+    proto: Protocol,
+    drops: u64,
+    host_drops: u64,
+    ecn_marks: u64,
+    retransmits: u64,
+    rtos: u64,
+    sd_credits: u64,
+    completed: usize,
+    flow_stats_fnv1a: u64,
+}
+
+/// Finite flows over two k = 4 fat-tree permutations, staggered starts,
+/// per protocol. MPTCP's subflows take every ECMP choice point (edge up,
+/// aggregation up), so a change in next-hop order moves its row.
+#[test]
+fn transport_k4_permutation_every_protocol() {
+    let rows: Vec<TransportGolden> = [
+        Protocol::Tcp,
+        Protocol::Dctcp,
+        Protocol::Mptcp,
+        Protocol::Dcqcn,
+        Protocol::Stardust,
+    ]
+    .into_iter()
+    .map(|proto| {
+        let ft = kary(KaryParams {
+            k: 4,
+            ..KaryParams::paper_6_3()
+        });
+        let mut sim = TransportSim::new(ft, TransportConfig::default());
+        let n = sim.num_hosts();
+        let mut rng = DetRng::from_label(0x5EED_0033, "engine-golden-transport");
+        // Two permutations at once: every host sends two flows and
+        // receives two, so flows meet on shared links.
+        for wave in 0..2u64 {
+            let perm = permutation(n, &mut rng);
+            for src in 0..n as u32 {
+                let bytes = 100_000 + rng.below(400_000);
+                let start = SimTime::from_nanos(wave * 5_000 + u64::from(src) * 700);
+                sim.add_flow(proto, src, perm[src as usize], bytes, start);
+            }
+        }
+        sim.run_until(SimTime::from_millis(30));
+        let c = &sim.counters;
+        let fs = sim.flow_stats();
+        TransportGolden {
+            proto,
+            drops: c.drops.get(),
+            host_drops: c.host_drops.get(),
+            ecn_marks: c.ecn_marks.get(),
+            retransmits: c.retransmits.get(),
+            rtos: c.rtos.get(),
+            sd_credits: c.sd_credits.get(),
+            completed: fs.completed(),
+            flow_stats_fnv1a: fingerprint(&fs),
+        }
+    })
+    .collect();
+    assert_eq!(
+        rows,
+        [
+            TransportGolden {
+                proto: Protocol::Tcp,
+                drops: 0,
+                host_drops: 0,
+                ecn_marks: 0,
+                retransmits: 0,
+                rtos: 0,
+                sd_credits: 0,
+                completed: 32,
+                flow_stats_fnv1a: 13_704_517_497_966_345_108,
+            },
+            TransportGolden {
+                proto: Protocol::Dctcp,
+                drops: 0,
+                host_drops: 0,
+                ecn_marks: 273,
+                retransmits: 0,
+                rtos: 0,
+                sd_credits: 0,
+                completed: 32,
+                flow_stats_fnv1a: 13_704_517_497_966_345_108,
+            },
+            TransportGolden {
+                proto: Protocol::Mptcp,
+                drops: 0,
+                host_drops: 0,
+                ecn_marks: 0,
+                retransmits: 0,
+                rtos: 0,
+                sd_credits: 0,
+                completed: 32,
+                flow_stats_fnv1a: 7_686_560_892_003_861_921,
+            },
+            TransportGolden {
+                proto: Protocol::Dcqcn,
+                drops: 0,
+                host_drops: 0,
+                ecn_marks: 421,
+                retransmits: 0,
+                rtos: 0,
+                sd_credits: 0,
+                completed: 32,
+                flow_stats_fnv1a: 1_231_875_322_191_410_234,
+            },
+            TransportGolden {
+                proto: Protocol::Stardust,
+                drops: 0,
+                host_drops: 0,
+                ecn_marks: 0,
+                retransmits: 0,
+                rtos: 0,
+                sd_credits: 2_447,
+                completed: 32,
+                flow_stats_fnv1a: 14_200_217_459_971_999_863,
+            },
+        ]
     );
 }
