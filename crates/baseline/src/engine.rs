@@ -3,18 +3,8 @@
 use stardust_sim::link::fiber_delay;
 use stardust_sim::units::serialization_time;
 use stardust_sim::{Counter, DetRng, EventQueue, Histogram, ScheduledEvent, SimDuration, SimTime};
-use stardust_topo::{NodeId, NodeKind, Topology};
+use stardust_topo::{NodeId, NodeKind, RoutePlan, Topology};
 use std::collections::VecDeque;
-
-/// How switches pick among equal-cost next hops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LoadBalance {
-    /// Classic ECMP: hash of (src, dst, port, flow) pins a flow to a path.
-    FlowHash,
-    /// Per-packet random spraying (packet-level load balancing ablation;
-    /// reorders packets, which the fabric-level metrics here ignore).
-    PacketSpray,
-}
 
 /// Push-fabric configuration.
 #[derive(Debug, Clone)]
@@ -29,10 +19,6 @@ pub struct PushConfig {
     pub switch_buffer_bytes: u64,
     /// Buffer bytes per ToR egress port.
     pub tor_buffer_bytes: u64,
-    /// ECN marking threshold per queue, bytes (None = no marking).
-    pub ecn_threshold_bytes: Option<u64>,
-    /// Load-balancing policy.
-    pub lb: LoadBalance,
     /// Traffic classes (0 = strict highest priority).
     pub num_tcs: u8,
     /// RNG seed.
@@ -47,8 +33,6 @@ impl Default for PushConfig {
             host_ports: 4,
             switch_buffer_bytes: 1024 * 1024,
             tor_buffer_bytes: 32 * 1024 * 1024,
-            ecn_threshold_bytes: None,
-            lb: LoadBalance::FlowHash,
             num_tcs: 2,
             seed: 0xE7E7,
         }
@@ -66,12 +50,8 @@ pub struct PushPacket {
     pub dst_port: u8,
     /// Traffic class.
     pub tc: u8,
-    /// Flow label used for ECMP hashing.
-    pub flow: u32,
     /// Payload size in bytes.
     pub bytes: u32,
-    /// Whether the packet has been ECN-marked.
-    pub ecn: bool,
     /// Injection timestamp.
     pub injected_at: SimTime,
 }
@@ -117,7 +97,6 @@ struct CbrFlow {
     dst_tor: u32,
     dst_port: u8,
     tc: u8,
-    flow: u32,
     pkt_bytes: u32,
     interval: SimDuration,
     stop: SimTime,
@@ -134,8 +113,6 @@ pub struct PushStats {
     pub fabric_drops: Counter,
     /// Drops at the destination ToR egress buffer.
     pub egress_drops: Counter,
-    /// ECN marks applied by switch queues.
-    pub ecn_marks: Counter,
     /// Payload bytes of delivered packets.
     pub bytes_delivered: Counter,
     /// Delivered bytes per (ToR, port).
@@ -144,8 +121,6 @@ pub struct PushStats {
     pub delivered_per_port_tc: Vec<Vec<Vec<u64>>>,
     /// Per-packet end-to-end latency, ns bins.
     pub latency_ns: Histogram,
-    /// Switch queue depth in KB, sampled at packet arrival.
-    pub queue_kb: Histogram,
 }
 
 impl PushStats {
@@ -155,24 +130,12 @@ impl PushStats {
             packets_delivered: Counter::default(),
             fabric_drops: Counter::default(),
             egress_drops: Counter::default(),
-            ecn_marks: Counter::default(),
             bytes_delivered: Counter::default(),
             delivered_per_port: vec![vec![0; ports]; tors],
             delivered_per_port_tc: vec![vec![vec![0; tcs]; ports]; tors],
             latency_ns: Histogram::new(100, 100_000),
-            queue_kb: Histogram::new(1, 64 * 1024),
         }
     }
-}
-
-/// FNV-style mix for flow hashing.
-fn hash_flow(src: u32, dst: u32, port: u8, flow: u32, salt: u64) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ salt;
-    for b in [src as u64, dst as u64, port as u64, flow as u64] {
-        h ^= b;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 /// The push-fabric simulator.
@@ -183,7 +146,7 @@ pub struct PushEngine {
     tor_of_node: Vec<u32>,
     dirs: Vec<DirState>,
     ports: Vec<Vec<PortState>>,
-    reach: Vec<Vec<NodeId>>,
+    plan: RoutePlan,
     events: EventQueue<Ev>,
     /// Scratch buffer for batched same-timestamp dispatch in `run_until`.
     batch: Vec<ScheduledEvent<Ev>>,
@@ -195,7 +158,6 @@ pub struct PushEngine {
     flow_jitter: Vec<DetRng>,
     stats: PushStats,
     rng: DetRng,
-    next_flow_id: u32,
 }
 
 impl PushEngine {
@@ -235,7 +197,7 @@ impl PushEngine {
                     .collect()
             })
             .collect();
-        let reach = topo.downward_edge_reach();
+        let plan = RoutePlan::shortest_path(&topo);
         let stats = PushStats::new(tors.len(), cfg.host_ports as usize, cfg.num_tcs as usize);
         let rng = DetRng::from_label(cfg.seed, "push-engine");
         PushEngine {
@@ -245,14 +207,13 @@ impl PushEngine {
             tor_of_node,
             dirs,
             ports,
-            reach,
+            plan,
             events: EventQueue::new(),
             batch: Vec::new(),
             flows: Vec::new(),
             flow_jitter: Vec::new(),
             stats,
             rng,
-            next_flow_id: 0,
         }
     }
 
@@ -272,7 +233,6 @@ impl PushEngine {
     }
 
     /// Inject a single packet at `at`.
-    #[allow(clippy::too_many_arguments)]
     pub fn inject(
         &mut self,
         at: SimTime,
@@ -280,7 +240,6 @@ impl PushEngine {
         dst_tor: u32,
         dst_port: u8,
         tc: u8,
-        flow: u32,
         bytes: u32,
     ) {
         assert_ne!(src_tor, dst_tor);
@@ -290,9 +249,7 @@ impl PushEngine {
             dst_tor,
             dst_port,
             tc,
-            flow,
             bytes,
-            ecn: false,
             injected_at: at,
         };
         self.events.schedule(at, Ev::Inject { pkt });
@@ -310,9 +267,7 @@ impl PushEngine {
         pkt_bytes: u32,
         start: SimTime,
         stop: SimTime,
-    ) -> u32 {
-        let flow = self.next_flow_id;
-        self.next_flow_id += 1;
+    ) {
         let interval = serialization_time(pkt_bytes as u64, rate_bps);
         let id = self.flows.len() as u32;
         self.flows.push(CbrFlow {
@@ -320,7 +275,6 @@ impl PushEngine {
             dst_tor,
             dst_port,
             tc,
-            flow,
             pkt_bytes,
             interval,
             stop,
@@ -328,7 +282,6 @@ impl PushEngine {
         self.flow_jitter
             .push(DetRng::from_label(self.cfg.seed, "push-flow-jitter").split_u64(id as u64));
         self.events.schedule(start, Ev::FlowTick { flow: id });
-        flow
     }
 
     /// Run until `horizon`, draining same-timestamp events in batches,
@@ -380,9 +333,7 @@ impl PushEngine {
             dst_tor: f.dst_tor,
             dst_port: f.dst_port,
             tc: f.tc,
-            flow: f.flow,
             bytes: f.pkt_bytes,
-            ecn: false,
             injected_at: now,
         };
         self.stats.packets_injected.inc();
@@ -398,44 +349,23 @@ impl PushEngine {
         self.events.schedule(now + gap, Ev::FlowTick { flow: idx });
     }
 
-    /// Pick the output link at `node` for `pkt` and enqueue.
+    /// Spray `pkt` onto a random next hop at `node` (the ToR index is the
+    /// plan's endpoint index) and enqueue.
     fn route(&mut self, now: SimTime, node: NodeId, pkt: PushPacket) {
-        let dst_node = self.tors[pkt.dst_tor as usize];
-        let candidates = self.topo.forward_links(node, dst_node, &self.reach);
+        let candidates = self.plan.next_links(&self.topo, node, pkt.dst_tor);
         debug_assert!(!candidates.is_empty(), "no route from {node:?}");
-        let link = match self.cfg.lb {
-            LoadBalance::FlowHash => {
-                let h = hash_flow(
-                    pkt.src_tor,
-                    pkt.dst_tor,
-                    pkt.dst_port,
-                    pkt.flow,
-                    self.cfg.seed,
-                );
-                candidates[(h % candidates.len() as u64) as usize]
-            }
-            LoadBalance::PacketSpray => *self.rng.pick(&candidates),
-        };
+        let link = *self.rng.pick(&candidates);
         let dir = link.0 * 2 + self.topo.link(link).end_of(node) as u32;
         self.enqueue(now, dir, pkt);
     }
 
     /// Output-queue a packet on a fabric link direction: tail drop against
     /// the shared buffer (dropping the lowest class first when the
-    /// arriving packet outranks it), optional ECN marking.
-    fn enqueue(&mut self, now: SimTime, dir_idx: u32, mut pkt: PushPacket) {
+    /// arriving packet outranks it).
+    fn enqueue(&mut self, now: SimTime, dir_idx: u32, pkt: PushPacket) {
         let buf = self.cfg.switch_buffer_bytes;
-        let ecn_th = self.cfg.ecn_threshold_bytes;
         let d = &mut self.dirs[dir_idx as usize];
-        let depth = d.total_depth_bytes();
-        self.stats.queue_kb.record(depth / 1024);
-        if let Some(th) = ecn_th {
-            if depth >= th {
-                pkt.ecn = true;
-                self.stats.ecn_marks.inc();
-            }
-        }
-        if depth + pkt.bytes as u64 > buf {
+        if d.total_depth_bytes() + pkt.bytes as u64 > buf {
             // Strict-priority buffer policy: try to evict a lower class.
             let evicted = (pkt.tc as usize + 1..d.queues.len())
                 .rev()
@@ -549,7 +479,6 @@ mod tests {
             host_ports: 2,
             switch_buffer_bytes: 256 * 1024,
             tor_buffer_bytes: 256 * 1024,
-            lb: LoadBalance::PacketSpray,
             ..PushConfig::default()
         }
     }
@@ -622,38 +551,12 @@ mod tests {
     }
 
     #[test]
-    fn flow_hash_is_sticky_and_spray_is_not() {
-        // Two flows from the same ToR with flow-hash either share or split;
-        // with spraying both links carry traffic for a single flow.
-        let topo = fig7_topo();
-        let mut cfg = fig7_cfg();
-        cfg.lb = LoadBalance::FlowHash;
-        let mut e = PushEngine::new(topo, cfg);
-        e.add_cbr_flow(
-            0,
-            2,
-            0,
-            0,
-            gbps(40),
-            1500,
-            SimTime::ZERO,
-            SimTime::from_millis(1),
-        );
-        e.run_until(SimTime::from_millis(2));
-        // All packets of the flow took one path: no drops, full delivery.
-        assert_eq!(e.stats().fabric_drops.get(), 0);
-        let injected = e.stats().packets_injected.get();
-        assert_eq!(e.stats().packets_delivered.get(), injected);
-    }
-
-    #[test]
     fn incast_fills_tor_buffer_and_drops() {
         // §5.4: the Ethernet fabric delivers the whole incast to the
         // destination ToR, whose buffer overflows.
         let tt = two_tier(TwoTierParams::paper_scaled(16));
         let mut cfg = PushConfig {
             tor_buffer_bytes: 64 * 1024, // deliberately small
-            lb: LoadBalance::PacketSpray,
             ..PushConfig::default()
         };
         cfg.host_port_bps = gbps(50);
@@ -662,7 +565,7 @@ mod tests {
         for src in 1..n {
             // 100KB burst from each source to ToR 0, port 0.
             for i in 0..66u64 {
-                e.inject(SimTime::from_nanos(i * 120), src, 0, 0, 0, src, 1500);
+                e.inject(SimTime::from_nanos(i * 120), src, 0, 0, 0, 1500);
             }
         }
         e.run_until(SimTime::from_millis(20));
@@ -670,18 +573,6 @@ mod tests {
             e.stats().egress_drops.get() > 0,
             "incast must overflow the ToR"
         );
-    }
-
-    #[test]
-    fn ecn_marks_above_threshold() {
-        let mut cfg = fig7_cfg();
-        cfg.ecn_threshold_bytes = Some(30_000);
-        let mut e = PushEngine::new(fig7_topo(), cfg);
-        let stop = SimTime::from_millis(1);
-        e.add_cbr_flow(0, 2, 0, 0, gbps(100), 1500, SimTime::ZERO, stop);
-        e.add_cbr_flow(1, 2, 0, 0, gbps(100), 1500, SimTime::ZERO, stop);
-        e.run_until(SimTime::from_millis(2));
-        assert!(e.stats().ecn_marks.get() > 0);
     }
 
     #[test]
@@ -727,36 +618,6 @@ mod tests {
         busy.run_until(SimTime::from_millis(2));
         let b_lat = busy.stats().latency_ns.mean();
         assert!(b_lat > 5.0 * q_lat, "quiet {q_lat}ns vs busy {b_lat}ns");
-    }
-
-    #[test]
-    fn flow_hash_collisions_unbalance_links() {
-        // The §5.3 motivation: flow hashing can put multiple flows on one
-        // uplink while the other idles. With enough flows, per-flow paths
-        // are measurably uneven vs packet spraying.
-        let mut cfg = fig7_cfg();
-        cfg.lb = LoadBalance::FlowHash;
-        let mut e = PushEngine::new(fig7_topo(), cfg);
-        let stop = SimTime::from_micros(500);
-        // Two flows, each 60G, from ToR0: if hashed onto the same 100G
-        // uplink they cannot both fit.
-        for f in 0..2 {
-            e.add_cbr_flow(0, 2, f, 0, gbps(60), 1500, SimTime::ZERO, stop);
-        }
-        e.run_until(SimTime::from_millis(1));
-        // Either they split (no drops) or they collide (drops) — both are
-        // legal hash outcomes; what must hold is determinism given the seed
-        // and full delivery under spraying.
-        let collided = e.stats().fabric_drops.get() > 0;
-        let mut cfg2 = fig7_cfg();
-        cfg2.lb = LoadBalance::PacketSpray;
-        let mut e2 = PushEngine::new(fig7_topo(), cfg2);
-        for f in 0..2 {
-            e2.add_cbr_flow(0, 2, f, 0, gbps(60), 1500, SimTime::ZERO, stop);
-        }
-        e2.run_until(SimTime::from_millis(1));
-        assert_eq!(e2.stats().fabric_drops.get(), 0, "spraying never collides");
-        let _ = collided;
     }
 
     #[test]

@@ -7,8 +7,10 @@
 //!
 //! * traffic enters the fabric unconditionally — congestion shows up as
 //!   queue build-up inside the fabric and is resolved by tail drops;
-//! * load balancing is flow-hash ECMP by default (per-packet spraying is
-//!   available as an ablation), so collisions create hot links;
+//! * switches spray each packet onto a random next hop of the
+//!   topology's [`RoutePlan`](stardust_topo::RoutePlan) (ECMP flow-hash
+//!   collisions are modelled by `stardust-transport`, where §6.3
+//!   measures them);
 //! * a congested port damages innocent traffic sharing its queues — the
 //!   paper's Figure 7 scenario, where one of B's thirds is dropped even
 //!   though B's own egress port is idle;
@@ -21,4 +23,4 @@
 
 pub mod engine;
 
-pub use engine::{LoadBalance, PushConfig, PushEngine, PushStats};
+pub use engine::{PushConfig, PushEngine, PushStats};

@@ -13,7 +13,7 @@
 //! (Appendix F): the Ethernet fabric starves B entirely; Stardust still
 //! delivers both.
 
-use stardust_baseline::{LoadBalance, PushConfig, PushEngine};
+use stardust_baseline::{PushConfig, PushEngine};
 use stardust_bench::{header, Args};
 use stardust_fabric::{FabricConfig, FabricEngine};
 use stardust_sim::units::gbps;
@@ -52,7 +52,6 @@ pub fn run(args: &Args) -> ExitCode {
             host_ports: 2,
             switch_buffer_bytes: 256 * 1024,
             tor_buffer_bytes: 1024 * 1024,
-            lb: LoadBalance::PacketSpray,
             ..PushConfig::default()
         },
     );

@@ -955,6 +955,17 @@ mod tests {
     use super::*;
     use crate::graph::NodeKind;
 
+    /// Whether `plan` forwards from `node` toward endpoint `dst` strictly
+    /// downward: some next hop, and every one a level below.
+    fn reaches_down(plan: &RoutePlan, topo: &Topology, node: NodeId, dst: u32) -> bool {
+        let fwd = plan.next_links(topo, node, dst);
+        let level = topo.node(node).level;
+        !fwd.is_empty()
+            && fwd
+                .iter()
+                .all(|&l| topo.node(topo.peer(node, l)).level < level)
+    }
+
     #[test]
     fn paper_two_tier_dimensions() {
         let p = TwoTierParams::paper_6_2();
@@ -990,26 +1001,22 @@ mod tests {
     #[test]
     fn two_tier_any_to_any_reachability() {
         let tt = two_tier(TwoTierParams::paper_scaled(8));
-        let reach = tt.topo.downward_edge_reach();
-        // Every spine FE reaches every FA.
+        let plan = RoutePlan::shortest_path(&tt.topo);
+        let n = tt.fas.len() as u32;
+        // Every spine FE reaches every FA downward.
         for &sp in &tt.t2 {
-            assert_eq!(reach[sp.0 as usize].len(), tt.fas.len());
+            assert!((0..n).all(|d| reaches_down(&plan, &tt.topo, sp, d)));
         }
-        // Every aggregation FE reaches exactly its pod downward...
+        // Every aggregation FE reaches exactly its pod downward, and goes
+        // up on every up link for everything else.
         let pod_fas = tt.params.pod_fa_count() as usize;
         for &agg in &tt.t1 {
-            assert_eq!(reach[agg.0 as usize].len(), pod_fas);
-        }
-        // ...and has up links to fall back on for everything else.
-        for &agg in &tt.t1 {
-            let other_pod_dst = tt
-                .fas
-                .iter()
-                .find(|&&f| reach[agg.0 as usize].binary_search(&f).is_err())
-                .copied()
-                .unwrap();
-            let fwd = tt.topo.forward_links(agg, other_pod_dst, &reach);
-            assert_eq!(fwd.len(), tt.topo.up_links(agg).len());
+            let (below, above): (Vec<u32>, Vec<u32>) =
+                (0..n).partition(|&d| reaches_down(&plan, &tt.topo, agg, d));
+            assert_eq!(below.len(), pod_fas);
+            for d in above {
+                assert_eq!(plan.next_links(&tt.topo, agg, d), tt.topo.up_links(agg));
+            }
         }
     }
 
@@ -1037,15 +1044,14 @@ mod tests {
         // Links: 16×2 + 8×4 + 8×4 = 96.
         assert_eq!(tt.topo.num_links(), 96);
         tt.topo.validate(8);
-        let reach = tt.topo.downward_edge_reach();
-        // The spine reaches every FA.
+        let plan = RoutePlan::shortest_path(&tt.topo);
+        // The spine reaches every FA downward.
         for &sp in &tt.t3 {
-            assert_eq!(reach[sp.0 as usize].len(), 16);
+            assert!((0..16).all(|d| reaches_down(&plan, &tt.topo, sp, d)));
         }
         // Forwarding from a tier-1 FE toward a remote pod uses up links.
-        let remote = tt.fas[15];
-        let fwd = tt.topo.forward_links(tt.t1[0], remote, &reach);
-        assert_eq!(fwd.len(), tt.topo.up_links(tt.t1[0]).len());
+        let fwd = plan.next_links(&tt.topo, tt.t1[0], 15);
+        assert_eq!(fwd, tt.topo.up_links(tt.t1[0]));
     }
 
     #[test]
@@ -1063,9 +1069,14 @@ mod tests {
     #[test]
     fn single_tier_every_fe_reaches_every_fa() {
         let st = single_tier(SingleTierParams::paper_6_1());
-        let reach = st.topo.downward_edge_reach();
+        let plan = RoutePlan::shortest_path(&st.topo);
         for &fe in &st.fes {
-            assert_eq!(reach[fe.0 as usize].len(), 24);
+            for (d, &fa) in st.fas.iter().enumerate() {
+                // The FE's parallel links to that FA, and no others.
+                let fwd = plan.next_links(&st.topo, fe, d as u32);
+                assert_eq!(fwd.len(), 3);
+                assert!(fwd.iter().all(|&l| st.topo.peer(fe, l) == fa));
+            }
         }
     }
 
@@ -1101,13 +1112,15 @@ mod tests {
             k: 4,
             ..KaryParams::paper_6_3()
         });
-        let reach = ft.topo.downward_edge_reach();
+        let plan = RoutePlan::shortest_path(&ft.topo);
+        let n = ft.edges.len() as u32;
         for &c in &ft.cores {
-            assert_eq!(reach[c.0 as usize].len(), ft.edges.len());
+            assert!((0..n).all(|d| reaches_down(&plan, &ft.topo, c, d)));
         }
-        // Aggregation reaches only its pod's edges.
+        // Aggregation reaches only its pod's edges downward.
         for &a in &ft.aggs {
-            assert_eq!(reach[a.0 as usize].len(), 2);
+            let below = (0..n).filter(|&d| reaches_down(&plan, &ft.topo, a, d));
+            assert_eq!(below.count(), 2);
         }
     }
 

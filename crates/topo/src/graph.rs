@@ -193,59 +193,6 @@ impl Topology {
             .collect()
     }
 
-    /// For every node, the set of **edge** nodes reachable by travelling
-    /// strictly downward. Index: `node -> sorted Vec<NodeId>` of edges.
-    ///
-    /// This is the static ground truth the Fabric Element reachability
-    /// protocol converges to (§4.2: each device advertises which Fabric
-    /// Adapters it can reach to its upstream neighbors).
-    pub fn downward_edge_reach(&self) -> Vec<Vec<NodeId>> {
-        let mut reach: Vec<Vec<NodeId>> = vec![Vec::new(); self.nodes.len()];
-        // Process levels bottom-up.
-        let max_level = self.nodes.iter().map(|n| n.level).max().unwrap_or(0);
-        for id in self.node_ids() {
-            if self.node(id).kind == NodeKind::Edge {
-                reach[id.0 as usize] = vec![id];
-            }
-        }
-        for level in 2..=max_level {
-            for id in self.node_ids() {
-                if self.node(id).level != level {
-                    continue;
-                }
-                let mut acc: Vec<NodeId> = Vec::new();
-                for l in self.down_links(id) {
-                    let p = self.peer(id, l);
-                    acc.extend_from_slice(&reach[p.0 as usize]);
-                }
-                acc.sort_unstable();
-                acc.dedup();
-                reach[id.0 as usize] = acc;
-            }
-        }
-        reach
-    }
-
-    /// Links a fabric node should use to forward toward edge `dst`:
-    /// the down links whose subtree contains `dst` if any, else every up
-    /// link (folded-Clos up/down routing, which is what dynamic cell
-    /// forwarding load-balances over).
-    pub fn forward_links(&self, node: NodeId, dst: NodeId, reach: &[Vec<NodeId>]) -> Vec<LinkId> {
-        let down: Vec<LinkId> = self
-            .down_links(node)
-            .into_iter()
-            .filter(|&l| {
-                let p = self.peer(node, l);
-                p == dst || reach[p.0 as usize].binary_search(&dst).is_ok()
-            })
-            .collect();
-        if !down.is_empty() {
-            down
-        } else {
-            self.up_links(node)
-        }
-    }
-
     /// Basic structural validation: port counts per node within `radix`,
     /// links only between adjacent levels — except fabric↔fabric links,
     /// which may sit within one level (flat fabrics: dragonfly groups,
@@ -312,23 +259,22 @@ mod tests {
     }
 
     #[test]
-    fn downward_reach_of_fabric_covers_both_edges() {
+    fn next_links_prefer_down() {
         let (t, e0, e1, f0, f1) = diamond();
-        let r = t.downward_edge_reach();
-        assert_eq!(r[f0.0 as usize], vec![e0, e1]);
-        assert_eq!(r[f1.0 as usize], vec![e0, e1]);
-        assert_eq!(r[e0.0 as usize], vec![e0]);
-    }
-
-    #[test]
-    fn forward_links_prefer_down() {
-        let (t, e0, e1, f0, _) = diamond();
-        let r = t.downward_edge_reach();
-        let fwd = t.forward_links(f0, e1, &r);
-        assert_eq!(fwd.len(), 1);
-        assert_eq!(t.peer(f0, fwd[0]), e1);
-        let fwd0 = t.forward_links(f0, e0, &r);
-        assert_eq!(t.peer(f0, fwd0[0]), e0);
+        let plan = crate::RoutePlan::shortest_path(&t);
+        // Endpoint indices follow node ids: e0 is 0, e1 is 1.
+        let peers = |node, dst| -> Vec<NodeId> {
+            let links = plan.next_links(&t, node, dst);
+            links.into_iter().map(|l| t.peer(node, l)).collect()
+        };
+        assert_eq!(peers(f0, 1), [e1]);
+        assert_eq!(peers(f0, 0), [e0]);
+        assert_eq!(peers(f1, 1), [e1]);
+        // An edge goes up on every link, in port order; it is its own
+        // destination's end of the walk.
+        assert_eq!(peers(e0, 1), [f0, f1]);
+        assert_eq!(peers(e1, 0), [f0, f1]);
+        assert!(peers(e0, 0).is_empty());
     }
 
     #[test]

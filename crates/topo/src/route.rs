@@ -7,7 +7,8 @@
 //! generalises it: for every link *direction* `n → m` it records the set
 //! of destination endpoints for which `m` is a legitimate next hop from
 //! `n`. Engines consume the plan for reachability seeding, advert
-//! filtering, and shard grouping; nothing downstream of the plan knows
+//! filtering, shard grouping and next-hop selection
+//! ([`RoutePlan::next_links`]); nothing downstream of the plan knows
 //! what shape the graph is.
 //!
 //! The default construction ([`RoutePlan::shortest_path`]) derives
@@ -22,7 +23,7 @@
 //! via [`RoutePlan::from_potential`], which evaluates one destination
 //! at a time.
 
-use crate::graph::{NodeId, NodeKind, Topology};
+use crate::graph::{LinkId, NodeId, NodeKind, Topology};
 use std::sync::Arc;
 
 /// A compact sorted set of destination endpoint indices, stored as
@@ -220,6 +221,22 @@ impl RoutePlan {
             groups,
             num_endpoints: endpoints.len(),
         }
+    }
+
+    /// The next hops from `node` toward endpoint `dst`: the out-links of
+    /// `node`, in port order, whose direction carries `dst`. On folded
+    /// Clos these are the down-links toward `dst`'s subtree if any,
+    /// else every up-link.
+    pub fn next_links(&self, topo: &Topology, node: NodeId, dst: u32) -> Vec<LinkId> {
+        topo.node(node)
+            .links
+            .iter()
+            .copied()
+            .filter(|&l| {
+                let dir = l.0 as usize * 2 + topo.link(l).end_of(node) as usize;
+                self.dir_dsts[dir].contains(dst)
+            })
+            .collect()
     }
 }
 
@@ -431,14 +448,69 @@ mod tests {
         assert!(!DstSet::new().contains(0));
     }
 
-    /// On two-tier Clos the shortest-path plan reproduces up/down
-    /// routing: FA uplinks carry everything but the FA itself, tier-1
-    /// down-links carry exactly one pod member each... and at the
-    /// destination pod's tier-1 FE only the down-link toward the
-    /// destination is a candidate (down-preference, structurally).
+    /// Folded-Clos up/down routing from tier levels alone: the down-links
+    /// whose subtree holds `dst`, else every up-link, in port order.
+    fn up_down_links(topo: &Topology, node: NodeId, dst: NodeId) -> Vec<LinkId> {
+        fn holds(topo: &Topology, n: NodeId, dst: NodeId) -> bool {
+            n == dst
+                || topo
+                    .down_links(n)
+                    .into_iter()
+                    .any(|l| holds(topo, topo.peer(n, l), dst))
+        }
+        let down: Vec<LinkId> = topo
+            .down_links(node)
+            .into_iter()
+            .filter(|&l| holds(topo, topo.peer(node, l), dst))
+            .collect();
+        if down.is_empty() {
+            topo.up_links(node)
+        } else {
+            down
+        }
+    }
+
+    /// On folded Clos the shortest-path plan reproduces up/down routing:
+    /// `next_links` equals the level-based rule at every node toward
+    /// every other endpoint, on the two-tier fabric, the Fig 7 graph and
+    /// the k = 4 fat-tree with its hosts. Structurally on two-tier: FA
+    /// uplinks carry everything but the FA itself, tier-1 down-links
+    /// carry exactly one pod member each... and at the destination pod's
+    /// tier-1 FE only the down-link toward the destination is a
+    /// candidate (down-preference).
     #[test]
     fn clos_plan_matches_up_down_routing() {
+        let mut fig7 = Topology::new();
+        let tors: Vec<_> = (0..3).map(|_| fig7.add_node(NodeKind::Edge, 1)).collect();
+        for _ in 0..2 {
+            let sw = fig7.add_node(NodeKind::Fabric, 2);
+            for &tor in &tors {
+                fig7.add_link(tor, sw, 10);
+            }
+        }
+        let fat_tree = kary(KaryParams {
+            k: 4,
+            ..KaryParams::paper_6_3()
+        });
         let tt = two_tier(TwoTierParams::paper_scaled(16));
+        for (name, topo) in [
+            ("two-tier", &tt.topo),
+            ("fig7", &fig7),
+            ("k = 4 fat-tree", &fat_tree.topo),
+        ] {
+            let plan = RoutePlan::shortest_path(topo);
+            let endpoints = topo.nodes_of_kind(NodeKind::Edge);
+            for node in topo.node_ids() {
+                for (d, &dst) in endpoints.iter().enumerate().filter(|&(_, &e)| e != node) {
+                    assert_eq!(
+                        plan.next_links(topo, node, d as u32),
+                        up_down_links(topo, node, dst),
+                        "{name}: {node:?} toward {dst:?}"
+                    );
+                }
+            }
+        }
+
         let plan = RoutePlan::shortest_path(&tt.topo);
         assert_eq!(plan.num_endpoints, 16);
         let pod_fas = tt.params.pod_fa_count() as usize;

@@ -5,7 +5,7 @@ use stardust_sim::link::fiber_delay;
 use stardust_sim::units::serialization_time;
 use stardust_sim::{Counter, EventQueue, FlowStats, SimDuration, SimTime};
 use stardust_topo::builders::Kary;
-use stardust_topo::{NodeId, Topology};
+use stardust_topo::{NodeId, NodeKind, RoutePlan, Topology};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// Index of a flow in the simulation.
@@ -211,7 +211,9 @@ pub struct TransportSim {
     cfg: TransportConfig,
     topo: Topology,
     hosts: Vec<NodeId>,
-    reach: Vec<Vec<NodeId>>,
+    plan: RoutePlan,
+    /// Edge switches, in `plan`'s endpoint order.
+    edges: Vec<NodeId>,
     dirs: Vec<Dir>,
     flows: Vec<Flow>,
     events: EventQueue<Ev>,
@@ -228,22 +230,24 @@ impl TransportSim {
     /// Build over a k-ary fat-tree from `stardust-topo`.
     pub fn new(ft: Kary, cfg: TransportConfig) -> Self {
         cfg.validate();
-        let Kary { topo, hosts, .. } = ft;
+        let Kary {
+            topo, hosts, edges, ..
+        } = ft;
         let mut dirs = Vec::with_capacity(topo.num_links() * 2);
         for l in topo.link_ids() {
-            let link = topo.link(l);
-            for from_end in 0..2u8 {
-                let _ = link.dst_of(from_end); // direction endpoint implied by paths
+            let prop = fiber_delay(topo.link(l).meters as u64);
+            for _ in 0..2 {
                 dirs.push(Dir {
                     rate_bps: cfg.link_bps,
-                    prop: fiber_delay(link.meters as u64),
+                    prop,
                     q: VecDeque::new(),
                     bytes: 0,
                     in_service: None,
                 });
             }
         }
-        let reach = topo.downward_edge_reach();
+        let plan = RoutePlan::shortest_path(&topo);
+        debug_assert_eq!(edges, topo.nodes_of_kind(NodeKind::Edge));
         // One Stardust port scheduler per host: paced at link_bps×(1+s).
         let interval = SimDuration::from_ps(
             (cfg.sd_credit_bytes as f64 * 8.0 * 1e12
@@ -269,7 +273,8 @@ impl TransportSim {
             cfg,
             topo,
             hosts,
-            reach,
+            plan,
+            edges,
             dirs,
             flows: Vec::new(),
             events: EventQueue::new(),
@@ -344,8 +349,9 @@ impl TransportSim {
         let l0 = self.topo.node(src).links[0];
         path.push(l0.0 * 2 + self.topo.link(l0).end_of(src) as u32);
         let mut node = self.topo.peer(src, l0);
+        let dst_ep = self.edges.iter().position(|&e| e == dst_edge).unwrap() as u32;
         while node != dst_edge {
-            let candidates = self.topo.forward_links(node, dst_edge, &self.reach);
+            let candidates = self.plan.next_links(&self.topo, node, dst_ep);
             debug_assert!(!candidates.is_empty());
             let h = Self::ecmp_hash(self.cfg.seed, flow, sub, node);
             let link = candidates[(h % candidates.len() as u64) as usize];

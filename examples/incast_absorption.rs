@@ -12,7 +12,7 @@
 //! cargo run --release --example incast_absorption
 //! ```
 
-use stardust::baseline::{LoadBalance, PushConfig, PushEngine};
+use stardust::baseline::{PushConfig, PushEngine};
 use stardust::fabric::{FabricConfig, FabricEngine};
 use stardust::sim::units::{gbps, mib};
 use stardust::sim::SimTime;
@@ -35,14 +35,13 @@ fn main() {
             host_port_bps: victim_port_bps,
             host_ports: 2,
             tor_buffer_bytes: mib(1),
-            lb: LoadBalance::PacketSpray,
             ..PushConfig::default()
         },
     );
     let pkts_per_src = BURST_BYTES / PKT as u64;
     for src in 1..n {
         for i in 0..pkts_per_src {
-            push.inject(SimTime::from_nanos(i * 160), src, 0, 0, 0, src, PKT);
+            push.inject(SimTime::from_nanos(i * 160), src, 0, 0, 0, PKT);
         }
     }
     push.run_until(SimTime::from_millis(50));

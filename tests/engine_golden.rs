@@ -12,7 +12,7 @@
 //! every literal untouched; a change that is *meant* to move one
 //! re-records it and says why.
 
-use stardust::baseline::{LoadBalance, PushConfig, PushEngine};
+use stardust::baseline::{PushConfig, PushEngine};
 use stardust::fabric::{FabricConfig, FabricEngine};
 use stardust::sim::units::gbps;
 use stardust::sim::{DetRng, SimDuration, SimTime};
@@ -280,7 +280,6 @@ fn push_fig7(b_tc: u8, tor_buffer_bytes: u64) -> PushGolden {
             host_ports: 2,
             switch_buffer_bytes: 256 * 1024,
             tor_buffer_bytes,
-            lb: LoadBalance::PacketSpray,
             ..PushConfig::default()
         },
     );
@@ -328,14 +327,13 @@ fn push_incast_on_two_tier() {
             host_port_bps: gbps(50),
             host_ports: 2,
             tor_buffer_bytes: 256 * 1024,
-            lb: LoadBalance::PacketSpray,
             ..PushConfig::default()
         },
     );
     let n = e.num_tors() as u32;
     for src in 1..n {
         for i in 0..300u64 {
-            e.inject(SimTime::from_nanos(i * 200), src, 0, 0, 0, src, 1000);
+            e.inject(SimTime::from_nanos(i * 200), src, 0, 0, 0, 1000);
         }
     }
     e.run_until(SimTime::from_millis(20));

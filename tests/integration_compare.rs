@@ -2,7 +2,7 @@
 //! head-to-head scenarios (Fig 7, Fig 12, §5.4), plus the
 //! sequential-vs-sharded differential sweep over every `Scenario`.
 
-use stardust::baseline::{LoadBalance, PushConfig, PushEngine};
+use stardust::baseline::{PushConfig, PushEngine};
 use stardust::fabric::shard::ExecMode;
 use stardust::fabric::{FabricConfig, FabricEngine, ShardedFabricEngine};
 use stardust::sim::units::gbps;
@@ -41,7 +41,6 @@ fn fig7_pull_protects_innocent_traffic() {
             host_ports: 2,
             switch_buffer_bytes: 256 * 1024,
             tor_buffer_bytes: 1024 * 1024,
-            lb: LoadBalance::PacketSpray,
             ..PushConfig::default()
         },
     );
@@ -96,7 +95,6 @@ fn fig12_priority_starvation_only_in_push() {
             host_port_bps: gbps(100),
             host_ports: 2,
             switch_buffer_bytes: 256 * 1024,
-            lb: LoadBalance::PacketSpray,
             ..PushConfig::default()
         },
     );
@@ -140,7 +138,6 @@ fn incast_absorbed_by_stardust_dropped_by_push() {
             host_port_bps: gbps(50),
             host_ports: 2,
             tor_buffer_bytes: 256 * 1024,
-            lb: LoadBalance::PacketSpray,
             ..PushConfig::default()
         },
     );
@@ -154,7 +151,7 @@ fn incast_absorbed_by_stardust_dropped_by_push() {
     );
     for src in 1..n {
         for i in 0..300u64 {
-            push.inject(SimTime::from_nanos(i * 200), src, 0, 0, 0, src, 1000);
+            push.inject(SimTime::from_nanos(i * 200), src, 0, 0, 0, 1000);
             sd.inject(SimTime::from_nanos(i * 200), src, 0, 0, 0, 1000);
         }
     }
