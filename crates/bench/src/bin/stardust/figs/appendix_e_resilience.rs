@@ -21,7 +21,10 @@ use std::process::ExitCode;
 pub fn run(args: &Args) -> ExitCode {
     let scale = args.get_u64("scale", 16) as u32;
     let mut churn = presets::by_name("failure_churn").expect("built in");
-    presets::rescale(&mut churn, args.get_u64("churn-ms", 20) * 1_000);
+    presets::rescale(
+        &mut churn,
+        args.get_u64("churn-ms", 20).saturating_mul(1_000),
+    );
     churn.seeds = vec![args.get_u64("seed", 42)];
     churn.topology.two_tier_factor = scale;
     let shards = args.get_u64("shards", 2) as u32;

@@ -73,7 +73,10 @@ pub fn fig10(args: &Args, smoke: &str, default: &str) -> ExperimentSpec {
     let is_smoke = args.has("smoke");
     let name = if is_smoke { smoke } else { default };
     let mut spec = by_name(name).expect("fig10 presets are built in");
-    spec.horizon_us = args.get_u64("ms", spec.horizon_us / 1_000) * 1_000;
+    // Saturating, so an `--ms` past the longest horizon fails `validate`.
+    spec.horizon_us = args
+        .get_u64("ms", spec.horizon_us / 1_000)
+        .saturating_mul(1_000);
     spec.seeds = vec![args.get_u64("seed", spec.seeds[0])];
     if is_smoke {
         return spec;

@@ -55,6 +55,7 @@
 //! ```
 
 use crate::toml::{self, Table, Value};
+use stardust_sim::time::PS_PER_US;
 use stardust_sim::{SimDuration, SimTime};
 use stardust_topo::LinkId;
 use stardust_transport::Protocol;
@@ -668,8 +669,9 @@ impl ExperimentSpec {
     /// Everything a spec must satisfy beyond being well-typed — called
     /// by [`Self::parse`], and again by whoever edits a parsed spec (the
     /// figures laying flags over a preset). Field ranges first: names
-    /// and lists non-empty, durations and thread counts positive, the
-    /// topology parameters inside what the builders accept. Then the
+    /// and lists non-empty, durations and thread counts positive (and
+    /// durations short enough to count in picoseconds), the topology
+    /// parameters inside what the builders accept. Then the
     /// cross-field rules: checks that need per-flow records are
     /// rejected in sketch mode, the failure schedule's per-link state
     /// machine must be coherent (no double-fail / restore-of-up typos),
@@ -684,6 +686,16 @@ impl ExperimentSpec {
         }
         if self.horizon_us == 0 {
             return bad("[experiment] horizon_us must be positive");
+        }
+        let durations = [
+            ("horizon_us", self.horizon_us),
+            ("admit_window_us", self.admit_window_us),
+        ];
+        for (key, us) in durations
+            .into_iter()
+            .chain(self.reach_us.map(|us| ("reach_us", us)))
+        {
+            check_us("experiment", key, us)?;
         }
         if self.seeds.is_empty() {
             return bad("[experiment] seeds must be non-empty");
@@ -861,6 +873,22 @@ fn get_u64(t: &Table, section: &str, key: &str) -> Result<u64, SpecError> {
         .ok_or_else(|| SpecError(format!("[{section}] needs a non-negative integer {key:?}")))
 }
 
+/// A `*_us` value past `u64::MAX / PS_PER_US` would wrap when converted
+/// to picoseconds: an error naming its key, not a silently shorter run.
+fn check_us(section: &str, key: &str, us: u64) -> Result<u64, SpecError> {
+    if us > u64::MAX / PS_PER_US {
+        return bad(format!(
+            "[{section}] {key} = {us} is past {} µs, the longest simulated time",
+            u64::MAX / PS_PER_US
+        ));
+    }
+    Ok(us)
+}
+
+fn get_us(t: &Table, section: &str, key: &str) -> Result<u64, SpecError> {
+    check_us(section, key, get_u64(t, section, key)?)
+}
+
 fn get_u32(t: &Table, section: &str, key: &str) -> Result<u32, SpecError> {
     u32::try_from(get_u64(t, section, key)?)
         .map_err(|_| SpecError(format!("[{section}] {key:?} must fit in 32 bits")))
@@ -909,7 +937,7 @@ fn parse_scenario(t: &Table) -> Result<ScenarioKind, SpecError> {
     };
     known_keys(t, &format!("[scenario] kind = {kind:?} key"), keys)?;
     let int = |key| get_u64(t, "scenario", key);
-    let us = |key| int(key).map(SimDuration::from_micros);
+    let us = |key| get_us(t, "scenario", key).map(SimDuration::from_micros);
     Ok(match kind {
         "permutation" => ScenarioKind::Permutation {
             flow_bytes: int("flow_bytes")?,
@@ -958,7 +986,7 @@ fn parse_failures(doc: &Table) -> Result<FailureSchedule, SpecError> {
                     _ => &["at_us", "link", "action"],
                 };
                 known_keys(t, &format!("[[failure]] action = {action:?} key"), keys)?;
-                let at = SimTime::from_micros(get_u64(t, "failure", "at_us")?);
+                let at = SimTime::from_micros(get_us(t, "failure", "at_us")?);
                 let link = LinkId(get_u32(t, "failure", "link")?);
                 schedule = match action {
                     "fail" => schedule.fail_at(at, link),
@@ -1384,6 +1412,51 @@ ppm = 0
             ),
             ("kary_k = 4", "kary_k = 3", "kary_k must be even"),
             ("link = 5", "link = 4294967296", "32 bits"),
+            // A duration whose picosecond count does not fit a u64.
+            (
+                "horizon_us = 50000",
+                "horizon_us = 20000000000000",
+                "[experiment] horizon_us = 20000000000000 is past 18446744073709 µs",
+            ),
+            (
+                "reach_us = 10",
+                "reach_us = 10\nadmit_window_us = 18446744073710",
+                "[experiment] admit_window_us = 18446744073710 is past",
+            ),
+            (
+                "reach_us = 10",
+                "reach_us = 18446744073710",
+                "[experiment] reach_us = 18446744073710 is past",
+            ),
+            (
+                "node_gap_us = 800",
+                "node_gap_us = 18446744073710",
+                "[scenario] node_gap_us = 18446744073710 is past",
+            ),
+            (
+                MIX,
+                "kind = \"service\"\nflows = 100\nnode_gap_us = 200\nhadoop_share = 0.25\n\
+                 diurnal_period_us = 5000\ndiurnal_min = 0.5\nshuffle_bytes = 0\n\
+                 shuffle_period_us = 300\nincast_backends = 0\nincast_bytes = 0\n\
+                 incast_period_us = 18446744073710",
+                "[scenario] incast_period_us = 18446744073710 is past",
+            ),
+            (
+                "at_us = 2000",
+                "at_us = 18446744073710",
+                "[failure] at_us = 18446744073710 is past",
+            ),
+            // A zero mean gap the Poisson arrivals used to panic on.
+            (
+                "node_gap_us = 800",
+                "node_gap_us = 0",
+                "node_gap_us must be positive",
+            ),
+            (
+                MIX,
+                "kind = \"shuffle\"\nbytes_per_pair = 4096\nnode_gap_us = 0",
+                "node_gap_us must be positive",
+            ),
             // Values the engines used to panic on mid-run.
             (
                 "link = 5",
@@ -1439,6 +1512,12 @@ ppm = 0
             assert!(e.to_string().contains(needle), "{to}: {e}");
         }
         assert!(ExperimentSpec::parse("[experiment]\nname = \"x\"\n").is_err());
+        // The longest horizon that still counts in picoseconds is fine.
+        let longest = FULL.replace("horizon_us = 50000", "horizon_us = 18446744073709");
+        assert_eq!(
+            ExperimentSpec::parse(&longest).map(|s| s.horizon().as_ps() / PS_PER_US),
+            Ok(18_446_744_073_709)
+        );
     }
 
     #[test]

@@ -225,3 +225,68 @@ fn hostile_failure_values_are_spec_errors_not_panics() {
         assert!(!err.contains("panicked"), "{to}: {err}");
     }
 }
+
+#[test]
+fn hostile_durations_are_spec_errors_not_panics() {
+    // A horizon past u64::MAX picoseconds used to wrap silently and run
+    // (exit 0); a zero node gap panicked the Poisson arrivals (exit 101).
+    let mix = stdout(&stardust(&["preset", "fig10b"]));
+    let service = stdout(&stardust(&["preset", "service"]));
+    for (name, text, from, to, names) in [
+        (
+            "horizon.toml",
+            &mix,
+            "horizon_us = 100000",
+            "horizon_us = 20000000000000",
+            "[experiment] horizon_us = 20000000000000 is past 18446744073709 µs",
+        ),
+        (
+            "mix_gap.toml",
+            &mix,
+            "node_gap_us = 800",
+            "node_gap_us = 0",
+            "node_gap_us must be positive",
+        ),
+        (
+            "shuffle_gap.toml",
+            &mix,
+            "dist = \"web\"\nflows = 50\nkind = \"mix\"\nnode_gap_us = 800",
+            "bytes_per_pair = 4096\nkind = \"shuffle\"\nnode_gap_us = 0",
+            "node_gap_us must be positive",
+        ),
+        (
+            "service_gap.toml",
+            &service,
+            "node_gap_us = 300",
+            "node_gap_us = 0",
+            "node_gap_us must be positive",
+        ),
+    ] {
+        assert!(text.contains(from), "stale mutation target {from:?}");
+        let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+        std::fs::write(&path, text.replace(from, to)).unwrap();
+        let out = stardust(&["run", path.to_str().unwrap()]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{to}: {err}");
+        assert!(
+            err.contains("spec error: ") && err.contains(names),
+            "{to}: {err}"
+        );
+        assert!(!err.contains("panicked"), "{to}: {err}");
+    }
+    // The same horizon from a figure's flag is a usage error, also where
+    // the flag's conversion to µs saturates.
+    for (ms, horizon_us) in [
+        ("20000000000", "20000000000000"),
+        ("20000000000000000", "18446744073709551615"),
+    ] {
+        let out = fig(&["fig10b_fct", "--smoke", "--ms", ms]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{err}");
+        assert!(
+            err.contains(&format!("horizon_us = {horizon_us} is past")),
+            "{err}"
+        );
+        assert!(!err.contains("panicked"), "{err}");
+    }
+}

@@ -297,9 +297,10 @@ impl Scenario {
     /// Check the scenario against an engine population. Unlike the
     /// silent clamp [`Scenario::flows`] historically applied (and keeps,
     /// for direct API use), this surfaces an impossible spec — e.g. an
-    /// incast asking for more backends than the network has nodes, or a
-    /// flow size of zero bytes (engines reject empty flows) — as an error
-    /// the experiment pipeline can report.
+    /// incast asking for more backends than the network has nodes, a
+    /// flow size of zero bytes (engines reject empty flows) or a zero
+    /// per-node gap (the Poisson arrivals' mean) — as an error the
+    /// experiment pipeline can report.
     pub fn validate_for(&self, n_nodes: usize) -> Result<(), String> {
         let check_incast = |what: &str, backends: usize| {
             if backends > n_nodes.saturating_sub(1) {
@@ -324,6 +325,16 @@ impl Scenario {
                 "scenario '{}': response_bytes must be positive",
                 self.name
             )),
+            ScenarioKind::Mix { node_gap, .. }
+            | ScenarioKind::Shuffle { node_gap, .. }
+            | ScenarioKind::Service { node_gap, .. }
+                if *node_gap == SimDuration::ZERO =>
+            {
+                Err(format!(
+                    "scenario '{}': node_gap_us must be positive",
+                    self.name
+                ))
+            }
             ScenarioKind::Incast { backends, .. } => check_incast("incast", *backends),
             ScenarioKind::Service {
                 incast_backends, ..
@@ -980,6 +991,35 @@ mod tests {
         assert!(svc.validate_for(17).is_ok());
         // Within-population incasts pass.
         assert!(service().validate_for(16).is_ok());
+    }
+
+    #[test]
+    fn validate_for_rejects_a_zero_node_gap() {
+        let zero = SimDuration::ZERO;
+        let mut svc = service();
+        if let ScenarioKind::Service { node_gap, .. } = &mut svc.kind {
+            *node_gap = zero;
+        }
+        for kind in [
+            ScenarioKind::Mix {
+                dist: FlowSizeDist::fb_web(),
+                n_flows: 10,
+                node_gap: zero,
+            },
+            ScenarioKind::Shuffle {
+                bytes_per_pair: 1_000,
+                node_gap: zero,
+            },
+            svc.kind,
+        ] {
+            let scn = Scenario {
+                name: "no-gap".into(),
+                seed: 1,
+                kind,
+            };
+            let err = scn.validate_for(16).unwrap_err();
+            assert!(err.contains("node_gap_us must be positive"), "got: {err}");
+        }
     }
 
     #[test]
