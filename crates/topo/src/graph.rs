@@ -270,8 +270,8 @@ mod tests {
         assert_eq!(peers(f0, 1), [e1]);
         assert_eq!(peers(f0, 0), [e0]);
         assert_eq!(peers(f1, 1), [e1]);
-        // An edge goes up on every link, in port order; it is its own
-        // destination's end of the walk.
+        // An edge goes up on every link, in port order, and has no next
+        // hop toward itself.
         assert_eq!(peers(e0, 1), [f0, f1]);
         assert_eq!(peers(e1, 0), [f0, f1]);
         assert!(peers(e0, 0).is_empty());

@@ -349,7 +349,8 @@ impl TransportSim {
         let l0 = self.topo.node(src).links[0];
         path.push(l0.0 * 2 + self.topo.link(l0).end_of(src) as u32);
         let mut node = self.topo.peer(src, l0);
-        let dst_ep = self.edges.iter().position(|&e| e == dst_edge).unwrap() as u32;
+        let dst_ep = self.edges.iter().position(|&e| e == dst_edge);
+        let dst_ep = dst_ep.expect("every host hangs off an edge switch") as u32;
         while node != dst_edge {
             let candidates = self.plan.next_links(&self.topo, node, dst_ep);
             debug_assert!(!candidates.is_empty());
