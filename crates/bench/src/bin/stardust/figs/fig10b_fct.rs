@@ -40,7 +40,11 @@ pub fn run(args: &Args) -> ExitCode {
     // Per-node mean inter-arrival gap; at the Web mix's ~97 KB mean flow,
     // 800 µs offers ~1 Gbps per 10G NIC (≈10% load) on either engine.
     let gap_us = args.get_u64("gap-us", node_gap.as_ps() / PS_PER_US);
-    *node_gap = SimDuration::from_micros(gap_us);
+    let Some(gap_ps) = gap_us.checked_mul(PS_PER_US) else {
+        let max = u64::MAX / PS_PER_US;
+        return super::bad_flag("fig10b_fct", &format!("--gap-us {gap_us} is past {max} µs"));
+    };
+    *node_gap = SimDuration::from_ps(gap_ps);
     if hadoop {
         // The scenario name salts the flow RNG, and the FCT caps follow
         // the mix's serialization floor (see specs/ci_smoke/fig10b.toml).

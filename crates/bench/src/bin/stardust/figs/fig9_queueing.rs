@@ -20,10 +20,9 @@ fn run_point(util: f64, scale: u32, ms: u64) -> FabricEngine {
     let tt = two_tier(params);
     let mut cfg = FabricConfig::default();
     // Aggregate host-side rate = util × fabric payload capacity.
-    let capacity_bps = params.fa_uplinks as f64
-        * cfg.fabric_link_bps as f64
-        * (cfg.cell_bytes - cfg.cell_header_bytes) as f64
-        / cfg.cell_bytes as f64;
+    let capacity_bps =
+        params.fa_uplinks as f64 * cfg.fabric_link_bps as f64 * cfg.cell_payload() as f64
+            / cfg.cell_bytes as f64;
     cfg.host_ports = 2;
     cfg.host_port_bps = (util * capacity_bps / cfg.host_ports as f64) as u64;
     // Let the sub-unity runs develop their full M/D/1 tails (the paper's

@@ -224,10 +224,15 @@ fn bad_args(fig: &Figure, what: &str) -> ExitCode {
     ExitCode::from(2)
 }
 
+/// [`bad_args`] for the figure called `name`.
+fn bad_flag(name: &str, what: &str) -> ExitCode {
+    let fig = FIGURES.iter().find(|f| f.name == name).expect("a figure");
+    bad_args(fig, what)
+}
+
 /// A `--scale` the two-tier builder would reject is a usage error of the
 /// figure `name`, by the rule the spec layer applies to `two_tier_factor`.
 fn bad_scale(name: &str, scale: u32) -> Option<ExitCode> {
     let e = stardust_topo::TwoTierParams::check_paper_scale(scale).err()?;
-    let fig = FIGURES.iter().find(|f| f.name == name).expect("a figure");
-    Some(bad_args(fig, &format!("--scale {e}")))
+    Some(bad_flag(name, &format!("--scale {e}")))
 }

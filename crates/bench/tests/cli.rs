@@ -289,4 +289,15 @@ fn hostile_durations_are_spec_errors_not_panics() {
         );
         assert!(!err.contains("panicked"), "{err}");
     }
+    // A node gap past u64::MAX picoseconds used to wrap below 1 µs and
+    // run (exit 0).
+    let out = fig(&["fig10b_fct", "--smoke", "--gap-us", "18446744073710"]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(
+        err.contains("--gap-us 18446744073710 is past 18446744073709 µs"),
+        "{err}"
+    );
+    assert!(err.contains("usage: stardust fig fig10b_fct"), "{err}");
+    assert!(out.stdout.is_empty(), "nothing may run");
 }

@@ -2,6 +2,25 @@
 
 use stardust_sim::{units, SimDuration};
 
+/// Cell header bytes (destination FA + sequence + CRC; small, §3.2).
+pub const CELL_HEADER_BYTES: u16 = 8;
+
+/// Egress (reassembled, waiting-to-transmit) bytes per host port above
+/// which the port's scheduler stops sending credits (§4.1).
+pub const EGRESS_HIWAT_BYTES: u64 = 256 * 1024;
+/// Egress bytes per host port at or below which a paused scheduler resumes.
+pub const EGRESS_LOWAT_BYTES: u64 = 128 * 1024;
+const _: () = assert!(EGRESS_LOWAT_BYTES <= EGRESS_HIWAT_BYTES);
+
+/// Reassembly timeout: a burst not completed this long after it was
+/// packed is discarded (§4.1, link-error handling).
+pub const REASSEMBLY_TIMEOUT: SimDuration = SimDuration::from_millis(1);
+
+/// MTU a finite message ([`crate::FabricEngine::add_message`]) is cut into
+/// at its source Fabric Adapter. Stardust itself is packet-agnostic — this
+/// only shapes the synthetic host traffic the Fig 10 FCT scenarios offer.
+pub const MSG_MTU_BYTES: u32 = 1_500;
+
 /// All tunables of a Stardust fabric instance.
 #[derive(Debug, Clone)]
 pub struct FabricConfig {
@@ -9,8 +28,6 @@ pub struct FabricConfig {
     pub fabric_link_bps: u64,
     /// Maximum cell size on the wire, header included (paper: 256 B).
     pub cell_bytes: u16,
-    /// Cell header bytes (destination FA + sequence + CRC; small, §3.2).
-    pub cell_header_bytes: u16,
     /// Credit size in bytes (paper: 4 KB; §4.1 derives a 2 KB minimum for
     /// a 10 Tb/s adapter).
     pub credit_bytes: u32,
@@ -36,14 +53,6 @@ pub struct FabricConfig {
     pub fci_min: f64,
     /// Minimum gap between two FCI-triggered decreases on one port.
     pub fci_hold: SimDuration,
-    /// Egress (reassembled, waiting-to-transmit) bytes per port above
-    /// which the scheduler stops sending credits (§4.1).
-    pub egress_hiwat_bytes: u64,
-    /// ...and resumes below this.
-    pub egress_lowat_bytes: u64,
-    /// Reassembly timeout: a burst not completed within this window is
-    /// discarded (§4.1, link-error handling).
-    pub reassembly_timeout: SimDuration,
     /// One-way latency of the control plane (credit/request messages).
     /// Control cells traverse a dedicated crossbar with no data queueing
     /// (§4.2 "two k×k crossbars, one for data cells and one for control"),
@@ -61,9 +70,10 @@ pub struct FabricConfig {
     pub reach_miss_threshold: u32,
     /// Host flow control (§5.4: "the source Fabric Adapter can avoid
     /// packet loss by sending flow control messages back to the host, as
-    /// in a standard ToR"): pause a CBR source when its VOQ exceeds the
-    /// high watermark, resume below the low one. `None` disables.
-    pub host_fc: Option<(u64, u64)>,
+    /// in a standard ToR"): a CBR tick that would push its VOQ past this
+    /// many bytes pauses instead of injecting, and the flow ticks on.
+    /// `None` disables.
+    pub host_fc: Option<u64>,
     /// Ingress VOQ capacity in bytes (`None` = unbounded). §3.1: "Long-term
     /// over-subscription from the hosts to the Fabric Adapter is handled as
     /// in any ToR, i.e., packets will be dropped in the Fabric Adapter."
@@ -76,18 +86,11 @@ pub struct FabricConfig {
     /// Scheduling across traffic classes (§4.1: "typically a combination
     /// of round-robin, strict priority and weighted").
     pub sched_policy: SchedPolicy,
-    /// MTU used when a finite message flow
-    /// ([`crate::FabricEngine::add_message`]) is segmented into packets at
-    /// the source Fabric Adapter ingress. Stardust itself is
-    /// packet-agnostic — this only shapes the synthetic host traffic the
-    /// Fig 10 FCT scenarios offer.
-    pub msg_mtu_bytes: u32,
-    /// Bounded-memory flow accounting: per-message state lives only while
-    /// a message is in flight (hash maps keyed by flow id instead of
-    /// O(offered-flows) tables), and [`stardust_sim::FlowStats`] runs in
-    /// its sketch mode — counts + a mergeable quantile sketch, no
-    /// per-flow records. Required for streaming million-flow scenarios;
-    /// the default keeps the exact per-flow table.
+    /// Bounded-memory flow accounting: [`crate::FabricStats::flows`] runs
+    /// in its sketch mode — counts + a mergeable quantile sketch, no
+    /// per-flow records — which streaming million-flow scenarios need;
+    /// the default keeps the exact per-flow table. This picks only the
+    /// `FlowStats` kind: the engine's message book is bounded in both.
     pub bounded_flows: bool,
     /// Master RNG seed.
     pub seed: u64,
@@ -107,7 +110,6 @@ impl Default for FabricConfig {
         FabricConfig {
             fabric_link_bps: units::gbps(50),
             cell_bytes: 256,
-            cell_header_bytes: 8,
             credit_bytes: units::kib(4) as u32,
             packet_packing: true,
             credit_speedup: 0.03,
@@ -122,9 +124,6 @@ impl Default for FabricConfig {
             fci_recover: 0.002,
             fci_min: 0.55,
             fci_hold: SimDuration::from_micros(2),
-            egress_hiwat_bytes: 256 * 1024,
-            egress_lowat_bytes: 128 * 1024,
-            reassembly_timeout: SimDuration::from_millis(1),
             ctrl_latency: SimDuration::from_micros(2),
             spray_rounds_per_shuffle: 4,
             reach_interval: None,
@@ -133,7 +132,6 @@ impl Default for FabricConfig {
             voq_max_bytes: None,
             low_latency_tc: None,
             sched_policy: SchedPolicy::Strict,
-            msg_mtu_bytes: 1_500,
             bounded_flows: false,
             seed: 0xDC_FA_B0_05,
         }
@@ -143,7 +141,7 @@ impl Default for FabricConfig {
 impl FabricConfig {
     /// Payload bytes carried per full cell.
     pub fn cell_payload(&self) -> u32 {
-        (self.cell_bytes - self.cell_header_bytes) as u32
+        (self.cell_bytes - CELL_HEADER_BYTES) as u32
     }
 
     /// Fraction of fabric-link bandwidth available to payload after cell
@@ -154,21 +152,16 @@ impl FabricConfig {
 
     /// Sanity checks; call after hand-editing a config.
     pub fn validate(&self) {
-        assert!(self.cell_header_bytes < self.cell_bytes);
+        assert!(CELL_HEADER_BYTES < self.cell_bytes);
         assert!(self.credit_bytes >= self.cell_payload());
         assert!(self.credit_speedup >= 0.0 && self.credit_speedup < 0.5);
         assert!(self.fci_min > 0.0 && self.fci_min <= 1.0);
         assert!((0.0..=1.0).contains(&self.fci_decrease));
-        assert!(self.egress_lowat_bytes <= self.egress_hiwat_bytes);
         assert!(self.num_tcs >= 1);
         assert!(self.host_ports >= 1);
-        if let Some((hi, lo)) = self.host_fc {
-            assert!(lo <= hi, "host FC watermarks inverted");
-        }
         if let Some(tc) = self.low_latency_tc {
             assert!(tc < self.num_tcs, "low-latency TC out of range");
         }
-        assert!(self.msg_mtu_bytes > 0, "zero message MTU");
         if let SchedPolicy::Wrr(w) = &self.sched_policy {
             assert_eq!(w.len(), self.num_tcs as usize, "one WRR weight per TC");
             assert!(w.iter().all(|&x| x > 0), "WRR weights must be positive");
@@ -212,13 +205,5 @@ mod tests {
             FabricConfig::min_credit_bytes(10_000_000_000_000, 1_000_000_000, 2),
             2_500
         );
-    }
-
-    #[test]
-    #[should_panic]
-    fn bad_watermarks_rejected() {
-        let mut c = FabricConfig::default();
-        c.egress_lowat_bytes = c.egress_hiwat_bytes + 1;
-        c.validate();
     }
 }

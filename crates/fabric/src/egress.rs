@@ -9,7 +9,7 @@
 //! as an event.
 
 use crate::cell::{Burst, BurstId, Cell, Packet, NO_FLOW};
-use crate::config::FabricConfig;
+use crate::config::{FabricConfig, EGRESS_HIWAT_BYTES, EGRESS_LOWAT_BYTES, REASSEMBLY_TIMEOUT};
 use crate::engine::Ctx;
 use crate::ev::Ev;
 use crate::sched::{PortScheduler, SchedVoq};
@@ -27,29 +27,11 @@ struct PortState {
     tx_busy: bool,
 }
 
-/// Destination-side countdown of one in-flight streamed message.
+/// Destination-side countdown of one in-flight message.
 #[derive(Debug)]
-struct StreamMsg {
+struct InFlightMsg {
     remaining: u64,
     start: SimTime,
-}
-
-/// The destination half of the message book behind
-/// [`crate::FabricEngine::add_message`]: undelivered payload bytes per
-/// flow. Packets carry their flow id, so completion is detected here
-/// without any source↔destination side table.
-#[derive(Debug)]
-enum Awaited {
-    /// Default: one slot per offered flow, pairing with
-    /// [`stardust_sim::FlowStats`]'s exact per-flow table.
-    Table(Vec<u64>),
-    /// `cfg.bounded_flows`: an entry lives from offer until the last
-    /// byte leaves the egress wire. Keyed by flow id and **never
-    /// iterated**, so hash order cannot leak into event order. (A message
-    /// clipped by a VOQ-cap drop never completes and its entry persists,
-    /// matching the table mode's forever-unfinished record.)
-    // det-lint: allow(unordered-iter, keyed by flow id via get/entry/remove only; never iterated)
-    Stream(HashMap<u32, StreamMsg, IdHash>),
 }
 
 /// The egress layer's state.
@@ -58,7 +40,15 @@ pub(crate) struct Egress {
     ports: Vec<Vec<PortState>>,
     // det-lint: allow(unordered-iter, reassembly book keyed by burst id via entry/remove only; never iterated)
     bursts: HashMap<u64, Burst, IdHash>,
-    awaited: Awaited,
+    /// The destination half of the message book behind
+    /// [`crate::FabricEngine::add_message`]: undelivered payload bytes per
+    /// flow, from offer until the last byte leaves the egress wire.
+    /// Packets carry their flow id, so completion is detected here without
+    /// any source↔destination side table. Keyed by flow id and **never
+    /// iterated**, so hash order cannot leak into event order. A message
+    /// clipped by a VOQ-cap drop never completes and its entry persists.
+    // det-lint: allow(unordered-iter, keyed by flow id via get/entry/remove only; never iterated)
+    awaited: HashMap<u32, InFlightMsg, IdHash>,
 }
 
 impl Egress {
@@ -84,18 +74,14 @@ impl Egress {
                 .map(|_| (0..cfg.host_ports).map(|_| port()).collect())
                 .collect(),
             bursts: HashMap::default(),
-            awaited: if cfg.bounded_flows {
-                Awaited::Stream(HashMap::default())
-            } else {
-                Awaited::Table(Vec::new())
-            },
+            awaited: HashMap::default(),
         }
     }
 
-    /// Register message `flow` at its destination. In table mode every
-    /// shard registers every flow (so the stats tables merge index-wise);
-    /// sketch books hold partial, summable counts, so exactly one shard
-    /// (the destination's) counts each offer and keeps its countdown.
+    /// Register message `flow` at its destination, whose shard keeps the
+    /// countdown. Every shard registers the flow in a table (so the stats
+    /// tables merge index-wise); sketch books hold partial, summable
+    /// counts, so only the destination's shard counts the offer.
     pub(crate) fn expect_message(
         &mut self,
         ctx: &mut Ctx,
@@ -105,28 +91,28 @@ impl Egress {
         bytes: u64,
         start: SimTime,
     ) {
-        match &mut self.awaited {
-            Awaited::Table(remaining) => {
-                remaining.push(bytes);
-                let idx = ctx.stats.flows.add(src_fa, dst_fa, bytes, start);
-                debug_assert_eq!(idx, flow, "flow table out of sync");
-            }
-            Awaited::Stream(active) => {
-                if ctx.owns_fa(dst_fa) {
-                    let remaining = bytes;
-                    active.insert(flow, StreamMsg { remaining, start });
-                    ctx.stats.flows.add(src_fa, dst_fa, bytes, start);
-                }
-            }
+        let owns_dst = ctx.owns_fa(dst_fa);
+        if owns_dst {
+            self.awaited.insert(
+                flow,
+                InFlightMsg {
+                    remaining: bytes,
+                    start,
+                },
+            );
+        }
+        let flows = &mut ctx.stats.flows;
+        if !flows.is_sketched() {
+            let idx = flows.add(src_fa, dst_fa, bytes, start);
+            debug_assert_eq!(idx, flow, "flow table out of sync");
+        } else if owns_dst {
+            flows.add(src_fa, dst_fa, bytes, start);
         }
     }
 
     /// See [`crate::FabricEngine::msg_remaining_of`].
     pub(crate) fn msg_remaining_of(&self, flow: u32) -> u64 {
-        match &self.awaited {
-            Awaited::Table(remaining) => remaining[flow as usize],
-            Awaited::Stream(active) => active.get(&flow).map_or(0, |m| m.remaining),
-        }
+        self.awaited.get(&flow).map_or(0, |m| m.remaining)
     }
 
     // --- the credit loop ---
@@ -189,7 +175,7 @@ impl Egress {
     /// Install a burst's reassembly record and arm its timeout (runs on
     /// the shard owning the destination FA).
     pub(crate) fn open_burst(&mut self, ctx: &mut Ctx, burst: Burst) {
-        let at = burst.packed_at + ctx.cfg.reassembly_timeout;
+        let at = burst.packed_at + REASSEMBLY_TIMEOUT;
         ctx.sched(at, Ev::BurstTimeout { burst: burst.id });
         self.bursts.insert(burst.id.0, burst);
     }
@@ -244,7 +230,7 @@ impl Egress {
         ps.tx_queue.push_back(pkt);
         let start_tx = !ps.tx_busy;
         ps.tx_busy = true;
-        if ps.egress_bytes >= ctx.cfg.egress_hiwat_bytes && !ps.sched.is_paused() {
+        if ps.egress_bytes >= EGRESS_HIWAT_BYTES && !ps.sched.is_paused() {
             ps.sched.pause();
         }
         if start_tx {
@@ -265,7 +251,7 @@ impl Egress {
             }
             None => ps.tx_busy = false,
         }
-        let resume = ps.egress_bytes <= ctx.cfg.egress_lowat_bytes && ps.sched.is_paused();
+        let resume = ps.egress_bytes <= EGRESS_LOWAT_BYTES && ps.sched.is_paused();
         if resume && ps.sched.resume() {
             self.arm_credit_timer(ctx, fa, port);
         }
@@ -280,37 +266,23 @@ impl Egress {
         // Finite-flow completion: the last byte of a message leaving the
         // egress wire ends its FCT.
         if pkt.flow != NO_FLOW {
-            match &mut self.awaited {
-                Awaited::Table(remaining) => {
-                    let rem = &mut remaining[pkt.flow as usize];
-                    *rem -= pkt.bytes as u64;
-                    if *rem == 0 {
-                        ctx.stats.flows.finish(pkt.flow, now);
-                    }
-                }
-                Awaited::Stream(active) => {
-                    let sm = active
-                        .get_mut(&pkt.flow)
-                        .expect("delivery for an unknown streamed flow");
-                    sm.remaining -= pkt.bytes as u64;
-                    if sm.remaining == 0 {
-                        let start = active.remove(&pkt.flow).expect("just seen").start;
-                        ctx.stats.flows.record_fct(now.since(start));
-                    }
-                }
+            let m = self
+                .awaited
+                .get_mut(&pkt.flow)
+                .expect("delivery for an unknown message flow");
+            m.remaining -= pkt.bytes as u64;
+            if m.remaining == 0 {
+                let start = self.awaited.remove(&pkt.flow).expect("just seen").start;
+                ctx.stats.flows.finish(pkt.flow, start, now);
             }
         }
     }
 }
 
-/// Test-only window: streamed messages still counting down (`None` in
-/// table mode).
+/// Test-only window: messages still counting down.
 #[cfg(test)]
 impl Egress {
-    pub(crate) fn active_messages(&self) -> Option<usize> {
-        match &self.awaited {
-            Awaited::Table(_) => None,
-            Awaited::Stream(active) => Some(active.len()),
-        }
+    pub(crate) fn active_messages(&self) -> usize {
+        self.awaited.len()
     }
 }

@@ -214,7 +214,7 @@ impl FabricEngine {
         let egress = Egress::new(num_fas, &ctx.cfg);
         FabricEngine {
             topo,
-            ingress: Ingress::new(num_fas, ctx.cfg.bounded_flows),
+            ingress: Ingress::new(num_fas),
             tx: TxPath {
                 devices,
                 wire,
@@ -420,14 +420,14 @@ impl FabricEngine {
 
     /// Add a finite message flow: `bytes` of payload offered to
     /// `src_fa`'s ingress at `start`, destined to `(dst_fa, dst_port,
-    /// tc)`. The message is segmented into `cfg.msg_mtu_bytes`-sized
+    /// tc)`. The message is segmented into [`crate::config::MSG_MTU_BYTES`]
     /// packets that take the ordinary VOQ → credit → packing → spray
     /// path (or the §5.6 low-latency bypass if `tc` is configured for
     /// it); its flow-completion time — recorded in
     /// [`FabricStats::flows`] — ends when the last byte leaves the
     /// destination egress wire. Returns the flow's id (its index into
     /// [`stardust_sim::FlowStats::records`] in the default table mode;
-    /// under `cfg.bounded_flows` there is no record table, only the id).
+    /// under `cfg.bounded_flows` the stats keep no records, only the id).
     ///
     /// This is the fabric-side workload of the paper's Fig 10 a–c
     /// experiments: finite flows with no per-flow transport machinery,
@@ -452,8 +452,7 @@ impl FabricEngine {
     }
 
     /// Undelivered payload bytes of message `flow` (diagnostic/test
-    /// surface). Under `cfg.bounded_flows` a completed flow has no entry
-    /// left, which reads as 0.
+    /// surface). A completed flow has no entry left, which reads as 0.
     pub fn msg_remaining_of(&self, flow: u32) -> u64 {
         self.tx.egress.msg_remaining_of(flow)
     }
@@ -617,6 +616,17 @@ fn payload_utilization(
         return 0.0;
     }
     delivered_bytes as f64 * 8.0 / (capacity_bps * window.as_secs_f64())
+}
+
+/// Test-only window: `(pending, active)` message counts, as in the layers.
+#[cfg(test)]
+impl FabricEngine {
+    pub(crate) fn messages_held(&self) -> (usize, usize) {
+        (
+            self.ingress.pending_messages(),
+            self.tx.egress.active_messages(),
+        )
+    }
 }
 
 #[cfg(test)]

@@ -9,6 +9,7 @@
 //! bursts to the layers in [`TxPath`].
 
 use crate::cell::{BurstId, Packet, PacketId, NO_FLOW};
+use crate::config::{CELL_HEADER_BYTES, MSG_MTU_BYTES};
 use crate::device::Devices;
 use crate::egress::Egress;
 use crate::engine::Ctx;
@@ -51,24 +52,6 @@ pub(crate) struct MsgFlow {
     pub(crate) bytes: u64,
 }
 
-/// The source half of the message book behind
-/// [`crate::FabricEngine::add_message`], keyed by the id it returned.
-#[derive(Debug)]
-enum Offered {
-    /// Default: one descriptor per offered flow.
-    Table(Vec<MsgFlow>),
-    /// `cfg.bounded_flows`: a descriptor lives from offer until
-    /// `MsgStart`'s one-shot segmentation frees it. Keyed by flow id and
-    /// **never iterated**, so hash order cannot leak into event order.
-    Stream {
-        /// Next flow id. Every shard counts every offer, so ids agree
-        /// across shards without any shared table.
-        next_id: u32,
-        // det-lint: allow(unordered-iter, keyed by flow id via get/entry/remove only; never iterated)
-        pending: HashMap<u32, MsgFlow, IdHash>,
-    },
-}
-
 /// Saturation-mode configuration (Fig 9 style open-loop backlog): the FA
 /// keeps `backlog_bytes` of `packet_bytes`-sized packets queued in every
 /// VOQ it was given at set-up.
@@ -98,7 +81,15 @@ struct SrcFa {
 pub(crate) struct Ingress {
     fas: Vec<SrcFa>,
     flows: Vec<CbrFlow>,
-    offered: Offered,
+    /// Next message flow id. Every shard counts every offer, so ids
+    /// agree across shards without any shared table.
+    next_msg: u32,
+    /// The source half of the message book behind
+    /// [`crate::FabricEngine::add_message`]: a descriptor lives from offer
+    /// until `MsgStart`'s one-shot segmentation frees it. Keyed by flow id
+    /// and **never iterated**, so hash order cannot leak into event order.
+    // det-lint: allow(unordered-iter, keyed by flow id via get/entry/remove only; never iterated)
+    pending: HashMap<u32, MsgFlow, IdHash>,
     /// Counter behind API-minted [`PacketId`]s
     /// ([`crate::FabricEngine::inject`]); they stay below the per-FA
     /// namespace floor of the runtime ids.
@@ -134,18 +125,12 @@ fn announce(ctx: &mut Ctx, src_fa: u32, key: VoqKey, bytes: u64) {
 }
 
 impl Ingress {
-    pub(crate) fn new(num_fas: usize, bounded_flows: bool) -> Self {
+    pub(crate) fn new(num_fas: usize) -> Self {
         Ingress {
             fas: (0..num_fas).map(|_| SrcFa::default()).collect(),
             flows: Vec::new(),
-            offered: if bounded_flows {
-                Offered::Stream {
-                    next_id: 0,
-                    pending: HashMap::default(),
-                }
-            } else {
-                Offered::Table(Vec::new())
-            },
+            next_msg: 0,
+            pending: HashMap::default(),
             next_api_packet: 0,
         }
     }
@@ -193,25 +178,13 @@ impl Ingress {
 
     /// Register a message at its source and return its flow id. In a
     /// sharded run every shard counts every offer (ids agree without a
-    /// shared table); only the source's shard starts the flow and, in
-    /// stream mode, keeps the descriptor.
+    /// shared table); only the source's shard keeps the descriptor and
+    /// starts the flow.
     pub(crate) fn offer_message(&mut self, ctx: &mut Ctx, m: MsgFlow, start: SimTime) -> u32 {
-        let owns_src = ctx.owns_fa(m.src_fa);
-        let flow = match &mut self.offered {
-            Offered::Table(msgs) => {
-                msgs.push(m);
-                (msgs.len() - 1) as u32
-            }
-            Offered::Stream { next_id, pending } => {
-                let flow = *next_id;
-                *next_id += 1;
-                if owns_src {
-                    pending.insert(flow, m);
-                }
-                flow
-            }
-        };
-        if owns_src {
+        let flow = self.next_msg;
+        self.next_msg += 1;
+        if ctx.owns_fa(m.src_fa) {
+            self.pending.insert(flow, m);
             ctx.sched(start, Ev::MsgStart { flow });
         }
         flow
@@ -254,18 +227,15 @@ impl Ingress {
     /// event-count overhead — the scheduler only tracks byte totals).
     /// §3.1 VOQ-cap drops clip the message; a clipped message never
     /// completes (there is no transport to retransmit — that is the
-    /// experiment's point).
+    /// experiment's point). Segmentation is one-shot, so the descriptor
+    /// is freed here.
     pub(crate) fn on_msg_start(&mut self, ctx: &mut Ctx, tx: &mut TxPath, flow: u32) {
         let now = ctx.now();
-        let m = match &mut self.offered {
-            Offered::Table(msgs) => msgs[flow as usize],
-            // One-shot segmentation: the descriptor is done after this
-            // handler, so bounded mode reclaims it here.
-            Offered::Stream { pending, .. } => pending
-                .remove(&flow)
-                .expect("MsgStart without a pending message"),
-        };
-        let mtu = ctx.cfg.msg_mtu_bytes as u64;
+        let m = self
+            .pending
+            .remove(&flow)
+            .expect("MsgStart without a pending message");
+        let mtu = MSG_MTU_BYTES as u64;
         let mut offered = m.bytes;
         let mut added = 0u64;
         while offered > 0 {
@@ -287,9 +257,9 @@ impl Ingress {
         }
         // §5.4 host flow control: a backlogged VOQ pauses its host source
         // instead of dropping — the tick re-arms without injecting.
-        let paused = ctx.cfg.host_fc.is_some_and(|(hi, _lo)| {
+        let paused = ctx.cfg.host_fc.is_some_and(|threshold| {
             let voq = self.fas[f.src_fa as usize].voqs.get(&f.key);
-            voq.map_or(0, |v| v.bytes()) + f.pkt_bytes as u64 > hi
+            voq.map_or(0, |v| v.bytes()) + f.pkt_bytes as u64 > threshold
         });
         if paused {
             ctx.stats.host_fc_pauses.inc();
@@ -372,7 +342,7 @@ impl Ingress {
             burst_id,
             packets,
             ctx.cfg.cell_bytes,
-            ctx.cfg.cell_header_bytes,
+            CELL_HEADER_BYTES,
             ctx.cfg.packet_packing,
             now,
         );
@@ -440,14 +410,10 @@ impl Ingress {
     }
 }
 
-/// Test-only window: streamed messages offered but not yet segmented
-/// (`None` in table mode).
+/// Test-only window: messages offered but not yet segmented.
 #[cfg(test)]
 impl Ingress {
-    pub(crate) fn pending_messages(&self) -> Option<usize> {
-        match &self.offered {
-            Offered::Table(_) => None,
-            Offered::Stream { pending, .. } => Some(pending.len()),
-        }
+    pub(crate) fn pending_messages(&self) -> usize {
+        self.pending.len()
     }
 }

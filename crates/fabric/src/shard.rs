@@ -37,7 +37,7 @@
 //! See DESIGN.md § "Parallel runtime internals" for the mailbox exchange
 //! and the full determinism argument.
 
-use crate::config::FabricConfig;
+use crate::config::{FabricConfig, REASSEMBLY_TIMEOUT};
 use crate::engine::{FabricEngine, FabricStats};
 use crate::ev::OutItem;
 use crate::partition::Partition;
@@ -103,7 +103,7 @@ impl ShardedFabricEngine {
         // closed bound; a bound at or past the reassembly timeout would
         // deliver the record after its own cleanup deadline.
         assert!(
-            part.matrix.max_cross_bound() < cfg.reassembly_timeout,
+            part.matrix.max_cross_bound() < REASSEMBLY_TIMEOUT,
             "pair lookahead bound must stay below the reassembly timeout"
         );
         let shards: Vec<FabricEngine> = (0..num_shards)
@@ -256,11 +256,11 @@ impl ShardedFabricEngine {
     }
 
     /// Add a finite message flow (see [`FabricEngine::add_message`]).
-    /// Offered to every shard — in table mode each registers a record
-    /// (the flow tables merge index-wise); in `bounded_flows` mode each
-    /// only counts the id and the destination's shard keeps the
-    /// in-flight state. Started on the source's shard, finished on the
-    /// destination's.
+    /// Offered to every shard: each counts the id; the source's shard
+    /// holds the descriptor until segmentation, the destination's the
+    /// countdown until completion. A flow table gets a record on every
+    /// shard (the tables merge index-wise); a sketch counts the offer on
+    /// the destination's shard only.
     pub fn add_message(
         &mut self,
         src_fa: u32,
@@ -443,4 +443,15 @@ fn group_loop(
         }
     }
     rounds
+}
+
+/// Test-only window: [`FabricEngine::messages_held`] summed over shards.
+#[cfg(test)]
+impl ShardedFabricEngine {
+    pub(crate) fn messages_held(&self) -> (usize, usize) {
+        self.shards
+            .iter()
+            .map(FabricEngine::messages_held)
+            .fold((0, 0), |(p, a), (q, b)| (p + q, a + b))
+    }
 }

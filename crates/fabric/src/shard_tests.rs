@@ -156,3 +156,38 @@ fn sharded_run_for_advances_by_full_duration() {
     assert_eq!(e.now(), SimTime::from_micros(200));
     assert_eq!(e.stats().packets_delivered.get(), 1);
 }
+
+#[test]
+fn sharded_table_mode_frees_every_finished_message() {
+    // Table mode keeps the exact flow table on every shard, but the
+    // engine's message book is the bounded one: each shard holds a
+    // message only while it is in flight. A message clipped by the VOQ
+    // cap never completes, so its countdown stays.
+    let tt = two_tier(TwoTierParams::paper_scaled(16));
+    let mut c = cfg();
+    c.voq_max_bytes = Some(16 * 1024);
+    let mut e = ShardedFabricEngine::new(tt.topo, c, 2);
+    let n = e.num_fas() as u32;
+    for src in 0..n {
+        e.add_message(
+            src,
+            (src + 3) % n,
+            1,
+            0,
+            8_000,
+            SimTime::from_nanos(src as u64 * 97),
+        );
+    }
+    let clipped = e.add_message(0, 9, 0, 0, 40_000, SimTime::from_micros(1));
+    assert_eq!(e.messages_held(), (n as usize + 1, n as usize + 1));
+    e.run_until(SimTime::from_millis(3));
+    let stats = e.stats();
+    assert!(!stats.flows.is_sketched());
+    assert!(stats.ingress_drops.get() > 0, "test premise: the cap clips");
+    assert_eq!(stats.flows.records()[clipped as usize].fct(), None);
+    assert_eq!(stats.flows.completed(), n as usize);
+    let (pending, active) = e.messages_held();
+    assert_eq!(pending, 0, "every message was segmented");
+    assert_eq!(active, stats.flows.len() - stats.flows.completed());
+    assert_eq!(active, 1, "the clipped message keeps its entry");
+}

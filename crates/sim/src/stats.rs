@@ -468,8 +468,7 @@ impl FlowStats {
     }
 
     /// An empty sketch-mode instance: bounded memory, no per-flow
-    /// records. Finishes are recorded via [`FlowStats::record_fct`]
-    /// instead of [`FlowStats::finish`].
+    /// records.
     pub fn new_sketched() -> Self {
         FlowStats {
             book: Book::Sketch(SketchBook {
@@ -509,28 +508,24 @@ impl FlowStats {
         }
     }
 
-    /// Mark flow `idx` finished at `at` and record its FCT. Table mode
-    /// only — sketch mode has no per-flow rows; use
-    /// [`FlowStats::record_fct`].
-    pub fn finish(&mut self, idx: u32, at: SimTime) {
-        let Book::Table(records) = &mut self.book else {
-            panic!("finish() needs the per-flow table; sketch mode records via record_fct()");
-        };
-        let r = &mut records[idx as usize];
-        debug_assert!(r.finished.is_none(), "flow finished twice");
-        r.finished = Some(at);
-        self.fct_ns.record(at.since(r.start).as_nanos_f64() as u64);
-    }
-
-    /// Record one completed flow's FCT in sketch mode (panics in table
-    /// mode, where [`FlowStats::finish`] carries the start time).
-    pub fn record_fct(&mut self, fct: SimDuration) {
-        let Book::Sketch(sb) = &mut self.book else {
-            panic!("record_fct() is sketch-mode only; table mode uses finish()");
-        };
-        sb.finished += 1;
-        sb.fct_sum_ps += fct.as_ps() as u128;
-        sb.fct_ps.record(fct.as_ps());
+    /// Mark flow `idx`, started at `start`, finished at `at` and record
+    /// its FCT. Table mode fills row `idx` (whose start must be `start`);
+    /// sketch mode has no rows and folds the FCT into the sketch.
+    pub fn finish(&mut self, idx: u32, start: SimTime, at: SimTime) {
+        let fct = at.since(start);
+        match &mut self.book {
+            Book::Table(records) => {
+                let r = &mut records[idx as usize];
+                debug_assert!(r.finished.is_none(), "flow finished twice");
+                debug_assert_eq!(r.start, start, "flow {idx} finished with another start");
+                r.finished = Some(at);
+            }
+            Book::Sketch(sb) => {
+                sb.finished += 1;
+                sb.fct_sum_ps += fct.as_ps() as u128;
+                sb.fct_ps.record(fct.as_ps());
+            }
+        }
         self.fct_ns.record(fct.as_nanos_f64() as u64);
     }
 
@@ -684,8 +679,10 @@ impl FlowStats {
                 for r in records {
                     out.add(r.src, r.dst, r.bytes, r.start);
                 }
-                for d in records.iter().filter_map(|r| r.fct()) {
-                    out.record_fct(d);
+                for (idx, r) in records.iter().enumerate() {
+                    if let Some(at) = r.finished {
+                        out.finish(idx as u32, r.start, at);
+                    }
                 }
                 out
             }
@@ -865,8 +862,8 @@ mod tests {
         let a = fs.add(0, 1, 1_000, SimTime::ZERO);
         let b = fs.add(2, 3, 2_000, SimTime::from_micros(5));
         let c = fs.add(4, 5, 3_000, SimTime::ZERO);
-        fs.finish(a, SimTime::from_micros(10));
-        fs.finish(b, SimTime::from_micros(25)); // fct = 20µs
+        fs.finish(a, SimTime::ZERO, SimTime::from_micros(10));
+        fs.finish(b, SimTime::from_micros(5), SimTime::from_micros(25)); // fct = 20µs
         assert_eq!(fs.len(), 3);
         assert_eq!(fs.completed(), 2);
         assert_eq!(fs.records()[c as usize].fct(), None);
@@ -891,14 +888,14 @@ mod tests {
         };
         let mut seq = FlowStats::new();
         add_all(&mut seq);
-        seq.finish(0, SimTime::from_micros(10));
-        seq.finish(2, SimTime::from_micros(30));
+        seq.finish(0, SimTime::ZERO, SimTime::from_micros(10));
+        seq.finish(2, SimTime::from_micros(2), SimTime::from_micros(30));
         let mut a = FlowStats::new();
         add_all(&mut a);
-        a.finish(0, SimTime::from_micros(10));
+        a.finish(0, SimTime::ZERO, SimTime::from_micros(10));
         let mut b = FlowStats::new();
         add_all(&mut b);
-        b.finish(2, SimTime::from_micros(30));
+        b.finish(2, SimTime::from_micros(2), SimTime::from_micros(30));
         a.absorb_finishes(&b);
         assert_eq!(a, seq);
     }
@@ -1021,8 +1018,8 @@ mod tests {
         for i in 0..40u32 {
             let start = SimTime::from_micros(i as u64);
             let end = SimTime::from_micros(i as u64 + 7 + i as u64 % 3);
-            table.finish(i, end);
-            sk.record_fct(end.since(start));
+            table.finish(i, start, end);
+            sk.finish(i, start, end);
         }
         assert_eq!(sk.len(), table.len());
         assert_eq!(sk.completed(), table.completed());
@@ -1061,8 +1058,8 @@ mod tests {
         let book = |flows: &[(u32, u64)]| {
             let mut fs = FlowStats::new_sketched();
             for &(src, fct_us) in flows {
-                fs.add(src, src + 1, 500, SimTime::ZERO);
-                fs.record_fct(SimDuration::from_micros(fct_us));
+                let idx = fs.add(src, src + 1, 500, SimTime::ZERO);
+                fs.finish(idx, SimTime::ZERO, SimTime::from_micros(fct_us));
             }
             fs
         };
@@ -1086,14 +1083,6 @@ mod tests {
     fn absorb_rejects_mixed_modes() {
         let mut a = FlowStats::new();
         a.absorb_finishes(&FlowStats::new_sketched());
-    }
-
-    #[test]
-    #[should_panic(expected = "sketch mode records via record_fct")]
-    fn finish_panics_in_sketch_mode() {
-        let mut fs = FlowStats::new_sketched();
-        fs.add(0, 1, 100, SimTime::ZERO);
-        fs.finish(0, SimTime::from_micros(1));
     }
 
     #[test]

@@ -315,7 +315,7 @@ impl TransportSim {
             let st = &self.flows[id.0 as usize].status;
             let idx = fs.add(st.src_host, st.dst_host, st.size, st.start);
             if let Some(f) = st.finished {
-                fs.finish(idx, f);
+                fs.finish(idx, st.start, f);
             }
         }
         fs

@@ -370,9 +370,9 @@ impl Scenario {
     /// As [`Scenario::run_with_failures`], but **streaming**: flows are
     /// drawn lazily from [`Scenario::flow_source`] and admitted in
     /// `window`-sized slices just ahead of the engine's clock, so the
-    /// scenario never materializes its flow list — with a
-    /// bounded-memory engine (`FabricConfig::bounded_flows`), total
-    /// memory is in-flight state only, independent of flow count.
+    /// scenario never materializes its flow list — with sketch flow
+    /// stats (`FabricConfig::bounded_flows`), total memory is in-flight
+    /// state only, independent of flow count.
     ///
     /// Bit-identical to the eager path for every flow admitted: arrival
     /// order equals generation order, flow ids match, and newly offered

@@ -5,6 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use stardust::fabric::config::CELL_HEADER_BYTES;
 use stardust::fabric::{FabricConfig, FabricEngine};
 use stardust::sim::units::gbps;
 use stardust::sim::{SimDuration, SimTime};
@@ -32,7 +33,7 @@ fn main() {
     println!(
         "cells: {} B ({} B header), credits: {} B, speedup: {}%",
         cfg.cell_bytes,
-        cfg.cell_header_bytes,
+        CELL_HEADER_BYTES,
         cfg.credit_bytes,
         cfg.credit_speedup * 100.0
     );
