@@ -16,13 +16,16 @@
 //! 3. **Failure churn conformance.** A spec with a mid-run
 //!    `FailureSchedule` runs on both the sequential and the sharded
 //!    fabric engine, sharded output bit-identical to sequential.
+//! 4. **Shard placement.** The partition of every spec's fabric at
+//!    1/2/3/4/8 shards is pinned by hash, so a change to the
+//!    partitioner that moves a node to another shard shows here.
 
 use stardust_bench::fig10::{fabric_engine, transport_sim};
 use stardust_bench::presets;
 use stardust_bench::runner::run_spec;
 use stardust_bench::spec::{EngineSpec, ExperimentSpec};
 use stardust_fabric::shard::ExecMode;
-use stardust_fabric::ShardedFabricEngine;
+use stardust_fabric::{Partition, ShardedFabricEngine};
 use stardust_sim::{FlowStats, SimDuration};
 use stardust_topo::builders::{two_tier, TwoTierParams};
 use stardust_transport::Protocol;
@@ -309,4 +312,124 @@ zero_drops = true
         "shuffle spec failed: {:?}",
         outcome.check_failures
     );
+}
+
+/// FNV-1a over the little-endian bytes of `words`.
+fn fnv1a(words: &[u32]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in words.iter().flat_map(|w| w.to_le_bytes()) {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
+
+#[test]
+fn shard_placement_of_every_spec_is_pinned() {
+    // FNV-1a of `shard_of_node` at 1, 2, 3, 4 and 8 shards, per fabric.
+    // Two-tier Clos, `two_tier_factor = 16`.
+    const CLOS_F16: [u64; 5] = [
+        0xa4ca_53d5_8237_7be5,
+        0x3754_601f_f189_7865,
+        0x86c8_b9aa_f1d5_7426,
+        0xbdff_3893_a169_4845,
+        0xce23_76e5_4652_71a5,
+    ];
+    // Two-tier Clos, `two_tier_factor = 4`.
+    const CLOS_F4: [u64; 5] = [
+        0xdded_d579_bea7_6625,
+        0xa4d2_5e66_3d1f_1825,
+        0x0365_2cfd_b057_73d6,
+        0x6c39_6246_ee6c_efa5,
+        0x0d26_46a7_4169_c425,
+    ];
+    // Two-tier Clos, `two_tier_factor = 2`.
+    const CLOS_F2: [u64; 5] = [
+        0x3676_a5a2_d8c1_a925,
+        0x3b4a_0724_ff9b_0d25,
+        0xb4bc_a1b7_4646_e784,
+        0x54ac_fbd1_d0b2_fc25,
+        0xd0d5_33a7_8e5d_e525,
+    ];
+    // The zoo dragonfly.
+    const DRAGONFLY_ZOO: [u64; 5] = [
+        0x81b1_69c3_31ca_bfa5,
+        0xf556_a343_83a2_8c05,
+        0xaac7_d76e_92d2_1125,
+        0x158c_226e_c18d_cda5,
+        0x9280_5371_cb70_2b25,
+    ];
+    // The zoo Space Shuffle and expander (the same switch blocks).
+    const FLAT_ZOO: [u64; 5] = [
+        0x8421_ae12_6c7c_ed25,
+        0x4caf_6daf_48bc_68a5,
+        0xe72c_4cc8_4da5_8e25,
+        0x7e0e_5268_7d64_e1a5,
+        0x55ed_e6a8_e8af_a7a5,
+    ];
+    // Dragonfly a = 4, h = 2, p = 2.
+    const DRAGONFLY_A4H2P2: [u64; 5] = [
+        0xe120_5423_10fb_b4e5,
+        0x72e0_a313_722e_74b5,
+        0xa5db_51ba_4c6d_2305,
+        0x287d_081f_36c2_5005,
+        0x7547_bd11_ee5c_a525,
+    ];
+    let pins = [
+        ("fig10a", CLOS_F16),
+        ("fig10b", CLOS_F16),
+        ("fig10c_05", CLOS_F16),
+        ("fig10c_10", CLOS_F16),
+        ("fig10c_15", CLOS_F16),
+        ("failure_churn", CLOS_F16),
+        ("service", CLOS_F16),
+        ("zoo_dragonfly", DRAGONFLY_ZOO),
+        ("zoo_space_shuffle", FLAT_ZOO),
+        ("zoo_expander", FLAT_ZOO),
+        ("fig10a_default", CLOS_F2),
+        ("fig10b_default", CLOS_F2),
+        ("fig10c_default", CLOS_F2),
+        ("failure_churn_default", CLOS_F16),
+        ("service_default", CLOS_F16),
+        ("clos_perm_sh2", CLOS_F2),
+        ("clos_service", CLOS_F4),
+        ("clos_storm", CLOS_F4),
+        ("dfly_perm_sh2", DRAGONFLY_A4H2P2),
+    ];
+    let bench_specs = [
+        (
+            "clos_perm_sh2",
+            include_str!("../../../benchmark/specs/clos_perm_sh2.toml"),
+        ),
+        (
+            "clos_service",
+            include_str!("../../../benchmark/specs/clos_service.toml"),
+        ),
+        (
+            "clos_storm",
+            include_str!("../../../benchmark/specs/clos_storm.toml"),
+        ),
+        (
+            "dfly_perm_sh2",
+            include_str!("../../../benchmark/specs/dfly_perm_sh2.toml"),
+        ),
+    ];
+    let specs = presets::PRESETS.iter().chain(&bench_specs);
+    let ctrl = SimDuration::from_micros(2);
+    let mut got = Vec::new();
+    for &(name, text) in specs {
+        let spec = ExperimentSpec::parse(text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let built = spec.topology.build_fabric(spec.seeds[0]);
+        assert!(built.endpoints.len() >= 8, "{name}: fewer FAs than shards");
+        let hashes = [1u32, 2, 3, 4, 8].map(|shards| {
+            let part = Partition::with_groups(&built.topo, &built.plan.groups, shards, ctrl);
+            fnv1a(&part.shard_of_node)
+        });
+        got.push((name, hashes));
+    }
+    assert_eq!(got.len(), pins.len());
+    for ((name, hashes), (pin_name, pin)) in got.iter().zip(&pins) {
+        assert_eq!(name, pin_name);
+        assert_eq!(hashes, pin, "{name}: shard placement moved");
+    }
 }

@@ -329,19 +329,21 @@ mod tests {
     }
 
     #[test]
-    fn plan_groups_reproduce_contiguous_split_on_clos() {
+    fn plan_groups_give_the_contiguous_split_on_clos() {
         use stardust_topo::RoutePlan;
         let tt = two_tier(TwoTierParams::paper_scaled(4));
         let plan = RoutePlan::shortest_path(&tt.topo);
-        let ctrl = SimDuration::from_micros(2);
+        let n = tt.fas.len();
         for shards in [1u32, 2, 4, 8] {
-            let generic = Partition::new(&tt.topo, shards, ctrl);
-            let grouped = Partition::with_groups(&tt.topo, &plan.groups, shards, ctrl);
-            assert_eq!(
-                generic.shard_of_node, grouped.shard_of_node,
-                "{shards} shards: pod grouping must equal the contiguous split"
-            );
-            assert_eq!(generic.lookahead, grouped.lookahead);
+            let part =
+                Partition::with_groups(&tt.topo, &plan.groups, shards, SimDuration::from_micros(2));
+            for (i, fa) in tt.fas.iter().enumerate() {
+                assert_eq!(
+                    part.shard_of_node[fa.0 as usize] as usize,
+                    i * shards as usize / n,
+                    "{shards} shards: FA {i} off its contiguous share"
+                );
+            }
         }
     }
 
