@@ -17,35 +17,33 @@
 //! aggregation↔spine fibers long, so a pod-aligned partition is windowed
 //! by the long fibers instead of the short ones.
 //!
-//! The assignment itself is locality-greedy: Fabric Adapters split into
-//! `S` contiguous, balanced ranges (FA index order — pods are contiguous
-//! in every builder in `stardust-topo`); Fabric Elements join, level by
-//! level, the shard that owns **all** of their lower-tier neighbors (an
-//! aggregation element whose whole pod lives in one shard joins it), and
-//! elements whose children straddle shards — the spine — spread
-//! round-robin for balance.
+//! The assignment follows the route plan's endpoint groups (pods on Clos
+//! shapes, switch blocks on flat fabrics): Fabric Adapters split in
+//! proportion to FA count, walking the groups in order, so a group stays
+//! whole unless it spans more than one shard's share. Fabric Elements
+//! join, level by level, the shard that owns **all** of their lower-tier
+//! neighbors (an aggregation element whose whole pod lives in one shard
+//! joins it), and elements whose children straddle shards — the spine —
+//! spread round-robin for balance.
 
 use stardust_sim::link::fiber_delay;
 use stardust_sim::{LookaheadMatrix, SimDuration};
-use stardust_topo::{NodeKind, Topology};
+use stardust_topo::{NodeId, NodeKind, Topology};
 use std::sync::Arc;
 
 /// A shard assignment for every node of a topology, plus the lookahead it
-/// admits. Build with [`Partition::new`].
+/// admits. Build with [`Partition::with_groups`].
 #[derive(Debug, Clone)]
 pub struct Partition {
     /// Number of shards.
     pub num_shards: u32,
     /// NodeId → owning shard.
     pub shard_of_node: Arc<Vec<u32>>,
-    /// The scalar conservative-synchronization window: no cross-shard
-    /// event carries less latency than this (the smallest entry of
-    /// [`Partition::matrix`]).
-    pub lookahead: SimDuration,
     /// Per-ordered-shard-pair bounds (min-plus closure over control
     /// latency on every pair plus the actual cross-shard fibers): the
     /// matrix clock windows each shard by the min over its *actual*
     /// constrainers, so non-adjacent shards stop throttling each other.
+    /// Its smallest entry is the scalar lookahead.
     pub matrix: Arc<LookaheadMatrix>,
 }
 
@@ -66,79 +64,61 @@ pub struct ShardView {
 
 impl Partition {
     /// Partition `topo` into `num_shards` shards (1 ≤ `num_shards` ≤
-    /// number of edge nodes). `ctrl_latency` is the control-plane transit
-    /// latency of the engine configuration that will run on it.
-    pub fn new(topo: &Topology, num_shards: u32, ctrl_latency: SimDuration) -> Self {
-        let fas = topo.nodes_of_kind(NodeKind::Edge);
-        assert!(num_shards >= 1, "at least one shard");
-        assert!(
-            (num_shards as usize) <= fas.len(),
-            "more shards ({num_shards}) than Fabric Adapters ({})",
-            fas.len()
-        );
-        let s = num_shards as u64;
-        let mut shard_of_node = vec![u32::MAX; topo.num_nodes()];
-        // Fabric Adapters: balanced contiguous ranges in FA-index order.
-        for (i, &n) in fas.iter().enumerate() {
-            shard_of_node[n.0 as usize] = (i as u64 * s / fas.len() as u64) as u32;
-        }
-        Self::finish(topo, shard_of_node, num_shards, ctrl_latency)
-    }
-
-    /// Partition guided by a [`RoutePlan`]'s endpoint grouping (pods on
-    /// Clos shapes, per-switch blocks on flat fabrics): whole groups map
-    /// onto shards in group order, so topologically adjacent endpoints —
-    /// and, via adoption below, the fabric elements over them — stay
-    /// together. Falls back to the generic contiguous split of
-    /// [`Partition::new`] when the grouping can't honor `num_shards`
-    /// (more shards than groups) or doesn't cover every edge node.
+    /// number of Fabric Adapters) along a [`RoutePlan`]'s endpoint
+    /// `groups`. `ctrl_latency` is the control-plane transit latency of
+    /// the engine configuration that will run on it.
     ///
-    /// On the Clos builders the groups are the contiguous equal-size
-    /// pods, so at any shard count this reproduces `Partition::new`
-    /// exactly — which is what keeps the pinned sharded-vs-sequential
-    /// conformance results unchanged.
+    /// The `N` Fabric Adapters split in proportion to FA count, walking
+    /// the groups in order. A group of `m` FAs that starts after `seen`
+    /// FAs covers the shares `lo = seen·S/N` up to `(seen+m)·S/N`; its
+    /// member `r` goes to shard `lo + r·parts/m`, where `parts` is the
+    /// number of shares covered (at least one). A group that one shard
+    /// boundary cuts therefore stays whole, in the shard where it starts;
+    /// a group spanning two or more whole shares splits across them; a
+    /// single group is the contiguous split `i·S/N`.
+    ///
+    /// # Panics
+    /// If the groups do not list every Fabric Adapter exactly once.
     ///
     /// [`RoutePlan`]: stardust_topo::RoutePlan
     pub fn with_groups(
         topo: &Topology,
-        groups: &[Vec<stardust_topo::NodeId>],
+        groups: &[Vec<NodeId>],
         num_shards: u32,
         ctrl_latency: SimDuration,
     ) -> Self {
-        let fas = topo.nodes_of_kind(NodeKind::Edge);
+        let n = topo.nodes_of_kind(NodeKind::Edge).len();
+        let s = num_shards as usize;
         assert!(num_shards >= 1, "at least one shard");
         assert!(
-            (num_shards as usize) <= fas.len(),
-            "more shards ({num_shards}) than Fabric Adapters ({})",
-            fas.len()
+            s <= n,
+            "more shards ({num_shards}) than Fabric Adapters ({n})"
         );
-        let covered: usize = groups.iter().map(Vec::len).sum();
-        if (num_shards as usize) > groups.len() || covered != fas.len() {
-            return Self::new(topo, num_shards, ctrl_latency);
-        }
-        let (s, g) = (num_shards as u64, groups.len() as u64);
         let mut shard_of_node = vec![u32::MAX; topo.num_nodes()];
-        for (gi, group) in groups.iter().enumerate() {
-            let shard = (gi as u64 * s / g) as u32;
-            for &n in group {
-                if shard_of_node[n.0 as usize] != u32::MAX {
-                    // Duplicate membership: grouping is unusable.
-                    return Self::new(topo, num_shards, ctrl_latency);
-                }
-                shard_of_node[n.0 as usize] = shard;
+        let mut seen = 0;
+        for group in groups {
+            let m = group.len();
+            let lo = seen * s / n;
+            let parts = ((seen + m) * s / n - lo).max(1);
+            for (r, &fa) in group.iter().enumerate() {
+                let kind = topo.node(fa).kind;
+                assert!(
+                    kind == NodeKind::Edge,
+                    "grouped node {} is a {kind:?}",
+                    fa.0
+                );
+                let slot = &mut shard_of_node[fa.0 as usize];
+                assert!(
+                    *slot == u32::MAX,
+                    "Fabric Adapter {} is in two groups",
+                    fa.0
+                );
+                *slot = (lo + r * parts / m) as u32;
             }
+            seen += m;
         }
-        Self::finish(topo, shard_of_node, num_shards, ctrl_latency)
-    }
+        assert!(seen == n, "the groups cover {seen} of {n} Fabric Adapters");
 
-    /// Shared tail of the constructors: fabric elements adopt shards
-    /// level by level, then the lookahead is derived.
-    fn finish(
-        topo: &Topology,
-        mut shard_of_node: Vec<u32>,
-        num_shards: u32,
-        ctrl_latency: SimDuration,
-    ) -> Self {
         // Fabric Elements, level by level: adopt the shard owning all
         // lower-level neighbors, else round-robin. On flat fabrics the
         // switches' only lower-level neighbors are their own endpoints,
@@ -189,7 +169,6 @@ impl Partition {
         // at the fiber's propagation delay (both directions — links are
         // bidirectional). The min-plus closure then accounts for
         // multi-hop interaction chains through intermediate shards.
-        let s = num_shards as usize;
         let mut direct: Vec<Option<SimDuration>> = vec![None; s * s];
         for a in 0..s {
             for b in 0..s {
@@ -215,22 +194,10 @@ impl Partition {
                 }
             }
         }
-        let matrix = LookaheadMatrix::from_direct(s, &direct);
-        // The scalar lookahead keeps its historical meaning — the
-        // smallest latency *any* cross-shard interaction carries — which
-        // is exactly the matrix's smallest bound (the closure cannot go
-        // below its smallest direct entry). Single shard: nothing ever
-        // crosses, so the ctrl latency stands in.
-        let lookahead = matrix.min_bound().unwrap_or(ctrl_latency);
-        assert!(
-            lookahead > SimDuration::ZERO,
-            "zero-latency cross-shard link defeats conservative sync"
-        );
         Partition {
             num_shards,
             shard_of_node: Arc::new(shard_of_node),
-            lookahead,
-            matrix: Arc::new(matrix),
+            matrix: Arc::new(LookaheadMatrix::from_direct(s, &direct)),
         }
     }
 
@@ -259,6 +226,12 @@ impl Partition {
 mod tests {
     use super::*;
     use stardust_topo::builders::{three_tier, two_tier, ThreeTierParams, TwoTierParams};
+    use stardust_topo::RoutePlan;
+
+    /// Partition `topo` along its shortest-path plan's groups.
+    fn by_plan(topo: &Topology, shards: u32, ctrl: SimDuration) -> Partition {
+        Partition::with_groups(topo, &RoutePlan::shortest_path(topo).groups, shards, ctrl)
+    }
 
     #[test]
     fn two_tier_pod_aligned_partition_uses_long_fibers() {
@@ -268,10 +241,10 @@ mod tests {
         p.near_meters = 10; // 50 ns
         p.far_meters = 100; // 500 ns
         let tt = two_tier(p);
-        let part = Partition::new(&tt.topo, 4, SimDuration::from_micros(2));
+        let part = by_plan(&tt.topo, 4, SimDuration::from_micros(2));
         // 4 shards over 4 pods: every FA↔aggregation link stays inside
         // one shard, so the lookahead is the far-fiber 500 ns.
-        assert_eq!(part.lookahead, SimDuration::from_nanos(500));
+        assert_eq!(part.matrix.min_bound(), Some(SimDuration::from_nanos(500)));
         let counts = part.fa_counts(&tt.topo);
         assert_eq!(counts, vec![16; 4]);
         // Aggregation FEs adopted their pod's shard.
@@ -288,8 +261,8 @@ mod tests {
         p.far_meters = 100;
         let tt = two_tier(p);
         // 8 shards over 4 pods: pods split, near links cross shards.
-        let part = Partition::new(&tt.topo, 8, SimDuration::from_micros(2));
-        assert_eq!(part.lookahead, SimDuration::from_nanos(50));
+        let part = by_plan(&tt.topo, 8, SimDuration::from_micros(2));
+        assert_eq!(part.matrix.min_bound(), Some(SimDuration::from_nanos(50)));
         assert_eq!(part.fa_counts(&tt.topo), vec![8; 8]);
     }
 
@@ -297,23 +270,23 @@ mod tests {
     fn ctrl_latency_caps_the_lookahead() {
         let tt = two_tier(TwoTierParams::paper_scaled(16));
         let ctrl = SimDuration::from_nanos(80);
-        let part = Partition::new(&tt.topo, 2, ctrl);
-        assert_eq!(part.lookahead, ctrl);
+        let part = by_plan(&tt.topo, 2, ctrl);
+        assert_eq!(part.matrix.min_bound(), Some(ctrl));
     }
 
     #[test]
     fn single_shard_owns_everything() {
         let tt = three_tier(ThreeTierParams::small());
-        let part = Partition::new(&tt.topo, 1, SimDuration::from_micros(2));
+        let part = by_plan(&tt.topo, 1, SimDuration::from_micros(2));
         assert!(part.shard_of_node.iter().all(|&s| s == 0));
-        assert_eq!(part.lookahead, SimDuration::from_micros(2));
+        assert_eq!(part.matrix.min_bound(), None);
     }
 
     #[test]
     fn three_tier_partition_is_balanced_and_total() {
         let tt = three_tier(ThreeTierParams::small());
         for shards in [2u32, 4] {
-            let part = Partition::new(&tt.topo, shards, SimDuration::from_micros(2));
+            let part = by_plan(&tt.topo, shards, SimDuration::from_micros(2));
             assert!(part.shard_of_node.iter().all(|&s| s < shards));
             let counts = part.fa_counts(&tt.topo);
             let (min, max) = (counts.iter().min().unwrap(), counts.iter().max().unwrap());
@@ -325,12 +298,11 @@ mod tests {
     #[should_panic(expected = "more shards")]
     fn too_many_shards_rejected() {
         let tt = three_tier(ThreeTierParams::small());
-        let _ = Partition::new(&tt.topo, 17, SimDuration::from_micros(2));
+        let _ = by_plan(&tt.topo, 17, SimDuration::from_micros(2));
     }
 
     #[test]
     fn plan_groups_give_the_contiguous_split_on_clos() {
-        use stardust_topo::RoutePlan;
         let tt = two_tier(TwoTierParams::paper_scaled(4));
         let plan = RoutePlan::shortest_path(&tt.topo);
         let n = tt.fas.len();
@@ -349,7 +321,7 @@ mod tests {
 
     #[test]
     fn flat_fabric_groups_keep_switch_blocks_together() {
-        use stardust_topo::{dragonfly, DragonflyParams, RoutePlan};
+        use stardust_topo::{dragonfly, DragonflyParams};
         let df = dragonfly(DragonflyParams {
             fas_per_router: 2,
             ..DragonflyParams::zoo()
@@ -378,14 +350,15 @@ mod tests {
         p.near_meters = 10;
         p.far_meters = 100;
         let tt = two_tier(p);
-        let part = Partition::new(&tt.topo, 4, SimDuration::from_micros(2));
-        assert_eq!(part.matrix.min_bound(), Some(part.lookahead));
-        assert_eq!(part.matrix.max_cross_bound(), part.lookahead);
+        let part = by_plan(&tt.topo, 4, SimDuration::from_micros(2));
+        let far = SimDuration::from_nanos(500);
+        assert_eq!(part.matrix.min_bound(), Some(far));
+        assert_eq!(part.matrix.max_cross_bound(), far);
     }
 
     #[test]
     fn zoo_topology_produces_a_non_uniform_matrix() {
-        use stardust_topo::{dragonfly, DragonflyParams, RoutePlan};
+        use stardust_topo::{dragonfly, DragonflyParams};
         // 4 shards over the 5-group zoo dragonfly: groups straddle shard
         // boundaries, so adjacent shards are bounded by the 25 ns local
         // fibers while non-adjacent ones only interact through global
@@ -394,11 +367,10 @@ mod tests {
         let plan = RoutePlan::shortest_path(&df.topo);
         let part = Partition::with_groups(&df.topo, &plan.groups, 4, SimDuration::from_micros(2));
         let m = &part.matrix;
-        assert_eq!(m.min_bound(), Some(part.lookahead));
+        let scalar = m.min_bound().unwrap();
         assert!(
-            m.max_cross_bound() > part.lookahead,
-            "zoo matrix collapsed to the scalar lookahead {:?}",
-            part.lookahead
+            m.max_cross_bound() > scalar,
+            "zoo matrix collapsed to the scalar lookahead {scalar:?}"
         );
         // Every pair is bounded (control messages connect all pairs).
         for a in 0..4 {
@@ -411,18 +383,18 @@ mod tests {
     }
 
     #[test]
-    fn unusable_grouping_falls_back_to_generic() {
+    #[should_panic(expected = "the groups cover 2 of 16 Fabric Adapters")]
+    fn partial_grouping_rejected() {
         let tt = two_tier(TwoTierParams::paper_scaled(16));
-        let ctrl = SimDuration::from_micros(2);
-        // More shards than groups, and a grouping that misses FAs: both
-        // must silently fall back to the generic contiguous split.
         let partial = vec![vec![tt.fas[0]], vec![tt.fas[1]]];
-        let a = Partition::with_groups(&tt.topo, &partial, 2, ctrl);
-        let b = Partition::new(&tt.topo, 2, ctrl);
-        assert_eq!(a.shard_of_node, b.shard_of_node);
-        let four_groups: Vec<Vec<_>> = tt.fas.chunks(4).map(|c| c.to_vec()).collect();
-        let c = Partition::with_groups(&tt.topo, &four_groups, 8, ctrl);
-        let d = Partition::new(&tt.topo, 8, ctrl);
-        assert_eq!(c.shard_of_node, d.shard_of_node);
+        let _ = Partition::with_groups(&tt.topo, &partial, 2, SimDuration::from_micros(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "is in two groups")]
+    fn overlapping_grouping_rejected() {
+        let tt = two_tier(TwoTierParams::paper_scaled(16));
+        let overlapping = vec![tt.fas.clone(), vec![tt.fas[3]]];
+        let _ = Partition::with_groups(&tt.topo, &overlapping, 2, SimDuration::from_micros(2));
     }
 }

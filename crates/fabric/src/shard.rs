@@ -80,18 +80,19 @@ pub struct ShardedFabricEngine {
 }
 
 impl ShardedFabricEngine {
-    /// Build a sharded engine over `topo` with `num_shards` shards.
-    /// Partitioning is locality-greedy (see [`Partition::new`]); every
-    /// shard holds the full topology but only simulates the nodes it owns.
+    /// Build a sharded engine over `topo` with `num_shards` shards,
+    /// partitioned along its shortest-path plan's endpoint groups (see
+    /// [`Partition::with_groups`]); every shard holds the full topology
+    /// but only simulates the nodes it owns.
     pub fn new(topo: Topology, cfg: FabricConfig, num_shards: u32) -> Self {
         let plan = std::sync::Arc::new(stardust_topo::RoutePlan::shortest_path(&topo));
         Self::with_plan(topo, cfg, plan, num_shards)
     }
 
     /// [`Self::new`] with a caller-supplied route plan (builders with
-    /// non-shortest-path potentials, e.g. Space Shuffle). Shard boundaries
-    /// follow the plan's endpoint groups where the grouping can honor
-    /// `num_shards` (see [`Partition::with_groups`]).
+    /// non-shortest-path potentials, e.g. Space Shuffle). Fabric Adapters
+    /// split across shards in proportion to FA count, walking the plan's
+    /// endpoint groups in order (see [`Partition::with_groups`]).
     pub fn with_plan(
         topo: Topology,
         cfg: FabricConfig,
