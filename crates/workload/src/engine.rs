@@ -29,7 +29,7 @@
 
 use crate::scenario::FlowSpec;
 use stardust_fabric::{FabricEngine, ShardedFabricEngine};
-use stardust_sim::{DetRng, FlowStats, SimDuration, SimTime};
+use stardust_sim::{FlowStats, SimTime};
 use stardust_topo::LinkId;
 use stardust_transport::{FlowId, Protocol, TransportSim};
 
@@ -294,6 +294,18 @@ pub struct LinkEvent {
     pub action: LinkAction,
 }
 
+impl LinkEvent {
+    /// Apply the change to `engine` at its current time; `false` when the
+    /// engine has no link state to change.
+    pub fn apply(&self, engine: &mut impl FlowEngine) -> bool {
+        match self.action {
+            LinkAction::Fail => engine.fail_link(self.link),
+            LinkAction::Restore => engine.restore_link(self.link),
+            LinkAction::Degrade { ppm } => engine.set_link_error_ppm(self.link, ppm),
+        }
+    }
+}
+
 /// A declarative schedule of link fail/restore events — Appendix-E-style
 /// churn as experiment *data* instead of hand-rolled driver loops.
 ///
@@ -351,97 +363,6 @@ impl FailureSchedule {
             link,
             action: LinkAction::Degrade { ppm },
         });
-        self
-    }
-
-    /// Correlated pod loss: every link in `links` fails at `at` and is
-    /// restored at `restore_at` — the "whole pod goes dark at one
-    /// instant" Appendix-E case a single-link schedule cannot express.
-    pub fn pod_loss(mut self, at: SimTime, restore_at: SimTime, links: &[LinkId]) -> Self {
-        assert!(restore_at > at, "pod must be restored after it fails");
-        for &link in links {
-            self.push(LinkEvent {
-                at,
-                link,
-                action: LinkAction::Fail,
-            });
-            self.push(LinkEvent {
-                at: restore_at,
-                link,
-                action: LinkAction::Restore,
-            });
-        }
-        self
-    }
-
-    /// Seeded link flapping: `flaps` fail/restore pairs spread over
-    /// `[start, start + span)`. Each flap is confined to its own time
-    /// slot — down in the slot's first half, back up in its second — so
-    /// the schedule passes [`FailureSchedule::validate`] by construction
-    /// even when the same link is drawn twice. Which link flaps and
-    /// where inside the slot it flaps is drawn from the labelled
-    /// [`DetRng`] stream: the same `(seed, label, links, …)` always
-    /// yields the same storm, on every shard count.
-    pub fn flap_storm(
-        mut self,
-        seed: u64,
-        label: &str,
-        links: &[LinkId],
-        start: SimTime,
-        span: SimDuration,
-        flaps: usize,
-    ) -> Self {
-        assert!(!links.is_empty(), "a flap storm needs candidate links");
-        let slot_ps = span.as_ps() / flaps.max(1) as u64;
-        assert!(slot_ps >= 2, "span too short for {flaps} flaps");
-        let mut rng = DetRng::from_label(seed, label).split_u64(links.len() as u64);
-        for i in 0..flaps as u64 {
-            let link = links[rng.index(links.len())];
-            let slot = start.as_ps() + i * slot_ps;
-            let down = slot + rng.below(slot_ps / 2);
-            let up = slot + slot_ps / 2 + rng.below(slot_ps / 2);
-            self.push(LinkEvent {
-                at: SimTime(down),
-                link,
-                action: LinkAction::Fail,
-            });
-            self.push(LinkEvent {
-                at: SimTime(up),
-                link,
-                action: LinkAction::Restore,
-            });
-        }
-        self
-    }
-
-    /// Seeded gray links: every link in `links` degrades at `at` to an
-    /// error rate drawn from `[1, max_ppm]` ppm on the labelled
-    /// [`DetRng`] stream, and is cleared (ppm = 0) at `clear_at`.
-    pub fn gray_storm(
-        mut self,
-        seed: u64,
-        label: &str,
-        links: &[LinkId],
-        at: SimTime,
-        clear_at: SimTime,
-        max_ppm: u32,
-    ) -> Self {
-        assert!(clear_at > at, "gray links must clear after they degrade");
-        assert!(max_ppm >= 1, "max_ppm must be at least 1");
-        let mut rng = DetRng::from_label(seed, label).split_u64(links.len() as u64);
-        for &link in links {
-            let ppm = 1 + rng.below(u64::from(max_ppm)) as u32;
-            self.push(LinkEvent {
-                at,
-                link,
-                action: LinkAction::Degrade { ppm },
-            });
-            self.push(LinkEvent {
-                at: clear_at,
-                link,
-                action: LinkAction::Degrade { ppm: 0 },
-            });
-        }
         self
     }
 
@@ -503,12 +424,7 @@ impl FailureSchedule {
                 break;
             }
             engine.run_until(ev.at);
-            let ok = match ev.action {
-                LinkAction::Fail => engine.fail_link(ev.link),
-                LinkAction::Restore => engine.restore_link(ev.link),
-                LinkAction::Degrade { ppm } => engine.set_link_error_ppm(ev.link, ppm),
-            };
-            applied += usize::from(ok);
+            applied += usize::from(ev.apply(engine));
         }
         engine.run_until(horizon);
         applied
@@ -658,81 +574,6 @@ mod tests {
             .fail_at(t, LinkId(1))
             .validate()
             .is_err());
-    }
-
-    #[test]
-    fn pod_loss_is_correlated_and_valid() {
-        let pod = [LinkId(0), LinkId(1), LinkId(2)];
-        let s = FailureSchedule::new().pod_loss(
-            SimTime::from_micros(10),
-            SimTime::from_micros(50),
-            &pod,
-        );
-        s.validate().expect("generated storm must be well-formed");
-        assert_eq!(s.events().len(), 6);
-        // All three links go down at the same instant…
-        let fails: Vec<_> = s
-            .events()
-            .iter()
-            .filter(|e| e.action == LinkAction::Fail)
-            .collect();
-        assert_eq!(fails.len(), 3);
-        assert!(fails.iter().all(|e| e.at == SimTime::from_micros(10)));
-        // …and come back at the same instant.
-        let restores: Vec<_> = s
-            .events()
-            .iter()
-            .filter(|e| e.action == LinkAction::Restore)
-            .collect();
-        assert!(restores.iter().all(|e| e.at == SimTime::from_micros(50)));
-    }
-
-    #[test]
-    fn flap_storm_is_seeded_deterministic_and_valid() {
-        let links: Vec<LinkId> = (0..8).map(LinkId).collect();
-        let mk = |seed| {
-            FailureSchedule::new().flap_storm(
-                seed,
-                "test-flaps",
-                &links,
-                SimTime::from_micros(100),
-                SimDuration::from_micros(800),
-                10,
-            )
-        };
-        let a = mk(42);
-        a.validate().expect("generated storm must be well-formed");
-        assert_eq!(a.events().len(), 20);
-        assert_eq!(a, mk(42), "same seed must reproduce the storm");
-        assert_ne!(a, mk(43), "different seeds must differ");
-        // Every event lands inside the storm window.
-        assert!(a
-            .events()
-            .iter()
-            .all(|e| e.at >= SimTime::from_micros(100) && e.at < SimTime::from_micros(900)));
-    }
-
-    #[test]
-    fn gray_storm_degrades_and_clears_every_link() {
-        let links = [LinkId(4), LinkId(7)];
-        let s = FailureSchedule::new().gray_storm(
-            11,
-            "test-gray",
-            &links,
-            SimTime::from_micros(5),
-            SimTime::from_micros(80),
-            50_000,
-        );
-        s.validate().expect("degrades are always legal");
-        assert_eq!(s.events().len(), 4);
-        for &link in &links {
-            let evs: Vec<_> = s.events().iter().filter(|e| e.link == link).collect();
-            assert_eq!(evs.len(), 2);
-            assert!(
-                matches!(evs[0].action, LinkAction::Degrade { ppm } if (1..=50_000).contains(&ppm))
-            );
-            assert_eq!(evs[1].action, LinkAction::Degrade { ppm: 0 });
-        }
     }
 
     #[test]

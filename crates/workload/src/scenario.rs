@@ -425,14 +425,7 @@ impl Scenario {
                 break;
             }
             advance_to(engine, &mut source, &mut now, ev.at, window);
-            let ok = match ev.action {
-                crate::engine::LinkAction::Fail => engine.fail_link(ev.link),
-                crate::engine::LinkAction::Restore => engine.restore_link(ev.link),
-                crate::engine::LinkAction::Degrade { ppm } => {
-                    engine.set_link_error_ppm(ev.link, ppm)
-                }
-            };
-            applied += usize::from(ok);
+            applied += usize::from(ev.apply(engine));
         }
         advance_to(engine, &mut source, &mut now, horizon, window);
         (engine.flow_stats(), applied)
