@@ -21,6 +21,17 @@ pub const REASSEMBLY_TIMEOUT: SimDuration = SimDuration::from_millis(1);
 /// only shapes the synthetic host traffic the Fig 10 FCT scenarios offer.
 pub const MSG_MTU_BYTES: u32 = 1_500;
 
+/// Multiplicative credit-rate decrease on an FCI-marked cell arrival (§4.2).
+pub const FCI_DECREASE: f64 = 0.95;
+/// Additive credit-rate recovery per credit tick.
+pub const FCI_RECOVER: f64 = 0.002;
+/// Floor of the FCI throttle factor.
+pub const FCI_MIN: f64 = 0.55;
+/// Minimum gap between two FCI-triggered decreases on one port.
+pub const FCI_HOLD: SimDuration = SimDuration::from_micros(2);
+const _: () =
+    assert!(FCI_MIN > 0.0 && FCI_MIN <= 1.0 && FCI_DECREASE >= 0.0 && FCI_DECREASE <= 1.0);
+
 /// All tunables of a Stardust fabric instance.
 #[derive(Debug, Clone)]
 pub struct FabricConfig {
@@ -45,14 +56,6 @@ pub struct FabricConfig {
     pub num_tcs: u8,
     /// FE output-queue depth (in cells) above which FCI is piggybacked.
     pub fci_threshold_cells: u32,
-    /// Multiplicative credit-rate decrease on an FCI-marked cell arrival.
-    pub fci_decrease: f64,
-    /// Additive credit-rate recovery per credit tick.
-    pub fci_recover: f64,
-    /// Floor of the FCI throttle factor.
-    pub fci_min: f64,
-    /// Minimum gap between two FCI-triggered decreases on one port.
-    pub fci_hold: SimDuration,
     /// One-way latency of the control plane (credit/request messages).
     /// Control cells traverse a dedicated crossbar with no data queueing
     /// (§4.2 "two k×k crossbars, one for data cells and one for control"),
@@ -120,10 +123,6 @@ impl Default for FabricConfig {
             // M/D/1 queue tails (Fig 9 reaches ~80 cells at 95% load); FCI
             // engages only when the fabric is genuinely oversubscribed.
             fci_threshold_cells: 64,
-            fci_decrease: 0.95,
-            fci_recover: 0.002,
-            fci_min: 0.55,
-            fci_hold: SimDuration::from_micros(2),
             ctrl_latency: SimDuration::from_micros(2),
             spray_rounds_per_shuffle: 4,
             reach_interval: None,
@@ -155,8 +154,6 @@ impl FabricConfig {
         assert!(CELL_HEADER_BYTES < self.cell_bytes);
         assert!(self.credit_bytes >= self.cell_payload());
         assert!(self.credit_speedup >= 0.0 && self.credit_speedup < 0.5);
-        assert!(self.fci_min > 0.0 && self.fci_min <= 1.0);
-        assert!((0.0..=1.0).contains(&self.fci_decrease));
         assert!(self.num_tcs >= 1);
         assert!(self.host_ports >= 1);
         if let Some(tc) = self.low_latency_tc {

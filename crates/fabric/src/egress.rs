@@ -59,10 +59,6 @@ impl Egress {
                 cfg.credit_bytes as u64,
                 cfg.credit_speedup,
                 cfg.num_tcs,
-                cfg.fci_decrease,
-                cfg.fci_recover,
-                cfg.fci_min,
-                cfg.fci_hold,
                 cfg.sched_policy.clone(),
             ),
             egress_bytes: 0,

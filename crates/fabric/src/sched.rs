@@ -19,7 +19,7 @@
 //!   full, the scheduler stops sending credits to the VOQs and resumes as
 //!   packets are drained."
 
-use crate::config::SchedPolicy;
+use crate::config::{SchedPolicy, FCI_DECREASE, FCI_HOLD, FCI_MIN, FCI_RECOVER};
 use stardust_sim::{IdHash, SimDuration, SimTime};
 use std::collections::{HashMap, VecDeque};
 
@@ -52,10 +52,6 @@ pub struct PortScheduler {
     pub timer_armed: bool,
     /// FCI throttle factor in (0, 1].
     throttle: f64,
-    fci_decrease: f64,
-    fci_recover: f64,
-    fci_min: f64,
-    fci_hold: SimDuration,
     last_fci: SimTime,
     /// Total credits granted (diagnostics).
     pub credits_granted: u64,
@@ -69,17 +65,12 @@ pub struct PortScheduler {
 impl PortScheduler {
     /// Build a scheduler for a port of `port_bps` with the given credit
     /// size, speedup and cross-class policy; FCI parameters as in
-    /// [`crate::config::FabricConfig`].
-    #[allow(clippy::too_many_arguments)]
+    /// [`crate::config`].
     pub fn with_policy(
         port_bps: u64,
         credit_bytes: u64,
         speedup: f64,
         num_tcs: u8,
-        fci_decrease: f64,
-        fci_recover: f64,
-        fci_min: f64,
-        fci_hold: SimDuration,
         policy: SchedPolicy,
     ) -> Self {
         assert!(port_bps > 0 && credit_bytes > 0);
@@ -93,10 +84,6 @@ impl PortScheduler {
             paused: false,
             timer_armed: false,
             throttle: 1.0,
-            fci_decrease,
-            fci_recover,
-            fci_min,
-            fci_hold,
             last_fci: SimTime::ZERO,
             credits_granted: 0,
             wrr_left: match &policy {
@@ -213,18 +200,18 @@ impl PortScheduler {
     }
 
     /// An FCI-marked cell arrived for this port: multiplicative decrease,
-    /// rate-limited to once per `fci_hold`.
+    /// rate-limited to once per [`FCI_HOLD`].
     pub fn on_fci(&mut self, now: SimTime) {
-        if now.saturating_since(self.last_fci) < self.fci_hold && self.last_fci != SimTime::ZERO {
+        if now.saturating_since(self.last_fci) < FCI_HOLD && self.last_fci != SimTime::ZERO {
             return;
         }
         self.last_fci = now;
-        self.throttle = (self.throttle * self.fci_decrease).max(self.fci_min);
+        self.throttle = (self.throttle * FCI_DECREASE).max(FCI_MIN);
     }
 
     /// Additive recovery, applied once per credit tick.
     pub fn recover(&mut self) {
-        self.throttle = (self.throttle + self.fci_recover).min(1.0);
+        self.throttle = (self.throttle + FCI_RECOVER).min(1.0);
     }
 
     /// Current throttle factor (diagnostics).
@@ -238,17 +225,7 @@ mod tests {
     use super::*;
 
     fn sched(num_tcs: u8) -> PortScheduler {
-        PortScheduler::with_policy(
-            50_000_000_000,
-            4096,
-            0.03,
-            num_tcs,
-            0.95,
-            0.002,
-            0.5,
-            SimDuration::from_micros(2),
-            SchedPolicy::Strict,
-        )
+        PortScheduler::with_policy(50_000_000_000, 4096, 0.03, num_tcs, SchedPolicy::Strict)
     }
 
     #[test]
@@ -340,22 +317,13 @@ mod tests {
         for i in 0..10_000u64 {
             s.on_fci(SimTime::from_micros(10 * (i + 1)));
         }
-        assert!(s.throttle() >= 0.5);
+        assert_eq!(s.throttle(), FCI_MIN);
     }
 
     #[test]
     fn wrr_policy_shares_by_weight() {
-        let mut s = PortScheduler::with_policy(
-            50_000_000_000,
-            4096,
-            0.03,
-            2,
-            0.95,
-            0.002,
-            0.5,
-            SimDuration::from_micros(2),
-            SchedPolicy::Wrr(vec![3, 1]),
-        );
+        let mut s =
+            PortScheduler::with_policy(50_000_000_000, 4096, 0.03, 2, SchedPolicy::Wrr(vec![3, 1]));
         s.request(SchedVoq { src_fa: 1, tc: 0 }, 100_000_000);
         s.request(SchedVoq { src_fa: 2, tc: 1 }, 100_000_000);
         let mut counts = [0u32; 2];
@@ -368,17 +336,8 @@ mod tests {
 
     #[test]
     fn wrr_idle_class_yields_its_quantum() {
-        let mut s = PortScheduler::with_policy(
-            50_000_000_000,
-            4096,
-            0.03,
-            2,
-            0.95,
-            0.002,
-            0.5,
-            SimDuration::from_micros(2),
-            SchedPolicy::Wrr(vec![3, 1]),
-        );
+        let mut s =
+            PortScheduler::with_policy(50_000_000_000, 4096, 0.03, 2, SchedPolicy::Wrr(vec![3, 1]));
         // Only the low class has demand: it gets everything.
         s.request(SchedVoq { src_fa: 2, tc: 1 }, 10_000_000);
         for _ in 0..100 {
