@@ -90,10 +90,7 @@ impl Partition {
         let n = topo.nodes_of_kind(NodeKind::Edge).len();
         let s = num_shards as usize;
         assert!(num_shards >= 1, "at least one shard");
-        assert!(
-            s <= n,
-            "more shards ({num_shards}) than Fabric Adapters ({n})"
-        );
+        assert!(s <= n, "more shards ({s}) than FAs ({n})");
         let mut shard_of_node = vec![u32::MAX; topo.num_nodes()];
         let mut seen = 0;
         for group in groups {
@@ -101,18 +98,9 @@ impl Partition {
             let lo = seen * s / n;
             let parts = ((seen + m) * s / n - lo).max(1);
             for (r, &fa) in group.iter().enumerate() {
-                let kind = topo.node(fa).kind;
-                assert!(
-                    kind == NodeKind::Edge,
-                    "grouped node {} is a {kind:?}",
-                    fa.0
-                );
                 let slot = &mut shard_of_node[fa.0 as usize];
-                assert!(
-                    *slot == u32::MAX,
-                    "Fabric Adapter {} is in two groups",
-                    fa.0
-                );
+                let fresh = *slot == u32::MAX && topo.node(fa).kind == NodeKind::Edge;
+                assert!(fresh, "node {} grouped twice or not an FA", fa.0);
                 *slot = (lo + r * parts / m) as u32;
             }
             seen += m;
@@ -391,7 +379,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "is in two groups")]
+    #[should_panic(expected = "grouped twice")]
     fn overlapping_grouping_rejected() {
         let tt = two_tier(TwoTierParams::paper_scaled(16));
         let overlapping = vec![tt.fas.clone(), vec![tt.fas[3]]];
