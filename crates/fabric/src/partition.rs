@@ -290,7 +290,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_groups_give_the_contiguous_split_on_clos() {
+    fn plan_groups_reproduce_contiguous_split_on_clos() {
         let tt = two_tier(TwoTierParams::paper_scaled(4));
         let plan = RoutePlan::shortest_path(&tt.topo);
         let n = tt.fas.len();
