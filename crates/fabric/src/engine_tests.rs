@@ -569,6 +569,25 @@ fn gradual_growth_partially_populated_fabric() {
 }
 
 #[test]
+#[should_panic(expected = "route plan does not match this topology")]
+fn plan_of_another_topology_rejected() {
+    let small = two_tier(TwoTierParams::paper_scaled(16));
+    let big = two_tier(TwoTierParams::paper_scaled(4));
+    let plan = Arc::new(RoutePlan::shortest_path(&big.topo));
+    let _ = FabricEngine::with_plan(small.topo, cfg_small(), plan);
+}
+
+#[test]
+#[should_panic(expected = "no edge nodes in topology")]
+fn fa_less_topology_rejected() {
+    let mut topo = Topology::new();
+    let a = topo.add_node(stardust_topo::NodeKind::Fabric, 1);
+    let b = topo.add_node(stardust_topo::NodeKind::Fabric, 1);
+    topo.add_link(a, b, 10);
+    let _ = FabricEngine::new(topo, cfg_small());
+}
+
+#[test]
 #[should_panic(expected = "self-destined")]
 fn self_traffic_rejected() {
     let mut e = small_engine(cfg_small());
