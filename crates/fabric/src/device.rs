@@ -140,15 +140,11 @@ pub(crate) struct Devices {
 }
 
 impl Devices {
-    /// Edge nodes become Fabric Adapters (in `topo` order), fabric nodes
-    /// become Fabric Elements. The plan is the single source of routing
-    /// truth: every port of every device is seeded with its direction's
-    /// candidate set, so static tables start converged on any topology
-    /// shape.
-    pub(crate) fn new(topo: &Topology, plan: Arc<RoutePlan>, cfg: &FabricConfig) -> Self {
-        let fa_nodes = topo.nodes_of_kind(NodeKind::Edge);
-        let fe_nodes = topo.nodes_of_kind(NodeKind::Fabric);
-        assert!(!fa_nodes.is_empty(), "no edge nodes in topology");
+    /// Panic, naming the fault, unless `topo` is an FA-edge fabric that
+    /// `plan` was built for.
+    pub(crate) fn check(topo: &Topology, plan: &RoutePlan) {
+        let fas = topo.nodes_of_kind(NodeKind::Edge).len();
+        assert!(fas > 0, "no edge nodes in topology");
         assert!(
             topo.nodes_of_kind(NodeKind::Host).is_empty(),
             "fabric engine expects an FA-edge topology without host nodes"
@@ -159,10 +155,19 @@ impl Devices {
             "route plan does not match this topology's link count"
         );
         assert_eq!(
-            plan.num_endpoints,
-            fa_nodes.len(),
+            plan.num_endpoints, fas,
             "route plan does not match this topology's endpoint count"
         );
+    }
+
+    /// Edge nodes become Fabric Adapters (in `topo` order), fabric nodes
+    /// become Fabric Elements. The plan is the single source of routing
+    /// truth: every port of every device is seeded with its direction's
+    /// candidate set, so static tables start converged on any topology
+    /// shape. [`Devices::check`] has accepted `topo` and `plan`.
+    pub(crate) fn new(topo: &Topology, plan: Arc<RoutePlan>, cfg: &FabricConfig) -> Self {
+        let fa_nodes = topo.nodes_of_kind(NodeKind::Edge);
+        let fe_nodes = topo.nodes_of_kind(NodeKind::Fabric);
         let num_fas = fa_nodes.len();
         let mut dev_of_node = vec![u32::MAX; topo.num_nodes()];
         let mut nodes = Vec::with_capacity(num_fas + fe_nodes.len());
@@ -216,11 +221,6 @@ impl Devices {
     /// The device index of `node`.
     pub(crate) fn of_node(&self, node: NodeId) -> usize {
         self.dev_of_node[node.0 as usize] as usize
-    }
-
-    /// The node of every Fabric Adapter, in FA-index order.
-    pub(crate) fn fa_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.nodes[..self.num_fas].iter().map(|d| d.node)
     }
 
     /// Fabric ports of the first Fabric Adapter (builders give every FA

@@ -22,12 +22,12 @@
 //! check.
 
 use crate::cell::{Cell, PacketId};
-use crate::config::FabricConfig;
+use crate::config::{FabricConfig, REASSEMBLY_TIMEOUT};
 use crate::device::Devices;
 use crate::egress::Egress;
 use crate::ev::{key_of, Ev, OutItem, OutPayload};
 use crate::ingress::{CbrFlow, Ingress, MsgFlow, TxPath};
-use crate::partition::ShardView;
+use crate::partition::Partition;
 use crate::sched::SchedVoq;
 use crate::voq::VoqKey;
 use crate::wire::Wire;
@@ -41,23 +41,20 @@ pub use crate::stats::FabricStats;
 
 /// What every layer needs in common, grouped so a handler takes it as
 /// one `&mut` beside its own state: the configuration, the measurements,
-/// the event calendar and — in a sharded run — the routing of events
-/// whose target lives on another shard.
+/// the event calendar and the routing of events whose target lives on
+/// another shard.
 pub(crate) struct Ctx {
     pub(crate) cfg: FabricConfig,
     pub(crate) stats: FabricStats,
     measure_from: SimTime,
     events: EventQueue<Ev>,
-    /// This engine's place in a sharded run (`None` = sequential: the
-    /// engine owns every node and routes nothing).
-    view: Option<ShardView>,
-    /// FA index → owning shard (empty when sequential).
-    shard_of_fa: Vec<u32>,
-    /// Direction index → shard owning the direction's destination node
-    /// (empty when sequential).
-    dir_dst_shard: Vec<u32>,
-    /// Outgoing cross-shard events, one batch per destination shard
-    /// (empty when sequential); drained by the shard driver at barriers.
+    /// The partition this engine is a shard of (one shard when
+    /// sequential: the engine owns every node and routes nothing).
+    part: Partition,
+    /// This engine's shard of `part`.
+    shard: u32,
+    /// Outgoing cross-shard events, one batch per destination shard;
+    /// drained by the shard driver at barriers.
     outbox: Vec<Vec<OutItem>>,
 }
 
@@ -74,18 +71,12 @@ impl Ctx {
 
     /// Does this engine own (dispatch events for) `node`?
     pub(crate) fn owns_node(&self, node: NodeId) -> bool {
-        match &self.view {
-            None => true,
-            Some(v) => v.shard_of_node[node.0 as usize] == v.shard,
-        }
+        self.part.shard_of_node[node.0 as usize] == self.shard
     }
 
     /// Does this engine own Fabric Adapter `fa`?
     pub(crate) fn owns_fa(&self, fa: u32) -> bool {
-        match &self.view {
-            None => true,
-            Some(v) => self.shard_of_fa[fa as usize] == v.shard,
-        }
+        self.part.shard_of_fa[fa as usize] == self.shard
     }
 
     /// Schedule `ev` at `at` under its canonical content key, routing it
@@ -105,26 +96,30 @@ impl Ctx {
     /// (see [`Ctx::post_cell_if_remote`]), and every other event is
     /// self-directed.
     fn remote_target(&self, ev: &Ev) -> Option<u32> {
-        let v = self.view.as_ref()?;
         let s = match ev {
-            Ev::CtrlRequest { dst_fa, .. } => self.shard_of_fa[*dst_fa as usize],
-            Ev::CtrlCredit { src_fa, .. } => self.shard_of_fa[*src_fa as usize],
-            Ev::ReachMsg { node, .. } => v.shard_of_node[node.0 as usize],
-            Ev::BurstOpen { burst } => self.shard_of_fa[burst.dst_fa as usize],
+            Ev::CtrlRequest { dst_fa, .. } => self.part.shard_of_fa[*dst_fa as usize],
+            Ev::CtrlCredit { src_fa, .. } => self.part.shard_of_fa[*src_fa as usize],
+            Ev::ReachMsg { node, .. } => self.part.shard_of_node[node.0 as usize],
+            Ev::BurstOpen { burst } => self.part.shard_of_fa[burst.dst_fa as usize],
             _ => return None,
         };
-        (s != v.shard).then_some(s)
+        (s != self.shard).then_some(s)
     }
 
-    /// If the far end of direction `dir` lives on another shard, send it
-    /// the cell arriving there at `at` and say so. The cell travels by
-    /// value through the mailbox (the cell slab is shard-local); its
-    /// propagation delay is at least the partition lookahead by
-    /// construction.
-    pub(crate) fn post_cell_if_remote(&mut self, at: SimTime, dir: u32, cell: &Cell) -> bool {
-        let Some(v) = &self.view else { return false };
-        let shard = self.dir_dst_shard[dir as usize];
-        if shard == v.shard {
+    /// If `dst`, the far end of direction `dir`, lives on another shard,
+    /// send it the cell arriving there at `at` and say so. The cell
+    /// travels by value through the mailbox (the cell slab is
+    /// shard-local); its propagation delay is at least the partition
+    /// lookahead by construction.
+    pub(crate) fn post_cell_if_remote(
+        &mut self,
+        at: SimTime,
+        dir: u32,
+        dst: NodeId,
+        cell: &Cell,
+    ) -> bool {
+        let shard = self.part.shard_of_node[dst.0 as usize];
+        if shard == self.shard {
             return false;
         }
         let payload = OutPayload::Cell { dir, cell: *cell };
@@ -135,11 +130,11 @@ impl Ctx {
     /// `None` when this engine owns Fabric Adapter `fa`; otherwise the
     /// closed lookahead bound from this shard to the one that does.
     pub(crate) fn bound_to_remote_fa(&self, fa: u32) -> Option<SimDuration> {
-        let v = self.view.as_ref()?;
-        let s = self.shard_of_fa[fa as usize];
-        (s != v.shard).then(|| {
-            v.matrix
-                .bound(v.shard as usize, s as usize)
+        let s = self.part.shard_of_fa[fa as usize];
+        (s != self.shard).then(|| {
+            self.part
+                .matrix
+                .bound(self.shard as usize, s as usize)
                 .expect("control traffic bounds every shard pair")
         })
     }
@@ -164,65 +159,65 @@ impl FabricEngine {
     /// maintains them (and failures self-heal).
     pub fn new(topo: Topology, cfg: FabricConfig) -> Self {
         let plan = Arc::new(RoutePlan::shortest_path(&topo));
-        Self::with_view(topo, cfg, None, plan)
+        Self::with_plan(topo, cfg, plan)
     }
 
     /// Build an engine over `topo` with an explicit route plan (e.g. the
     /// greedy ring plan a Space Shuffle builder derived).
     pub fn with_plan(topo: Topology, cfg: FabricConfig, plan: Arc<RoutePlan>) -> Self {
-        Self::with_view(topo, cfg, None, plan)
+        Self::shards(topo, cfg, plan, 1).pop().expect("one shard")
     }
 
-    /// Build one shard of a partitioned run (or the sequential engine,
-    /// with `view = None`). A sharded engine holds the full topology but
-    /// only ever dispatches events for the nodes its view owns; events
-    /// targeting foreign nodes route to the per-shard outbox instead of
-    /// the local calendar.
-    pub(crate) fn with_view(
+    /// Build the engines of a `num_shards`-way partitioned run, one per
+    /// shard (the sequential engine is shard 0 of one). Each holds the
+    /// full topology but only dispatches events for the nodes its shard
+    /// owns; events for foreign nodes go to the per-shard outbox. The
+    /// inputs are checked before the partition is cut.
+    pub(crate) fn shards(
         topo: Topology,
         cfg: FabricConfig,
-        view: Option<ShardView>,
         plan: Arc<RoutePlan>,
-    ) -> Self {
+        num_shards: u32,
+    ) -> Vec<Self> {
         cfg.validate();
-        let devices = Devices::new(&topo, plan, &cfg);
-        let wire = Wire::new(&topo, cfg.fabric_link_bps, cfg.seed);
-        let num_fas = devices.num_fas();
-        // Shard routing tables (empty for the sequential engine).
-        let (shard_of_fa, dir_dst_shard, outbox) = match &view {
-            None => (Vec::new(), Vec::new(), Vec::new()),
-            Some(v) => {
-                let shard_of = |n: NodeId| v.shard_of_node[n.0 as usize];
-                (
-                    devices.fa_nodes().map(shard_of).collect(),
-                    wire.dst_nodes().map(shard_of).collect(),
-                    (0..v.num_shards).map(|_| Vec::new()).collect(),
-                )
-            }
-        };
-        let mut ctx = Ctx {
-            stats: FabricStats::new(num_fas, cfg.host_ports as usize, cfg.bounded_flows),
-            measure_from: SimTime::ZERO,
-            events: EventQueue::new(),
-            view,
-            shard_of_fa,
-            dir_dst_shard,
-            outbox,
-            cfg,
-        };
-        devices.arm_reach_ticks(&mut ctx);
-        let egress = Egress::new(num_fas, &ctx.cfg);
-        FabricEngine {
-            topo,
-            ingress: Ingress::new(num_fas),
-            tx: TxPath {
-                devices,
-                wire,
-                egress,
-            },
-            ctx,
-            batch: Vec::new(),
-        }
+        Devices::check(&topo, &plan);
+        let part = Partition::with_groups(&topo, &plan.groups, num_shards, cfg.ctrl_latency);
+        // Cross-shard burst-record handoffs are delayed by their pair's
+        // closed bound; a bound at or past the reassembly timeout would
+        // deliver the record after its own cleanup deadline.
+        assert!(
+            part.matrix.max_cross_bound() < REASSEMBLY_TIMEOUT,
+            "pair lookahead bound must stay below the reassembly timeout"
+        );
+        (0..num_shards)
+            .map(|shard| {
+                let devices = Devices::new(&topo, plan.clone(), &cfg);
+                let wire = Wire::new(&topo, cfg.fabric_link_bps, cfg.seed);
+                let num_fas = devices.num_fas();
+                let mut ctx = Ctx {
+                    stats: FabricStats::new(num_fas, cfg.host_ports as usize, cfg.bounded_flows),
+                    measure_from: SimTime::ZERO,
+                    events: EventQueue::new(),
+                    outbox: (0..num_shards).map(|_| Vec::new()).collect(),
+                    part: part.clone(),
+                    shard,
+                    cfg: cfg.clone(),
+                };
+                devices.arm_reach_ticks(&mut ctx);
+                let egress = Egress::new(num_fas, &ctx.cfg);
+                FabricEngine {
+                    topo: topo.clone(),
+                    ingress: Ingress::new(num_fas),
+                    tx: TxPath {
+                        devices,
+                        wire,
+                        egress,
+                    },
+                    ctx,
+                    batch: Vec::new(),
+                }
+            })
+            .collect()
     }
 
     // -- shard plumbing ----------------------------------------------------
@@ -250,6 +245,11 @@ impl FabricEngine {
             debug_assert!(self.ctx.remote_target(&ev).is_none(), "misrouted event");
             self.ctx.events.schedule_keyed(it.at, key_of(&ev), ev);
         }
+    }
+
+    /// The partition this engine is a shard of.
+    pub(crate) fn partition(&self) -> &Partition {
+        &self.ctx.part
     }
 
     /// Timestamp of this engine's earliest pending event.
@@ -510,6 +510,10 @@ impl FabricEngine {
         if horizon < SimTime::MAX {
             self.ctx.events.advance_clock(horizon);
         }
+        debug_assert!(
+            self.ctx.outbox[self.ctx.shard as usize].is_empty(),
+            "nothing routes to its own shard: a one-shard engine's outbox stays empty"
+        );
     }
 
     /// Run for `d` more simulated time. Consecutive calls advance the

@@ -10,12 +10,17 @@
 //! * credit-loop control messages (request/credit), delayed by the
 //!   configured control-plane transit latency.
 //!
-//! The lookahead is therefore `min(ctrl_latency, min propagation over
-//! links whose endpoints land in different shards)`. Keeping topologically
-//! close nodes together directly buys simulation throughput: in the
-//! paper's two-tier shapes the FA↔aggregation fibers are short and the
-//! aggregation↔spine fibers long, so a pod-aligned partition is windowed
-//! by the long fibers instead of the short ones.
+//! The lookahead is therefore a matrix, one bound per ordered shard pair:
+//! every pair starts at `ctrl_latency`, a pair joined by a fiber drops to
+//! that fiber's propagation if shorter, and a min-plus closure bounds the
+//! chains through intermediate shards (see [`Partition::matrix`]).
+//! Keeping topologically close nodes together directly buys simulation
+//! throughput: in the paper's two-tier shapes the FA↔aggregation fibers
+//! are short and the aggregation↔spine fibers long, so a pod-aligned
+//! partition is windowed by the long fibers instead of the short ones.
+//!
+//! Every fabric engine runs on a partition: a sequential engine is shard
+//! 0 of a one-shard partition, whose matrix bounds no pair.
 //!
 //! The assignment follows the route plan's endpoint groups (pods on Clos
 //! shapes, switch blocks on flat fabrics): Fabric Adapters split in
@@ -39,26 +44,13 @@ pub struct Partition {
     pub num_shards: u32,
     /// NodeId → owning shard.
     pub shard_of_node: Arc<Vec<u32>>,
+    /// Fabric Adapter index (edge nodes in topology order) → owning shard.
+    pub shard_of_fa: Arc<Vec<u32>>,
     /// Per-ordered-shard-pair bounds (min-plus closure over control
     /// latency on every pair plus the actual cross-shard fibers): the
     /// matrix clock windows each shard by the min over its *actual*
     /// constrainers, so non-adjacent shards stop throttling each other.
     /// Its smallest entry is the scalar lookahead.
-    pub matrix: Arc<LookaheadMatrix>,
-}
-
-/// One shard's view of a [`Partition`] — what a per-shard engine needs to
-/// route events: its own id, the global node assignment, and the
-/// lookahead matrix used for cross-shard burst-record handoff.
-#[derive(Debug, Clone)]
-pub struct ShardView {
-    /// This shard's id.
-    pub shard: u32,
-    /// Total shard count.
-    pub num_shards: u32,
-    /// NodeId → owning shard (shared with the partition).
-    pub shard_of_node: Arc<Vec<u32>>,
-    /// The partition's per-pair bounds (shared with the partition).
     pub matrix: Arc<LookaheadMatrix>,
 }
 
@@ -87,7 +79,8 @@ impl Partition {
         num_shards: u32,
         ctrl_latency: SimDuration,
     ) -> Self {
-        let n = topo.nodes_of_kind(NodeKind::Edge).len();
+        let fas = topo.nodes_of_kind(NodeKind::Edge);
+        let n = fas.len();
         let s = num_shards as usize;
         assert!(num_shards >= 1, "at least one shard");
         assert!(s <= n, "more shards ({s}) than FAs ({n})");
@@ -184,29 +177,10 @@ impl Partition {
         }
         Partition {
             num_shards,
+            shard_of_fa: Arc::new(fas.iter().map(|f| shard_of_node[f.0 as usize]).collect()),
             shard_of_node: Arc::new(shard_of_node),
             matrix: Arc::new(LookaheadMatrix::from_direct(s, &direct)),
         }
-    }
-
-    /// The view handed to shard `shard`'s engine.
-    pub fn view(&self, shard: u32) -> ShardView {
-        assert!(shard < self.num_shards);
-        ShardView {
-            shard,
-            num_shards: self.num_shards,
-            shard_of_node: self.shard_of_node.clone(),
-            matrix: self.matrix.clone(),
-        }
-    }
-
-    /// Number of edge nodes (Fabric Adapters) owned by each shard.
-    pub fn fa_counts(&self, topo: &Topology) -> Vec<usize> {
-        let mut counts = vec![0usize; self.num_shards as usize];
-        for n in topo.nodes_of_kind(NodeKind::Edge) {
-            counts[self.shard_of_node[n.0 as usize] as usize] += 1;
-        }
-        counts
     }
 }
 
@@ -221,6 +195,15 @@ mod tests {
         Partition::with_groups(topo, &RoutePlan::shortest_path(topo).groups, shards, ctrl)
     }
 
+    /// Number of Fabric Adapters owned by each shard.
+    fn fa_counts(part: &Partition) -> Vec<usize> {
+        let mut counts = vec![0usize; part.num_shards as usize];
+        for &s in part.shard_of_fa.iter() {
+            counts[s as usize] += 1;
+        }
+        counts
+    }
+
     #[test]
     fn two_tier_pod_aligned_partition_uses_long_fibers() {
         // paper_scaled(4): 64 FAs, 4 pods of 16; near 100 m, far 100 m —
@@ -233,7 +216,7 @@ mod tests {
         // 4 shards over 4 pods: every FA↔aggregation link stays inside
         // one shard, so the lookahead is the far-fiber 500 ns.
         assert_eq!(part.matrix.min_bound(), Some(SimDuration::from_nanos(500)));
-        let counts = part.fa_counts(&tt.topo);
+        let counts = fa_counts(&part);
         assert_eq!(counts, vec![16; 4]);
         // Aggregation FEs adopted their pod's shard.
         for (i, &fe) in tt.t1.iter().enumerate() {
@@ -251,7 +234,7 @@ mod tests {
         // 8 shards over 4 pods: pods split, near links cross shards.
         let part = by_plan(&tt.topo, 8, SimDuration::from_micros(2));
         assert_eq!(part.matrix.min_bound(), Some(SimDuration::from_nanos(50)));
-        assert_eq!(part.fa_counts(&tt.topo), vec![8; 8]);
+        assert_eq!(fa_counts(&part), vec![8; 8]);
     }
 
     #[test]
@@ -276,7 +259,7 @@ mod tests {
         for shards in [2u32, 4] {
             let part = by_plan(&tt.topo, shards, SimDuration::from_micros(2));
             assert!(part.shard_of_node.iter().all(|&s| s < shards));
-            let counts = part.fa_counts(&tt.topo);
+            let counts = fa_counts(&part);
             let (min, max) = (counts.iter().min().unwrap(), counts.iter().max().unwrap());
             assert!(max - min <= 1, "unbalanced FA split {counts:?}");
         }
@@ -323,7 +306,7 @@ mod tests {
             assert_eq!(s0, s1);
             assert_eq!(part.shard_of_node[router.0 as usize], s0);
         }
-        let counts = part.fa_counts(&df.topo);
+        let counts = fa_counts(&part);
         assert_eq!(counts, vec![10; 4]);
     }
 

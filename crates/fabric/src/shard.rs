@@ -37,7 +37,7 @@
 //! See DESIGN.md § "Parallel runtime internals" for the mailbox exchange
 //! and the full determinism argument.
 
-use crate::config::{FabricConfig, REASSEMBLY_TIMEOUT};
+use crate::config::FabricConfig;
 use crate::engine::{FabricEngine, FabricStats};
 use crate::ev::OutItem;
 use crate::partition::Partition;
@@ -66,9 +66,6 @@ pub enum ExecMode {
 /// shard order into the same [`FabricStats`] a sequential run records.
 pub struct ShardedFabricEngine {
     shards: Vec<FabricEngine>,
-    part: Partition,
-    /// FA index → owning shard (routing table for workload calls).
-    shard_of_fa: Vec<u32>,
     mode: ExecMode,
     /// OS threads to drive the shards with (≤ shard count); `None` means
     /// one per shard. Thread `t` drives shards `{i : i mod T == t}`
@@ -99,28 +96,8 @@ impl ShardedFabricEngine {
         plan: std::sync::Arc<stardust_topo::RoutePlan>,
         num_shards: u32,
     ) -> Self {
-        let part = Partition::with_groups(&topo, &plan.groups, num_shards, cfg.ctrl_latency);
-        // Cross-shard burst-record handoffs are delayed by their pair's
-        // closed bound; a bound at or past the reassembly timeout would
-        // deliver the record after its own cleanup deadline.
-        assert!(
-            part.matrix.max_cross_bound() < REASSEMBLY_TIMEOUT,
-            "pair lookahead bound must stay below the reassembly timeout"
-        );
-        let shards: Vec<FabricEngine> = (0..num_shards)
-            .map(|s| {
-                FabricEngine::with_view(topo.clone(), cfg.clone(), Some(part.view(s)), plan.clone())
-            })
-            .collect();
-        let shard_of_fa = topo
-            .nodes_of_kind(stardust_topo::NodeKind::Edge)
-            .iter()
-            .map(|n| part.shard_of_node[n.0 as usize])
-            .collect();
         ShardedFabricEngine {
-            shards,
-            part,
-            shard_of_fa,
+            shards: FabricEngine::shards(topo, cfg, plan, num_shards),
             mode: ExecMode::Threads,
             threads: None,
             windows: 0,
@@ -141,7 +118,7 @@ impl ShardedFabricEngine {
     /// spawns.
     pub fn set_threads(&mut self, threads: u32) {
         assert!(threads >= 1, "at least one thread");
-        self.threads = Some(threads.min(self.part.num_shards));
+        self.threads = Some(threads.min(self.num_shards()));
     }
 
     /// The number of OS threads `run_until` will use under
@@ -149,7 +126,7 @@ impl ShardedFabricEngine {
     pub fn num_threads(&self) -> u32 {
         match self.mode {
             ExecMode::Inline => 1,
-            ExecMode::Threads => self.threads.unwrap_or(self.part.num_shards),
+            ExecMode::Threads => self.threads.unwrap_or(self.num_shards()),
         }
     }
 
@@ -163,12 +140,12 @@ impl ShardedFabricEngine {
 
     /// Number of shards.
     pub fn num_shards(&self) -> u32 {
-        self.part.num_shards
+        self.partition().num_shards
     }
 
     /// The partition in force.
     pub fn partition(&self) -> &Partition {
-        &self.part
+        self.shards[0].partition()
     }
 
     /// Number of Fabric Adapters.
@@ -232,7 +209,7 @@ impl ShardedFabricEngine {
         bytes: u32,
     ) {
         self.shards[0].check_endpoint(src_fa, dst_fa, dst_port, tc);
-        let s = self.shard_of_fa[src_fa as usize] as usize;
+        let s = self.partition().shard_of_fa[src_fa as usize] as usize;
         self.shards[s].inject(at, src_fa, dst_fa, dst_port, tc, bytes);
     }
 
@@ -250,7 +227,7 @@ impl ShardedFabricEngine {
         stop: SimTime,
     ) {
         self.shards[0].check_endpoint(src_fa, dst_fa, dst_port, tc);
-        let s = self.shard_of_fa[src_fa as usize] as usize;
+        let s = self.partition().shard_of_fa[src_fa as usize] as usize;
         self.shards[s].add_cbr_flow(
             src_fa, dst_fa, dst_port, tc, rate_bps, pkt_bytes, start, stop,
         );
@@ -333,7 +310,7 @@ impl ShardedFabricEngine {
             return;
         }
         let threads = self.num_threads() as usize;
-        let clock = ShardClock::with_matrix(self.part.matrix.clone(), threads);
+        let clock = ShardClock::with_matrix(self.partition().matrix.clone(), threads);
         let mail: Mailboxes<OutItem> = Mailboxes::new(self.shards.len());
         // Distribute the shards round-robin over the driving threads.
         // One thread is the degenerate case: every shard in one group,

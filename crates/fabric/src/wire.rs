@@ -109,11 +109,6 @@ impl Wire {
         }
     }
 
-    /// The node at the far end of every direction, in direction order.
-    pub(crate) fn dst_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.dirs.iter().map(|d| d.dst_node)
-    }
-
     /// True iff both directions of `link` are up.
     pub(crate) fn link_up(&self, link: LinkId) -> bool {
         self.dirs[(link.0 * 2) as usize].up && self.dirs[(link.0 * 2 + 1) as usize].up
@@ -260,7 +255,7 @@ impl Wire {
         let now = ctx.now();
         let d = &mut self.dirs[dir_idx as usize];
         let cell = d.in_service.take().expect("TxDone without in-service cell");
-        let (up, prop, rate_bps, err) = (d.up, d.prop, d.rate_bps, d.error_rate);
+        let (up, prop, rate_bps, err, dst) = (d.up, d.prop, d.rate_bps, d.error_rate, d.dst_node);
         let corrupted = err > 0.0 && self.err_rngs[dir_idx as usize].chance(err);
         if !up {
             self.lose(ctx, cell);
@@ -270,7 +265,7 @@ impl Wire {
             ctx.stats.cells_corrupted.inc();
             ctx.stats.note_loss(now);
             self.free_cells.push(cell);
-        } else if ctx.post_cell_if_remote(now + prop, dir_idx, &self.cells[cell as usize]) {
+        } else if ctx.post_cell_if_remote(now + prop, dir_idx, dst, &self.cells[cell as usize]) {
             self.free_cells.push(cell);
         } else {
             ctx.sched(now + prop, Ev::CellArrive { dir: dir_idx, cell });

@@ -24,10 +24,11 @@
 //!
 //! ## Why depth-first replay over the deterministic engine is sound
 //!
-//! [`stardust_fabric::FabricEngine`] is not cloneable (it owns a live
-//! calendar queue), so the checker is *stateless*: a search node is an
-//! action sequence, and visiting it rebuilds a fresh engine and replays
-//! the sequence. The engine's total event order is a pure function of
+//! [`stardust_fabric::FabricEngine`] is not cloneable (its layers derive
+//! no `Clone`, and a frontier of whole-engine copies would cost a full
+//! state per search node), so the checker is *stateless*: a search node
+//! is an action sequence, and visiting it rebuilds a fresh engine and
+//! replays the sequence. The engine's total event order is a pure function of
 //! (topology, config, action sequence) — the workspace's determinism
 //! contract, enforced statically by `stardust-lint` and dynamically by
 //! the conformance suites — so replaying a prefix always reproduces the
