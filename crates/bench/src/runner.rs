@@ -2,11 +2,10 @@
 //!
 //! One spec → engines × seeds runs, every engine driven through the
 //! generic [`FlowEngine`](stardust_workload::FlowEngine) surface —
-//! offer the expanded flow list, drive the
-//! [`FailureSchedule`](stardust_workload::FailureSchedule)
-//! (the body of
+//! offer the expanded flow list and drive the
+//! [`FailureSchedule`](stardust_workload::FailureSchedule) through
 //! [`Scenario::run_with_failures`](stardust_workload::Scenario::run_with_failures),
-//! with the applied-event count kept for reporting).
+//! which also reports the applied-event count.
 //! The runner owns the concrete engine construction (the spec's topology
 //! presets), collects the engine-agnostic [`FlowStats`] plus the fabric
 //! drop/discard counters, evaluates the spec's [`Checks`](crate::spec::Checks), and renders
@@ -219,9 +218,8 @@ pub fn run_spec(spec: &ExperimentSpec) -> Outcome {
 
 /// Offer, drive the failure schedule, and collect the FCT stats.
 ///
-/// Table mode is the body of `Scenario::run_with_failures`, with the
-/// applied-event count kept (the runner reports it per run). Sketch
-/// mode streams: flows are drawn lazily and admitted in
+/// Table mode is `Scenario::run_with_failures` (the runner reports the
+/// applied-event count per run). Sketch mode streams: flows are drawn lazily and admitted in
 /// `spec.admit_window()`-sized slices (`Scenario::run_streamed`), and
 /// engines that still produced a per-flow table (the transports, which
 /// have no bounded mode) are converted to the same sketch form so every
@@ -232,11 +230,7 @@ fn drive<E: stardust_workload::FlowEngine>(
     e: &mut E,
 ) -> (FlowStats, usize) {
     match spec.stats {
-        StatsMode::Table => {
-            e.offer(&scenario.flows(e.num_nodes()));
-            let applied = spec.failures.drive(e, spec.horizon());
-            (e.flow_stats(), applied)
-        }
+        StatsMode::Table => scenario.run_with_failures(e, &spec.failures, spec.horizon()),
         StatsMode::Sketch => {
             let (flows, applied) =
                 scenario.run_streamed(e, &spec.failures, spec.horizon(), spec.admit_window());

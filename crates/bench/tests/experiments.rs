@@ -175,12 +175,13 @@ fn failure_schedule_spec_sharded_bit_identical_to_sequential() {
 
     let tt = two_tier(TwoTierParams::paper_scaled(spec.topology.two_tier_factor));
     let mut seq = stardust_fabric::FabricEngine::new(tt.topo.clone(), cfg.clone());
-    let seq_flows = scn.run_with_failures(&mut seq, &spec.failures, spec.horizon());
+    let (seq_flows, seq_applied) = scn.run_with_failures(&mut seq, &spec.failures, spec.horizon());
     assert!(seq_flows.completed() > 0, "churn run must do real work");
 
     let mut sh = ShardedFabricEngine::new(tt.topo, cfg, 3);
     sh.set_exec_mode(ExecMode::Inline);
-    let sh_flows = scn.run_with_failures(&mut sh, &spec.failures, spec.horizon());
+    let (sh_flows, sh_applied) = scn.run_with_failures(&mut sh, &spec.failures, spec.horizon());
+    assert_eq!(seq_applied, sh_applied);
 
     assert_eq!(
         seq_flows, sh_flows,

@@ -29,7 +29,7 @@
 
 use crate::scenario::FlowSpec;
 use stardust_fabric::{FabricEngine, ShardedFabricEngine};
-use stardust_sim::{FlowStats, SimTime};
+use stardust_sim::{FlowStats, SimDuration, SimTime};
 use stardust_topo::LinkId;
 use stardust_transport::{FlowId, Protocol, TransportSim};
 
@@ -427,6 +427,47 @@ impl FailureSchedule {
             applied += usize::from(ev.apply(engine));
         }
         engine.run_until(horizon);
+        applied
+    }
+
+    /// [`FailureSchedule::drive`] with streaming admission, for an
+    /// `engine` at time zero: flows are pulled from `source` and offered
+    /// in `window`-sized slices just ahead of the clock. Every advance
+    /// offers and runs at least once, even to the current instant, so
+    /// flows starting exactly on a boundary — an event's time included —
+    /// are offered before the engine executes it, and the event applies
+    /// after them: the offer-before-run order the eager path keeps
+    /// globally.
+    pub fn drive_streamed(
+        &self,
+        engine: &mut impl FlowEngine,
+        source: &mut dyn FlowSource,
+        horizon: SimTime,
+        window: SimDuration,
+    ) -> usize {
+        assert!(window > SimDuration::ZERO, "zero admission window");
+        assert!(horizon < SimTime::MAX, "streaming needs a finite horizon");
+        let mut now = SimTime::ZERO;
+        let mut applied = 0;
+        let events = self.events.iter().take_while(|ev| ev.at < horizon);
+        for (target, ev) in events.map(|ev| (ev.at, Some(ev))).chain([(horizon, None)]) {
+            loop {
+                let wend = if target.since(now) <= window {
+                    target
+                } else {
+                    now + window
+                };
+                engine.offer_until(source, wend);
+                engine.run_until(wend);
+                now = wend;
+                if now >= target {
+                    break;
+                }
+            }
+            if let Some(ev) = ev {
+                applied += usize::from(ev.apply(engine));
+            }
+        }
         applied
     }
 }

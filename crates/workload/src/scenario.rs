@@ -20,7 +20,7 @@
 //! [`FailureSchedule`] of timed link fail/restore events through the
 //! run — Appendix-E-style churn against finite-flow FCT workloads.
 
-use crate::engine::{FailureSchedule, FlowEngine, FlowSource};
+use crate::engine::{FailureSchedule, FlowEngine};
 use crate::flows::FlowSizeDist;
 use crate::patterns::{all_to_all_pairs, incast_sources, permutation};
 use stardust_sim::{DetRng, FlowStats, SimDuration, SimTime};
@@ -350,21 +350,23 @@ impl Scenario {
     /// return the FCT table of the scenario's own flows.
     pub fn run(&self, engine: &mut impl FlowEngine, horizon: SimTime) -> FlowStats {
         self.run_with_failures(engine, &FailureSchedule::default(), horizon)
+            .0
     }
 
     /// As [`Scenario::run`], threading a [`FailureSchedule`] of timed
     /// link fail/restore events through the run: the engine runs to each
     /// event's time, the event is applied (engines without link state
-    /// skip it), and the run continues to `horizon`.
+    /// skip it), and the run continues to `horizon`. Returns the stats
+    /// plus how many link events the engine applied.
     pub fn run_with_failures(
         &self,
         engine: &mut impl FlowEngine,
         failures: &FailureSchedule,
         horizon: SimTime,
-    ) -> FlowStats {
+    ) -> (FlowStats, usize) {
         engine.offer(&self.flows(engine.num_nodes()));
-        failures.drive(engine, horizon);
-        engine.flow_stats()
+        let applied = failures.drive(engine, horizon);
+        (engine.flow_stats(), applied)
     }
 
     /// As [`Scenario::run_with_failures`], but **streaming**: flows are
@@ -381,8 +383,9 @@ impl Scenario {
     /// difference: flows starting **after** `horizon` are never offered
     /// (an eager run registers them as offered-but-unfinished).
     ///
-    /// Returns the stats plus how many link events the engine applied
-    /// (as [`FailureSchedule::drive`] reports for the eager path).
+    /// Returns the stats plus how many link events the engine applied.
+    /// The loop is [`FailureSchedule::drive_streamed`] over this
+    /// scenario's [`Scenario::flow_source`].
     pub fn run_streamed(
         &self,
         engine: &mut impl FlowEngine,
@@ -390,44 +393,8 @@ impl Scenario {
         horizon: SimTime,
         window: SimDuration,
     ) -> (FlowStats, usize) {
-        assert!(window > SimDuration::ZERO, "zero admission window");
-        assert!(horizon < SimTime::MAX, "streaming needs a finite horizon");
-        // Advance to `target` in admission windows. Runs at least once
-        // even for target == now, so flows starting exactly at a
-        // boundary are offered before the engine executes it — the same
-        // offer-before-run order the eager path guarantees globally.
-        fn advance_to<E: FlowEngine>(
-            engine: &mut E,
-            source: &mut dyn FlowSource,
-            now: &mut SimTime,
-            target: SimTime,
-            window: SimDuration,
-        ) {
-            loop {
-                let wend = if target.since(*now) <= window {
-                    target
-                } else {
-                    *now + window
-                };
-                engine.offer_until(source, wend);
-                engine.run_until(wend);
-                *now = wend;
-                if *now >= target {
-                    break;
-                }
-            }
-        }
         let mut source = self.flow_source(engine.num_nodes()).peekable();
-        let mut now = SimTime::ZERO;
-        let mut applied = 0;
-        for ev in failures.events() {
-            if ev.at >= horizon {
-                break;
-            }
-            advance_to(engine, &mut source, &mut now, ev.at, window);
-            applied += usize::from(ev.apply(engine));
-        }
-        advance_to(engine, &mut source, &mut now, horizon, window);
+        let applied = failures.drive_streamed(engine, &mut source, horizon, window);
         (engine.flow_stats(), applied)
     }
 }
@@ -1066,11 +1033,15 @@ mod tests {
             FabricEngine::new(two_tier(TwoTierParams::paper_scaled(16)).topo, cfg)
         };
         let mut a = mk();
-        let eager = scn.run_with_failures(&mut a, &schedule, horizon);
+        let (eager, eager_applied) = scn.run_with_failures(&mut a, &schedule, horizon);
         let mut b = mk();
         let (streamed, applied) =
             scn.run_streamed(&mut b, &schedule, horizon, SimDuration::from_micros(40));
-        assert_eq!(applied, 2, "both link events apply on the fabric");
+        assert_eq!(
+            (applied, eager_applied),
+            (2, 2),
+            "both link events apply on the fabric"
+        );
         assert_eq!(streamed, eager, "failure interleaving diverged");
     }
 

@@ -1,9 +1,10 @@
-//! Interleaving-order property tests for [`FailureSchedule::drive`]:
-//! link events landing **exactly on a window boundary** must apply after
-//! the boundary instant's flows (which belong to the preceding window —
-//! `run_until` is horizon-inclusive) and before the following window's,
-//! and the whole interleaving must be bit-identical across 1/2/4/8
-//! shards and across eager vs windowed admission. A storm schedule with
+//! Interleaving-order property tests for [`FailureSchedule::drive`] and
+//! [`FailureSchedule::drive_streamed`]: link events landing **exactly on
+//! a window boundary** must apply after the boundary instant's flows
+//! (which belong to the preceding window — `run_until` is
+//! horizon-inclusive) and before the following window's, and the whole
+//! interleaving must be bit-identical across 1/2/4/8 shards and across
+//! eager vs windowed admission. A storm schedule with
 //! fail, restore *and* degrade events doubles as coverage for the
 //! correlated-churn metrics (`first_loss_ps`, `last_reach_change_ps`, …)
 //! merging bit-identically out of the sharded reduction.
@@ -11,7 +12,7 @@
 use stardust_fabric::{ExecMode, FabricConfig, FabricEngine, ShardedFabricEngine};
 use stardust_sim::{DetRng, SimDuration, SimTime};
 use stardust_topo::{LinkId, TopologyBuilder, TwoTierParams};
-use stardust_workload::{FailureSchedule, FlowEngine, FlowSource, FlowSpec};
+use stardust_workload::{FailureSchedule, FlowEngine, FlowSpec};
 
 const SEED: u64 = 23;
 const HORIZON: SimTime = SimTime(1_000_000_000_000); // 1 ms in ps
@@ -81,31 +82,6 @@ fn flows() -> Vec<FlowSpec> {
     out
 }
 
-/// The windowed advance of `Scenario::run_streamed`, replicated so the
-/// boundary property can be pinned on a hand-built flow list: always
-/// offers flows with `start ≤ wend` before running the window, even for
-/// a zero-length window (target == now).
-fn advance_to(
-    engine: &mut impl FlowEngine,
-    source: &mut dyn FlowSource,
-    now: &mut SimTime,
-    target: SimTime,
-) {
-    loop {
-        let wend = if target.since(*now) <= WINDOW {
-            target
-        } else {
-            *now + WINDOW
-        };
-        engine.offer_until(source, wend);
-        engine.run_until(wend);
-        *now = wend;
-        if *now >= target {
-            break;
-        }
-    }
-}
-
 #[test]
 fn boundary_events_interleave_identically_across_shard_counts() {
     let built = TwoTierParams::paper_scaled(16).build_fabric();
@@ -132,23 +108,7 @@ fn boundary_events_interleave_identically_across_shard_counts() {
     let mut windowed: FabricEngine =
         FabricEngine::with_plan(built.topo.clone(), cfg(), built.plan.clone());
     let mut source = flow_list.clone().into_iter().peekable();
-    let mut now = SimTime::ZERO;
-    let mut applied = 0;
-    for ev in schedule.events() {
-        advance_to(&mut windowed, &mut source, &mut now, ev.at);
-        // Disambiguate to the trait methods: the inherent fabric methods
-        // return `()` while the `FlowEngine` surface reports `bool`.
-        applied += usize::from(match ev.action {
-            stardust_workload::LinkAction::Fail => FlowEngine::fail_link(&mut windowed, ev.link),
-            stardust_workload::LinkAction::Restore => {
-                FlowEngine::restore_link(&mut windowed, ev.link)
-            }
-            stardust_workload::LinkAction::Degrade { ppm } => {
-                FlowEngine::set_link_error_ppm(&mut windowed, ev.link, ppm)
-            }
-        });
-    }
-    advance_to(&mut windowed, &mut source, &mut now, HORIZON);
+    let applied = schedule.drive_streamed(&mut windowed, &mut source, HORIZON, WINDOW);
     assert_eq!(applied, 4);
     assert_eq!(
         windowed.stats(),

@@ -148,7 +148,7 @@ fn bounded_streamed_run_equals_eager_exact_run_through_failures() {
     };
 
     let mut eager = with_reach(false);
-    let exact = scn.run_with_failures(&mut eager, &schedule, horizon);
+    let (exact, eager_applied) = scn.run_with_failures(&mut eager, &schedule, horizon);
 
     let mut streamed = with_reach(true);
     let (sketch, applied) = scn.run_streamed(
@@ -158,7 +158,11 @@ fn bounded_streamed_run_equals_eager_exact_run_through_failures() {
         SimDuration::from_micros(250),
     );
 
-    assert_eq!(applied, 2, "both link events must reach the fabric");
+    assert_eq!(
+        (applied, eager_applied),
+        (2, 2),
+        "both link events must reach the fabric"
+    );
     assert_eq!(
         exact.sketched(),
         sketch,
