@@ -26,6 +26,7 @@ use stardust_bench::runner::run_spec;
 use stardust_bench::spec::{EngineSpec, ExperimentSpec};
 use stardust_fabric::shard::ExecMode;
 use stardust_fabric::{Partition, ShardedFabricEngine};
+use stardust_sim::hash::Fnv1a;
 use stardust_sim::{FlowStats, SimDuration};
 use stardust_topo::builders::{two_tier, TwoTierParams};
 use stardust_transport::Protocol;
@@ -317,12 +318,9 @@ zero_drops = true
 
 /// FNV-1a over the little-endian bytes of `words`.
 fn fnv1a(words: &[u32]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in words.iter().flat_map(|w| w.to_le_bytes()) {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+    let mut h = Fnv1a::default();
+    words.iter().for_each(|&w| h.u32(w));
+    h.finish()
 }
 
 #[test]

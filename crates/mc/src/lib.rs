@@ -44,6 +44,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use stardust_fabric::{EligibilitySnapshot, FabricConfig, FabricEngine};
+use stardust_sim::hash::Fnv1a;
 use stardust_sim::{SimDuration, SimTime};
 use stardust_topo::{Built, LinkId, TopologyBuilder, TwoTierParams};
 
@@ -260,7 +261,7 @@ impl Mc {
     /// a fixpoint under `Step`.
     fn canon_hash(&self, e: &FabricEngine) -> u64 {
         let now = e.now();
-        let mut h = Fnv::new();
+        let mut h = Fnv1a::default();
         for l in 0..self.built.topo.num_links() as u32 {
             h.u64(u64::from(e.link_up(LinkId(l))));
         }
@@ -492,24 +493,5 @@ pub fn mc_config(seed: u64) -> FabricConfig {
         reach_interval: Some(SimDuration::from_micros(10)),
         reach_miss_threshold: 3,
         ..FabricConfig::default()
-    }
-}
-
-/// FNV-1a, folded 8 bytes at a time; self-contained so the checker adds
-/// no dependencies.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    fn finish(&self) -> u64 {
-        self.0
     }
 }

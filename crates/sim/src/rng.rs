@@ -9,6 +9,8 @@
 //!    component must not perturb the draws seen by another, so each
 //!    component derives its own labelled stream instead of sharing one RNG.
 
+use crate::hash::Fnv1a;
+
 /// A labelled deterministic random stream.
 ///
 /// Backed by a self-contained xoshiro256++ generator (seeded through
@@ -28,18 +30,6 @@ fn splitmix64(x: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// FNV-1a 64-bit hash, used to mix stream labels into the master seed.
-/// A tiny, dependency-free stable hash is all that is needed here; this is
-/// not a cryptographic boundary.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 impl DetRng {
     /// Seed the xoshiro256++ state from a single mixed 64-bit value.
     fn seed_from_u64(mixed: u64) -> Self {
@@ -55,7 +45,7 @@ impl DetRng {
 
     /// Derive a stream from a master seed and a textual label.
     pub fn from_label(master_seed: u64, label: &str) -> Self {
-        let mixed = master_seed ^ fnv1a(label.as_bytes()).rotate_left(17);
+        let mixed = master_seed ^ Fnv1a::of(label.as_bytes()).rotate_left(17);
         DetRng::seed_from_u64(mixed)
     }
 
@@ -90,7 +80,7 @@ impl DetRng {
     /// RNGs in the sharded fabric engine, where the set of consumers is
     /// discovered in partition order but the draws must not depend on it.
     pub fn split(&self, label: &str) -> DetRng {
-        self.split_u64(fnv1a(label.as_bytes()))
+        self.split_u64(Fnv1a::of(label.as_bytes()))
     }
 
     /// [`DetRng::split`] with a numeric tag (e.g. a link or shard index).

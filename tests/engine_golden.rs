@@ -14,6 +14,7 @@
 
 use stardust::baseline::{PushConfig, PushEngine};
 use stardust::fabric::{FabricConfig, FabricEngine};
+use stardust::sim::hash::Fnv1a;
 use stardust::sim::units::gbps;
 use stardust::sim::{DetRng, SimDuration, SimTime};
 use stardust::topo::builders::{kary, two_tier, KaryParams, TwoTierParams};
@@ -25,18 +26,9 @@ use std::fmt::{Debug, Write};
 /// FNV-1a over the `Debug` rendering of a stats record: every field,
 /// without naming one.
 fn fingerprint(stats: &impl Debug) -> u64 {
-    struct Fnv(u64);
-    impl Write for Fnv {
-        fn write_str(&mut self, s: &str) -> std::fmt::Result {
-            for b in s.bytes() {
-                self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            Ok(())
-        }
-    }
-    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    let mut h = Fnv1a::default();
     write!(h, "{stats:?}").expect("hashing cannot fail");
-    h.0
+    h.finish()
 }
 
 /// What each run is pinned on.
