@@ -15,9 +15,9 @@
 //! figure-specific-printing shells over it.
 
 use crate::header;
-use stardust_fabric::{FabricConfig, FabricEngine};
+use stardust_fabric::FabricConfig;
 use stardust_sim::{units, FlowStats};
-use stardust_topo::builders::{kary, two_tier, KaryParams, TwoTierParams};
+use stardust_topo::builders::{kary, KaryParams, TwoTierParams};
 use stardust_transport::{TransportConfig, TransportSim};
 
 /// Label used for the cell-accurate fabric column.
@@ -26,10 +26,10 @@ pub const FABRIC_LABEL: &str = "SD-fabric";
 /// Percentiles printed by [`print_fct_table`].
 pub const PCTS: [u32; 8] = [10, 25, 50, 75, 90, 95, 99, 100];
 
-/// Fabric Adapter population of [`fabric_engine`]`(factor, _)` — one
-/// source of truth with `TwoTierParams::paper_scaled`, so the figures'
-/// printed populations and backend clamps can never drift from the
-/// topology actually built.
+/// Fabric Adapter population of the `factor`-scaled §6.2 two-tier
+/// fabric (16 gives 16 FAs, 4 gives 64) — one source of truth with
+/// `TwoTierParams::paper_scaled`, so the figures' printed populations
+/// and backend clamps can never drift from the topology actually built.
 pub fn fabric_fas(factor: u32) -> usize {
     TwoTierParams::paper_scaled(factor).num_fa as usize
 }
@@ -41,8 +41,8 @@ pub fn kary_hosts(k: u32) -> usize {
 }
 
 /// The Fig 10 fabric-engine configuration: one 10G host port per Fabric
-/// Adapter (one-NIC hosts, like the transport topology). Shared by
-/// [`fabric_engine`] and the experiment [`runner`](crate::runner), so a
+/// Adapter (one-NIC hosts, like the transport topology). Shared by the
+/// experiment [`runner`](crate::runner) and hand-built engines, so a
 /// spec preset and a hand-built engine can never drift apart.
 pub fn fabric_config(seed: u64) -> FabricConfig {
     FabricConfig {
@@ -51,14 +51,6 @@ pub fn fabric_config(seed: u64) -> FabricConfig {
         seed,
         ..FabricConfig::default()
     }
-}
-
-/// A scaled-down §6.2 two-tier Stardust fabric with one 10G host port
-/// per Fabric Adapter (`factor` divides the paper populations; 16 gives
-/// 16 FAs, 4 gives 64).
-pub fn fabric_engine(factor: u32, seed: u64) -> FabricEngine {
-    let tt = two_tier(TwoTierParams::paper_scaled(factor));
-    FabricEngine::new(tt.topo, fabric_config(seed))
 }
 
 /// The §6.3 k-ary fat-tree transport simulator (k³/4 hosts, 10G links).
@@ -198,7 +190,8 @@ mod tests {
         };
         // Both populations sized by their own engine: k=4 → 16 hosts,
         // factor=16 → 16 FAs.
-        let mut fab = fabric_engine(16, scn.seed);
+        let tt = stardust_topo::builders::two_tier(TwoTierParams::paper_scaled(16));
+        let mut fab = stardust_fabric::FabricEngine::new(tt.topo, fabric_config(scn.seed));
         assert_eq!(FlowEngine::num_nodes(&fab), 16);
         let fs = scn.run(&mut fab, SimTime::from_millis(50));
         assert_eq!(fs.len(), 16);

@@ -20,7 +20,7 @@
 //!    1/2/3/4/8 shards is pinned by hash, so a change to the
 //!    partitioner that moves a node to another shard shows here.
 
-use stardust_bench::fig10::{fabric_engine, transport_sim};
+use stardust_bench::fig10::{fabric_config, transport_sim};
 use stardust_bench::presets;
 use stardust_bench::runner::run_spec;
 use stardust_bench::spec::{EngineSpec, ExperimentSpec};
@@ -90,7 +90,8 @@ fn web_mix(n_flows: usize) -> ScenarioKind {
 /// `stats().flows`.
 fn direct_fabric(spec: &ExperimentSpec, seed: u64) -> FlowStats {
     let scn = spec.scenario_for(seed);
-    let mut e = fabric_engine(spec.topology.two_tier_factor, seed);
+    let tt = two_tier(TwoTierParams::paper_scaled(spec.topology.two_tier_factor));
+    let mut e = stardust_fabric::FabricEngine::new(tt.topo, fabric_config(seed));
     for f in scn.flows(e.num_fas()) {
         e.add_message(f.src, f.dst, 0, 0, f.bytes, f.start);
     }

@@ -111,17 +111,9 @@ impl Voq {
         burst
     }
 
-    /// Outstanding (queued but unrequested) bytes — used by re-request
-    /// logic after scheduler resets.
+    /// Requested bytes not yet granted (test/diagnostic accessor).
     pub fn requested_bytes(&self) -> u64 {
         self.requested
-    }
-
-    /// Forget request accounting (e.g. after a scheduler failover) so the
-    /// whole queue is re-requested.
-    pub fn reset_requests(&mut self) -> u64 {
-        self.requested = self.bytes;
-        self.bytes
     }
 
     /// Signed credit balance (test/diagnostic accessor).
@@ -220,7 +212,6 @@ mod tests {
         assert_eq!(v.requested_bytes(), 2000);
         v.grant(1000, 0);
         assert_eq!(v.requested_bytes(), 1000);
-        assert_eq!(v.reset_requests(), v.bytes());
     }
 
     #[test]
