@@ -320,7 +320,7 @@ zero_drops = true
 /// FNV-1a over the little-endian bytes of `words`.
 fn fnv1a(words: &[u32]) -> u64 {
     let mut h = Fnv1a::default();
-    words.iter().for_each(|&w| h.u32(w));
+    words.iter().for_each(|w| h.bytes(&w.to_le_bytes()));
     h.finish()
 }
 

@@ -33,6 +33,32 @@ impl IdHasher {
     }
 }
 
+impl Hasher for IdHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.fold(u64::from_le_bytes(word));
+        }
+    }
+    #[inline]
+    fn write_u8(&mut self, v: u8) {
+        self.fold(v.into());
+    }
+    #[inline]
+    fn write_u32(&mut self, v: u32) {
+        self.fold(v.into());
+    }
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        self.fold(v);
+    }
+}
+
 /// FNV-1a, 64-bit, over explicit bytes. Integers go in as little-endian
 /// bytes, so a fingerprint does not depend on the host's byte order —
 /// which is why this is not a [`Hasher`], whose integer writes are
@@ -61,11 +87,6 @@ impl Fnv1a {
         }
     }
 
-    /// Fold the four little-endian bytes of `v`.
-    pub fn u32(&mut self, v: u32) {
-        self.bytes(&v.to_le_bytes());
-    }
-
     /// Fold the eight little-endian bytes of `v`.
     pub fn u64(&mut self, v: u64) {
         self.bytes(&v.to_le_bytes());
@@ -81,31 +102,5 @@ impl std::fmt::Write for Fnv1a {
     fn write_str(&mut self, s: &str) -> std::fmt::Result {
         self.bytes(s.as_bytes());
         Ok(())
-    }
-}
-
-impl Hasher for IdHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.fold(u64::from_le_bytes(word));
-        }
-    }
-    #[inline]
-    fn write_u8(&mut self, v: u8) {
-        self.fold(v.into());
-    }
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.fold(v.into());
-    }
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.fold(v);
     }
 }

@@ -402,7 +402,7 @@ impl Scenario {
 /// The lazy flow stream behind [`Scenario::flow_source`]: an
 /// `Iterator<Item = FlowSpec>` yielding arrivals in non-decreasing start
 /// order. Wrap it in [`Iterator::peekable`] to use it as a
-/// [`FlowSource`] for streaming admission.
+/// [`FlowSource`](crate::FlowSource) for streaming admission.
 pub struct ScenarioFlows {
     gen: FlowGen,
 }
