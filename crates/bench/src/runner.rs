@@ -219,11 +219,12 @@ pub fn run_spec(spec: &ExperimentSpec) -> Outcome {
 /// Offer, drive the failure schedule, and collect the FCT stats.
 ///
 /// Table mode is `Scenario::run_with_failures` (the runner reports the
-/// applied-event count per run). Sketch mode streams: flows are drawn lazily and admitted in
-/// `spec.admit_window()`-sized slices (`Scenario::run_streamed`), and
-/// engines that still produced a per-flow table (the transports, which
-/// have no bounded mode) are converted to the same sketch form so every
-/// run of the matrix reports comparable books.
+/// applied-event count per run). Sketch mode streams: flows are drawn
+/// lazily and admitted in `spec.admit_window()`-sized slices
+/// (`Scenario::run_streamed`), and engines that still produced a
+/// per-flow table (the transports, which have no bounded mode) are
+/// converted to the same sketch form so every run of the matrix reports
+/// comparable books.
 fn drive<E: stardust_workload::FlowEngine>(
     scenario: &Scenario,
     spec: &ExperimentSpec,
