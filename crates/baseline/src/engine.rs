@@ -227,11 +227,6 @@ impl PushEngine {
         &self.stats
     }
 
-    /// Number of ToRs.
-    pub fn num_tors(&self) -> usize {
-        self.tors.len()
-    }
-
     /// Inject a single packet at `at`.
     pub fn inject(
         &mut self,
@@ -561,7 +556,7 @@ mod tests {
         };
         cfg.host_port_bps = gbps(50);
         let mut e = PushEngine::new(tt.topo, cfg);
-        let n = e.num_tors() as u32;
+        let n = tt.fas.len() as u32; // every FA slot is a ToR
         for src in 1..n {
             // 100KB burst from each source to ToR 0, port 0.
             for i in 0..66u64 {

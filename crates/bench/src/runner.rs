@@ -16,7 +16,6 @@ use crate::fig10::{
 };
 use crate::json::Json;
 use crate::spec::{CompleteScope, EngineSpec, ExperimentSpec, StatsMode};
-use stardust_fabric::shard::ExecMode;
 use stardust_fabric::{FabricEngine, FabricStats, ShardedFabricEngine};
 use stardust_sim::{FlowStats, SimDuration};
 use stardust_transport::Protocol;
@@ -307,13 +306,12 @@ fn run_one(spec: &ExperimentSpec, scenario: &Scenario, engine: EngineSpec, seed:
             // explicit spec/CLI `threads` wins — `1` runs inline on the
             // calling thread, more multiplexes the shards round-robin.
             // Otherwise, on hosts with fewer cores than shards, OS
-            // threads only add barrier context switches; the inline mode
-            // is bit-identical (pinned by the conformance suite) and fast.
+            // threads only add barrier context switches; one thread is
+            // bit-identical (pinned by the conformance suite) and fast.
             let cores = std::thread::available_parallelism().map_or(1, |n| n.get()) as u32;
             match spec.threads {
-                Some(1) => e.set_exec_mode(ExecMode::Inline),
                 Some(t) => e.set_threads(t),
-                None if cores < shards => e.set_exec_mode(ExecMode::Inline),
+                None if cores < shards => e.set_threads(1),
                 None => {}
             }
             let run = timed_drive(scenario, spec, &mut e);

@@ -105,7 +105,8 @@ pub struct Burst {
 
 impl Burst {
     /// Total payload bytes across packets.
-    pub fn payload_bytes(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn payload_bytes(&self) -> u64 {
         self.packets.iter().map(|p| p.bytes as u64).sum()
     }
 

@@ -164,14 +164,6 @@ impl FabricConfig {
             assert!(w.iter().all(|&x| x > 0), "WRR weights must be positive");
         }
     }
-
-    /// §4.1's minimum-credit-size rule: output bandwidth divided by the
-    /// scheduler's credit generation rate. "For a 10Tbps Fabric Adapter,
-    /// using 1GHz clock and generating a credit every two clocks, the
-    /// minimum credit size will be 10Tbps/(1GHz/2) = 2000B."
-    pub fn min_credit_bytes(adapter_bps: u64, clock_hz: u64, clocks_per_credit: u64) -> u64 {
-        adapter_bps / (clock_hz / clocks_per_credit) / 8
-    }
 }
 
 #[cfg(test)]
@@ -188,19 +180,5 @@ mod tests {
         let c = FabricConfig::default();
         assert_eq!(c.cell_payload(), 248);
         assert!((c.payload_fraction() - 248.0 / 256.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn paper_min_credit_example() {
-        // §4.1 quotes "10Tbps/(1GHz/2) = 2000B"; dimensional analysis gives
-        // 10e12 b/s ÷ 0.5e9 credits/s = 20,000 bits = 2,500 B per credit —
-        // the paper's 2000 appears to drop the bit/byte factor ÷8 and use
-        // ÷10 instead. We keep the correct arithmetic (2,500 B) and note
-        // the discrepancy; either value supports the section's conclusion
-        // (minimum credit ≈ a few KB).
-        assert_eq!(
-            FabricConfig::min_credit_bytes(10_000_000_000_000, 1_000_000_000, 2),
-            2_500
-        );
     }
 }

@@ -189,35 +189,49 @@ impl FabricEngine {
             part.matrix.max_cross_bound() < REASSEMBLY_TIMEOUT,
             "pair lookahead bound must stay below the reassembly timeout"
         );
-        (0..num_shards)
-            .map(|shard| {
-                let devices = Devices::new(&topo, plan.clone(), &cfg);
-                let wire = Wire::new(&topo, cfg.fabric_link_bps, cfg.seed);
-                let num_fas = devices.num_fas();
-                let mut ctx = Ctx {
-                    stats: FabricStats::new(num_fas, cfg.host_ports as usize, cfg.bounded_flows),
-                    measure_from: SimTime::ZERO,
-                    events: EventQueue::new(),
-                    outbox: (0..num_shards).map(|_| Vec::new()).collect(),
-                    part: part.clone(),
-                    shard,
-                    cfg: cfg.clone(),
-                };
-                devices.arm_reach_ticks(&mut ctx);
-                let egress = Egress::new(num_fas, &ctx.cfg);
-                FabricEngine {
-                    topo: topo.clone(),
-                    ingress: Ingress::new(num_fas),
-                    tx: TxPath {
-                        devices,
-                        wire,
-                        egress,
-                    },
-                    ctx,
-                    batch: Vec::new(),
-                }
-            })
-            .collect()
+        // Every shard but the last gets copies; the last takes the
+        // originals, so a sequential engine copies nothing.
+        let last = num_shards - 1;
+        let mut engines: Vec<Self> = (0..last)
+            .map(|shard| Self::shard(shard, topo.clone(), cfg.clone(), plan.clone(), part.clone()))
+            .collect();
+        engines.push(Self::shard(last, topo, cfg, plan, part));
+        engines
+    }
+
+    /// Shard `shard` of the run `part` cuts, owning its own inputs.
+    fn shard(
+        shard: u32,
+        topo: Topology,
+        cfg: FabricConfig,
+        plan: Arc<RoutePlan>,
+        part: Partition,
+    ) -> Self {
+        let devices = Devices::new(&topo, plan, &cfg);
+        let wire = Wire::new(&topo, cfg.fabric_link_bps, cfg.seed);
+        let num_fas = devices.num_fas();
+        let mut ctx = Ctx {
+            stats: FabricStats::new(num_fas, cfg.host_ports as usize, cfg.bounded_flows),
+            measure_from: SimTime::ZERO,
+            events: EventQueue::new(),
+            outbox: (0..part.num_shards).map(|_| Vec::new()).collect(),
+            part,
+            shard,
+            cfg,
+        };
+        devices.arm_reach_ticks(&mut ctx);
+        let egress = Egress::new(num_fas, &ctx.cfg);
+        FabricEngine {
+            topo,
+            ingress: Ingress::new(num_fas),
+            tx: TxPath {
+                devices,
+                wire,
+                egress,
+            },
+            ctx,
+            batch: Vec::new(),
+        }
     }
 
     // -- shard plumbing ----------------------------------------------------

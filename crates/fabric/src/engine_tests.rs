@@ -147,7 +147,7 @@ fn three_tier_dynamic_reach_converges_and_heals() {
     cfg.reach_interval = Some(SimDuration::from_micros(10));
     let tt = three_tier(ThreeTierParams::small());
     let victim = tt.fas[0];
-    let uplink = tt.topo.up_links(victim)[0];
+    let uplink = tt.topo.node(victim).links[0]; // port 0: FAs have only uplinks
     let mut e = FabricEngine::new(tt.topo, cfg);
     e.run_until(SimTime::from_micros(200));
     e.fail_link(uplink);

@@ -112,19 +112,23 @@ impl PackedBurst {
             self.cell_bytes
         }
     }
+}
 
+/// Whole-burst views the packing tests check cell layouts through.
+#[cfg(test)]
+impl PackedBurst {
     /// Wire bytes of each cell (header + payload share), in `seq` order.
-    pub fn cell_sizes(&self) -> impl Iterator<Item = u16> + '_ {
+    fn cell_sizes(&self) -> impl Iterator<Item = u16> + '_ {
         (0..self.burst.n_cells).map(|seq| self.cell_wire_bytes(seq))
     }
 
     /// Total bytes this burst occupies on the wire.
-    pub fn wire_bytes(&self) -> u64 {
+    fn wire_bytes(&self) -> u64 {
         self.cell_sizes().map(u64::from).sum()
     }
 
     /// Packing efficiency: payload bytes ÷ wire bytes.
-    pub fn efficiency(&self) -> f64 {
+    fn efficiency(&self) -> f64 {
         self.burst.payload_bytes() as f64 / self.wire_bytes() as f64
     }
 }

@@ -189,7 +189,8 @@ impl ReachTable {
     }
 
     /// Is `port` currently considered up?
-    pub fn port_up(&self, port: usize) -> bool {
+    #[cfg(test)]
+    pub(crate) fn port_up(&self, port: usize) -> bool {
         self.ports[port].up
     }
 

@@ -66,10 +66,10 @@ pub enum ExecMode {
 /// shard order into the same [`FabricStats`] a sequential run records.
 pub struct ShardedFabricEngine {
     shards: Vec<FabricEngine>,
-    mode: ExecMode,
     /// OS threads to drive the shards with (≤ shard count); `None` means
-    /// one per shard. Thread `t` drives shards `{i : i mod T == t}`
-    /// round-robin inside every window.
+    /// one per shard, `Some(1)` is [`ExecMode::Inline`]. Thread `t`
+    /// drives shards `{i : i mod T == t}` round-robin inside every
+    /// window.
     threads: Option<u32>,
     /// Synchronization rounds executed across all `run_until` calls.
     windows: u64,
@@ -98,7 +98,6 @@ impl ShardedFabricEngine {
     ) -> Self {
         ShardedFabricEngine {
             shards: FabricEngine::shards(topo, cfg, plan, num_shards),
-            mode: ExecMode::Threads,
             threads: None,
             windows: 0,
             now: SimTime::ZERO,
@@ -106,8 +105,12 @@ impl ShardedFabricEngine {
     }
 
     /// Switch between threaded and inline execution (identical results).
+    /// `Inline` is `set_threads(1)`; `Threads` clears any thread cap.
     pub fn set_exec_mode(&mut self, mode: ExecMode) {
-        self.mode = mode;
+        self.threads = match mode {
+            ExecMode::Inline => Some(1),
+            ExecMode::Threads => None,
+        };
     }
 
     /// Cap the number of OS threads driving the shards (identical
@@ -121,13 +124,9 @@ impl ShardedFabricEngine {
         self.threads = Some(threads.min(self.num_shards()));
     }
 
-    /// The number of OS threads `run_until` will use under
-    /// [`ExecMode::Threads`].
+    /// The number of OS threads `run_until` will use.
     pub fn num_threads(&self) -> u32 {
-        match self.mode {
-            ExecMode::Inline => 1,
-            ExecMode::Threads => self.threads.unwrap_or(self.num_shards()),
-        }
+        self.threads.unwrap_or(self.num_shards())
     }
 
     /// Synchronization rounds (windows, = barrier pairs) executed so far

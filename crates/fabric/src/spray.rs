@@ -56,7 +56,8 @@ impl Sprayer {
     }
 
     /// Number of eligible links.
-    pub fn width(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn width(&self) -> usize {
         self.perm.len()
     }
 
@@ -75,7 +76,8 @@ impl Sprayer {
     }
 
     /// Current eligible links (unordered view).
-    pub fn links(&self) -> &[u32] {
+    #[cfg(test)]
+    pub(crate) fn links(&self) -> &[u32] {
         &self.perm
     }
 }

@@ -110,16 +110,6 @@ impl Voq {
         self.balance = budget.min(max_balance);
         burst
     }
-
-    /// Requested bytes not yet granted (test/diagnostic accessor).
-    pub fn requested_bytes(&self) -> u64 {
-        self.requested
-    }
-
-    /// Signed credit balance (test/diagnostic accessor).
-    pub fn balance(&self) -> i64 {
-        self.balance
-    }
 }
 
 #[cfg(test)]
@@ -161,7 +151,7 @@ mod tests {
         // 4 packets = 4000 < 4096, 5th overshoots: packing sends it and
         // records the overshoot.
         assert_eq!(burst.len(), 5);
-        assert_eq!(v.balance(), 4096 - 5000);
+        assert_eq!(v.balance, 4096 - 5000);
         // Next grant is reduced by the overshoot: 4096 - 904 = 3192 → 4 pkts.
         let burst2 = v.grant(4096, 4096);
         assert_eq!(burst2.len(), 4);
@@ -176,16 +166,12 @@ mod tests {
         v.push(pkt(9000));
         let b1 = v.grant(4096, 4096);
         assert_eq!(b1.len(), 1);
-        assert_eq!(v.balance(), 4096 - 9000);
+        assert_eq!(v.balance, 4096 - 9000);
         // An empty queue with debt: next grant releases nothing until
         // the balance recovers.
         v.push(pkt(9000));
         let b2 = v.grant(4096, 4096);
-        assert!(
-            b2.is_empty(),
-            "debt {} must gate the next burst",
-            v.balance()
-        );
+        assert!(b2.is_empty(), "debt {} must gate the next burst", v.balance);
         let b3 = v.grant(4096, 4096);
         assert_eq!(b3.len(), 1);
     }
@@ -197,11 +183,11 @@ mod tests {
         let b = v.grant(4096, 4096);
         assert_eq!(b.len(), 1);
         // Queue emptied with 3996 unused; capped at max_balance.
-        assert_eq!(v.balance(), 3996);
+        assert_eq!(v.balance, 3996);
         let mut v2 = Voq::new();
         v2.push(pkt(100));
         v2.grant(100_000, 4096);
-        assert_eq!(v2.balance(), 4096);
+        assert_eq!(v2.balance, 4096);
     }
 
     #[test]
@@ -209,9 +195,9 @@ mod tests {
         let mut v = Voq::new();
         v.push(pkt(1000));
         v.push(pkt(1000));
-        assert_eq!(v.requested_bytes(), 2000);
+        assert_eq!(v.requested, 2000);
         v.grant(1000, 0);
-        assert_eq!(v.requested_bytes(), 1000);
+        assert_eq!(v.requested, 1000);
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //! access, so it ships its own minimal Rust tokenizer ([`token`]) rather
 //! than depending on `syn`.
 
+pub mod census;
 pub mod directives;
 pub mod rules;
 pub mod token;
@@ -126,7 +127,7 @@ impl Report {
 
 /// Recursively collect `.rs` files under `dir`, sorted by path so the
 /// auditor's own output order is deterministic.
-fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
+pub(crate) fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)?
         .collect::<Result<Vec<_>, _>>()?
         .into_iter()
@@ -144,8 +145,9 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 }
 
 /// Lint every engine-crate source file under `root` (the workspace
-/// root). Errors if `root` contains none of the expected source trees —
-/// the usual sign of a wrong `--root`.
+/// root) with D1–D5, and the whole workspace with U1. Errors if `root`
+/// contains none of the expected source trees — the usual sign of a
+/// wrong `--root`.
 pub fn lint_workspace(root: &Path) -> std::io::Result<Report> {
     let mut files = Vec::new();
     let mut found_any_root = false;
@@ -175,6 +177,7 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Report> {
         report.diagnostics.extend(lint_source(&display, &src));
         report.files_scanned += 1;
     }
+    report.diagnostics.extend(census::unreached(root)?);
     report
         .diagnostics
         .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));

@@ -8,7 +8,7 @@ use std::process::ExitCode;
 use stardust_lint::lint_workspace;
 
 const USAGE: &str = "\
-stardust-lint: static determinism auditor (rules D1-D5)
+stardust-lint: static determinism auditor (rules D1-D5, U1)
 
 USAGE:
     stardust-lint [--root <workspace-root>] [--json]
@@ -17,11 +17,15 @@ OPTIONS:
     --root <dir>   Workspace root to scan (default: .)
     --json         Emit machine-readable JSON instead of file:line text
 
-Scans the engine crates (crates/{sim,topo,fabric,baseline,transport,
-workload} and src/) for determinism hazards. Suppress a finding with a
-reason-carrying directive on or above the offending line:
+D1-D5 scan the engine crates (crates/{sim,topo,fabric,baseline,transport,
+workload,mc}/src and src/) for determinism hazards. U1 reports every pub
+fn, const and static in crates/*/src that no non-test code names (callers:
+crates/*/{src,benches,examples}, src/, examples/ and benchmark/src).
+Suppress a finding with a reason-carrying directive on or above the
+offending line:
 
     // det-lint: allow(unordered-iter, keyed access only; never iterated)
+    // det-lint: allow(U1, <the test or figure that needs it>)
 ";
 
 fn main() -> ExitCode {

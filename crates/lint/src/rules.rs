@@ -1,4 +1,5 @@
-//! The determinism rules (D1–D5).
+//! The determinism rules (D1–D5) and the rule catalogue, which also
+//! names the workspace-wide U1 ([`crate::census`]).
 //!
 //! Each rule is a token-level pass. The passes are deliberately
 //! *syntactic*: with no type information available (no crates.io, so no
@@ -32,20 +33,24 @@ pub enum Rule {
     /// D5: `f64`/`f32` field on a type whose `Eq` backs bit-identity
     /// assertions.
     FloatEqField,
+    /// U1: `pub` item in `crates/*/src` that no non-test code names
+    /// (workspace-wide; see [`crate::census`]).
+    TestOnly,
 }
 
 impl Rule {
     /// Every allowable rule (excludes [`Rule::BadDirective`], which can
     /// never be suppressed).
-    pub const ALL: [Rule; 5] = [
+    pub const ALL: [Rule; 6] = [
         Rule::UnorderedIter,
         Rule::FloatTimeAccum,
         Rule::AmbientNondet,
         Rule::RngLabelDup,
         Rule::FloatEqField,
+        Rule::TestOnly,
     ];
 
-    /// Stable short id (`D1`…`D5`; `D0` for directive errors).
+    /// Stable short id (`D1`…`D5`, `U1`; `D0` for directive errors).
     pub fn id(self) -> &'static str {
         match self {
             Rule::BadDirective => "D0",
@@ -54,6 +59,7 @@ impl Rule {
             Rule::AmbientNondet => "D3",
             Rule::RngLabelDup => "D4",
             Rule::FloatEqField => "D5",
+            Rule::TestOnly => "U1",
         }
     }
 
@@ -66,6 +72,7 @@ impl Rule {
             Rule::AmbientNondet => "ambient-nondet",
             Rule::RngLabelDup => "rng-label-dup",
             Rule::FloatEqField => "float-eq-field",
+            Rule::TestOnly => "test-only",
         }
     }
 

@@ -1,5 +1,6 @@
 //! Fixture corpus: one known-bad and one allow-annotated snippet per
-//! rule, asserting exact rule IDs and line numbers.
+//! rule (a small tree for the workspace-wide U1), asserting exact rule
+//! IDs and line numbers.
 
 use std::path::{Path, PathBuf};
 
@@ -84,6 +85,31 @@ fn d5_bad_flags_float_field_behind_eq() {
 #[test]
 fn d5_allowed_is_clean() {
     assert_eq!(lint_fixture("d5_allowed.rs"), vec![]);
+}
+
+/// U1 is workspace-wide, so its fixture is a tree (`fixtures/u1`): a
+/// definition crate, a sibling caller and a `benchmark/src` stand-in.
+/// Only the test-only call, the comment-and-string mention and the
+/// reasonless allow fire.
+#[test]
+fn u1_fires_where_only_tests_comments_or_strings_reach() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/u1");
+    let report = stardust_lint::lint_workspace(&root).expect("walk fixture tree");
+    let got: Vec<(String, &str, u32)> = report
+        .diagnostics
+        .iter()
+        .map(|d| (d.file.display().to_string(), d.rule.id(), d.line))
+        .collect();
+    let lib = "crates/sim/src/lib.rs".to_string();
+    assert_eq!(
+        got,
+        vec![
+            (lib.clone(), "U1", 10),
+            (lib.clone(), "U1", 20),
+            (lib.clone(), "D0", 34),
+            (lib, "U1", 35),
+        ]
+    );
 }
 
 /// The auditor's reason for existing: the real workspace must stay clean.

@@ -1,0 +1,8 @@
+//! Test-named file: skipped by the walker, so its calls do not count.
+
+use super::*;
+
+#[test]
+fn round_trip() {
+    assert_eq!(only_tested() + allowed() + reasonless(), 12);
+}

@@ -206,16 +206,6 @@ impl Mc {
         mc_
     }
 
-    /// The per-transition protocol quantum.
-    pub fn quantum(&self) -> SimDuration {
-        self.quantum
-    }
-
-    /// The links the search may fail/restore.
-    pub fn alphabet(&self) -> &[LinkId] {
-        &self.alphabet
-    }
-
     /// A fresh engine advanced to the converged pristine state.
     fn fresh(&self) -> FabricEngine {
         let mut e: FabricEngine = FabricEngine::with_plan(
@@ -462,22 +452,6 @@ pub fn clos4() -> Built {
         t1_up: 2,
         t2_count: 2,
         t2_down: 2,
-        near_meters: 10,
-        far_meters: 100,
-    }
-    .build_fabric()
-}
-
-/// An 8-FA two-tier folded Clos (4 aggregation, 2 spine FEs).
-pub fn clos8() -> Built {
-    TwoTierParams {
-        num_fa: 8,
-        fa_uplinks: 2,
-        t1_count: 4,
-        t1_down: 4,
-        t1_up: 2,
-        t2_count: 2,
-        t2_down: 4,
         near_meters: 10,
         far_meters: 100,
     }

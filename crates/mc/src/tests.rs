@@ -9,6 +9,22 @@ use stardust_topo::DragonflyParams;
 
 const SEED: u64 = 11;
 
+/// An 8-FA two-tier folded Clos (4 aggregation, 2 spine FEs).
+fn clos8() -> Built {
+    TwoTierParams {
+        num_fa: 8,
+        fa_uplinks: 2,
+        t1_count: 4,
+        t1_down: 4,
+        t1_up: 2,
+        t2_count: 2,
+        t2_down: 4,
+        near_meters: 10,
+        far_meters: 100,
+    }
+    .build_fabric()
+}
+
 fn tiny(links: Vec<LinkId>, depth: usize) -> McConfig {
     McConfig {
         max_depth: depth,

@@ -290,17 +290,6 @@ impl PowerConfig {
         )
     }
 
-    /// Fabric-only power (excludes ToRs and links), for the paper's "78%
-    /// saving within the network fabric" claim.
-    pub fn fabric_power_w(&self, hosts: u64, stardust: bool) -> Option<f64> {
-        let ft = self.fattree();
-        let tiers = ft.tiers_for_hosts(hosts, POWER_HOSTS_PER_TOR, 4)?;
-        let tors = FatTreeParams::tors_for_hosts(hosts, POWER_HOSTS_PER_TOR);
-        let switches = ft.switches_for_tors(tiers, tors);
-        let ratio = if stardust { FE_POWER_RATIO } else { 1.0 };
-        Some(switches as f64 * SWITCH_POWER_W * ratio)
-    }
-
     /// Figure 11(b): Stardust (50G×256 + FE power ratio) power as a
     /// percentage of this fat-tree configuration's power.
     pub fn stardust_relative_power_pct(&self, hosts: u64) -> Option<f64> {
@@ -319,6 +308,19 @@ impl PowerConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl PowerConfig {
+        /// Fabric-only power (excludes ToRs and links), for the paper's
+        /// "78% saving within the network fabric" claim.
+        fn fabric_power_w(&self, hosts: u64, stardust: bool) -> Option<f64> {
+            let ft = self.fattree();
+            let tiers = ft.tiers_for_hosts(hosts, POWER_HOSTS_PER_TOR, 4)?;
+            let tors = FatTreeParams::tors_for_hosts(hosts, POWER_HOSTS_PER_TOR);
+            let switches = ft.switches_for_tors(tiers, tors);
+            let ratio = if stardust { FE_POWER_RATIO } else { 1.0 };
+            Some(switches as f64 * SWITCH_POWER_W * ratio)
+        }
+    }
 
     #[test]
     fn stardust_transceivers_use_cheapest_per_lane() {

@@ -44,14 +44,6 @@ pub enum Design {
     StardustPacked,
 }
 
-/// All designs, in the order plotted.
-pub const ALL_DESIGNS: [Design; 4] = [
-    Design::ReferenceSwitch,
-    Design::NdpSwitch,
-    Design::CellsNonPacked,
-    Design::StardustPacked,
-];
-
 impl Design {
     /// Display label matching the paper's legend.
     pub fn label(&self) -> &'static str {
@@ -299,7 +291,12 @@ mod tests {
     #[test]
     fn trace_throughput_bounded() {
         let mix = [(1514u64, 1.0)];
-        for d in ALL_DESIGNS {
+        for d in [
+            Design::ReferenceSwitch,
+            Design::NdpSwitch,
+            Design::CellsNonPacked,
+            Design::StardustPacked,
+        ] {
             let v = p().trace_throughput(d, &mix);
             assert!((0.0..=1.0).contains(&v));
         }

@@ -94,12 +94,6 @@ impl FatTreeParams {
         f * self.t * self.l
     }
 
-    /// Total serial links in a fully provisioned `n`-tier network
-    /// (bundles × links-per-bundle).
-    pub fn total_links(&self, n: u32) -> u64 {
-        self.link_bundles(n) * self.l
-    }
-
     /// Maximum number of end hosts with `d` downlink ports per ToR:
     /// `d · kⁿ / 2ⁿ⁻¹` (Appendix A).
     pub fn max_hosts(&self, n: u32, d: u64) -> u64 {
@@ -131,20 +125,6 @@ impl FatTreeParams {
     /// Link bundles (fabric side) to serve `tors` ToRs in `n` tiers.
     pub fn bundles_for_tors(&self, n: u32, tors: u64) -> u64 {
         self.links_for_tors(n, tors) / self.l
-    }
-
-    /// Oversubscribed variant (Appendix A, final paragraph): with `u` uplink
-    /// ports per fabric switch in a 2-tier network, the maximum ToRs become
-    /// `k·(k−u)` and switch count `t·(k+u)`.
-    pub fn max_tors_oversub_2tier(&self, u: u64) -> u64 {
-        assert!(u < self.k);
-        self.k * (self.k - u)
-    }
-
-    /// Switch count of the oversubscribed 2-tier variant: `t·(k+u)`.
-    pub fn max_switches_oversub_2tier(&self, u: u64) -> u64 {
-        assert!(u < self.k);
-        self.t * (self.k + u)
     }
 }
 
@@ -264,20 +244,8 @@ mod tests {
     }
 
     #[test]
-    fn oversubscription_trades_tors_for_switches() {
-        let p = FatTreeParams::new(16, 4, 1);
-        // u = k/2 is the fully provisioned case.
-        assert_eq!(p.max_tors_oversub_2tier(8), p.max_tors(2));
-        assert_eq!(p.max_switches_oversub_2tier(8), p.max_switches(2));
-        // Fewer uplinks => more ToRs, fewer switches.
-        assert!(p.max_tors_oversub_2tier(4) > p.max_tors(2));
-        assert!(p.max_switches_oversub_2tier(4) < p.max_switches(2));
-    }
-
-    #[test]
     fn links_count_includes_bundle_multiplier() {
         let p = FatTreeParams::new(32, 10, 8);
-        assert_eq!(p.total_links(2), p.link_bundles(2) * 8);
         assert_eq!(p.links_for_tors(2, 10), 2 * 10 * 8 * 10);
     }
 }

@@ -79,34 +79,13 @@ pub fn mean(dist: &[f64]) -> f64 {
     dist.iter().enumerate().map(|(n, p)| n as f64 * p).sum()
 }
 
-/// The exact M/D/1 mean number in system (Pollaczek–Khinchine):
-/// `L = rho + rho² / (2(1 − rho))`.
-pub fn md1_mean_in_system(rho: f64) -> f64 {
-    assert!((0.0..1.0).contains(&rho));
-    rho + rho * rho / (2.0 * (1.0 - rho))
-}
-
 /// The paper's tail approximation: `P(queue ≥ N) ≈ fs^(−2N) = rho^(2N)`
 /// for a fabric speedup `fs = 1/rho` (§4.2.1: "the probability of queue
 /// build-up on a link of size N can be approximated by o(fs^−2N)").
+// det-lint: allow(U1, the paper's closed form that tests/golden_model.rs pins at fs = 1.05, N = 128 and tests/properties.rs::md1_paper_tail_monotone checks)
 pub fn paper_tail_approx(fs: f64, n: u32) -> f64 {
     assert!(fs >= 1.0, "speedup below 1 means oversubscription");
     fs.powi(-2 * n as i32)
-}
-
-/// §6.2's egress-memory extrapolation: with a per-link queue bound of
-/// `max_queue_cells` cells of `cell_bytes` each across `links` links, the
-/// Fabric Adapter egress memory needed to absorb in-flight cells.
-/// (Paper: 128 cells × 256 B × 256 links = 8 MB.)
-pub fn egress_memory_bytes(max_queue_cells: u64, cell_bytes: u64, links: u64) -> u64 {
-    max_queue_cells * cell_bytes * links
-}
-
-/// Worst-case added latency within one Fabric Element for a queue of
-/// `cells` cells of `cell_bytes` on a `link_bps` link, in seconds.
-/// (Paper: 128 × 256 B at 50 Gb/s → "at most 5 µs".)
-pub fn queue_latency_secs(cells: u64, cell_bytes: u64, link_bps: u64) -> f64 {
-    (cells * cell_bytes * 8) as f64 / link_bps as f64
 }
 
 #[cfg(test)]
@@ -136,7 +115,7 @@ mod tests {
         for rho in [0.3, 0.5, 0.8, 0.9] {
             let d = queue_length_distribution(rho, 400);
             let m = mean(&d);
-            let pk = md1_mean_in_system(rho);
+            let pk = rho + rho * rho / (2.0 * (1.0 - rho));
             assert!((m - pk).abs() < 1e-3, "rho={rho}: {m} vs {pk}");
         }
     }
@@ -173,17 +152,6 @@ mod tests {
                 assert!(exact < approx * 1e3, "fs={fs} n={n}: {exact} vs {approx}");
             }
         }
-    }
-
-    #[test]
-    fn paper_memory_extrapolation() {
-        // "for a cell size of 256B and a speed up of 1.05 the respective
-        // memory will be 128 × 256B × 256, i.e. only 8MB".
-        assert_eq!(egress_memory_bytes(128, 256, 256), 8 * 1024 * 1024);
-        // "Given the 50Gbps links, this stands for at most 5µs latency
-        // within the Fabric Element."
-        let lat = queue_latency_secs(128, 256, 50_000_000_000);
-        assert!((lat - 5.24e-6).abs() < 0.3e-6, "lat={lat}");
     }
 
     #[test]

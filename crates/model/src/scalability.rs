@@ -59,11 +59,6 @@ pub const HOSTS_PER_TOR: u64 = 40;
 pub const HOST_LINK_GBPS: u64 = 100;
 
 impl BundleConfig {
-    /// Device bandwidth in Gb/s (should be 12.8 Tb/s for all Fig 2 rows).
-    pub fn device_gbps(&self) -> u64 {
-        self.port_gbps * self.ports
-    }
-
     /// ToR uplink port count for a non-blocking edge: uplink bandwidth must
     /// match the 40×100G host bandwidth.
     pub fn tor_uplinks(&self) -> u64 {
@@ -112,7 +107,7 @@ mod tests {
     #[test]
     fn all_configs_are_12_8_tbps() {
         for c in FIG2_CONFIGS {
-            assert_eq!(c.device_gbps(), 12_800, "{}", c.label);
+            assert_eq!(c.port_gbps * c.ports, 12_800, "{}", c.label);
         }
     }
 

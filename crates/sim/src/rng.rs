@@ -58,19 +58,6 @@ impl DetRng {
         DetRng::seed_from_u64(mixed)
     }
 
-    /// Fork an independent child stream (used when a component spawns
-    /// sub-components at runtime).
-    ///
-    /// `fork` **advances** the parent, so the child depends on how many
-    /// draws and forks preceded it. When sub-streams must be independent
-    /// of creation *order* — per-shard / per-link streams handed out by a
-    /// partitioner whose iteration order is an implementation detail —
-    /// use [`DetRng::split`] / [`DetRng::split_u64`] instead.
-    pub fn fork(&mut self, tag: u64) -> DetRng {
-        let s = self.next_u64();
-        DetRng::from_parts(s, tag)
-    }
-
     /// Derive a labelled sub-stream **without advancing the parent**.
     ///
     /// The child is a pure function of the parent's current state and the
@@ -247,14 +234,6 @@ mod tests {
         for &c in &counts {
             assert!((c as f64 - 10_000.0).abs() < 600.0, "counts {counts:?}");
         }
-    }
-
-    #[test]
-    fn fork_streams_differ_from_parent() {
-        let mut parent = DetRng::from_label(5, "parent");
-        let mut c1 = parent.fork(0);
-        let mut c2 = parent.fork(1);
-        assert_ne!(c1.next_u64(), c2.next_u64());
     }
 
     #[test]

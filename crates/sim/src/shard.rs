@@ -83,6 +83,7 @@ pub struct LookaheadMatrix {
 impl LookaheadMatrix {
     /// The uniform matrix: every pair (diagonal included) bounded by one
     /// scalar `lookahead` — exactly the classic global-window bound.
+    // det-lint: allow(U1, the scalar-clock control in tests/properties.rs: mailbox_barrier_never_early_and_interleaving_free and matrix_windows_dominate_scalar_windows)
     pub fn uniform(shards: usize, lookahead: SimDuration) -> Self {
         assert!(shards >= 1);
         assert!(
@@ -156,6 +157,7 @@ impl LookaheadMatrix {
     /// The smallest finite bound — the scalar lookahead an equivalent
     /// uniform matrix would use. `None` when nothing is bounded (the
     /// single-shard case).
+    // det-lint: allow(U1, the scalar lookahead that tests/properties.rs::matrix_windows_dominate_scalar_windows and the stardust-fabric partition tests compare windows against)
     pub fn min_bound(&self) -> Option<SimDuration> {
         self.d
             .iter()

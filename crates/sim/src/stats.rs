@@ -63,24 +63,6 @@ impl Histogram {
         }
     }
 
-    /// Record `n` identical samples (used when integrating queue occupancy
-    /// over time with weight = duration).
-    pub fn record_n(&mut self, x: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.count += n;
-        self.sum += (x as u128) * (n as u128);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-        let idx = self.bin_of(x);
-        if idx < self.bins.len() {
-            self.bins[idx] += n;
-        } else {
-            self.overflow += n;
-        }
-    }
-
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.count
@@ -165,11 +147,6 @@ impl Histogram {
             .enumerate()
             .filter(|(_, &c)| c > 0)
             .map(move |(i, &c)| (i as u64 * self.bin_width, c as f64 / self.count as f64))
-    }
-
-    /// Samples that exceeded the histogram range.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
     }
 
     /// Width of each bin.
@@ -728,13 +705,11 @@ mod tests {
         for width in [1u64, 2, 100] {
             let nbins = 64;
             let mut one = Histogram::new(width, nbins);
-            let mut many = one.clone();
             let (mut bins, mut overflow) = (vec![0u64; nbins], 0u64);
             for _ in 0..10_000 {
                 let x = rng.below(width * 80);
                 let n = rng.below(4);
                 (0..n).for_each(|_| one.record(x));
-                many.record_n(x, n);
                 match bins.get_mut((x / width) as usize) {
                     Some(b) => *b += n,
                     None => overflow += n,
@@ -742,7 +717,6 @@ mod tests {
             }
             assert!(overflow > 0, "width {width}: overflow not exercised");
             assert_eq!((&one.bins, one.overflow), (&bins, overflow), "{width}");
-            assert_eq!(one, many, "width {width}");
         }
     }
 
@@ -840,7 +814,7 @@ mod tests {
     fn histogram_overflow_counted() {
         let mut h = Histogram::new(1, 4);
         h.record(100);
-        assert_eq!(h.overflow(), 1);
+        assert_eq!(h.overflow, 1);
         assert_eq!(h.count(), 1);
         assert!((h.ccdf(2) - 1.0).abs() < 1e-12);
     }
@@ -1083,18 +1057,5 @@ mod tests {
     fn absorb_rejects_mixed_modes() {
         let mut a = FlowStats::new();
         a.absorb_finishes(&FlowStats::new_sketched());
-    }
-
-    #[test]
-    fn record_n_equivalent_to_loop() {
-        let mut a = Histogram::new(2, 16);
-        let mut b = Histogram::new(2, 16);
-        for _ in 0..7 {
-            a.record(5);
-        }
-        b.record_n(5, 7);
-        assert_eq!(a.count(), b.count());
-        assert_eq!(a.mean(), b.mean());
-        assert_eq!(a.max(), b.max());
     }
 }

@@ -44,10 +44,6 @@ impl SimTime {
     pub const fn from_millis(ms: u64) -> Self {
         SimTime(ms * PS_PER_MS)
     }
-    /// Construct from whole seconds.
-    pub const fn from_secs(s: u64) -> Self {
-        SimTime(s * PS_PER_SEC)
-    }
     /// Raw picosecond count.
     pub const fn as_ps(self) -> u64 {
         self.0
@@ -99,15 +95,6 @@ impl SimDuration {
     /// Construct from milliseconds.
     pub const fn from_millis(ms: u64) -> Self {
         SimDuration(ms * PS_PER_MS)
-    }
-    /// Construct from whole seconds.
-    pub const fn from_secs(s: u64) -> Self {
-        SimDuration(s * PS_PER_SEC)
-    }
-    /// Construct from fractional seconds (rounded to the nearest ps).
-    pub fn from_secs_f64(s: f64) -> Self {
-        assert!(s >= 0.0 && s.is_finite(), "negative or non-finite duration");
-        SimDuration((s * PS_PER_SEC as f64).round() as u64)
     }
     /// Raw picosecond count.
     pub const fn as_ps(self) -> u64 {
@@ -238,7 +225,6 @@ mod tests {
         assert_eq!(SimTime::from_nanos(5).as_ps(), 5_000);
         assert_eq!(SimTime::from_micros(5).as_ps(), 5_000_000);
         assert_eq!(SimTime::from_millis(5).as_ps(), 5_000_000_000);
-        assert_eq!(SimTime::from_secs(5).as_ps(), 5_000_000_000_000);
         assert_eq!(SimDuration::from_nanos(3).as_nanos_f64(), 3.0);
     }
 
@@ -260,7 +246,7 @@ mod tests {
         assert_eq!(b.since(a).as_ps(), 15_000);
         assert_eq!(a.saturating_since(b), SimDuration::ZERO);
         assert_eq!(
-            SimTime::MAX.saturating_add(SimDuration::from_secs(1)),
+            SimTime::MAX.saturating_add(SimDuration::from_millis(1_000)),
             SimTime::MAX
         );
     }
@@ -280,12 +266,6 @@ mod tests {
         assert_eq!(format!("{}", SimDuration::from_nanos(41)), "41.000ns");
         assert_eq!(format!("{}", SimDuration::from_micros(13)), "13.000us");
         assert_eq!(format!("{}", SimDuration::from_millis(2)), "2.000ms");
-        assert_eq!(format!("{}", SimDuration::from_secs(2)), "2.000s");
-    }
-
-    #[test]
-    fn from_secs_f64_rounds() {
-        assert_eq!(SimDuration::from_secs_f64(0.5).as_ps(), PS_PER_SEC / 2);
-        assert_eq!(SimDuration::from_secs_f64(0.0), SimDuration::ZERO);
+        assert_eq!(format!("{}", SimDuration::from_millis(2_000)), "2.000s");
     }
 }

@@ -19,11 +19,6 @@ pub const fn mbps(m: u64) -> BitsPerSec {
     m * 1_000_000
 }
 
-/// Convenience constructor: `tbps(12)` is a 12 Tb/s rate (device bandwidth).
-pub const fn tbps(t: u64) -> BitsPerSec {
-    t * 1_000_000_000_000
-}
-
 /// Kibibytes → bytes (credit sizes such as 4 KB are binary in the paper's
 /// hardware: a 4 KB credit is 4096 B).
 pub const fn kib(k: u64) -> u64 {
@@ -46,16 +41,6 @@ pub fn serialization_time(bytes: u64, rate: BitsPerSec) -> SimDuration {
     SimDuration::from_ps(ps as u64)
 }
 
-/// Ethernet on-wire overhead per frame: preamble (7 B) + SFD (1 B) +
-/// inter-packet gap (12 B) = 20 B, as used in the paper's Appendix B.
-pub const ETHERNET_WIRE_OVERHEAD: u64 = 20;
-
-/// Minimum / maximum standard Ethernet frame payloads referenced throughout
-/// the evaluation.
-pub const MIN_ETHERNET_FRAME: u64 = 64;
-/// Largest jumbo-frame payload used in the evaluation (9 KB).
-pub const MAX_JUMBO_FRAME: u64 = 9_000;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -64,7 +49,6 @@ mod tests {
     fn rate_constructors() {
         assert_eq!(gbps(50), 50_000_000_000);
         assert_eq!(mbps(150), 150_000_000);
-        assert_eq!(tbps(12) + gbps(800), 12_800_000_000_000);
         assert_eq!(kib(4), 4096);
         assert_eq!(mib(32), 33_554_432);
     }
@@ -82,7 +66,7 @@ mod tests {
     #[test]
     fn serialization_no_overflow_at_scale() {
         // 1 TiB at 12.8 Tb/s must not overflow.
-        let t = serialization_time(1 << 40, tbps(12) + gbps(800));
+        let t = serialization_time(1 << 40, gbps(12_800));
         assert!((t.as_secs_f64() - 0.687) < 0.01);
     }
 

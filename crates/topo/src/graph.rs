@@ -18,16 +18,6 @@ pub struct LinkDir {
     pub from_end: u8,
 }
 
-impl LinkDir {
-    /// The reverse direction of the same link.
-    pub fn reverse(self) -> LinkDir {
-        LinkDir {
-            link: self.link,
-            from_end: 1 - self.from_end,
-        }
-    }
-}
-
 /// What a node is. The paper's device taxonomy: hosts attach to the edge;
 /// edge devices (ToR / Fabric Adapter) speak packets; fabric devices
 /// (Ethernet switch in the baseline, Fabric Element in Stardust) make up
@@ -159,38 +149,12 @@ impl Topology {
         l.ends[1 - l.end_of(node) as usize]
     }
 
-    /// The [`LinkDir`] for traffic leaving `node` on `link`.
-    pub fn dir_from(&self, node: NodeId, link: LinkId) -> LinkDir {
-        LinkDir {
-            link,
-            from_end: self.link(link).end_of(node),
-        }
-    }
-
     /// Neighbors of `node` as `(link, peer)` pairs, in port order.
     pub fn neighbors(&self, node: NodeId) -> impl Iterator<Item = (LinkId, NodeId)> + '_ {
         self.node(node)
             .links
             .iter()
             .map(move |&l| (l, self.peer(node, l)))
-    }
-
-    /// Links from `node` whose peer sits one level *above*.
-    pub fn up_links(&self, node: NodeId) -> Vec<LinkId> {
-        let lvl = self.node(node).level;
-        self.neighbors(node)
-            .filter(|&(_, p)| self.node(p).level > lvl)
-            .map(|(l, _)| l)
-            .collect()
-    }
-
-    /// Links from `node` whose peer sits one level *below*.
-    pub fn down_links(&self, node: NodeId) -> Vec<LinkId> {
-        let lvl = self.node(node).level;
-        self.neighbors(node)
-            .filter(|&(_, p)| self.node(p).level < lvl)
-            .map(|(l, _)| l)
-            .collect()
     }
 
     /// Basic structural validation: port counts per node within `radix`,
@@ -220,6 +184,36 @@ impl Topology {
     }
 }
 
+/// Structural views the crate's tests check builders and plans against.
+#[cfg(test)]
+impl Topology {
+    /// The [`LinkDir`] for traffic leaving `node` on `link`.
+    pub(crate) fn dir_from(&self, node: NodeId, link: LinkId) -> LinkDir {
+        LinkDir {
+            link,
+            from_end: self.link(link).end_of(node),
+        }
+    }
+
+    /// Links from `node` whose peer sits one level *above*.
+    pub(crate) fn up_links(&self, node: NodeId) -> Vec<LinkId> {
+        let lvl = self.node(node).level;
+        self.neighbors(node)
+            .filter(|&(_, p)| self.node(p).level > lvl)
+            .map(|(l, _)| l)
+            .collect()
+    }
+
+    /// Links from `node` whose peer sits one level *below*.
+    pub(crate) fn down_links(&self, node: NodeId) -> Vec<LinkId> {
+        let lvl = self.node(node).level;
+        self.neighbors(node)
+            .filter(|&(_, p)| self.node(p).level < lvl)
+            .map(|(l, _)| l)
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,7 +240,7 @@ mod tests {
         assert_eq!(t.peer(f0, l), e0);
         let d = t.dir_from(e0, l);
         assert_eq!(t.link(l).dst_of(d.from_end), f0);
-        assert_eq!(t.link(l).dst_of(d.reverse().from_end), e0);
+        assert_eq!(t.link(l).dst_of(1 - d.from_end), e0);
     }
 
     #[test]

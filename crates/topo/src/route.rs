@@ -83,11 +83,6 @@ impl DstSet {
     pub fn is_empty(&self) -> bool {
         self.ranges.is_empty()
     }
-
-    /// Number of stored ranges (compactness, for tests/diagnostics).
-    pub fn num_ranges(&self) -> usize {
-        self.ranges.len()
-    }
 }
 
 /// Candidate next-hop structure for a topology: which destinations each
@@ -435,7 +430,7 @@ mod tests {
         for v in [0u32, 1, 2, 5, 6, 9] {
             s.push(v);
         }
-        assert_eq!(s.num_ranges(), 3);
+        assert_eq!(s.ranges.len(), 3);
         assert_eq!(s.len(), 6);
         assert_eq!(s.expand(), vec![0, 1, 2, 5, 6, 9]);
         for v in [0u32, 2, 5, 6, 9] {

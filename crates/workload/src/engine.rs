@@ -231,11 +231,6 @@ impl TransportFlowEngine {
         }
     }
 
-    /// The wrapped protocol.
-    pub fn protocol(&self) -> Protocol {
-        self.proto
-    }
-
     /// The inner simulator (for stats beyond the FCT table).
     pub fn sim(&self) -> &TransportSim {
         &self.sim

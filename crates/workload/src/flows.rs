@@ -111,6 +111,7 @@ impl FlowSizeDist {
     /// The CDF evaluated at `bytes` — the exact inverse of
     /// [`FlowSizeDist::quantile`]: zero strictly below the first knot,
     /// the atom mass at it, log-linear interpolation between knots.
+    // det-lint: allow(U1, the oracle tests/properties.rs::flow_size_cdf_quantile_round_trip checks `quantile` against)
     pub fn cdf(&self, bytes: u64) -> f64 {
         let (s_min, c_min) = self.knots[0];
         if bytes < s_min {

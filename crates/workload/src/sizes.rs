@@ -113,12 +113,14 @@ impl PacketMix {
     }
 
     /// Mean packet size in bytes (packet-weighted).
-    pub fn mean_bytes(&self) -> f64 {
+    #[cfg(test)]
+    fn mean_bytes(&self) -> f64 {
         self.entries.iter().map(|&(s, w)| s as f64 * w).sum::<f64>() / self.total
     }
 
     /// Fraction of packets strictly smaller than `bytes`.
-    pub fn frac_below(&self, bytes: u64) -> f64 {
+    #[cfg(test)]
+    fn frac_below(&self, bytes: u64) -> f64 {
         self.entries
             .iter()
             .filter(|&&(s, _)| s < bytes)

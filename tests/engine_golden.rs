@@ -322,7 +322,7 @@ fn push_incast_on_two_tier() {
             ..PushConfig::default()
         },
     );
-    let n = e.num_tors() as u32;
+    let n = tt.fas.len() as u32; // every FA slot is a ToR
     for src in 1..n {
         for i in 0..300u64 {
             e.inject(SimTime::from_nanos(i * 200), src, 0, 0, 0, 1000);

@@ -17,20 +17,18 @@ fn close(actual: f64, expected: f64, tol: f64, what: &str) {
     );
 }
 
-/// M/D/1 mean number in system (Pollaczek–Khinchine) at paper-relevant
-/// utilizations, including `rho = 1/1.05` — the paper's fabric speedup.
+/// M/D/1 mean number in system at paper-relevant utilizations, including
+/// `rho = 1/1.05` — the paper's fabric speedup. The exact distribution's
+/// mean must meet the Pollaczek–Khinchine closed form
+/// `L = rho + rho² / (2(1 − rho))`.
 #[test]
 fn golden_md1_mean_in_system() {
-    close(md1::md1_mean_in_system(0.5), 0.75, 1e-12, "L(0.5)");
-    close(md1::md1_mean_in_system(0.8), 2.4, 1e-12, "L(0.8)");
-    close(md1::md1_mean_in_system(0.9), 4.95, 1e-12, "L(0.9)");
+    let mean = |rho: f64| md1::mean(&md1::queue_length_distribution(rho, 256));
+    close(mean(0.5), 0.75, 1e-9, "L(0.5)");
+    close(mean(0.8), 2.4, 1e-9, "L(0.8)");
+    close(mean(0.9), 4.95, 1e-9, "L(0.9)");
     // fs = 1.05 → rho = 20/21: L = 20/21 + (400/441)/(2/21) = 10.476190…
-    close(
-        md1::md1_mean_in_system(20.0 / 21.0),
-        10.476_190_476_190_476,
-        1e-9,
-        "L(1/1.05)",
-    );
+    close(mean(20.0 / 21.0), 10.476_190_476_190_476, 1e-9, "L(1/1.05)");
 }
 
 /// The exact stationary queue distribution: empty probability and tail
@@ -76,7 +74,7 @@ fn golden_fattree_counts() {
     assert_eq!(l8.max_tors(3), 8_192); // 32³/4
     assert_eq!(l8.max_switches(3), 12_800); // 5/4 · 10 · 32²
     assert_eq!(l8.links_per_tor(4), 560); // 7 · 10 · 8
-    assert_eq!(l8.total_links(2), 81_920); // 10 · 32² · 8
+    assert_eq!(l8.link_bundles(2) * 8, 81_920); // 10 · 32² · 8 serial links
     assert_eq!(l8.max_hosts(4, 40), 5_242_880);
 }
 

@@ -161,9 +161,10 @@ fn egress_memory_stays_within_the_papers_bound() {
     // §6.2 extrapolates 8 MB of egress memory for 256 links; our scaled
     // fabric must stay proportionally far below that.
     let e = engine_at_utilization(0.95, 2);
-    let bound = md1::egress_memory_bytes(128, 256, 2); // per-port uplink share
-                                                       // The engine buffers whole packets at egress; allow generous slack
-                                                       // while still proving "shallow" (<< 1 MB per port vs multi-MB ToRs).
+    // 128 cells × 256 B per link, over this port's 2-uplink share.
+    let bound = 128 * 256 * 2;
+    // The engine buffers whole packets at egress; allow generous slack
+    // while still proving "shallow" (<< 1 MB per port vs multi-MB ToRs).
     assert!(
         e.stats().max_egress_bytes < 64 * bound,
         "egress peak {} vs scaled bound {}",

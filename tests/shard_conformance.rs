@@ -239,8 +239,9 @@ fn fail_link_conformance_calendar_core() {
     c.reach_interval = Some(SimDuration::from_micros(10));
     c.reach_miss_threshold = 3;
     let tt = two_tier(TwoTierParams::paper_scaled(16));
-    let fail = tt.topo.up_links(tt.fas[0])[0];
-    let noisy = tt.topo.up_links(tt.fas[3])[1];
+    // An FA's ports are all uplinks, in port order.
+    let fail = tt.topo.node(tt.fas[0]).links[0];
+    let noisy = tt.topo.node(tt.fas[3]).links[1];
     let mut seq = FabricEngine::new(tt.topo, c.clone());
     fail_link_workload!(seq, fail, noisy);
     let seq_stats = seq.stats().clone();
