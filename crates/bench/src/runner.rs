@@ -16,7 +16,7 @@ use crate::fig10::{
 };
 use crate::json::Json;
 use crate::spec::{CompleteScope, EngineSpec, ExperimentSpec, StatsMode};
-use stardust_fabric::{FabricEngine, FabricStats, ShardedFabricEngine};
+use stardust_fabric::{EventCounts, FabricEngine, FabricStats, ShardedFabricEngine};
 use stardust_sim::{FlowStats, SimDuration};
 use stardust_transport::Protocol;
 use stardust_workload::{Scenario, TransportFlowEngine};
@@ -51,6 +51,8 @@ pub struct FabricSummary {
     pub packets_discarded: u64,
     /// Simulation events executed.
     pub events: u64,
+    /// The event loop's exact counts: events per kind, batches, declines.
+    pub counts: EventCounts,
     /// First→last lost cell span in µs (`None` = no loss).
     pub loss_window_us: Option<f64>,
     /// Last link event → last reach-table change, in µs (under the reach
@@ -117,6 +119,10 @@ impl Outcome {
                                 ),
                                 ("events".into(), count(f.map(|f| f.events))),
                                 (
+                                    "event_counts".into(),
+                                    f.map_or(Json::Null, |f| counts_json(&f.counts)),
+                                ),
+                                (
                                     "failures_applied".into(),
                                     Json::num(r.failures_applied as f64),
                                 ),
@@ -174,6 +180,18 @@ impl Outcome {
             println!("checks: all passed");
         }
     }
+}
+
+/// `{kind: events, …, "scheduled", "batches", "declined"}`.
+fn counts_json(c: &EventCounts) -> Json {
+    let kinds = EventCounts::KINDS.iter().zip(c.by_kind);
+    let ops = [
+        ("scheduled", c.scheduled),
+        ("batches", c.batches),
+        ("declined", c.declined),
+    ];
+    let all = kinds.map(|(k, n)| (*k, n)).chain(ops);
+    Json::Obj(all.map(|(k, n)| (k.into(), Json::num(n as f64))).collect())
 }
 
 /// Print any failed checks and convert them to a process exit code;
@@ -266,19 +284,20 @@ fn timed_drive<E: stardust_workload::FlowEngine>(
 }
 
 fn run_one(spec: &ExperimentSpec, scenario: &Scenario, engine: EngineSpec, seed: u64) -> RunRecord {
-    // `fabric` carries a fabric-family run's stats and event count.
+    // `fabric` carries a fabric-family run's stats and event counts.
     let record = |(flows, failures_applied, wall_s): (FlowStats, usize, f64),
-                  fabric: Option<(&FabricStats, u64)>| {
+                  fabric: Option<(&FabricStats, u64, Option<EventCounts>)>| {
         let us = |d: Option<SimDuration>| d.map(|d| d.as_secs_f64() * 1e6);
         RunRecord {
             engine,
             label: engine.label(),
             seed,
             flows,
-            fabric: fabric.map(|(s, events)| FabricSummary {
+            fabric: fabric.map(|(s, events, counts)| FabricSummary {
                 cells_dropped: s.cells_dropped.get(),
                 packets_discarded: s.packets_discarded.get(),
                 events,
+                counts: counts.expect("the runner counts every fabric run"),
                 loss_window_us: us(s.loss_window()),
                 convergence_us: us(s.convergence_time()),
             }),
@@ -291,8 +310,12 @@ fn run_one(spec: &ExperimentSpec, scenario: &Scenario, engine: EngineSpec, seed:
             let built = spec.topology.build_fabric(seed);
             let mut e: FabricEngine =
                 FabricEngine::with_plan(built.topo, spec_fabric_config(spec, seed), built.plan);
+            e.count_events();
             let run = timed_drive(scenario, spec, &mut e);
-            record(run, Some((e.stats(), e.events_executed())))
+            record(
+                run,
+                Some((e.stats(), e.events_executed(), e.event_counts())),
+            )
         }
         EngineSpec::Sharded { shards } => {
             let built = spec.topology.build_fabric(seed);
@@ -302,6 +325,7 @@ fn run_one(spec: &ExperimentSpec, scenario: &Scenario, engine: EngineSpec, seed:
                 built.plan,
                 shards,
             );
+            e.count_events();
             // Thread policy (results are identical at any setting): an
             // explicit spec/CLI `threads` wins — `1` runs inline on the
             // calling thread, more multiplexes the shards round-robin.
@@ -315,7 +339,10 @@ fn run_one(spec: &ExperimentSpec, scenario: &Scenario, engine: EngineSpec, seed:
                 None => {}
             }
             let run = timed_drive(scenario, spec, &mut e);
-            record(run, Some((&e.stats(), e.events_executed())))
+            record(
+                run,
+                Some((&e.stats(), e.events_executed(), e.event_counts())),
+            )
         }
         EngineSpec::Transport { proto } => {
             let sim = transport_sim(spec.topology.kary_k, seed);

@@ -28,6 +28,7 @@ use crate::egress::Egress;
 use crate::ev::{key_of, Ev, OutItem, OutPayload};
 use crate::ingress::{CbrFlow, Ingress, MsgFlow, TxPath};
 use crate::partition::Partition;
+use crate::probe::{EventCounter, EventCounts, NoProbe, Probe};
 use crate::sched::SchedVoq;
 use crate::voq::VoqKey;
 use crate::wire::Wire;
@@ -56,6 +57,8 @@ pub(crate) struct Ctx {
     /// Outgoing cross-shard events, one batch per destination shard;
     /// drained by the shard driver at barriers.
     outbox: Vec<Vec<OutItem>>,
+    /// What watches the event loop ([`NoProbe`] unless counting is on).
+    probe: Box<dyn Probe>,
 }
 
 impl Ctx {
@@ -218,6 +221,7 @@ impl FabricEngine {
             part,
             shard,
             cfg,
+            probe: Box::new(NoProbe),
         };
         devices.arm_reach_ticks(&mut ctx);
         let egress = Egress::new(num_fas, &ctx.cfg);
@@ -516,10 +520,12 @@ impl FabricEngine {
     pub fn run_until(&mut self, horizon: SimTime) {
         let mut batch = std::mem::take(&mut self.batch);
         while self.ctx.events.pop_batch_until(horizon, &mut batch) > 0 {
+            self.ctx.probe.batch(&batch);
             for ev in batch.drain(..) {
                 self.dispatch(ev.payload);
             }
         }
+        self.ctx.probe.declined();
         self.batch = batch;
         if horizon < SimTime::MAX {
             self.ctx.events.advance_clock(horizon);
@@ -540,6 +546,20 @@ impl FabricEngine {
     /// Total events executed (diagnostics).
     pub fn events_executed(&self) -> u64 {
         self.ctx.events.events_executed()
+    }
+
+    /// Count the event loop from here on: events per kind, batches and
+    /// declined horizons (read with [`FabricEngine::event_counts`]).
+    pub fn count_events(&mut self) {
+        self.ctx.probe = Box::new(EventCounter::default());
+    }
+
+    /// The counts since [`FabricEngine::count_events`], or `None` when
+    /// counting is off.
+    pub fn event_counts(&self) -> Option<EventCounts> {
+        let mut c = *self.ctx.probe.counts()?;
+        c.scheduled = c.by_kind.iter().sum::<u64>() + self.ctx.events.len() as u64;
+        Some(c)
     }
 
     /// Delivered payload throughput over `window`, as a fraction of the

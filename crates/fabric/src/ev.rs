@@ -63,6 +63,44 @@ pub(crate) enum Ev {
     MsgStart { flow: u32 },
 }
 
+/// The names of the event kinds, indexed by [`Ev::kind`].
+pub(crate) const EV_KINDS: [&str; 13] = [
+    "TxDone",
+    "CellArrive",
+    "CtrlRequest",
+    "CtrlCredit",
+    "CreditTick",
+    "PortTxDone",
+    "Inject",
+    "ReachTick",
+    "ReachMsg",
+    "BurstOpen",
+    "BurstTimeout",
+    "FlowTick",
+    "MsgStart",
+];
+
+impl Ev {
+    /// This event's index into [`EV_KINDS`].
+    pub(crate) fn kind(&self) -> usize {
+        match self {
+            Ev::TxDone { .. } => 0,
+            Ev::CellArrive { .. } => 1,
+            Ev::CtrlRequest { .. } => 2,
+            Ev::CtrlCredit { .. } => 3,
+            Ev::CreditTick { .. } => 4,
+            Ev::PortTxDone { .. } => 5,
+            Ev::Inject { .. } => 6,
+            Ev::ReachTick { .. } => 7,
+            Ev::ReachMsg { .. } => 8,
+            Ev::BurstOpen { .. } => 9,
+            Ev::BurstTimeout { .. } => 10,
+            Ev::FlowTick { .. } => 11,
+            Ev::MsgStart { .. } => 12,
+        }
+    }
+}
+
 /// Pack a rank and a payload into one canonical ordering key.
 const fn key(rank: u64, payload: u64) -> u64 {
     (rank << 56) | (payload & ((1u64 << 56) - 1))

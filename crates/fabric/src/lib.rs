@@ -42,6 +42,7 @@ mod ev;
 mod ingress;
 pub mod packing;
 pub mod partition;
+mod probe;
 pub mod reach;
 pub mod sched;
 pub mod shard;
@@ -58,5 +59,6 @@ pub use cell::{Burst, BurstId, Cell, Packet, PacketId};
 pub use config::FabricConfig;
 pub use engine::{EligibilitySnapshot, FabricEngine, FabricStats};
 pub use partition::Partition;
+pub use probe::EventCounts;
 pub use shard::{ExecMode, ShardedFabricEngine};
 pub use voq::VoqKey;

@@ -41,6 +41,7 @@ use crate::config::FabricConfig;
 use crate::engine::{FabricEngine, FabricStats};
 use crate::ev::OutItem;
 use crate::partition::Partition;
+use crate::probe::EventCounts;
 use stardust_sim::{Mailboxes, ShardClock, SimDuration, SimTime};
 use stardust_topo::{LinkId, Topology};
 
@@ -170,6 +171,23 @@ impl ShardedFabricEngine {
     /// performs as a direct call).
     pub fn events_executed(&self) -> u64 {
         self.shards.iter().map(|s| s.events_executed()).sum()
+    }
+
+    /// Count every shard's event loop (see
+    /// [`FabricEngine::count_events`]).
+    pub fn count_events(&mut self) {
+        for s in &mut self.shards {
+            s.count_events();
+        }
+    }
+
+    /// The shards' event counts, summed; `None` when counting is off.
+    pub fn event_counts(&self) -> Option<EventCounts> {
+        let mut sum = EventCounts::default();
+        for s in &self.shards {
+            sum.merge(&s.event_counts()?);
+        }
+        Some(sum)
     }
 
     /// The merged measurements, folded in shard order — bit-identical to

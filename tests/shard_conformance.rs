@@ -10,6 +10,10 @@
 //! * a fail-link run (static blackhole + §5.10 error process + dynamic
 //!   reachability healing).
 //!
+//! The per-kind event counts (the engine's counting probe) must be equal
+//! too, but for `BurstOpen`: a cross-shard burst record is an event, a
+//! same-shard one a direct call.
+//!
 //! The conformance matrix runs the shards **inline** (single-threaded,
 //! same window/exchange algorithm) to keep the suite inside the slow
 //! fabric-test budget; `threaded_execution_matches_inline` (here) and
@@ -27,7 +31,7 @@
 //! — the CI `test-shards` matrix drives one count per job.
 
 use stardust::fabric::shard::ExecMode;
-use stardust::fabric::{FabricConfig, FabricEngine, FabricStats, ShardedFabricEngine};
+use stardust::fabric::{EventCounts, FabricConfig, FabricEngine, FabricStats, ShardedFabricEngine};
 use stardust::sim::{DetRng, SimDuration, SimTime};
 use stardust::topo::builders::{two_tier, TwoTierParams};
 use stardust::workload::{permutation, FlowSizeDist, Scenario, ScenarioKind};
@@ -82,29 +86,46 @@ macro_rules! sec62_workload {
     }};
 }
 
-fn sec62_sequential(seed: u64) -> FabricStats {
-    let tt = two_tier(TwoTierParams::paper_scaled(16));
-    let mut e = FabricEngine::new(tt.topo, cfg(seed));
-    sec62_workload!(e, seed);
-    e.stats().clone()
+/// Every per-kind event count but `BurstOpen`'s must match.
+fn assert_counts_match(seq: &EventCounts, sh: &EventCounts, what: &str) {
+    for (i, kind) in EventCounts::KINDS.iter().enumerate() {
+        if *kind != "BurstOpen" {
+            assert_eq!(seq.by_kind[i], sh.by_kind[i], "{what}: {kind} count");
+        }
+    }
 }
 
-fn sec62_sharded(seed: u64, shards: u32, mode: ExecMode) -> FabricStats {
+fn sec62_sequential(seed: u64) -> (FabricStats, EventCounts) {
+    let tt = two_tier(TwoTierParams::paper_scaled(16));
+    let mut e = FabricEngine::new(tt.topo, cfg(seed));
+    e.count_events();
+    sec62_workload!(e, seed);
+    (e.stats().clone(), e.event_counts().expect("counting"))
+}
+
+fn sec62_sharded(seed: u64, shards: u32, mode: ExecMode) -> (FabricStats, EventCounts) {
     let tt = two_tier(TwoTierParams::paper_scaled(16));
     let mut e = ShardedFabricEngine::new(tt.topo, cfg(seed), shards);
     e.set_exec_mode(mode);
+    e.count_events();
     sec62_workload!(e, seed);
-    e.stats()
+    (e.stats(), e.event_counts().expect("counting"))
 }
 
 #[test]
 fn sec62_permutation_conformance_calendar_core() {
-    let seq = sec62_sequential(0xDC_FA_B0_05);
+    let (seq, seq_counts) = sec62_sequential(0xDC_FA_B0_05);
     assert_eq!(seq.packets_delivered.get(), 16 * 40, "workload sanity");
     assert_eq!(seq.cells_dropped.get(), 0);
+    assert_eq!(
+        seq_counts.of("BurstOpen"),
+        0,
+        "one shard opens bursts directly"
+    );
     for shards in shard_counts() {
-        let sh = sec62_sharded(0xDC_FA_B0_05, shards, ExecMode::Inline);
+        let (sh, sh_counts) = sec62_sharded(0xDC_FA_B0_05, shards, ExecMode::Inline);
         assert_eq!(seq, sh, "{shards} shards diverged");
+        assert_counts_match(&seq_counts, &sh_counts, &format!("{shards} shards"));
     }
 }
 
@@ -116,7 +137,8 @@ fn threaded_execution_matches_inline() {
     for shards in [2u32, 4, 8] {
         let a = sec62_sharded(7, shards, ExecMode::Threads);
         let b = sec62_sharded(7, shards, ExecMode::Inline);
-        assert_eq!(a, b, "{shards}-shard threaded run diverged from inline");
+        assert_eq!(a.0, b.0, "{shards}-shard threaded run diverged from inline");
+        assert_counts_match(&a.1, &b.1, &format!("{shards}-shard threaded"));
     }
 }
 
@@ -243,8 +265,11 @@ fn fail_link_conformance_calendar_core() {
     let fail = tt.topo.node(tt.fas[0]).links[0];
     let noisy = tt.topo.node(tt.fas[3]).links[1];
     let mut seq = FabricEngine::new(tt.topo, c.clone());
+    seq.count_events();
     fail_link_workload!(seq, fail, noisy);
     let seq_stats = seq.stats().clone();
+    let seq_counts = seq.event_counts().expect("counting");
+    assert!(seq_counts.of("ReachMsg") > 0, "the protocol ran");
     // The run must have actually hurt: cells died on the failed link or
     // to the error process, and the protocol kept the fabric delivering.
     assert!(seq_stats.cells_dropped.get() + seq_stats.cells_corrupted.get() > 0);
@@ -253,11 +278,18 @@ fn fail_link_conformance_calendar_core() {
         let tt = two_tier(TwoTierParams::paper_scaled(16));
         let mut sh = ShardedFabricEngine::new(tt.topo, c.clone(), shards);
         sh.set_exec_mode(ExecMode::Inline);
+        sh.count_events();
         fail_link_workload!(sh, fail, noisy);
         assert_eq!(
             seq_stats,
             sh.stats(),
             "{shards}-shard fail-link run diverged"
+        );
+        let sh_counts = sh.event_counts().expect("counting");
+        assert_counts_match(
+            &seq_counts,
+            &sh_counts,
+            &format!("{shards}-shard fail-link"),
         );
     }
 }
