@@ -992,3 +992,110 @@ fn ev_stays_small() {
         std::mem::size_of::<Ev>()
     );
 }
+
+/// One FE→FA direction of FA 0's first uplink, and a full-size cell
+/// bound for FA 0 to put on it: the wire seen from its serializer.
+fn fe_to_fa0(e: &FabricEngine) -> (LinkId, u8, u32, crate::cell::Cell) {
+    let link = e.tx.devices.fa_link(0, 0);
+    let from_end = 1 - e.topo.link(link).end_of(e.tx.devices.fa_node(0));
+    let pkt = crate::cell::Packet {
+        id: PacketId(1),
+        src_fa: 1,
+        dst_fa: 0,
+        dst_port: 0,
+        tc: 0,
+        bytes: 4000,
+        flow: crate::cell::NO_FLOW,
+        injected_at: SimTime::ZERO,
+    };
+    let cfg = e.config();
+    let pb = crate::packing::pack_burst(
+        crate::cell::BurstId(1),
+        vec![pkt],
+        cfg.cell_bytes,
+        crate::config::CELL_HEADER_BYTES,
+        true,
+        SimTime::ZERO,
+    );
+    (
+        link,
+        from_end,
+        link.0 * 2 + from_end as u32,
+        pb.cell(0, SimTime::ZERO),
+    )
+}
+
+/// Queue `cell` on direction `dir` now, as a forwarding device would.
+fn push(e: &mut FabricEngine, dir: u32, cell: crate::cell::Cell) {
+    let c = e.tx.wire.alloc_cell(cell);
+    e.tx.wire.push_cell(&mut e.ctx, dir, c);
+}
+
+#[test]
+fn a_push_at_a_departure_instant_sees_that_cell_gone() {
+    // A direction serializes one cell at a time; a cell whose
+    // serialization ends at t is gone for any cell queued at t. Depth
+    // and FCI marking both see it gone.
+    let mut cfg = cfg_small();
+    cfg.fci_threshold_cells = 2;
+    let mut e = small_engine(cfg);
+    let (link, from_end, dir, cell) = fe_to_fa0(&e);
+    let ser = serialization_time(cell.wire_bytes as u64, e.config().fabric_link_bps);
+    push(&mut e, dir, cell);
+    push(&mut e, dir, cell);
+    assert_eq!(e.dir_depth(link, from_end), 2);
+    e.run_until(SimTime::ZERO + ser - SimDuration::from_ps(1));
+    assert_eq!(
+        e.dir_depth(link, from_end),
+        2,
+        "first cell still in service"
+    );
+    e.run_until(SimTime::ZERO + ser);
+    assert_eq!(e.dir_depth(link, from_end), 1, "first cell left at its end");
+    assert_eq!(e.stats().fci_marks.get(), 0);
+    push(&mut e, dir, cell);
+    assert_eq!(e.stats().fci_marks.get(), 0, "the departed cell counted");
+    assert_eq!(e.dir_depth(link, from_end), 2);
+    push(&mut e, dir, cell);
+    assert_eq!(e.stats().fci_marks.get(), 1, "depth 2 marks at threshold 2");
+}
+
+#[test]
+fn a_failure_drops_queued_cells_then_and_the_in_service_cell_at_its_end() {
+    let horizon = SimTime::from_micros(50);
+    // Cells A, B, C queued at 0; the link fails halfway through A.
+    let start = |restore: bool| {
+        let mut e = small_engine(cfg_small());
+        let (link, from_end, dir, cell) = fe_to_fa0(&e);
+        let ser = serialization_time(cell.wire_bytes as u64, e.config().fabric_link_bps);
+        for _ in 0..3 {
+            push(&mut e, dir, cell);
+        }
+        let fail_at = SimTime::ZERO + ser / 2;
+        e.run_until(fail_at);
+        e.fail_link(link);
+        // B and C never started: lost now, stamped now.
+        assert_eq!(e.stats().cells_dropped.get(), 2);
+        assert_eq!(e.stats().first_loss_ps, fail_at.as_ps());
+        assert_eq!(e.dir_depth(link, from_end), 1, "A stays in service");
+        if restore {
+            e.run_until(fail_at + ser / 4);
+            e.restore_link(link);
+            // D queues behind A, where B stood.
+            push(&mut e, dir, cell);
+            assert_eq!(e.dir_depth(link, from_end), 2);
+        }
+        e.run_until(horizon);
+        (e, ser)
+    };
+    // Down at A's end of serialization: A is lost, stamped then.
+    let (e, ser) = start(false);
+    assert_eq!(e.stats().cells_dropped.get(), 3);
+    assert_eq!(e.stats().last_loss_ps, (SimTime::ZERO + ser).as_ps());
+    assert_eq!(e.stats().cells_delivered.get(), 0);
+    // Restored before A's end: A and D arrive, B and C stay lost.
+    let (e, ser) = start(true);
+    assert_eq!(e.stats().cells_dropped.get(), 2);
+    assert_eq!(e.stats().last_loss_ps, (SimTime::ZERO + ser / 2).as_ps());
+    assert_eq!(e.stats().cells_delivered.get(), 2);
+}

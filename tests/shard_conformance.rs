@@ -385,3 +385,76 @@ fn zoo_fail_link_conformance() {
         }
     }
 }
+
+// --- gray-link conformance ---------------------------------------------
+
+/// A gray link: an error process below the faulty threshold, so the
+/// protocol keeps the link and its adverts live, with adverts every
+/// 500 ns — shorter than its queues take to drain — on a link whose ends
+/// sit on different shards. Cell draws and advert draws interleave on
+/// the link's per-direction error streams.
+macro_rules! gray_link_workload {
+    ($e:expr, $gray:expr) => {{
+        let n = $e.num_fas() as u32;
+        $e.set_link_error_rate($gray, 0.005);
+        for src in 0..n {
+            for k in 1..4 {
+                $e.add_message(src, (src + k) % n, 0, 0, 60_000, SimTime::ZERO);
+            }
+        }
+        $e.run_until(SimTime::from_micros(150));
+        $e.set_link_error_rate($gray, 0.008);
+        $e.run_until(SimTime::from_micros(400));
+    }};
+}
+
+#[test]
+fn gray_link_across_shards_conformance() {
+    let mut c = cfg(5);
+    c.reach_interval = Some(SimDuration::from_nanos(500));
+    c.reach_miss_threshold = 3;
+    let topo = || two_tier(TwoTierParams::paper_scaled(16));
+    let mut runs: Vec<(u32, Option<u32>)> = shard_counts().into_iter().map(|s| (s, None)).collect();
+    runs.extend([(3, None), (4, Some(2))]);
+    let mut engines: Vec<_> = runs
+        .iter()
+        .map(|&(shards, threads)| {
+            let mut sh = ShardedFabricEngine::new(topo().topo, c.clone(), shards);
+            match threads {
+                Some(t) => sh.set_threads(t),
+                None => sh.set_exec_mode(ExecMode::Inline),
+            }
+            sh
+        })
+        .collect();
+    // The first link every partition tested here cuts: its two ends on
+    // different shards.
+    let tt = topo();
+    let gray = tt
+        .topo
+        .link_ids()
+        .find(|&l| {
+            let ends = tt.topo.link(l);
+            engines.iter().all(|sh| {
+                let of = &sh.partition().shard_of_node;
+                sh.num_shards() == 1 || of[ends.end(0).0 as usize] != of[ends.end(1).0 as usize]
+            })
+        })
+        .expect("a link crosses every cut");
+    let mut seq = FabricEngine::new(tt.topo, c.clone());
+    gray_link_workload!(seq, gray);
+    let seq_stats = seq.stats().clone();
+    assert!(
+        seq_stats.cells_corrupted.get() > 0,
+        "the gray link corrupted cells"
+    );
+    assert!(seq_stats.packets_delivered.get() > 0);
+    for ((shards, threads), sh) in runs.into_iter().zip(&mut engines) {
+        gray_link_workload!(sh, gray);
+        assert_eq!(
+            seq_stats,
+            sh.stats(),
+            "{shards} shards, {threads:?} threads: gray-link run diverged"
+        );
+    }
+}
