@@ -77,6 +77,10 @@ pub struct Cell {
     /// When the source FA handed the cell to its uplink (for the Figure 9
     /// fabric-traversal latency distribution).
     pub sent_at: SimTime,
+    /// How many state changes the link direction the cell is queued on
+    /// had logged when it was queued (wrapping); tells its arrival which
+    /// failures it was queued before.
+    pub(crate) link_epoch: u16,
 }
 
 /// Book-keeping for one in-flight burst, kept by the engine and consumed

@@ -308,19 +308,25 @@ impl Devices {
     }
 
     /// An advertisement (the sender's full reach) arrives at `node` on
-    /// local `port`; `faulty` carries the sender's self-assessment of the
-    /// link (§5.10).
+    /// local `port`, sent under error rate `err`: the link's error
+    /// process may eat it, and `err` carries the sender's
+    /// self-assessment of the link (§5.10).
     pub(crate) fn on_reach_msg(
         &mut self,
         ctx: &mut Ctx,
+        wire: &mut Wire,
         node: NodeId,
         port: u16,
         fas: &Arc<Vec<u32>>,
-        faulty: bool,
+        err: f64,
     ) {
         let now = ctx.now();
         let d = &mut self.nodes[self.dev_of_node[node.0 as usize] as usize];
         let port = port as usize;
+        // The advert came in on the reverse of this port's out-direction.
+        let Some(faulty) = wire.receive_advert(d.out_dirs[port] ^ 1, err) else {
+            return;
+        };
         let changed = if faulty {
             d.reach.mark_faulty(port, now)
         } else {

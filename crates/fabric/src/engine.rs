@@ -328,6 +328,8 @@ impl FabricEngine {
     /// In-flight reachability control messages as `(deliver_at, node,
     /// port, faulty, advertised FAs)`, sorted into a canonical order —
     /// the verification layer's view of the protocol's message channel.
+    /// On a link with an error process this includes the adverts its
+    /// loss draw will take on arrival.
     pub fn pending_reach_msgs(&self) -> Vec<(SimTime, u32, u16, bool, Vec<u32>)> {
         let mut out = Vec::new();
         self.ctx.events.visit_pending(&mut |at, _key, ev| {
@@ -335,10 +337,11 @@ impl FabricEngine {
                 node,
                 port,
                 fas,
-                faulty,
+                err,
             } = ev
             {
-                out.push((at, node.0, *port, *faulty, fas.as_ref().clone()));
+                let faulty = crate::wire::is_faulty(*err);
+                out.push((at, node.0, *port, faulty, fas.as_ref().clone()));
             }
         });
         out.sort_unstable();
@@ -572,7 +575,7 @@ impl FabricEngine {
 
     /// Direct read of a link-direction queue depth (tests/diagnostics).
     pub fn dir_depth(&self, link: LinkId, from_end: u8) -> usize {
-        self.tx.wire.dir_depth(link, from_end)
+        self.tx.wire.dir_depth(link, from_end, self.now())
     }
 
     /// [`FabricEngine::fabric_utilization`] for an externally supplied
@@ -600,7 +603,6 @@ impl FabricEngine {
             ctx, ingress, tx, ..
         } = self;
         match ev {
-            Ev::TxDone { dir } => tx.wire.on_tx_done(ctx, dir),
             Ev::CellArrive { dir, cell } => {
                 tx.wire
                     .on_cell_arrive(ctx, &mut tx.devices, &mut tx.egress, dir, cell)
@@ -623,8 +625,10 @@ impl FabricEngine {
                 node,
                 port,
                 fas,
-                faulty,
-            } => tx.devices.on_reach_msg(ctx, node, port, &fas, faulty),
+                err,
+            } => tx
+                .devices
+                .on_reach_msg(ctx, &mut tx.wire, node, port, &fas, err),
             Ev::BurstOpen { burst } => tx.egress.open_burst(ctx, *burst),
             Ev::BurstTimeout { burst } => tx.egress.on_burst_timeout(ctx, burst),
             Ev::FlowTick { flow } => ingress.on_flow_tick(ctx, tx, flow),

@@ -1,4 +1,12 @@
 //! The engine's events and their canonical ordering key.
+//!
+//! A cell costs one event per hop, its `CellArrive`: a link direction
+//! works out each cell's departure when the cell is queued (see `wire`),
+//! so there is no departure event. Rank 0 of the key was that event's;
+//! it stays unused, which keeps every other rank, and with it the order
+//! of simultaneous events, as it was. A departure at `t` still precedes
+//! everything else at `t`: a direction counts a cell leaving at `t` as
+//! gone for any cell queued at `t`.
 
 use crate::cell::{Burst, BurstId, Cell, Packet};
 use crate::voq::VoqKey;
@@ -15,8 +23,6 @@ use std::sync::Arc;
 /// transports these between shard engines.
 #[derive(Debug, Clone)]
 pub(crate) enum Ev {
-    /// A cell finished serializing on a link direction.
-    TxDone { dir: u32 },
     /// A cell arrived at the far end of a link direction.
     CellArrive { dir: u32, cell: CellRef },
     /// VOQ demand announcement reaching the destination's scheduler.
@@ -41,13 +47,15 @@ pub(crate) enum Ev {
     ReachTick { node: NodeId },
     /// A reachability advertisement arriving at `node` on local `port`.
     /// Carries the sender's full reach; the receiver filters it against
-    /// the route plan's candidate set for the reverse direction. `faulty`
-    /// carries the sender's self-assessment of the link (§5.10).
+    /// the route plan's candidate set for the reverse direction. `err` is
+    /// the link's error rate when it was sent: the advert's loss draw,
+    /// taken on arrival, and the sender's self-assessment of the link
+    /// (§5.10) both use it.
     ReachMsg {
         node: NodeId,
         port: u16,
         fas: Arc<Vec<u32>>,
-        faulty: bool,
+        err: f64,
     },
     /// A burst's reassembly record arriving at the destination FA's
     /// shard, sent at packing time one lookahead ahead of the burst's
@@ -64,8 +72,7 @@ pub(crate) enum Ev {
 }
 
 /// The names of the event kinds, indexed by [`Ev::kind`].
-pub(crate) const EV_KINDS: [&str; 13] = [
-    "TxDone",
+pub(crate) const EV_KINDS: [&str; 12] = [
     "CellArrive",
     "CtrlRequest",
     "CtrlCredit",
@@ -84,19 +91,18 @@ impl Ev {
     /// This event's index into [`EV_KINDS`].
     pub(crate) fn kind(&self) -> usize {
         match self {
-            Ev::TxDone { .. } => 0,
-            Ev::CellArrive { .. } => 1,
-            Ev::CtrlRequest { .. } => 2,
-            Ev::CtrlCredit { .. } => 3,
-            Ev::CreditTick { .. } => 4,
-            Ev::PortTxDone { .. } => 5,
-            Ev::Inject { .. } => 6,
-            Ev::ReachTick { .. } => 7,
-            Ev::ReachMsg { .. } => 8,
-            Ev::BurstOpen { .. } => 9,
-            Ev::BurstTimeout { .. } => 10,
-            Ev::FlowTick { .. } => 11,
-            Ev::MsgStart { .. } => 12,
+            Ev::CellArrive { .. } => 0,
+            Ev::CtrlRequest { .. } => 1,
+            Ev::CtrlCredit { .. } => 2,
+            Ev::CreditTick { .. } => 3,
+            Ev::PortTxDone { .. } => 4,
+            Ev::Inject { .. } => 5,
+            Ev::ReachTick { .. } => 6,
+            Ev::ReachMsg { .. } => 7,
+            Ev::BurstOpen { .. } => 8,
+            Ev::BurstTimeout { .. } => 9,
+            Ev::FlowTick { .. } => 10,
+            Ev::MsgStart { .. } => 11,
         }
     }
 }
@@ -118,14 +124,16 @@ const fn key(rank: u64, payload: u64) -> u64 {
 ///
 /// * events whose order *matters* (they touch the same entity) differ in
 ///   key — per-direction events are unique per `(time, dir)` (a serial
-///   link emits at most one cell per instant), per-port timer events are
+///   link delivers at most one cell per instant; a cell discarded by a
+///   failure may share its instant with the one that took its place,
+///   and is dropped unread in either order), per-port timer events are
 ///   unique per `(time, fa, port)`, and so on;
 /// * events that *can* collide (two `CtrlRequest`s from the same source
 ///   VOQ in one instant) commute: the scheduler adds their byte counts
 ///   either way, and same-key events keep sender-FIFO order besides.
 pub(crate) fn key_of(ev: &Ev) -> u64 {
+    // Rank 0 is free (see the module docs).
     match ev {
-        Ev::TxDone { dir } => key(0, *dir as u64),
         Ev::CellArrive { dir, .. } => key(1, *dir as u64),
         Ev::BurstOpen { burst } => key(2, burst.id.0),
         Ev::CtrlRequest {

@@ -101,6 +101,7 @@ impl PackedBurst {
             wire_bytes: self.cell_wire_bytes(seq),
             fci: false,
             sent_at,
+            link_epoch: 0,
         }
     }
 

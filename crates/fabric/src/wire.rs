@@ -1,10 +1,24 @@
 //! The wire layer: every direction of every fabric link, the cells in
 //! flight on them, and the per-direction error processes (§5.10).
 //!
-//! A direction is a FIFO of cells in front of one serializer. The layer
-//! handles `TxDone` and `CellArrive`; an arriving cell is handed to the
-//! [`Devices`] layer for its next hop (a Fabric Element) or to the
-//! [`Egress`] layer for reassembly (its destination Fabric Adapter).
+//! A direction is a FIFO of fixed-size cells in front of one serializer
+//! that never preempts (§4, §5.3), so a cell's departure is known the
+//! moment it is queued: it starts when the cell ahead of it ends. The
+//! direction keeps only the pending departure times, and queueing a
+//! cell schedules its `CellArrive` (or posts it to the far end's shard)
+//! one propagation delay after its departure. An arriving cell is
+//! handed to the [`Devices`] layer for its next hop (a Fabric Element)
+//! or to the [`Egress`] layer for reassembly (its destination Fabric
+//! Adapter).
+//!
+//! What happened to the link while a cell was queued or serializing is
+//! settled on arrival, from the direction's log of state changes: a
+//! cell still queued when the link failed was counted lost then and is
+//! discarded; otherwise the cell draws its §5.10 corruption chance at
+//! the rate in force when it left, and is lost (stamped at its
+//! departure) if the link was down then. Adverts draw on arrival too,
+//! at the rate in force when they were sent, so each direction's error
+//! stream is consumed in departure order, as the link itself would.
 
 use crate::cell::Cell;
 use crate::device::Devices;
@@ -13,7 +27,7 @@ use crate::engine::Ctx;
 use crate::ev::Ev;
 use stardust_sim::link::fiber_delay;
 use stardust_sim::units::serialization_time;
-use stardust_sim::{DetRng, SimDuration};
+use stardust_sim::{DetRng, SimDuration, SimTime};
 use stardust_topo::{LinkId, NodeId, NodeKind, Topology};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -24,10 +38,17 @@ use std::sync::Arc;
 const FAULTY_BER_THRESHOLD: f64 = 0.01;
 
 /// Index of an in-flight cell in the wire's cell slab. Cells travel
-/// through the event queue and link FIFOs by reference so the hot
-/// `Ev::CellArrive` variant stays 8 bytes instead of carrying the whole
-/// `Cell` by value.
+/// through the event queue by reference so the hot `Ev::CellArrive`
+/// variant stays 8 bytes instead of carrying the whole `Cell` by value.
 pub(crate) type CellRef = u32;
+
+/// A direction's state from `at` on, logged at every change.
+#[derive(Debug, Clone, Copy)]
+struct LinkChange {
+    at: SimTime,
+    up: bool,
+    error_rate: f64,
+}
 
 /// One direction of a fabric link: a FIFO of cells plus the serializer.
 #[derive(Debug)]
@@ -37,8 +58,13 @@ struct DirState {
     error_rate: f64,
     rate_bps: u64,
     prop: SimDuration,
-    queue: VecDeque<CellRef>,
-    in_service: Option<CellRef>,
+    /// When each queued cell ends serializing, in queue order. Those at
+    /// or before now have left: a departure at `t` precedes every push
+    /// at `t`.
+    departures: VecDeque<SimTime>,
+    /// Every change of `up` or `error_rate`, in order; identical on every
+    /// shard, since link administration reaches them all.
+    log: Vec<LinkChange>,
     /// Destination node of this direction.
     dst_node: NodeId,
     /// Port index of this link within the destination node's link list.
@@ -52,16 +78,30 @@ struct DirState {
 }
 
 impl DirState {
-    fn depth(&self) -> usize {
-        self.queue.len() + usize::from(self.in_service.is_some())
+    /// Cells queued or in service at `now`.
+    fn depth(&self, now: SimTime) -> usize {
+        self.departures.len() - self.departures.partition_point(|&t| t <= now)
+    }
+
+    /// Forget the departures that have happened by `now`.
+    fn retire(&mut self, now: SimTime) {
+        while self.departures.front().is_some_and(|&t| t <= now) {
+            self.departures.pop_front();
+        }
+    }
+
+    /// Log the state in force from `at` on.
+    fn note_change(&mut self, at: SimTime) {
+        let (up, error_rate) = (self.up, self.error_rate);
+        self.log.push(LinkChange { at, up, error_rate });
     }
 }
 
 /// The wire layer's state. Direction index = `link * 2 + from_end`.
 pub(crate) struct Wire {
     dirs: Vec<DirState>,
-    /// Slab of in-flight cells; events and link FIFOs hold `CellRef`
-    /// indices into it. Freed slots are recycled LIFO.
+    /// Slab of in-flight cells; arrival events hold `CellRef` indices
+    /// into it. Freed slots are recycled LIFO.
     cells: Vec<Cell>,
     free_cells: Vec<CellRef>,
     /// Per-link-direction error draw streams (§5.10 failure injection),
@@ -86,8 +126,8 @@ impl Wire {
                     error_rate: 0.0,
                     rate_bps: link_bps,
                     prop: fiber_delay(link.meters as u64),
-                    queue: VecDeque::new(),
-                    in_service: None,
+                    departures: VecDeque::new(),
+                    log: Vec::new(),
                     dst_node: dst,
                     dst_port_index,
                     last_stage: fe_source && topo.node(dst).kind == NodeKind::Edge,
@@ -123,9 +163,9 @@ impl Wire {
             .unwrap_or(SimDuration::ZERO)
     }
 
-    /// Cells queued or in service on one direction.
-    pub(crate) fn dir_depth(&self, link: LinkId, from_end: u8) -> usize {
-        self.dirs[(link.0 * 2 + from_end as u32) as usize].depth()
+    /// Cells queued or in service on one direction at `now`.
+    pub(crate) fn dir_depth(&self, link: LinkId, from_end: u8, now: SimTime) -> usize {
+        self.dirs[(link.0 * 2 + from_end as u32) as usize].depth(now)
     }
 
     // --- link administration ---
@@ -148,14 +188,22 @@ impl Wire {
         let mut changed = false;
         for from_end in 0..2u32 {
             let d = &mut self.dirs[(link.0 * 2 + from_end) as usize];
-            changed |= d.up;
-            d.up = false;
-            if !d.queue.is_empty() {
-                ctx.stats.cells_dropped.add(d.queue.len() as u64);
-                ctx.stats.note_loss(now);
-                self.free_cells.extend(d.queue.drain(..));
+            if !d.up {
+                continue;
             }
-            // The in-service cell is dropped at its TxDone.
+            changed = true;
+            d.up = false;
+            d.note_change(now);
+            // The cells queued behind the one in service are lost now;
+            // their arrivals find them discarded. The cell in service
+            // is settled at its arrival.
+            d.retire(now);
+            let queued = d.departures.len().saturating_sub(1);
+            if queued > 0 {
+                d.departures.truncate(1);
+                ctx.stats.cells_dropped.add(queued as u64);
+                ctx.stats.note_loss(now);
+            }
         }
         if changed {
             ctx.stats.note_link_event(now);
@@ -164,14 +212,18 @@ impl Wire {
 
     pub(crate) fn restore_link(&mut self, ctx: &mut Ctx, link: LinkId) {
         self.check_link(link);
+        let now = ctx.now();
         let mut changed = false;
         for from_end in 0..2u32 {
             let d = &mut self.dirs[(link.0 * 2 + from_end) as usize];
-            changed |= !d.up;
-            d.up = true;
+            if !d.up {
+                changed = true;
+                d.up = true;
+                d.note_change(now);
+            }
         }
         if changed {
-            ctx.stats.note_link_event(ctx.now());
+            ctx.stats.note_link_event(now);
         }
     }
 
@@ -182,14 +234,18 @@ impl Wire {
             "link {} error rate {rate} out of range: a rate is within [0, 1]",
             link.0
         );
+        let now = ctx.now();
         let mut changed = false;
         for from_end in 0..2u32 {
             let d = &mut self.dirs[(link.0 * 2 + from_end) as usize];
-            changed |= d.error_rate != rate;
-            d.error_rate = rate;
+            if d.error_rate != rate {
+                changed = true;
+                d.error_rate = rate;
+                d.note_change(now);
+            }
         }
         if changed {
-            ctx.stats.note_link_event(ctx.now());
+            ctx.stats.note_link_event(now);
         }
     }
 
@@ -206,29 +262,32 @@ impl Wire {
         }
     }
 
-    /// A cell is lost inside the fabric: count it, stamp the loss window,
-    /// free its slot. The burst's reassembly timeout cleans up the rest.
-    fn lose(&mut self, ctx: &mut Ctx, cell: CellRef) {
+    /// A cell is lost inside the fabric at `at`: count it, stamp the
+    /// loss window, free its slot. The burst's reassembly timeout cleans
+    /// up the rest.
+    fn lose(&mut self, ctx: &mut Ctx, cell: CellRef, at: SimTime) {
         ctx.stats.cells_dropped.inc();
-        ctx.stats.note_loss(ctx.now());
+        ctx.stats.note_loss(at);
         self.free_cells.push(cell);
     }
 
-    /// Enqueue a cell on direction `dir_idx`, starting the serializer if
-    /// it is idle.
+    /// Queue a cell on direction `dir_idx`: it departs when the cell
+    /// ahead of it has, and arrives one propagation delay later.
     pub(crate) fn push_cell(&mut self, ctx: &mut Ctx, dir_idx: u32, cell: CellRef) {
         let now = ctx.now();
         let d = &mut self.dirs[dir_idx as usize];
         if !d.up {
-            return self.lose(ctx, cell);
+            return self.lose(ctx, cell, now);
         }
-        let depth = d.depth();
+        d.retire(now);
+        let depth = d.departures.len();
+        let c = &mut self.cells[cell as usize];
         // FCI is a Fabric Element mechanism (§4.2): only FE output queues
         // mark congestion. FA uplink queues are the adapter's own
         // fragmentation/spraying stage and burst-clump by design — a whole
         // credit-worth of cells is enqueued at packing time.
         if d.fe_source && depth >= ctx.cfg.fci_threshold_cells as usize {
-            self.cells[cell as usize].fci = true;
+            c.fci = true;
             ctx.stats.fci_marks.inc();
         }
         if ctx.measuring() {
@@ -241,41 +300,56 @@ impl Wire {
                 ctx.stats.fa_uplink_queue.record(depth as u64);
             }
         }
-        if d.in_service.is_none() {
-            let wire_bytes = self.cells[cell as usize].wire_bytes;
-            let t = serialization_time(wire_bytes as u64, d.rate_bps);
-            d.in_service = Some(cell);
-            ctx.sched(now + t, Ev::TxDone { dir: dir_idx });
+        c.link_epoch = d.log.len() as u16;
+        let start = d.departures.back().copied().unwrap_or(now);
+        let tx_end = start + serialization_time(c.wire_bytes as u64, d.rate_bps);
+        d.departures.push_back(tx_end);
+        let at = tx_end + d.prop;
+        if ctx.post_cell_if_remote(at, dir_idx, d.dst_node, c) {
+            self.free_cells.push(cell);
         } else {
-            d.queue.push_back(cell);
+            ctx.sched(at, Ev::CellArrive { dir: dir_idx, cell });
         }
     }
 
-    pub(crate) fn on_tx_done(&mut self, ctx: &mut Ctx, dir_idx: u32) {
-        let now = ctx.now();
-        let d = &mut self.dirs[dir_idx as usize];
-        let cell = d.in_service.take().expect("TxDone without in-service cell");
-        let (up, prop, rate_bps, err, dst) = (d.up, d.prop, d.rate_bps, d.error_rate, d.dst_node);
+    /// Settle what the link did to a cell arriving now on `dir_idx`
+    /// while it was queued and serializing. False when the cell is gone:
+    /// discarded (it was still queued when the link failed, and counted
+    /// then), corrupted, or lost to a link that was down when it left.
+    fn survived_departure(&mut self, ctx: &mut Ctx, dir_idx: u32, cell: CellRef) -> bool {
+        let d = &self.dirs[dir_idx as usize];
+        if d.log.is_empty() {
+            // Never failed, never noisy.
+            return true;
+        }
+        let c = &self.cells[cell as usize];
+        let tx_end = ctx.now() - d.prop;
+        let start = tx_end - serialization_time(c.wire_bytes as u64, d.rate_bps);
+        // The changes logged since the cell was queued; the first
+        // failure among them came before its start or not at all.
+        let since = d.log.len() - usize::from((d.log.len() as u16).wrapping_sub(c.link_epoch));
+        let failed = d.log[since..].iter().find(|ch| !ch.up);
+        if failed.is_some_and(|ch| ch.at < start) {
+            self.free_cells.push(cell);
+            return false;
+        }
+        // The state a departure at `tx_end` saw: it ran ahead of any
+        // link change at the same instant.
+        let left = d.log.iter().rev().find(|ch| ch.at < tx_end);
+        let (up, err) = left.map_or((true, 0.0), |ch| (ch.up, ch.error_rate));
         let corrupted = err > 0.0 && self.err_rngs[dir_idx as usize].chance(err);
         if !up {
-            self.lose(ctx, cell);
+            self.lose(ctx, cell, tx_end);
         } else if corrupted {
             // A CRC-failed cell is discarded at the receiver (§5.10); the
             // reassembly timeout cleans up the burst.
             ctx.stats.cells_corrupted.inc();
-            ctx.stats.note_loss(now);
-            self.free_cells.push(cell);
-        } else if ctx.post_cell_if_remote(now + prop, dir_idx, dst, &self.cells[cell as usize]) {
+            ctx.stats.note_loss(tx_end);
             self.free_cells.push(cell);
         } else {
-            ctx.sched(now + prop, Ev::CellArrive { dir: dir_idx, cell });
+            return true;
         }
-        let d = &mut self.dirs[dir_idx as usize];
-        if let Some(next) = d.queue.pop_front() {
-            d.in_service = Some(next);
-            let t = serialization_time(self.cells[next as usize].wire_bytes as u64, rate_bps);
-            ctx.sched(now + t, Ev::TxDone { dir: dir_idx });
-        }
+        false
     }
 
     /// A cell reaches the far end of `dir_idx`: a Fabric Element sprays
@@ -289,9 +363,12 @@ impl Wire {
         dir_idx: u32,
         cell: CellRef,
     ) {
+        if !self.survived_departure(ctx, dir_idx, cell) {
+            return;
+        }
         let d = &self.dirs[dir_idx as usize];
         if !d.up {
-            return self.lose(ctx, cell);
+            return self.lose(ctx, cell, ctx.now());
         }
         let dev = devices.of_node(d.dst_node);
         if dev < devices.num_fas() {
@@ -303,17 +380,16 @@ impl Wire {
             match devices.next_port(dev, self.cells[cell as usize].dst_fa) {
                 Some(out_dir) => self.push_cell(ctx, out_dir, cell),
                 // No path: the cell is lost.
-                None => self.lose(ctx, cell),
+                None => self.lose(ctx, cell, ctx.now()),
             }
         }
     }
 
     /// Put a reachability cell carrying `fas` on `dir_idx`. A failed link
-    /// carries none, and the error process eats its share of the rest.
+    /// carries none; the error process takes its share on arrival.
     pub(crate) fn send_advert(&mut self, ctx: &mut Ctx, dir_idx: u32, fas: Arc<Vec<u32>>) {
         let d = &self.dirs[dir_idx as usize];
-        let err = d.error_rate;
-        if !d.up || (err > 0.0 && self.err_rngs[dir_idx as usize].chance(err)) {
+        if !d.up {
             return;
         }
         ctx.sched(
@@ -322,11 +398,23 @@ impl Wire {
                 node: d.dst_node,
                 port: d.dst_port_index,
                 fas,
-                // §5.10: a link whose error rate crossed the threshold
-                // marks itself faulty on its reachability cells, so the
-                // receiver excludes it even when a cell does get through.
-                faulty: err > FAULTY_BER_THRESHOLD,
+                err: d.error_rate,
             },
         );
     }
+
+    /// An advert sent on `dir_idx` under error rate `err` arrives: `None`
+    /// when the error process eats it, else whether it marks the link
+    /// faulty. §5.10: a link whose error rate crossed the threshold
+    /// marks itself faulty on its reachability cells, so the receiver
+    /// excludes it even when a cell does get through.
+    pub(crate) fn receive_advert(&mut self, dir_idx: u32, err: f64) -> Option<bool> {
+        let lost = err > 0.0 && self.err_rngs[dir_idx as usize].chance(err);
+        (!lost).then_some(is_faulty(err))
+    }
+}
+
+/// Does an advert sent under error rate `err` mark its link faulty?
+pub(crate) fn is_faulty(err: f64) -> bool {
+    err > FAULTY_BER_THRESHOLD
 }
