@@ -111,7 +111,7 @@ fn two_tier_permutation_in_table_mode() {
     assert_eq!(
         golden_of(&e),
         Golden {
-            events_executed: 133_675,
+            events_executed: 74_909,
             cells_sent: 15_665,
             credits_sent: 2_735,
             packets_delivered: 2_869,
@@ -157,7 +157,7 @@ fn zoo_dragonfly_through_a_fail_and_restore() {
     assert_eq!(
         golden_of(&e),
         Golden {
-            events_executed: 913_082,
+            events_executed: 521_980,
             cells_sent: 97_450,
             credits_sent: 14_180,
             packets_delivered: 13_898,
@@ -217,7 +217,7 @@ fn bounded_flows_streamed_mix() {
     assert_eq!(
         golden_of(&e),
         Golden {
-            events_executed: 131_975,
+            events_executed: 69_169,
             cells_sent: 17_707,
             credits_sent: 850,
             packets_delivered: 2_802,
