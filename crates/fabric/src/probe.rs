@@ -70,14 +70,6 @@ impl EventCounts {
     /// The event kinds, in `by_kind` order.
     pub const KINDS: [&'static str; EV_KINDS.len()] = EV_KINDS;
 
-    /// Events dispatched of kind `name` (0 for an unknown name).
-    pub fn of(&self, name: &str) -> u64 {
-        Self::KINDS
-            .iter()
-            .position(|&k| k == name)
-            .map_or(0, |i| self.by_kind[i])
-    }
-
     /// Add `other`'s counts to these.
     pub fn merge(&mut self, other: &EventCounts) {
         for (a, b) in self.by_kind.iter_mut().zip(other.by_kind) {

@@ -10,8 +10,11 @@
 //!
 //! The census works on tokens, never on text: a comment that names a
 //! function is not a call, and a `#[cfg(test)]` written inside a doc
-//! comment does not hide the code below it. It is a *name* census, so a
-//! dead function that shares its name with a live one goes unreported.
+//! comment does not hide the code below it. Nor is an import a call: the
+//! names in a `use` item do not count, so a `pub use` re-export reaches
+//! nothing by itself (a name renamed with `as` does count, since the
+//! code calls it by the new one). It is a *name* census, so a dead
+//! function that shares its name with a live one goes unreported.
 
 use crate::rules::{self, Rule};
 use crate::token::{self, Tok, TokKind};
@@ -64,6 +67,25 @@ fn definitions(toks: &[Tok]) -> Vec<&Tok> {
     out
 }
 
+/// The identifier tokens of `toks` that can reach a definition: all but
+/// those inside `use` items, where only a name renamed with `as` counts.
+fn references(toks: &[Tok]) -> Vec<&Tok> {
+    let mut out = Vec::new();
+    let mut in_use = false;
+    for (i, t) in toks.iter().enumerate() {
+        if t.is_ident("use") {
+            in_use = true;
+        } else if in_use && t.is_punct(";") {
+            in_use = false;
+        } else if t.kind == TokKind::Ident
+            && (!in_use || toks.get(i + 1).is_some_and(|n| n.is_ident("as")))
+        {
+            out.push(t);
+        }
+    }
+    out
+}
+
 /// Run U1 over the workspace at `root`. Paths in the diagnostics are
 /// relative to `root`. Directive errors are not reported here: for the
 /// engine roots [`crate::lint_source`] reports them, and elsewhere a
@@ -92,7 +114,7 @@ pub fn unreached(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
             let src = std::fs::read_to_string(&path)?;
             let all = token::tokenize(&src);
             let toks = rules::strip_test_items(&all);
-            for t in toks.iter().filter(|t| t.kind == TokKind::Ident) {
+            for t in references(&toks) {
                 *refs.entry(t.text.clone()).or_default() += 1;
             }
             if !defining {
@@ -142,5 +164,13 @@ mod tests {
         let toks = token::tokenize(src);
         let names: Vec<&str> = definitions(&toks).iter().map(|t| t.text.as_str()).collect();
         assert_eq!(names, ["a", "b", "C", "D", "E"]);
+    }
+
+    #[test]
+    fn a_use_item_references_only_what_it_renames() {
+        let src = "pub use a::{b, c as d}; use e; fn f() { use g::h; b(); }";
+        let toks = token::tokenize(src);
+        let names: Vec<&str> = references(&toks).iter().map(|t| t.text.as_str()).collect();
+        assert_eq!(names, ["pub", "c", "fn", "f", "b"]);
     }
 }

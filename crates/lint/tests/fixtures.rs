@@ -89,8 +89,8 @@ fn d5_allowed_is_clean() {
 
 /// U1 is workspace-wide, so its fixture is a tree (`fixtures/u1`): a
 /// definition crate, a sibling caller and a `benchmark/src` stand-in.
-/// Only the test-only call, the comment-and-string mention and the
-/// reasonless allow fire.
+/// Only the test-only call, the comment-and-string mention, the
+/// reasonless allow and the re-export only a test calls fire.
 #[test]
 fn u1_fires_where_only_tests_comments_or_strings_reach() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/u1");
@@ -108,6 +108,7 @@ fn u1_fires_where_only_tests_comments_or_strings_reach() {
             (lib.clone(), "U1", 20),
             (lib.clone(), "D0", 34),
             (lib, "U1", 35),
+            ("crates/sim/src/sibling.rs".to_string(), "U1", 11),
         ]
     );
 }

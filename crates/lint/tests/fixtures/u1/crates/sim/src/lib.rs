@@ -43,3 +43,7 @@ mod inline {
         assert_eq!(super::only_tested(), 1);
     }
 }
+
+/// Re-exported, called only from `tests.rs`: `reexported` fires in
+/// `sibling.rs`. Renamed and called by the new name: clean.
+pub use sibling::{reexported, renamed_away as renamed};

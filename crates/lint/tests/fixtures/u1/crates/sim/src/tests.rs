@@ -4,5 +4,5 @@ use super::*;
 
 #[test]
 fn round_trip() {
-    assert_eq!(only_tested() + allowed() + reasonless(), 12);
+    assert_eq!(only_tested() + allowed() + reasonless() + reexported(), 19);
 }

@@ -322,6 +322,7 @@ impl ShardClock {
 /// classic bound that [`LookaheadMatrix::window_over`] must reduce to on
 /// a uniform matrix and may never undercut on any matrix — the property
 /// suite compares the two.
+// det-lint: allow(U1, the scalar reference tests/properties.rs checks LookaheadMatrix::window_over against)
 pub fn window_end(
     next: Option<SimTime>,
     horizon: SimTime,
