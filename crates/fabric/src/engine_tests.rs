@@ -981,6 +981,68 @@ fn churn_metrics_bracket_loss_and_convergence() {
 }
 
 #[test]
+fn event_kind_names_follow_the_key_ranks() {
+    use crate::ev::EV_KINDS;
+    let pkt = crate::cell::Packet {
+        id: PacketId(1),
+        src_fa: 0,
+        dst_fa: 1,
+        dst_port: 0,
+        tc: 0,
+        bytes: 64,
+        flow: crate::cell::NO_FLOW,
+        injected_at: SimTime::ZERO,
+    };
+    let burst = crate::packing::pack_burst(
+        crate::cell::BurstId(1),
+        vec![pkt],
+        256,
+        crate::config::CELL_HEADER_BYTES,
+        true,
+        SimTime::ZERO,
+    )
+    .burst;
+    let key = VoqKey {
+        dst_fa: 1,
+        dst_port: 0,
+        tc: 0,
+    };
+    let evs = [
+        Ev::CellArrive { dir: 0, cell: 0 },
+        Ev::BurstOpen {
+            burst: Box::new(burst),
+        },
+        Ev::CtrlRequest {
+            dst_fa: 1,
+            port: 0,
+            tc: 0,
+            src_fa: 0,
+            bytes: 1,
+        },
+        Ev::CtrlCredit { src_fa: 0, key },
+        Ev::CreditTick { fa: 0, port: 0 },
+        Ev::PortTxDone { fa: 0, port: 0 },
+        Ev::Inject { pkt: Box::new(pkt) },
+        Ev::ReachTick { node: NodeId(0) },
+        Ev::ReachMsg {
+            node: NodeId(0),
+            port: 0,
+            fas: Arc::new(Vec::new()),
+            err: 0.0,
+        },
+        Ev::BurstTimeout {
+            burst: crate::cell::BurstId(1),
+        },
+        Ev::FlowTick { flow: 0 },
+        Ev::MsgStart { flow: 0 },
+    ];
+    for (i, ev) in evs.iter().enumerate() {
+        assert_eq!(ev.kind(), i);
+        assert!(format!("{ev:?}").starts_with(EV_KINDS[i]), "{ev:?}");
+    }
+}
+
+#[test]
 fn ev_stays_small() {
     // The dispatch path moves events through bucket sorts and batch
     // drains; the slab/boxing layout keeps them to ≤ 24 bytes (3

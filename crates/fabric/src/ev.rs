@@ -71,9 +71,11 @@ pub(crate) enum Ev {
     MsgStart { flow: u32 },
 }
 
-/// The names of the event kinds, indexed by [`Ev::kind`].
+/// The names of the event kinds, indexed by [`Ev::kind`]: in key rank
+/// order, from rank 1.
 pub(crate) const EV_KINDS: [&str; 12] = [
     "CellArrive",
+    "BurstOpen",
     "CtrlRequest",
     "CtrlCredit",
     "CreditTick",
@@ -81,29 +83,16 @@ pub(crate) const EV_KINDS: [&str; 12] = [
     "Inject",
     "ReachTick",
     "ReachMsg",
-    "BurstOpen",
     "BurstTimeout",
     "FlowTick",
     "MsgStart",
 ];
 
 impl Ev {
-    /// This event's index into [`EV_KINDS`].
+    /// This event's index into [`EV_KINDS`]: its key rank, less the
+    /// unused rank 0.
     pub(crate) fn kind(&self) -> usize {
-        match self {
-            Ev::CellArrive { .. } => 0,
-            Ev::CtrlRequest { .. } => 1,
-            Ev::CtrlCredit { .. } => 2,
-            Ev::CreditTick { .. } => 3,
-            Ev::PortTxDone { .. } => 4,
-            Ev::Inject { .. } => 5,
-            Ev::ReachTick { .. } => 6,
-            Ev::ReachMsg { .. } => 7,
-            Ev::BurstOpen { .. } => 8,
-            Ev::BurstTimeout { .. } => 9,
-            Ev::FlowTick { .. } => 10,
-            Ev::MsgStart { .. } => 11,
-        }
+        (key_of(self) >> 56) as usize - 1
     }
 }
 

@@ -281,8 +281,9 @@ impl ShardedFabricEngine {
         }
     }
 
-    /// Fail a link on every shard (owner drops its queued cells; the
-    /// destination side stops accepting arrivals).
+    /// Fail a link on every shard: each logs the change, which the
+    /// arrivals on either side settle against; the sending side counts
+    /// its queued cells lost.
     pub fn fail_link(&mut self, link: LinkId) {
         for s in &mut self.shards {
             s.fail_link(link);
