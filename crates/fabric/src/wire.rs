@@ -43,7 +43,7 @@ const FAULTY_BER_THRESHOLD: f64 = 0.01;
 pub(crate) type CellRef = u32;
 
 /// A direction's state from `at` on, logged at every change.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 struct LinkChange {
     at: SimTime,
     up: bool,
