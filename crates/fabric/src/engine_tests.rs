@@ -430,6 +430,124 @@ fn link_errors_lose_cells_and_protocol_excludes_the_link() {
     );
 }
 
+/// Counts the cells arriving on each link direction.
+struct CellsPerDir(Arc<std::sync::Mutex<Vec<u64>>>);
+
+impl Probe for CellsPerDir {
+    fn batch(&mut self, batch: &[ScheduledEvent<Ev>]) {
+        let mut arrived = self.0.lock().expect("one shard");
+        for ev in batch {
+            if let Ev::CellArrive { dir, .. } = ev.payload {
+                arrived[dir as usize] += 1;
+            }
+        }
+    }
+}
+
+/// `k` hits in `n` Bernoulli trials at rate `p` lie within 4.5 standard
+/// deviations of the mean.
+fn assert_binomial(what: &str, k: u64, n: u64, p: f64) {
+    let (mean, sd) = (n as f64 * p, (n as f64 * p * (1.0 - p)).sqrt());
+    assert!(
+        (k as f64 - mean).abs() <= 4.5 * sd,
+        "{what}: {k} of {n} at rate {p} (mean {mean:.1}, sd {sd:.1})"
+    );
+}
+
+#[test]
+fn link_error_draws_hit_their_rate_per_direction_and_independently() {
+    // Two FAs and two FEs, one link between each FA–FE pair. FA 0 sends
+    // to FA 1; its cells via FE 0 cross FA 0 → FE 0 and then
+    // FE 0 → FA 1, and both links are noisy at a rate below the faulty
+    // threshold, so they stay in use. FE 0 → FA 1 also carries FE 0's
+    // adverts, one per reach interval.
+    let p = 0.008;
+    let st = single_tier(SingleTierParams {
+        num_fa: 2,
+        fa_uplinks: 2,
+        fe_count: 2,
+        meters: 2,
+    });
+    let dir_from = |link: LinkId, node: NodeId| link.0 * 2 + st.topo.link(link).end_of(node) as u32;
+    let (up, down) = (
+        st.topo.node(st.fas[0]).links[0],
+        st.topo.node(st.fas[1]).links[0],
+    );
+    assert_eq!(st.topo.peer(st.fas[1], down), st.fes[0]);
+    let (d1, d2) = (dir_from(up, st.fas[0]), dir_from(down, st.fes[0]));
+    let interval = SimDuration::from_micros(1);
+    let mut cfg = cfg_small();
+    cfg.reach_interval = Some(interval);
+    cfg.reach_miss_threshold = 3;
+    let mut e = FabricEngine::new(st.topo, cfg);
+    let arrived = Arc::new(std::sync::Mutex::new(vec![0u64; 8]));
+    e.ctx.probe = Box::new(CellsPerDir(arrived.clone()));
+    e.set_link_error_rate(up, p);
+    e.set_link_error_rate(down, p);
+    let stop = SimTime::from_millis(3);
+    e.add_cbr_flow(
+        0,
+        1,
+        0,
+        0,
+        stardust_sim::units::gbps(10),
+        1500,
+        SimTime::ZERO,
+        stop,
+    );
+
+    // Step one reach interval at a time, each step holding exactly one
+    // arrival instant of FE 0's advert on FA 1's port 0: the advert was
+    // lost iff that port's `last_heard` did not move to it.
+    e.run_until(SimTime::from_micros(20));
+    let heard = |e: &FabricEngine| e.tx.devices.fa_reach(1).ports()[0].last_heard;
+    let h0 = heard(&e);
+    let steps = 4_000u64;
+    let (mut lost, mut corrupted) = (Vec::new(), Vec::new());
+    for k in 1..=steps {
+        let due = h0 + SimDuration::from_ps(interval.as_ps() * k);
+        let before = e.stats().cells_corrupted.get();
+        e.run_until(due + interval / 2);
+        let h = heard(&e);
+        assert!(h <= due, "one advert per step");
+        lost.push(f64::from(u8::from(h != due)));
+        corrupted.push((e.stats().cells_corrupted.get() - before) as f64);
+    }
+    assert!(
+        e.now() > stop + SimDuration::from_micros(500),
+        "all cells landed"
+    );
+    assert_eq!(e.stats().cells_dropped.get(), 0, "no path was lost");
+
+    // Per direction: every cell that survived FA 0 → FE 0 crossed
+    // FE 0 → FA 1, so the first hop took the difference.
+    let arrived = arrived.lock().expect("one shard").clone();
+    let (n1, n2) = (arrived[d1 as usize], arrived[d2 as usize]);
+    let k1 = n1 - n2;
+    let k2 = e.stats().cells_corrupted.get() - k1;
+    assert!(n2 > 5_000, "{n2} cells crossed both noisy directions");
+    assert_binomial("cells corrupted on FA 0 → FE 0", k1, n1, p);
+    assert_binomial("cells corrupted on FE 0 → FA 1", k2, n2, p);
+    let adverts_lost = lost.iter().sum::<f64>() as u64;
+    assert_binomial("adverts lost on FE 0 → FA 1", adverts_lost, steps, p);
+
+    // Cells and adverts draw independently: per step, whether the advert
+    // was lost is uncorrelated with how many cells were corrupted.
+    let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
+    let (ml, mc) = (mean(&lost), mean(&corrupted));
+    let cov = lost
+        .iter()
+        .zip(&corrupted)
+        .map(|(l, c)| (l - ml) * (c - mc))
+        .sum::<f64>();
+    let var = |xs: &[f64], m: f64| xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>();
+    let r = cov / (var(&lost, ml) * var(&corrupted, mc)).sqrt();
+    assert!(
+        r.abs() < 5.0 / (steps as f64).sqrt(),
+        "advert loss and cell corruption correlate: r = {r:.3}"
+    );
+}
+
 #[test]
 fn wrr_policy_shares_port_bandwidth() {
     use crate::config::SchedPolicy;

@@ -228,6 +228,84 @@ fn bounded_flows_streamed_mix() {
     );
 }
 
+/// A two-tier run of finite messages across one gray link: FA 0's first
+/// uplink corrupts 0.5 % of what crosses it, below the 1 % at which a
+/// link marks itself faulty (§5.10), so both its ends keep spraying
+/// cells over it. The reachability protocol runs every `reach_interval`,
+/// which sets how many adverts cross the link beside the cells.
+fn gray_link_run(reach_interval: SimDuration) -> FabricEngine {
+    let seed = 0x5EED_0044;
+    let tt = two_tier(TwoTierParams::paper_scaled(16));
+    let n = tt.fas.len() as u32;
+    let gray = tt.topo.node(tt.fas[0]).links[0];
+    let cfg = FabricConfig {
+        seed,
+        host_ports: 2,
+        reach_interval: Some(reach_interval),
+        reach_miss_threshold: 3,
+        ..FabricConfig::default()
+    };
+    let mut e = FabricEngine::new(tt.topo, cfg);
+    e.set_link_error_rate(gray, 0.005);
+    // Every FA sends six messages, one to each of six other FAs, so FA 0
+    // both sends and receives over the gray link.
+    for src in 0..n {
+        for k in 1..=6u32 {
+            e.add_message(
+                src,
+                (src + k) % n,
+                (k % 2) as u8,
+                0,
+                64_000 + u64::from(k) * 9_000,
+                SimTime::from_nanos(u64::from(src * 6 + k) * 211),
+            );
+        }
+    }
+    // Past the reassembly timeout of the last burst a corrupted cell
+    // left incomplete, so its packets count as discarded.
+    e.run_until(SimTime::from_millis(2));
+    e
+}
+
+#[test]
+fn gray_link_below_the_faulty_threshold_corrupts_cells() {
+    let e = gray_link_run(SimDuration::from_micros(10));
+    let s = e.stats();
+    assert!(
+        s.cells_corrupted.get() > 0,
+        "the gray link must corrupt cells"
+    );
+    assert_eq!(s.cells_dropped.get(), 0, "no link failed");
+    assert_eq!(
+        (
+            s.cells_corrupted.get(),
+            s.packets_discarded.get(),
+            fingerprint(s)
+        ),
+        (14, 40, 11_902_814_211_030_282_534)
+    );
+}
+
+#[test]
+fn gray_link_verdicts_do_not_depend_on_the_advert_count() {
+    // Halving the reach interval doubles the adverts crossing the gray
+    // link and changes nothing on the data path: every cell must meet
+    // the same corruption verdict, so the same packets are discarded
+    // and the same flows finish at the same instants.
+    let outcome = |e: &FabricEngine| {
+        let s = e.stats();
+        (
+            s.cells_corrupted.get(),
+            s.packets_discarded.get(),
+            s.flows.records().to_vec(),
+        )
+    };
+    let base = gray_link_run(SimDuration::from_micros(10));
+    let dense = gray_link_run(SimDuration::from_micros(5));
+    assert!(base.stats().cells_corrupted.get() > 0);
+    assert_eq!(outcome(&dense), outcome(&base));
+}
+
 /// What each push-baseline run is pinned on.
 #[derive(Debug, PartialEq, Eq)]
 struct PushGolden {
