@@ -290,7 +290,7 @@ impl Devices {
     /// against the route plan's candidate set for their direction toward
     /// the sender, so tiered up-ad/down-ad asymmetry falls out
     /// structurally instead of being encoded in the message kind.
-    pub(crate) fn on_reach_tick(&mut self, ctx: &mut Ctx, wire: &mut Wire, node: NodeId) {
+    pub(crate) fn on_reach_tick(&mut self, ctx: &mut Ctx, wire: &Wire, node: NodeId) {
         let now = ctx.now();
         let interval = ctx.cfg.reach_interval.expect("reach tick without interval");
         let th = ctx.cfg.reach_miss_threshold as u64;
@@ -308,25 +308,19 @@ impl Devices {
     }
 
     /// An advertisement (the sender's full reach) arrives at `node` on
-    /// local `port`, sent under error rate `err`: the link's error
-    /// process may eat it, and `err` carries the sender's
-    /// self-assessment of the link (§5.10).
+    /// local `port`; `faulty` carries the sender's self-assessment of the
+    /// link (§5.10).
     pub(crate) fn on_reach_msg(
         &mut self,
         ctx: &mut Ctx,
-        wire: &mut Wire,
         node: NodeId,
         port: u16,
         fas: &Arc<Vec<u32>>,
-        err: f64,
+        faulty: bool,
     ) {
         let now = ctx.now();
         let d = &mut self.nodes[self.dev_of_node[node.0 as usize] as usize];
         let port = port as usize;
-        // The advert came in on the reverse of this port's out-direction.
-        let Some(faulty) = wire.receive_advert(d.out_dirs[port] ^ 1, err) else {
-            return;
-        };
         let changed = if faulty {
             d.reach.mark_faulty(port, now)
         } else {

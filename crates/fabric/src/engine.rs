@@ -328,8 +328,6 @@ impl FabricEngine {
     /// In-flight reachability control messages as `(deliver_at, node,
     /// port, faulty, advertised FAs)`, sorted into a canonical order —
     /// the verification layer's view of the protocol's message channel.
-    /// On a link with an error process this includes the adverts its
-    /// loss draw will take on arrival.
     pub fn pending_reach_msgs(&self) -> Vec<(SimTime, u32, u16, bool, Vec<u32>)> {
         let mut out = Vec::new();
         self.ctx.events.visit_pending(&mut |at, _key, ev| {
@@ -337,11 +335,10 @@ impl FabricEngine {
                 node,
                 port,
                 fas,
-                err,
+                faulty,
             } = ev
             {
-                let faulty = crate::wire::is_faulty(*err);
-                out.push((at, node.0, *port, faulty, fas.as_ref().clone()));
+                out.push((at, node.0, *port, *faulty, fas.as_ref().clone()));
             }
         });
         out.sort_unstable();
@@ -620,15 +617,13 @@ impl FabricEngine {
             Ev::CreditTick { fa, port } => tx.egress.on_credit_tick(ctx, fa, port),
             Ev::PortTxDone { fa, port } => tx.egress.on_port_tx_done(ctx, fa, port),
             Ev::Inject { pkt } => ingress.on_inject(ctx, tx, *pkt),
-            Ev::ReachTick { node } => tx.devices.on_reach_tick(ctx, &mut tx.wire, node),
+            Ev::ReachTick { node } => tx.devices.on_reach_tick(ctx, &tx.wire, node),
             Ev::ReachMsg {
                 node,
                 port,
                 fas,
-                err,
-            } => tx
-                .devices
-                .on_reach_msg(ctx, &mut tx.wire, node, port, &fas, err),
+                faulty,
+            } => tx.devices.on_reach_msg(ctx, node, port, &fas, faulty),
             Ev::BurstOpen { burst } => tx.egress.open_burst(ctx, *burst),
             Ev::BurstTimeout { burst } => tx.egress.on_burst_timeout(ctx, burst),
             Ev::FlowTick { flow } => ingress.on_flow_tick(ctx, tx, flow),

@@ -1146,7 +1146,7 @@ fn event_kind_names_follow_the_key_ranks() {
             node: NodeId(0),
             port: 0,
             fas: Arc::new(Vec::new()),
-            err: 0.0,
+            faulty: false,
         },
         Ev::BurstTimeout {
             burst: crate::cell::BurstId(1),

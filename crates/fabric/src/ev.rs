@@ -47,15 +47,13 @@ pub(crate) enum Ev {
     ReachTick { node: NodeId },
     /// A reachability advertisement arriving at `node` on local `port`.
     /// Carries the sender's full reach; the receiver filters it against
-    /// the route plan's candidate set for the reverse direction. `err` is
-    /// the link's error rate when it was sent: the advert's loss draw,
-    /// taken on arrival, and the sender's self-assessment of the link
-    /// (§5.10) both use it.
+    /// the route plan's candidate set for the reverse direction.
+    /// `faulty` is the sender's self-assessment of the link (§5.10).
     ReachMsg {
         node: NodeId,
         port: u16,
         fas: Arc<Vec<u32>>,
-        err: f64,
+        faulty: bool,
     },
     /// A burst's reassembly record arriving at the destination FA's
     /// shard, sent at packing time one lookahead ahead of the burst's

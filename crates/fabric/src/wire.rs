@@ -1,5 +1,5 @@
 //! The wire layer: every direction of every fabric link, the cells in
-//! flight on them, and the per-direction error processes (§5.10).
+//! flight on them, and the links' error processes (§5.10).
 //!
 //! A direction is a FIFO of fixed-size cells in front of one serializer
 //! that never preempts (§4, §5.3), so a cell's departure is known the
@@ -16,9 +16,13 @@
 //! cell still queued when the link failed was counted lost then and is
 //! discarded; otherwise the cell draws its §5.10 corruption chance at
 //! the rate in force when it left, and is lost (stamped at its
-//! departure) if the link was down then. Adverts draw on arrival too,
-//! at the rate in force when they were sent, so each direction's error
-//! stream is consumed in departure order, as the link itself would.
+//! departure) if the link was down then. An advert draws its loss chance
+//! when it is sent, and a lost one is never scheduled.
+//!
+//! Every draw is a pure function of what crosses the link: a cell's of
+//! `(direction, burst, seq)`, an advert's of `(direction, send time)`
+//! (a node advertises once per reach tick). No verdict depends on how
+//! many other cells or adverts crossed before it.
 
 use crate::cell::Cell;
 use crate::device::Devices;
@@ -104,11 +108,10 @@ pub(crate) struct Wire {
     /// into it. Freed slots are recycled LIFO.
     cells: Vec<Cell>,
     free_cells: Vec<CellRef>,
-    /// Per-link-direction error draw streams (§5.10 failure injection),
-    /// split off one labelled base stream so each direction's draw
-    /// sequence is independent of every other direction's traffic — and
-    /// therefore identical under any sharding.
-    err_rngs: Vec<DetRng>,
+    /// The bases of the §5.10 draws of cells and of adverts. A draw
+    /// splits its key off one of them without advancing it.
+    cell_errs: DetRng,
+    advert_errs: DetRng,
 }
 
 impl Wire {
@@ -135,17 +138,13 @@ impl Wire {
                 });
             }
         }
-        // Split (not forked) off one base so every direction's stream is
-        // a pure function of (seed, dir).
-        let err_base = DetRng::from_label(seed, "link-errors");
-        let err_rngs = (0..dirs.len())
-            .map(|d| err_base.split_u64(d as u64))
-            .collect();
+        let errs = DetRng::from_label(seed, "link-errors");
         Wire {
             dirs,
             cells: Vec::new(),
             free_cells: Vec::new(),
-            err_rngs,
+            cell_errs: errs.split("cells"),
+            advert_errs: errs.split("adverts"),
         }
     }
 
@@ -337,7 +336,13 @@ impl Wire {
         // link change at the same instant.
         let left = d.log.iter().rev().find(|ch| ch.at < tx_end);
         let (up, err) = left.map_or((true, 0.0), |ch| (ch.up, ch.error_rate));
-        let corrupted = err > 0.0 && self.err_rngs[dir_idx as usize].chance(err);
+        let corrupted = err > 0.0
+            && self
+                .cell_errs
+                .split_u64(dir_idx as u64)
+                .split_u64(c.burst.0)
+                .split_u64(c.seq as u64)
+                .chance(err);
         if !up {
             self.lose(ctx, cell, tx_end);
         } else if corrupted {
@@ -385,36 +390,31 @@ impl Wire {
         }
     }
 
-    /// Put a reachability cell carrying `fas` on `dir_idx`. A failed link
-    /// carries none; the error process takes its share on arrival.
-    pub(crate) fn send_advert(&mut self, ctx: &mut Ctx, dir_idx: u32, fas: Arc<Vec<u32>>) {
+    /// Put a reachability cell carrying `fas` on `dir_idx`, unless the
+    /// link is down or its error process takes the cell. §5.10: a link
+    /// whose error rate crossed the threshold marks itself faulty on its
+    /// reachability cells, so the receiver excludes it even when a cell
+    /// does get through.
+    pub(crate) fn send_advert(&self, ctx: &mut Ctx, dir_idx: u32, fas: Arc<Vec<u32>>) {
         let d = &self.dirs[dir_idx as usize];
-        if !d.up {
+        let now = ctx.now();
+        let lost = d.error_rate > 0.0
+            && self
+                .advert_errs
+                .split_u64(dir_idx as u64)
+                .split_u64(now.as_ps())
+                .chance(d.error_rate);
+        if !d.up || lost {
             return;
         }
         ctx.sched(
-            ctx.now() + d.prop,
+            now + d.prop,
             Ev::ReachMsg {
                 node: d.dst_node,
                 port: d.dst_port_index,
                 fas,
-                err: d.error_rate,
+                faulty: d.error_rate > FAULTY_BER_THRESHOLD,
             },
         );
     }
-
-    /// An advert sent on `dir_idx` under error rate `err` arrives: `None`
-    /// when the error process eats it, else whether it marks the link
-    /// faulty. §5.10: a link whose error rate crossed the threshold
-    /// marks itself faulty on its reachability cells, so the receiver
-    /// excludes it even when a cell does get through.
-    pub(crate) fn receive_advert(&mut self, dir_idx: u32, err: f64) -> Option<bool> {
-        let lost = err > 0.0 && self.err_rngs[dir_idx as usize].chance(err);
-        (!lost).then_some(is_faulty(err))
-    }
-}
-
-/// Does an advert sent under error rate `err` mark its link faulty?
-pub(crate) fn is_faulty(err: f64) -> bool {
-    err > FAULTY_BER_THRESHOLD
 }
