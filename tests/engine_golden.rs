@@ -282,7 +282,7 @@ fn gray_link_below_the_faulty_threshold_corrupts_cells() {
             s.packets_discarded.get(),
             fingerprint(s)
         ),
-        (14, 40, 11_902_814_211_030_282_534)
+        (11, 25, 11_373_246_606_964_112_528)
     );
 }
 
