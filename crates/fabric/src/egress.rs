@@ -106,11 +106,6 @@ impl Egress {
         }
     }
 
-    /// See [`crate::FabricEngine::msg_remaining_of`].
-    pub(crate) fn msg_remaining_of(&self, flow: u32) -> u64 {
-        self.awaited.get(&flow).map_or(0, |m| m.remaining)
-    }
-
     // --- the credit loop ---
 
     pub(crate) fn on_request(
@@ -280,5 +275,9 @@ impl Egress {
 impl Egress {
     pub(crate) fn active_messages(&self) -> usize {
         self.awaited.len()
+    }
+
+    pub(crate) fn msg_remaining_of(&self, flow: u32) -> u64 {
+        self.awaited.get(&flow).map_or(0, |m| m.remaining)
     }
 }

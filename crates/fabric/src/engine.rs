@@ -145,7 +145,6 @@ impl Ctx {
 
 /// The Stardust fabric simulator. See the module docs for the data flow.
 pub struct FabricEngine {
-    topo: Topology,
     ctx: Ctx,
     ingress: Ingress,
     /// The device, wire and egress layers: what `ingress` transmits into.
@@ -168,23 +167,23 @@ impl FabricEngine {
     /// Build an engine over `topo` with an explicit route plan (e.g. the
     /// greedy ring plan a Space Shuffle builder derived).
     pub fn with_plan(topo: Topology, cfg: FabricConfig, plan: Arc<RoutePlan>) -> Self {
-        Self::shards(topo, cfg, plan, 1).pop().expect("one shard")
+        Self::shards(&topo, cfg, plan, 1).pop().expect("one shard")
     }
 
     /// Build the engines of a `num_shards`-way partitioned run, one per
-    /// shard (the sequential engine is shard 0 of one). Each holds the
-    /// full topology but only dispatches events for the nodes its shard
+    /// shard (the sequential engine is shard 0 of one). Each holds every
+    /// node and link but only dispatches events for the nodes its shard
     /// owns; events for foreign nodes go to the per-shard outbox. The
     /// inputs are checked before the partition is cut.
     pub(crate) fn shards(
-        topo: Topology,
+        topo: &Topology,
         cfg: FabricConfig,
         plan: Arc<RoutePlan>,
         num_shards: u32,
     ) -> Vec<Self> {
         cfg.validate();
-        Devices::check(&topo, &plan);
-        let part = Partition::with_groups(&topo, &plan.groups, num_shards, cfg.ctrl_latency);
+        Devices::check(topo, &plan);
+        let part = Partition::with_groups(topo, &plan.groups, num_shards, cfg.ctrl_latency);
         // Cross-shard burst-record handoffs are delayed by their pair's
         // closed bound; a bound at or past the reassembly timeout would
         // deliver the record after its own cleanup deadline.
@@ -192,26 +191,21 @@ impl FabricEngine {
             part.matrix.max_cross_bound() < REASSEMBLY_TIMEOUT,
             "pair lookahead bound must stay below the reassembly timeout"
         );
-        // Every shard but the last gets copies; the last takes the
-        // originals, so a sequential engine copies nothing.
-        let last = num_shards - 1;
-        let mut engines: Vec<Self> = (0..last)
-            .map(|shard| Self::shard(shard, topo.clone(), cfg.clone(), plan.clone(), part.clone()))
-            .collect();
-        engines.push(Self::shard(last, topo, cfg, plan, part));
-        engines
+        (0..num_shards)
+            .map(|shard| Self::shard(shard, topo, cfg.clone(), plan.clone(), part.clone()))
+            .collect()
     }
 
-    /// Shard `shard` of the run `part` cuts, owning its own inputs.
+    /// Shard `shard` of the run `part` cuts.
     fn shard(
         shard: u32,
-        topo: Topology,
+        topo: &Topology,
         cfg: FabricConfig,
         plan: Arc<RoutePlan>,
         part: Partition,
     ) -> Self {
-        let devices = Devices::new(&topo, plan, &cfg);
-        let wire = Wire::new(&topo, cfg.fabric_link_bps, cfg.seed);
+        let devices = Devices::new(topo, plan, &cfg);
+        let wire = Wire::new(topo, cfg.fabric_link_bps, cfg.seed);
         let num_fas = devices.num_fas();
         let mut ctx = Ctx {
             stats: FabricStats::new(num_fas, cfg.host_ports as usize, cfg.bounded_flows),
@@ -226,7 +220,6 @@ impl FabricEngine {
         devices.arm_reach_ticks(&mut ctx);
         let egress = Egress::new(num_fas, &ctx.cfg);
         FabricEngine {
-            topo,
             ingress: Ingress::new(num_fas),
             tx: TxPath {
                 devices,
@@ -305,11 +298,6 @@ impl FabricEngine {
     /// restore" on any topology without reaching into private state.
     pub fn eligible_dir_snapshot(&self) -> EligibilitySnapshot {
         self.tx.devices.eligible_dir_snapshot()
-    }
-
-    /// The topology this engine runs over.
-    pub fn topology(&self) -> &Topology {
-        &self.topo
     }
 
     /// Administrative state of a link: true iff both directions are up.
@@ -469,12 +457,6 @@ impl FabricEngine {
         flow
     }
 
-    /// Undelivered payload bytes of message `flow` (diagnostic/test
-    /// surface). A completed flow has no entry left, which reads as 0.
-    pub fn msg_remaining_of(&self, flow: u32) -> u64 {
-        self.tx.egress.msg_remaining_of(flow)
-    }
-
     /// Put every FA into saturation mode: each FA keeps `backlog_bytes`
     /// of `packet_bytes`-sized packets queued toward every other FA
     /// (destination ports assigned round-robin), refilled as credits
@@ -570,11 +552,6 @@ impl FabricEngine {
         self.payload_utilization_of(self.ctx.stats.bytes_delivered.get(), window)
     }
 
-    /// Direct read of a link-direction queue depth (tests/diagnostics).
-    pub fn dir_depth(&self, link: LinkId, from_end: u8) -> usize {
-        self.tx.wire.dir_depth(link, from_end, self.now())
-    }
-
     /// [`FabricEngine::fabric_utilization`] for an externally supplied
     /// delivered-byte count — the sharded engine folds its shards' counts
     /// and evaluates against this engine's capacity parameters.
@@ -655,14 +632,26 @@ fn payload_utilization(
     delivered_bytes as f64 * 8.0 / (capacity_bps * window.as_secs_f64())
 }
 
-/// Test-only window: `(pending, active)` message counts, as in the layers.
+/// Test-only windows onto the layers' state.
 #[cfg(test)]
 impl FabricEngine {
+    /// `(pending, active)` message counts, as in the layers.
     pub(crate) fn messages_held(&self) -> (usize, usize) {
         (
             self.ingress.pending_messages(),
             self.tx.egress.active_messages(),
         )
+    }
+
+    /// Undelivered payload bytes of message `flow`. A completed flow has
+    /// no entry left, which reads as 0.
+    pub(crate) fn msg_remaining_of(&self, flow: u32) -> u64 {
+        self.tx.egress.msg_remaining_of(flow)
+    }
+
+    /// Cells queued or in service on one link direction now.
+    pub(crate) fn dir_depth(&self, link: LinkId, from_end: u8) -> usize {
+        self.tx.wire.dir_depth(link, from_end, self.now())
     }
 }
 

@@ -7,9 +7,12 @@ use stardust_topo::builders::{
     single_tier, three_tier, two_tier, SingleTierParams, ThreeTierParams, TwoTierParams,
 };
 
+fn small_topo() -> Topology {
+    two_tier(TwoTierParams::paper_scaled(16)).topo
+}
+
 fn small_engine(cfg: FabricConfig) -> FabricEngine {
-    let tt = two_tier(TwoTierParams::paper_scaled(16));
-    FabricEngine::new(tt.topo, cfg)
+    FabricEngine::new(small_topo(), cfg)
 }
 
 fn cfg_small() -> FabricConfig {
@@ -1004,7 +1007,7 @@ fn failed_link_direction_receives_zero_cells() {
     let mut e = small_engine(cfg);
     e.run_until(SimTime::from_micros(100));
     let link = e.tx.devices.fa_link(0, 0);
-    let from_end = e.topo.link(link).end_of(e.tx.devices.fa_node(0));
+    let from_end = small_topo().link(link).end_of(e.tx.devices.fa_node(0));
     e.fail_link(link);
     e.run_until(SimTime::from_micros(300));
     assert!(
@@ -1177,7 +1180,7 @@ fn ev_stays_small() {
 /// bound for FA 0 to put on it: the wire seen from its serializer.
 fn fe_to_fa0(e: &FabricEngine) -> (LinkId, u8, u32, crate::cell::Cell) {
     let link = e.tx.devices.fa_link(0, 0);
-    let from_end = 1 - e.topo.link(link).end_of(e.tx.devices.fa_node(0));
+    let from_end = 1 - small_topo().link(link).end_of(e.tx.devices.fa_node(0));
     let pkt = crate::cell::Packet {
         id: PacketId(1),
         src_fa: 1,

@@ -98,7 +98,7 @@ impl ShardedFabricEngine {
         num_shards: u32,
     ) -> Self {
         ShardedFabricEngine {
-            shards: FabricEngine::shards(topo, cfg, plan, num_shards),
+            shards: FabricEngine::shards(&topo, cfg, plan, num_shards),
             threads: None,
             windows: 0,
             now: SimTime::ZERO,

@@ -82,11 +82,6 @@ struct DirState {
 }
 
 impl DirState {
-    /// Cells queued or in service at `now`.
-    fn depth(&self, now: SimTime) -> usize {
-        self.departures.len() - self.departures.partition_point(|&t| t <= now)
-    }
-
     /// Forget the departures that have happened by `now`.
     fn retire(&mut self, now: SimTime) {
         while self.departures.front().is_some_and(|&t| t <= now) {
@@ -160,11 +155,6 @@ impl Wire {
             .map(|d| d.prop)
             .max()
             .unwrap_or(SimDuration::ZERO)
-    }
-
-    /// Cells queued or in service on one direction at `now`.
-    pub(crate) fn dir_depth(&self, link: LinkId, from_end: u8, now: SimTime) -> usize {
-        self.dirs[(link.0 * 2 + from_end as u32) as usize].depth(now)
     }
 
     // --- link administration ---
@@ -416,5 +406,15 @@ impl Wire {
                 faulty: d.error_rate > FAULTY_BER_THRESHOLD,
             },
         );
+    }
+}
+
+/// Test-only window onto a direction's queue.
+#[cfg(test)]
+impl Wire {
+    /// Cells queued or in service on one direction at `now`.
+    pub(crate) fn dir_depth(&self, link: LinkId, from_end: u8, now: SimTime) -> usize {
+        let d = &self.dirs[(link.0 * 2 + from_end as u32) as usize];
+        d.departures.len() - d.departures.partition_point(|&t| t <= now)
     }
 }

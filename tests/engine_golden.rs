@@ -125,6 +125,7 @@ fn two_tier_permutation_in_table_mode() {
 #[test]
 fn zoo_dragonfly_through_a_fail_and_restore() {
     let built = DragonflyParams::zoo().build_fabric();
+    let links = built.topo.num_links() as u32;
     let cfg = FabricConfig {
         seed: 42,
         reach_interval: Some(SimDuration::from_micros(10)),
@@ -149,7 +150,7 @@ fn zoo_dragonfly_through_a_fail_and_restore() {
     // A global link (the tail of the link list) dies under load and comes
     // back: cells are lost until the tables exclude it, and the tables
     // keep changing until the good streak re-admits it.
-    let victim = LinkId(e.topology().num_links() as u32 - 1);
+    let victim = LinkId(links - 1);
     e.fail_link(victim);
     e.run_until(SimTime::from_micros(500));
     e.restore_link(victim);
