@@ -12,8 +12,8 @@
 //! stardust preset <name>                  # print a built-in spec
 //! stardust presets                        # list built-in spec names
 //! stardust fig [<name> [flags]]           # a paper figure; alone: list them
-//! stardust mc [--smoke] [--json out.json] [--quiet] [--seed N]
-//!             [--depth N] [--max-states N]
+//! stardust mc [--json out.json] [--quiet] [--seed N] [--depth N]
+//!             [--max-states N]
 //! ```
 //!
 //! `run` on a directory executes every `*.toml` inside (sorted by file
@@ -36,8 +36,7 @@ fn usage() -> ExitCode {
          [--max-rss-mb N] [--threads N]\n  \
          stardust check <spec.toml | dir>...\n  stardust preset <name>\n  stardust presets\n  \
          stardust fig [<name> [flags]]\n  \
-         stardust mc [--smoke] [--json out.json] [--quiet] [--seed N] [--depth N] \
-         [--max-states N]"
+         stardust mc [--json out.json] [--quiet] [--seed N] [--depth N] [--max-states N]"
     );
     ExitCode::from(2)
 }
@@ -100,16 +99,15 @@ fn preset(args: &[String]) -> ExitCode {
 
 /// `stardust mc`: the exhaustive control-plane model checker over the
 /// deterministic fabric engine (invariants I1–I3, see `stardust-mc`).
-/// Explores the 4-FA Clos plus one zoo fabric; `--smoke` bounds the
-/// Clos search to the CI depth, the default runs it exhaustively (the
-/// ≥10⁴-state acceptance configuration). Exits non-zero on any
-/// invariant violation.
+/// Explores the 4-FA Clos exhaustively (the ≥10⁴-state acceptance
+/// configuration, seconds in release) plus one zoo fabric at the
+/// bounded smoke depth; `--depth` and `--max-states` bound both
+/// searches. Exits non-zero on any invariant violation.
 fn mc(args: &[String]) -> ExitCode {
     use stardust_mc::{clos4, mc_config, Mc, McConfig};
     use stardust_topo::{DragonflyParams, TopologyBuilder};
 
     const FLAGS: &[Flag] = &[
-        ("smoke", Switch),
         ("quiet", Switch),
         ("json", Text),
         ("seed", Int(0)),
@@ -120,7 +118,7 @@ fn mc(args: &[String]) -> ExitCode {
         Ok(a) => a,
         Err(code) => return code,
     };
-    let (smoke, quiet) = (args.has("smoke"), args.has("quiet"));
+    let quiet = args.has("quiet");
     let seed = args.get_u64("seed", 11);
 
     let bound = |mut c: McConfig| {
@@ -128,12 +126,7 @@ fn mc(args: &[String]) -> ExitCode {
         c.max_states = args.get_u64("max-states", c.max_states as u64) as usize;
         c
     };
-    let clos_cfg = bound(if smoke {
-        McConfig::smoke()
-    } else {
-        McConfig::exhaustive()
-    });
-    let clos_mode = if smoke { "smoke" } else { "exhaustive" };
+    let clos_cfg = bound(McConfig::exhaustive());
     // The zoo fabric always runs the bounded smoke search: the point is
     // that the same invariants hold beyond Clos, not state-count volume.
     let zoo_cfg = bound(McConfig::smoke());
@@ -141,7 +134,7 @@ fn mc(args: &[String]) -> ExitCode {
     let runs = [
         (
             "clos4",
-            clos_mode,
+            "exhaustive",
             Mc::new(clos4(), mc_config(seed), clos_cfg).explore(),
         ),
         (

@@ -122,7 +122,7 @@ fn clos8_bounded_run_holds_invariants() {
 }
 
 #[test]
-#[ignore = "minutes-scale in debug; CI runs it in release via `stardust mc`"]
+#[ignore = "adds about 9 s to a debug test run; CI runs the same search in release via `stardust mc`"]
 fn exhaustive_clos4_exceeds_ten_thousand_states() {
     let mc = Mc::new(clos4(), mc_config(SEED), McConfig::exhaustive());
     let r = mc.explore();
