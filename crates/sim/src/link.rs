@@ -2,10 +2,11 @@
 //!
 //! Stardust's fabric uses *independent* serial links rather than bundles
 //! (§2.2) — each link is a single serialization resource with a fixed
-//! propagation delay. The engines model the serializer themselves (an
-//! in-service slot plus a `TxDone` event per link direction); what they
-//! share is the fiber rule of thumb below and
-//! [`crate::units::serialization_time`].
+//! propagation delay. The engines model the serializer themselves: the
+//! fabric wire works out each cell's departure when the cell is queued,
+//! and the push baseline and the transport simulator keep an in-service
+//! slot plus a departure event per link direction. What they share is
+//! the fiber rule of thumb below and [`crate::units::serialization_time`].
 
 use crate::time::SimDuration;
 
