@@ -80,7 +80,7 @@ pub struct ShardedFabricEngine {
 impl ShardedFabricEngine {
     /// Build a sharded engine over `topo` with `num_shards` shards,
     /// partitioned along its shortest-path plan's endpoint groups (see
-    /// [`Partition::with_groups`]); every shard holds the full topology
+    /// [`Partition::with_groups`]); every shard holds every node and link
     /// but only simulates the nodes it owns.
     pub fn new(topo: Topology, cfg: FabricConfig, num_shards: u32) -> Self {
         let plan = std::sync::Arc::new(stardust_topo::RoutePlan::shortest_path(&topo));
