@@ -6,6 +6,10 @@ use stardust_sim::{Counter, DetRng, EventQueue, Histogram, ScheduledEvent, SimDu
 use stardust_topo::{NodeId, NodeKind, RoutePlan, Topology};
 use std::collections::VecDeque;
 
+/// Traffic classes (0 = strict highest priority), as in the Stardust
+/// fabric.
+pub const NUM_TCS: u8 = 2;
+
 /// Push-fabric configuration.
 #[derive(Debug, Clone)]
 pub struct PushConfig {
@@ -19,8 +23,6 @@ pub struct PushConfig {
     pub switch_buffer_bytes: u64,
     /// Buffer bytes per ToR egress port.
     pub tor_buffer_bytes: u64,
-    /// Traffic classes (0 = strict highest priority).
-    pub num_tcs: u8,
     /// RNG seed.
     pub seed: u64,
 }
@@ -33,7 +35,6 @@ impl Default for PushConfig {
             host_ports: 4,
             switch_buffer_bytes: 1024 * 1024,
             tor_buffer_bytes: 32 * 1024 * 1024,
-            num_tcs: 2,
             seed: 0xE7E7,
         }
     }
@@ -71,7 +72,7 @@ enum Ev {
 struct DirState {
     rate_bps: u64,
     prop: SimDuration,
-    queues: Vec<VecDeque<PushPacket>>,
+    queues: [VecDeque<PushPacket>; NUM_TCS as usize],
     queued_bytes: u64,
     in_service: Option<PushPacket>,
     dst_node: NodeId,
@@ -124,7 +125,7 @@ pub struct PushStats {
 }
 
 impl PushStats {
-    fn new(tors: usize, ports: usize, tcs: usize) -> Self {
+    fn new(tors: usize, ports: usize) -> Self {
         PushStats {
             packets_injected: Counter::default(),
             packets_delivered: Counter::default(),
@@ -132,7 +133,7 @@ impl PushStats {
             egress_drops: Counter::default(),
             bytes_delivered: Counter::default(),
             delivered_per_port: vec![vec![0; ports]; tors],
-            delivered_per_port_tc: vec![vec![vec![0; tcs]; ports]; tors],
+            delivered_per_port_tc: vec![vec![vec![0; NUM_TCS as usize]; ports]; tors],
             latency_ns: Histogram::new(100, 100_000),
         }
     }
@@ -178,7 +179,7 @@ impl PushEngine {
                 dirs.push(DirState {
                     rate_bps: cfg.link_bps,
                     prop: fiber_delay(link.meters as u64),
-                    queues: (0..cfg.num_tcs).map(|_| VecDeque::new()).collect(),
+                    queues: Default::default(),
                     queued_bytes: 0,
                     in_service: None,
                     dst_node: link.dst_of(from_end),
@@ -198,7 +199,7 @@ impl PushEngine {
             })
             .collect();
         let plan = RoutePlan::shortest_path(&topo);
-        let stats = PushStats::new(tors.len(), cfg.host_ports as usize, cfg.num_tcs as usize);
+        let stats = PushStats::new(tors.len(), cfg.host_ports as usize);
         let rng = DetRng::from_label(cfg.seed, "push-engine");
         PushEngine {
             cfg,
@@ -238,7 +239,7 @@ impl PushEngine {
         bytes: u32,
     ) {
         assert_ne!(src_tor, dst_tor);
-        assert!(tc < self.cfg.num_tcs);
+        assert!(tc < NUM_TCS);
         let pkt = PushPacket {
             src_tor,
             dst_tor,

@@ -50,18 +50,22 @@ fn or_usage(cmd: &str, parsed: Result<Args, String>) -> Result<Args, ExitCode> {
     })
 }
 
-/// Peak resident-set size of this process in MB, from Linux's
-/// `VmHWM` line in `/proc/self/status` (`None` where unavailable).
-fn peak_rss_mb() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let kb: u64 = status
+/// Peak resident-set size in kB: the `VmHWM` line of a Linux
+/// `/proc/<pid>/status` text (`None` if it has none).
+fn vmhwm_kb(status: &str) -> Option<u64> {
+    status
         .lines()
         .find(|l| l.starts_with("VmHWM:"))?
         .split_whitespace()
         .nth(1)?
         .parse()
-        .ok()?;
-    Some(kb / 1024)
+        .ok()
+}
+
+/// The `--max-rss-mb` gate, compared in kB so that a peak a fraction of
+/// a MB over the cap fails it.
+fn exceeds_cap(peak_kb: u64, cap_mb: u64) -> bool {
+    peak_kb > cap_mb.saturating_mul(1024)
 }
 
 fn main() -> ExitCode {
@@ -373,13 +377,15 @@ fn run(args: &[String], check_only: bool) -> ExitCode {
     // process-wide high-water mark, so running a directory of specs
     // under one cap bounds every run in it.
     if let Some(cap) = args.get_int("max-rss-mb") {
-        match peak_rss_mb() {
-            Some(peak) => {
+        let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+        match vmhwm_kb(&status) {
+            Some(peak_kb) => {
+                let peak = peak_kb as f64 / 1024.0;
                 if !quiet {
-                    println!("peak RSS: {peak} MB (cap {cap} MB)");
+                    println!("peak RSS: {peak:.1} MB (cap {cap} MB)");
                 }
-                if peak > cap {
-                    eprintln!("stardust: peak RSS {peak} MB exceeds the {cap} MB cap");
+                if exceeds_cap(peak_kb, cap) {
+                    eprintln!("stardust: peak RSS {peak:.1} MB exceeds the {cap} MB cap");
                     failed = true;
                 }
             }
@@ -397,5 +403,23 @@ fn run(args: &[String], check_only: bool) -> ExitCode {
             println!("\nstardust: all specs ran, all checks passed");
         }
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn status(peak_kb: u64) -> String {
+        format!("Name:\tstardust\nVmPeak:\t  99999 kB\nVmHWM:\t   {peak_kb} kB\nVmRSS:\t  1 kB\n")
+    }
+
+    #[test]
+    fn rss_cap_is_compared_in_kb() {
+        let over = vmhwm_kb(&status(24 * 1024 + 1)).unwrap();
+        assert!(exceeds_cap(over, 24), "24 MB + 1 kB must fail a 24 MB cap");
+        let at = vmhwm_kb(&status(24 * 1024)).unwrap();
+        assert!(!exceeds_cap(at, 24), "exactly 24 MB passes a 24 MB cap");
+        assert_eq!(vmhwm_kb("VmRSS:\t 1 kB\n"), None);
     }
 }

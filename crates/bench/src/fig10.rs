@@ -18,7 +18,7 @@ use crate::header;
 use stardust_fabric::FabricConfig;
 use stardust_sim::{units, FlowStats};
 use stardust_topo::builders::{kary, KaryParams, TwoTierParams};
-use stardust_transport::{TransportConfig, TransportSim};
+use stardust_transport::TransportSim;
 
 /// Label used for the cell-accurate fabric column.
 pub const FABRIC_LABEL: &str = "SD-fabric";
@@ -59,13 +59,7 @@ pub fn transport_sim(k: u32, seed: u64) -> TransportSim {
         k,
         ..KaryParams::paper_6_3()
     });
-    TransportSim::new(
-        ft,
-        TransportConfig {
-            seed,
-            ..TransportConfig::default()
-        },
-    )
+    TransportSim::new(ft, seed)
 }
 
 /// Print an FCT-percentile table, one column per labelled result, in ms.

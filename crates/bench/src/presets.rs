@@ -27,13 +27,14 @@ macro_rules! preset {
 /// (`specs/ci_smoke/`, what `stardust run specs/ci_smoke` executes),
 /// then the paper-scale defaults of the same experiments
 /// (`specs/paper/`).
-pub const PRESETS: [(&str, &str); 15] = [
+pub const PRESETS: [(&str, &str); 16] = [
     preset!("ci_smoke", "fig10a"),
     preset!("ci_smoke", "fig10b"),
     preset!("ci_smoke", "fig10c_05"),
     preset!("ci_smoke", "fig10c_10"),
     preset!("ci_smoke", "fig10c_15"),
     preset!("ci_smoke", "failure_churn"),
+    preset!("ci_smoke", "gray_link"),
     preset!("ci_smoke", "service"),
     preset!("ci_smoke", "zoo_dragonfly"),
     preset!("ci_smoke", "zoo_space_shuffle"),

@@ -1,7 +1,7 @@
 //! Integration tests of the declarative experiment pipeline — the
 //! refactor seam between the spec layer and the engines.
 //!
-//! Three pins:
+//! Four pins:
 //!
 //! 1. **Spec files == presets.** A preset is a file under `specs/`
 //!    embedded by name; every file there must be a row of the preset
@@ -15,7 +15,9 @@
 //!    by hand).
 //! 3. **Failure churn conformance.** A spec with a mid-run
 //!    `FailureSchedule` runs on both the sequential and the sharded
-//!    fabric engine, sharded output bit-identical to sequential.
+//!    fabric engine, sharded output bit-identical to sequential; the
+//!    gray-link preset, below the faulty threshold, loses packets to
+//!    cell corruption on every engine.
 //! 4. **Shard placement.** The partition of every spec's fabric at
 //!    1/2/3/4/8 shards is pinned by hash, so a change to the
 //!    partitioner that moves a node to another shard shows here.
@@ -222,6 +224,29 @@ fn failure_schedule_spec_sharded_bit_identical_to_sequential() {
 }
 
 #[test]
+fn gray_link_preset_corrupts_data_cells() {
+    // The one smoke spec whose gray link stays below the faulty-BER
+    // threshold: senders keep spraying onto it, so corrupted cells cost
+    // packets at reassembly on every engine, identically (the spec's own
+    // sharded_identical gate).
+    let outcome = run_spec(&preset("gray_link"));
+    assert!(
+        outcome.check_failures.is_empty(),
+        "gray-link spec checks failed: {:?}",
+        outcome.check_failures
+    );
+    assert_eq!(outcome.runs.len(), 3);
+    for run in &outcome.runs {
+        let fabric = run.fabric.expect("a fabric-engine run");
+        assert!(
+            fabric.packets_discarded > 0,
+            "{}: no packet lost to cell corruption",
+            run.label
+        );
+    }
+}
+
+#[test]
 fn transport_wrapper_reports_only_its_own_flows() {
     // Background flows added directly on the inner sim stay out of the
     // wrapper's FlowStats — the contract run_transport used to provide.
@@ -382,6 +407,7 @@ fn shard_placement_of_every_spec_is_pinned() {
         ("fig10c_10", CLOS_F16),
         ("fig10c_15", CLOS_F16),
         ("failure_churn", CLOS_F16),
+        ("gray_link", CLOS_F16),
         ("service", CLOS_F16),
         ("zoo_dragonfly", DRAGONFLY_ZOO),
         ("zoo_space_shuffle", FLAT_ZOO),

@@ -5,6 +5,11 @@ use stardust_sim::{units, SimDuration};
 /// Cell header bytes (destination FA + sequence + CRC; small, §3.2).
 pub const CELL_HEADER_BYTES: u16 = 8;
 
+/// Traffic classes per VOQ destination (0 = highest priority). The
+/// egress scheduler serves them in strict priority, round robin within
+/// one (§4.1).
+pub const NUM_TCS: u8 = 2;
+
 /// Egress (reassembled, waiting-to-transmit) bytes per host port above
 /// which the port's scheduler stops sending credits (§4.1).
 pub const EGRESS_HIWAT_BYTES: u64 = 256 * 1024;
@@ -52,8 +57,6 @@ pub struct FabricConfig {
     pub host_ports: u8,
     /// Host-facing port rate in bits/s.
     pub host_port_bps: u64,
-    /// Number of traffic classes (0 = highest priority, strict).
-    pub num_tcs: u8,
     /// FE output-queue depth (in cells) above which FCI is piggybacked.
     pub fci_threshold_cells: u32,
     /// One-way latency of the control plane (credit/request messages).
@@ -86,9 +89,6 @@ pub struct FabricConfig {
     /// aggregate bandwidth of all low latency VOQs ... else packets may be
     /// dropped (as in a ToR)."
     pub low_latency_tc: Option<u8>,
-    /// Scheduling across traffic classes (§4.1: "typically a combination
-    /// of round-robin, strict priority and weighted").
-    pub sched_policy: SchedPolicy,
     /// Bounded-memory flow accounting: [`crate::FabricStats::flows`] runs
     /// in its sketch mode — counts + a mergeable quantile sketch, no
     /// per-flow records — which streaming million-flow scenarios need;
@@ -97,15 +97,6 @@ pub struct FabricConfig {
     pub bounded_flows: bool,
     /// Master RNG seed.
     pub seed: u64,
-}
-
-/// How the egress scheduler arbitrates across traffic classes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SchedPolicy {
-    /// Strict priority: class 0 always drains first.
-    Strict,
-    /// Weighted round robin: `weights[tc]` credits per cycle for class tc.
-    Wrr(Vec<u32>),
 }
 
 impl Default for FabricConfig {
@@ -118,7 +109,6 @@ impl Default for FabricConfig {
             credit_speedup: 0.03,
             host_ports: 4,
             host_port_bps: units::gbps(100),
-            num_tcs: 2,
             // High enough that sub-unity utilizations develop their natural
             // M/D/1 queue tails (Fig 9 reaches ~80 cells at 95% load); FCI
             // engages only when the fabric is genuinely oversubscribed.
@@ -130,7 +120,6 @@ impl Default for FabricConfig {
             host_fc: None,
             voq_max_bytes: None,
             low_latency_tc: None,
-            sched_policy: SchedPolicy::Strict,
             bounded_flows: false,
             seed: 0xDC_FA_B0_05,
         }
@@ -154,14 +143,9 @@ impl FabricConfig {
         assert!(CELL_HEADER_BYTES < self.cell_bytes);
         assert!(self.credit_bytes >= self.cell_payload());
         assert!(self.credit_speedup >= 0.0 && self.credit_speedup < 0.5);
-        assert!(self.num_tcs >= 1);
         assert!(self.host_ports >= 1);
         if let Some(tc) = self.low_latency_tc {
-            assert!(tc < self.num_tcs, "low-latency TC out of range");
-        }
-        if let SchedPolicy::Wrr(w) = &self.sched_policy {
-            assert_eq!(w.len(), self.num_tcs as usize, "one WRR weight per TC");
-            assert!(w.iter().all(|&x| x > 0), "WRR weights must be positive");
+            assert!(tc < NUM_TCS, "low-latency TC out of range");
         }
     }
 }

@@ -54,12 +54,10 @@ pub(crate) struct Egress {
 impl Egress {
     pub(crate) fn new(num_fas: usize, cfg: &FabricConfig) -> Self {
         let port = || PortState {
-            sched: PortScheduler::with_policy(
+            sched: PortScheduler::new(
                 cfg.host_port_bps,
                 cfg.credit_bytes as u64,
                 cfg.credit_speedup,
-                cfg.num_tcs,
-                cfg.sched_policy.clone(),
             ),
             egress_bytes: 0,
             tx_queue: VecDeque::new(),

@@ -22,7 +22,7 @@
 //! check.
 
 use crate::cell::{Cell, PacketId};
-use crate::config::{FabricConfig, REASSEMBLY_TIMEOUT};
+use crate::config::{FabricConfig, NUM_TCS, REASSEMBLY_TIMEOUT};
 use crate::device::Devices;
 use crate::egress::Egress;
 use crate::ev::{key_of, Ev, OutItem, OutPayload};
@@ -285,11 +285,6 @@ impl FabricEngine {
         self.tx.devices.num_fas()
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> &FabricConfig {
-        &self.ctx.cfg
-    }
-
     /// Verification view of every device's eligibility: FAs then FEs, one
     /// inner `Vec` per destination FA holding the *out-direction indices*
     /// (`link.0 * 2 + from_end`) currently eligible for that destination.
@@ -370,9 +365,8 @@ impl FabricEngine {
             cfg.host_ports
         );
         assert!(
-            tc < cfg.num_tcs,
-            "tc {tc} out of range: {} traffic classes configured",
-            cfg.num_tcs
+            tc < NUM_TCS,
+            "tc {tc} out of range: there are {NUM_TCS} traffic classes"
         );
         VoqKey {
             dst_fa,
@@ -549,19 +543,12 @@ impl FabricEngine {
     /// Degenerate inputs (no Fabric Adapters, no uplinks, a zero-length
     /// window) yield 0.0 rather than a panic or a division by zero.
     pub fn fabric_utilization(&self, window: SimDuration) -> f64 {
-        self.payload_utilization_of(self.ctx.stats.bytes_delivered.get(), window)
-    }
-
-    /// [`FabricEngine::fabric_utilization`] for an externally supplied
-    /// delivered-byte count — the sharded engine folds its shards' counts
-    /// and evaluates against this engine's capacity parameters.
-    pub fn payload_utilization_of(&self, delivered_bytes: u64, window: SimDuration) -> f64 {
         payload_utilization(
             self.num_fas(),
             self.tx.devices.fa_uplinks(),
             self.ctx.cfg.fabric_link_bps,
             self.ctx.cfg.payload_fraction(),
-            delivered_bytes,
+            self.ctx.stats.bytes_delivered.get(),
             window,
         )
     }
@@ -635,6 +622,11 @@ fn payload_utilization(
 /// Test-only windows onto the layers' state.
 #[cfg(test)]
 impl FabricEngine {
+    /// The configuration in force.
+    pub(crate) fn config(&self) -> &FabricConfig {
+        &self.ctx.cfg
+    }
+
     /// `(pending, active)` message counts, as in the layers.
     pub(crate) fn messages_held(&self) -> (usize, usize) {
         (

@@ -19,7 +19,7 @@
 //!   full, the scheduler stops sending credits to the VOQs and resumes as
 //!   packets are drained."
 
-use crate::config::{SchedPolicy, FCI_DECREASE, FCI_HOLD, FCI_MIN, FCI_RECOVER};
+use crate::config::{FCI_DECREASE, FCI_HOLD, FCI_MIN, FCI_RECOVER, NUM_TCS};
 use stardust_sim::{IdHash, SimDuration, SimTime};
 use std::collections::{HashMap, VecDeque};
 
@@ -41,7 +41,7 @@ pub struct PortScheduler {
     /// Base inter-credit gap at full (speedup-included) rate, picoseconds.
     base_interval_ps: f64,
     /// Round-robin ring per traffic class (index 0 = strict highest).
-    rings: Vec<VecDeque<u32>>,
+    rings: [VecDeque<u32>; NUM_TCS as usize],
     /// Outstanding requested-minus-granted bytes per VOQ. A VOQ is in a
     /// ring iff its pending entry exists.
     // det-lint: allow(unordered-iter, keyed access only; grant order is driven by the rings, never by this map)
@@ -55,43 +55,25 @@ pub struct PortScheduler {
     last_fci: SimTime,
     /// Total credits granted (diagnostics).
     pub credits_granted: u64,
-    /// Cross-class arbitration policy.
-    policy: SchedPolicy,
-    /// WRR state: remaining grants for the class under service this cycle.
-    wrr_tc: usize,
-    wrr_left: u32,
 }
 
 impl PortScheduler {
     /// Build a scheduler for a port of `port_bps` with the given credit
-    /// size, speedup and cross-class policy; FCI parameters as in
-    /// [`crate::config`].
-    pub fn with_policy(
-        port_bps: u64,
-        credit_bytes: u64,
-        speedup: f64,
-        num_tcs: u8,
-        policy: SchedPolicy,
-    ) -> Self {
+    /// size and speedup; FCI parameters as in [`crate::config`].
+    pub fn new(port_bps: u64, credit_bytes: u64, speedup: f64) -> Self {
         assert!(port_bps > 0 && credit_bytes > 0);
         let rate = port_bps as f64 * (1.0 + speedup);
         let base_interval_ps = credit_bytes as f64 * 8.0 * 1e12 / rate;
         PortScheduler {
             credit_bytes,
             base_interval_ps,
-            rings: (0..num_tcs).map(|_| VecDeque::new()).collect(),
+            rings: Default::default(),
             pending: HashMap::default(),
             paused: false,
             timer_armed: false,
             throttle: 1.0,
             last_fci: SimTime::ZERO,
             credits_granted: 0,
-            wrr_left: match &policy {
-                SchedPolicy::Strict => 0,
-                SchedPolicy::Wrr(w) => w[0],
-            },
-            wrr_tc: 0,
-            policy,
         }
     }
 
@@ -140,9 +122,8 @@ impl PortScheduler {
         if self.paused {
             return None;
         }
-        let order = self.class_order();
-        for tc in order {
-            while let Some(src) = self.rings[tc].pop_front() {
+        for (tc, ring) in self.rings.iter_mut().enumerate() {
+            while let Some(src) = ring.pop_front() {
                 let voq = SchedVoq {
                     src_fa: src,
                     tc: tc as u8,
@@ -152,46 +133,15 @@ impl PortScheduler {
                 };
                 *p -= self.credit_bytes as i64;
                 if *p > 0 {
-                    self.rings[tc].push_back(src);
+                    ring.push_back(src);
                 } else {
                     self.pending.remove(&voq);
                 }
                 self.credits_granted += 1;
-                self.consume_wrr(tc);
                 return Some(voq);
             }
         }
         None
-    }
-
-    /// Class service order under the current policy. Strict priority is
-    /// simply ascending; WRR starts from the class holding the current
-    /// quantum and wraps (skipping empty classes consumes no quantum).
-    fn class_order(&self) -> Vec<usize> {
-        match &self.policy {
-            SchedPolicy::Strict => (0..self.rings.len()).collect(),
-            SchedPolicy::Wrr(_) => {
-                let n = self.rings.len();
-                (0..n).map(|i| (self.wrr_tc + i) % n).collect()
-            }
-        }
-    }
-
-    /// Account one WRR quantum against the class actually served.
-    fn consume_wrr(&mut self, served_tc: usize) {
-        if let SchedPolicy::Wrr(w) = &self.policy {
-            if served_tc != self.wrr_tc {
-                // A different class was served (the current one was empty):
-                // move the pointer there and charge it.
-                self.wrr_tc = served_tc;
-                self.wrr_left = w[served_tc];
-            }
-            self.wrr_left -= 1;
-            if self.wrr_left == 0 {
-                self.wrr_tc = (self.wrr_tc + 1) % w.len();
-                self.wrr_left = w[self.wrr_tc];
-            }
-        }
     }
 
     /// Current credit interval under the FCI throttle.
@@ -219,13 +169,13 @@ impl PortScheduler {
 mod tests {
     use super::*;
 
-    fn sched(num_tcs: u8) -> PortScheduler {
-        PortScheduler::with_policy(50_000_000_000, 4096, 0.03, num_tcs, SchedPolicy::Strict)
+    fn sched() -> PortScheduler {
+        PortScheduler::new(50_000_000_000, 4096, 0.03)
     }
 
     #[test]
     fn interval_reflects_speedup() {
-        let s = sched(1);
+        let s = sched();
         // 4096B at 50G×1.03 = 636.19ns.
         let ns = s.interval().as_nanos_f64();
         assert!((ns - 4096.0 * 8.0 / 51.5).abs() < 0.5, "{ns}");
@@ -233,7 +183,7 @@ mod tests {
 
     #[test]
     fn request_arms_once() {
-        let mut s = sched(1);
+        let mut s = sched();
         assert!(s.request(SchedVoq { src_fa: 1, tc: 0 }, 1000));
         assert!(!s.request(SchedVoq { src_fa: 2, tc: 0 }, 1000));
         assert!(s.has_work());
@@ -241,7 +191,7 @@ mod tests {
 
     #[test]
     fn round_robin_within_class() {
-        let mut s = sched(1);
+        let mut s = sched();
         for fa in 0..3 {
             s.request(SchedVoq { src_fa: fa, tc: 0 }, 100_000);
         }
@@ -251,7 +201,7 @@ mod tests {
 
     #[test]
     fn strict_priority_across_classes() {
-        let mut s = sched(2);
+        let mut s = sched();
         s.request(SchedVoq { src_fa: 1, tc: 1 }, 100_000);
         s.request(SchedVoq { src_fa: 2, tc: 0 }, 10_000);
         // tc 0 drains first even though it arrived second.
@@ -267,7 +217,7 @@ mod tests {
         // 5000 B ends at -3192 after two grants; 2 × 4096 B ends at
         // exactly 0, which satisfies the VOQ then, not one credit later.
         for bytes in [5000, 2 * 4096] {
-            let mut s = sched(1);
+            let mut s = sched();
             s.request(SchedVoq { src_fa: 7, tc: 0 }, bytes);
             assert!(s.next_grant().is_some(), "{bytes}");
             assert!(s.next_grant().is_some(), "{bytes}");
@@ -279,7 +229,7 @@ mod tests {
 
     #[test]
     fn pause_blocks_grants_and_resume_rearms() {
-        let mut s = sched(1);
+        let mut s = sched();
         s.request(SchedVoq { src_fa: 1, tc: 0 }, 100_000);
         s.pause();
         assert!(s.next_grant().is_none());
@@ -290,7 +240,7 @@ mod tests {
 
     #[test]
     fn fci_throttles_and_recovers() {
-        let mut s = sched(1);
+        let mut s = sched();
         let base = s.interval();
         s.on_fci(SimTime::from_micros(10));
         assert!(s.throttle < 1.0);
@@ -312,7 +262,7 @@ mod tests {
 
     #[test]
     fn fci_floor_holds() {
-        let mut s = sched(1);
+        let mut s = sched();
         for i in 0..10_000u64 {
             s.on_fci(SimTime::from_micros(10 * (i + 1)));
         }
@@ -320,35 +270,10 @@ mod tests {
     }
 
     #[test]
-    fn wrr_policy_shares_by_weight() {
-        let mut s =
-            PortScheduler::with_policy(50_000_000_000, 4096, 0.03, 2, SchedPolicy::Wrr(vec![3, 1]));
-        s.request(SchedVoq { src_fa: 1, tc: 0 }, 100_000_000);
-        s.request(SchedVoq { src_fa: 2, tc: 1 }, 100_000_000);
-        let mut counts = [0u32; 2];
-        for _ in 0..400 {
-            counts[s.next_grant().unwrap().tc as usize] += 1;
-        }
-        assert_eq!(counts[0], 300, "3:1 split, got {counts:?}");
-        assert_eq!(counts[1], 100);
-    }
-
-    #[test]
-    fn wrr_idle_class_yields_its_quantum() {
-        let mut s =
-            PortScheduler::with_policy(50_000_000_000, 4096, 0.03, 2, SchedPolicy::Wrr(vec![3, 1]));
-        // Only the low class has demand: it gets everything.
-        s.request(SchedVoq { src_fa: 2, tc: 1 }, 10_000_000);
-        for _ in 0..100 {
-            assert_eq!(s.next_grant().unwrap().tc, 1);
-        }
-    }
-
-    #[test]
     fn fairness_two_sources_equal_credits() {
         // §5.4: "The destination's egress scheduler distributes bandwidth
         // (credits) to incast sources evenly".
-        let mut s = sched(1);
+        let mut s = sched();
         s.request(SchedVoq { src_fa: 1, tc: 0 }, 10_000_000);
         s.request(SchedVoq { src_fa: 2, tc: 0 }, 10_000_000);
         let mut c = [0u32; 3];

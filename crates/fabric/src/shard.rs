@@ -153,11 +153,6 @@ impl ShardedFabricEngine {
         self.shards[0].num_fas()
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> &FabricConfig {
-        self.shards[0].config()
-    }
-
     /// Current simulated time (the committed horizon, or the latest
     /// event executed by any shard after a run to exhaustion).
     pub fn now(&self) -> SimTime {
@@ -199,17 +194,6 @@ impl ShardedFabricEngine {
             merged.merge(s.stats());
         }
         merged
-    }
-
-    /// Delivered-payload utilization over `window` (see
-    /// [`FabricEngine::fabric_utilization`]), from the merged stats.
-    pub fn fabric_utilization(&self, window: SimDuration) -> f64 {
-        let delivered: u64 = self
-            .shards
-            .iter()
-            .map(|s| s.stats().bytes_delivered.get())
-            .sum();
-        self.shards[0].payload_utilization_of(delivered, window)
     }
 
     // -- workload wiring (mirrors `FabricEngine`) --------------------------

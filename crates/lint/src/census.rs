@@ -14,7 +14,8 @@
 //! names in a `use` item do not count, so a `pub use` re-export reaches
 //! nothing by itself (a name renamed with `as` does count, since the
 //! code calls it by the new one). It is a *name* census, so a dead
-//! function that shares its name with a live one goes unreported.
+//! function that shares its name with a live one goes unreported, but a
+//! function's own name in its body is no reference to it.
 
 use crate::rules::{self, Rule};
 use crate::token::{self, Tok, TokKind};
@@ -68,18 +69,32 @@ fn definitions(toks: &[Tok]) -> Vec<&Tok> {
 }
 
 /// The identifier tokens of `toks` that can reach a definition: all but
-/// those inside `use` items, where only a name renamed with `as` counts.
+/// those inside `use` items, where only a name renamed with `as` counts,
+/// and a function's own name in its body (a test-only wrapper around a
+/// same-named layer function reaches neither).
 fn references(toks: &[Tok]) -> Vec<&Tok> {
     let mut out = Vec::new();
     let mut in_use = false;
+    // Per open brace, the function whose body it opens, if any; `sig` is
+    // a function between its name and its body.
+    let (mut braces, mut sig): (Vec<Option<&str>>, _) = (Vec::new(), None);
     for (i, t) in toks.iter().enumerate() {
-        if t.is_ident("use") {
+        if t.is_punct("{") {
+            braces.push(sig.take());
+        } else if t.is_punct("}") {
+            braces.pop();
+        } else if t.is_punct(";") {
+            (in_use, sig) = (false, None);
+        } else if t.is_ident("use") {
             in_use = true;
-        } else if in_use && t.is_punct(";") {
-            in_use = false;
         } else if t.kind == TokKind::Ident
             && (!in_use || toks.get(i + 1).is_some_and(|n| n.is_ident("as")))
         {
+            if i > 0 && toks[i - 1].is_ident("fn") {
+                sig = Some(t.text.as_str());
+            } else if braces.iter().flatten().any(|&f| f == t.text) {
+                continue;
+            }
             out.push(t);
         }
     }
@@ -172,5 +187,17 @@ mod tests {
         let toks = token::tokenize(src);
         let names: Vec<&str> = references(&toks).iter().map(|t| t.text.as_str()).collect();
         assert_eq!(names, ["pub", "c", "fn", "f", "b"]);
+    }
+
+    #[test]
+    fn a_function_body_does_not_reference_its_own_name() {
+        let src =
+            "fn f() { f(); g(); } fn g() -> [u8; 2] { f() } trait T { fn h(); } fn k() { h() }";
+        let toks = token::tokenize(src);
+        let names: Vec<&str> = references(&toks).iter().map(|t| t.text.as_str()).collect();
+        assert_eq!(
+            names,
+            ["fn", "f", "g", "fn", "g", "u8", "f", "trait", "T", "fn", "h", "fn", "k", "h"]
+        );
     }
 }

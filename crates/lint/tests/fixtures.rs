@@ -90,7 +90,8 @@ fn d5_allowed_is_clean() {
 /// U1 is workspace-wide, so its fixture is a tree (`fixtures/u1`): a
 /// definition crate, a sibling caller and a `benchmark/src` stand-in.
 /// Only the test-only call, the comment-and-string mention, the
-/// reasonless allow and the re-export only a test calls fire.
+/// reasonless allow, the re-export only a test calls and both halves of
+/// a test-only same-named chain (`layers.rs`) fire.
 #[test]
 fn u1_fires_where_only_tests_comments_or_strings_reach() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/u1");
@@ -101,9 +102,12 @@ fn u1_fires_where_only_tests_comments_or_strings_reach() {
         .map(|d| (d.file.display().to_string(), d.rule.id(), d.line))
         .collect();
     let lib = "crates/sim/src/lib.rs".to_string();
+    let layers = "crates/sim/src/layers.rs".to_string();
     assert_eq!(
         got,
         vec![
+            (layers.clone(), "U1", 13),
+            (layers, "U1", 25),
             (lib.clone(), "U1", 10),
             (lib.clone(), "U1", 20),
             (lib.clone(), "D0", 34),

@@ -47,3 +47,5 @@ mod inline {
 /// Re-exported, called only from `tests.rs`: `reexported` fires in
 /// `sibling.rs`. Renamed and called by the new name: clean.
 pub use sibling::{reexported, renamed_away as renamed};
+
+pub mod layers;

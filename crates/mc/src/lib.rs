@@ -77,10 +77,11 @@ pub struct McConfig {
     /// topology (every link on small fabrics, a spread of three
     /// otherwise).
     pub links: Vec<LinkId>,
-    /// Reachability quanta the pristine engine runs before exploration
-    /// starts (must converge the initial tables).
-    pub warmup_steps: u64,
 }
+
+/// Reachability quanta the pristine engine runs before exploration
+/// starts (enough to converge the initial tables).
+const WARMUP_STEPS: u64 = 20;
 
 impl McConfig {
     /// CI-scale bounds: shallow depth, small state budget; finishes in
@@ -91,7 +92,6 @@ impl McConfig {
             max_states: 2_000,
             max_concurrent_failures: 2,
             links: Vec::new(),
-            warmup_steps: 20,
         }
     }
 
@@ -104,7 +104,6 @@ impl McConfig {
             max_states: 200_000,
             max_concurrent_failures: 2,
             links: Vec::new(),
-            warmup_steps: 20,
         }
     }
 }
@@ -213,7 +212,7 @@ impl Mc {
             self.cfg.clone(),
             self.built.plan.clone(),
         );
-        e.run_until(SimTime::ZERO + self.quantum * self.mc.warmup_steps);
+        e.run_until(SimTime::ZERO + self.quantum * WARMUP_STEPS);
         e
     }
 

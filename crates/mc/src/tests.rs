@@ -31,7 +31,6 @@ fn tiny(links: Vec<LinkId>, depth: usize) -> McConfig {
         max_states: 500,
         max_concurrent_failures: 2,
         links,
-        warmup_steps: 20,
     }
 }
 

@@ -1,4 +1,5 @@
-//! Transport-simulation configuration (defaults follow §6.3 / Appendix G).
+//! The §6.3 transport environment (Appendix G): the protocols, and one
+//! constant per parameter, since every figure runs the same environment.
 
 use stardust_sim::{units, SimDuration};
 
@@ -30,111 +31,66 @@ impl Protocol {
     }
 }
 
-/// All knobs of the §6.3 environment.
-#[derive(Debug, Clone)]
-pub struct TransportConfig {
-    /// Link rate everywhere (Appendix G: "All links in the system are of
-    /// 10Gbps").
-    pub link_bps: u64,
-    /// MSS for the Ethernet-path protocols (Appendix G: 9000 B).
-    pub mss: u32,
-    /// Output-queue capacity in packets (Appendix G: "100 packet output
-    /// queues").
-    pub queue_pkts: u32,
-    /// ECN marking threshold in packets (DCTCP K; htsim uses ~a third of
-    /// the buffer at 9000 B MSS).
-    pub ecn_k_pkts: u32,
-    /// Initial congestion window in MSS.
-    pub init_cwnd_mss: u32,
-    /// Initial slow-start threshold in MSS (a finite value, as htsim-style
-    /// setups use, keeps the first slow-start overshoot from dumping a
-    /// hundred segments into a 100-packet queue at once).
-    pub init_ssthresh_mss: u32,
-    /// Congestion-window cap in bytes (stands in for the receive window;
-    /// bounds ingress VOQ growth for TCP-over-Stardust).
-    pub max_cwnd_bytes: u64,
-    /// Minimum retransmission timeout.
-    pub min_rto: SimDuration,
-    /// MPTCP subflow count (htsim's standard permutation setup uses 8).
-    pub subflows: u8,
-    /// DCQCN additive increase per timer period, bits/s.
-    pub dcqcn_rai_bps: u64,
-    /// DCQCN increase-timer period.
-    pub dcqcn_timer: SimDuration,
-    /// DCQCN/DCTCP EWMA gain g.
-    pub ewma_g: f64,
-    /// Stardust credit size (§6.3: 4 KB).
-    pub sd_credit_bytes: u32,
-    /// Stardust credit speedup (§6.3: 3%).
-    pub sd_speedup: f64,
-    /// Stardust one-way fabric transit latency (cells: a few µs, §6.2).
-    pub sd_fabric_latency: SimDuration,
-    /// Stardust control-message latency (request/credit).
-    pub sd_ctrl_latency: SimDuration,
-    /// RNG seed.
-    pub seed: u64,
-}
+/// Link rate everywhere (Appendix G: "All links in the system are of
+/// 10Gbps").
+pub const LINK_BPS: u64 = units::gbps(10);
+/// MSS for the Ethernet-path protocols (Appendix G: 9000 B).
+pub const MSS: u32 = 9_000;
+/// Output-queue capacity (Appendix G: "100 packet output queues").
+pub const QUEUE_BYTES: u64 = 100 * MSS as u64;
+/// ECN marking threshold (DCTCP K: 32 packets, about a third of the
+/// buffer at 9000 B MSS, as htsim uses).
+pub const ECN_BYTES: u64 = 32 * MSS as u64;
+/// Initial congestion window in MSS.
+pub const INIT_CWND_MSS: u32 = 10;
+/// Initial slow-start threshold in MSS (a finite value, as htsim-style
+/// setups use, keeps the first slow-start overshoot from dumping a
+/// hundred segments into a 100-packet queue at once).
+pub const INIT_SSTHRESH_MSS: u32 = 100;
+/// Congestion-window cap in bytes (stands in for the receive window;
+/// bounds ingress VOQ growth for TCP-over-Stardust).
+pub const MAX_CWND_BYTES: u64 = 12 * 1024 * 1024;
+/// Minimum retransmission timeout.
+pub const MIN_RTO: SimDuration = SimDuration::from_millis(1);
+/// MPTCP subflow count (htsim's standard permutation setup uses 8).
+pub const SUBFLOWS: u8 = 8;
+/// DCQCN additive increase per timer period, bits/s.
+pub const DCQCN_RAI_BPS: u64 = units::mbps(100);
+/// DCQCN increase-timer period.
+pub const DCQCN_TIMER: SimDuration = SimDuration::from_micros(55);
+/// DCQCN/DCTCP EWMA gain g.
+pub const EWMA_G: f64 = 1.0 / 16.0;
+/// Stardust credit size (§6.3: 4 KB).
+pub const SD_CREDIT_BYTES: u32 = 4_096;
+/// Stardust credit speedup (§6.3: 3%).
+pub const SD_SPEEDUP: f64 = 0.03;
+/// Stardust one-way fabric transit latency (cells: a few µs, §6.2).
+pub const SD_FABRIC_LATENCY: SimDuration = SimDuration::from_micros(3);
+/// Stardust control-message latency (request/credit).
+pub const SD_CTRL_LATENCY: SimDuration = SimDuration::from_micros(2);
+const _: () = assert!(
+    MSS >= 64
+        && QUEUE_BYTES >= 4 * MSS as u64
+        && ECN_BYTES < QUEUE_BYTES
+        && SUBFLOWS >= 1
+        && SD_SPEEDUP >= 0.0
+        && SD_SPEEDUP < 0.5
+        && EWMA_G >= 0.0
+        && EWMA_G <= 1.0
+);
 
-impl Default for TransportConfig {
-    fn default() -> Self {
-        TransportConfig {
-            link_bps: units::gbps(10),
-            mss: 9_000,
-            queue_pkts: 100,
-            ecn_k_pkts: 32,
-            init_cwnd_mss: 10,
-            init_ssthresh_mss: 100,
-            max_cwnd_bytes: 12 * 1024 * 1024,
-            min_rto: SimDuration::from_millis(1),
-            subflows: 8,
-            dcqcn_rai_bps: units::mbps(100),
-            dcqcn_timer: SimDuration::from_micros(55),
-            ewma_g: 1.0 / 16.0,
-            sd_credit_bytes: 4_096,
-            sd_speedup: 0.03,
-            sd_fabric_latency: SimDuration::from_micros(3),
-            sd_ctrl_latency: SimDuration::from_micros(2),
-            seed: 0x5D_7A,
-        }
-    }
-}
-
-impl TransportConfig {
-    /// Sanity checks.
-    pub fn validate(&self) {
-        assert!(self.mss >= 64);
-        assert!(self.queue_pkts >= 4);
-        assert!(self.ecn_k_pkts < self.queue_pkts);
-        assert!(self.subflows >= 1);
-        assert!(self.sd_speedup >= 0.0 && self.sd_speedup < 0.5);
-        assert!((0.0..=1.0).contains(&self.ewma_g));
-    }
-
-    /// Queue capacity in bytes.
-    pub fn queue_bytes(&self) -> u64 {
-        self.queue_pkts as u64 * self.mss as u64
-    }
-
-    /// ECN threshold in bytes.
-    pub fn ecn_bytes(&self) -> u64 {
-        self.ecn_k_pkts as u64 * self.mss as u64
-    }
-}
+/// The seed every test and example runs the transport simulator with;
+/// the figures pass their spec's seed instead.
+pub const DEFAULT_SEED: u64 = 0x5D_7A;
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn defaults_validate() {
-        TransportConfig::default().validate();
-    }
-
-    #[test]
     fn derived_sizes() {
-        let c = TransportConfig::default();
-        assert_eq!(c.queue_bytes(), 900_000);
-        assert_eq!(c.ecn_bytes(), 288_000);
+        assert_eq!(QUEUE_BYTES, 900_000);
+        assert_eq!(ECN_BYTES, 288_000);
     }
 
     #[test]

@@ -33,5 +33,5 @@
 pub mod config;
 pub mod sim;
 
-pub use config::{Protocol, TransportConfig};
+pub use config::{Protocol, DEFAULT_SEED};
 pub use sim::{FlowId, FlowStatus, TransportSim};

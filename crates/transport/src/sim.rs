@@ -1,6 +1,10 @@
 //! The transport-level discrete-event simulator (Fig 10 a–c).
 
-use crate::config::{Protocol, TransportConfig};
+use crate::config::{
+    Protocol, DCQCN_RAI_BPS, DCQCN_TIMER, ECN_BYTES, EWMA_G, INIT_CWND_MSS, INIT_SSTHRESH_MSS,
+    LINK_BPS, MAX_CWND_BYTES, MIN_RTO, MSS, QUEUE_BYTES, SD_CREDIT_BYTES, SD_CTRL_LATENCY,
+    SD_FABRIC_LATENCY, SD_SPEEDUP, SUBFLOWS,
+};
 use stardust_sim::link::fiber_delay;
 use stardust_sim::units::serialization_time;
 use stardust_sim::{Counter, EventQueue, FlowStats, SimDuration, SimTime};
@@ -72,7 +76,6 @@ enum Ev {
 /// One link direction: FIFO with byte cap and optional ECN marking.
 #[derive(Debug)]
 struct Dir {
-    rate_bps: u64,
     prop: SimDuration,
     q: VecDeque<Pkt>,
     bytes: u64,
@@ -176,6 +179,12 @@ struct SdVoq {
     balance: i64,
 }
 
+/// Gap between two credits of one Stardust port: it paces at
+/// `LINK_BPS × (1 + SD_SPEEDUP)`.
+const SD_CREDIT_INTERVAL: SimDuration = SimDuration::from_ps(
+    (SD_CREDIT_BYTES as f64 * 8.0 * 1e12 / (LINK_BPS as f64 * (1.0 + SD_SPEEDUP))).round() as u64,
+);
+
 /// Stardust per-destination-port credit scheduler.
 #[derive(Debug)]
 struct SdPort {
@@ -183,7 +192,6 @@ struct SdPort {
     // det-lint: allow(unordered-iter, keyed access only; grant order is driven by the ring, never by this map)
     pending: HashMap<u32, i64>,
     armed: bool,
-    interval: SimDuration,
     /// The edge→host direction this port drains into (for backpressure).
     final_dir: u32,
 }
@@ -208,7 +216,8 @@ pub struct NetCounters {
 
 /// The §6.3 transport simulator over a k-ary fat-tree.
 pub struct TransportSim {
-    cfg: TransportConfig,
+    /// Salts the per-hop ECMP hash.
+    seed: u64,
     topo: Topology,
     hosts: Vec<NodeId>,
     plan: RoutePlan,
@@ -227,9 +236,9 @@ pub struct TransportSim {
 }
 
 impl TransportSim {
-    /// Build over a k-ary fat-tree from `stardust-topo`.
-    pub fn new(ft: Kary, cfg: TransportConfig) -> Self {
-        cfg.validate();
+    /// Build over a k-ary fat-tree from `stardust-topo`; `seed` salts the
+    /// ECMP path hash.
+    pub fn new(ft: Kary, seed: u64) -> Self {
         let Kary {
             topo, hosts, edges, ..
         } = ft;
@@ -238,7 +247,6 @@ impl TransportSim {
             let prop = fiber_delay(topo.link(l).meters as u64);
             for _ in 0..2 {
                 dirs.push(Dir {
-                    rate_bps: cfg.link_bps,
                     prop,
                     q: VecDeque::new(),
                     bytes: 0,
@@ -248,12 +256,7 @@ impl TransportSim {
         }
         let plan = RoutePlan::shortest_path(&topo);
         debug_assert_eq!(edges, topo.nodes_of_kind(NodeKind::Edge));
-        // One Stardust port scheduler per host: paced at link_bps×(1+s).
-        let interval = SimDuration::from_ps(
-            (cfg.sd_credit_bytes as f64 * 8.0 * 1e12
-                / (cfg.link_bps as f64 * (1.0 + cfg.sd_speedup)))
-                .round() as u64,
-        );
+        // One Stardust port scheduler per host.
         let sd_ports = hosts
             .iter()
             .map(|&h| {
@@ -264,13 +267,12 @@ impl TransportSim {
                     ring: VecDeque::new(),
                     pending: HashMap::new(),
                     armed: false,
-                    interval,
                     final_dir: l.0 * 2 + edge_end as u32,
                 }
             })
             .collect();
         TransportSim {
-            cfg,
+            seed,
             topo,
             hosts,
             plan,
@@ -354,7 +356,7 @@ impl TransportSim {
         while node != dst_edge {
             let candidates = self.plan.next_links(&self.topo, node, dst_ep);
             debug_assert!(!candidates.is_empty());
-            let h = Self::ecmp_hash(self.cfg.seed, flow, sub, node);
+            let h = Self::ecmp_hash(self.seed, flow, sub, node);
             let link = candidates[(h % candidates.len() as u64) as usize];
             path.push(link.0 * 2 + self.topo.link(link).end_of(node) as u32);
             node = self.topo.peer(node, link);
@@ -378,11 +380,11 @@ impl TransportSim {
         assert_ne!(src_host, dst_host);
         let id = self.flows.len() as u32;
         let nsubs = if proto == Protocol::Mptcp {
-            self.cfg.subflows
+            SUBFLOWS
         } else {
             1
         };
-        let mss = self.cfg.mss as f64;
+        let mss = MSS as f64;
         let share = size / nsubs as u64;
         let mut subs = Vec::with_capacity(nsubs as usize);
         for s in 0..nsubs {
@@ -405,20 +407,20 @@ impl TransportSim {
                 .map(|&d| self.dirs[d as usize].prop)
                 .fold(SimDuration::ZERO, |a, b| a + b);
             if proto == Protocol::Stardust {
-                ret_delay += self.cfg.sd_fabric_latency;
+                ret_delay += SD_FABRIC_LATENCY;
             }
             subs.push(Sub {
                 size: sub_size,
                 path,
                 ret_delay,
-                cwnd: self.cfg.init_cwnd_mss as f64 * mss,
-                ssthresh: self.cfg.init_ssthresh_mss as f64 * mss,
+                cwnd: INIT_CWND_MSS as f64 * mss,
+                ssthresh: INIT_SSTHRESH_MSS as f64 * mss,
                 next_seq: 0,
                 snd_una: 0,
                 dup_acks: 0,
                 in_fr: false,
                 recover: 0,
-                rto: self.cfg.min_rto,
+                rto: MIN_RTO,
                 rto_gen: 0,
                 srtt_ps: 0,
                 rttvar_ps: 0,
@@ -429,7 +431,7 @@ impl TransportSim {
                 win_end: 0,
                 acked_win: 0,
                 marked_win: 0,
-                rate_bps: self.cfg.link_bps as f64,
+                rate_bps: LINK_BPS as f64,
                 last_cnp: SimTime::ZERO,
                 cnp_since_timer: false,
                 paced_armed: false,
@@ -498,7 +500,7 @@ impl TransportSim {
             self.flows[flow as usize].subs[0].paced_armed = true;
             self.events.schedule(now, Ev::Paced { flow });
             self.events
-                .schedule(now + self.cfg.dcqcn_timer, Ev::RateTimer { flow });
+                .schedule(now + DCQCN_TIMER, Ev::RateTimer { flow });
         } else {
             for s in 0..self.flows[flow as usize].subs.len() {
                 self.send_available(now, flow, s as u8);
@@ -509,10 +511,10 @@ impl TransportSim {
     // --- queue mechanics ---
 
     fn enqueue(&mut self, now: SimTime, dir_idx: u32, mut pkt: Pkt) {
-        let cap = self.cfg.queue_bytes();
+        let cap = QUEUE_BYTES;
         let proto = self.flows[pkt.flow as usize].status.proto;
         let mark = matches!(proto, Protocol::Dctcp | Protocol::Dcqcn);
-        let ecn_th = self.cfg.ecn_bytes();
+        let ecn_th = ECN_BYTES;
         let d = &mut self.dirs[dir_idx as usize];
         let depth = d.depth_bytes();
         if depth + pkt.bytes as u64 > cap {
@@ -528,7 +530,7 @@ impl TransportSim {
             self.counters.ecn_marks.inc();
         }
         if d.in_service.is_none() {
-            let t = serialization_time(pkt.bytes as u64, d.rate_bps);
+            let t = serialization_time(pkt.bytes as u64, LINK_BPS);
             d.in_service = Some(pkt);
             self.events.schedule(now + t, Ev::QTx { dir: dir_idx });
         } else {
@@ -544,7 +546,7 @@ impl TransportSim {
             .schedule(now + d.prop, Ev::QArr { dir: dir_idx, pkt });
         if let Some(next) = d.q.pop_front() {
             d.bytes -= next.bytes as u64;
-            let t = serialization_time(next.bytes as u64, d.rate_bps);
+            let t = serialization_time(next.bytes as u64, LINK_BPS);
             d.in_service = Some(next);
             self.events.schedule(now + t, Ev::QTx { dir: dir_idx });
         }
@@ -616,7 +618,7 @@ impl TransportSim {
     fn send_segment(&mut self, now: SimTime, flow: u32, sub: u8, seq: u64, retx: bool) {
         let (bytes, dir) = {
             let s = &self.flows[flow as usize].subs[sub as usize];
-            let bytes = (s.size - seq).min(self.cfg.mss as u64) as u32;
+            let bytes = (s.size - seq).min(MSS as u64) as u32;
             (bytes, s.path[0])
         };
         if retx {
@@ -634,13 +636,12 @@ impl TransportSim {
     }
 
     fn send_available(&mut self, now: SimTime, flow: u32, sub: u8) {
-        let max_cwnd = self.cfg.max_cwnd_bytes as f64;
+        let max_cwnd = MAX_CWND_BYTES as f64;
         loop {
             let (seq, can) = {
                 let s = &self.flows[flow as usize].subs[sub as usize];
                 let cwnd = s.cwnd.min(max_cwnd);
-                let can = s.next_seq < s.size
-                    && s.outstanding() as f64 + self.cfg.mss as f64 / 2.0 < cwnd;
+                let can = s.next_seq < s.size && s.outstanding() as f64 + MSS as f64 / 2.0 < cwnd;
                 (s.next_seq, can)
             };
             if !can {
@@ -648,7 +649,7 @@ impl TransportSim {
             }
             self.send_segment(now, flow, sub, seq, false);
             let s = &mut self.flows[flow as usize].subs[sub as usize];
-            let bytes = (s.size - seq).min(self.cfg.mss as u64);
+            let bytes = (s.size - seq).min(MSS as u64);
             s.next_seq += bytes;
             if !s.rtt_pending {
                 // Time this segment for the RTT estimator (Karn's rule:
@@ -673,7 +674,7 @@ impl TransportSim {
         let total: f64 = f.subs.iter().map(|s| s.cwnd).sum();
         let maxw = f.subs.iter().map(|s| s.cwnd).fold(0.0, f64::max);
         let a = total * maxw / (total * total);
-        let mss = self.cfg.mss as f64;
+        let mss = MSS as f64;
         let own = f.subs[sub as usize].cwnd;
         (a * newly * mss / total).min(newly * mss / own)
     }
@@ -684,7 +685,7 @@ impl TransportSim {
             self.dcqcn_ack(now, flow, ackno, ecn);
             return;
         }
-        let mss = self.cfg.mss as f64;
+        let mss = MSS as f64;
         let mut lia_newly = 0.0f64;
         {
             let s = &mut self.flows[flow as usize].subs[sub as usize];
@@ -716,7 +717,7 @@ impl TransportSim {
                     s.rtt_pending = false;
                 }
                 let adaptive = SimDuration::from_ps(s.srtt_ps.saturating_add(4 * s.rttvar_ps));
-                s.rto = adaptive.max(self.cfg.min_rto);
+                s.rto = adaptive.max(MIN_RTO);
                 // Invalidate the pending RTO; after_progress / the send
                 // path re-arms it if data remains outstanding.
                 s.rto_gen += 1;
@@ -729,7 +730,7 @@ impl TransportSim {
                     if s.snd_una >= s.win_end {
                         if s.acked_win > 0 {
                             let f_frac = s.marked_win as f64 / s.acked_win as f64;
-                            let g = self.cfg.ewma_g;
+                            let g = EWMA_G;
                             s.alpha = (1.0 - g) * s.alpha + g * f_frac;
                             if s.marked_win > 0 {
                                 s.cwnd = (s.cwnd * (1.0 - s.alpha / 2.0)).max(2.0 * mss);
@@ -792,7 +793,7 @@ impl TransportSim {
     }
 
     fn dcqcn_ack(&mut self, now: SimTime, flow: u32, ackno: u64, ecn: bool) {
-        let g = self.cfg.ewma_g;
+        let g = EWMA_G;
         {
             let s = &mut self.flows[flow as usize].subs[0];
             if ackno > s.snd_una {
@@ -816,7 +817,7 @@ impl TransportSim {
     }
 
     fn on_paced(&mut self, now: SimTime, flow: u32) {
-        let mss = self.cfg.mss as u64;
+        let mss = MSS as u64;
         let (can, seq, gap) = {
             let s = &self.flows[flow as usize].subs[0];
             // Bound in-flight data to keep loss recovery sane (RoCE would
@@ -845,9 +846,9 @@ impl TransportSim {
     }
 
     fn on_rate_timer(&mut self, now: SimTime, flow: u32) {
-        let link = self.cfg.link_bps as f64;
-        let rai = self.cfg.dcqcn_rai_bps as f64;
-        let g = self.cfg.ewma_g;
+        let link = LINK_BPS as f64;
+        let rai = DCQCN_RAI_BPS as f64;
+        let g = EWMA_G;
         let done = {
             let s = &mut self.flows[flow as usize].subs[0];
             if !s.cnp_since_timer {
@@ -859,13 +860,13 @@ impl TransportSim {
         };
         if !done {
             self.events
-                .schedule(now + self.cfg.dcqcn_timer, Ev::RateTimer { flow });
+                .schedule(now + DCQCN_TIMER, Ev::RateTimer { flow });
         }
     }
 
     fn on_rto(&mut self, now: SimTime, flow: u32, sub: u8, gen: u64) {
         let proto = self.flows[flow as usize].status.proto;
-        let mss = self.cfg.mss as f64;
+        let mss = MSS as f64;
         let fire = {
             let s = &self.flows[flow as usize].subs[sub as usize];
             gen == s.rto_gen && s.outstanding() > 0 && !s.done
@@ -959,17 +960,17 @@ impl TransportSim {
     }
 
     fn on_sd_tick(&mut self, now: SimTime, dst_host: u32) {
-        let credit = self.cfg.sd_credit_bytes as i64;
-        let ctrl = self.cfg.sd_ctrl_latency;
+        let credit = SD_CREDIT_BYTES as i64;
+        let ctrl = SD_CTRL_LATENCY;
         // Egress backpressure (§4.1): hold credits while the port's
         // egress queue is more than half full.
-        let hiwat = self.cfg.queue_bytes() / 2;
+        let hiwat = QUEUE_BYTES / 2;
         let final_dir = self.sd_ports[dst_host as usize].final_dir;
         let backlogged = self.dirs[final_dir as usize].depth_bytes() > hiwat;
         let port = &mut self.sd_ports[dst_host as usize];
         if backlogged {
             // Try again one interval later without granting.
-            let at = now + port.interval;
+            let at = now + SD_CREDIT_INTERVAL;
             self.events.schedule(at, Ev::SdTick { dst_host });
             return;
         }
@@ -990,10 +991,9 @@ impl TransportSim {
         match granted {
             Some(fl) => {
                 self.counters.sd_credits.inc();
-                let interval = port.interval;
                 self.events.schedule(now + ctrl, Ev::SdGrant { flow: fl });
                 self.events
-                    .schedule(now + interval, Ev::SdTick { dst_host });
+                    .schedule(now + SD_CREDIT_INTERVAL, Ev::SdTick { dst_host });
             }
             None => {
                 port.armed = false;
@@ -1002,8 +1002,8 @@ impl TransportSim {
     }
 
     fn on_sd_grant(&mut self, now: SimTime, flow: u32) {
-        let credit = self.cfg.sd_credit_bytes as i64;
-        let fabric = self.cfg.sd_fabric_latency;
+        let credit = SD_CREDIT_BYTES as i64;
+        let fabric = SD_FABRIC_LATENCY;
         let Some(voq) = self.voqs.get_mut(&flow) else {
             return;
         };
@@ -1036,6 +1036,7 @@ impl TransportSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::DEFAULT_SEED;
     use stardust_topo::builders::{kary, KaryParams};
 
     fn k4() -> Kary {
@@ -1045,17 +1046,13 @@ mod tests {
         })
     }
 
-    fn cfg() -> TransportConfig {
-        TransportConfig::default()
-    }
-
     fn goodput_gbps(sim: &TransportSim, id: FlowId, window: SimDuration) -> f64 {
         sim.flow(id).acked as f64 * 8.0 / window.as_secs_f64() / 1e9
     }
 
     #[test]
     fn single_tcp_flow_reaches_line_rate() {
-        let mut sim = TransportSim::new(k4(), cfg());
+        let mut sim = TransportSim::new(k4(), DEFAULT_SEED);
         // Cross-pod pair so the flow traverses the core.
         let id = sim.add_flow(Protocol::Tcp, 0, 15, u64::MAX / 2, SimTime::ZERO);
         sim.run_until(SimTime::from_millis(20));
@@ -1069,7 +1066,7 @@ mod tests {
 
     #[test]
     fn finite_tcp_flow_completes() {
-        let mut sim = TransportSim::new(k4(), cfg());
+        let mut sim = TransportSim::new(k4(), DEFAULT_SEED);
         let id = sim.add_flow(Protocol::Tcp, 0, 5, 1_000_000, SimTime::ZERO);
         sim.run_until(SimTime::from_millis(50));
         let st = sim.flow(id);
@@ -1082,7 +1079,7 @@ mod tests {
 
     #[test]
     fn stardust_flow_reaches_line_rate_and_completes() {
-        let mut sim = TransportSim::new(k4(), cfg());
+        let mut sim = TransportSim::new(k4(), DEFAULT_SEED);
         let long = sim.add_flow(Protocol::Stardust, 0, 15, u64::MAX / 2, SimTime::ZERO);
         let short = sim.add_flow(Protocol::Stardust, 1, 14, 450_000, SimTime::ZERO);
         sim.run_until(SimTime::from_millis(20));
@@ -1100,7 +1097,7 @@ mod tests {
 
     #[test]
     fn dctcp_flow_completes_with_marks_under_contention() {
-        let mut sim = TransportSim::new(k4(), cfg());
+        let mut sim = TransportSim::new(k4(), DEFAULT_SEED);
         // Two flows into the same destination: queue builds, ECN marks.
         let a = sim.add_flow(Protocol::Dctcp, 0, 12, 20_000_000, SimTime::ZERO);
         let b = sim.add_flow(Protocol::Dctcp, 5, 12, 20_000_000, SimTime::ZERO);
@@ -1117,7 +1114,7 @@ mod tests {
     #[test]
     fn tcp_incast_drops_but_stardust_does_not() {
         let run = |proto: Protocol| {
-            let mut sim = TransportSim::new(k4(), cfg());
+            let mut sim = TransportSim::new(k4(), DEFAULT_SEED);
             let ids: Vec<FlowId> = (0..12u32)
                 .map(|s| sim.add_flow(proto, s, 15, 450_000, SimTime::ZERO))
                 .collect();
@@ -1142,7 +1139,7 @@ mod tests {
     #[test]
     fn stardust_incast_is_fair() {
         // §5.4: credits are distributed evenly, so first ≈ last FCT.
-        let mut sim = TransportSim::new(k4(), cfg());
+        let mut sim = TransportSim::new(k4(), DEFAULT_SEED);
         let ids: Vec<FlowId> = (0..8u32)
             .map(|s| sim.add_flow(Protocol::Stardust, s, 15, 450_000, SimTime::ZERO))
             .collect();
@@ -1158,7 +1155,7 @@ mod tests {
 
     #[test]
     fn mptcp_uses_multiple_paths() {
-        let mut sim = TransportSim::new(k4(), cfg());
+        let mut sim = TransportSim::new(k4(), DEFAULT_SEED);
         let id = sim.add_flow(Protocol::Mptcp, 0, 15, u64::MAX / 2, SimTime::ZERO);
         // All subflows make progress.
         sim.run_until(SimTime::from_millis(20));
@@ -1172,7 +1169,7 @@ mod tests {
 
     #[test]
     fn dcqcn_flow_completes_and_reacts_to_marks() {
-        let mut sim = TransportSim::new(k4(), cfg());
+        let mut sim = TransportSim::new(k4(), DEFAULT_SEED);
         let a = sim.add_flow(Protocol::Dcqcn, 0, 12, 10_000_000, SimTime::ZERO);
         let b = sim.add_flow(Protocol::Dcqcn, 5, 12, 10_000_000, SimTime::ZERO);
         sim.run_until(SimTime::from_millis(200));
@@ -1187,7 +1184,7 @@ mod tests {
     #[test]
     fn deterministic_runs() {
         let run = || {
-            let mut sim = TransportSim::new(k4(), cfg());
+            let mut sim = TransportSim::new(k4(), DEFAULT_SEED);
             for s in 0..8u32 {
                 sim.add_flow(Protocol::Dctcp, s, 15 - s, 2_000_000, SimTime::ZERO);
             }
@@ -1202,7 +1199,7 @@ mod tests {
 
     #[test]
     fn flow_stats_mirror_flow_statuses() {
-        let mut sim = TransportSim::new(k4(), cfg());
+        let mut sim = TransportSim::new(k4(), DEFAULT_SEED);
         let a = sim.add_flow(Protocol::Tcp, 0, 5, 1_000_000, SimTime::ZERO);
         let b = sim.add_flow(Protocol::Tcp, 1, 6, u64::MAX / 2, SimTime::ZERO);
         sim.run_until(SimTime::from_millis(50));
@@ -1222,7 +1219,7 @@ mod tests {
 
     #[test]
     fn ecmp_paths_are_flow_stable_but_vary_across_flows() {
-        let sim = TransportSim::new(k4(), cfg());
+        let sim = TransportSim::new(k4(), DEFAULT_SEED);
         let p1 = sim.compute_path(1, 0, 0, 15);
         let p1b = sim.compute_path(1, 0, 0, 15);
         assert_eq!(p1, p1b);
@@ -1238,7 +1235,7 @@ mod tests {
 
     #[test]
     fn same_tor_pair_short_path() {
-        let sim = TransportSim::new(k4(), cfg());
+        let sim = TransportSim::new(k4(), DEFAULT_SEED);
         // Hosts 0 and 1 share an edge switch in k=4.
         let p = sim.compute_path(0, 0, 0, 1);
         assert_eq!(p.len(), 2, "host→edge→host");

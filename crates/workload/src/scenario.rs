@@ -776,7 +776,7 @@ mod tests {
             k: 4,
             ..KaryParams::paper_6_3()
         });
-        let sim = TransportSim::new(ft, stardust_transport::TransportConfig::default());
+        let sim = TransportSim::new(ft, stardust_transport::DEFAULT_SEED);
         let mut wrapped = crate::TransportFlowEngine::new(sim, Protocol::Stardust);
         let tra = scn.run(&mut wrapped, SimTime::from_millis(100));
         assert_eq!(tra.len(), 50);
@@ -1053,7 +1053,7 @@ mod tests {
                 k: 4,
                 ..KaryParams::paper_6_3()
             });
-            let sim = TransportSim::new(ft, stardust_transport::TransportConfig::default());
+            let sim = TransportSim::new(ft, stardust_transport::DEFAULT_SEED);
             crate::TransportFlowEngine::new(sim, Protocol::Stardust)
         };
         let horizon = SimTime::from_millis(100);

@@ -15,7 +15,7 @@ use stardust::fabric::{FabricConfig, FabricEngine};
 use stardust::sim::units::gbps;
 use stardust::sim::{SimDuration, SimTime};
 use stardust::topo::builders::{kary, two_tier, KaryParams, TwoTierParams};
-use stardust::transport::{Protocol, TransportConfig, TransportSim};
+use stardust::transport::{Protocol, TransportSim, DEFAULT_SEED};
 use stardust::workload::{FlowSizeDist, Scenario, ScenarioKind, TransportFlowEngine};
 
 fn main() {
@@ -47,7 +47,7 @@ fn main() {
         k: 4,
         ..KaryParams::paper_6_3()
     });
-    let sim = TransportSim::new(ft, TransportConfig::default());
+    let sim = TransportSim::new(ft, DEFAULT_SEED);
     let mut wrapped = TransportFlowEngine::new(sim, Protocol::Stardust);
     let transport = scenario.run(&mut wrapped, horizon);
 

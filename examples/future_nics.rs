@@ -37,7 +37,6 @@ fn main() {
         credit_bytes: 2048,                   // host-scale credits (§4.1 minimum)
         voq_max_bytes: Some(4 * 1024 * 1024), // host memory as buffer [54,58]
         low_latency_tc: Some(0),              // RPCs bypass the credit round trip
-        num_tcs: 2,
         ..FabricConfig::default()
     };
     println!(

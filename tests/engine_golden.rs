@@ -19,7 +19,7 @@ use stardust::sim::units::gbps;
 use stardust::sim::{DetRng, SimDuration, SimTime};
 use stardust::topo::builders::{kary, two_tier, KaryParams, TwoTierParams};
 use stardust::topo::{DragonflyParams, LinkId, NodeKind, Topology, TopologyBuilder};
-use stardust::transport::{Protocol, TransportConfig, TransportSim};
+use stardust::transport::{Protocol, TransportSim, DEFAULT_SEED};
 use stardust::workload::permutation;
 use std::fmt::{Debug, Write};
 
@@ -454,7 +454,7 @@ fn transport_k4_permutation_every_protocol() {
             k: 4,
             ..KaryParams::paper_6_3()
         });
-        let mut sim = TransportSim::new(ft, TransportConfig::default());
+        let mut sim = TransportSim::new(ft, DEFAULT_SEED);
         let n = sim.num_hosts();
         let mut rng = DetRng::from_label(0x5EED_0033, "engine-golden-transport");
         // Two permutations at once: every host sends two flows and

@@ -3,7 +3,7 @@
 
 use stardust::sim::{DetRng, SimDuration, SimTime};
 use stardust::topo::builders::{kary, KaryParams};
-use stardust::transport::{FlowId, Protocol, TransportConfig, TransportSim};
+use stardust::transport::{FlowId, Protocol, TransportSim, DEFAULT_SEED};
 use stardust::workload::permutation;
 
 fn permutation_run(proto: Protocol, k: u32, ms: u64) -> Vec<f64> {
@@ -11,7 +11,7 @@ fn permutation_run(proto: Protocol, k: u32, ms: u64) -> Vec<f64> {
         k,
         ..KaryParams::paper_6_3()
     });
-    let mut sim = TransportSim::new(ft, TransportConfig::default());
+    let mut sim = TransportSim::new(ft, DEFAULT_SEED);
     let n = sim.num_hosts();
     let mut rng = DetRng::from_label(7, "itest-perm");
     let perm = permutation(n, &mut rng);
@@ -54,7 +54,7 @@ fn fig10c_stardust_fair_incast_without_loss() {
         k: 4,
         ..KaryParams::paper_6_3()
     });
-    let mut sim = TransportSim::new(ft, TransportConfig::default());
+    let mut sim = TransportSim::new(ft, DEFAULT_SEED);
     let ids: Vec<FlowId> = (1..13u32)
         .map(|s| sim.add_flow(Protocol::Stardust, s, 0, 450_000, SimTime::ZERO))
         .collect();
@@ -79,7 +79,7 @@ fn fig10b_short_flows_faster_on_stardust_than_mptcp() {
             k: 4,
             ..KaryParams::paper_6_3()
         });
-        let mut sim = TransportSim::new(ft, TransportConfig::default());
+        let mut sim = TransportSim::new(ft, DEFAULT_SEED);
         // Background load.
         let mut rng = DetRng::from_label(9, "bg");
         for src in 2..16u32 {

@@ -706,7 +706,7 @@ fn assert_sliced_run_equals_whole<E: FlowEngine, V: PartialEq + std::fmt::Debug>
 #[test]
 fn run_until_equals_any_partition_into_calls() {
     use stardust::topo::builders::{kary, KaryParams};
-    use stardust::transport::{Protocol, TransportConfig, TransportSim};
+    use stardust::transport::{Protocol, TransportSim, DEFAULT_SEED};
     use stardust::workload::{FlowSpec, TransportFlowEngine};
 
     /// One flow from every node to a random other node, staggered over
@@ -769,7 +769,7 @@ fn run_until_equals_any_partition_into_calls() {
                     k: 4,
                     ..KaryParams::paper_6_3()
                 });
-                let sim = TransportSim::new(ft, TransportConfig::default());
+                let sim = TransportSim::new(ft, DEFAULT_SEED);
                 offered(TransportFlowEngine::new(sim, Protocol::Stardust), &fl)
             },
             SimTime::from_millis(2),

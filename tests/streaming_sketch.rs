@@ -23,7 +23,7 @@ use stardust::fabric::{FabricConfig, FabricEngine, ShardedFabricEngine};
 use stardust::sim::{FlowStats, SimDuration, SimTime};
 use stardust::topo::builders::{kary, two_tier, KaryParams, TwoTierParams};
 use stardust::topo::LinkId;
-use stardust::transport::{Protocol, TransportConfig, TransportSim};
+use stardust::transport::{Protocol, TransportSim, DEFAULT_SEED};
 use stardust::workload::{
     FailureSchedule, FlowSizeDist, Scenario, ScenarioKind, TransportFlowEngine,
 };
@@ -86,7 +86,7 @@ fn sketch_quantiles_match_exact_on_both_engine_families() {
         k: 4,
         ..KaryParams::paper_6_3()
     });
-    let sim = TransportSim::new(ft, TransportConfig::default());
+    let sim = TransportSim::new(ft, DEFAULT_SEED);
     let mut tra = TransportFlowEngine::new(sim, Protocol::Stardust);
     let exact = scn.run(&mut tra, SimTime::from_millis(100));
     assert!(exact.completed() > 100);
