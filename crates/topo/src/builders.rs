@@ -1226,6 +1226,47 @@ mod tests {
         assert!(built.plan.groups.iter().all(|g| g.len() == 2));
     }
 
+    /// Every shape's `build_fabric` output, graph and route plan, pinned
+    /// by the FNV-1a of its `Debug` rendering: a change to how a fabric
+    /// is built must leave both bit-identical.
+    #[test]
+    fn build_fabric_outputs_are_pinned() {
+        use std::fmt::Write as _;
+        let pin = |built: Built| {
+            let mut h = stardust_sim::hash::Fnv1a::default();
+            write!(h, "{:?}{:?}", built.topo, built.plan).unwrap();
+            h.finish()
+        };
+        let got = [
+            (
+                "two-tier",
+                pin(TwoTierParams::paper_scaled(4).build_fabric()),
+            ),
+            ("three-tier", pin(ThreeTierParams::small().build_fabric())),
+            (
+                "single-tier",
+                pin(SingleTierParams::paper_6_1().build_fabric()),
+            ),
+            ("k-ary", pin(KaryParams::paper_6_3().build_fabric())),
+            ("dragonfly", pin(DragonflyParams::zoo().build_fabric())),
+            (
+                "space-shuffle",
+                pin(SpaceShuffleParams::zoo(7).build_fabric()),
+            ),
+            ("expander", pin(ExpanderParams::zoo(3).build_fabric())),
+        ];
+        let want = [
+            ("two-tier", 0x2f18fa5a4e714f2f),
+            ("three-tier", 0x729db8b6628e776e),
+            ("single-tier", 0xe6a8db119374bb57),
+            ("k-ary", 0x688da8cd50292cc6),
+            ("dragonfly", 0x9e03f882552674a9),
+            ("space-shuffle", 0x2794167e628d977d),
+            ("expander", 0x1b2a09e4d848d297),
+        ];
+        assert_eq!(got, want);
+    }
+
     #[test]
     fn node_kind_partitions() {
         let ft = kary(KaryParams {
