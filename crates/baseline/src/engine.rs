@@ -351,7 +351,7 @@ impl PushEngine {
         let candidates = self.plan.next_links(&self.topo, node, pkt.dst_tor);
         debug_assert!(!candidates.is_empty(), "no route from {node:?}");
         let link = *self.rng.pick(&candidates);
-        let dir = link.0 * 2 + self.topo.link(link).end_of(node) as u32;
+        let dir = self.topo.dir(node, link);
         self.enqueue(now, dir, pkt);
     }
 

@@ -14,7 +14,7 @@
 //! A speed-up needs real cores; the header prints how many the host has.
 
 use stardust_bench::{commas, header, Args};
-use stardust_fabric::{FabricConfig, FabricEngine, FabricStats, ShardedFabricEngine};
+use stardust_fabric::{FabricConfig, FabricStats, ShardedFabricEngine};
 use stardust_sim::units::gbps;
 use stardust_sim::{DetRng, SimDuration, SimTime};
 use stardust_topo::builders::{two_tier, TwoTierParams};
@@ -63,61 +63,31 @@ fn bench_cfg(seed: u64) -> FabricConfig {
     }
 }
 
-/// Attach the permutation CBR workload to either engine flavor (both
-/// expose the same `add_cbr_flow` surface).
-macro_rules! attach_workload {
-    ($e:expr, $num_fa:expr, $sim_us:expr, $seed:expr) => {{
-        let mut rng = DetRng::from_label($seed, "fig2-fabric-scale");
-        let perm = permutation($num_fa as usize, &mut rng);
-        let stop = SimTime::from_micros($sim_us);
-        for src in 0..$num_fa {
-            $e.add_cbr_flow(
-                src,
-                perm[src as usize],
-                (src % 2) as u8,
-                0,
-                gbps(40),
-                1500,
-                SimTime::ZERO,
-                stop,
-            );
-        }
-        stop
-    }};
-}
-
-/// Build the fabric, attach the permutation CBR workload, simulate
-/// `sim_us` microseconds and measure wall-clock cost of the run loop
-/// (topology construction and flow setup stay untimed). Returns the
-/// sample plus the final stats (for the `--shards` conformance check).
-fn run_size(num_fa: u32, sim_us: u64, seed: u64) -> (Sample, FabricStats) {
-    let tt = two_tier(params_for(num_fa));
-    let links = tt.topo.num_links();
-    let mut e = FabricEngine::new(tt.topo, bench_cfg(seed));
-    let stop = attach_workload!(e, num_fa, sim_us, seed);
-    let t = Instant::now();
-    e.run_until(stop);
-    let wall_s = t.elapsed().as_secs_f64();
-    let sample = Sample {
-        num_fa,
-        links,
-        events: e.events_executed(),
-        wall_s,
-        delivered: e.stats().packets_delivered.get(),
-    };
-    (sample, e.stats().clone())
-}
-
-fn events_per_sec(s: &Sample) -> f64 {
-    s.events as f64 / s.wall_s
-}
-
-/// As [`run_size`], on the sharded engine (one OS thread per shard).
-fn run_size_sharded(num_fa: u32, sim_us: u64, seed: u64, shards: u32) -> (Sample, FabricStats) {
+/// Build the fabric on `shards` shards (one is the sequential engine),
+/// attach the permutation CBR workload, simulate `sim_us` microseconds
+/// and measure wall-clock cost of the run loop (topology construction
+/// and flow setup stay untimed). Returns the sample plus the final stats
+/// (for the `--shards` conformance check).
+fn run_size(num_fa: u32, sim_us: u64, seed: u64, shards: u32) -> (Sample, FabricStats) {
     let tt = two_tier(params_for(num_fa));
     let links = tt.topo.num_links();
     let mut e = ShardedFabricEngine::new(tt.topo, bench_cfg(seed), shards);
-    let stop = attach_workload!(e, num_fa, sim_us, seed);
+    let mut rng = DetRng::from_label(seed, "fig2-fabric-scale");
+    let perm = permutation(num_fa as usize, &mut rng);
+    let stop = SimTime::from_micros(sim_us);
+    for src in 0..num_fa {
+        let tc = (src % 2) as u8;
+        e.add_cbr_flow(
+            src,
+            perm[src as usize],
+            tc,
+            0,
+            gbps(40),
+            1500,
+            SimTime::ZERO,
+            stop,
+        );
+    }
     let t = Instant::now();
     e.run_until(stop);
     let wall_s = t.elapsed().as_secs_f64();
@@ -130,6 +100,10 @@ fn run_size_sharded(num_fa: u32, sim_us: u64, seed: u64, shards: u32) -> (Sample
         delivered: stats.packets_delivered.get(),
     };
     (sample, stats)
+}
+
+fn events_per_sec(s: &Sample) -> f64 {
+    s.events as f64 / s.wall_s
 }
 
 fn host_cores() -> usize {
@@ -165,8 +139,8 @@ pub fn run(args: &Args) -> ExitCode {
             ),
         );
         for &n in sizes {
-            let (seq, seq_stats) = run_size(n, sim_us, seed);
-            let (sh, sh_stats) = run_size_sharded(n, sim_us, seed, shards);
+            let (seq, seq_stats) = run_size(n, sim_us, seed, 1);
+            let (sh, sh_stats) = run_size(n, sim_us, seed, shards);
             assert_eq!(
                 seq_stats, sh_stats,
                 "{shards}-shard run diverged from sequential at {n} FAs"
@@ -201,7 +175,7 @@ pub fn run(args: &Args) -> ExitCode {
     );
     let mut first_eps = None;
     for &n in sizes {
-        let (s, _) = run_size(n, sim_us, seed);
+        let (s, _) = run_size(n, sim_us, seed, 1);
         let eps = events_per_sec(&s);
         first_eps.get_or_insert(eps);
         println!(

@@ -9,11 +9,11 @@ use stardust_bench::{header, Args};
 use stardust_fabric::{FabricConfig, FabricEngine};
 use stardust_sim::units::gbps;
 use stardust_sim::{SimDuration, SimTime};
-use stardust_topo::builders::{single_tier, SingleTierParams};
+use stardust_topo::builders::SingleTierParams;
 use std::process::ExitCode;
 
 fn run_size(params: SingleTierParams, pkt_bytes: u32, ms: u64) -> (f64, f64, f64, f64, u64) {
-    let st = single_tier(params);
+    let built = params.build_fabric();
     let cfg = FabricConfig {
         host_ports: 4,
         // 4 ports ~ 90% of fabric capacity so the fabric is the system
@@ -21,7 +21,7 @@ fn run_size(params: SingleTierParams, pkt_bytes: u32, ms: u64) -> (f64, f64, f64
         host_port_bps: (params.fa_uplinks as u64 * gbps(50) * 9 / 10 / 4),
         ..FabricConfig::default()
     };
-    let mut e = FabricEngine::new(st.topo, cfg);
+    let mut e = FabricEngine::with_plan(built.topo, cfg, built.plan);
     e.saturate_all_to_all(pkt_bytes, 32 * 1024);
     e.begin_measurement(SimTime::from_micros(300));
     e.run_until(SimTime::from_millis(ms));

@@ -109,7 +109,7 @@ fn preset(args: &[String]) -> ExitCode {
 /// searches. Exits non-zero on any invariant violation.
 fn mc(args: &[String]) -> ExitCode {
     use stardust_mc::{clos4, mc_config, Mc, McConfig};
-    use stardust_topo::{DragonflyParams, TopologyBuilder};
+    use stardust_topo::DragonflyParams;
 
     const FLAGS: &[Flag] = &[
         ("quiet", Switch),

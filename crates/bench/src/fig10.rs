@@ -17,7 +17,7 @@
 use crate::header;
 use stardust_fabric::FabricConfig;
 use stardust_sim::{units, FlowStats};
-use stardust_topo::builders::{kary, KaryParams, TwoTierParams};
+use stardust_topo::builders::{KaryParams, TwoTierParams};
 use stardust_transport::TransportSim;
 
 /// Label used for the cell-accurate fabric column.
@@ -55,10 +55,11 @@ pub fn fabric_config(seed: u64) -> FabricConfig {
 
 /// The §6.3 k-ary fat-tree transport simulator (k³/4 hosts, 10G links).
 pub fn transport_sim(k: u32, seed: u64) -> TransportSim {
-    let ft = kary(KaryParams {
+    let ft = KaryParams {
         k,
         ..KaryParams::paper_6_3()
-    });
+    }
+    .build_fabric();
     TransportSim::new(ft, seed)
 }
 

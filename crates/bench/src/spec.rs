@@ -426,7 +426,6 @@ impl TopoSpec {
     /// each spec seed draws its own wiring — the deterministic builders
     /// ignore it.
     pub fn build_fabric(&self, seed: u64) -> stardust_topo::Built {
-        use stardust_topo::TopologyBuilder as _;
         match self.kind {
             TopoKind::TwoTier => {
                 stardust_topo::TwoTierParams::paper_scaled(self.two_tier_factor).build_fabric()

@@ -446,7 +446,10 @@ fn shard_placement_of_every_spec_is_pinned() {
     for &(name, text) in specs {
         let spec = ExperimentSpec::parse(text).unwrap_or_else(|e| panic!("{name}: {e}"));
         let built = spec.topology.build_fabric(spec.seeds[0]);
-        assert!(built.endpoints.len() >= 8, "{name}: fewer FAs than shards");
+        assert!(
+            built.plan.num_endpoints >= 8,
+            "{name}: fewer FAs than shards"
+        );
         let hashes = [1u32, 2, 3, 4, 8].map(|shards| {
             let part = Partition::with_groups(&built.topo, &built.plan.groups, shards, ctrl);
             fnv1a(&part.shard_of_node)

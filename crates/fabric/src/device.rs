@@ -179,10 +179,7 @@ impl Devices {
             let links = &topo.node(n).links;
             let is_fa = i < num_fas;
             assert!(!is_fa || !links.is_empty(), "FA {n:?} has no uplinks");
-            let out_dirs: Vec<u32> = links
-                .iter()
-                .map(|&l| l.0 * 2 + topo.link(l).end_of(n) as u32)
-                .collect();
+            let out_dirs: Vec<u32> = links.iter().map(|&l| topo.dir(n, l)).collect();
             let mut reach = ReachTable::new(out_dirs.len());
             for (p, &d) in out_dirs.iter().enumerate() {
                 reach.seed(p, plan.dir_dsts[d as usize].expand());

@@ -3,9 +3,7 @@
 use super::*;
 use crate::shard::ShardedFabricEngine;
 use stardust_sim::FlowStats;
-use stardust_topo::builders::{
-    single_tier, three_tier, two_tier, SingleTierParams, ThreeTierParams, TwoTierParams,
-};
+use stardust_topo::builders::{two_tier, SingleTierParams, ThreeTierParams, TwoTierParams};
 
 fn small_topo() -> Topology {
     two_tier(TwoTierParams::paper_scaled(16)).topo
@@ -127,8 +125,8 @@ fn three_tier_fabric_works_end_to_end() {
     // §5.1: deeper fabrics are just more tiers of the same Fabric
     // Element; the engine's up/down forwarding and the reachability
     // seeding are tier-count agnostic.
-    let tt = three_tier(ThreeTierParams::small());
-    let mut e = FabricEngine::new(tt.topo, cfg_small());
+    let topo = ThreeTierParams::small().build_fabric().topo;
+    let mut e = FabricEngine::new(topo, cfg_small());
     let n = e.num_fas() as u32;
     for src in 0..n {
         for dst in 0..n {
@@ -148,10 +146,10 @@ fn three_tier_fabric_works_end_to_end() {
 fn three_tier_dynamic_reach_converges_and_heals() {
     let mut cfg = cfg_small();
     cfg.reach_interval = Some(SimDuration::from_micros(10));
-    let tt = three_tier(ThreeTierParams::small());
-    let victim = tt.fas[0];
-    let uplink = tt.topo.node(victim).links[0]; // port 0: FAs have only uplinks
-    let mut e = FabricEngine::new(tt.topo, cfg);
+    let topo = ThreeTierParams::small().build_fabric().topo;
+    let victim = topo.nodes_of_kind(stardust_topo::NodeKind::Edge)[0];
+    let uplink = topo.node(victim).links[0]; // port 0: FAs have only uplinks
+    let mut e = FabricEngine::new(topo, cfg);
     e.run_until(SimTime::from_micros(200));
     e.fail_link(uplink);
     e.run_until(SimTime::from_micros(600));
@@ -167,13 +165,15 @@ fn three_tier_dynamic_reach_converges_and_heals() {
 
 #[test]
 fn single_tier_system_works() {
-    let st = single_tier(SingleTierParams {
+    let topo = SingleTierParams {
         num_fa: 8,
         fa_uplinks: 8,
         fe_count: 4,
         meters: 2,
-    });
-    let mut e = FabricEngine::new(st.topo, cfg_small());
+    }
+    .build_fabric()
+    .topo;
+    let mut e = FabricEngine::new(topo, cfg_small());
     for src in 0..8u32 {
         e.inject(SimTime::ZERO, src, (src + 3) % 8, 0, 0, 9000);
     }
@@ -465,24 +465,24 @@ fn link_error_draws_hit_their_rate_per_direction_and_independently() {
     // threshold, so they stay in use. FE 0 → FA 1 also carries FE 0's
     // adverts, one per reach interval.
     let p = 0.008;
-    let st = single_tier(SingleTierParams {
+    let topo = SingleTierParams {
         num_fa: 2,
         fa_uplinks: 2,
         fe_count: 2,
         meters: 2,
-    });
-    let dir_from = |link: LinkId, node: NodeId| link.0 * 2 + st.topo.link(link).end_of(node) as u32;
-    let (up, down) = (
-        st.topo.node(st.fas[0]).links[0],
-        st.topo.node(st.fas[1]).links[0],
-    );
-    assert_eq!(st.topo.peer(st.fas[1], down), st.fes[0]);
-    let (d1, d2) = (dir_from(up, st.fas[0]), dir_from(down, st.fes[0]));
+    }
+    .build_fabric()
+    .topo;
+    // FA 0, FA 1, FE 0, FE 1 in node order.
+    let (fa0, fa1, fe0) = (NodeId(0), NodeId(1), NodeId(2));
+    let (up, down) = (topo.node(fa0).links[0], topo.node(fa1).links[0]);
+    assert_eq!(topo.peer(fa1, down), fe0);
+    let (d1, d2) = (topo.dir(fa0, up), topo.dir(fe0, down));
     let interval = SimDuration::from_micros(1);
     let mut cfg = cfg_small();
     cfg.reach_interval = Some(interval);
     cfg.reach_miss_threshold = 3;
-    let mut e = FabricEngine::new(st.topo, cfg);
+    let mut e = FabricEngine::new(topo, cfg);
     let arrived = Arc::new(std::sync::Mutex::new(vec![0u64; 8]));
     e.ctx.probe = Box::new(CellsPerDir(arrived.clone()));
     e.set_link_error_rate(up, p);

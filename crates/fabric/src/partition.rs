@@ -187,8 +187,8 @@ impl Partition {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stardust_topo::builders::{three_tier, two_tier, ThreeTierParams, TwoTierParams};
-    use stardust_topo::RoutePlan;
+    use stardust_topo::builders::{two_tier, ThreeTierParams, TwoTierParams};
+    use stardust_topo::{DragonflyParams, RoutePlan};
 
     /// Partition `topo` along its shortest-path plan's groups.
     fn by_plan(topo: &Topology, shards: u32, ctrl: SimDuration) -> Partition {
@@ -247,17 +247,17 @@ mod tests {
 
     #[test]
     fn single_shard_owns_everything() {
-        let tt = three_tier(ThreeTierParams::small());
-        let part = by_plan(&tt.topo, 1, SimDuration::from_micros(2));
+        let topo = ThreeTierParams::small().build_fabric().topo;
+        let part = by_plan(&topo, 1, SimDuration::from_micros(2));
         assert!(part.shard_of_node.iter().all(|&s| s == 0));
         assert_eq!(part.matrix.min_bound(), None);
     }
 
     #[test]
     fn three_tier_partition_is_balanced_and_total() {
-        let tt = three_tier(ThreeTierParams::small());
+        let topo = ThreeTierParams::small().build_fabric().topo;
         for shards in [2u32, 4] {
-            let part = by_plan(&tt.topo, shards, SimDuration::from_micros(2));
+            let part = by_plan(&topo, shards, SimDuration::from_micros(2));
             assert!(part.shard_of_node.iter().all(|&s| s < shards));
             let counts = fa_counts(&part);
             let (min, max) = (counts.iter().min().unwrap(), counts.iter().max().unwrap());
@@ -268,8 +268,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "more shards")]
     fn too_many_shards_rejected() {
-        let tt = three_tier(ThreeTierParams::small());
-        let _ = by_plan(&tt.topo, 17, SimDuration::from_micros(2));
+        let topo = ThreeTierParams::small().build_fabric().topo;
+        let _ = by_plan(&topo, 17, SimDuration::from_micros(2));
     }
 
     #[test]
@@ -292,17 +292,20 @@ mod tests {
 
     #[test]
     fn flat_fabric_groups_keep_switch_blocks_together() {
-        use stardust_topo::{dragonfly, DragonflyParams};
-        let df = dragonfly(DragonflyParams {
+        let df = DragonflyParams {
             fas_per_router: 2,
             ..DragonflyParams::zoo()
-        });
-        let plan = RoutePlan::shortest_path(&df.topo);
-        let part = Partition::with_groups(&df.topo, &plan.groups, 4, SimDuration::from_micros(2));
-        // Both FAs of a router land on the router's shard.
-        for (r, &router) in df.routers.iter().enumerate() {
-            let s0 = part.shard_of_node[df.fas[2 * r].0 as usize];
-            let s1 = part.shard_of_node[df.fas[2 * r + 1].0 as usize];
+        }
+        .build_fabric();
+        let part =
+            Partition::with_groups(&df.topo, &df.plan.groups, 4, SimDuration::from_micros(2));
+        // Both FAs of a router land on the router's shard. FAs come
+        // first in node order, two per router, then the routers.
+        let fas = df.topo.nodes_of_kind(NodeKind::Edge);
+        let routers = df.topo.nodes_of_kind(NodeKind::Fabric);
+        for (r, &router) in routers.iter().enumerate() {
+            let s0 = part.shard_of_node[fas[2 * r].0 as usize];
+            let s1 = part.shard_of_node[fas[2 * r + 1].0 as usize];
             assert_eq!(s0, s1);
             assert_eq!(part.shard_of_node[router.0 as usize], s0);
         }
@@ -329,14 +332,13 @@ mod tests {
 
     #[test]
     fn zoo_topology_produces_a_non_uniform_matrix() {
-        use stardust_topo::{dragonfly, DragonflyParams};
         // 4 shards over the 5-group zoo dragonfly: groups straddle shard
         // boundaries, so adjacent shards are bounded by the 25 ns local
         // fibers while non-adjacent ones only interact through global
         // links and multi-shard chains — strictly wider bounds.
-        let df = dragonfly(DragonflyParams::zoo());
-        let plan = RoutePlan::shortest_path(&df.topo);
-        let part = Partition::with_groups(&df.topo, &plan.groups, 4, SimDuration::from_micros(2));
+        let df = DragonflyParams::zoo().build_fabric();
+        let part =
+            Partition::with_groups(&df.topo, &df.plan.groups, 4, SimDuration::from_micros(2));
         let m = &part.matrix;
         let scalar = m.min_bound().unwrap();
         assert!(

@@ -117,7 +117,7 @@ fn non_uniform_matrix_runs_bit_identical_on_dragonfly() {
     // pairs) — this pins the matrix-windowed threaded path against the
     // sequential engine on exactly the topology class the matrix was
     // built for.
-    use stardust_topo::{DragonflyParams, TopologyBuilder};
+    use stardust_topo::DragonflyParams;
     let built = DragonflyParams::zoo().build_fabric();
     let c = cfg();
     let drive = |e: &mut dyn FnMut(SimTime, u32, u32)| {

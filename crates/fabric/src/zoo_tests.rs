@@ -7,7 +7,7 @@
 use stardust_sim::{DetRng, SimDuration, SimTime};
 use stardust_topo::{
     Built, DragonflyParams, ExpanderParams, LinkId, SingleTierParams, SpaceShuffleParams,
-    ThreeTierParams, TopologyBuilder, TwoTierParams,
+    ThreeTierParams, TwoTierParams,
 };
 
 use crate::config::FabricConfig;

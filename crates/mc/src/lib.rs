@@ -46,7 +46,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use stardust_fabric::{EligibilitySnapshot, FabricConfig, FabricEngine};
 use stardust_sim::hash::Fnv1a;
 use stardust_sim::{SimDuration, SimTime};
-use stardust_topo::{Built, LinkId, TopologyBuilder, TwoTierParams};
+use stardust_topo::{Built, LinkId, TwoTierParams};
 
 #[cfg(test)]
 mod tests;

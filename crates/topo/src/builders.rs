@@ -1,11 +1,12 @@
 //! Topology builders: the paper's evaluation shapes plus the "topology
 //! zoo" rivals (dragonfly, Space Shuffle, random regular expander) used
 //! to test the divide-and-conquer claim on structurally different
-//! fabrics. Every `*Params` type implements
-//! [`TopologyBuilder`].
+//! fabrics. Every `*Params` type builds its fabric with one inherent
+//! `build_fabric`, which returns a [`Built`]: the graph and its route
+//! plan. Node roles are read back from the graph by kind and level.
 
 use crate::graph::{NodeId, NodeKind, Topology};
-use crate::route::{Built, RoutePlan, TopologyBuilder};
+use crate::route::{Built, RoutePlan};
 use stardust_sim::DetRng;
 
 /// Parameters of the §6.2 two-tier fabric.
@@ -142,6 +143,11 @@ impl TwoTierParams {
     pub fn num_links(&self) -> usize {
         self.num_fa as usize * self.fa_uplinks as usize
             + self.t2_count as usize * self.t2_down as usize
+    }
+
+    /// Build the §6.2-style two-tier fabric and its shortest-path plan.
+    pub fn build_fabric(&self) -> Built {
+        Built::shortest_path(two_tier(*self).topo)
     }
 }
 
@@ -283,82 +289,50 @@ impl ThreeTierParams {
             "tier-2 up must equal tier-3 down"
         );
     }
-}
 
-/// The three-tier build result.
-#[derive(Debug, Clone)]
-pub struct ThreeTier {
-    /// The built link-level topology.
-    pub topo: Topology,
-    /// The parameters the build used.
-    pub params: ThreeTierParams,
-    /// Fabric Adapter node ids, in FA-index order.
-    pub fas: Vec<NodeId>,
-    /// Tier-1 Fabric Element node ids.
-    pub t1: Vec<NodeId>,
-    /// Tier-2 Fabric Element node ids.
-    pub t2: Vec<NodeId>,
-    /// Tier-3 (spine) Fabric Element node ids.
-    pub t3: Vec<NodeId>,
-}
+    /// Build a three-tier folded Clos. FAs are grouped into pods (one pod
+    /// per tier-1 group); tier-1 FEs into super-pods (one per tier-2
+    /// group); the tier-3 spine connects every tier-2 FE.
+    pub fn build_fabric(&self) -> Built {
+        self.validate();
+        let mut topo = Topology::new();
+        let fas = add_nodes(&mut topo, self.num_fa, NodeKind::Edge, 1);
+        let t1 = add_nodes(&mut topo, self.t1_count, NodeKind::Fabric, 2);
+        let t2 = add_nodes(&mut topo, self.t2_count, NodeKind::Fabric, 3);
+        let t3 = add_nodes(&mut topo, self.t3_count, NodeKind::Fabric, 4);
 
-/// Build a three-tier folded Clos. FAs are grouped into pods (one pod per
-/// tier-1 group); tier-1 FEs into super-pods (one per tier-2 group); the
-/// tier-3 spine connects every tier-2 FE.
-pub fn three_tier(params: ThreeTierParams) -> ThreeTier {
-    params.validate();
-    let mut topo = Topology::new();
-    let fas: Vec<NodeId> = (0..params.num_fa)
-        .map(|_| topo.add_node(NodeKind::Edge, 1))
-        .collect();
-    let t1: Vec<NodeId> = (0..params.t1_count)
-        .map(|_| topo.add_node(NodeKind::Fabric, 2))
-        .collect();
-    let t2: Vec<NodeId> = (0..params.t2_count)
-        .map(|_| topo.add_node(NodeKind::Fabric, 3))
-        .collect();
-    let t3: Vec<NodeId> = (0..params.t3_count)
-        .map(|_| topo.add_node(NodeKind::Fabric, 4))
-        .collect();
-
-    // FA ↔ tier-1: pods of FAs fan out over their pod's tier-1 group.
-    let pods = params.t1_count / params.fa_uplinks;
-    let pod_fas = params.num_fa / pods;
-    let t1_per_pod = params.t1_count / pods;
-    for (i, &fa) in fas.iter().enumerate() {
-        let pod = i as u32 / pod_fas;
-        for a in 0..params.fa_uplinks {
-            let fe = t1[(pod * t1_per_pod + a % t1_per_pod) as usize];
-            topo.add_link(fa, fe, params.near_meters);
-        }
-    }
-    // Tier-1 ↔ tier-2: super-pods.
-    let spods = params.t2_count / params.t1_up;
-    let t1_per_spod = params.t1_count / spods;
-    let t2_per_spod = params.t2_count / spods;
-    for (i, &fe1) in t1.iter().enumerate() {
-        let spod = i as u32 / t1_per_spod;
-        for u in 0..params.t1_up {
-            let fe2 = t2[(spod * t2_per_spod + u % t2_per_spod) as usize];
-            topo.add_link(fe1, fe2, params.near_meters);
-        }
-    }
-    // Tier-2 ↔ tier-3: full spread.
-    let per = params.t3_down / params.t2_count;
-    for &fe3 in &t3 {
-        for &fe2 in &t2 {
-            for _ in 0..per {
-                topo.add_link(fe2, fe3, params.far_meters);
+        // FA ↔ tier-1: pods of FAs fan out over their pod's tier-1 group.
+        let pods = self.t1_count / self.fa_uplinks;
+        let pod_fas = self.num_fa / pods;
+        let t1_per_pod = self.t1_count / pods;
+        for (i, &fa) in fas.iter().enumerate() {
+            let pod = i as u32 / pod_fas;
+            for a in 0..self.fa_uplinks {
+                let fe = t1[(pod * t1_per_pod + a % t1_per_pod) as usize];
+                topo.add_link(fa, fe, self.near_meters);
             }
         }
-    }
-    ThreeTier {
-        topo,
-        params,
-        fas,
-        t1,
-        t2,
-        t3,
+        // Tier-1 ↔ tier-2: super-pods.
+        let spods = self.t2_count / self.t1_up;
+        let t1_per_spod = self.t1_count / spods;
+        let t2_per_spod = self.t2_count / spods;
+        for (i, &fe1) in t1.iter().enumerate() {
+            let spod = i as u32 / t1_per_spod;
+            for u in 0..self.t1_up {
+                let fe2 = t2[(spod * t2_per_spod + u % t2_per_spod) as usize];
+                topo.add_link(fe1, fe2, self.near_meters);
+            }
+        }
+        // Tier-2 ↔ tier-3: full spread.
+        let per = self.t3_down / self.t2_count;
+        for &fe3 in &t3 {
+            for &fe2 in &t2 {
+                for _ in 0..per {
+                    topo.add_link(fe2, fe3, self.far_meters);
+                }
+            }
+        }
+        Built::shortest_path(topo)
     }
 }
 
@@ -386,49 +360,27 @@ impl SingleTierParams {
             meters: 2,
         }
     }
-}
 
-/// The single-tier build result.
-#[derive(Debug, Clone)]
-pub struct SingleTier {
-    /// The built link-level topology.
-    pub topo: Topology,
-    /// The parameters the build used.
-    pub params: SingleTierParams,
-    /// Fabric Adapter node ids, in FA-index order.
-    pub fas: Vec<NodeId>,
-    /// Fabric Element node ids.
-    pub fes: Vec<NodeId>,
-}
-
-/// Build a single-tier (FA — FE — FA) system: every FA spreads its uplinks
-/// evenly over every FE.
-pub fn single_tier(params: SingleTierParams) -> SingleTier {
-    assert_eq!(
-        params.fa_uplinks % params.fe_count,
-        0,
-        "uplinks must spread evenly over FEs"
-    );
-    let mut topo = Topology::new();
-    let fas: Vec<NodeId> = (0..params.num_fa)
-        .map(|_| topo.add_node(NodeKind::Edge, 1))
-        .collect();
-    let fes: Vec<NodeId> = (0..params.fe_count)
-        .map(|_| topo.add_node(NodeKind::Fabric, 2))
-        .collect();
-    let per = params.fa_uplinks / params.fe_count;
-    for &fa in &fas {
-        for &fe in &fes {
-            for _ in 0..per {
-                topo.add_link(fa, fe, params.meters);
+    /// Build a single-tier (FA — FE — FA) system: every FA spreads its
+    /// uplinks evenly over every FE.
+    pub fn build_fabric(&self) -> Built {
+        assert_eq!(
+            self.fa_uplinks % self.fe_count,
+            0,
+            "uplinks must spread evenly over FEs"
+        );
+        let mut topo = Topology::new();
+        let fas = add_nodes(&mut topo, self.num_fa, NodeKind::Edge, 1);
+        let fes = add_nodes(&mut topo, self.fe_count, NodeKind::Fabric, 2);
+        let per = self.fa_uplinks / self.fe_count;
+        for &fa in &fas {
+            for &fe in &fes {
+                for _ in 0..per {
+                    topo.add_link(fa, fe, self.meters);
+                }
             }
         }
-    }
-    SingleTier {
-        topo,
-        params,
-        fas,
-        fes,
+        Built::shortest_path(topo)
     }
 }
 
@@ -456,83 +408,48 @@ impl KaryParams {
             agg_core_meters: 100,
         }
     }
-}
 
-/// The k-ary build result.
-#[derive(Debug, Clone)]
-pub struct Kary {
-    /// The built link-level topology.
-    pub topo: Topology,
-    /// The parameters the build used.
-    pub params: KaryParams,
-    /// Host node ids.
-    pub hosts: Vec<NodeId>,
-    /// Edge (ToR) switch node ids.
-    pub edges: Vec<NodeId>,
-    /// Aggregation switch node ids.
-    pub aggs: Vec<NodeId>,
-    /// Core switch node ids.
-    pub cores: Vec<NodeId>,
-}
+    /// Build a k-ary fat-tree: k pods, each with k/2 edge and k/2
+    /// aggregation switches; (k/2)² cores; k²·k/4 hosts (level 0).
+    pub fn build_fabric(&self) -> Built {
+        let k = self.k;
+        assert!(k >= 2 && k.is_multiple_of(2), "k must be even");
+        let half = k / 2;
+        let mut topo = Topology::new();
+        let hosts = add_nodes(&mut topo, k * half * half, NodeKind::Host, 0);
+        let edges = add_nodes(&mut topo, k * half, NodeKind::Edge, 1);
+        let aggs = add_nodes(&mut topo, k * half, NodeKind::Fabric, 2);
+        let cores = add_nodes(&mut topo, half * half, NodeKind::Fabric, 3);
 
-/// Build a k-ary fat-tree: k pods, each with k/2 edge and k/2 aggregation
-/// switches; (k/2)² cores; k²·k/4 hosts.
-pub fn kary(params: KaryParams) -> Kary {
-    let k = params.k;
-    assert!(k >= 2 && k.is_multiple_of(2), "k must be even");
-    let half = k / 2;
-    let mut topo = Topology::new();
-
-    let hosts: Vec<NodeId> = (0..k * half * half)
-        .map(|_| topo.add_node(NodeKind::Host, 0))
-        .collect();
-    let edges: Vec<NodeId> = (0..k * half)
-        .map(|_| topo.add_node(NodeKind::Edge, 1))
-        .collect();
-    let aggs: Vec<NodeId> = (0..k * half)
-        .map(|_| topo.add_node(NodeKind::Fabric, 2))
-        .collect();
-    let cores: Vec<NodeId> = (0..half * half)
-        .map(|_| topo.add_node(NodeKind::Fabric, 3))
-        .collect();
-
-    // Hosts to edges: half hosts per edge switch.
-    for (i, &h) in hosts.iter().enumerate() {
-        let e = edges[i / half as usize];
-        topo.add_link(h, e, params.host_meters);
-    }
-    // Edges to aggs within a pod: full bipartite per pod.
-    for pod in 0..k {
-        for e in 0..half {
+        // Hosts to edges: half hosts per edge switch.
+        for (i, &h) in hosts.iter().enumerate() {
+            topo.add_link(h, edges[i / half as usize], self.host_meters);
+        }
+        // Edges to aggs within a pod: full bipartite per pod.
+        for pod in 0..k {
+            for e in 0..half {
+                for a in 0..half {
+                    topo.add_link(
+                        edges[(pod * half + e) as usize],
+                        aggs[(pod * half + a) as usize],
+                        self.edge_agg_meters,
+                    );
+                }
+            }
+        }
+        // Aggs to cores: agg `a` of each pod connects to cores [a·k/2, (a+1)·k/2).
+        for pod in 0..k {
             for a in 0..half {
-                topo.add_link(
-                    edges[(pod * half + e) as usize],
-                    aggs[(pod * half + a) as usize],
-                    params.edge_agg_meters,
-                );
+                for c in 0..half {
+                    topo.add_link(
+                        aggs[(pod * half + a) as usize],
+                        cores[(a * half + c) as usize],
+                        self.agg_core_meters,
+                    );
+                }
             }
         }
-    }
-    // Aggs to cores: agg `a` of each pod connects to cores [a·k/2, (a+1)·k/2).
-    for pod in 0..k {
-        for a in 0..half {
-            for c in 0..half {
-                topo.add_link(
-                    aggs[(pod * half + a) as usize],
-                    cores[(a * half + c) as usize],
-                    params.agg_core_meters,
-                );
-            }
-        }
-    }
-
-    Kary {
-        topo,
-        params,
-        hosts,
-        edges,
-        aggs,
-        cores,
+        Built::shortest_path(topo)
     }
 }
 
@@ -587,78 +504,56 @@ impl DragonflyParams {
         );
         assert!(self.fas_per_router >= 1, "need at least one FA per router");
     }
-}
 
-/// The dragonfly build result.
-#[derive(Debug, Clone)]
-pub struct Dragonfly {
-    /// The built link-level topology.
-    pub topo: Topology,
-    /// The parameters the build used.
-    pub params: DragonflyParams,
-    /// Fabric Adapter node ids, in FA-index order.
-    pub fas: Vec<NodeId>,
-    /// Router node ids, group-major.
-    pub routers: Vec<NodeId>,
-}
+    /// Build a balanced dragonfly with palmtree global wiring: group
+    /// `i`'s global channel `k` (router `k / h`) connects to group
+    /// `(i + k + 1) mod g`, whose matching channel is `a·h − k − 1` — a
+    /// standard symmetric assignment with exactly `h` globals per router.
+    /// Routers are numbered group-major.
+    pub fn build_fabric(&self) -> Built {
+        self.validate();
+        let (a, h, p) = (
+            self.routers_per_group,
+            self.globals_per_router,
+            self.fas_per_router,
+        );
+        let g = self.groups();
+        let mut topo = Topology::new();
+        let fas = add_nodes(&mut topo, g * a * p, NodeKind::Edge, 1);
+        let routers = add_nodes(&mut topo, g * a, NodeKind::Fabric, 2);
 
-/// Build a balanced dragonfly with palmtree global wiring: group `i`'s
-/// global channel `k` (router `k / h`) connects to group
-/// `(i + k + 1) mod g`, whose matching channel is `a·h − k − 1` — a
-/// standard symmetric assignment with exactly `h` globals per router.
-pub fn dragonfly(params: DragonflyParams) -> Dragonfly {
-    params.validate();
-    let (a, h, p) = (
-        params.routers_per_group,
-        params.globals_per_router,
-        params.fas_per_router,
-    );
-    let g = params.groups();
-    let mut topo = Topology::new();
-    let fas: Vec<NodeId> = (0..g * a * p)
-        .map(|_| topo.add_node(NodeKind::Edge, 1))
-        .collect();
-    let routers: Vec<NodeId> = (0..g * a)
-        .map(|_| topo.add_node(NodeKind::Fabric, 2))
-        .collect();
-
-    // FAs: p per router, FA index router-major.
-    for (i, &fa) in fas.iter().enumerate() {
-        let r = routers[i / p as usize];
-        topo.add_link(fa, r, params.host_meters);
-    }
-    // Intra-group complete graph.
-    for grp in 0..g {
-        for i in 0..a {
-            for j in (i + 1)..a {
-                topo.add_link(
-                    routers[(grp * a + i) as usize],
-                    routers[(grp * a + j) as usize],
-                    params.local_meters,
-                );
+        // FAs: p per router, FA index router-major.
+        for (i, &fa) in fas.iter().enumerate() {
+            topo.add_link(fa, routers[i / p as usize], self.host_meters);
+        }
+        // Intra-group complete graph.
+        for grp in 0..g {
+            for i in 0..a {
+                for j in (i + 1)..a {
+                    topo.add_link(
+                        routers[(grp * a + i) as usize],
+                        routers[(grp * a + j) as usize],
+                        self.local_meters,
+                    );
+                }
             }
         }
-    }
-    // Palmtree global wiring; each unordered group pair gets exactly one
-    // link, added from the lower-numbered group's side.
-    for i in 0..g {
-        for k in 0..a * h {
-            let j = (i + k + 1) % g;
-            if i < j {
-                let k_peer = a * h - k - 1;
-                topo.add_link(
-                    routers[(i * a + k / h) as usize],
-                    routers[(j * a + k_peer / h) as usize],
-                    params.global_meters,
-                );
+        // Palmtree global wiring; each unordered group pair gets exactly
+        // one link, added from the lower-numbered group's side.
+        for i in 0..g {
+            for k in 0..a * h {
+                let j = (i + k + 1) % g;
+                if i < j {
+                    let k_peer = a * h - k - 1;
+                    topo.add_link(
+                        routers[(i * a + k / h) as usize],
+                        routers[(j * a + k_peer / h) as usize],
+                        self.global_meters,
+                    );
+                }
             }
         }
-    }
-    Dragonfly {
-        topo,
-        params,
-        fas,
-        routers,
+        Built::shortest_path(topo)
     }
 }
 
@@ -702,104 +597,69 @@ impl SpaceShuffleParams {
         assert!(self.spaces >= 1, "need at least one ring space");
         assert!(self.fas_per_switch >= 1, "need at least one FA per switch");
     }
-}
 
-/// The Space Shuffle build result.
-#[derive(Debug, Clone)]
-pub struct SpaceShuffle {
-    /// The built link-level topology.
-    pub topo: Topology,
-    /// The parameters the build used.
-    pub params: SpaceShuffleParams,
-    /// Fabric Adapter node ids, in FA-index order.
-    pub fas: Vec<NodeId>,
-    /// Switch node ids, in switch-index order.
-    pub switches: Vec<NodeId>,
-    /// `positions[space][switch]` = ring position of the switch.
-    pub positions: Vec<Vec<u32>>,
-}
+    /// Build a Space Shuffle fabric: seeded ring permutations, the
+    /// deduplicated union of their adjacencies, `fas_per_switch` FAs per
+    /// switch, and the greedy-routing plan.
+    ///
+    /// The plan's potential: an FA's own node is 0; a switch is `1 + min
+    /// over spaces of circular ring distance` to the destination's
+    /// switch; other FAs are unreachable (∞). Greedy is live: in the
+    /// arg-min space, the ring neighbor along the shorter arc is strictly
+    /// closer, so every candidate set is non-empty.
+    pub fn build_fabric(&self) -> Built {
+        self.validate();
+        let n = self.switches;
+        let p = self.fas_per_switch;
+        let mut topo = Topology::new();
+        let fas = add_nodes(&mut topo, n * p, NodeKind::Edge, 1);
+        let switches = add_nodes(&mut topo, n, NodeKind::Fabric, 2);
+        for (i, &fa) in fas.iter().enumerate() {
+            topo.add_link(fa, switches[i / p as usize], self.host_meters);
+        }
 
-impl SpaceShuffle {
-    /// The greedy-routing potential: an FA's own node is 0; a switch is
-    /// `1 + min over spaces of circular ring distance` to the
-    /// destination's switch; other FAs are unreachable (∞). Greedy is
-    /// live: in the arg-min space, the ring neighbor along the shorter
-    /// arc is strictly closer, so every candidate set is non-empty.
-    pub fn plan(&self) -> RoutePlan {
-        let n = self.params.switches as u64;
-        let p = self.params.fas_per_switch as usize;
-        let positions = &self.positions;
-        let switches = &self.switches;
-        let fas = &self.fas;
-        RoutePlan::from_potential(&self.topo, |topo, dst, phi| {
+        let base = DetRng::from_label(self.seed, "space-shuffle-rings");
+        // `positions[space][switch]` = ring position of the switch.
+        let mut positions: Vec<Vec<u32>> = Vec::new();
+        let mut seen = std::collections::BTreeSet::new();
+        for space in 0..self.spaces {
+            let mut rng = base.split_u64(space as u64);
+            let mut perm: Vec<u32> = (0..n).collect();
+            rng.shuffle(&mut perm);
+            // Ring adjacency; skip pairs an earlier space already wired.
+            for i in 0..n as usize {
+                let (s, t) = (perm[i], perm[(i + 1) % n as usize]);
+                let pair = (s.min(t), s.max(t));
+                if seen.insert(pair) {
+                    topo.add_link(switches[s as usize], switches[t as usize], self.ring_meters);
+                }
+            }
+            let mut pos = vec![0u32; n as usize];
+            for (i, &s) in perm.iter().enumerate() {
+                pos[s as usize] = i as u32;
+            }
+            positions.push(pos);
+        }
+
+        let plan = RoutePlan::from_potential(&topo, |topo, dst, phi| {
             phi.clear();
             phi.resize(topo.num_nodes(), u64::MAX);
             phi[dst.0 as usize] = 0;
-            let dst_sw = fas.iter().position(|&f| f == dst).unwrap() / p;
+            // FA `i` is node `i`, behind switch `i / p`.
+            let dst_sw = (dst.0 / p) as usize;
             for (s, &sw) in switches.iter().enumerate() {
                 let best = positions
                     .iter()
                     .map(|pos| {
                         let d = pos[s].abs_diff(pos[dst_sw]) as u64;
-                        d.min(n - d)
+                        d.min(n as u64 - d)
                     })
                     .min()
                     .unwrap();
                 phi[sw.0 as usize] = 1 + best;
             }
-        })
-    }
-}
-
-/// Build a Space Shuffle fabric: seeded ring permutations, deduplicated
-/// union of ring adjacencies, `fas_per_switch` FAs per switch.
-pub fn space_shuffle(params: SpaceShuffleParams) -> SpaceShuffle {
-    params.validate();
-    let n = params.switches;
-    let mut topo = Topology::new();
-    let fas: Vec<NodeId> = (0..n * params.fas_per_switch)
-        .map(|_| topo.add_node(NodeKind::Edge, 1))
-        .collect();
-    let switches: Vec<NodeId> = (0..n).map(|_| topo.add_node(NodeKind::Fabric, 2)).collect();
-    for (i, &fa) in fas.iter().enumerate() {
-        topo.add_link(
-            fa,
-            switches[i / params.fas_per_switch as usize],
-            params.host_meters,
-        );
-    }
-
-    let base = DetRng::from_label(params.seed, "space-shuffle-rings");
-    let mut positions: Vec<Vec<u32>> = Vec::new();
-    let mut seen = std::collections::BTreeSet::new();
-    for space in 0..params.spaces {
-        let mut rng = base.split_u64(space as u64);
-        let mut perm: Vec<u32> = (0..n).collect();
-        rng.shuffle(&mut perm);
-        // Ring adjacency; skip pairs an earlier space already wired.
-        for i in 0..n as usize {
-            let (s, t) = (perm[i], perm[(i + 1) % n as usize]);
-            let pair = (s.min(t), s.max(t));
-            if seen.insert(pair) {
-                topo.add_link(
-                    switches[s as usize],
-                    switches[t as usize],
-                    params.ring_meters,
-                );
-            }
-        }
-        let mut pos = vec![0u32; n as usize];
-        for (i, &s) in perm.iter().enumerate() {
-            pos[s as usize] = i as u32;
-        }
-        positions.push(pos);
-    }
-    SpaceShuffle {
-        topo,
-        params,
-        fas,
-        switches,
-        positions,
+        });
+        Built::new(topo, plan)
     }
 }
 
@@ -848,106 +708,41 @@ impl ExpanderParams {
         );
         assert!(self.fas_per_switch >= 1, "need at least one FA per switch");
     }
-}
 
-/// The expander build result.
-#[derive(Debug, Clone)]
-pub struct Expander {
-    /// The built link-level topology.
-    pub topo: Topology,
-    /// The parameters the build used.
-    pub params: ExpanderParams,
-    /// Fabric Adapter node ids, in FA-index order.
-    pub fas: Vec<NodeId>,
-    /// Switch node ids, in switch-index order.
-    pub switches: Vec<NodeId>,
-}
-
-/// Build a random regular expander from superposed seeded Hamiltonian
-/// cycles (each cycle is connected, so the union always is).
-pub fn expander(params: ExpanderParams) -> Expander {
-    params.validate();
-    let n = params.switches;
-    let mut topo = Topology::new();
-    let fas: Vec<NodeId> = (0..n * params.fas_per_switch)
-        .map(|_| topo.add_node(NodeKind::Edge, 1))
-        .collect();
-    let switches: Vec<NodeId> = (0..n).map(|_| topo.add_node(NodeKind::Fabric, 2)).collect();
-    for (i, &fa) in fas.iter().enumerate() {
-        topo.add_link(
-            fa,
-            switches[i / params.fas_per_switch as usize],
-            params.host_meters,
-        );
-    }
-    let base = DetRng::from_label(params.seed, "expander-cycles");
-    let mut seen = std::collections::BTreeSet::new();
-    for cycle in 0..params.degree / 2 {
-        let mut rng = base.split_u64(cycle as u64);
-        let mut perm: Vec<u32> = (0..n).collect();
-        rng.shuffle(&mut perm);
-        for i in 0..n as usize {
-            let (s, t) = (perm[i], perm[(i + 1) % n as usize]);
-            let pair = (s.min(t), s.max(t));
-            if seen.insert(pair) {
-                topo.add_link(
-                    switches[s as usize],
-                    switches[t as usize],
-                    params.mesh_meters,
-                );
+    /// Build a random regular expander from superposed seeded
+    /// Hamiltonian cycles (each cycle is connected, so the union always
+    /// is).
+    pub fn build_fabric(&self) -> Built {
+        self.validate();
+        let n = self.switches;
+        let mut topo = Topology::new();
+        let fas = add_nodes(&mut topo, n * self.fas_per_switch, NodeKind::Edge, 1);
+        let switches = add_nodes(&mut topo, n, NodeKind::Fabric, 2);
+        for (i, &fa) in fas.iter().enumerate() {
+            let sw = switches[i / self.fas_per_switch as usize];
+            topo.add_link(fa, sw, self.host_meters);
+        }
+        let base = DetRng::from_label(self.seed, "expander-cycles");
+        let mut seen = std::collections::BTreeSet::new();
+        for cycle in 0..self.degree / 2 {
+            let mut rng = base.split_u64(cycle as u64);
+            let mut perm: Vec<u32> = (0..n).collect();
+            rng.shuffle(&mut perm);
+            for i in 0..n as usize {
+                let (s, t) = (perm[i], perm[(i + 1) % n as usize]);
+                let pair = (s.min(t), s.max(t));
+                if seen.insert(pair) {
+                    topo.add_link(switches[s as usize], switches[t as usize], self.mesh_meters);
+                }
             }
         }
-    }
-    Expander {
-        topo,
-        params,
-        fas,
-        switches,
+        Built::shortest_path(topo)
     }
 }
 
-impl TopologyBuilder for TwoTierParams {
-    fn build_fabric(&self) -> Built {
-        Built::shortest_path(two_tier(*self).topo)
-    }
-}
-
-impl TopologyBuilder for ThreeTierParams {
-    fn build_fabric(&self) -> Built {
-        Built::shortest_path(three_tier(*self).topo)
-    }
-}
-
-impl TopologyBuilder for SingleTierParams {
-    fn build_fabric(&self) -> Built {
-        Built::shortest_path(single_tier(*self).topo)
-    }
-}
-
-impl TopologyBuilder for KaryParams {
-    fn build_fabric(&self) -> Built {
-        Built::shortest_path(kary(*self).topo)
-    }
-}
-
-impl TopologyBuilder for DragonflyParams {
-    fn build_fabric(&self) -> Built {
-        Built::shortest_path(dragonfly(*self).topo)
-    }
-}
-
-impl TopologyBuilder for SpaceShuffleParams {
-    fn build_fabric(&self) -> Built {
-        let ss = space_shuffle(*self);
-        let plan = ss.plan();
-        Built::new(ss.topo, plan)
-    }
-}
-
-impl TopologyBuilder for ExpanderParams {
-    fn build_fabric(&self) -> Built {
-        Built::shortest_path(expander(*self).topo)
-    }
+/// Append `count` nodes of one kind and level; their ids, in order.
+fn add_nodes(topo: &mut Topology, count: u32, kind: NodeKind, level: u8) -> Vec<NodeId> {
+    (0..count).map(|_| topo.add_node(kind, level)).collect()
 }
 
 #[cfg(test)]
@@ -1039,87 +834,78 @@ mod tests {
     fn three_tier_dimensions_and_reach() {
         let p = ThreeTierParams::small();
         p.validate();
-        let tt = three_tier(p);
-        assert_eq!(tt.fas.len(), 16);
+        let Built { topo, plan } = p.build_fabric();
+        assert_eq!(topo.nodes_at(1).len(), 16);
         // Links: 16×2 + 8×4 + 8×4 = 96.
-        assert_eq!(tt.topo.num_links(), 96);
-        tt.topo.validate(8);
-        let plan = RoutePlan::shortest_path(&tt.topo);
+        assert_eq!(topo.num_links(), 96);
+        topo.validate(8);
         // The spine reaches every FA downward.
-        for &sp in &tt.t3 {
-            assert!((0..16).all(|d| reaches_down(&plan, &tt.topo, sp, d)));
+        for sp in topo.nodes_at(4) {
+            assert!((0..16).all(|d| reaches_down(&plan, &topo, sp, d)));
         }
         // Forwarding from a tier-1 FE toward a remote pod uses up links.
-        let fwd = plan.next_links(&tt.topo, tt.t1[0], 15);
-        assert_eq!(fwd, tt.topo.up_links(tt.t1[0]));
+        let t1 = topo.nodes_at(2)[0];
+        assert_eq!(plan.next_links(&topo, t1, 15), topo.up_links(t1));
     }
 
     #[test]
     fn single_tier_dimensions() {
-        let st = single_tier(SingleTierParams::paper_6_1());
-        assert_eq!(st.fas.len(), 24);
-        assert_eq!(st.fes.len(), 12);
+        let topo = SingleTierParams::paper_6_1().build_fabric().topo;
+        assert_eq!(topo.nodes_at(1).len(), 24);
+        assert_eq!(topo.nodes_at(2).len(), 12);
         // 24 FAs × 36 uplinks = 864 links; 72 per FE.
-        assert_eq!(st.topo.num_links(), 864);
-        for &fe in &st.fes {
-            assert_eq!(st.topo.node(fe).links.len(), 72);
+        assert_eq!(topo.num_links(), 864);
+        for fe in topo.nodes_at(2) {
+            assert_eq!(topo.node(fe).links.len(), 72);
         }
     }
 
     #[test]
     fn single_tier_every_fe_reaches_every_fa() {
-        let st = single_tier(SingleTierParams::paper_6_1());
-        let plan = RoutePlan::shortest_path(&st.topo);
-        for &fe in &st.fes {
-            for (d, &fa) in st.fas.iter().enumerate() {
+        let Built { topo, plan } = SingleTierParams::paper_6_1().build_fabric();
+        for fe in topo.nodes_at(2) {
+            for (d, fa) in topo.nodes_at(1).into_iter().enumerate() {
                 // The FE's parallel links to that FA, and no others.
-                let fwd = plan.next_links(&st.topo, fe, d as u32);
+                let fwd = plan.next_links(&topo, fe, d as u32);
                 assert_eq!(fwd.len(), 3);
-                assert!(fwd.iter().all(|&l| st.topo.peer(fe, l) == fa));
+                assert!(fwd.iter().all(|&l| topo.peer(fe, l) == fa));
             }
         }
     }
 
     #[test]
     fn kary_432_dimensions() {
-        let ft = kary(KaryParams::paper_6_3());
-        assert_eq!(ft.hosts.len(), 432);
-        assert_eq!(ft.edges.len(), 72);
-        assert_eq!(ft.aggs.len(), 72);
-        assert_eq!(ft.cores.len(), 36);
+        let topo = KaryParams::paper_6_3().build_fabric().topo;
+        // Hosts, edges, aggregation and core switches.
+        let counts: Vec<usize> = (0..4).map(|lvl| topo.nodes_at(lvl).len()).collect();
+        assert_eq!(counts, [432, 72, 72, 36]);
         // Links: hosts 432 + edge-agg 12·6·6 = 432 + agg-core 12·6·6 = 432.
-        assert_eq!(ft.topo.num_links(), 432 * 3);
-        ft.topo.validate(12);
+        assert_eq!(topo.num_links(), 432 * 3);
+        topo.validate(12);
     }
 
     #[test]
     fn kary_switch_radix_is_k() {
-        let ft = kary(KaryParams::paper_6_3());
-        for &e in &ft.edges {
-            assert_eq!(ft.topo.node(e).links.len(), 12);
-        }
-        for &a in &ft.aggs {
-            assert_eq!(ft.topo.node(a).links.len(), 12);
-        }
-        for &c in &ft.cores {
-            assert_eq!(ft.topo.node(c).links.len(), 12);
+        let topo = KaryParams::paper_6_3().build_fabric().topo;
+        for sw in (1..4).flat_map(|lvl| topo.nodes_at(lvl)) {
+            assert_eq!(topo.node(sw).links.len(), 12);
         }
     }
 
     #[test]
     fn kary_core_reaches_all_edges() {
-        let ft = kary(KaryParams {
+        let Built { topo, plan } = KaryParams {
             k: 4,
             ..KaryParams::paper_6_3()
-        });
-        let plan = RoutePlan::shortest_path(&ft.topo);
-        let n = ft.edges.len() as u32;
-        for &c in &ft.cores {
-            assert!((0..n).all(|d| reaches_down(&plan, &ft.topo, c, d)));
+        }
+        .build_fabric();
+        let n = topo.nodes_at(1).len() as u32;
+        for c in topo.nodes_at(3) {
+            assert!((0..n).all(|d| reaches_down(&plan, &topo, c, d)));
         }
         // Aggregation reaches only its pod's edges downward.
-        for &a in &ft.aggs {
-            let below = (0..n).filter(|&d| reaches_down(&plan, &ft.topo, a, d));
+        for a in topo.nodes_at(2) {
+            let below = (0..n).filter(|&d| reaches_down(&plan, &topo, a, d));
             assert_eq!(below.count(), 2);
         }
     }
@@ -1128,31 +914,28 @@ mod tests {
     fn dragonfly_zoo_dimensions() {
         let p = DragonflyParams::zoo();
         assert_eq!(p.groups(), 5);
-        let df = dragonfly(p);
-        assert_eq!(df.fas.len(), 20);
-        assert_eq!(df.routers.len(), 20);
+        let topo = p.build_fabric().topo;
+        assert_eq!(topo.nodes_at(1).len(), 20);
+        assert_eq!(topo.nodes_at(2).len(), 20);
         // Links: 20 FA + 5·(4·3/2)=30 local + 5·4·1/2=10 global.
-        assert_eq!(df.topo.num_links(), 20 + 30 + 10);
+        assert_eq!(topo.num_links(), 20 + 30 + 10);
         // Router radix: p + (a−1) + h = 1 + 3 + 1.
-        for &r in &df.routers {
-            assert_eq!(df.topo.node(r).links.len(), 5);
+        for r in topo.nodes_at(2) {
+            assert_eq!(topo.node(r).links.len(), 5);
         }
-        df.topo.validate(5);
+        topo.validate(5);
     }
 
     #[test]
     fn dragonfly_every_group_pair_linked_once() {
-        let df = dragonfly(DragonflyParams::zoo());
-        let a = df.params.routers_per_group;
+        let p = DragonflyParams::zoo();
+        let topo = p.build_fabric().topo;
+        let routers = topo.nodes_at(2);
+        let a = p.routers_per_group;
         let mut pair_links = std::collections::BTreeMap::new();
-        for l in df.topo.link_ids() {
-            let ends = df.topo.link(l).ends;
-            let grp = |n: NodeId| {
-                df.routers
-                    .iter()
-                    .position(|&r| r == n)
-                    .map(|i| i as u32 / a)
-            };
+        for l in topo.link_ids() {
+            let ends = topo.link(l).ends;
+            let grp = |n: NodeId| routers.iter().position(|&r| r == n).map(|i| i as u32 / a);
             if let (Some(ga), Some(gb)) = (grp(ends[0]), grp(ends[1])) {
                 if ga != gb {
                     *pair_links.entry((ga.min(gb), ga.max(gb))).or_insert(0u32) += 1;
@@ -1165,64 +948,56 @@ mod tests {
 
     #[test]
     fn space_shuffle_builds_connected_and_deterministic() {
-        let ss = space_shuffle(SpaceShuffleParams::zoo(7));
-        assert_eq!(ss.fas.len(), 16);
-        assert_eq!(ss.switches.len(), 16);
-        ss.topo.validate(16);
+        let Built { topo, plan } = SpaceShuffleParams::zoo(7).build_fabric();
+        assert_eq!(topo.nodes_at(1).len(), 16);
+        assert_eq!(topo.nodes_at(2).len(), 16);
+        topo.validate(16);
         // Deterministic for a seed, different across seeds.
-        let again = space_shuffle(SpaceShuffleParams::zoo(7));
-        assert_eq!(ss.topo.num_links(), again.topo.num_links());
-        assert_eq!(ss.positions, again.positions);
-        let other = space_shuffle(SpaceShuffleParams::zoo(8));
-        assert_ne!(ss.positions, other.positions);
+        let wiring = |seed| format!("{:?}", SpaceShuffleParams::zoo(seed).build_fabric().topo);
+        assert_eq!(wiring(7), format!("{topo:?}"));
+        assert_ne!(wiring(7), wiring(8));
         // The greedy plan never leaves a reachable destination without a
         // candidate (checked inside from_potential in debug builds).
-        let plan = ss.plan();
         assert_eq!(plan.num_endpoints, 16);
         // Each switch's FA link carries exactly that FA.
-        for (i, &fa) in ss.fas.iter().enumerate() {
-            let l = ss.topo.node(fa).links[0];
-            let dir = ss.topo.dir_from(ss.topo.peer(fa, l), l);
-            let set = &plan.dir_dsts[dir.link.0 as usize * 2 + dir.from_end as usize];
+        for (i, fa) in topo.nodes_at(1).into_iter().enumerate() {
+            let l = topo.node(fa).links[0];
+            let set = &plan.dir_dsts[topo.dir(topo.peer(fa, l), l) as usize];
             assert_eq!(set.expand(), vec![i as u32]);
         }
     }
 
     #[test]
     fn expander_builds_regular_and_connected() {
-        let ex = expander(ExpanderParams::zoo(3));
-        assert_eq!(ex.fas.len(), 16);
-        ex.topo.validate(16);
-        for &s in &ex.switches {
-            let deg = ex.topo.node(s).links.len() - ex.params.fas_per_switch as usize;
+        let p = ExpanderParams::zoo(3);
+        let Built { topo, plan } = p.build_fabric();
+        let fas = topo.nodes_at(1);
+        assert_eq!(fas.len(), 16);
+        topo.validate(16);
+        for s in topo.nodes_at(2) {
+            let deg = topo.node(s).links.len() - p.fas_per_switch as usize;
             assert!((2..=4).contains(&deg), "switch degree {deg} out of range");
         }
         // Connectivity: the shortest-path plan reaches every endpoint
         // from every FA uplink (no empty uplink candidate set).
-        let plan = RoutePlan::shortest_path(&ex.topo);
-        for (i, &fa) in ex.fas.iter().enumerate() {
-            let l = ex.topo.node(fa).links[0];
-            let dir = ex.topo.dir_from(fa, l);
-            let set = &plan.dir_dsts[dir.link.0 as usize * 2 + dir.from_end as usize];
-            assert_eq!(set.len(), ex.fas.len() - 1);
+        for (i, &fa) in fas.iter().enumerate() {
+            let l = topo.node(fa).links[0];
+            let set = &plan.dir_dsts[topo.dir(fa, l) as usize];
+            assert_eq!(set.len(), fas.len() - 1);
             assert!(!set.contains(i as u32));
         }
     }
 
     #[test]
     fn zoo_groups_follow_switch_blocks() {
-        let df = dragonfly(DragonflyParams {
-            fas_per_router: 2,
-            ..DragonflyParams::zoo()
-        });
         let built = DragonflyParams {
             fas_per_router: 2,
             ..DragonflyParams::zoo()
         }
         .build_fabric();
-        assert_eq!(built.endpoints.len(), 40);
+        assert_eq!(built.plan.num_endpoints, 40);
         // One group per router, two FAs each.
-        assert_eq!(built.plan.groups.len(), df.routers.len());
+        assert_eq!(built.plan.groups.len(), built.topo.nodes_at(2).len());
         assert!(built.plan.groups.iter().all(|g| g.len() == 2));
     }
 
@@ -1269,12 +1044,14 @@ mod tests {
 
     #[test]
     fn node_kind_partitions() {
-        let ft = kary(KaryParams {
+        let topo = KaryParams {
             k: 4,
             ..KaryParams::paper_6_3()
-        });
-        assert_eq!(ft.topo.nodes_of_kind(NodeKind::Host).len(), 16);
-        assert_eq!(ft.topo.nodes_of_kind(NodeKind::Edge).len(), 8);
-        assert_eq!(ft.topo.nodes_of_kind(NodeKind::Fabric).len(), 8 + 4);
+        }
+        .build_fabric()
+        .topo;
+        assert_eq!(topo.nodes_of_kind(NodeKind::Host).len(), 16);
+        assert_eq!(topo.nodes_of_kind(NodeKind::Edge).len(), 8);
+        assert_eq!(topo.nodes_of_kind(NodeKind::Fabric).len(), 8 + 4);
     }
 }

@@ -8,16 +8,6 @@ pub struct NodeId(pub u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LinkId(pub u32);
 
-/// One direction of a full-duplex link: traffic flowing *out of* end
-/// `from_end` (0 or 1) toward the opposite end.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct LinkDir {
-    /// The underlying full-duplex link.
-    pub link: LinkId,
-    /// Which end (0 or 1) traffic flows out of.
-    pub from_end: u8,
-}
-
 /// What a node is. The paper's device taxonomy: hosts attach to the edge;
 /// edge devices (ToR / Fabric Adapter) speak packets; fabric devices
 /// (Ethernet switch in the baseline, Fabric Element in Stardust) make up
@@ -59,7 +49,7 @@ impl Link {
     pub fn end(&self, e: u8) -> NodeId {
         self.ends[e as usize]
     }
-    /// The node a [`LinkDir`] points *to*.
+    /// The node traffic leaving end `dir_from_end` flows *to*.
     pub fn dst_of(&self, dir_from_end: u8) -> NodeId {
         self.ends[1 - dir_from_end as usize]
     }
@@ -149,6 +139,14 @@ impl Topology {
         l.ends[1 - l.end_of(node) as usize]
     }
 
+    /// The direction index of traffic leaving `from` on `link`:
+    /// `link * 2 + end`, where `end` (0 or 1) is the end `from` occupies.
+    /// Every engine indexes its per-direction state by this encoding, and
+    /// so does [`RoutePlan::dir_dsts`](crate::RoutePlan::dir_dsts).
+    pub fn dir(&self, from: NodeId, link: LinkId) -> u32 {
+        link.0 * 2 + self.link(link).end_of(from) as u32
+    }
+
     /// Neighbors of `node` as `(link, peer)` pairs, in port order.
     pub fn neighbors(&self, node: NodeId) -> impl Iterator<Item = (LinkId, NodeId)> + '_ {
         self.node(node)
@@ -187,12 +185,12 @@ impl Topology {
 /// Structural views the crate's tests check builders and plans against.
 #[cfg(test)]
 impl Topology {
-    /// The [`LinkDir`] for traffic leaving `node` on `link`.
-    pub(crate) fn dir_from(&self, node: NodeId, link: LinkId) -> LinkDir {
-        LinkDir {
-            link,
-            from_end: self.link(link).end_of(node),
-        }
+    /// The nodes at tier `level`, in node id order: a builder's role
+    /// list (FAs, one FE tier, the hosts) read back from the graph.
+    pub(crate) fn nodes_at(&self, level: u8) -> Vec<NodeId> {
+        self.node_ids()
+            .filter(|&n| self.node(n).level == level)
+            .collect()
     }
 
     /// Links from `node` whose peer sits one level *above*.
@@ -238,9 +236,11 @@ mod tests {
         let l = t.node(e0).links[0];
         assert_eq!(t.peer(e0, l), f0);
         assert_eq!(t.peer(f0, l), e0);
-        let d = t.dir_from(e0, l);
-        assert_eq!(t.link(l).dst_of(d.from_end), f0);
-        assert_eq!(t.link(l).dst_of(1 - d.from_end), e0);
+        let from_end = (t.dir(e0, l) % 2) as u8;
+        assert_eq!(t.dir(e0, l), l.0 * 2 + from_end as u32);
+        assert_eq!(t.link(l).dst_of(from_end), f0);
+        assert_eq!(t.link(l).dst_of(1 - from_end), e0);
+        assert_eq!(t.dir(f0, l), t.dir(e0, l) ^ 1);
     }
 
     #[test]

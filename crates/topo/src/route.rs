@@ -89,7 +89,7 @@ impl DstSet {
 /// link direction may carry, plus the endpoint grouping shards align to.
 #[derive(Debug, Clone)]
 pub struct RoutePlan {
-    /// Per link direction (indexed `link.0 * 2 + from_end`, matching the
+    /// Per link direction (indexed by [`Topology::dir`], matching the
     /// engine's direction indexing): the set of destination endpoint
     /// indices for which this direction strictly decreases the potential.
     pub dir_dsts: Vec<DstSet>,
@@ -227,10 +227,7 @@ impl RoutePlan {
             .links
             .iter()
             .copied()
-            .filter(|&l| {
-                let dir = l.0 as usize * 2 + topo.link(l).end_of(node) as usize;
-                self.dir_dsts[dir].contains(dst)
-            })
+            .filter(|&l| self.dir_dsts[topo.dir(node, l) as usize].contains(dst))
             .collect()
     }
 }
@@ -310,27 +307,28 @@ fn endpoint_groups(topo: &Topology, endpoints: &[NodeId]) -> Vec<Vec<NodeId>> {
     groups
 }
 
-/// A constructed fabric: the graph, its packet endpoints (Fabric
-/// Adapters / edge switches, in engine index order), and the route plan
-/// engines consume.
+/// A constructed fabric: the graph and the route plan engines consume.
+/// Every `*Params::build_fabric` returns one; the packet endpoints (Fabric
+/// Adapters / edge switches) are the graph's [`NodeKind::Edge`] nodes, in
+/// ascending node id, which is the engines' endpoint index order.
 #[derive(Debug, Clone)]
 pub struct Built {
     /// The link-level topology.
     pub topo: Topology,
-    /// Endpoint node ids in engine index order (= ascending node id).
-    pub endpoints: Vec<NodeId>,
     /// The routing plan for this graph.
     pub plan: Arc<RoutePlan>,
 }
 
 impl Built {
-    /// Wrap a topology with an already-computed plan.
+    /// Wrap a topology with an already-computed plan over its endpoints.
     pub fn new(topo: Topology, plan: RoutePlan) -> Built {
-        let endpoints = topo.nodes_of_kind(NodeKind::Edge);
-        assert_eq!(plan.num_endpoints, endpoints.len());
+        let endpoints = topo
+            .node_ids()
+            .filter(|&n| topo.node(n).kind == NodeKind::Edge)
+            .count();
+        assert_eq!(plan.num_endpoints, endpoints);
         Built {
             topo,
-            endpoints,
             plan: Arc::new(plan),
         }
     }
@@ -342,21 +340,12 @@ impl Built {
     }
 }
 
-/// One uniform surface over every fabric shape: build the graph and its
-/// route plan. Implemented by all `*Params` types in
-/// [`crate::builders`], so spec/bench layers dispatch on a parameter
-/// value instead of naming a concrete constructor.
-pub trait TopologyBuilder {
-    /// Build the graph, endpoint list, and route plan.
-    fn build_fabric(&self) -> Built;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builders::{
-        dragonfly, expander, kary, single_tier, three_tier, two_tier, DragonflyParams,
-        ExpanderParams, KaryParams, SingleTierParams, ThreeTierParams, TwoTierParams,
+        two_tier, DragonflyParams, ExpanderParams, KaryParams, SingleTierParams, ThreeTierParams,
+        TwoTierParams,
     };
     use std::collections::VecDeque;
 
@@ -389,8 +378,8 @@ mod tests {
             fas_per_router: 2,
             ..DragonflyParams::zoo()
         };
-        let df = dragonfly(df);
-        assert_eq!(df.fas.len(), 72);
+        let df = df.build_fabric();
+        assert_eq!(df.plan.num_endpoints, 72);
         // Two FA pairs, each behind its own FE, with no link between the
         // FEs: every endpoint is unreachable from the other pair, so the
         // first FA's uplink (direction 0) carries only its pod mate.
@@ -405,14 +394,14 @@ mod tests {
         assert_eq!(RoutePlan::shortest_path(&split).dir_dsts[0].expand(), [1]);
         let graphs = [
             ("two-tier", two_tier(TwoTierParams::paper_6_2()).topo),
-            ("three-tier", three_tier(ThreeTierParams::small()).topo),
+            ("three-tier", ThreeTierParams::small().build_fabric().topo),
             (
                 "single-tier",
-                single_tier(SingleTierParams::paper_6_1()).topo,
+                SingleTierParams::paper_6_1().build_fabric().topo,
             ),
-            ("k-ary", kary(KaryParams::paper_6_3()).topo),
+            ("k-ary", KaryParams::paper_6_3().build_fabric().topo),
             ("dragonfly", df.topo),
-            ("expander", expander(ExpanderParams::zoo(3)).topo),
+            ("expander", ExpanderParams::zoo(3).build_fabric().topo),
             ("unreachable", split),
         ];
         for (name, topo) in &graphs {
@@ -483,10 +472,11 @@ mod tests {
                 fig7.add_link(tor, sw, 10);
             }
         }
-        let fat_tree = kary(KaryParams {
+        let fat_tree = KaryParams {
             k: 4,
             ..KaryParams::paper_6_3()
-        });
+        }
+        .build_fabric();
         let tt = two_tier(TwoTierParams::paper_scaled(16));
         for (name, topo) in [
             ("two-tier", &tt.topo),
@@ -512,32 +502,28 @@ mod tests {
 
         for (i, &fa) in tt.fas.iter().enumerate() {
             for l in tt.topo.up_links(fa) {
-                let dir = tt.topo.dir_from(fa, l);
-                let set = &plan.dir_dsts[dir.link.0 as usize * 2 + dir.from_end as usize];
+                let set = &plan.dir_dsts[tt.topo.dir(fa, l) as usize];
                 assert_eq!(set.len(), tt.fas.len() - 1, "uplink carries all but self");
                 assert!(!set.contains(i as u32));
             }
         }
         for &agg in &tt.t1 {
             for l in tt.topo.down_links(agg) {
-                let dir = tt.topo.dir_from(agg, l);
-                let set = &plan.dir_dsts[dir.link.0 as usize * 2 + dir.from_end as usize];
+                let set = &plan.dir_dsts[tt.topo.dir(agg, l) as usize];
                 // The down-link to FA j carries exactly {j}.
                 let peer = tt.topo.peer(agg, l);
                 let j = tt.fas.iter().position(|&f| f == peer).unwrap() as u32;
                 assert_eq!(set.expand(), vec![j]);
             }
             for l in tt.topo.up_links(agg) {
-                let dir = tt.topo.dir_from(agg, l);
-                let set = &plan.dir_dsts[dir.link.0 as usize * 2 + dir.from_end as usize];
+                let set = &plan.dir_dsts[tt.topo.dir(agg, l) as usize];
                 // Uplinks carry exactly the other pods.
                 assert_eq!(set.len(), tt.fas.len() - pod_fas);
             }
         }
         for &sp in &tt.t2 {
             for l in tt.topo.down_links(sp) {
-                let dir = tt.topo.dir_from(sp, l);
-                let set = &plan.dir_dsts[dir.link.0 as usize * 2 + dir.from_end as usize];
+                let set = &plan.dir_dsts[tt.topo.dir(sp, l) as usize];
                 // Spine down-link to a tier-1 FE carries that FE's pod.
                 assert_eq!(set.len(), pod_fas);
             }
@@ -559,16 +545,15 @@ mod tests {
 
     #[test]
     fn single_tier_collapses_to_one_group() {
-        let st = single_tier(SingleTierParams::paper_6_1());
-        let plan = RoutePlan::shortest_path(&st.topo);
+        let Built { topo, plan } = SingleTierParams::paper_6_1().build_fabric();
         assert_eq!(plan.groups.len(), 1);
         assert_eq!(plan.groups[0].len(), 24);
         // Every FE-side down direction carries exactly one FA.
-        for &fe in &st.fes {
-            for (l, peer) in st.topo.neighbors(fe).collect::<Vec<_>>() {
-                let dir = st.topo.dir_from(fe, l);
-                let set = &plan.dir_dsts[dir.link.0 as usize * 2 + dir.from_end as usize];
-                let j = st.fas.iter().position(|&f| f == peer).unwrap() as u32;
+        let fas = topo.nodes_at(1);
+        for fe in topo.nodes_at(2) {
+            for (l, peer) in topo.neighbors(fe) {
+                let set = &plan.dir_dsts[topo.dir(fe, l) as usize];
+                let j = fas.iter().position(|&f| f == peer).unwrap() as u32;
                 assert_eq!(set.expand(), vec![j]);
             }
         }
@@ -577,9 +562,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "destination potential")]
     fn bad_potential_rejected() {
-        let st = single_tier(SingleTierParams::paper_6_1());
-        let n = st.topo.num_nodes();
-        let _ = RoutePlan::from_potential(&st.topo, |_, _, phi| {
+        let topo = SingleTierParams::paper_6_1().build_fabric().topo;
+        let n = topo.num_nodes();
+        let _ = RoutePlan::from_potential(&topo, |_, _, phi| {
             phi.clear();
             phi.resize(n, 7);
         });

@@ -8,9 +8,9 @@ use crate::config::{
 use stardust_sim::link::fiber_delay;
 use stardust_sim::units::serialization_time;
 use stardust_sim::{Counter, EventQueue, FlowStats, SimDuration, SimTime};
-use stardust_topo::builders::Kary;
-use stardust_topo::{NodeId, NodeKind, RoutePlan, Topology};
+use stardust_topo::{Built, NodeId, NodeKind, RoutePlan, Topology};
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::sync::Arc;
 
 /// Index of a flow in the simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -220,7 +220,7 @@ pub struct TransportSim {
     seed: u64,
     topo: Topology,
     hosts: Vec<NodeId>,
-    plan: RoutePlan,
+    plan: Arc<RoutePlan>,
     /// Edge switches, in `plan`'s endpoint order.
     edges: Vec<NodeId>,
     dirs: Vec<Dir>,
@@ -236,12 +236,14 @@ pub struct TransportSim {
 }
 
 impl TransportSim {
-    /// Build over a k-ary fat-tree from `stardust-topo`; `seed` salts the
-    /// ECMP path hash.
-    pub fn new(ft: Kary, seed: u64) -> Self {
-        let Kary {
-            topo, hosts, edges, ..
-        } = ft;
+    /// Build over a k-ary fat-tree from `stardust-topo`
+    /// (`KaryParams::build_fabric`): its hosts are the graph's
+    /// [`NodeKind::Host`] nodes and its edge switches the plan's
+    /// endpoints. `seed` salts the ECMP path hash.
+    pub fn new(built: Built, seed: u64) -> Self {
+        let Built { topo, plan } = built;
+        let hosts = topo.nodes_of_kind(NodeKind::Host);
+        let edges = topo.nodes_of_kind(NodeKind::Edge);
         let mut dirs = Vec::with_capacity(topo.num_links() * 2);
         for l in topo.link_ids() {
             let prop = fiber_delay(topo.link(l).meters as u64);
@@ -254,20 +256,17 @@ impl TransportSim {
                 });
             }
         }
-        let plan = RoutePlan::shortest_path(&topo);
-        debug_assert_eq!(edges, topo.nodes_of_kind(NodeKind::Edge));
         // One Stardust port scheduler per host.
         let sd_ports = hosts
             .iter()
             .map(|&h| {
                 // The host's single link; direction edge→host.
                 let l = topo.node(h).links[0];
-                let edge_end = topo.link(l).end_of(topo.peer(h, l));
                 SdPort {
                     ring: VecDeque::new(),
                     pending: HashMap::new(),
                     armed: false,
-                    final_dir: l.0 * 2 + edge_end as u32,
+                    final_dir: topo.dir(topo.peer(h, l), l),
                 }
             })
             .collect();
@@ -337,20 +336,22 @@ impl TransportSim {
         splitmix(a ^ ((node.0 as u64) << 1))
     }
 
+    /// Host `host`'s single link: its edge switch, and the link's two
+    /// direction indices (host → edge, edge → host).
+    fn host_link(&self, host: u32) -> (NodeId, u32, u32) {
+        let h = self.hosts[host as usize];
+        let l = self.topo.node(h).links[0];
+        let edge = self.topo.peer(h, l);
+        (edge, self.topo.dir(h, l), self.topo.dir(edge, l))
+    }
+
     /// Compute a flow-pinned ECMP path from `src_host` to `dst_host`, as a
     /// sequence of direction indices.
     fn compute_path(&self, flow: u32, sub: u8, src_host: u32, dst_host: u32) -> Vec<u32> {
-        let src = self.hosts[src_host as usize];
-        let dst = self.hosts[dst_host as usize];
-        let dst_edge = {
-            let l = self.topo.node(dst).links[0];
-            self.topo.peer(dst, l)
-        };
+        let (mut node, up, _) = self.host_link(src_host);
+        let (dst_edge, _, down) = self.host_link(dst_host);
         let mut path = Vec::with_capacity(6);
-        // Host uplink.
-        let l0 = self.topo.node(src).links[0];
-        path.push(l0.0 * 2 + self.topo.link(l0).end_of(src) as u32);
-        let mut node = self.topo.peer(src, l0);
+        path.push(up);
         let dst_ep = self.edges.iter().position(|&e| e == dst_edge);
         let dst_ep = dst_ep.expect("every host hangs off an edge switch") as u32;
         while node != dst_edge {
@@ -358,12 +359,10 @@ impl TransportSim {
             debug_assert!(!candidates.is_empty());
             let h = Self::ecmp_hash(self.seed, flow, sub, node);
             let link = candidates[(h % candidates.len() as u64) as usize];
-            path.push(link.0 * 2 + self.topo.link(link).end_of(node) as u32);
+            path.push(self.topo.dir(node, link));
             node = self.topo.peer(node, link);
         }
-        // Edge → destination host.
-        let lh = self.topo.node(dst).links[0];
-        path.push(lh.0 * 2 + self.topo.link(lh).end_of(dst_edge) as u32);
+        path.push(down);
         path
     }
 
@@ -394,12 +393,9 @@ impl TransportSim {
                 share
             };
             let path = match proto {
-                Protocol::Stardust => {
-                    let up = self.compute_path(id, s, src_host, dst_host);
-                    // Keep only host-uplink and final edge→host hops; the
-                    // fabric in between is the scheduled cell fabric.
-                    vec![up[0], *up.last().unwrap()]
-                }
+                // Only the host uplink and the final edge→host hop; the
+                // fabric in between is the scheduled cell fabric.
+                Protocol::Stardust => vec![self.host_link(src_host).1, self.host_link(dst_host).2],
                 _ => self.compute_path(id, s, src_host, dst_host),
             };
             let mut ret_delay: SimDuration = path
@@ -1008,21 +1004,15 @@ impl TransportSim {
             return;
         };
         let mut budget = credit + voq.balance;
-        let mut out = Vec::new();
         while budget > 0 {
-            match voq.q.pop_front() {
-                Some(p) => {
-                    budget -= p.bytes as i64;
-                    voq.bytes -= p.bytes as u64;
-                    out.push(p);
-                }
-                None => break,
-            }
-        }
-        voq.balance = budget.min(credit);
-        for p in out {
+            let Some(p) = voq.q.pop_front() else {
+                break;
+            };
+            budget -= p.bytes as i64;
+            voq.bytes -= p.bytes as u64;
             self.events.schedule(now + fabric, Ev::SdOut { pkt: p });
         }
+        voq.balance = budget.min(credit);
     }
 
     fn on_sd_out(&mut self, now: SimTime, mut pkt: Pkt) {
@@ -1037,13 +1027,14 @@ impl TransportSim {
 mod tests {
     use super::*;
     use crate::config::DEFAULT_SEED;
-    use stardust_topo::builders::{kary, KaryParams};
+    use stardust_topo::KaryParams;
 
-    fn k4() -> Kary {
-        kary(KaryParams {
+    fn k4() -> Built {
+        KaryParams {
             k: 4,
             ..KaryParams::paper_6_3()
-        })
+        }
+        .build_fabric()
     }
 
     fn goodput_gbps(sim: &TransportSim, id: FlowId, window: SimDuration) -> f64 {

@@ -634,7 +634,7 @@ impl ServiceGen {
 mod tests {
     use super::*;
     use stardust_fabric::{FabricConfig, FabricEngine};
-    use stardust_topo::builders::{kary, two_tier, KaryParams, TwoTierParams};
+    use stardust_topo::builders::{two_tier, KaryParams, TwoTierParams};
     use stardust_transport::{Protocol, TransportSim};
 
     fn web_mix() -> Scenario {
@@ -772,10 +772,11 @@ mod tests {
         assert_eq!(fab.len(), 50);
         assert_eq!(fab.completed(), 50, "lossless fabric must finish all");
         // Transport side, same spec, through the protocol wrapper.
-        let ft = kary(KaryParams {
+        let ft = KaryParams {
             k: 4,
             ..KaryParams::paper_6_3()
-        });
+        }
+        .build_fabric();
         let sim = TransportSim::new(ft, stardust_transport::DEFAULT_SEED);
         let mut wrapped = crate::TransportFlowEngine::new(sim, Protocol::Stardust);
         let tra = scn.run(&mut wrapped, SimTime::from_millis(100));
@@ -1049,10 +1050,11 @@ mod tests {
     fn streamed_run_matches_eager_on_the_transport() {
         let scn = web_mix();
         let mk = || {
-            let ft = kary(KaryParams {
+            let ft = KaryParams {
                 k: 4,
                 ..KaryParams::paper_6_3()
-            });
+            }
+            .build_fabric();
             let sim = TransportSim::new(ft, stardust_transport::DEFAULT_SEED);
             crate::TransportFlowEngine::new(sim, Protocol::Stardust)
         };

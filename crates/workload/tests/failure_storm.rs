@@ -11,11 +11,14 @@
 
 use stardust_fabric::{ExecMode, FabricConfig, FabricEngine, ShardedFabricEngine};
 use stardust_sim::{DetRng, SimDuration, SimTime};
-use stardust_topo::{LinkId, TopologyBuilder, TwoTierParams};
+use stardust_topo::{LinkId, TwoTierParams};
 use stardust_workload::{FailureSchedule, FlowEngine, FlowSpec};
 
 const SEED: u64 = 23;
-const HORIZON: SimTime = SimTime(1_000_000_000_000); // 1 ms in ps
+/// 2 ms: the last load wave starts at 395 µs, so a burst the storm cut
+/// short is discarded (`REASSEMBLY_TIMEOUT`, 1 ms after it was packed)
+/// before the run ends. The reference run asserts that it was.
+const HORIZON: SimTime = SimTime::from_millis(2);
 const WINDOW: SimDuration = SimDuration::from_micros(100);
 
 fn cfg() -> FabricConfig {
@@ -100,6 +103,10 @@ fn boundary_events_interleave_identically_across_shard_counts() {
         "a storm at load must lose cells while exclusion propagates"
     );
     assert!(reference.last_link_event_ps > 0 && reference.last_reach_change_ps > 0);
+    assert!(
+        reference.packets_discarded.get() > 0,
+        "bursts the storm cut short must time out at reassembly within the horizon"
+    );
 
     // Sequential engine, windowed admission with events exactly on the
     // window boundaries: flows starting at an event instant are offered

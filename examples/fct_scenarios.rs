@@ -14,7 +14,7 @@
 use stardust::fabric::{FabricConfig, FabricEngine};
 use stardust::sim::units::gbps;
 use stardust::sim::{SimDuration, SimTime};
-use stardust::topo::builders::{kary, two_tier, KaryParams, TwoTierParams};
+use stardust::topo::builders::{two_tier, KaryParams, TwoTierParams};
 use stardust::transport::{Protocol, TransportSim, DEFAULT_SEED};
 use stardust::workload::{FlowSizeDist, Scenario, ScenarioKind, TransportFlowEngine};
 
@@ -43,10 +43,11 @@ fn main() {
     assert_eq!(engine.stats().cells_dropped.get(), 0);
 
     // The fat-tree transport model: k = 4, 16 hosts, TCP-over-Stardust.
-    let ft = kary(KaryParams {
+    let ft = KaryParams {
         k: 4,
         ..KaryParams::paper_6_3()
-    });
+    }
+    .build_fabric();
     let sim = TransportSim::new(ft, DEFAULT_SEED);
     let mut wrapped = TransportFlowEngine::new(sim, Protocol::Stardust);
     let transport = scenario.run(&mut wrapped, horizon);

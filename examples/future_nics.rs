@@ -19,7 +19,7 @@
 use stardust::fabric::{FabricConfig, FabricEngine};
 use stardust::sim::units::gbps;
 use stardust::sim::{SimDuration, SimTime};
-use stardust::topo::builders::{single_tier, SingleTierParams};
+use stardust::topo::builders::SingleTierParams;
 
 fn main() {
     // 64 servers, each with a dual-homed 2×50G smart NIC, over 2 Fabric
@@ -30,7 +30,7 @@ fn main() {
         fe_count: 2,
         meters: 5,
     };
-    let st = single_tier(params);
+    let built = params.build_fabric();
     let cfg = FabricConfig {
         host_ports: 1,                        // the NIC's host-side DMA engine
         host_port_bps: gbps(90),              // ~PCIe-limited
@@ -44,7 +44,7 @@ fn main() {
         params.num_fa, params.fa_uplinks, params.fe_count
     );
 
-    let mut net = FabricEngine::new(st.topo, cfg);
+    let mut net = FabricEngine::with_plan(built.topo, cfg, built.plan);
 
     // Bulk traffic: every server streams to its neighbor (storage-style).
     let n = params.num_fa;

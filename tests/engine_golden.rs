@@ -17,8 +17,8 @@ use stardust::fabric::{FabricConfig, FabricEngine};
 use stardust::sim::hash::Fnv1a;
 use stardust::sim::units::gbps;
 use stardust::sim::{DetRng, SimDuration, SimTime};
-use stardust::topo::builders::{kary, two_tier, KaryParams, TwoTierParams};
-use stardust::topo::{DragonflyParams, LinkId, NodeKind, Topology, TopologyBuilder};
+use stardust::topo::builders::{two_tier, KaryParams, TwoTierParams};
+use stardust::topo::{DragonflyParams, LinkId, NodeKind, Topology};
 use stardust::transport::{Protocol, TransportSim, DEFAULT_SEED};
 use stardust::workload::permutation;
 use std::fmt::{Debug, Write};
@@ -450,10 +450,11 @@ fn transport_k4_permutation_every_protocol() {
     ]
     .into_iter()
     .map(|proto| {
-        let ft = kary(KaryParams {
+        let ft = KaryParams {
             k: 4,
             ..KaryParams::paper_6_3()
-        });
+        }
+        .build_fabric();
         let mut sim = TransportSim::new(ft, DEFAULT_SEED);
         let n = sim.num_hosts();
         let mut rng = DetRng::from_label(0x5EED_0033, "engine-golden-transport");

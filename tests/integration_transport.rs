@@ -2,15 +2,16 @@
 //! qualitative orderings of Figure 10 must hold.
 
 use stardust::sim::{DetRng, SimDuration, SimTime};
-use stardust::topo::builders::{kary, KaryParams};
+use stardust::topo::builders::KaryParams;
 use stardust::transport::{FlowId, Protocol, TransportSim, DEFAULT_SEED};
 use stardust::workload::permutation;
 
 fn permutation_run(proto: Protocol, k: u32, ms: u64) -> Vec<f64> {
-    let ft = kary(KaryParams {
+    let ft = KaryParams {
         k,
         ..KaryParams::paper_6_3()
-    });
+    }
+    .build_fabric();
     let mut sim = TransportSim::new(ft, DEFAULT_SEED);
     let n = sim.num_hosts();
     let mut rng = DetRng::from_label(7, "itest-perm");
@@ -50,10 +51,11 @@ fn fig10a_stardust_fairness() {
 
 #[test]
 fn fig10c_stardust_fair_incast_without_loss() {
-    let ft = kary(KaryParams {
+    let ft = KaryParams {
         k: 4,
         ..KaryParams::paper_6_3()
-    });
+    }
+    .build_fabric();
     let mut sim = TransportSim::new(ft, DEFAULT_SEED);
     let ids: Vec<FlowId> = (1..13u32)
         .map(|s| sim.add_flow(Protocol::Stardust, s, 0, 450_000, SimTime::ZERO))
@@ -75,10 +77,11 @@ fn fig10c_stardust_fair_incast_without_loss() {
 #[test]
 fn fig10b_short_flows_faster_on_stardust_than_mptcp() {
     let run = |proto: Protocol| {
-        let ft = kary(KaryParams {
+        let ft = KaryParams {
             k: 4,
             ..KaryParams::paper_6_3()
-        });
+        }
+        .build_fabric();
         let mut sim = TransportSim::new(ft, DEFAULT_SEED);
         // Background load.
         let mut rng = DetRng::from_label(9, "bg");

@@ -19,7 +19,7 @@ use stardust::sim::event::HeapEventQueue;
 use stardust::sim::stats::Histogram;
 use stardust::sim::units::serialization_time;
 use stardust::sim::{DetRng, EventQueue, Mailboxes, ShardClock, SimDuration, SimTime};
-use stardust::topo::builders::{single_tier, SingleTierParams};
+use stardust::topo::builders::SingleTierParams;
 use stardust::topo::LinkId;
 use stardust::workload::FlowEngine;
 
@@ -516,12 +516,13 @@ struct ShardCase {
 /// violation the shrinker minimizes).
 fn shard_case_diverges(c: &ShardCase) -> bool {
     let build = || {
-        single_tier(SingleTierParams {
+        SingleTierParams {
             num_fa: c.num_fa,
             fa_uplinks: c.fe_count * 2,
             fe_count: c.fe_count,
             meters: 20,
-        })
+        }
+        .build_fabric()
     };
     let cfg = FabricConfig {
         seed: c.seed,
@@ -705,7 +706,7 @@ fn assert_sliced_run_equals_whole<E: FlowEngine, V: PartialEq + std::fmt::Debug>
 /// included) and the transport flow book compare `==`.
 #[test]
 fn run_until_equals_any_partition_into_calls() {
-    use stardust::topo::builders::{kary, KaryParams};
+    use stardust::topo::builders::KaryParams;
     use stardust::transport::{Protocol, TransportSim, DEFAULT_SEED};
     use stardust::workload::{FlowSpec, TransportFlowEngine};
 
@@ -728,12 +729,13 @@ fn run_until_equals_any_partition_into_calls() {
 
     for_each_case("run_until_equals_any_partition_into_calls", |rng| {
         let fabric = || {
-            single_tier(SingleTierParams {
+            SingleTierParams {
                 num_fa: 8,
                 fa_uplinks: 4,
                 fe_count: 2,
                 meters: 20,
-            })
+            }
+            .build_fabric()
             .topo
         };
         let cfg = FabricConfig {
@@ -765,10 +767,11 @@ fn run_until_equals_any_partition_into_calls() {
         assert_sliced_run_equals_whole(
             rng,
             || {
-                let ft = kary(KaryParams {
+                let ft = KaryParams {
                     k: 4,
                     ..KaryParams::paper_6_3()
-                });
+                }
+                .build_fabric();
                 let sim = TransportSim::new(ft, DEFAULT_SEED);
                 offered(TransportFlowEngine::new(sim, Protocol::Stardust), &fl)
             },

@@ -307,7 +307,7 @@ fn fail_link_conformance_calendar_core() {
 /// router/switch blocks), so conformance here pins the whole
 /// plan-driven path: seeding, advert filtering, group partitioning.
 fn zoo_built() -> Vec<(&'static str, stardust::topo::Built)> {
-    use stardust::topo::{DragonflyParams, ExpanderParams, SpaceShuffleParams, TopologyBuilder};
+    use stardust::topo::{DragonflyParams, ExpanderParams, SpaceShuffleParams};
     vec![
         ("dragonfly", DragonflyParams::zoo().build_fabric()),
         ("space_shuffle", SpaceShuffleParams::zoo(42).build_fabric()),
@@ -365,7 +365,8 @@ fn zoo_fail_link_conformance() {
         let mut c = cfg(3);
         c.reach_interval = Some(SimDuration::from_micros(10));
         c.reach_miss_threshold = 3;
-        let fail = built.topo.node(built.endpoints[0]).links[0];
+        let fa0 = built.topo.nodes_of_kind(stardust::topo::NodeKind::Edge)[0];
+        let fail = built.topo.node(fa0).links[0];
         let noisy = stardust::topo::LinkId(built.topo.num_links() as u32 - 1);
         let mut seq = FabricEngine::with_plan(built.topo.clone(), c.clone(), built.plan.clone());
         fail_link_workload!(seq, fail, noisy);

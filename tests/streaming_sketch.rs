@@ -21,7 +21,7 @@
 use stardust::fabric::shard::ExecMode;
 use stardust::fabric::{FabricConfig, FabricEngine, ShardedFabricEngine};
 use stardust::sim::{FlowStats, SimDuration, SimTime};
-use stardust::topo::builders::{kary, two_tier, KaryParams, TwoTierParams};
+use stardust::topo::builders::{two_tier, KaryParams, TwoTierParams};
 use stardust::topo::LinkId;
 use stardust::transport::{Protocol, TransportSim, DEFAULT_SEED};
 use stardust::workload::{
@@ -82,10 +82,11 @@ fn sketch_quantiles_match_exact_on_both_engine_families() {
     assert_quantiles_within_bound("fabric", &exact, &exact.sketched());
 
     // Transport: the k = 4 fat-tree under TCP-over-Stardust.
-    let ft = kary(KaryParams {
+    let ft = KaryParams {
         k: 4,
         ..KaryParams::paper_6_3()
-    });
+    }
+    .build_fabric();
     let sim = TransportSim::new(ft, DEFAULT_SEED);
     let mut tra = TransportFlowEngine::new(sim, Protocol::Stardust);
     let exact = scn.run(&mut tra, SimTime::from_millis(100));
