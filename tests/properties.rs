@@ -515,22 +515,20 @@ struct ShardCase {
 /// Run the case on both engines; `true` when they diverge (the property
 /// violation the shrinker minimizes).
 fn shard_case_diverges(c: &ShardCase) -> bool {
-    let build = || {
-        SingleTierParams {
-            num_fa: c.num_fa,
-            fa_uplinks: c.fe_count * 2,
-            fe_count: c.fe_count,
-            meters: 20,
-        }
-        .build_fabric()
-    };
+    let built = SingleTierParams {
+        num_fa: c.num_fa,
+        fa_uplinks: c.fe_count * 2,
+        fe_count: c.fe_count,
+        meters: 20,
+    }
+    .build_fabric();
     let cfg = FabricConfig {
         seed: c.seed,
         host_ports: 2,
         host_port_bps: stardust::sim::units::gbps(40),
         ..FabricConfig::default()
     };
-    let fail = LinkId(c.fail_link % build().topo.num_links() as u32);
+    let fail = LinkId(c.fail_link % built.topo.num_links() as u32);
     macro_rules! drive {
         ($e:expr) => {{
             let n = $e.num_fas() as u32;
@@ -564,13 +562,13 @@ fn shard_case_diverges(c: &ShardCase) -> bool {
             $e.run_until(SimTime::from_micros(400));
         }};
     }
-    let mut seq = FabricEngine::new(build().topo, cfg.clone());
+    let mut seq = FabricEngine::with_plan(built.topo.clone(), cfg.clone(), built.plan.clone());
     drive!(seq);
     assert!(
         seq.stats().packets_delivered.get() > 0,
         "vacuous case: nothing delivered"
     );
-    let mut sh = ShardedFabricEngine::new(build().topo, cfg, c.shards);
+    let mut sh = ShardedFabricEngine::with_plan(built.topo, cfg, built.plan, c.shards);
     sh.set_exec_mode(ExecMode::Inline);
     drive!(sh);
     *seq.stats() != sh.stats()
@@ -728,16 +726,13 @@ fn run_until_equals_any_partition_into_calls() {
     }
 
     for_each_case("run_until_equals_any_partition_into_calls", |rng| {
-        let fabric = || {
-            SingleTierParams {
-                num_fa: 8,
-                fa_uplinks: 4,
-                fe_count: 2,
-                meters: 20,
-            }
-            .build_fabric()
-            .topo
-        };
+        let built = SingleTierParams {
+            num_fa: 8,
+            fa_uplinks: 4,
+            fe_count: 2,
+            meters: 20,
+        }
+        .build_fabric();
         let cfg = FabricConfig {
             seed: rng.next_u64(),
             host_ports: 2,
@@ -748,14 +743,24 @@ fn run_until_equals_any_partition_into_calls() {
         let end = SimTime::from_micros(300);
         assert_sliced_run_equals_whole(
             rng,
-            || offered(FabricEngine::new(fabric(), cfg.clone()), &fl),
+            || {
+                offered(
+                    FabricEngine::with_plan(built.topo.clone(), cfg.clone(), built.plan.clone()),
+                    &fl,
+                )
+            },
             end,
             |e| e.stats().clone(),
         );
         assert_sliced_run_equals_whole(
             rng,
             || {
-                let mut e = ShardedFabricEngine::new(fabric(), cfg.clone(), 2);
+                let mut e = ShardedFabricEngine::with_plan(
+                    built.topo.clone(),
+                    cfg.clone(),
+                    built.plan.clone(),
+                    2,
+                );
                 e.set_exec_mode(ExecMode::Inline);
                 offered(e, &fl)
             },
